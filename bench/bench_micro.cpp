@@ -93,14 +93,26 @@ void BM_ApspThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_ApspThreads)->Args({16, 1})->Args({16, 2})->Args({16, 4})->UseRealTime();
 
+// Plan preview from Clos; the second argument picks the target: 0 = all
+// pods global, 1 = hybrid (half the pods global, the rest local).
 void BM_ConversionPlan(benchmark::State& state) {
   const std::uint32_t k = static_cast<std::uint32_t>(state.range(0));
   core::FlatTreeConfig cfg;
   cfg.k = k;
   core::Controller controller(cfg);
-  for (auto _ : state) benchmark::DoNotOptimize(controller.plan(core::Mode::GlobalRandom));
+  const std::uint32_t pods = controller.network().params().pods();
+  const std::vector<core::Mode> target =
+      state.range(1) == 0 ? std::vector<core::Mode>(pods, core::Mode::GlobalRandom)
+                          : core::ZonePartition::proportion(pods, 0.5).pod_modes;
+  for (auto _ : state) benchmark::DoNotOptimize(controller.plan(target));
 }
-BENCHMARK(BM_ConversionPlan)->Arg(8)->Arg(16);
+BENCHMARK(BM_ConversionPlan)
+    ->Args({8, 0})
+    ->Args({16, 0})
+    ->Args({32, 0})
+    ->Args({64, 0})
+    ->Args({64, 1})
+    ->Unit(benchmark::kMillisecond);
 
 std::vector<mcf::Commodity> broadcast_commodities(const topo::Topology& topo,
                                                   std::uint32_t k,

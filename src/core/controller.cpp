@@ -1,7 +1,9 @@
 #include "core/controller.hpp"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
+#include <numeric>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,6 +19,23 @@ obs::Counter c_links_added("core.controller.links_added");
 obs::Counter c_links_removed("core.controller.links_removed");
 obs::Counter c_servers_moved("core.controller.servers_moved");
 
+using LinkKey = std::pair<topo::NodeId, topo::NodeId>;  ///< (lo, hi) endpoints
+
+/// Sorts `keys` by (lo, hi) with two stable counting passes over switch
+/// ids: O(keys + switches), where std::sort was most of the diff's time.
+void sort_link_keys(std::vector<LinkKey>& keys, std::size_t switches) {
+  std::vector<LinkKey> out(keys.size());
+  std::vector<std::size_t> slot(switches + 1);
+  for (bool by_lo : {false, true}) {
+    auto digit = [by_lo](const LinkKey& k) { return by_lo ? k.first : k.second; };
+    std::fill(slot.begin(), slot.end(), 0);
+    for (const LinkKey& k : keys) ++slot[digit(k) + 1];
+    std::partial_sum(slot.begin(), slot.end(), slot.begin());
+    for (const LinkKey& k : keys) out[slot[digit(k)]++] = k;
+    keys.swap(out);
+  }
+}
+
 }  // namespace
 
 Controller::Controller(FlatTreeConfig config) : Controller(FlatTreeNetwork(config)) {}
@@ -26,22 +45,6 @@ Controller::Controller(FlatTreeNetwork net)
       configs_(net_.assign_configs(Mode::Clos)),
       pod_modes_(net_.params().pods(), Mode::Clos) {}
 
-namespace {
-
-/// Multiset of logical links as sorted (lo, hi) endpoint pairs.
-std::map<std::pair<topo::NodeId, topo::NodeId>, std::size_t> link_multiset(
-    const topo::Topology& topo) {
-  std::map<std::pair<topo::NodeId, topo::NodeId>, std::size_t> out;
-  for (const auto& link : topo.graph().links()) {
-    auto lo = std::min(link.a, link.b);
-    auto hi = std::max(link.a, link.b);
-    ++out[{lo, hi}];
-  }
-  return out;
-}
-
-}  // namespace
-
 ReconfigPlan Controller::diff(const std::vector<ConverterConfig>& from,
                               const std::vector<ConverterConfig>& to) const {
   OBS_SPAN("core.reconfig.diff");
@@ -50,26 +53,37 @@ ReconfigPlan Controller::diff(const std::vector<ConverterConfig>& from,
     if (from[i] != to[i]) plan.steps.push_back({i, from[i], to[i]});
   if (plan.steps.empty()) return plan;
 
-  topo::Topology before = net_.materialize(from);
-  topo::Topology after = net_.materialize(to);
-  auto before_links = link_multiset(before);
-  auto after_links = link_multiset(after);
-  for (const auto& [pair, count] : before_links) {
-    auto it = after_links.find(pair);
-    std::size_t still = it == after_links.end() ? 0 : it->second;
-    if (count > still) plan.links_removed += count - still;
+  // Both states are materialized only for their checks (assignment
+  // validity, Topology::validate's port budgets and connectivity): a live
+  // state left behind by a ResilientController call that threw need not
+  // materialize, and the plan must reject it as before.
+  net_.materialize(from);
+  net_.materialize(to);
+
+  // Only changed converters rewire, so the link multiset difference of the
+  // two fabrics is the difference of the changed converters' links.
+  std::vector<LinkKey> before, after;
+  auto gather = [](const ConverterWiring& w, std::vector<LinkKey>& keys) {
+    for (std::uint32_t l = 0; l < w.link_count; ++l)
+      keys.emplace_back(std::minmax(w.links[l].a, w.links[l].b));
+  };
+  for (const ReconfigStep& step : plan.steps) {
+    ConverterWiring old_w = net_.converter_wiring(step.converter, step.from);
+    ConverterWiring new_w = net_.converter_wiring(step.converter, step.to);
+    gather(old_w, before);
+    gather(new_w, after);
+    if (old_w.host != new_w.host) ++plan.servers_moved;
   }
-  for (const auto& [pair, count] : after_links) {
-    auto it = before_links.find(pair);
-    std::size_t had = it == before_links.end() ? 0 : it->second;
-    if (count > had) plan.links_added += count - had;
-  }
-  for (topo::ServerId s = 0; s < before.server_count(); ++s)
-    if (before.host(s) != after.host(s)) ++plan.servers_moved;
-  c_steps.add(plan.steps.size());
-  c_links_added.add(plan.links_added);
-  c_links_removed.add(plan.links_removed);
-  c_servers_moved.add(plan.servers_moved);
+  sort_link_keys(before, net_.params().total_switches());
+  sort_link_keys(after, net_.params().total_switches());
+  std::vector<LinkKey> only;
+  std::set_difference(before.begin(), before.end(), after.begin(), after.end(),
+                      std::back_inserter(only));
+  plan.links_removed = only.size();
+  only.clear();
+  std::set_difference(after.begin(), after.end(), before.begin(), before.end(),
+                      std::back_inserter(only));
+  plan.links_added = only.size();
   return plan;
 }
 
@@ -86,6 +100,10 @@ ReconfigPlan Controller::apply(const std::vector<Mode>& target) {
   c_applies.inc();
   auto next = net_.assign_configs(target);
   ReconfigPlan executed = diff(configs_, next);
+  c_steps.add(executed.steps.size());
+  c_links_added.add(executed.links_added);
+  c_links_removed.add(executed.links_removed);
+  c_servers_moved.add(executed.servers_moved);
   configs_ = std::move(next);
   pod_modes_ = target;
   return executed;

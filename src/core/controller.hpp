@@ -46,6 +46,8 @@ class Controller {
   const std::vector<Mode>& pod_modes() const { return pod_modes_; }
 
   /// Plans a conversion to per-pod `target` modes without applying it.
+  /// A preview counts in core.controller.plans only; the churn counters
+  /// (conversion_steps, links_added/removed, servers_moved) record apply().
   ReconfigPlan plan(const std::vector<Mode>& target) const;
   ReconfigPlan plan(Mode target) const;
 
@@ -61,6 +63,10 @@ class Controller {
   // Subclasses (fault::ResilientController) drive the configuration
   // directly — partial plan application and fault-aware recovery mutate
   // configs_ outside the mode-level apply() path.
+
+  /// The plan from `from` to `to`. Link and server churn come from the
+  /// changed converters' wiring alone; both states are still materialized
+  /// so an invalid or unmaterializable one throws as materialize() does.
   ReconfigPlan diff(const std::vector<ConverterConfig>& from,
                     const std::vector<ConverterConfig>& to) const;
 

@@ -22,6 +22,16 @@ const char* to_string(ConverterConfig config) {
   return "?";
 }
 
+NodeId server_home(const Converter& c, ConverterConfig config) {
+  switch (config) {
+    case ConverterConfig::Default: return c.edge;
+    case ConverterConfig::Local: return c.agg;
+    case ConverterConfig::Side:
+    case ConverterConfig::Cross: return c.core;
+  }
+  return c.edge;
+}
+
 bool config_valid(const Converter& c, ConverterConfig config) {
   switch (config) {
     case ConverterConfig::Default:
@@ -46,11 +56,10 @@ std::string validate_assignment(const std::vector<Converter>& converters,
          << c.row << ", col " << c.col << ") cannot take config " << to_string(cfg);
       return os.str();
     }
-    bool paired_cfg = cfg == ConverterConfig::Side || cfg == ConverterConfig::Cross;
+    bool paired_cfg = is_pair_config(cfg);
     if (c.peer != kNoPeer) {
       ConverterConfig peer_cfg = configs[c.peer];
-      bool peer_paired = peer_cfg == ConverterConfig::Side || peer_cfg == ConverterConfig::Cross;
-      if (paired_cfg != peer_paired || (paired_cfg && cfg != peer_cfg)) {
+      if (paired_cfg != is_pair_config(peer_cfg) || (paired_cfg && cfg != peer_cfg)) {
         std::ostringstream os;
         os << "converter " << i << " config " << to_string(cfg) << " disagrees with peer "
            << c.peer << " config " << to_string(peer_cfg);

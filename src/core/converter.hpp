@@ -43,6 +43,11 @@ enum class ConverterConfig : std::uint8_t {
 const char* to_string(ConverterType type);
 const char* to_string(ConverterConfig config);
 
+/// True for the joint pair states (`side`/`cross`).
+inline bool is_pair_config(ConverterConfig config) {
+  return config == ConverterConfig::Side || config == ConverterConfig::Cross;
+}
+
 inline constexpr std::uint32_t kNoPeer = ~std::uint32_t{0};
 
 /// A converter instance with its static attachments. Attachments are fixed
@@ -66,6 +71,10 @@ struct Converter {
   /// from the canonical end only.
   bool pair_canonical = false;
 };
+
+/// Switch hosting `c`'s tapped server under `config`: the edge switch
+/// (default), the aggregation switch (local) or the core switch (side/cross).
+NodeId server_home(const Converter& c, ConverterConfig config);
 
 /// True when `config` is legal for a converter: side/cross require a paired
 /// 6-port converter.

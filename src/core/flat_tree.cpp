@@ -181,6 +181,33 @@ std::vector<ConverterConfig> FlatTreeNetwork::assign_configs(Mode mode) const {
   return assign_configs(std::vector<Mode>(params_.pods(), mode));
 }
 
+ConverterWiring FlatTreeNetwork::converter_wiring(std::uint32_t idx,
+                                                  ConverterConfig config) const {
+  const Converter& c = converters_[idx];
+  ConverterWiring w;
+  w.host = server_home(c, config);
+  switch (config) {
+    case ConverterConfig::Default:
+      w.links[w.link_count++] = {c.agg, c.core, topo::LinkOrigin::PodCore};
+      break;
+    case ConverterConfig::Local:
+      w.links[w.link_count++] = {c.edge, c.core, topo::LinkOrigin::ConverterLocal};
+      break;
+    case ConverterConfig::Side:
+    case ConverterConfig::Cross: {
+      if (!c.pair_canonical) break;  // pair links leave from the canonical end
+      const Converter& peer = converters_[c.peer];
+      const bool side = config == ConverterConfig::Side;
+      w.links[w.link_count++] = {c.edge, side ? peer.edge : peer.agg,
+                                 topo::LinkOrigin::InterPodSide};
+      w.links[w.link_count++] = {c.agg, side ? peer.agg : peer.edge,
+                                 topo::LinkOrigin::InterPodSide};
+      break;
+    }
+  }
+  return w;
+}
+
 topo::Topology FlatTreeNetwork::materialize(
     const std::vector<ConverterConfig>& configs) const {
   OBS_SPAN("core.flat_tree.materialize");
@@ -214,15 +241,7 @@ topo::Topology FlatTreeNetwork::materialize(
         } else if (s < config_.n + config_.m) {
           conv = converter_index(pod, layout_.blade_b_slot(s - config_.n, j));
         }
-        if (conv != kNoPeer) {
-          const Converter& c = converters_[conv];
-          switch (configs[conv]) {
-            case ConverterConfig::Default: host = c.edge; break;
-            case ConverterConfig::Local: host = c.agg; break;
-            case ConverterConfig::Side:
-            case ConverterConfig::Cross: host = c.core; break;
-          }
-        }
+        if (conv != kNoPeer) host = converter_wiring(conv, configs[conv]).host;
         topo.add_server(host);
       }
     }
@@ -235,36 +254,25 @@ topo::Topology FlatTreeNetwork::materialize(
         topo.add_link(edge_switch(pod, j), agg_switch(pod, i),
                       topo::LinkOrigin::ClosEdgeAgg);
 
+  auto emit = [&](std::uint32_t conv) {
+    ConverterWiring w = converter_wiring(conv, configs[conv]);
+    for (std::uint32_t l = 0; l < w.link_count; ++l)
+      topo.add_link(w.links[l].a, w.links[l].b, w.links[l].origin);
+  };
+
   // Pod-core connectors: converter core connectors + direct agg uplinks.
   const std::uint32_t group = p.h() / p.r();
   for (std::uint32_t pod = 0; pod < p.pods(); ++pod) {
     for (std::uint32_t j = 0; j < p.d(); ++j) {
       CoreAssignment cores = assign_cores(pattern_, pod, j, config_.m, config_.n, group);
-      // Blade B (6-port) core connectors.
+      // Blade B (6-port) core connectors; pair states emit below.
       for (std::uint32_t i = 0; i < config_.m; ++i) {
         std::uint32_t conv = converter_index(pod, layout_.blade_b_slot(i, j));
-        const Converter& c = converters_[conv];
-        switch (configs[conv]) {
-          case ConverterConfig::Default:
-            topo.add_link(c.agg, c.core, topo::LinkOrigin::PodCore);
-            break;
-          case ConverterConfig::Local:
-            topo.add_link(c.edge, c.core, topo::LinkOrigin::ConverterLocal);
-            break;
-          case ConverterConfig::Side:
-          case ConverterConfig::Cross:
-            break;  // core connector carries the relocated server
-        }
+        if (!is_pair_config(configs[conv])) emit(conv);
       }
       // Blade A (4-port) core connectors.
-      for (std::uint32_t i = 0; i < config_.n; ++i) {
-        std::uint32_t conv = converter_index(pod, layout_.blade_a_slot(i, j));
-        const Converter& c = converters_[conv];
-        if (configs[conv] == ConverterConfig::Default)
-          topo.add_link(c.agg, c.core, topo::LinkOrigin::PodCore);
-        else
-          topo.add_link(c.edge, c.core, topo::LinkOrigin::ConverterLocal);
-      }
+      for (std::uint32_t i = 0; i < config_.n; ++i)
+        emit(converter_index(pod, layout_.blade_a_slot(i, j)));
       // Remaining direct aggregation uplinks.
       NodeId agg = agg_switch(pod, layout_.agg_of(j));
       for (std::uint32_t core_idx : cores.core_of_agg)
@@ -273,20 +281,8 @@ topo::Topology FlatTreeNetwork::materialize(
   }
 
   // Inter-pod side links (one emission per pair, from the canonical end).
-  for (std::uint32_t idx = 0; idx < converters_.size(); ++idx) {
-    const Converter& c = converters_[idx];
-    if (!c.pair_canonical) continue;
-    ConverterConfig cfg = configs[idx];
-    if (cfg != ConverterConfig::Side && cfg != ConverterConfig::Cross) continue;
-    const Converter& peer = converters_[c.peer];
-    if (cfg == ConverterConfig::Side) {
-      topo.add_link(c.edge, peer.edge, topo::LinkOrigin::InterPodSide);
-      topo.add_link(c.agg, peer.agg, topo::LinkOrigin::InterPodSide);
-    } else {
-      topo.add_link(c.edge, peer.agg, topo::LinkOrigin::InterPodSide);
-      topo.add_link(c.agg, peer.edge, topo::LinkOrigin::InterPodSide);
-    }
-  }
+  for (std::uint32_t idx = 0; idx < converters_.size(); ++idx)
+    if (is_pair_config(configs[idx])) emit(idx);
 
   topo.validate();
   return topo;

@@ -18,6 +18,7 @@
 // straddle a zone boundary fall back to standalone configurations (see
 // DESIGN.md).
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -53,6 +54,21 @@ struct FlatTreeConfig {
   /// paper's m = k/8, n = 2k/8 are group/4 and group/2 on a fat-tree.
   static std::uint32_t default_m_for_group(std::uint32_t group);
   static std::uint32_t default_n_for_group(std::uint32_t group);
+};
+
+/// One logical link contributed by a converter.
+struct ConverterLink {
+  NodeId a = graph::kInvalidNode;
+  NodeId b = graph::kInvalidNode;
+  topo::LinkOrigin origin = topo::LinkOrigin::PodCore;
+};
+
+/// Everything one converter contributes to the logical topology under one
+/// configuration: the switch hosting its tapped server and 0-2 links.
+struct ConverterWiring {
+  NodeId host = graph::kInvalidNode;
+  std::uint32_t link_count = 0;
+  std::array<ConverterLink, 2> links{};
 };
 
 class FlatTreeNetwork {
@@ -91,6 +107,17 @@ class FlatTreeNetwork {
   std::vector<ConverterConfig> assign_configs(const std::vector<Mode>& pod_modes) const;
   /// Uniform mode over all pods.
   std::vector<ConverterConfig> assign_configs(Mode mode) const;
+
+  /// What converter `idx` contributes under `config` (which must be
+  /// config_valid for it):
+  ///   default     agg-core link, server on the edge;
+  ///   local       edge-core link, server on the aggregation switch;
+  ///   side/cross  the two inter-pod pair links, emitted from the
+  ///               pair-canonical end only (none from its peer), server on
+  ///               the core.
+  /// The single source of converter wiring: materialize() emits exactly
+  /// these links and hosts, and Controller diffs plans with it.
+  ConverterWiring converter_wiring(std::uint32_t idx, ConverterConfig config) const;
 
   /// Materializes the logical topology for a validated assignment.
   /// The result satisfies Topology::validate() (port budgets, connected).

@@ -80,17 +80,6 @@ DegradedTopology apply_failures(const topo::Topology& source, const FailureSet& 
 
 namespace {
 
-/// Where a configuration homes the tapped server.
-topo::NodeId server_home(const Converter& c, ConverterConfig cfg) {
-  switch (cfg) {
-    case ConverterConfig::Default: return c.edge;
-    case ConverterConfig::Local: return c.agg;
-    case ConverterConfig::Side:
-    case ConverterConfig::Cross: return c.core;
-  }
-  return c.edge;
-}
-
 /// Best standalone configuration avoiding failed switches: prefer the
 /// aggregation home, fall back to the edge. When both died no live home
 /// remains — `recovered` is false and the (still stranded) server keeps
@@ -130,8 +119,7 @@ RecoveryPlan plan_recovery(const FlatTreeNetwork& net,
     if (flipped[i]) continue;  // peer of an already-handled pair
     const Converter& c = converters[i];
     ConverterConfig cfg = recovered[i];
-    bool paired_cfg = cfg == ConverterConfig::Side || cfg == ConverterConfig::Cross;
-    if (paired_cfg) {
+    if (is_pair_config(cfg)) {
       // A side/cross pair is a joint configuration: if either end homes
       // its server on a failed core, flip BOTH ends to safe standalone
       // configurations (standalone choices need not match). The loop

@@ -7,27 +7,6 @@
 
 namespace flattree::fault {
 
-namespace {
-
-using core::Converter;
-using core::ConverterConfig;
-
-bool paired_cfg(ConverterConfig c) {
-  return c == ConverterConfig::Side || c == ConverterConfig::Cross;
-}
-
-NodeId home_of(const Converter& c, ConverterConfig cfg) {
-  switch (cfg) {
-    case ConverterConfig::Default: return c.edge;
-    case ConverterConfig::Local: return c.agg;
-    case ConverterConfig::Side:
-    case ConverterConfig::Cross: return c.core;
-  }
-  return c.edge;
-}
-
-}  // namespace
-
 check::Report check_degraded(const core::FlatTreeNetwork& net,
                              const std::vector<core::ConverterConfig>& configs,
                              const FaultState& state,
@@ -62,16 +41,16 @@ check::Report check_degraded(const core::FlatTreeNetwork& net,
     const auto& converters = net.converters();
     report.note_check();
     for (std::uint32_t i = 0; i < converters.size(); ++i) {
-      const Converter& c = converters[i];
-      if (!state.switch_down(home_of(c, configs[i]))) continue;
+      const core::Converter& c = converters[i];
+      if (!state.switch_down(core::server_home(c, configs[i]))) continue;
       if (state.converter_stuck(i)) continue;
-      if (paired_cfg(configs[i]) && c.peer != core::kNoPeer &&
+      if (core::is_pair_config(configs[i]) && c.peer != core::kNoPeer &&
           state.converter_stuck(c.peer))
         continue;  // joint state frozen by the partner
       if (!usable(c.agg) && !usable(c.edge)) continue;  // genuinely unrecoverable
       std::ostringstream os;
       os << "converter " << i << " homes server " << c.server << " on down switch "
-         << home_of(c, configs[i]) << " while a usable standalone home exists";
+         << core::server_home(c, configs[i]) << " while a usable standalone home exists";
       report.add("fault.avoidable_home", os.str());
     }
   }

@@ -25,16 +25,6 @@ obs::Counter c_deferrals("fault.ctl.deferrals");
 obs::Counter c_conversions("fault.ctl.conversions_started");
 obs::Counter c_completed("fault.ctl.conversions_completed");
 
-NodeId home_of(const Converter& c, ConverterConfig cfg) {
-  switch (cfg) {
-    case ConverterConfig::Default: return c.edge;
-    case ConverterConfig::Local: return c.agg;
-    case ConverterConfig::Side:
-    case ConverterConfig::Cross: return c.core;
-  }
-  return c.edge;
-}
-
 }  // namespace
 
 ResilientController::ResilientController(core::FlatTreeConfig config,
@@ -78,7 +68,7 @@ std::vector<ConverterConfig> ResilientController::fault_aware_target(
     // avoid pointless churn).
     auto standalone_safe = [&](std::uint32_t idx, ConverterConfig pref) {
       const Converter& c = converters[idx];
-      if (!paired_cfg(pref) && usable(home_of(c, pref))) return pref;
+      if (!paired_cfg(pref) && usable(core::server_home(c, pref))) return pref;
       if (usable(c.agg)) return ConverterConfig::Local;
       if (usable(c.edge)) return ConverterConfig::Default;
       return paired_cfg(configs_[idx]) ? ConverterConfig::Local : configs_[idx];
@@ -175,7 +165,7 @@ std::vector<ResilientController::MicroTx> ResilientController::decompose(
 bool ResilientController::tx_blocked(const MicroTx& tx) const {
   for (const ReconfigStep& step : tx.steps) {
     if (state_.converter_stuck(step.converter)) return true;
-    if (state_.switch_down(home_of(net_.converters()[step.converter], step.to)))
+    if (state_.switch_down(core::server_home(net_.converters()[step.converter], step.to)))
       return true;
   }
   return false;
@@ -251,7 +241,7 @@ bool ResilientController::needs_replan() const {
   const auto& converters = net_.converters();
   for (std::uint32_t i = 0; i < converters.size(); ++i) {
     const Converter& c = converters[i];
-    if (!state_.switch_down(home_of(c, configs_[i]))) continue;
+    if (!state_.switch_down(core::server_home(c, configs_[i]))) continue;
     if (state_.converter_stuck(i)) continue;
     if (paired_cfg(configs_[i]) && c.peer != core::kNoPeer &&
         state_.converter_stuck(c.peer))

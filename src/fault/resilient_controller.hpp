@@ -121,9 +121,7 @@ class ResilientController : public core::Controller {
     std::vector<core::ReconfigStep> steps;  ///< 1, or 2 for a joint pair flip
   };
 
-  static bool paired_cfg(core::ConverterConfig c) {
-    return c == core::ConverterConfig::Side || c == core::ConverterConfig::Cross;
-  }
+  static bool paired_cfg(core::ConverterConfig c) { return core::is_pair_config(c); }
   std::vector<core::ReconfigStep> steps_between(
       const std::vector<core::ConverterConfig>& from,
       const std::vector<core::ConverterConfig>& to) const;

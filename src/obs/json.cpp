@@ -426,7 +426,7 @@ struct TreeParser {
   const char* p;
   const char* end;
   int depth = 0;
-  JsonError err;
+  JsonError err{};
   bool failed = false;
 
   bool fail(const char* code, const std::string& message, const char* at) {
@@ -709,7 +709,7 @@ struct TreeParser {
 }  // namespace
 
 bool json_parse(const std::string& text, JsonValue& out, JsonError* error) {
-  TreeParser parser{text.data(), text.data(), text.data() + text.size(), {}};
+  TreeParser parser{text.data(), text.data(), text.data() + text.size()};
   JsonValue value;
   if (parser.parse_value(value)) {
     parser.skip_ws();

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 #include <thread>
+#include <utility>
 
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
@@ -64,7 +65,10 @@ void RunSession::set_double(const std::string& key, double value) {
 }
 
 void RunSession::set_string(const std::string& key, const std::string& value) {
-  fields_.push_back({key, "\"" + json_escape(value) + "\""});
+  std::string quoted(1, '"');
+  quoted += json_escape(value);
+  quoted += '"';
+  fields_.push_back({key, std::move(quoted)});
 }
 
 std::string RunSession::manifest_json() const {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+
+#include "obs/metrics.hpp"
 
 namespace flattree::core {
 namespace {
@@ -121,6 +124,33 @@ TEST(Controller, PlanDoesNotMutate) {
   topo::Topology t = ctl.topology();
   for (topo::ServerId s = 0; s < t.server_count(); ++s)
     EXPECT_EQ(t.info(t.host(s)).kind, topo::SwitchKind::Edge);
+}
+
+TEST(Controller, ChurnCountersRecordAppliesNotPreviews) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::reset_metrics();
+  auto counter = [](const std::string& name) -> std::uint64_t {
+    for (const auto& [n, v] : obs::snapshot_metrics().counters)
+      if (n == "core.controller." + name) return v;
+    return 0;
+  };
+  Controller ctl(small_config());
+  ReconfigPlan preview = ctl.plan(Mode::GlobalRandom);
+  EXPECT_EQ(counter("plans"), 1u);
+  for (const char* churn : {"conversion_steps", "links_added", "links_removed",
+                            "servers_moved"})
+    EXPECT_EQ(counter(churn), 0u) << churn;
+
+  ReconfigPlan executed = ctl.apply(Mode::GlobalRandom);
+  EXPECT_EQ(executed.steps.size(), preview.steps.size());
+  EXPECT_EQ(counter("applies"), 1u);
+  EXPECT_EQ(counter("conversion_steps"), executed.steps.size());
+  EXPECT_EQ(counter("links_added"), executed.links_added);
+  EXPECT_EQ(counter("links_removed"), executed.links_removed);
+  EXPECT_EQ(counter("servers_moved"), executed.servers_moved);
+  obs::reset_metrics();
+  obs::set_enabled(was_enabled);
 }
 
 }  // namespace
