@@ -27,6 +27,7 @@
 #include "common.hpp"
 #include "obs/json.hpp"
 #include "routing/ecmp.hpp"
+#include "routing/fib.hpp"
 #include "sim/packet_sim.hpp"
 #include "te/te.hpp"
 #include "topo/fat_tree.hpp"

@@ -3,14 +3,17 @@
 //
 // Flow-level metrics (Figures 7/8) capture steady-state bandwidth; this
 // bench injects synchronized packet trains (a shuffle-like burst) through
-// compiled FIBs with finite queues, where shorter random-graph paths mean
-// fewer serialization/queueing stages per packet.
+// equal-cost forwarding tables (te::compile_fib: ECMP next hops at weight
+// 1) with finite queues, where shorter random-graph paths mean fewer
+// serialization/queueing stages per packet.
 
 #include <cstdio>
 
 #include "common.hpp"
 #include "routing/ecmp.hpp"
+#include "routing/fib.hpp"
 #include "sim/packet_sim.hpp"
+#include "te/wcmp.hpp"
 #include "topo/fat_tree.hpp"
 
 using namespace flattree;
@@ -21,11 +24,11 @@ void run_case(util::Table& table, const char* name, const topo::Topology& t,
               const std::vector<sim::PacketFlow>& flows, const sim::PacketSimConfig& cfg) {
   routing::EcmpRouting routing(t.graph());
   auto pairs = routing::all_server_pairs(t);
-  routing::Fib fib = routing::compile_fib(t, routing, pairs);
-  // ECMP installs shortest-path hops only, so the strict-progress FIB
-  // invariant applies (a KSP FIB would need verify_fib instead).
+  te::WeightedFib fib = te::compile_fib(t, routing, pairs);
+  // The equal-cost table is model-checked like any other: reachability,
+  // strict hop-distance progress, loop-freedom and weight-1 rules.
   if (bench::selfcheck_enabled())
-    bench::selfcheck_record(check::validate_fib_progress(t, fib, pairs), "fib");
+    bench::selfcheck_record(check::validate_weighted_fib(t, fib, pairs), "fib");
   sim::PacketSimulator simulator(t, fib, cfg);
   sim::PacketStats stats = simulator.run(flows);
   table.begin_row();

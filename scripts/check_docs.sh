@@ -9,8 +9,8 @@
 #   2. Table-of-contents coverage — every `##` section of DESIGN.md and
 #      EXPERIMENTS.md is linked from that file's ToC.
 #   3. Header doc coverage — every public header under src/graph/, src/inc/,
-#      src/mcf/, src/fault/, src/svc/, src/te/ and src/design/ has a
-#      file-level comment, and every namespace-scope declaration (struct/
+#      src/mcf/, src/fault/, src/svc/, src/te/, src/design/, src/routing/,
+#      src/sim/ and src/check/ has a file-level comment, and every namespace-scope declaration (struct/
 #      class/enum/free function) is immediately preceded by a doc comment.
 #   4. README bench catalog — the bench catalog table in README.md lists
 #      every bench binary that exists under bench/.
@@ -128,7 +128,8 @@ def covered(lines, i):
     return prev.startswith(("//", "///", "/*", "*", "*/")) or prev.endswith("*/")
 
 HEADER_DIRS = ["src/graph", "src/inc", "src/mcf", "src/fault", "src/svc",
-               "src/svc/durable", "src/te", "src/design"]
+               "src/svc/durable", "src/te", "src/design", "src/routing",
+               "src/sim", "src/check"]
 for d in HEADER_DIRS:
     for name in sorted(os.listdir(os.path.join(root, d))):
         if not name.endswith(".hpp"):

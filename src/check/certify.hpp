@@ -32,6 +32,7 @@
 
 namespace flattree::check {
 
+/// Tolerances for certify() and the epsilon the certified solve ran with.
 struct CertifyOptions {
   /// The epsilon the solve ran with; enables the FPTAS gap check (5) when
   /// in (0, 1/3). 0 skips the gap check.

@@ -28,6 +28,7 @@
 
 namespace flattree::check {
 
+/// A seeded random multigraph instance for one GK-vs-exact-LP comparison.
 struct DifferentialSpec {
   std::uint64_t seed = 1;
   std::size_t nodes = 6;
@@ -41,6 +42,7 @@ struct DifferentialSpec {
   double gap_factor = 0.0;
 };
 
+/// The generated instance, both solutions, and the comparison verdict.
 struct DifferentialOutcome {
   graph::Graph graph;
   std::vector<mcf::Commodity> commodities;

@@ -19,6 +19,7 @@
 
 namespace flattree::check {
 
+/// Which topology invariants validate() enforces.
 struct TopologyCheckOptions {
   /// Parallel links are legal in a multigraph; Jellyfish-style builds
   /// promise simple graphs, so their checks set this to false.

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
-
-#include "graph/bfs.hpp"
 
 namespace flattree::check {
 
@@ -75,61 +72,6 @@ Report validate_paths(const graph::Graph& g, graph::NodeId src, graph::NodeId ds
            << ") are identical";
         report.add("route.path_duplicate", os.str());
       }
-  return report;
-}
-
-Report validate_fib_progress(
-    const topo::Topology& t, const routing::Fib& fib,
-    const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs) {
-  count_run();
-  Report report;
-  const graph::Graph& g = t.graph();
-  std::unordered_map<graph::NodeId, std::vector<std::uint32_t>> dist_cache;
-
-  report.note_check(pairs.size());
-  for (auto [src, dst] : pairs) {
-    if (src == dst) continue;
-    auto it = dist_cache.find(dst);
-    if (it == dist_cache.end())
-      it = dist_cache.emplace(dst, graph::bfs_distances(g, dst)).first;
-    const std::vector<std::uint32_t>& dist = it->second;
-    if (dist[src] == graph::kUnreachable) {
-      std::ostringstream os;
-      os << "pair (" << src << " -> " << dst << ") is disconnected in the topology";
-      report.add("route.fib_disconnected", os.str());
-      continue;
-    }
-
-    // DFS over every installed choice; progress implies termination, and
-    // the visited set bounds work if progress is violated.
-    std::vector<graph::NodeId> stack{src};
-    std::unordered_set<graph::NodeId> visited{src};
-    while (!stack.empty()) {
-      graph::NodeId at = stack.back();
-      stack.pop_back();
-      if (at == dst) continue;
-      const auto& hops = fib.next_hops(at, dst);
-      if (hops.empty()) {
-        std::ostringstream os;
-        os << "switch " << at << " reached on a route toward " << dst
-           << " but has no installed next hop";
-        report.add("route.fib_missing", os.str());
-        continue;
-      }
-      for (graph::LinkId l : hops) {
-        graph::NodeId next = g.link(l).other(at);
-        if (dist[next] == graph::kUnreachable || dist[next] >= dist[at]) {
-          std::ostringstream os;
-          os << "next hop " << at << " -> " << next << " (link " << l << ") toward "
-             << dst << " does not make progress (dist " << dist[at] << " -> "
-             << dist[next] << ")";
-          report.add("route.fib_progress", os.str());
-          continue;
-        }
-        if (visited.insert(next).second) stack.push_back(next);
-      }
-    }
-  }
   return report;
 }
 

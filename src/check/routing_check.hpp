@@ -1,23 +1,16 @@
 #pragma once
-// Routing invariant validators: path-set structure and FIB progress.
+// Routing invariant validator: path-set structure.
 //
 // validate_paths() checks what Yen's algorithm promises: every path runs
 // src..dst, is loopless, carries one link per hop with matching endpoints,
-// and the set is distinct and sorted by length. validate_fib_progress()
-// checks the property ECMP-compiled FIBs guarantee: from src, every
-// installed next hop toward dst strictly decreases the hop distance to
-// dst, so any greedy walk terminates. KSP-compiled FIBs install
-// non-shortest hops by design (see routing/fib.hpp) — run verify_fib()
-// on those instead, which checks loop-free reachability without the
-// monotonicity requirement.
+// and the set is distinct and sorted by length. Forwarding tables compiled
+// from those paths are checked by check::validate_weighted_fib
+// (check/te_check.hpp).
 
-#include <utility>
 #include <vector>
 
 #include "check/report.hpp"
 #include "graph/ksp.hpp"
-#include "routing/fib.hpp"
-#include "topo/topology.hpp"
 
 namespace flattree::check {
 
@@ -26,11 +19,5 @@ namespace flattree::check {
 /// route.path_length, route.path_order, route.path_duplicate.
 Report validate_paths(const graph::Graph& g, graph::NodeId src, graph::NodeId dst,
                       const std::vector<graph::Path>& paths);
-
-/// Walks every installed route for each (src, dst) pair and checks strict
-/// hop-distance progress toward dst at every choice point. Codes:
-/// route.fib_disconnected, route.fib_missing, route.fib_progress.
-Report validate_fib_progress(const topo::Topology& t, const routing::Fib& fib,
-                             const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs);
 
 }  // namespace flattree::check

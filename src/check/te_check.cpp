@@ -15,13 +15,15 @@ enum class WalkFault : std::uint8_t { None, Blackhole, Loop, HopLimit };
 
 /// Per-destination memoized walk over positive-weight rules. Structural
 /// rule hygiene is checked separately, so this checker only classifies the
-/// walk-level faults.
+/// walk-level faults. Progress violations do not end the walk (a loop
+/// still has to be told apart); they go straight into the report.
 class WalkChecker {
  public:
   WalkChecker(const topo::Topology& topo, const te::WeightedFib& fib, graph::NodeId dst,
-              std::uint32_t hop_limit)
-      : topo_(topo), fib_(fib), dst_(dst), hop_limit_(hop_limit),
-        state_(topo.switch_count(), State::Unknown),
+              const std::vector<std::uint32_t>& dist, std::uint32_t hop_limit,
+              Report& report)
+      : topo_(topo), fib_(fib), dst_(dst), dist_(dist), hop_limit_(hop_limit),
+        report_(report), state_(topo.switch_count(), State::Unknown),
         depth_(topo.switch_count(), 0) {}
 
   WalkFault check(graph::NodeId src, graph::NodeId& at_fault) {
@@ -50,6 +52,13 @@ class WalkChecker {
       if (hop.weight == 0) continue;  // flagged structurally, not a walk choice
       if (hop.link >= topo_.graph().link_count()) continue;  // flagged as bad_link
       graph::NodeId v = topo_.graph().link(hop.link).other(u);
+      if (dist_[v] >= dist_[u]) {
+        std::ostringstream os;
+        os << "next hop " << u << " -> " << v << " (link " << hop.link << ") toward "
+           << dst_ << " does not make progress (dist " << dist_[u] << " -> " << dist_[v]
+           << ")";
+        report_.add("te.wfib.progress", os.str());
+      }
       WalkFault fault = visit(v, at_fault);
       if (fault != WalkFault::None) {
         state_[u] = State::Unknown;  // leave re-entrant state clean
@@ -70,7 +79,9 @@ class WalkChecker {
   const topo::Topology& topo_;
   const te::WeightedFib& fib_;
   graph::NodeId dst_;
+  const std::vector<std::uint32_t>& dist_;
   std::uint32_t hop_limit_;
+  Report& report_;
   std::vector<State> state_;
   std::vector<std::uint32_t> depth_;
 };
@@ -99,6 +110,12 @@ Report validate_weighted_fib(
              << hop.link;
           report.add("te.wfib.zero_weight", os.str());
         }
+        if (fib.is_equal_cost() && hop.weight > 1) {
+          std::ostringstream os;
+          os << "equal-cost rule at switch " << at << " toward " << dst << " via link "
+             << hop.link << " has weight " << hop.weight << ", not 1";
+          report.add("te.wfib.weight_sum", os.str());
+        }
         bool incident = hop.link < g.link_count() && g.link_live(hop.link) &&
                         (g.link(hop.link).a == at || g.link(hop.link).b == at);
         if (!incident) {
@@ -108,7 +125,7 @@ Report validate_weighted_fib(
           report.add("te.wfib.bad_link", os.str());
         }
       }
-      if (!hops.empty() && entry_weight != fib.weight_budget()) {
+      if (!fib.is_equal_cost() && !hops.empty() && entry_weight != fib.weight_budget()) {
         std::ostringstream os;
         os << "entry (" << at << " -> " << dst << ") weights sum to " << entry_weight
            << ", budget is " << fib.weight_budget();
@@ -131,7 +148,7 @@ Report validate_weighted_fib(
 
   for (graph::NodeId dst : dsts) {
     std::vector<std::uint32_t> dist = graph::bfs_distances(g, dst);
-    WalkChecker checker(t, fib, dst, options.hop_limit);
+    WalkChecker checker(t, fib, dst, dist, options.hop_limit, report);
     bool dst_reported = false;
     for (graph::NodeId src : by_dst[dst]) {
       if (dist[src] == graph::kUnreachable) {

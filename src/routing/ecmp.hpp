@@ -9,6 +9,7 @@
 
 namespace flattree::routing {
 
+/// Hash-based choice among all minimum-hop paths of a switch pair.
 class EcmpRouting : public Routing {
  public:
   /// `salt` perturbs the flow hash (distinct switches hash differently).

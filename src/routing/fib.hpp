@@ -1,18 +1,13 @@
 #pragma once
-// Forwarding-table (FIB) compilation — the paper's SDN story made concrete
-// (Section 2.6: flat-tree topologies are known in advance, so shortest
-// paths can be precomputed and "program[med] ... via SDN" instead of
-// learned).
+// The switch pairs a forwarding table must cover.
 //
-// A Fib maps, at every switch, a destination switch to the set of next-hop
-// links a packet may take. compile_fib() builds the table from a routing
-// scheme's path sets; verify_fib() model-checks it: every (src, dst) pair
-// reaches the destination over every greedy walk, without loops, within a
-// hop bound — the property an operator would want before installing rules.
+// Forwarding tables themselves live in src/te: te::WeightedFib is the one
+// table type, te::compile_fib installs ECMP path sets into it at weight 1
+// and te::compile_wcmp_* install weighted ones; check::validate_weighted_fib
+// model-checks either kind. This header keeps the pair set every compiler
+// and checker is driven with.
 
-#include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "routing/paths.hpp"
@@ -20,61 +15,7 @@
 
 namespace flattree::routing {
 
-/// Per-switch forwarding table: destination -> candidate next-hop links.
-class Fib {
- public:
-  explicit Fib(std::size_t switches);
-
-  /// Adds a candidate next hop at `at` toward `dst` via `link`
-  /// (idempotent).
-  void add_route(NodeId at, NodeId dst, graph::LinkId link);
-
-  /// Candidate links at `at` toward `dst` (empty if none installed).
-  const std::vector<graph::LinkId>& next_hops(NodeId at, NodeId dst) const;
-
-  /// Deterministic per-flow choice among the candidates; throws
-  /// std::runtime_error when no route is installed.
-  graph::LinkId select(NodeId at, NodeId dst, std::uint64_t flow_id) const;
-
-  std::size_t switch_count() const { return tables_.size(); }
-  /// Total number of (switch, destination, link) rules.
-  std::size_t rule_count() const;
-  /// Number of (switch, destination) entries.
-  std::size_t entry_count() const;
-  /// Largest per-switch rule count (TCAM pressure proxy).
-  std::size_t max_rules_per_switch() const;
-
- private:
-  // destination -> next-hop links, per switch.
-  std::vector<std::unordered_map<NodeId, std::vector<graph::LinkId>>> tables_;
-  static const std::vector<graph::LinkId> kEmpty;
-};
-
-/// Compiles a FIB for every ordered pair in `pairs` (use
-/// all_server_pairs() for the usual case). Paths come from `routing`
-/// (ECMP or KSP path sets); every link of every candidate path is
-/// installed hop by hop. Note that hop-by-hop installation of *non-
-/// shortest* path sets (KSP) can mix hops of different paths into loops —
-/// verify_fib() detects this; production KSP routing pins paths end to
-/// end instead (tunnels), which per-flow select() emulates.
-Fib compile_fib(const topo::Topology& topo, Routing& routing,
-                const std::vector<std::pair<NodeId, NodeId>>& pairs);
-
 /// All ordered pairs of switches that host at least one server.
 std::vector<std::pair<NodeId, NodeId>> all_server_pairs(const topo::Topology& topo);
-
-struct FibVerification {
-  bool ok = false;
-  std::size_t pairs_checked = 0;
-  std::uint32_t max_walk_hops = 0;  ///< longest greedy walk seen
-  std::string error;                ///< first violation description
-};
-
-/// Model-checks the FIB for the given pairs: from src, every choice of
-/// installed next hop must make progress to dst within `hop_limit` hops
-/// and never revisit a switch on the walk (exhaustive DFS over choices).
-FibVerification verify_fib(const topo::Topology& topo, const Fib& fib,
-                           const std::vector<std::pair<NodeId, NodeId>>& pairs,
-                           std::uint32_t hop_limit = 32);
 
 }  // namespace flattree::routing

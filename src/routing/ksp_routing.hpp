@@ -8,6 +8,7 @@
 
 namespace flattree::routing {
 
+/// Hash-based choice among the k shortest (Yen) paths of a switch pair.
 class KspRouting : public Routing {
  public:
   explicit KspRouting(const graph::Graph& g, std::size_t k = 8, std::uint64_t salt = 0);

@@ -11,6 +11,7 @@
 
 namespace flattree::sim {
 
+/// Resources with capacities and the resource set each flow occupies.
 struct FairShareProblem {
   /// Resource capacities (> 0).
   std::vector<double> capacity;

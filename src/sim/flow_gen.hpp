@@ -16,6 +16,7 @@
 
 namespace flattree::sim {
 
+/// Short-uniform / long-Pareto flow size mixture (see header comment).
 struct FlowSizeDist {
   double p_short = 0.8;
   double short_lo = 0.01, short_hi = 0.1;

@@ -16,6 +16,7 @@
 
 namespace flattree::sim {
 
+/// One fluid flow: a data volume between two servers, arriving at a time.
 struct SimFlow {
   topo::ServerId src = 0;
   topo::ServerId dst = 0;
@@ -23,6 +24,7 @@ struct SimFlow {
   double arrival = 0.0;  ///< arrival time
 };
 
+/// Outcome of one simulated flow: its finish time and switch-path length.
 struct FlowRecord {
   SimFlow flow;
   double finish = 0.0;
@@ -30,10 +32,12 @@ struct FlowRecord {
   double fct() const { return finish - flow.arrival; }
 };
 
+/// Host-side knobs of a flow-level run.
 struct SimConfig {
   double nic_capacity = 1.0;  ///< server NIC rate, in link-capacity units
 };
 
+/// Fluid max-min fair simulator over a topology and a routing scheme.
 class FlowSimulator {
  public:
   /// `routing` selects switch-level paths on `topo`'s graph; both must

@@ -32,7 +32,8 @@ struct Packet {
   bool dropped = false;
 };
 
-/// Event kinds of the windowed (ECN) loop; the open loop only uses Arrive.
+/// Event kinds. Drop-tail runs only use Arrive; Credit (delivery or drop
+/// feedback to the source) and Inject (window-clocked send) drive DCTCP.
 enum class EventKind : std::uint8_t { Arrive, Credit, Inject };
 
 struct Event {
@@ -55,6 +56,20 @@ struct ArcState {
   std::size_t queued = 0;
 };
 
+/// DCTCP source state, one per flow. alpha starts at 1.0 (react strongly
+/// to the first marked window, the conservative standard choice).
+struct FlowState {
+  std::uint32_t sent = 0;
+  std::uint32_t inflight = 0;
+  std::uint32_t cwnd = 1;
+  std::uint32_t window_size = 1;   ///< cwnd at the start of this window
+  std::uint32_t window_acked = 0;
+  std::uint32_t window_marked = 0;
+  double alpha = 1.0;
+  double nic_free = 0.0;
+  bool inject_pending = false;     ///< an Inject event is already queued
+};
+
 /// Departure bookkeeping: queued counts drain when the head leaves the
 /// wire; model it by scheduling the decrement together with the arrival
 /// (store-and-forward: the packet occupies the queue until received).
@@ -64,8 +79,8 @@ struct Drain {
   bool operator>(const Drain& o) const { return time > o.time; }
 };
 
-/// Queue-occupancy sampling shared by both loops (sampled at each arc
-/// arrival, before the drop decision).
+/// Queue-occupancy sampling (sampled at each arc arrival, before the drop
+/// decision).
 struct QueueSampler {
   double sum = 0.0;
   double peak = 0.0;
@@ -82,8 +97,8 @@ struct QueueSampler {
   }
 };
 
-/// Distribution wrap-up shared by both loops: per-packet delay and
-/// per-flow completion-time percentiles (all 0.0 when nothing qualifies).
+/// Distribution wrap-up: per-packet delay and per-flow completion-time
+/// percentiles (all 0.0 when nothing qualifies).
 void finalize_distributions(PacketStats& stats, std::vector<double>& delays,
                             const std::vector<PacketFlow>& flows,
                             const std::vector<double>& last_delivery) {
@@ -108,18 +123,9 @@ void finalize_distributions(PacketStats& stats, std::vector<double>& delays,
 
 }  // namespace
 
-PacketSimulator::PacketSimulator(const topo::Topology& topo, const routing::Fib& fib,
-                                 PacketSimConfig config)
-    : topo_(topo), fib_(&fib), config_(config) {
-  if (config_.packet_size <= 0 || config_.nic_rate <= 0)
-    throw std::invalid_argument("PacketSimulator: non-positive packet size or NIC rate");
-  if (config_.init_cwnd == 0)
-    throw std::invalid_argument("PacketSimulator: init_cwnd must be positive");
-}
-
 PacketSimulator::PacketSimulator(const topo::Topology& topo, const te::WeightedFib& fib,
                                  PacketSimConfig config)
-    : topo_(topo), wfib_(&fib), config_(config) {
+    : topo_(topo), fib_(fib), config_(config) {
   if (config_.packet_size <= 0 || config_.nic_rate <= 0)
     throw std::invalid_argument("PacketSimulator: non-positive packet size or NIC rate");
   if (config_.init_cwnd == 0)
@@ -129,7 +135,7 @@ PacketSimulator::PacketSimulator(const topo::Topology& topo, const te::WeightedF
 graph::LinkId PacketSimulator::select(topo::NodeId at, topo::NodeId dst,
                                       std::uint64_t salt) const {
   try {
-    return wfib_ != nullptr ? wfib_->select(at, dst, salt) : fib_->select(at, dst, salt);
+    return fib_.select(at, dst, salt);
   } catch (const std::runtime_error&) {
     throw std::runtime_error("PacketSimulator: FIB has no route for a flow's pair");
   }
@@ -141,95 +147,7 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
     if (flow.src == flow.dst)
       throw std::invalid_argument("PacketSimulator: src == dst");
   OBS_SPAN("sim.packet.run");
-  return config_.ecn ? run_windowed(flows) : run_open_loop(flows);
-}
 
-PacketStats PacketSimulator::run_open_loop(const std::vector<PacketFlow>& flows) {
-  const std::size_t arcs = topo_.link_count() * 2;
-  std::vector<ArcState> arc_state(arcs);
-  std::vector<Packet> packets;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-  std::uint64_t seq = 0;
-
-  PacketStats stats;
-  std::vector<double> delays;
-  std::vector<double> last_delivery(flows.size(), -1.0);
-  QueueSampler queues;
-  te::FlowletTable flowlets(config_.flowlet_gap);
-
-  // Inject: packets enter their source host switch at NIC pace. Flowlet
-  // salts are a per-flow function of the injection times, so they can be
-  // assigned during this pre-scheduling pass.
-  const double injection_gap = config_.packet_size / config_.nic_rate;
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    const PacketFlow& flow = flows[f];
-    topo::NodeId dst_switch = topo_.host(flow.dst);
-    for (std::uint32_t p = 0; p < flow.packets; ++p) {
-      double t = flow.start + static_cast<double>(p) * injection_gap;
-      Packet pkt;
-      pkt.flow_id = static_cast<std::uint64_t>(f);
-      pkt.salt = flowlets.salt(pkt.flow_id, t);
-      pkt.dst_switch = dst_switch;
-      pkt.injected_at = t;
-      packets.push_back(pkt);
-      events.push({t, seq++, EventKind::Arrive, topo_.host(flow.src), packets.size() - 1});
-      ++stats.injected;
-    }
-  }
-  c_pkt_injected.add(stats.injected);
-
-  std::priority_queue<Drain, std::vector<Drain>, std::greater<>> drains;
-
-  while (!events.empty()) {
-    Event ev = events.top();
-    events.pop();
-    c_pkt_events.inc();
-    while (!drains.empty() && drains.top().time <= ev.time) {
-      --arc_state[drains.top().arc].queued;
-      drains.pop();
-    }
-    const Packet& pkt = packets[ev.idx];
-
-    if (ev.at == pkt.dst_switch) {
-      ++stats.delivered;
-      double delay = ev.time - pkt.injected_at;
-      c_pkt_delivered.inc();
-      h_pkt_delay.observe(delay);
-      delays.push_back(delay);
-      last_delivery[pkt.flow_id] = std::max(last_delivery[pkt.flow_id], ev.time);
-      stats.finish_time = std::max(stats.finish_time, ev.time);
-      continue;
-    }
-
-    graph::LinkId link = select(ev.at, pkt.dst_switch, pkt.salt);
-    const graph::Link& l = topo_.graph().link(link);
-    std::size_t arc = 2 * link + (l.a == ev.at ? 0 : 1);
-    ArcState& state = arc_state[arc];
-    queues.sample(state.queued);
-
-    if (config_.queue_packets != 0 && state.queued >= config_.queue_packets) {
-      ++stats.dropped;
-      c_pkt_dropped.inc();
-      stats.finish_time = std::max(stats.finish_time, ev.time);
-      continue;
-    }
-    double service = config_.packet_size / l.capacity;
-    double depart = std::max(ev.time, state.busy_until) + service;
-    state.busy_until = depart;
-    ++state.queued;
-    double arrive = depart + config_.propagation_delay;
-    drains.push({arrive, arc});
-    events.push({arrive, seq++, EventKind::Arrive, l.other(ev.at), ev.idx});
-  }
-
-  stats.flowlet_switches = flowlets.switches();
-  c_flowlet_switches.add(stats.flowlet_switches);
-  queues.finalize(stats);
-  finalize_distributions(stats, delays, flows, last_delivery);
-  return stats;
-}
-
-PacketStats PacketSimulator::run_windowed(const std::vector<PacketFlow>& flows) {
   const std::size_t arcs = topo_.link_count() * 2;
   std::vector<ArcState> arc_state(arcs);
   std::vector<Packet> packets;
@@ -242,30 +160,40 @@ PacketStats PacketSimulator::run_windowed(const std::vector<PacketFlow>& flows) 
   std::vector<double> last_delivery(flows.size(), -1.0);
   QueueSampler queues;
   te::FlowletTable flowlets(config_.flowlet_gap);
-
-  // DCTCP source state, one per flow. alpha starts at 1.0 (react strongly
-  // to the first marked window, the conservative standard choice).
-  struct FlowState {
-    std::uint32_t sent = 0;
-    std::uint32_t inflight = 0;
-    std::uint32_t cwnd = 1;
-    std::uint32_t window_size = 1;   ///< cwnd at the start of this window
-    std::uint32_t window_acked = 0;
-    std::uint32_t window_marked = 0;
-    double alpha = 1.0;
-    double nic_free = 0.0;
-    bool inject_pending = false;     ///< an Inject event is already queued
-  };
-  std::vector<FlowState> state(flows.size());
+  std::vector<FlowState> state;
   const double injection_gap = config_.packet_size / config_.nic_rate;
 
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    FlowState& fs = state[f];
-    fs.cwnd = config_.init_cwnd;
-    fs.window_size = fs.cwnd;
-    fs.nic_free = flows[f].start;
-    fs.inject_pending = true;
-    events.push({flows[f].start, seq++, EventKind::Inject, 0, f});
+  if (!config_.ecn) {
+    // Drop-tail: packets enter their source host switch at NIC pace.
+    // Scheduling every arrival up front fixes the seq tie-break order the
+    // drop-tail outputs (and BENCH_te.json) are pinned to. Flowlet salts
+    // are a per-flow function of the injection times, so they can be
+    // assigned during this pre-scheduling pass.
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      const PacketFlow& flow = flows[f];
+      topo::NodeId dst_switch = topo_.host(flow.dst);
+      for (std::uint32_t p = 0; p < flow.packets; ++p) {
+        double t = flow.start + static_cast<double>(p) * injection_gap;
+        Packet pkt;
+        pkt.flow_id = static_cast<std::uint64_t>(f);
+        pkt.salt = flowlets.salt(pkt.flow_id, t);
+        pkt.dst_switch = dst_switch;
+        pkt.injected_at = t;
+        packets.push_back(pkt);
+        events.push({t, seq++, EventKind::Arrive, topo_.host(flow.src), packets.size() - 1});
+        ++stats.injected;
+      }
+    }
+  } else {
+    state.resize(flows.size());
+    for (std::size_t f = 0; f < flows.size(); ++f) {
+      FlowState& fs = state[f];
+      fs.cwnd = config_.init_cwnd;
+      fs.window_size = fs.cwnd;
+      fs.nic_free = flows[f].start;
+      fs.inject_pending = true;
+      events.push({flows[f].start, seq++, EventKind::Inject, 0, f});
+    }
   }
 
   // Sends one packet of flow f at `now` if the window and NIC allow, then
@@ -359,7 +287,8 @@ PacketStats PacketSimulator::run_windowed(const std::vector<PacketFlow>& flows) 
       if (pkt.marked) ++stats.ecn_marked;
       last_delivery[pkt.flow_id] = std::max(last_delivery[pkt.flow_id], ev.time);
       stats.finish_time = std::max(stats.finish_time, ev.time);
-      events.push({ev.time + config_.ack_delay, seq++, EventKind::Credit, 0, ev.idx});
+      if (config_.ecn)
+        events.push({ev.time + config_.ack_delay, seq++, EventKind::Credit, 0, ev.idx});
       continue;
     }
 
@@ -374,10 +303,11 @@ PacketStats PacketSimulator::run_windowed(const std::vector<PacketFlow>& flows) 
       c_pkt_dropped.inc();
       pkt.dropped = true;
       stats.finish_time = std::max(stats.finish_time, ev.time);
-      events.push({ev.time + config_.ack_delay, seq++, EventKind::Credit, 0, ev.idx});
+      if (config_.ecn)
+        events.push({ev.time + config_.ack_delay, seq++, EventKind::Credit, 0, ev.idx});
       continue;
     }
-    if (astate.queued >= config_.ecn_threshold) pkt.marked = true;
+    if (config_.ecn && astate.queued >= config_.ecn_threshold) pkt.marked = true;
     double service = config_.packet_size / l.capacity;
     double depart = std::max(ev.time, astate.busy_until) + service;
     astate.busy_until = depart;

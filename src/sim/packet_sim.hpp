@@ -3,24 +3,27 @@
 //
 // Complements the fluid flow-level simulator (sim/flow_sim.hpp) with
 // queueing behavior: packets traverse the switch fabric hop by hop through
-// per-direction output queues, forwarded by a compiled FIB
-// (routing/fib.hpp) or weighted WCMP FIB (te/weighted_fib.hpp) with
-// per-flow hashing — store-and-forward with finite buffers, so congestion
+// per-direction output queues, forwarded by a compiled te::WeightedFib —
+// equal-cost (te::compile_fib) or weighted (te::compile_wcmp_*) — with
+// per-flow hashing. Store-and-forward with finite buffers, so congestion
 // shows up as queueing delay and tail drops rather than a fair-share rate.
 //
-// Traffic-engineering extensions (all deterministic discrete-event time,
-// no wall clock; see DESIGN.md §11):
+// One (time, seq)-ordered event loop serves both sending disciplines (all
+// deterministic discrete-event time, no wall clock; see DESIGN.md §11):
 //
-//   * Flowlet load balancing: with flowlet_gap > 0, a flow that pauses
-//     longer than the gap re-hashes onto a fresh path salt
-//     (te::FlowletTable) at the next injection.
-//   * ECN / DCTCP congestion control: with ecn = true, queues mark packets
-//     that arrive to an occupancy >= ecn_threshold; sources run a per-flow
-//     congestion window with an alpha-EWMA of the marked fraction,
-//     multiplicative decrease once per marked window, additive increase
-//     otherwise, and a multiplicative cut on loss. With ecn = false the
-//     simulator is the drop-tail baseline and behaves exactly as before
-//     this layer existed (open-loop NIC-paced injection).
+//   * Drop-tail (ecn = false): open-loop NIC-paced injection. Every
+//     packet's first arrival is scheduled before the loop starts; no
+//     feedback reaches the sources.
+//   * ECN / DCTCP (ecn = true): queues mark packets that arrive to an
+//     occupancy >= ecn_threshold; each delivery or drop returns a Credit
+//     to its source, which runs a per-flow congestion window with an
+//     alpha-EWMA of the marked fraction, multiplicative decrease once per
+//     marked window, additive increase otherwise, and a multiplicative cut
+//     on loss. Inject events pace the window-clocked sends.
+//
+// Flowlet load balancing works under both: with flowlet_gap > 0, a flow
+// that pauses longer than the gap re-hashes onto a fresh path salt
+// (te::FlowletTable) at the next injection.
 //
 // Time units: a packet of size 1 takes 1/capacity time units to serialize
 // onto a link of that capacity; propagation delay is per hop and constant.
@@ -28,19 +31,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "routing/fib.hpp"
 #include "te/weighted_fib.hpp"
 #include "topo/topology.hpp"
 
 namespace flattree::sim {
 
+/// Fabric, traffic-engineering and congestion-control knobs of a packet run.
 struct PacketSimConfig {
   double packet_size = 1.0;       ///< serialization units per packet
   double propagation_delay = 0.01;///< per-hop propagation latency
   std::size_t queue_packets = 16; ///< per-output-queue capacity; 0 = infinite
   double nic_rate = 1.0;          ///< server injection rate (packets/size units)
 
-  // -- traffic engineering (PR 7) ------------------------------------------
+  // -- traffic engineering --------------------------------------------------
   double flowlet_gap = 0.0;       ///< idle gap starting a new flowlet; <= 0 off
   bool ecn = false;               ///< DCTCP loop on; false = drop-tail baseline
   std::size_t ecn_threshold = 8;  ///< mark at enqueue when occupancy >= K
@@ -58,6 +61,7 @@ struct PacketFlow {
   double start = 0.0;
 };
 
+/// Aggregate outcome of one PacketSimulator::run.
 struct PacketStats {
   std::uint64_t injected = 0;
   std::uint64_t delivered = 0;
@@ -91,16 +95,12 @@ struct PacketStats {
   }
 };
 
+/// Discrete-event packet simulator over a topology and its forwarding table.
 class PacketSimulator {
  public:
   /// `fib` must cover every (host(src), host(dst)) switch pair the flows
-  /// use (compile via routing::compile_fib). Both references must outlive
-  /// the simulator.
-  PacketSimulator(const topo::Topology& topo, const routing::Fib& fib,
-                  PacketSimConfig config = {});
-
-  /// WCMP variant: forwarding choices come from the weighted FIB (compile
-  /// via te::compile_wcmp_*). Same coverage/lifetime requirements.
+  /// use (compile via te::compile_fib or te::compile_wcmp_*). Both
+  /// references must outlive the simulator.
   PacketSimulator(const topo::Topology& topo, const te::WeightedFib& fib,
                   PacketSimConfig config = {});
 
@@ -113,13 +113,10 @@ class PacketSimulator {
   PacketStats run(const std::vector<PacketFlow>& flows);
 
  private:
-  PacketStats run_open_loop(const std::vector<PacketFlow>& flows);
-  PacketStats run_windowed(const std::vector<PacketFlow>& flows);
   graph::LinkId select(topo::NodeId at, topo::NodeId dst, std::uint64_t salt) const;
 
   const topo::Topology& topo_;
-  const routing::Fib* fib_ = nullptr;
-  const te::WeightedFib* wfib_ = nullptr;
+  const te::WeightedFib& fib_;
   PacketSimConfig config_;
 };
 

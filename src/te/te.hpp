@@ -1,22 +1,23 @@
 #pragma once
 // Umbrella header for the traffic-engineering subsystem.
 //
-// src/te layers load-aware forwarding on top of src/routing and feeds the
-// packet simulator's congestion machinery:
+// src/te holds the fabric's forwarding tables, compiled from src/routing's
+// path sets, and feeds the packet simulator's congestion machinery:
 //
-//   te::WeightedFib        — WCMP tables: integer next-hop weights per
-//                            (switch, dst) entry (te/weighted_fib.hpp)
+//   te::WeightedFib        — the one forwarding-table type: next-hop rules
+//                            per (switch, dst) entry; ECMP tables carry
+//                            weight 1 everywhere (te/weighted_fib.hpp)
+//   te::compile_fib        — equal-cost (ECMP) table from path sets
 //   te::compile_wcmp_*     — weight derivation from path multiplicities or
 //                            MCF arc flows, largest-remainder quantized
 //                            (te/wcmp.hpp)
-//   te::verify_weighted_fib— walk-level model check; the Report-style
-//                            variant is check::validate_weighted_fib
 //   te::FlowletTable       — idle-gap flowlet detection with substream
 //                            salt mixing (te/flowlet.hpp)
 //
-// The DCTCP-style ECN control loop lives in sim::PacketSimulator
-// (sim/packet_sim.hpp) and consumes WeightedFib + FlowletTable; see
-// DESIGN.md §11 for the determinism contract.
+// Every table is model-checked by check::validate_weighted_fib
+// (check/te_check.hpp). The DCTCP-style ECN control loop lives in
+// sim::PacketSimulator (sim/packet_sim.hpp) and consumes WeightedFib +
+// FlowletTable; see DESIGN.md §11 for the determinism contract.
 
 #include "te/flowlet.hpp"
 #include "te/wcmp.hpp"

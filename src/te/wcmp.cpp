@@ -107,6 +107,23 @@ std::vector<std::uint32_t> quantize_weights(const std::vector<double>& shares,
   return weights;
 }
 
+WeightedFib compile_fib(const topo::Topology& topo, routing::Routing& routing,
+                        const std::vector<std::pair<NodeId, NodeId>>& pairs) {
+  WeightedFib fib = WeightedFib::equal_cost(topo.switch_count());
+  for (auto [src, dst] : pairs) {
+    if (src == dst) continue;
+    for (const graph::Path& path : routing.paths(src, dst))
+      for (std::size_t i = 0; i < path.links.size(); ++i) {
+        const auto& hops = fib.next_hops(path.nodes[i], dst);
+        bool installed = std::any_of(hops.begin(), hops.end(), [&](const WeightedHop& h) {
+          return h.link == path.links[i];
+        });
+        if (!installed) fib.add_route(path.nodes[i], dst, path.links[i], 1);
+      }
+  }
+  return fib;
+}
+
 WeightedFib compile_wcmp_paths(const topo::Topology& topo, routing::Routing& routing,
                                const std::vector<std::pair<NodeId, NodeId>>& pairs,
                                const WcmpOptions& options) {

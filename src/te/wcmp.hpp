@@ -1,17 +1,21 @@
 #pragma once
-// WCMP weight compilers: derive integer next-hop weights from path
-// multiplicities or solver flow splits, quantized deterministically.
+// Forwarding-table compilers: install a routing scheme's path sets, or a
+// solver's flow splits, into a te::WeightedFib.
 //
-// Two sources of weights (both install into a te::WeightedFib whose
-// per-entry weights sum to the weight budget):
+// Three sources of rules:
 //
+//   * Equal cost (compile_fib): every next hop of every candidate path is
+//     installed once at weight 1, hop by hop — the ECMP table. Hop-by-hop
+//     installation of *non-shortest* path sets (KSP) can mix hops of
+//     different paths into loops; check::validate_weighted_fib detects
+//     them, and production KSP routing pins paths end to end instead
+//     (tunnels), which per-flow select() emulates.
 //   * Path multiplicities (compile_wcmp_paths): every candidate path of a
 //     routing scheme (ECMP's equal-cost set, or Yen's k shortest paths)
 //     contributes one count to each (switch, dst, link) hop it crosses;
 //     the per-entry counts are the share vector. With ECMP this weights a
 //     next hop by the number of shortest paths through it — the classic
-//     WCMP derivation; with KSP the same hop-by-hop caveat as
-//     routing::compile_fib applies (verify_weighted_fib detects loops).
+//     WCMP derivation; with KSP the same hop-by-hop caveat applies.
 //   * MCF arc flows (compile_wcmp_mcf): shares come from a
 //     max-concurrent-flow solution's arc_flow vector (mcf::McfResult
 //     convention: arc 2l = link l a->b, arc 2l+1 = b->a) restricted to the
@@ -54,6 +58,14 @@ struct WcmpOptions {
 /// ties break toward the lower index.
 std::vector<std::uint32_t> quantize_weights(const std::vector<double>& shares,
                                             std::uint32_t budget);
+
+/// Compiles an equal-cost table (WeightedFib::equal_cost) for every
+/// ordered pair in `pairs` (use routing::all_server_pairs() for the usual
+/// case): each distinct next hop of every candidate path from `routing` is
+/// installed once at weight 1, in first-seen order. Bumps no te.wcmp.*
+/// counter.
+WeightedFib compile_fib(const topo::Topology& topo, routing::Routing& routing,
+                        const std::vector<std::pair<NodeId, NodeId>>& pairs);
 
 /// Compiles a weighted FIB from a routing scheme's path sets for every
 /// ordered pair in `pairs`: per-hop weights are path multiplicities,

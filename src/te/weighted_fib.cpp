@@ -1,7 +1,6 @@
 #include "te/weighted_fib.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -14,6 +13,12 @@ WeightedFib::WeightedFib(std::size_t switches, std::uint32_t weight_budget)
     : tables_(switches), weight_budget_(weight_budget) {
   if (weight_budget == 0)
     throw std::invalid_argument("WeightedFib: weight budget must be positive");
+}
+
+WeightedFib WeightedFib::equal_cost(std::size_t switches) {
+  WeightedFib fib(switches);
+  fib.weight_budget_ = 0;
+  return fib;
 }
 
 void WeightedFib::add_route(NodeId at, NodeId dst, graph::LinkId link,
@@ -86,114 +91,6 @@ std::size_t WeightedFib::max_rules_per_switch() const {
     best = std::max(best, rules);
   }
   return best;
-}
-
-namespace {
-
-/// Per-destination walk check over positive-weight rules, with the same
-/// memoized good/on-stack scheme as routing::verify_fib.
-class WeightedDestinationChecker {
- public:
-  WeightedDestinationChecker(const topo::Topology& topo, const WeightedFib& fib,
-                             NodeId dst, std::uint32_t hop_limit)
-      : topo_(topo), fib_(fib), dst_(dst), hop_limit_(hop_limit),
-        state_(topo.switch_count(), State::Unknown),
-        depth_(topo.switch_count(), 0) {}
-
-  /// Returns empty on success, else a violation description.
-  std::string check(NodeId src, std::uint32_t& max_hops) {
-    std::string err = visit(src);
-    if (err.empty()) max_hops = std::max(max_hops, depth_[src]);
-    return err;
-  }
-
- private:
-  enum class State : std::uint8_t { Unknown, OnStack, Good };
-
-  std::string visit(NodeId u) {
-    if (u == dst_) return {};
-    if (state_[u] == State::Good) return {};
-    if (state_[u] == State::OnStack) {
-      std::ostringstream os;
-      os << "forwarding loop through switch " << u << " toward " << dst_;
-      return os.str();
-    }
-    const auto& hops = fib_.next_hops(u, dst_);
-    std::uint32_t entry_weight = 0;
-    for (const WeightedHop& hop : hops) {
-      if (hop.weight == 0) {
-        std::ostringstream os;
-        os << "zero-weight rule at switch " << u << " toward " << dst_ << " via link "
-           << hop.link << " (should have been pruned)";
-        return os.str();
-      }
-      entry_weight += hop.weight;
-    }
-    if (hops.empty() || entry_weight == 0) {
-      std::ostringstream os;
-      os << "blackhole: switch " << u << " has no positive-weight route toward "
-         << dst_;
-      return os.str();
-    }
-    if (entry_weight != fib_.weight_budget()) {
-      std::ostringstream os;
-      os << "weight conservation violated at switch " << u << " toward " << dst_
-         << ": weights sum to " << entry_weight << ", budget is "
-         << fib_.weight_budget();
-      return os.str();
-    }
-    state_[u] = State::OnStack;
-    std::uint32_t worst = 0;
-    for (const WeightedHop& hop : hops) {
-      NodeId v = topo_.graph().link(hop.link).other(u);
-      std::string err = visit(v);
-      if (!err.empty()) return err;
-      worst = std::max(worst, (v == dst_ ? 0u : depth_[v]) + 1u);
-    }
-    if (worst > hop_limit_) {
-      std::ostringstream os;
-      os << "walk from switch " << u << " toward " << dst_ << " exceeds " << hop_limit_
-         << " hops";
-      return os.str();
-    }
-    depth_[u] = worst;
-    state_[u] = State::Good;
-    return {};
-  }
-
-  const topo::Topology& topo_;
-  const WeightedFib& fib_;
-  NodeId dst_;
-  std::uint32_t hop_limit_;
-  std::vector<State> state_;
-  std::vector<std::uint32_t> depth_;
-};
-
-}  // namespace
-
-WeightedFibVerification verify_weighted_fib(
-    const topo::Topology& topo, const WeightedFib& fib,
-    const std::vector<std::pair<NodeId, NodeId>>& pairs, std::uint32_t hop_limit) {
-  WeightedFibVerification result;
-  // Group sources by destination so memoization is shared.
-  std::unordered_map<NodeId, std::vector<NodeId>> by_dst;
-  for (auto [src, dst] : pairs)
-    if (src != dst) by_dst[dst].push_back(src);
-
-  for (const auto& [dst, sources] : by_dst) {
-    WeightedDestinationChecker checker(topo, fib, dst, hop_limit);
-    for (NodeId src : sources) {
-      std::string err = checker.check(src, result.max_walk_hops);
-      ++result.pairs_checked;
-      if (!err.empty()) {
-        result.error = err;
-        result.ok = false;
-        return result;
-      }
-    }
-  }
-  result.ok = true;
-  return result;
 }
 
 }  // namespace flattree::te

@@ -1,33 +1,35 @@
 #pragma once
-// Weighted forwarding tables (WCMP) — the traffic-engineering extension of
-// routing::Fib.
+// Forwarding tables (FIB) — the paper's SDN story made concrete (Section
+// 2.6: flat-tree topologies are known in advance, so routes can be
+// precomputed and installed via SDN instead of learned).
 //
-// ECMP splits a flow set evenly over equal-cost next hops; WCMP [Zhou et
-// al., EuroSys'14] attaches an integer weight to each next-hop rule so the
-// split tracks downstream capacity or a solver's flow assignment instead.
-// A WeightedFib stores, per (switch, destination) entry, a list of
-// (link, weight) rules whose weights sum to the table's weight budget;
-// select() hashes a flow id onto the weight line deterministically, so a
+// The one table type for both routing schemes. WCMP [Zhou et al.,
+// EuroSys'14] attaches an integer weight to each next-hop rule so the
+// split tracks downstream capacity or a solver's flow assignment; ECMP is
+// the special case where every weight is 1. A WeightedFib stores, per
+// (switch, destination) entry, a list of (link, weight) rules; select()
+// hashes a flow id onto the entry's weight line deterministically, so a
 // uniform flow-id sweep hits each next hop proportionally to its weight.
+// On an equal-cost table that walk returns hops[hash % n], the classic
+// ECMP choice.
 //
-// Tables are compiled by te::compile_wcmp_* (te/wcmp.hpp) and
-// model-checked by te::verify_weighted_fib plus the Report-style
-// check::validate_weighted_fib (check/te_check.hpp). add_route()
-// deliberately accepts any weight — including zero — so validators can be
-// exercised against corrupted tables; the compilers never emit zero-weight
-// rules.
+// Weighted tables (compiled by te::compile_wcmp_*) carry a weight budget
+// every entry's weights sum to; equal-cost tables (te::compile_fib, or
+// WeightedFib::equal_cost) carry none and hold weight-1 rules. Both are
+// model-checked by check::validate_weighted_fib (check/te_check.hpp).
+// add_route() deliberately accepts any weight — including zero — so the
+// checker can be exercised against corrupted tables; the compilers never
+// emit zero-weight rules.
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "routing/fib.hpp"
-#include "topo/topology.hpp"
+#include "graph/graph.hpp"
 
 namespace flattree::te {
 
-using routing::NodeId;
+using graph::NodeId;
 
 /// One weighted forwarding rule: take `link` with probability
 /// weight / (entry weight sum).
@@ -36,13 +38,16 @@ struct WeightedHop {
   std::uint32_t weight = 0;
 };
 
-/// Per-switch weighted forwarding table: destination -> weighted rules.
+/// Per-switch forwarding table: destination -> weighted next-hop rules.
 class WeightedFib {
  public:
   /// `weight_budget` is the per-entry weight sum the compilers quantize to
   /// (and validators check); it bounds the rule weight resolution the way
-  /// hardware WCMP table entries do.
+  /// hardware WCMP table entries do. Throws std::invalid_argument on 0.
   explicit WeightedFib(std::size_t switches, std::uint32_t weight_budget = 64);
+
+  /// An equal-cost (ECMP) table: no weight budget, every rule at weight 1.
+  static WeightedFib equal_cost(std::size_t switches);
 
   /// Adds (or tops up) a rule at `at` toward `dst` via `link`. Weights
   /// accumulate on repeated calls for the same (at, dst, link). Zero
@@ -59,8 +64,11 @@ class WeightedFib {
   /// positive weight is installed.
   graph::LinkId select(NodeId at, NodeId dst, std::uint64_t flow_id) const;
 
-  /// The per-entry weight sum compilers target (see constructor).
+  /// The per-entry weight sum compilers target (see constructor); 0 on an
+  /// equal-cost table.
   std::uint32_t weight_budget() const { return weight_budget_; }
+  /// True for tables built by equal_cost() (weight budget 0).
+  bool is_equal_cost() const { return weight_budget_ == 0; }
 
   /// Destinations with at least one rule at `at`, ascending (validators
   /// iterate the table deterministically through this).
@@ -81,23 +89,5 @@ class WeightedFib {
   std::uint32_t weight_budget_;
   static const std::vector<WeightedHop> kEmpty;
 };
-
-/// Outcome of a weighted-FIB model check (mirrors routing::FibVerification).
-struct WeightedFibVerification {
-  bool ok = false;
-  std::size_t pairs_checked = 0;
-  std::uint32_t max_walk_hops = 0;  ///< longest greedy walk seen
-  std::string error;                ///< first violation description
-};
-
-/// Model-checks the weighted FIB for the given pairs: from src, every
-/// choice of positive-weight next hop must reach dst within `hop_limit`
-/// hops without revisiting a switch (exhaustive DFS over choices), every
-/// stored rule must carry a positive weight, and every non-empty entry's
-/// weights must sum to the table's weight budget. The Report-style variant
-/// with per-violation codes is check::validate_weighted_fib.
-WeightedFibVerification verify_weighted_fib(
-    const topo::Topology& topo, const WeightedFib& fib,
-    const std::vector<std::pair<NodeId, NodeId>>& pairs, std::uint32_t hop_limit = 32);
 
 }  // namespace flattree::te

@@ -5,9 +5,12 @@
 #include <algorithm>
 
 #include "check/report.hpp"
+#include "check/te_check.hpp"
 #include "core/flat_tree.hpp"
 #include "routing/ecmp.hpp"
+#include "routing/fib.hpp"
 #include "routing/ksp_routing.hpp"
+#include "te/wcmp.hpp"
 
 namespace flattree::check {
 namespace {
@@ -94,8 +97,8 @@ TEST(RoutingCheck, EcmpFibMakesStrictProgress) {
   topo::Topology t = net.build(core::Mode::Clos);
   routing::EcmpRouting ecmp(t.graph());
   auto pairs = routing::all_server_pairs(t);
-  routing::Fib fib = routing::compile_fib(t, ecmp, pairs);
-  Report r = validate_fib_progress(t, fib, pairs);
+  te::WeightedFib fib = te::compile_fib(t, ecmp, pairs);
+  Report r = validate_weighted_fib(t, fib, pairs);
   EXPECT_TRUE(r.ok()) << r.to_string();
   EXPECT_GE(r.checks_run, pairs.size());
 }
@@ -104,25 +107,25 @@ TEST(RoutingCheck, FibViolationsDetected) {
   topo::Topology t = ring();
   routing::EcmpRouting ecmp(t.graph());
   std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs{{0, 3}};
-  routing::Fib fib = routing::compile_fib(t, ecmp, pairs);
+  te::WeightedFib fib = te::compile_fib(t, ecmp, pairs);
 
   // A backwards rule: at node 3's shortest-path predecessor, install the
   // link pointing away from 3.
-  routing::Fib bad = fib;
-  bad.add_route(4, 3, /*link 4 joins (4, 0)*/ 4);
-  Report r = validate_fib_progress(t, bad, pairs);
-  EXPECT_TRUE(has_code(r, "route.fib_progress")) << r.to_string();
+  te::WeightedFib bad = fib;
+  bad.add_route(4, 3, /*link 4 joins (4, 0)*/ 4, 1);
+  Report r = validate_weighted_fib(t, bad, pairs);
+  EXPECT_TRUE(has_code(r, "te.wfib.progress")) << r.to_string();
 
   // Missing rules: an empty FIB has no next hop at the source.
-  routing::Fib empty(t.switch_count());
-  EXPECT_TRUE(has_code(validate_fib_progress(t, empty, pairs), "route.fib_missing"));
+  te::WeightedFib empty = te::WeightedFib::equal_cost(t.switch_count());
+  EXPECT_TRUE(has_code(validate_weighted_fib(t, empty, pairs), "te.wfib.blackhole"));
 
   // Disconnected pair: an isolated extra switch.
   topo::Topology island = ring();
   topo::NodeId lone = island.add_switch(SwitchKind::Edge, 1, 0, 2);
-  routing::Fib fib2(island.switch_count());
+  te::WeightedFib fib2 = te::WeightedFib::equal_cost(island.switch_count());
   EXPECT_TRUE(has_code(
-      validate_fib_progress(island, fib2, {{0, lone}}), "route.fib_disconnected"));
+      validate_weighted_fib(island, fib2, {{0, lone}}), "te.wfib.disconnected"));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "check/te_check.hpp"
 #include "core/controller.hpp"
 #include "core/recovery.hpp"
 #include "core/zones.hpp"
@@ -11,6 +12,7 @@
 #include "routing/ecmp.hpp"
 #include "routing/fib.hpp"
 #include "sim/packet_sim.hpp"
+#include "te/wcmp.hpp"
 #include "topo/serialize.hpp"
 #include "workload/traffic.hpp"
 
@@ -30,9 +32,9 @@ TEST(FullStack, ZonedConversionToVerifiedFibToPackets) {
   // 2. Compile ECMP FIBs for every server pair and model-check them.
   routing::EcmpRouting routing(t.graph());
   auto pairs = routing::all_server_pairs(t);
-  routing::Fib fib = routing::compile_fib(t, routing, pairs);
-  routing::FibVerification verification = routing::verify_fib(t, fib, pairs);
-  ASSERT_TRUE(verification.ok) << verification.error;
+  te::WeightedFib fib = te::compile_fib(t, routing, pairs);
+  check::Report verification = check::validate_weighted_fib(t, fib, pairs);
+  ASSERT_TRUE(verification.ok()) << verification.to_string();
   EXPECT_GT(fib.rule_count(), 0u);
 
   // 3. Drive a permutation burst through the verified tables.
@@ -77,9 +79,9 @@ TEST(FullStack, FailRecoverRerouteResume) {
 
   routing::EcmpRouting routing(degraded.topo.graph());
   auto pairs = routing::all_server_pairs(degraded.topo);
-  routing::Fib fib = routing::compile_fib(degraded.topo, routing, pairs);
-  routing::FibVerification verification = routing::verify_fib(degraded.topo, fib, pairs);
-  EXPECT_TRUE(verification.ok) << verification.error;
+  te::WeightedFib fib = te::compile_fib(degraded.topo, routing, pairs);
+  check::Report verification = check::validate_weighted_fib(degraded.topo, fib, pairs);
+  EXPECT_TRUE(verification.ok()) << verification.to_string();
 }
 
 TEST(FullStack, SnapshotSurvivesSerializationAndSolvesIdentically) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "routing/ecmp.hpp"
+#include "routing/fib.hpp"
+#include "te/wcmp.hpp"
 #include "topo/fat_tree.hpp"
+#include "workload/traffic.hpp"
 
 namespace flattree::sim {
 namespace {
@@ -11,8 +14,8 @@ namespace {
 struct Fixture {
   topo::FatTree ft = topo::build_fat_tree(4);
   routing::EcmpRouting routing{ft.topo.graph()};
-  routing::Fib fib =
-      routing::compile_fib(ft.topo, routing, routing::all_server_pairs(ft.topo));
+  te::WeightedFib fib =
+      te::compile_fib(ft.topo, routing, routing::all_server_pairs(ft.topo));
 };
 
 TEST(PacketSim, SinglePacketDelayClosedForm) {
@@ -121,7 +124,7 @@ TEST(PacketSim, ErrorCases) {
 
 TEST(PacketSim, MissingFibRouteThrows) {
   Fixture fx;
-  routing::Fib empty(fx.ft.topo.switch_count());
+  te::WeightedFib empty = te::WeightedFib::equal_cost(fx.ft.topo.switch_count());
   PacketSimulator sim(fx.ft.topo, empty);
   EXPECT_THROW(sim.run({{fx.ft.server(0, 0, 0), fx.ft.server(1, 0, 0), 1, 0.0}}),
                std::runtime_error);
@@ -191,6 +194,59 @@ TEST(PacketSim, FctTracksLastPacketOfEachFlow) {
   EXPECT_NEAR(stats.fct_mean, 6.0, 1e-9);
   EXPECT_NEAR(stats.fct_p50, 6.0, 1e-9);
   EXPECT_NEAR(stats.fct_max, 6.0, 1e-9);
+}
+
+// -- golden stats -------------------------------------------------------------
+
+/// One row of pinned PacketStats for the golden matrix below.
+struct Golden {
+  bool ecn;
+  bool wcmp;
+  std::uint64_t injected, delivered, dropped, ecn_marked, window_cuts;
+  double finish_time, fct_p99;
+};
+
+TEST(PacketSim, GoldenStatsAcrossTablesAndEcn) {
+  // Absolute values, not relations: a fixed k=4 incast plus a permutation
+  // over {drop-tail, DCTCP} x {equal-cost, WCMP} tables, with flowlets on.
+  // Any change to the event loop's ordering, the hash or the DCTCP window
+  // arithmetic moves at least one of these numbers.
+  Fixture fx;
+  routing::EcmpRouting ecmp(fx.ft.topo.graph());
+  te::WeightedFib wcmp =
+      te::compile_wcmp_paths(fx.ft.topo, ecmp, routing::all_server_pairs(fx.ft.topo));
+  std::vector<PacketFlow> flows;
+  for (const auto& d : workload::incast_pattern(16, 12, /*seed=*/7))
+    flows.push_back({d.src, d.dst, 48, 0.0});
+  util::Rng rng(3);
+  for (const auto& d : workload::permutation_traffic(16, rng))
+    if (d.src != d.dst) flows.push_back({d.src, d.dst, 16, 1.0});
+  ASSERT_EQ(flows.size(), 28u);
+
+  const Golden golden[] = {
+      {false, false, 832, 299, 533, 0, 0, 72.040000000000006, 71.230000000000004},
+      {false, true, 832, 241, 591, 0, 0, 70.040000000000006, 68.739999999999995},
+      {true, false, 832, 779, 53, 451, 332, 290.73999999999978, 287.47839999999979},
+      {true, true, 832, 766, 66, 416, 318, 293.27999999999997, 293.27999999999997},
+  };
+  for (const Golden& g : golden) {
+    SCOPED_TRACE(std::string(g.ecn ? "dctcp" : "drop-tail") + (g.wcmp ? "/wcmp" : "/ecmp"));
+    PacketSimConfig cfg;
+    cfg.nic_rate = 4.0;
+    cfg.queue_packets = 16;
+    cfg.ecn = g.ecn;
+    cfg.ecn_threshold = 4;
+    cfg.ack_delay = 0.5;
+    cfg.flowlet_gap = 0.5;
+    PacketStats s = PacketSimulator(fx.ft.topo, g.wcmp ? wcmp : fx.fib, cfg).run(flows);
+    EXPECT_EQ(s.injected, g.injected);
+    EXPECT_EQ(s.delivered, g.delivered);
+    EXPECT_EQ(s.dropped, g.dropped);
+    EXPECT_EQ(s.ecn_marked, g.ecn_marked);
+    EXPECT_EQ(s.window_cuts, g.window_cuts);
+    EXPECT_DOUBLE_EQ(s.finish_time, g.finish_time);
+    EXPECT_DOUBLE_EQ(s.fct_p99, g.fct_p99);
+  }
 }
 
 }  // namespace

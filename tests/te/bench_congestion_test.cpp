@@ -1,7 +1,8 @@
 // End-to-end checks of the bench_congestion binary (ISSUE 7): stdout must
 // be byte-identical across --threads counts and with --metrics-json on or
 // off (the house invariant every bench carries), and --summary-json must
-// emit valid flattree.bench_te.v1 JSON. Skips cleanly when the binary is
+// emit valid flattree.bench_te.v1 JSON that, at default flags, matches the
+// committed BENCH_te.json byte for byte. Skips cleanly when the binary is
 // not built.
 
 #include <gtest/gtest.h>
@@ -87,6 +88,22 @@ TEST(BenchCongestion, SummaryJsonIsValidAndStable) {
   }
   ASSERT_NE(doc.find("digest"), nullptr);
   for (const std::string& p : {out, s1, s2}) std::remove(p.c_str());
+}
+
+TEST(BenchCongestion, DefaultSummaryMatchesCommittedBenchTe) {
+  // BENCH_te.json is the tracked record of the default run (the command
+  // EXPERIMENTS.md gives); any change to tables, checker or event loop
+  // that moves a congestion number must regenerate it deliberately.
+  if (!file_exists(bench_bin())) GTEST_SKIP() << "bench binary not built";
+  std::string committed = slurp(std::string(FT_SOURCE_DIR) + "/BENCH_te.json");
+  ASSERT_FALSE(committed.empty());
+  std::string dir = testing::TempDir();
+  std::string out = dir + "congestion_default.txt";
+  std::string sj = dir + "congestion_default.json";
+  std::string cmd = bench_bin() + " --summary-json " + sj + " > " + out + " 2>/dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  EXPECT_EQ(slurp(sj), committed);
+  for (const std::string& p : {out, sj}) std::remove(p.c_str());
 }
 
 TEST(BenchCongestion, DropTailAndDctcpRowsShareTheWorkload) {

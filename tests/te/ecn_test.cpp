@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "routing/ecmp.hpp"
+#include "routing/fib.hpp"
 #include "sim/packet_sim.hpp"
+#include "te/wcmp.hpp"
 #include "topo/fat_tree.hpp"
 #include "workload/traffic.hpp"
 
@@ -17,8 +19,8 @@ namespace {
 struct Fixture {
   topo::FatTree ft = topo::build_fat_tree(4);
   routing::EcmpRouting routing{ft.topo.graph()};
-  routing::Fib fib =
-      routing::compile_fib(ft.topo, routing, routing::all_server_pairs(ft.topo));
+  te::WeightedFib fib =
+      te::compile_fib(ft.topo, routing, routing::all_server_pairs(ft.topo));
 };
 
 /// Fixed incast: 12 sources send a train to one sink at NIC rate 4x the

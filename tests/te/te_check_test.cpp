@@ -11,6 +11,7 @@
 
 #include "check/report.hpp"
 #include "routing/ecmp.hpp"
+#include "routing/fib.hpp"
 #include "te/wcmp.hpp"
 #include "topo/fat_tree.hpp"
 
@@ -126,6 +127,51 @@ TEST(TeCheck, FlagsHopLimit) {
   options.hop_limit = 1;  // the 0 -> 2 walk needs two hops
   Report r = validate_weighted_fib(t, fib, {{0, 2}}, options);
   EXPECT_TRUE(has_code(r, "te.wfib.hop_limit")) << r.to_string();
+}
+
+TEST(TeCheck, FlagsEqualCostWeightNotOne) {
+  topo::Topology t = line3();
+  te::WeightedFib fib = te::WeightedFib::equal_cost(3);
+  fib.add_route(0, 2, 0, 2);  // equal-cost rules carry weight 1
+  fib.add_route(1, 2, 1, 1);
+  Report r = validate_weighted_fib(t, fib, {{0, 2}});
+  EXPECT_TRUE(has_code(r, "te.wfib.weight_sum")) << r.to_string();
+  EXPECT_EQ(r.violations.size(), 1u) << r.to_string();
+}
+
+TEST(TeCheck, FlagsSidewaysHop) {
+  // Diamond 0 -> {1, 2} -> 3 plus a 1--2 crossbar: 1 and 2 are both one
+  // hop from 3, so the rule 1 -> 2 keeps every walk loop-free and short
+  // but does not make progress.
+  topo::Topology t;
+  for (int i = 0; i < 4; ++i) t.add_switch(topo::SwitchKind::Edge, 0, i, 4);
+  t.add_link(0, 1, topo::LinkOrigin::Random);  // link 0
+  t.add_link(0, 2, topo::LinkOrigin::Random);  // link 1
+  t.add_link(1, 3, topo::LinkOrigin::Random);  // link 2
+  t.add_link(2, 3, topo::LinkOrigin::Random);  // link 3
+  t.add_link(1, 2, topo::LinkOrigin::Random);  // link 4
+  t.add_server(0);
+  t.add_server(3);
+  te::WeightedFib fib = te::WeightedFib::equal_cost(4);
+  fib.add_route(0, 3, 0, 1);
+  fib.add_route(1, 3, 2, 1);
+  fib.add_route(1, 3, 4, 1);  // sideways
+  fib.add_route(2, 3, 3, 1);
+  Report r = validate_weighted_fib(t, fib, {{0, 3}});
+  EXPECT_TRUE(has_code(r, "te.wfib.progress")) << r.to_string();
+  EXPECT_EQ(r.violations.size(), 1u) << r.to_string();
+}
+
+TEST(TeCheck, FlagsEqualCostBadLinkWithoutReadingIt) {
+  // An out-of-range link id must be reported, never dereferenced (the
+  // walk skips it; Graph::link() is unchecked).
+  topo::Topology t = line3();
+  te::WeightedFib fib = te::WeightedFib::equal_cost(3);
+  fib.add_route(0, 2, 0, 1);
+  fib.add_route(1, 2, 1, 1);
+  fib.add_route(1, 2, static_cast<graph::LinkId>(t.link_count() + 7), 1);
+  Report r = validate_weighted_fib(t, fib, {{0, 2}});
+  EXPECT_TRUE(has_code(r, "te.wfib.bad_link")) << r.to_string();
 }
 
 TEST(TeCheck, OneWalkFaultPerDestination) {

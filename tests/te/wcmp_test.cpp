@@ -5,10 +5,12 @@
 #include <limits>
 #include <numeric>
 
+#include "check/te_check.hpp"
 #include "core/flat_tree.hpp"
 #include "mcf/commodity.hpp"
 #include "mcf/garg_koenemann.hpp"
 #include "routing/ecmp.hpp"
+#include "routing/fib.hpp"
 #include "routing/ksp_routing.hpp"
 #include "topo/fat_tree.hpp"
 
@@ -101,9 +103,9 @@ TEST(CompileWcmpPaths, EcmpMultiplicitiesOnFatTree) {
   auto pairs = routing::all_server_pairs(ft.topo);
   WeightedFib fib = compile_wcmp_paths(ft.topo, ecmp, pairs);
   // Every entry conserves the budget and carries no zero-weight rules
-  // (verify_weighted_fib checks both plus loop-freedom).
-  auto v = verify_weighted_fib(ft.topo, fib, pairs);
-  EXPECT_TRUE(v.ok) << v.error;
+  // (validate_weighted_fib checks both plus loop-freedom).
+  check::Report r = check::validate_weighted_fib(ft.topo, fib, pairs);
+  EXPECT_TRUE(r.ok()) << r.to_string();
   // ECMP on a fat-tree is symmetric: an edge switch splits its upward
   // entries evenly over both aggregation links.
   EXPECT_GT(fib.rule_count(), fib.entry_count());
@@ -147,8 +149,8 @@ TEST(CompileWcmpMcf, SolverSplitsProgramTheFib) {
   auto r = mcf::max_concurrent_flow(ft.topo.graph(), commodities, opt);
   ASSERT_EQ(r.arc_flow.size(), ft.topo.graph().link_count() * 2);
   WeightedFib fib = compile_wcmp_mcf(ft.topo, pairs, r.arc_flow);
-  auto v = verify_weighted_fib(ft.topo, fib, pairs);
-  EXPECT_TRUE(v.ok) << v.error;
+  check::Report report = check::validate_weighted_fib(ft.topo, fib, pairs);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(CompileWcmpMcf, ZeroFlowFallsBackToEvenSplit) {
@@ -158,8 +160,8 @@ TEST(CompileWcmpMcf, ZeroFlowFallsBackToEvenSplit) {
   // still conserves the budget and stays loop-free.
   std::vector<double> arc_flow(ft.topo.graph().link_count() * 2, 0.0);
   WeightedFib fib = compile_wcmp_mcf(ft.topo, pairs, arc_flow);
-  auto v = verify_weighted_fib(ft.topo, fib, pairs);
-  EXPECT_TRUE(v.ok) << v.error;
+  check::Report r = check::validate_weighted_fib(ft.topo, fib, pairs);
+  EXPECT_TRUE(r.ok()) << r.to_string();
   EXPECT_GT(fib.entry_count(), 0u);
 }
 

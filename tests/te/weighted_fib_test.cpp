@@ -2,17 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
+#include "check/te_check.hpp"
 #include "routing/ecmp.hpp"
+#include "routing/fib.hpp"
 #include "te/wcmp.hpp"
 #include "topo/fat_tree.hpp"
 
 namespace flattree::te {
 namespace {
 
+bool has_code(const check::Report& r, const std::string& code) {
+  return std::any_of(r.violations.begin(), r.violations.end(),
+                     [&](const check::Violation& v) { return v.code == code; });
+}
+
 /// 0 -- 1 -- 2 line with servers at the ends (same shape as the
-/// routing::Fib tests use).
+/// equal-cost table tests use).
 topo::Topology line3() {
   topo::Topology t;
   for (int i = 0; i < 3; ++i) t.add_switch(topo::SwitchKind::Edge, 0, i, 4);
@@ -53,6 +61,9 @@ TEST(WeightedFib, AddAccumulatesAndLooksUp) {
 
 TEST(WeightedFib, ZeroBudgetRejected) {
   EXPECT_THROW(WeightedFib(3, 0), std::invalid_argument);
+  // Budget 0 is reserved for equal-cost tables, built only by equal_cost().
+  EXPECT_FALSE(WeightedFib(3, 64).is_equal_cost());
+  EXPECT_TRUE(WeightedFib::equal_cost(3).is_equal_cost());
 }
 
 TEST(WeightedFib, DestinationsSortedPerSwitch) {
@@ -96,19 +107,19 @@ TEST(VerifyWeightedFib, CompiledFatTreePasses) {
   routing::EcmpRouting ecmp(ft.topo.graph());
   auto pairs = routing::all_server_pairs(ft.topo);
   WeightedFib fib = compile_wcmp_paths(ft.topo, ecmp, pairs);
-  WeightedFibVerification v = verify_weighted_fib(ft.topo, fib, pairs);
-  EXPECT_TRUE(v.ok) << v.error;
-  EXPECT_EQ(v.pairs_checked, pairs.size());
-  EXPECT_LE(v.max_walk_hops, 4u);  // fat-tree switch diameter
+  check::WeightedFibCheckOptions options;
+  options.hop_limit = 4;  // fat-tree switch diameter
+  check::Report r = check::validate_weighted_fib(ft.topo, fib, pairs, options);
+  EXPECT_TRUE(r.ok()) << r.to_string();
+  EXPECT_GE(r.checks_run, pairs.size());
 }
 
 TEST(VerifyWeightedFib, DetectsBlackhole) {
   topo::Topology t = line3();
   WeightedFib fib(3, 64);
   fib.add_route(0, 2, 0, 64);  // installed at 0 but missing at 1
-  auto v = verify_weighted_fib(t, fib, {{0, 2}});
-  EXPECT_FALSE(v.ok);
-  EXPECT_NE(v.error.find("blackhole"), std::string::npos);
+  check::Report r = check::validate_weighted_fib(t, fib, {{0, 2}});
+  EXPECT_TRUE(has_code(r, "te.wfib.blackhole")) << r.to_string();
 }
 
 TEST(VerifyWeightedFib, DetectsZeroWeightRule) {
@@ -117,9 +128,8 @@ TEST(VerifyWeightedFib, DetectsZeroWeightRule) {
   fib.add_route(0, 2, 0, 64);
   fib.add_route(1, 2, 1, 64);
   fib.add_route(1, 2, 0, 0);  // corrupt: should have been pruned
-  auto v = verify_weighted_fib(t, fib, {{0, 2}});
-  EXPECT_FALSE(v.ok);
-  EXPECT_NE(v.error.find("zero-weight"), std::string::npos);
+  check::Report r = check::validate_weighted_fib(t, fib, {{0, 2}});
+  EXPECT_TRUE(has_code(r, "te.wfib.zero_weight")) << r.to_string();
 }
 
 TEST(VerifyWeightedFib, DetectsWeightConservationViolation) {
@@ -129,9 +139,8 @@ TEST(VerifyWeightedFib, DetectsWeightConservationViolation) {
   fib.add_route(0, 3, 1, 31);  // sums to 63, budget is 64
   fib.add_route(1, 3, 2, 64);
   fib.add_route(2, 3, 3, 64);
-  auto v = verify_weighted_fib(t, fib, {{0, 3}});
-  EXPECT_FALSE(v.ok);
-  EXPECT_NE(v.error.find("conservation"), std::string::npos);
+  check::Report r = check::validate_weighted_fib(t, fib, {{0, 3}});
+  EXPECT_TRUE(has_code(r, "te.wfib.weight_sum")) << r.to_string();
 }
 
 TEST(VerifyWeightedFib, DetectsLoop) {
@@ -139,9 +148,8 @@ TEST(VerifyWeightedFib, DetectsLoop) {
   WeightedFib fib(3, 64);
   fib.add_route(0, 2, 0, 64);
   fib.add_route(1, 2, 0, 64);  // bounces back to 0
-  auto v = verify_weighted_fib(t, fib, {{0, 2}});
-  EXPECT_FALSE(v.ok);
-  EXPECT_NE(v.error.find("loop"), std::string::npos);
+  check::Report r = check::validate_weighted_fib(t, fib, {{0, 2}});
+  EXPECT_TRUE(has_code(r, "te.wfib.loop")) << r.to_string();
 }
 
 TEST(VerifyWeightedFib, HopLimitEnforced) {
@@ -149,11 +157,12 @@ TEST(VerifyWeightedFib, HopLimitEnforced) {
   WeightedFib fib(3, 64);
   fib.add_route(0, 2, 0, 64);
   fib.add_route(1, 2, 1, 64);
-  auto relaxed = verify_weighted_fib(t, fib, {{0, 2}});
-  EXPECT_TRUE(relaxed.ok) << relaxed.error;
-  auto tight = verify_weighted_fib(t, fib, {{0, 2}}, /*hop_limit=*/1);
-  EXPECT_FALSE(tight.ok);
-  EXPECT_NE(tight.error.find("exceeds"), std::string::npos);
+  check::Report relaxed = check::validate_weighted_fib(t, fib, {{0, 2}});
+  EXPECT_TRUE(relaxed.ok()) << relaxed.to_string();
+  check::WeightedFibCheckOptions options;
+  options.hop_limit = 1;
+  check::Report tight = check::validate_weighted_fib(t, fib, {{0, 2}}, options);
+  EXPECT_TRUE(has_code(tight, "te.wfib.hop_limit")) << tight.to_string();
 }
 
 }  // namespace
