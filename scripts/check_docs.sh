@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
 # Documentation gate (ctest label `docs`). Five checks:
 #
-#   1. Markdown link integrity — every intra-repo link target in the
-#      checked .md files exists on disk (external http(s) links are
-#      skipped), every `#anchor` (pure or `file#anchor`) resolves to a
-#      heading in the target file, and no dead `[[...]]` wiki-style
-#      anchors survive.
-#   2. Table-of-contents coverage — every `##` section of DESIGN.md and
-#      EXPERIMENTS.md is linked from that file's ToC.
-#   3. Header doc coverage — every public header under src/graph/, src/inc/,
-#      src/mcf/, src/fault/, src/svc/, src/te/, src/design/, src/routing/,
-#      src/sim/ and src/check/ has a file-level comment, and every namespace-scope declaration (struct/
-#      class/enum/free function) is immediately preceded by a doc comment.
-#   4. README bench catalog — the bench catalog table in README.md lists
-#      every bench binary that exists under bench/.
+#   1.  Markdown link integrity — every intra-repo link target in the
+#       checked .md files exists on disk (external http(s) links are
+#       skipped), every `#anchor` (pure or `file#anchor`) resolves to a
+#       heading in the target file, and no dead `[[...]]` wiki-style
+#       anchors survive.
+#   1b. Table-of-contents coverage — every `##` section of DESIGN.md and
+#       EXPERIMENTS.md is linked from that file's ToC.
+#   2.  Header doc coverage — every public header under HEADER_DIRS has a
+#       file-level comment, and every namespace-scope declaration (struct/
+#       class/enum/free function) is immediately preceded by a doc comment.
+#   3.  README bench catalog — the bench catalog table in README.md lists
+#       every bench binary that exists under bench/.
+#   4.  Durability error codes — the svc.journal.*, svc.snapshot.*,
+#       svc.recover.* and svc.overload.* codes that src/svc returns are
+#       exactly the rows of the "Error codes" table in docs/durability.md
+#       (obs::Counter names such as svc.overload.shed are not codes).
 #
 # Usage: scripts/check_docs.sh [repo-root]   (defaults to the script's parent)
 
@@ -168,6 +171,25 @@ readme = open(os.path.join(root, "README.md"), encoding="utf-8").read()
 for b in benches:
     if b not in readme:
         fail(f"README.md: bench catalog is missing `{b}`")
+
+# -- 4. durability error codes vs the docs/durability.md table ---------------
+
+CODE_RE = re.compile(r'"(svc\.(?:journal|snapshot|recover|overload)\.[a-z_]+)')
+returned = set()
+for dirpath, _, names in os.walk(os.path.join(root, "src", "svc")):
+    for name in names:
+        if not name.endswith((".cpp", ".hpp")):
+            continue
+        for line in open(os.path.join(dirpath, name), encoding="utf-8"):
+            if "obs::Counter" not in line:
+                returned.update(CODE_RE.findall(line))
+durability = md_text(os.path.join("docs", "durability.md"))
+table = durability.split("\n## Error codes", 1)[-1].split("\n## ", 1)[0]
+documented = set(re.findall(r"^\| `([^`]+)` \|", table, re.M))
+for code in sorted(returned - documented):
+    fail(f"docs/durability.md: error code `{code}` is returned by src/svc but has no row")
+for code in sorted(documented - returned):
+    fail(f"docs/durability.md: error code `{code}` has a row but src/svc never returns it")
 
 # ---------------------------------------------------------------------------
 

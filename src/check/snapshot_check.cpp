@@ -9,32 +9,15 @@ namespace {
 
 std::string u64s(std::uint64_t v) { return std::to_string(v); }
 
-bool mutating_op(const std::string& token, svc::Op& op) {
-  if (!svc::parse_op(token, op)) return false;
-  if (svc::read_only(op)) return false;
-  // Of the non-read-only ops, only the state-changing ones belong in a
-  // command-sourced history.
-  switch (op) {
-    case svc::Op::Build:
-    case svc::Op::Traffic:
-    case svc::Op::Fault:
-    case svc::Op::Convert:
-    case svc::Op::Expand:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace
 
 Report validate_snapshot(const svc::durable::ServiceSnapshot& s) {
   count_run();
   Report rep;
-  const svc::durable::SnapshotStats& st = s.stats;
+  const svc::ServiceStats& st = s.stats;
 
   std::uint64_t by_op_sum = 0;
-  for (std::size_t i = 0; i < svc::kOpCount; ++i) by_op_sum += st.by_op[i];
+  for (std::uint64_t n : st.accepted_by_op) by_op_sum += n;
   rep.note_check();
   if (by_op_sum != st.accepted)
     rep.add("snapshot.counter", "accepted (" + u64s(st.accepted) +
@@ -94,7 +77,7 @@ Report validate_snapshot(const svc::durable::ServiceSnapshot& s) {
 
       svc::Op op;
       rep.note_check();
-      if (!mutating_op(rec.op, op)) {
+      if (!svc::parse_op(rec.op, op) || !svc::mutating(op)) {
         rep.add("snapshot.record", where + ": op `" + rec.op + "` is not a "
                                            "mutating session op");
         continue;

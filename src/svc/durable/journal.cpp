@@ -2,8 +2,8 @@
 
 #include <ostream>
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "svc/durable/frame.hpp"
 #include "util/crc32.hpp"
 
 namespace flattree::svc::durable {
@@ -15,72 +15,15 @@ obs::Counter c_gaps("svc.durable.gaps");
 obs::Counter c_groups("svc.durable.groups");
 obs::Counter c_read_records("svc.durable.records_read");
 obs::Counter c_truncated("svc.durable.truncated_bytes");
-obs::Counter c_upgrades("svc.durable.v1_upgrades");
-
-std::string u64s(std::uint64_t v) { return std::to_string(v); }
-
-/// CRC payload of a record frame: "<seq> <canonical>".
-std::uint32_t record_crc(std::uint64_t seq, const std::string& canonical) {
-  return util::crc32(u64s(seq) + ' ' + canonical);
-}
-
-/// CRC payload of a gap frame: "<seq> <class>".
-std::uint32_t gap_crc(std::uint64_t seq, const std::string& cls) {
-  return util::crc32(u64s(seq) + ' ' + cls);
-}
-
-std::string render_record(const JournalEntry& e) {
-  return "r " + u64s(e.canonical.size()) + ' ' +
-         util::crc32_hex(record_crc(e.seq, e.canonical)) + ' ' + u64s(e.seq) + ' ' +
-         e.canonical + '\n';
-}
-
-std::string render_gap(const JournalEntry& e) {
-  return "x " + u64s(e.seq) + ' ' + e.gap_class + ' ' +
-         util::crc32_hex(gap_crc(e.seq, e.gap_class)) + '\n';
-}
 
 /// CRC payload of a commit frame: the tally fields plus the chained member
 /// frame CRCs, so one commit certifies the whole group.
-std::uint32_t commit_crc(std::uint64_t records, const JournalTally& t,
+std::uint32_t commit_crc(std::uint64_t records, const EvalTally& t,
                          const std::vector<std::uint32_t>& member_crcs) {
   std::string payload = u64s(records) + ' ' + u64s(t.solves) + ' ' + u64s(t.truncated) +
                         ' ' + u64s(t.certified) + ' ' + u64s(t.fault_events);
   for (std::uint32_t c : member_crcs) payload += ' ' + util::crc32_hex(c);
   return util::crc32(payload);
-}
-
-/// CRC payload of an unknown-tally (`u`) commit frame.
-std::uint32_t unknown_commit_crc(std::uint64_t records,
-                                 const std::vector<std::uint32_t>& member_crcs) {
-  std::string payload = u64s(records);
-  for (std::uint32_t c : member_crcs) payload += ' ' + util::crc32_hex(c);
-  return util::crc32(payload);
-}
-
-bool take_u64(const std::string& s, std::size_t& pos, std::uint64_t& out) {
-  if (pos >= s.size() || s[pos] < '0' || s[pos] > '9') return false;
-  std::uint64_t v = 0;
-  while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(s[pos] - '0');
-    ++pos;
-  }
-  out = v;
-  return true;
-}
-
-bool take_space(const std::string& s, std::size_t& pos) {
-  if (pos >= s.size() || s[pos] != ' ') return false;
-  ++pos;
-  return true;
-}
-
-bool take_word(const std::string& s, std::size_t& pos, std::string& out) {
-  std::size_t start = pos;
-  while (pos < s.size() && s[pos] != ' ') ++pos;
-  if (pos == start) return false;
-  out = s.substr(start, pos - start);
-  return true;
 }
 
 }  // namespace
@@ -93,22 +36,14 @@ JournalWriter::JournalWriter(std::ostream& out, bool resume) : out_(&out) {
 }
 
 void JournalWriter::append_record(std::uint64_t seq, const std::string& canonical) {
-  JournalEntry e;
-  e.is_record = true;
-  e.seq = seq;
-  e.canonical = canonical;
-  pending_.push_back(std::move(e));
+  pending_.push_back({true, seq, canonical, {}});
 }
 
 void JournalWriter::append_gap(std::uint64_t seq, const std::string& gap_class) {
-  JournalEntry e;
-  e.is_record = false;
-  e.seq = seq;
-  e.gap_class = gap_class;
-  pending_.push_back(std::move(e));
+  pending_.push_back({false, seq, {}, gap_class});
 }
 
-void JournalWriter::add_tally(const JournalTally& t) {
+void JournalWriter::add_tally(const EvalTally& t) {
   tally_.solves += t.solves;
   tally_.truncated += t.truncated;
   tally_.certified += t.certified;
@@ -117,7 +52,7 @@ void JournalWriter::add_tally(const JournalTally& t) {
 
 void JournalWriter::commit() {
   if (pending_.empty()) {
-    tally_ = JournalTally{};
+    tally_ = EvalTally{};
     return;
   }
   std::uint64_t records = 0;
@@ -128,11 +63,12 @@ void JournalWriter::commit() {
     if (e.is_record) {
       ++records;
       member_crcs.push_back(record_crc(e.seq, e.canonical));
-      block += render_record(e);
+      block += render_record("r", e.seq, e.canonical);
       c_records.inc();
     } else {
-      member_crcs.push_back(gap_crc(e.seq, e.gap_class));
-      block += render_gap(e);
+      member_crcs.push_back(record_crc(e.seq, e.gap_class));
+      block += "x " + u64s(e.seq) + ' ' + e.gap_class + ' ' +
+               util::crc32_hex(member_crcs.back()) + '\n';
       c_gaps.inc();
     }
   }
@@ -146,12 +82,11 @@ void JournalWriter::commit() {
   records_ += records;
   c_groups.inc();
   pending_.clear();
-  tally_ = JournalTally{};
+  tally_ = EvalTally{};
 }
 
 bool read_journal(const std::string& bytes, JournalContents& out, JournalError& err) {
   out = JournalContents{};
-  if (bytes.empty()) return true;
 
   // Split into complete lines; a final segment without '\n' is a partial
   // (torn) line and never parsed.
@@ -171,155 +106,79 @@ bool read_journal(const std::string& bytes, JournalContents& out, JournalError& 
     return bytes.substr(l.begin, l.end - l.begin - 1);
   };
 
-  if (lines.empty()) {
-    // Nothing but a partial line: the whole file is a torn tail.
-    out.truncated_bytes = bytes.size();
-    c_truncated.add(out.truncated_bytes);
-    return true;
-  }
-
-  std::size_t li = 0;
-  const bool v2 = text(lines[0]) == kJournalHeaderV2;
-  std::uint64_t records_seen = 0;
-
-  if (!v2) {
-    // v1: plain canonical JSON lines, one committed single-record group
-    // per line, tally unknown (recovery re-evaluates these groups).
-    out.version = 1;
-    for (; li < lines.size(); ++li) {
-      std::string line = text(lines[li]);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) {
-        out.committed_bytes = lines[li].end;
-        continue;
-      }
-      if (line[0] != '{') {
-        err = {"svc.journal.bad_v1_line",
-               "line " + std::to_string(li + 1) + " of a headerless (v1) journal is "
-               "not a JSON object",
-               records_seen + 1};
-        return false;
-      }
-      ++records_seen;
-      JournalGroup g;
-      JournalEntry e;
-      e.is_record = true;
-      e.seq = records_seen;
-      e.canonical = std::move(line);
-      g.entries.push_back(std::move(e));
-      g.records = 1;
-      g.tally_known = false;
-      out.last_seq = records_seen;
-      out.groups.push_back(std::move(g));
-      out.committed_bytes = lines[li].end;
+  if (!lines.empty()) {
+    if (text(lines[0]) != kJournalHeaderV2) {
+      err = {"svc.journal.bad_header", "first line is not the v2 journal header", 0};
+      return false;
     }
-    out.records = records_seen;
-    out.truncated_bytes = bytes.size() - out.committed_bytes;
-    c_read_records.add(out.records);
-    c_truncated.add(out.truncated_bytes);
-    return true;
+    out.committed_bytes = lines[0].end;  // the header itself is durable
   }
-
-  out.committed_bytes = lines[0].end;  // the header itself is durable
   std::vector<JournalEntry> pending;
   std::vector<std::uint32_t> pending_crcs;
   std::uint64_t pending_records = 0;
+  std::uint64_t records_seen = 0;
 
-  for (li = 1; li < lines.size(); ++li) {
+  for (std::size_t li = 1; li < lines.size(); ++li) {
     const std::string line = text(lines[li]);
-    std::size_t p = 2;
-    const char tag = line.empty() ? '\0' : line[0];
-    const bool tagged = line.size() >= 2 && line[1] == ' ' &&
-                        (tag == 'r' || tag == 'x' || tag == 'c' || tag == 'u');
-    bool ok = false;
-    if (tagged && tag == 'r') {
-      std::uint64_t len = 0, seq = 0;
-      std::string crc_hex;
-      std::uint32_t crc = 0;
-      if (take_u64(line, p, len) && take_space(line, p) && take_word(line, p, crc_hex) &&
-          util::parse_crc32_hex(crc_hex, crc) && take_space(line, p) &&
-          take_u64(line, p, seq) && take_space(line, p)) {
-        std::string canonical = line.substr(p);
-        if (canonical.size() == len && record_crc(seq, canonical) == crc) {
-          JournalEntry e;
-          e.is_record = true;
-          e.seq = seq;
-          e.canonical = std::move(canonical);
-          pending.push_back(std::move(e));
-          pending_crcs.push_back(crc);
-          ++pending_records;
-          ++records_seen;
-          ok = true;
-        }
-      }
-      if (!ok) {
+    const std::string tag = line.substr(0, line.find(' '));
+    std::size_t p = tag.size() + 1;
+    if (tag == "r") {
+      RecordFrame f;
+      if (!parse_record(line, f)) {
         err = {"svc.journal.corrupt_record",
                "record frame at line " + std::to_string(li + 1) +
                    " fails to parse or checksum",
                records_seen + 1};
         return false;
       }
-    } else if (tagged && tag == 'x') {
+      pending.push_back({true, f.seq, std::move(f.canonical), {}});
+      pending_crcs.push_back(f.crc);
+      ++pending_records;
+      ++records_seen;
+    } else if (tag == "x") {
       std::uint64_t seq = 0;
       std::string cls, crc_hex;
       std::uint32_t crc = 0;
-      if (take_u64(line, p, seq) && take_space(line, p) && take_word(line, p, cls) &&
-          take_space(line, p) && take_word(line, p, crc_hex) && p == line.size() &&
-          util::parse_crc32_hex(crc_hex, crc) && gap_crc(seq, cls) == crc) {
-        JournalEntry e;
-        e.is_record = false;
-        e.seq = seq;
-        e.gap_class = std::move(cls);
-        pending.push_back(std::move(e));
-        pending_crcs.push_back(crc);
-        ok = true;
-      }
-      if (!ok) {
+      if (!take_u64(line, p, seq) || !take_space(line, p) || !take_word(line, p, cls) ||
+          !take_space(line, p) || !take_word(line, p, crc_hex) || p != line.size() ||
+          !util::parse_crc32_hex(crc_hex, crc) || record_crc(seq, cls) != crc) {
         err = {"svc.journal.corrupt_gap",
                "gap frame at line " + std::to_string(li + 1) +
                    " fails to parse or checksum",
                records_seen};
         return false;
       }
-    } else if (tagged && (tag == 'c' || tag == 'u')) {
-      std::uint64_t records = 0;
-      JournalTally t;
+      pending.push_back({false, seq, {}, std::move(cls)});
+      pending_crcs.push_back(crc);
+    } else if (tag == "c") {
+      // A commit seals at least one frame: the writer never emits an empty
+      // group, so one on disk is not a fixpoint of the format.
+      JournalGroup g;
       std::string crc_hex;
       std::uint32_t crc = 0;
-      bool fields = take_u64(line, p, records);
-      if (fields && tag == 'c') {
-        fields = take_space(line, p) && take_u64(line, p, t.solves) &&
-                 take_space(line, p) && take_u64(line, p, t.truncated) &&
-                 take_space(line, p) && take_u64(line, p, t.certified) &&
-                 take_space(line, p) && take_u64(line, p, t.fault_events);
-      }
-      if (fields && take_space(line, p) && take_word(line, p, crc_hex) &&
-          p == line.size() && util::parse_crc32_hex(crc_hex, crc) &&
-          records == pending_records &&
-          (tag == 'c' ? commit_crc(records, t, pending_crcs)
-                      : unknown_commit_crc(records, pending_crcs)) == crc) {
-        JournalGroup g;
-        g.entries = std::move(pending);
-        g.tally = t;
-        g.records = records;
-        g.tally_known = tag == 'c';
-        for (const JournalEntry& e : g.entries)
-          if (e.seq > out.last_seq) out.last_seq = e.seq;
-        out.records += records;
-        out.groups.push_back(std::move(g));
-        out.committed_bytes = lines[li].end;
-        pending.clear();
-        pending_crcs.clear();
-        pending_records = 0;
-        ok = true;
-      }
-      if (!ok) {
+      if (pending.empty() || !take_u64(line, p, g.records) || !take_space(line, p) ||
+          !take_u64(line, p, g.tally.solves) || !take_space(line, p) ||
+          !take_u64(line, p, g.tally.truncated) || !take_space(line, p) ||
+          !take_u64(line, p, g.tally.certified) || !take_space(line, p) ||
+          !take_u64(line, p, g.tally.fault_events) || !take_space(line, p) ||
+          !take_word(line, p, crc_hex) || p != line.size() ||
+          !util::parse_crc32_hex(crc_hex, crc) || g.records != pending_records ||
+          commit_crc(g.records, g.tally, pending_crcs) != crc) {
         err = {"svc.journal.corrupt_commit",
                "commit frame at line " + std::to_string(li + 1) +
                    " fails to parse, checksum, or chain over its group",
                records_seen};
         return false;
       }
+      for (const JournalEntry& e : pending)
+        if (e.seq > out.last_seq) out.last_seq = e.seq;
+      g.entries = std::move(pending);
+      out.records += g.records;
+      out.groups.push_back(std::move(g));
+      out.committed_bytes = lines[li].end;
+      pending.clear();
+      pending_crcs.clear();
+      pending_records = 0;
     } else {
       err = {"svc.journal.corrupt_record",
              "line " + std::to_string(li + 1) + " is not a journal frame",
@@ -333,40 +192,6 @@ bool read_journal(const std::string& bytes, JournalContents& out, JournalError& 
   out.truncated_bytes = bytes.size() - out.committed_bytes;
   c_read_records.add(out.records);
   c_truncated.add(out.truncated_bytes);
-  return true;
-}
-
-bool upgrade_v1_journal(const std::string& v1_bytes, std::string& v2_bytes,
-                        JournalError& err) {
-  v2_bytes.clear();
-  v2_bytes += kJournalHeaderV2;
-  v2_bytes += '\n';
-  std::uint64_t seq = 0;
-  std::size_t pos = 0;
-  while (pos < v1_bytes.size()) {
-    std::size_t nl = v1_bytes.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn v1 tail: dropped
-    std::string line = v1_bytes.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    obs::JsonValue v;
-    obs::JsonError jerr;
-    if (!obs::json_parse(line, v, &jerr)) {
-      err = {"svc.journal.bad_v1_line",
-             "v1 journal line is not valid JSON: " + jerr.code, seq + 1};
-      return false;
-    }
-    ++seq;
-    JournalEntry e;
-    e.is_record = true;
-    e.seq = seq;
-    e.canonical = std::move(line);
-    std::vector<std::uint32_t> crcs{record_crc(e.seq, e.canonical)};
-    v2_bytes += render_record(e);
-    v2_bytes += "u 1 " + util::crc32_hex(unknown_commit_crc(1, crcs)) + '\n';
-  }
-  c_upgrades.inc();
   return true;
 }
 

@@ -1,6 +1,6 @@
 #pragma once
 // Journal v2: the CRC-framed durable request log of the flattree-svc
-// service (ISSUE 10 tentpole). A v2 journal is a line-oriented text file:
+// service. A journal is a line-oriented text file:
 //
 //   # flattree-svc-journal v2
 //   r <len> <crc> <seq> <canonical>     one accepted request (record frame)
@@ -9,49 +9,37 @@
 //
 // Record frames carry the request's 1-based input line number (`seq`) and
 // its canonical JSON rendering; `len` is the canonical's byte length and
-// `crc` is the CRC-32 of "<seq> <canonical>". Gap frames mark input lines
-// that were answered with an error and never journaled in v1 — v2 keeps a
-// content-free marker (class: reject | oversize | queue | deadline) so a
-// recovered run reproduces the rejected/shed counters exactly. A commit
-// frame seals the frames written since the previous commit into one
-// *group* — the durability point. Its `crc` chains over the group's frame
-// CRCs plus the tally fields, so a commit certifies the whole group.
-// Groups coincide with the service's deterministic batch boundaries, which
-// is what makes resuming at a commit point byte-exact (see
-// docs/durability.md).
+// `crc` is the CRC-32 of "<seq> <canonical>" (the framing lives in
+// frame.hpp, shared with snapshot records). Gap frames are content-free
+// markers for input lines answered with an error (class: reject |
+// oversize | queue | deadline), so a recovered run reproduces the
+// rejected/shed counters exactly. A commit frame seals the frames written
+// since the previous commit into one *group* — the durability point. Its
+// `crc` chains over the group's frame CRCs plus the tally fields, so a
+// commit certifies the whole group. Groups coincide with the service's
+// deterministic batch boundaries, which is what makes resuming at a
+// commit point byte-exact (see docs/durability.md).
 //
 // Recovery reader semantics:
 //   * a partial final line (no trailing '\n') and any complete frames after
 //     the last valid commit frame are a *torn tail*: truncated, reported via
 //     truncated_bytes — a crash can only tear the end of the file;
-//   * a complete line that fails to parse or checksum is *corruption*
-//     (a tear never produces one): the reader refuses the journal with a
-//     stable error code and the 1-based record number;
-//   * a file whose first line is not the v2 header is auto-detected as a
-//     v1 journal (plain canonical JSON lines): each line becomes its own
-//     committed single-record group with an *unknown* tally, so recovery
-//     re-evaluates instead of fast-forwarding. upgrade_v1_journal() is the
-//     explicit offline upgrade path (it writes `u <records> <crc>` commit
-//     frames to mark the unknown tallies).
+//   * a complete first line that is not the v2 header, and a complete line
+//     that fails to parse or checksum, are *corruption* (a tear never
+//     produces one): the reader refuses the journal with a stable error
+//     code and the 1-based record number.
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "svc/protocol.hpp"
+
 namespace flattree::svc::durable {
 
 /// First line of every v2 journal.
 inline constexpr char kJournalHeaderV2[] = "# flattree-svc-journal v2";
-
-/// Per-group deterministic work tally mirrored into the commit frame, so
-/// recovery can fast-forward read-only groups without re-solving.
-struct JournalTally {
-  std::uint64_t solves = 0;
-  std::uint64_t truncated = 0;
-  std::uint64_t certified = 0;
-  std::uint64_t fault_events = 0;
-};
 
 /// One frame inside a group: an accepted-request record, or a gap marker
 /// for a rejected/shed input line (canonical empty, gap_class set).
@@ -63,12 +51,12 @@ struct JournalEntry {
 };
 
 /// One committed group: the frames sealed by a single commit frame, in
-/// their original (input) order.
+/// their original (input) order, plus the commit's work tally (which lets
+/// recovery fast-forward read-only groups without re-solving).
 struct JournalGroup {
   std::vector<JournalEntry> entries;
-  JournalTally tally;
+  EvalTally tally;
   std::uint64_t records = 0;  ///< record frames in `entries`
-  bool tally_known = true;    ///< false for v1-upgraded groups (`u` frames)
 };
 
 /// Why a journal was refused. `record` is the 1-based ordinal of the
@@ -83,7 +71,6 @@ struct JournalError {
 /// A fully validated journal: the committed groups plus the byte accounting
 /// the recovery path needs to truncate a torn tail in place.
 struct JournalContents {
-  int version = 2;  ///< 2, or 1 when a headerless v1 journal was detected
   std::vector<JournalGroup> groups;
   std::uint64_t records = 0;          ///< committed record frames
   std::uint64_t last_seq = 0;         ///< highest committed seq (records + gaps)
@@ -91,18 +78,10 @@ struct JournalContents {
   std::uint64_t truncated_bytes = 0;  ///< torn tail dropped by the reader
 };
 
-/// Parses journal bytes (v2, or auto-detected v1). Returns false only on
-/// mid-stream corruption (err filled, stable code + 1-based record number);
-/// a torn tail is not an error — it is truncated and reported through
-/// `out.truncated_bytes`.
+/// Parses journal bytes. Returns false only on corruption (err filled,
+/// stable code + 1-based record number); a torn tail is not an error — it
+/// is truncated and reported through `out.truncated_bytes`.
 bool read_journal(const std::string& bytes, JournalContents& out, JournalError& err);
-
-/// Rewrites a v1 journal (plain canonical JSON lines) as v2: one
-/// single-record group per line, seq = line ordinal, sealed with `u`
-/// commit frames (tally unknown). Returns false when a line is not valid
-/// JSON (err.record = its ordinal).
-bool upgrade_v1_journal(const std::string& v1_bytes, std::string& v2_bytes,
-                        JournalError& err);
 
 /// Streaming v2 writer. append_record/append_gap/add_tally buffer frames
 /// for the open group; commit() writes them followed by the sealing commit
@@ -118,7 +97,7 @@ class JournalWriter {
   /// Buffers one rejected-line gap marker for the open group.
   void append_gap(std::uint64_t seq, const std::string& gap_class);
   /// Accumulates into the open group's tally (written by the commit frame).
-  void add_tally(const JournalTally& t);
+  void add_tally(const EvalTally& t);
   /// Seals the open group; no-op when no frames are buffered.
   void commit();
 
@@ -128,7 +107,7 @@ class JournalWriter {
  private:
   std::ostream* out_;
   std::vector<JournalEntry> pending_;
-  JournalTally tally_;
+  EvalTally tally_;
   std::uint64_t groups_ = 0;
   std::uint64_t records_ = 0;
 };

@@ -1,67 +1,22 @@
 #include "svc/durable/snapshot.hpp"
 
+#include <limits>
+
+#include "svc/durable/frame.hpp"
 #include "util/crc32.hpp"
 
 namespace flattree::svc::durable {
 
-namespace {
-
-std::string u64s(std::uint64_t v) { return std::to_string(v); }
-
-/// CRC payload of a record line (same framing as journal v2 records).
-std::uint32_t record_crc(std::uint64_t seq, const std::string& canonical) {
-  return util::crc32(u64s(seq) + ' ' + canonical);
-}
-
-bool take_u64(const std::string& s, std::size_t& pos, std::uint64_t& out) {
-  if (pos >= s.size() || s[pos] < '0' || s[pos] > '9') return false;
-  std::uint64_t v = 0;
-  while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(s[pos] - '0');
-    ++pos;
-  }
-  out = v;
-  return true;
-}
-
-bool take_space(const std::string& s, std::size_t& pos) {
-  if (pos >= s.size() || s[pos] != ' ') return false;
-  ++pos;
-  return true;
-}
-
-bool take_word(const std::string& s, std::size_t& pos, std::string& out) {
-  std::size_t start = pos;
-  while (pos < s.size() && s[pos] != ' ') ++pos;
-  if (pos == start) return false;
-  out = s.substr(start, pos - start);
-  return true;
-}
-
-}  // namespace
-
 std::string encode_snapshot(const ServiceSnapshot& s) {
-  std::string payload;
-  payload += "stats";
-  const SnapshotStats& st = s.stats;
-  const std::uint64_t scalars[] = {st.lines,          st.accepted,
-                                   st.rejected,       st.fault_events,
-                                   st.solves,         st.truncated_solves,
-                                   st.certified_solves, st.batches,
-                                   st.max_batch,      st.journal_lines,
-                                   st.shed_oversize,  st.shed_queue,
-                                   st.shed_deadline};
-  for (std::uint64_t v : scalars) payload += ' ' + u64s(v);
+  std::string payload = "stats";
+  for (const StatsField& f : kStatsFields) payload += ' ' + u64s(s.stats.*f.member);
   payload += "\nops";
-  for (std::size_t i = 0; i < kOpCount; ++i) payload += ' ' + u64s(st.by_op[i]);
+  for (std::uint64_t v : s.stats.accepted_by_op) payload += ' ' + u64s(v);
   payload += "\ngroups " + u64s(s.groups_committed) + '\n';
   for (const SnapshotSession& sess : s.sessions) {
     payload += "session " + u64s(sess.id) + ' ' + u64s(sess.records.size()) + '\n';
-    for (const SnapshotRecord& r : sess.records) {
-      payload += r.op + ' ' + u64s(r.canonical.size()) + ' ' +
-                 util::crc32_hex(record_crc(r.seq, r.canonical)) + ' ' +
-                 u64s(r.seq) + ' ' + r.canonical + '\n';
-    }
+    for (const SnapshotRecord& r : sess.records)
+      payload += render_record(r.op, r.seq, r.canonical);
   }
   std::string out;
   out += kSnapshotHeaderV1;
@@ -156,23 +111,11 @@ bool decode_snapshot(const std::string& bytes, ServiceSnapshot& out,
   };
 
   std::vector<std::uint64_t> vals;
-  if (!structural("stats", vals, 13)) return false;
-  SnapshotStats& st = out.stats;
-  st.lines = vals[0];
-  st.accepted = vals[1];
-  st.rejected = vals[2];
-  st.fault_events = vals[3];
-  st.solves = vals[4];
-  st.truncated_solves = vals[5];
-  st.certified_solves = vals[6];
-  st.batches = vals[7];
-  st.max_batch = vals[8];
-  st.journal_lines = vals[9];
-  st.shed_oversize = vals[10];
-  st.shed_queue = vals[11];
-  st.shed_deadline = vals[12];
+  if (!structural("stats", vals, kStatsFields.size())) return false;
+  for (std::size_t i = 0; i < vals.size(); ++i)
+    out.stats.*kStatsFields[i].member = vals[i];
   if (!structural("ops", vals, kOpCount)) return false;
-  for (std::size_t i = 0; i < kOpCount; ++i) st.by_op[i] = vals[i];
+  for (std::size_t i = 0; i < kOpCount; ++i) out.stats.accepted_by_op[i] = vals[i];
   if (!structural("groups", vals, 1)) return false;
   out.groups_committed = vals[0];
 
@@ -182,8 +125,8 @@ bool decode_snapshot(const std::string& bytes, ServiceSnapshot& out,
     std::string word;
     std::uint64_t id = 0, count = 0;
     if (!take_word(line, p, word) || word != "session" || !take_space(line, p) ||
-        !take_u64(line, p, id) || !take_space(line, p) || !take_u64(line, p, count) ||
-        p != line.size()) {
+        !take_u64(line, p, id) || id > std::numeric_limits<std::uint32_t>::max() ||
+        !take_space(line, p) || !take_u64(line, p, count) || p != line.size()) {
       err = {"svc.snapshot.corrupt", "expected `session` line", li + 1};
       return false;
     }
@@ -195,27 +138,13 @@ bool decode_snapshot(const std::string& bytes, ServiceSnapshot& out,
         err = {"svc.snapshot.truncated", "session record list cut short", li + 1};
         return false;
       }
-      const std::string& rline = lines[li];
-      std::size_t q = 0;
-      SnapshotRecord rec;
-      std::uint64_t len = 0;
-      std::string crc_hex;
-      std::uint32_t crc = 0;
-      if (!take_word(rline, q, rec.op) || !take_space(rline, q) ||
-          !take_u64(rline, q, len) || !take_space(rline, q) ||
-          !take_word(rline, q, crc_hex) || !util::parse_crc32_hex(crc_hex, crc) ||
-          !take_space(rline, q) || !take_u64(rline, q, rec.seq) ||
-          !take_space(rline, q)) {
-        err = {"svc.snapshot.bad_record", "malformed session record line", li + 1};
-        return false;
-      }
-      rec.canonical = rline.substr(q);
-      if (rec.canonical.size() != len || record_crc(rec.seq, rec.canonical) != crc) {
+      RecordFrame f;
+      if (!parse_record(lines[li], f)) {
         err = {"svc.snapshot.bad_record",
-               "session record length or CRC mismatch", li + 1};
+               "session record line fails its framing, length or CRC", li + 1};
         return false;
       }
-      sess.records.push_back(std::move(rec));
+      sess.records.push_back({std::move(f.tag), f.seq, std::move(f.canonical)});
       ++li;
     }
     out.sessions.push_back(std::move(sess));

@@ -1,9 +1,9 @@
 #pragma once
 // Snapshot v1: the canonical `# flattree-svc-snapshot v1` text encoding of
-// full service state (ISSUE 10 tentpole). A snapshot is command-sourced:
-// instead of serializing engine internals, it stores each session's
-// *mutating request history* (the canonical build/traffic/fault/convert/
-// expand lines, in seq order). decode + re-executing that history through
+// full service state. A snapshot is command-sourced: instead of
+// serializing engine internals, it stores each session's *mutating request
+// history* (the canonical build/traffic/fault/convert/expand lines, in seq
+// order). decode + re-executing that history through
 // the normal eval path rebuilds byte-identical session state — the same
 // warm/cold bitwise-equality invariant the service already relies on.
 // A successful `build` resets its session, so the service compacts the
@@ -13,16 +13,17 @@
 // Grammar (line-oriented; every line '\n'-terminated):
 //
 //   # flattree-svc-snapshot v1
-//   stats <13 u64 counters>          deterministic ServiceStats scalars
+//   stats <13 u64 counters>          the scalar ServiceStats fields
 //   ops <kOpCount u64s>              accepted_by_op, indexed by svc::Op
 //   groups <n>                       journal groups committed so far
 //   session <id> <count>             then `count` record lines:
 //   <op> <len> <crc> <seq> <canonical>
 //   end <crc>
 //
-// Record lines reuse the journal v2 record framing (len = canonical byte
-// length, crc = CRC-32 of "<seq> <canonical>"); the `end` trailer CRCs the
-// whole payload region between the header line and itself. The encoding is
+// Record lines are the journal v2 record framing (frame.hpp: len =
+// canonical byte length, crc = CRC-32 of "<seq> <canonical>") with the op
+// token as the tag; the `end` trailer CRCs the whole payload region
+// between the header line and itself. The encoding is
 // canonical: encode(decode(s)) == s byte for byte for any snapshot this
 // module produced, which is what the snapshot round-trip selfcheck
 // asserts after every periodic snapshot.
@@ -38,25 +39,6 @@ namespace flattree::svc::durable {
 /// First line of every v1 snapshot.
 inline constexpr char kSnapshotHeaderV1[] = "# flattree-svc-snapshot v1";
 
-/// The deterministic ServiceStats scalars carried by the `stats` line, in
-/// encoding order. Restored verbatim on recovery (never recounted).
-struct SnapshotStats {
-  std::uint64_t lines = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t fault_events = 0;
-  std::uint64_t solves = 0;
-  std::uint64_t truncated_solves = 0;
-  std::uint64_t certified_solves = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t max_batch = 0;
-  std::uint64_t journal_lines = 0;
-  std::uint64_t shed_oversize = 0;
-  std::uint64_t shed_queue = 0;
-  std::uint64_t shed_deadline = 0;
-  std::uint64_t by_op[kOpCount] = {};  ///< accepted_by_op (the `ops` line)
-};
-
 /// One replayable mutating request in a session's history.
 struct SnapshotRecord {
   std::string op;         ///< wire token (build/traffic/fault/convert/expand)
@@ -70,10 +52,11 @@ struct SnapshotSession {
   std::vector<SnapshotRecord> records;
 };
 
-/// Full decoded snapshot: counters, journal-group cursor (snapshot cadence
-/// stays aligned across recovery), and per-session histories.
+/// Full decoded snapshot: counters (restored verbatim on recovery, never
+/// recounted), journal-group cursor (snapshot cadence stays aligned across
+/// recovery), and per-session histories.
 struct ServiceSnapshot {
-  SnapshotStats stats;
+  ServiceStats stats;
   std::uint64_t groups_committed = 0;
   std::vector<SnapshotSession> sessions;
 };

@@ -140,35 +140,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "flattree_svc recover: truncating %llu torn byte(s)\n",
                    static_cast<unsigned long long>(recovered_journal.truncated_bytes));
     }
-    if (recovered_journal.version == 1) {
-      // A headerless v1 journal cannot be appended to in place: rewrite
-      // its durable prefix through the explicit upgrade path, then resume
-      // on the upgraded v2 file.
-      std::string v2;
-      svc::durable::JournalError uerr;
-      if (!svc::durable::upgrade_v1_journal(
-              bytes.substr(0, recovered_journal.committed_bytes), v2, uerr)) {
-        std::fprintf(stderr, "flattree_svc recover: %s: %s (record %llu)\n",
-                     uerr.code.c_str(), uerr.message.c_str(),
-                     static_cast<unsigned long long>(uerr.record));
-        return 3;
-      }
-      std::ofstream up(journal_path, std::ios::binary | std::ios::trunc);
-      if (!up) {
-        std::fprintf(stderr, "flattree_svc recover: cannot rewrite '%s'\n",
-                     journal_path.c_str());
-        return 3;
-      }
-      up << v2;
-    } else {
-      std::error_code ec;
-      std::filesystem::resize_file(journal_path, recovered_journal.committed_bytes,
-                                   ec);
-      if (ec) {
-        std::fprintf(stderr, "flattree_svc recover: cannot truncate '%s': %s\n",
-                     journal_path.c_str(), ec.message().c_str());
-        return 3;
-      }
+    std::error_code ec;
+    std::filesystem::resize_file(journal_path, recovered_journal.committed_bytes, ec);
+    if (ec) {
+      std::fprintf(stderr, "flattree_svc recover: cannot truncate '%s': %s\n",
+                   journal_path.c_str(), ec.message().c_str());
+      return 3;
     }
     std::string snap_bytes;
     if (!snapshot_path.empty() && slurp(snapshot_path, snap_bytes)) {
@@ -203,11 +180,9 @@ int main(int argc, char** argv) {
   opt.slo.min_augmentations = min_augs > 0 ? static_cast<std::uint64_t>(min_augs) : 0;
   opt.journal = journal_path.empty() ? nullptr : &journal_file;
   // Resume (header already on disk) unless the durable prefix came back
-  // empty — a v2 journal cut mid-header truncates to nothing, and the
-  // fresh append must start with a header again. The v1 upgrade rewrote a
-  // headered file, so it always resumes.
-  opt.journal_resume = recover && (recovered_journal.version == 1 ||
-                                   recovered_journal.committed_bytes > 0);
+  // empty — a journal cut mid-header truncates to nothing, and the fresh
+  // append must start with a header again.
+  opt.journal_resume = recover && recovered_journal.committed_bytes > 0;
   opt.max_line_bytes =
       max_line_bytes > 0 ? static_cast<std::size_t>(max_line_bytes) : 0;
   opt.max_queued = max_queued > 0 ? static_cast<std::size_t>(max_queued) : 0;

@@ -63,6 +63,11 @@ bool read_only(Op op) {
          op == Op::Design;
 }
 
+bool mutating(Op op) {
+  return op == Op::Build || op == Op::Traffic || op == Op::Fault ||
+         op == Op::Convert || op == Op::Expand;
+}
+
 bool req_u64(const obs::JsonValue& body, const char* key, std::uint64_t max,
              std::uint64_t& out, bool& present, RequestError& err) {
   present = false;

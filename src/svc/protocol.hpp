@@ -23,6 +23,7 @@
 // (JsonValue::to_json, a fixpoint under parse), so a journal replayed as a
 // script reproduces the same state trajectory byte for byte.
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -59,6 +60,10 @@ bool parse_op(const std::string& token, Op& out);
 /// True for ops that never mutate service or session state (Hello, Query,
 /// WhatIf, Design) — the batchable subset.
 bool read_only(Op op);
+/// True for the state-changing session ops (Build, Traffic, Fault,
+/// Convert, Expand) — the ones a snapshot history replays. Stats and
+/// Manifest are neither read_only nor mutating.
+bool mutating(Op op);
 
 /// Why a line was rejected. `code` is stable and namespaced: "json.*" from
 /// the parser, "svc.request.*" for envelope violations, "svc.<op>.*" for
@@ -81,6 +86,60 @@ struct Request {
   obs::JsonValue body;       ///< the full request object
   std::string canonical;     ///< canonical rendering (the journal line)
 };
+
+/// Deterministic work accounting for one evaluated request, and the sum
+/// over a journal group that its commit frame carries (wall-clock never
+/// enters these).
+struct EvalTally {
+  std::uint64_t solves = 0;
+  std::uint64_t truncated = 0;  ///< budget-truncated solves
+  std::uint64_t certified = 0;  ///< solves whose certificate passed
+  std::uint64_t fault_events = 0;
+};
+
+/// Deterministic run counters: what the `stats` op renders and what a
+/// snapshot stores (wall-clock quantities are deliberately excluded —
+/// they live in bench_service's latency histograms instead).
+struct ServiceStats {
+  std::uint64_t lines = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t accepted_by_op[kOpCount] = {};  ///< indexed by Op
+  std::uint64_t fault_events = 0;
+  std::uint64_t solves = 0;
+  std::uint64_t truncated_solves = 0;
+  std::uint64_t certified_solves = 0;
+  std::uint64_t batches = 0;     ///< read-only flushes with >= 1 accepted
+  std::uint64_t max_batch = 0;   ///< most accepted requests in one flush
+  std::uint64_t journal_lines = 0;
+  std::uint64_t shed_oversize = 0;  ///< lines over max_line_bytes
+  std::uint64_t shed_queue = 0;     ///< svc.overload.queue_full sheds
+  std::uint64_t shed_deadline = 0;  ///< svc.overload.deadline sheds
+};
+
+/// One scalar ServiceStats field and its `stats` payload key.
+struct StatsField {
+  const char* name;
+  std::uint64_t ServiceStats::*member;
+};
+
+/// The scalar ServiceStats fields in wire order: the `stats` op payload
+/// (which puts `ops` right after `rejected`) and the snapshot `stats` line.
+inline constexpr std::array<StatsField, 13> kStatsFields = {{
+    {"lines", &ServiceStats::lines},
+    {"accepted", &ServiceStats::accepted},
+    {"rejected", &ServiceStats::rejected},
+    {"fault_events", &ServiceStats::fault_events},
+    {"solves", &ServiceStats::solves},
+    {"truncated_solves", &ServiceStats::truncated_solves},
+    {"certified_solves", &ServiceStats::certified_solves},
+    {"batches", &ServiceStats::batches},
+    {"max_batch", &ServiceStats::max_batch},
+    {"journal_lines", &ServiceStats::journal_lines},
+    {"shed_oversize", &ServiceStats::shed_oversize},
+    {"shed_queue", &ServiceStats::shed_queue},
+    {"shed_deadline", &ServiceStats::shed_deadline},
+}};
 
 /// Parses one request line and validates the envelope fields. On failure
 /// returns false with `err` filled; `out` is unspecified.

@@ -33,27 +33,23 @@ double now_ms() {
       .count();
 }
 
-/// True for the state-changing session ops that enter replay histories.
-bool session_mutating(Op op) {
-  switch (op) {
-    case Op::Build:
-    case Op::Traffic:
-    case Op::Fault:
-    case Op::Convert:
-    case Op::Expand:
-      return true;
-    default:
-      return false;
-  }
-}
-
-void bump_shed(ServiceStats& st, const std::string& gap_class) {
+/// Counts one rejected line of `gap_class` (the journal gap class; empty
+/// for a refused journal script) into the rejected and shed counters.
+void count_gap(ServiceStats& st, const std::string& gap_class) {
+  ++st.rejected;
   if (gap_class == "oversize")
     ++st.shed_oversize;
   else if (gap_class == "queue")
     ++st.shed_queue;
   else if (gap_class == "deadline")
     ++st.shed_deadline;
+}
+
+void add_tally(ServiceStats& st, const EvalTally& t) {
+  st.fault_events += t.fault_events;
+  st.solves += t.solves;
+  st.truncated_solves += t.truncated;
+  st.certified_solves += t.certified;
 }
 
 }  // namespace
@@ -68,28 +64,16 @@ Service::Service(ServiceOptions opt) : opt_(std::move(opt)) {
 }
 
 void Service::fill_stats_payload(obs::JsonValue& payload) const {
-  put(payload, "lines", jint(static_cast<std::int64_t>(stats_.lines)));
-  put(payload, "accepted", jint(static_cast<std::int64_t>(stats_.accepted)));
-  put(payload, "rejected", jint(static_cast<std::int64_t>(stats_.rejected)));
-  obs::JsonValue ops = obs::JsonValue::make_object();
-  for (int i = 0; i < static_cast<int>(kOpCount); ++i)
-    if (stats_.accepted_by_op[i] > 0)
-      put(ops, to_string(static_cast<Op>(i)),
-          jint(static_cast<std::int64_t>(stats_.accepted_by_op[i])));
-  put(payload, "ops", std::move(ops));
-  put(payload, "fault_events", jint(static_cast<std::int64_t>(stats_.fault_events)));
-  put(payload, "solves", jint(static_cast<std::int64_t>(stats_.solves)));
-  put(payload, "truncated_solves",
-      jint(static_cast<std::int64_t>(stats_.truncated_solves)));
-  put(payload, "certified_solves",
-      jint(static_cast<std::int64_t>(stats_.certified_solves)));
-  put(payload, "batches", jint(static_cast<std::int64_t>(stats_.batches)));
-  put(payload, "max_batch", jint(static_cast<std::int64_t>(stats_.max_batch)));
-  put(payload, "journal_lines", jint(static_cast<std::int64_t>(stats_.journal_lines)));
-  put(payload, "shed_oversize", jint(static_cast<std::int64_t>(stats_.shed_oversize)));
-  put(payload, "shed_queue", jint(static_cast<std::int64_t>(stats_.shed_queue)));
-  put(payload, "shed_deadline",
-      jint(static_cast<std::int64_t>(stats_.shed_deadline)));
+  for (const StatsField& f : kStatsFields) {
+    put(payload, f.name, jint(static_cast<std::int64_t>(stats_.*f.member)));
+    if (f.member != &ServiceStats::rejected) continue;
+    obs::JsonValue ops = obs::JsonValue::make_object();
+    for (int i = 0; i < static_cast<int>(kOpCount); ++i)
+      if (stats_.accepted_by_op[i] > 0)
+        put(ops, to_string(static_cast<Op>(i)),
+            jint(static_cast<std::int64_t>(stats_.accepted_by_op[i])));
+    put(payload, "ops", std::move(ops));
+  }
 }
 
 Service::EvalResult Service::eval(const Request& req, bool sequential) {
@@ -211,7 +195,7 @@ Service::EvalResult Service::eval(const Request& req, bool sequential) {
 }
 
 void Service::capture_history(const Request& req) {
-  if (!session_mutating(req.op)) return;
+  if (!mutating(req.op)) return;
   // A successful build resets the shard, so everything before it is
   // unreachable state: compact the history down to this build.
   if (req.op == Op::Build) histories_[req.session].clear();
@@ -227,74 +211,71 @@ void Service::emit(std::ostream& out, const Request& req, EvalResult&& r) {
   if (r.ok) {
     ++stats_.accepted;
     ++stats_.accepted_by_op[static_cast<int>(req.op)];
-    stats_.fault_events += r.tally.fault_events;
-    stats_.solves += r.tally.solves;
-    stats_.truncated_solves += r.tally.truncated;
-    stats_.certified_solves += r.tally.certified;
+    add_tally(stats_, r.tally);
     if (writer_) {
       writer_->append_record(req.seq, req.canonical);
-      durable::JournalTally t;
-      t.solves = r.tally.solves;
-      t.truncated = r.tally.truncated;
-      t.certified = r.tally.certified;
-      t.fault_events = r.tally.fault_events;
-      writer_->add_tally(t);
+      writer_->add_tally(r.tally);
       ++stats_.journal_lines;
     }
     capture_history(req);
+    if (obs::enabled()) c_requests.inc();
   } else {
-    ++stats_.rejected;
-    if (writer_) writer_->append_gap(req.seq, "reject");
-    if (obs::enabled()) c_rejected.inc();
+    reject(req.seq, "reject");
   }
-  if (obs::enabled()) c_requests.inc();
   if (opt_.latency_hook) opt_.latency_hook(req, r.ok, r.wall_ms);
+}
+
+void Service::reject(std::uint64_t seq, const std::string& gap_class) {
+  count_gap(stats_, gap_class);
+  if (writer_ && !gap_class.empty()) writer_->append_gap(seq, gap_class);
+  if (obs::enabled()) {
+    c_requests.inc();
+    c_rejected.inc();
+    if (gap_class != "reject" && !gap_class.empty()) c_shed.inc();
+  }
+}
+
+std::vector<Service::EvalResult> Service::eval_live(
+    const std::vector<const Request*>& reqs) {
+  std::vector<std::size_t> live;
+  for (std::size_t i = 0; i < reqs.size(); ++i)
+    if (reqs[i] != nullptr) live.push_back(i);
+  std::vector<EvalResult> results(reqs.size());
+  if (live.size() == 1) {
+    results[live[0]] = eval(*reqs[live[0]], /*sequential=*/true);
+  } else if (live.size() > 1) {
+    // Read-only fan-out: every worker evaluates cold (bitwise-equal to the
+    // warm sequential path), results land in per-index slots.
+    exec::parallel_for(live.size(), [&](std::size_t i) {
+      results[live[i]] = eval(*reqs[live[i]], /*sequential=*/false);
+    });
+  }
+  return results;
+}
+
+void Service::count_batch(std::uint64_t accepted) {
+  if (accepted == 0) return;
+  ++stats_.batches;
+  stats_.max_batch = std::max(stats_.max_batch, accepted);
+  if (obs::enabled()) c_batches.inc();
 }
 
 void Service::flush(std::vector<PendingReq>& pending, std::ostream& out) {
   if (pending.empty()) return;
 
-  std::vector<std::size_t> live;
-  live.reserve(pending.size());
+  std::vector<const Request*> live(pending.size(), nullptr);
   for (std::size_t i = 0; i < pending.size(); ++i)
-    if (!pending[i].shed) live.push_back(i);
-
-  std::vector<EvalResult> results(pending.size());
-  if (live.size() == 1) {
-    results[live[0]] = eval(pending[live[0]].req, /*sequential=*/true);
-  } else if (live.size() > 1) {
-    // Read-only fan-out: every worker evaluates cold (bitwise-equal to the
-    // warm sequential path), responses land in per-index slots and are
-    // emitted in input order below.
-    exec::parallel_for(live.size(), [&](std::size_t i) {
-      results[live[i]] = eval(pending[live[i]].req, /*sequential=*/false);
-    });
-  }
-
-  // Batch accounting counts *accepted* requests, so recovery can rebuild
-  // it from the journal's record frames.
-  std::uint64_t accepted_here = 0;
-  for (std::size_t i : live)
-    if (results[i].ok) ++accepted_here;
-  if (accepted_here > 0) {
-    ++stats_.batches;
-    if (accepted_here > stats_.max_batch) stats_.max_batch = accepted_here;
-    if (obs::enabled()) c_batches.inc();
-  }
+    if (!pending[i].shed) live[i] = &pending[i].req;
+  std::vector<EvalResult> results = eval_live(live);
+  count_batch(static_cast<std::uint64_t>(std::count_if(
+      results.begin(), results.end(), [](const EvalResult& r) { return r.ok; })));
 
   const std::uint64_t last_seq = pending.back().req.seq;
   for (std::size_t i = 0; i < pending.size(); ++i) {
     PendingReq& p = pending[i];
     if (p.shed) {
       out << render_error(p.req, p.err) << '\n';
-      ++stats_.rejected;
-      bump_shed(stats_, p.gap_class);
-      if (writer_) writer_->append_gap(p.req.seq, p.gap_class);
-      if (obs::enabled()) {
-        c_requests.inc();
-        c_rejected.inc();
-        c_shed.inc();
-      }
+      reject(p.req.seq, p.gap_class);
       if (opt_.latency_hook) opt_.latency_hook(p.req, false, 0.0);
     } else {
       emit(out, p.req, std::move(results[i]));
@@ -309,11 +290,6 @@ void Service::commit_group(std::uint64_t last_seq) {
   ++groups_committed_;
   last_committed_seq_ = last_seq;
   maybe_snapshot();
-}
-
-void Service::gap_and_seal(std::uint64_t seq, const std::string& gap_class) {
-  if (writer_) writer_->append_gap(seq, gap_class);
-  commit_group(seq);
 }
 
 void Service::maybe_snapshot() {
@@ -349,21 +325,7 @@ void Service::maybe_snapshot() {
 
 durable::ServiceSnapshot Service::snapshot_state() const {
   durable::ServiceSnapshot s;
-  durable::SnapshotStats& st = s.stats;
-  st.lines = stats_.lines;
-  st.accepted = stats_.accepted;
-  st.rejected = stats_.rejected;
-  st.fault_events = stats_.fault_events;
-  st.solves = stats_.solves;
-  st.truncated_solves = stats_.truncated_solves;
-  st.certified_solves = stats_.certified_solves;
-  st.batches = stats_.batches;
-  st.max_batch = stats_.max_batch;
-  st.journal_lines = stats_.journal_lines;
-  st.shed_oversize = stats_.shed_oversize;
-  st.shed_queue = stats_.shed_queue;
-  st.shed_deadline = stats_.shed_deadline;
-  for (std::size_t i = 0; i < kOpCount; ++i) st.by_op[i] = stats_.accepted_by_op[i];
+  s.stats = stats_;
   s.groups_committed = groups_committed_;
   for (std::uint32_t id = 0; id < kMaxSessions; ++id) {
     if (histories_[id].empty()) continue;
@@ -389,14 +351,8 @@ void Service::process_line(std::string line, std::ostream& out,
                          " bytes exceeds the " +
                          std::to_string(opt_.max_line_bytes) + "-byte cap"};
     out << render_line_error(seq, err) << '\n';
-    ++stats_.rejected;
-    ++stats_.shed_oversize;
-    if (obs::enabled()) {
-      c_requests.inc();
-      c_rejected.inc();
-      c_shed.inc();
-    }
-    gap_and_seal(seq, "oversize");
+    reject(seq, "oversize");
+    commit_group(seq);
     return;
   }
 
@@ -407,12 +363,8 @@ void Service::process_line(std::string line, std::ostream& out,
     // its place in the stream.
     flush(pending, out);
     out << render_line_error(seq, err) << '\n';
-    ++stats_.rejected;
-    if (obs::enabled()) {
-      c_requests.inc();
-      c_rejected.inc();
-    }
-    gap_and_seal(seq, "reject");
+    reject(seq, "reject");
+    commit_group(seq);
     return;
   }
 
@@ -488,87 +440,52 @@ void Service::run_journal_script(std::istream& in, std::ostream& out) {
   durable::JournalContents jc;
   durable::JournalError jerr;
   if (!durable::read_journal(bytes, jc, jerr)) {
-    RequestError err{jerr.code, jerr.message + " (record " +
-                                    std::to_string(jerr.record) + ")"};
-    out << render_line_error(0, err) << '\n';
-    ++stats_.rejected;
-    if (obs::enabled()) {
-      c_requests.inc();
-      c_rejected.inc();
-    }
+    out << render_line_error(0, {jerr.code, jerr.message + " (record " +
+                                                std::to_string(jerr.record) + ")"})
+        << '\n';
+    reject(0, "");
     return;
   }
 
   for (const durable::JournalGroup& g : jc.groups) {
-    if (g.entries.empty()) continue;
     // Parse every record up front with its original seq; gaps re-journal
     // and count but emit no response line (their original responses were
     // errors and are not reconstructible from a content-free marker).
     std::vector<Request> reqs(g.entries.size());
-    std::vector<std::size_t> live;
+    std::vector<const Request*> live(g.entries.size(), nullptr);
     std::uint64_t last_seq = stats_.lines;
-    bool any_read_only = false;
-    bool parse_ok = true;
     for (std::size_t i = 0; i < g.entries.size(); ++i) {
       const durable::JournalEntry& e = g.entries[i];
-      if (e.seq > last_seq) last_seq = e.seq;
+      last_seq = std::max(last_seq, e.seq);
       if (!e.is_record) continue;
       RequestError rerr;
       if (!parse_request(e.canonical, e.seq, reqs[i], rerr)) {
-        RequestError err{"svc.journal.bad_canonical",
-                         "journaled record at seq " + std::to_string(e.seq) +
-                             " fails parse_request: " + rerr.code};
-        out << render_line_error(e.seq, err) << '\n';
-        ++stats_.rejected;
-        if (obs::enabled()) {
-          c_requests.inc();
-          c_rejected.inc();
-        }
-        parse_ok = false;
-        break;
+        out << render_line_error(e.seq, {"svc.journal.bad_canonical",
+                                         "journaled record at seq " +
+                                             std::to_string(e.seq) +
+                                             " fails parse_request: " + rerr.code})
+            << '\n';
+        reject(e.seq, "");
+        return;
       }
-      if (read_only(reqs[i].op)) any_read_only = true;
-      live.push_back(i);
+      live[i] = &reqs[i];
     }
-    if (!parse_ok) return;
     stats_.lines = last_seq;
 
-    // Re-evaluate with the original batch layout: a lone record goes warm,
-    // a multi-record read-only group fans out cold — bitwise equal either
-    // way, and the re-journaled frames match the input byte for byte.
-    std::vector<EvalResult> results(g.entries.size());
-    if (live.size() == 1) {
-      results[live[0]] = eval(reqs[live[0]], /*sequential=*/true);
-    } else if (live.size() > 1) {
-      exec::parallel_for(live.size(), [&](std::size_t i) {
-        results[live[i]] = eval(reqs[live[i]], /*sequential=*/false);
-      });
-    }
-
-    if (any_read_only) {
-      std::uint64_t accepted_here = 0;
-      for (std::size_t i : live)
-        if (results[i].ok) ++accepted_here;
-      if (accepted_here > 0) {
-        ++stats_.batches;
-        if (accepted_here > stats_.max_batch) stats_.max_batch = accepted_here;
-        if (obs::enabled()) c_batches.inc();
-      }
-    }
+    // Re-evaluate with the original batch layout, so the re-journaled
+    // frames match the input byte for byte.
+    std::vector<EvalResult> results = eval_live(live);
+    std::uint64_t batch = 0;
+    for (std::size_t i = 0; i < g.entries.size(); ++i)
+      if (results[i].ok && read_only(reqs[i].op)) ++batch;
+    count_batch(batch);
 
     for (std::size_t i = 0; i < g.entries.size(); ++i) {
       const durable::JournalEntry& e = g.entries[i];
-      if (e.is_record) {
+      if (e.is_record)
         emit(out, reqs[i], std::move(results[i]));
-      } else {
-        ++stats_.rejected;
-        bump_shed(stats_, e.gap_class);
-        if (writer_) writer_->append_gap(e.seq, e.gap_class);
-        if (obs::enabled()) {
-          c_requests.inc();
-          c_rejected.inc();
-        }
-      }
+      else
+        reject(e.seq, e.gap_class);
     }
     commit_group(last_seq);
   }
@@ -577,13 +494,12 @@ void Service::run_journal_script(std::istream& in, std::ostream& out) {
 bool Service::replay_group_recover(const durable::JournalGroup& g,
                                    RecoverStats& rs, std::string& error) {
   std::uint64_t last_seq = stats_.lines;
-  std::uint64_t ro_records = 0;
+  std::uint64_t read_only_records = 0;
   bool reexecuted = false;
   for (const durable::JournalEntry& e : g.entries) {
-    if (e.seq > last_seq) last_seq = e.seq;
+    last_seq = std::max(last_seq, e.seq);
     if (!e.is_record) {
-      ++stats_.rejected;
-      bump_shed(stats_, e.gap_class);
+      count_gap(stats_, e.gap_class);
       continue;
     }
     Request req;
@@ -595,7 +511,9 @@ bool Service::replay_group_recover(const durable::JournalGroup& g,
     }
     ++rs.records;
     ++stats_.journal_lines;
-    if (session_mutating(req.op)) {
+    ++stats_.accepted;
+    ++stats_.accepted_by_op[static_cast<int>(req.op)];
+    if (mutating(req.op)) {
       EvalResult r = eval(req, /*sequential=*/true);
       if (!r.ok) {
         error = "svc.recover.replay_failed: journaled " +
@@ -604,48 +522,16 @@ bool Service::replay_group_recover(const durable::JournalGroup& g,
         return false;
       }
       reexecuted = true;
-      if (!g.tally_known) {
-        stats_.fault_events += r.tally.fault_events;
-        stats_.solves += r.tally.solves;
-        stats_.truncated_solves += r.tally.truncated;
-        stats_.certified_solves += r.tally.certified;
-      }
       capture_history(req);
-    } else if (req.op == Op::Stats || req.op == Op::Manifest) {
-      // Count-only: no state to rebuild, and the manifest side effect is
-      // not replayed (the file already reflects the original run).
-    } else {
-      // Read-only: fast-forward from the frame tally when known,
-      // re-evaluate (response discarded; tallies recovered) when not.
-      ++ro_records;
-      if (!g.tally_known) {
-        EvalResult r = eval(req, /*sequential=*/true);
-        if (!r.ok) {
-          error = "svc.recover.replay_failed: journaled " +
-                  std::string(to_string(req.op)) + " at seq " +
-                  std::to_string(e.seq) + " re-rejected: " + r.response;
-          return false;
-        }
-        reexecuted = true;
-        stats_.fault_events += r.tally.fault_events;
-        stats_.solves += r.tally.solves;
-        stats_.truncated_solves += r.tally.truncated;
-        stats_.certified_solves += r.tally.certified;
-      }
+    } else if (read_only(req.op)) {
+      // Fast-forwarded from the commit tally, never re-solved. Stats and
+      // Manifest are count-only: no state to rebuild, and the manifest
+      // side effect is not replayed.
+      ++read_only_records;
     }
-    ++stats_.accepted;
-    ++stats_.accepted_by_op[static_cast<int>(req.op)];
   }
-  if (g.tally_known) {
-    stats_.fault_events += g.tally.fault_events;
-    stats_.solves += g.tally.solves;
-    stats_.truncated_solves += g.tally.truncated;
-    stats_.certified_solves += g.tally.certified;
-  }
-  if (ro_records > 0) {
-    ++stats_.batches;
-    if (ro_records > stats_.max_batch) stats_.max_batch = ro_records;
-  }
+  add_tally(stats_, g.tally);
+  count_batch(read_only_records);
   stats_.lines = last_seq;
   ++groups_committed_;
   last_committed_seq_ = last_seq;
@@ -695,29 +581,13 @@ bool Service::recover(const durable::ServiceSnapshot* snap,
       }
       histories_[sess.id] = sess.records;
     }
-    stats_ = ServiceStats{};
-    stats_.lines = snap->stats.lines;
-    stats_.accepted = snap->stats.accepted;
-    stats_.rejected = snap->stats.rejected;
-    stats_.fault_events = snap->stats.fault_events;
-    stats_.solves = snap->stats.solves;
-    stats_.truncated_solves = snap->stats.truncated_solves;
-    stats_.certified_solves = snap->stats.certified_solves;
-    stats_.batches = snap->stats.batches;
-    stats_.max_batch = snap->stats.max_batch;
-    stats_.journal_lines = snap->stats.journal_lines;
-    stats_.shed_oversize = snap->stats.shed_oversize;
-    stats_.shed_queue = snap->stats.shed_queue;
-    stats_.shed_deadline = snap->stats.shed_deadline;
-    for (std::size_t i = 0; i < kOpCount; ++i)
-      stats_.accepted_by_op[i] = snap->stats.by_op[i];
+    stats_ = snap->stats;
     groups_committed_ = snap->groups_committed;
     last_committed_seq_ = snap->stats.lines;
     snap_lines = snap->stats.lines;
   }
 
   for (const durable::JournalGroup& g : journal.groups) {
-    if (g.entries.empty()) continue;
     std::uint64_t first = g.entries.front().seq;
     std::uint64_t last = first;
     for (const durable::JournalEntry& e : g.entries) {

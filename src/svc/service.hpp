@@ -63,26 +63,6 @@ class RunSession;
 
 namespace flattree::svc {
 
-/// Deterministic run counters (the `stats` op reports these; wall-clock
-/// quantities are deliberately excluded — they live in bench_service's
-/// latency histograms instead).
-struct ServiceStats {
-  std::uint64_t lines = 0;
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t accepted_by_op[kOpCount] = {};  ///< indexed by Op
-  std::uint64_t fault_events = 0;
-  std::uint64_t solves = 0;
-  std::uint64_t truncated_solves = 0;
-  std::uint64_t certified_solves = 0;
-  std::uint64_t batches = 0;     ///< read-only flushes with >= 1 accepted
-  std::uint64_t max_batch = 0;   ///< most accepted requests in one flush
-  std::uint64_t journal_lines = 0;
-  std::uint64_t shed_oversize = 0;  ///< lines over max_line_bytes
-  std::uint64_t shed_queue = 0;     ///< svc.overload.queue_full sheds
-  std::uint64_t shed_deadline = 0;  ///< svc.overload.deadline sheds
-};
-
 /// Knobs for one service run; all deterministic except `latency_hook` and
 /// the sink plumbing.
 struct ServiceOptions {
@@ -143,9 +123,8 @@ class Service {
 
   /// Rebuilds state from an optional snapshot plus the committed groups of
   /// a validated journal (read_journal output). Re-executes mutating
-  /// records, fast-forwards tally-known read-only groups, re-evaluates
-  /// unknown-tally (v1-upgraded) groups, and replays gap frames into the
-  /// shed/rejected counters. On success the service is byte-equivalent to
+  /// records, fast-forwards read-only groups from their commit tallies, and
+  /// replays gap frames into the shed/rejected counters. On success the service is byte-equivalent to
   /// one that processed the first resume_seq input lines without crashing;
   /// feed it the remaining lines. Returns false with `error` holding a
   /// stable code + detail (svc.recover.bad_snapshot,
@@ -181,7 +160,19 @@ class Service {
   };
 
   EvalResult eval(const Request& req, bool sequential);
+  /// Evaluates every non-null slot of `reqs` into the same slot of the
+  /// result: a lone live request sequentially (warm under incremental),
+  /// several on the exec pool and cold.
+  std::vector<EvalResult> eval_live(const std::vector<const Request*>& reqs);
   void emit(std::ostream& out, const Request& req, EvalResult&& r);
+  /// Counts one rejected line into the stats and obs counters and journals
+  /// its gap frame (no frame for an empty `gap_class`: a refused script).
+  void reject(std::uint64_t seq, const std::string& gap_class);
+  /// Counts one read-only batch of `accepted` requests into batches and
+  /// max_batch (a batch with none accepted is not counted). Counting
+  /// accepted requests, not queued ones, lets recovery rebuild both from
+  /// the journal's record frames.
+  void count_batch(std::uint64_t accepted);
   void flush(std::vector<PendingReq>& pending, std::ostream& out);
   /// Processes one raw input line (cap check, parse, admission, dispatch).
   void process_line(std::string line, std::ostream& out,
@@ -189,8 +180,6 @@ class Service {
   /// Seals the open journal group ending at input line `last_seq` and
   /// advances the snapshot cadence.
   void commit_group(std::uint64_t last_seq);
-  /// Journals a gap frame + its own commit for a boundary-rejected line.
-  void gap_and_seal(std::uint64_t seq, const std::string& gap_class);
   /// Emits a periodic snapshot when the cadence lands on a safe commit
   /// (every processed line durable — snapshot and journal agree).
   void maybe_snapshot();

@@ -45,15 +45,6 @@ struct SessionOptions {
   SloPolicy slo;
 };
 
-/// Deterministic work accounting for one evaluated request (feeds the
-/// service's `stats` op; wall-clock never enters these).
-struct EvalTally {
-  std::uint64_t solves = 0;
-  std::uint64_t truncated = 0;  ///< budget-truncated solves
-  std::uint64_t certified = 0;  ///< solves whose certificate passed
-  std::uint64_t fault_events = 0;
-};
-
 /// One state shard: a resilient controller, its traffic snapshot, and
 /// warm engines (DynamicApsp + McfWarmCache) whose answers are bitwise
 /// equal to cold evaluation. Ops arrive pre-parsed as Requests.

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -189,6 +190,43 @@ TEST(BenchFlags, BenchServiceEmitsSloJson) {
         "\"digest\"", "\"slo\"", "\"hit_rate\"", "\"latency_ms\"", "\"p50\"",
         "\"p99\"", "\"truncated_solves\"", "\"certified_solves\""})
     EXPECT_NE(doc.find(key), std::string::npos) << key;
+  std::remove(json_path.c_str());
+}
+
+/// Compares every member of `got` with `want` except the `skip` paths
+/// (dotted, from the root), recursing into objects.
+void expect_same_fields(const obs::JsonValue& got, const obs::JsonValue& want,
+                        const std::set<std::string>& skip, const std::string& path) {
+  ASSERT_TRUE(got.is_object() && want.is_object()) << path;
+  ASSERT_EQ(got.object().size(), want.object().size()) << path;
+  for (const auto& [key, w] : want.object()) {
+    const std::string at = path.empty() ? key : path + "." + key;
+    if (skip.count(at) != 0) continue;
+    const obs::JsonValue* g = got.find(key);
+    ASSERT_NE(g, nullptr) << at;
+    if (w.is_object())
+      expect_same_fields(*g, w, skip, at);
+    else
+      EXPECT_EQ(g->to_json(), w.to_json()) << at;
+  }
+}
+
+TEST(BenchFlags, BenchServiceSloJsonMatchesCommittedBenchSvc) {
+  // The committed BENCH_svc.json comes from `bench_service --k 8 --rounds 6
+  // --slo-json`; every deterministic field (digest, counts, solve tallies,
+  // deadlined requests, journal and snapshot sizes, recovery split) must
+  // reproduce exactly. Wall-clock fields are skipped.
+  std::string bin = std::string(FT_BENCH_DIR) + "/bench_service";
+  if (!file_exists(bin)) GTEST_SKIP() << "bench binary not built: " << bin;
+
+  std::string json_path = testing::TempDir() + "bench_svc_pin.json";
+  std::string cmd = bin + " --k 8 --rounds 6 --slo-json=" + json_path + " > /dev/null 2>&1";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  obs::JsonValue got, want;
+  ASSERT_TRUE(obs::json_parse(slurp(json_path), got));
+  ASSERT_TRUE(obs::json_parse(slurp(std::string(FT_SOURCE_DIR) + "/BENCH_svc.json"), want));
+  expect_same_fields(got, want,
+                     {"slo.met", "slo.hit_rate", "latency_ms", "recovery.recover_ms"}, "");
   std::remove(json_path.c_str());
 }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "exec/parallel_for.hpp"
+#include "crash_fixture.hpp"
 #include "fault/crash.hpp"
 #include "obs/metrics.hpp"
 #include "svc/service.hpp"
@@ -23,66 +24,12 @@
 namespace flattree::svc {
 namespace {
 
-/// The session under test: two shards, faults, a staged conversion,
-/// deadlined queries, and two rejected lines (gap frames in the journal).
-std::string crash_script() {
-  return R"({"op":"hello","id":1}
-{"op":"build","k":4}
-{"op":"traffic","cluster":8,"pattern":"broadcast","placement":"none","seed":7}
-{"op":"fault","events":[{"t":1,"kind":"switch_down","a":0}],"advance":2}
-{"op":"query","id":"q1"}
-this line is not json
-{"op":"query","id":"q2","deadline_ms":0.01}
-{"op":"build","k":4,"session":1}
-{"op":"query","session":1,"lambda":false}
-{"op":"convert","target":"global","advance":0}
-{"op":"convert","advance":1000000}
-{"op":"fault","events":[{"t":2,"kind":"switch_up","a":0}]}
-{"op":"frobnicate"}
-{"op":"query","id":"q3"}
-{"op":"stats"}
-)";
-}
-
 /// Drops the first `n` lines of `text` (each line '\n'-terminated).
 std::string drop_lines(const std::string& text, std::uint64_t n) {
   std::size_t pos = 0;
   for (std::uint64_t i = 0; i < n && pos < text.size(); ++i)
     pos = text.find('\n', pos) + 1;
   return text.substr(pos);
-}
-
-ServiceOptions crash_options() {
-  ServiceOptions opt;
-  opt.max_batch = 2;  // small batches -> many commit points to cut at
-  return opt;
-}
-
-/// One uninterrupted reference run with periodic snapshots. Each captured
-/// snapshot is paired with the journal size at the moment it was written,
-/// so a cut knows which snapshot file would have been on disk.
-struct Reference {
-  std::string responses;
-  std::string journal;
-  std::vector<std::pair<std::uint64_t, std::string>> snapshots;
-};
-
-Reference run_reference() {
-  Reference ref;
-  std::ostringstream journal;
-  ServiceOptions opt = crash_options();
-  opt.journal = &journal;
-  opt.snapshot_every = 2;
-  opt.snapshot_sink = [&](const std::string& bytes) {
-    ref.snapshots.emplace_back(journal.str().size(), bytes);
-  };
-  Service service(opt);
-  std::istringstream in(crash_script());
-  std::ostringstream out;
-  service.run(in, out);
-  ref.responses = out.str();
-  ref.journal = journal.str();
-  return ref;
 }
 
 /// The default plan from the acceptance criteria: a cut after every frame

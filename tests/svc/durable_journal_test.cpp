@@ -1,9 +1,9 @@
-// Journal v2 unit coverage (ISSUE 10): writer -> reader round trips, the
-// torn-tail sweep (every byte prefix of a journal parses, and durability
-// never exceeds the last commit), pinned corruption codes with 1-based
-// record numbers, v1 auto-detection, and the explicit v1 -> v2 upgrade
-// path. The crash-matrix test drives the same reader through the full
-// service; this file pins the format itself.
+// Journal v2 unit coverage: writer -> reader round trips, the torn-tail
+// sweep (every byte prefix of a journal parses, and durability never
+// exceeds the last commit), pinned corruption codes with 1-based record
+// numbers, the header check, and canonical integers in every frame kind.
+// The crash-matrix test drives the same reader through the full service;
+// this file pins the format itself.
 
 #include "svc/durable/journal.hpp"
 
@@ -12,6 +12,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "util/crc32.hpp"
 
 namespace flattree::svc::durable {
 namespace {
@@ -49,7 +51,6 @@ TEST(Journal, WriterReaderRoundTrip) {
   JournalContents c;
   JournalError err;
   ASSERT_TRUE(read_journal(bytes, c, err)) << err.code << ": " << err.message;
-  EXPECT_EQ(c.version, 2);
   ASSERT_EQ(c.groups.size(), 3u);
   EXPECT_EQ(c.records, 4u);
   EXPECT_EQ(c.last_seq, 8u);
@@ -58,7 +59,6 @@ TEST(Journal, WriterReaderRoundTrip) {
 
   const JournalGroup& g0 = c.groups[0];
   ASSERT_EQ(g0.entries.size(), 2u);
-  EXPECT_TRUE(g0.tally_known);
   EXPECT_EQ(g0.records, 2u);
   EXPECT_EQ(g0.tally.solves, 2u);
   EXPECT_EQ(g0.tally.truncated, 1u);
@@ -168,70 +168,92 @@ TEST(Journal, CorruptGapAndCommitHaveTheirOwnCodes) {
 }
 
 TEST(Journal, ForeignLineMidStreamIsCorruption) {
+  // Includes a `u <records> <crc>` line: no frame kind of its own.
+  for (const char* foreign : {"how did this get here\n", "u 1 0a1b2c3d\n"}) {
+    std::string bytes = sample_journal();
+    std::size_t at = bytes.find("x 3 reject");
+    ASSERT_NE(at, std::string::npos);
+    bytes.insert(at, foreign);
+    JournalContents c;
+    JournalError err;
+    ASSERT_FALSE(read_journal(bytes, c, err)) << foreign;
+    EXPECT_EQ(err.code, "svc.journal.corrupt_record") << foreign;
+    EXPECT_EQ(err.record, 3u) << foreign;  // next record ordinal
+  }
+}
+
+TEST(Journal, HeaderlessBytesAreRefusedAsBadHeader) {
+  // Only a complete first line is judged: a partial one is a torn tail
+  // (the every-byte-prefix sweep above covers it).
+  const std::string bytes = sample_journal();
+  const std::string bodies[] = {
+      bytes.substr(bytes.find('\n') + 1),                    // header dropped
+      "{\"op\":\"build\",\"k\":4}\n{\"op\":\"query\"}\n",  // bare canonical lines
+      "# flattree-svc-journal v3\n",
+      std::string(kJournalHeaderV2) + "\r\n",
+      "\n",
+  };
+  for (const std::string& body : bodies) {
+    JournalContents c;
+    JournalError err;
+    ASSERT_FALSE(read_journal(body, c, err)) << body;
+    EXPECT_EQ(err.code, "svc.journal.bad_header") << body;
+    EXPECT_EQ(err.record, 0u) << body;
+  }
+}
+
+/// Replaces the first `from` in a sample journal with `to` and expects the
+/// reader to refuse the result with `code` at record number `record`.
+void expect_refused(const std::string& from, const std::string& to,
+                    const std::string& code, std::uint64_t record) {
   std::string bytes = sample_journal();
-  std::size_t at = bytes.find("x 3 reject");
-  ASSERT_NE(at, std::string::npos);
-  bytes.insert(at, "how did this get here\n");
+  const std::size_t at = bytes.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  bytes.replace(at, from.size(), to);
   JournalContents c;
   JournalError err;
-  ASSERT_FALSE(read_journal(bytes, c, err));
-  EXPECT_EQ(err.code, "svc.journal.corrupt_record");
-  EXPECT_EQ(err.record, 3u);  // next record ordinal
+  ASSERT_FALSE(read_journal(bytes, c, err)) << to;
+  EXPECT_EQ(err.code, code) << to;
+  EXPECT_EQ(err.record, record) << to;
 }
 
-TEST(Journal, HeaderlessBytesAutoDetectAsV1) {
-  std::string v1 =
-      "{\"op\":\"build\",\"k\":4}\n"
-      "{\"op\":\"query\"}\n"
-      "{\"op\":\"stats\"}\n"
-      "{\"op\":\"partial";  // torn tail, no newline
+// Every CRC covers integers as re-rendered, not the bytes on disk, so a
+// leading zero or a value that wraps past UINT64_MAX would checksum
+// fine. The integer scanner must refuse both; 2^64 = 18446744073709551616.
+
+TEST(Journal, RecordFrameRefusesNonCanonicalIntegers) {
+  const std::string code = "svc.journal.corrupt_record";
+  expect_refused("\nr 20 ", "\nr 020 ", code, 1);                   // len
+  expect_refused("\nr 20 ", "\nr 18446744073709551636 ", code, 1);  // len wraps to 20
+  expect_refused(" 1 {\"op\":\"build\"", " 01 {\"op\":\"build\"", code, 1);  // seq
+  expect_refused(" 1 {\"op\":\"build\"", " 18446744073709551617 {\"op\":\"build\"",
+                 code, 1);
+}
+
+TEST(Journal, GapFrameRefusesNonCanonicalIntegers) {
+  const std::string code = "svc.journal.corrupt_gap";
+  expect_refused("\nx 3 reject ", "\nx 03 reject ", code, 2);
+  expect_refused("\nx 3 reject ", "\nx 18446744073709551619 reject ", code, 2);
+}
+
+TEST(Journal, CommitFrameRefusesNonCanonicalIntegers) {
+  const std::string code = "svc.journal.corrupt_commit";
+  expect_refused("\nc 2 2 1 1 0 ", "\nc 02 2 1 1 0 ", code, 2);  // records
+  expect_refused("\nc 2 2 1 1 0 ", "\nc 2 02 1 1 0 ", code, 2);  // a tally field
+  expect_refused("\nc 2 2 1 1 0 ", "\nc 2 18446744073709551618 1 1 0 ", code, 2);
+}
+
+TEST(Journal, EmptyCommitIsCorruption) {
+  // The writer never seals an empty group, so a commit with no frames
+  // before it is refused even when its own CRC (over "0 0 0 0 0" and no
+  // member CRCs) checks out.
+  const std::string empty_commit =
+      "c 0 0 0 0 0 " + util::crc32_hex(util::crc32("0 0 0 0 0")) + "\n";
   JournalContents c;
   JournalError err;
-  ASSERT_TRUE(read_journal(v1, c, err)) << err.code;
-  EXPECT_EQ(c.version, 1);
-  ASSERT_EQ(c.groups.size(), 3u);
-  for (const JournalGroup& g : c.groups) {
-    EXPECT_FALSE(g.tally_known);  // recovery must re-evaluate, not fast-forward
-    EXPECT_EQ(g.records, 1u);
-  }
-  EXPECT_EQ(c.groups[1].entries[0].seq, 2u);
-  EXPECT_EQ(c.groups[1].entries[0].canonical, "{\"op\":\"query\"}");
-  EXPECT_EQ(c.truncated_bytes, std::string("{\"op\":\"partial").size());
-
-  std::string junk = "{\"op\":\"query\"}\nnot a json line\n";
-  ASSERT_FALSE(read_journal(junk, c, err));
-  EXPECT_EQ(err.code, "svc.journal.bad_v1_line");
-  EXPECT_EQ(err.record, 2u);
-}
-
-TEST(Journal, V1UpgradeRoundTrips) {
-  std::string v1 =
-      "{\"op\":\"build\",\"k\":4}\n"
-      "{\"op\":\"query\"}\n"
-      "{\"op\":\"torn";  // dropped by the upgrade
-  std::string v2;
-  JournalError err;
-  ASSERT_TRUE(upgrade_v1_journal(v1, v2, err)) << err.code;
-  EXPECT_EQ(v2.compare(0, std::string(kJournalHeaderV2).size(), kJournalHeaderV2), 0);
-
-  JournalContents upgraded, direct;
-  ASSERT_TRUE(read_journal(v2, upgraded, err)) << err.code;
-  ASSERT_TRUE(read_journal(v1, direct, err)) << err.code;
-  ASSERT_EQ(upgraded.groups.size(), direct.groups.size());
-  EXPECT_EQ(upgraded.truncated_bytes, 0u);  // the upgrade already dropped the tear
-  for (std::size_t i = 0; i < upgraded.groups.size(); ++i) {
-    EXPECT_FALSE(upgraded.groups[i].tally_known);  // `u` commits: tally unknown
-    ASSERT_EQ(upgraded.groups[i].entries.size(), 1u);
-    EXPECT_EQ(upgraded.groups[i].entries[0].canonical,
-              direct.groups[i].entries[0].canonical);
-    EXPECT_EQ(upgraded.groups[i].entries[0].seq, direct.groups[i].entries[0].seq);
-  }
-
-  std::string bad = "{\"op\":\"query\"}\n{\"op\":\n";
-  ASSERT_FALSE(upgrade_v1_journal(bad, v2, err));
-  EXPECT_EQ(err.code, "svc.journal.bad_v1_line");
-  EXPECT_EQ(err.record, 2u);
-  EXPECT_NE(err.message.find("json.truncated"), std::string::npos);
+  ASSERT_FALSE(read_journal(sample_journal() + empty_commit, c, err));
+  EXPECT_EQ(err.code, "svc.journal.corrupt_commit");
+  EXPECT_EQ(err.record, 4u);
 }
 
 TEST(Journal, ResumeWriterAppendsWithoutAHeader) {

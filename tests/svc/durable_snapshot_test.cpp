@@ -1,7 +1,7 @@
-// Snapshot v1 unit coverage (ISSUE 10): the encode/decode byte-exact
-// round trip, every decode refusal path with its pinned code, and the
-// check::validate_snapshot invariant battery on both a live service's
-// snapshot and hand-broken ones.
+// Snapshot v1 unit coverage: the encode/decode byte-exact round trip,
+// every decode refusal path with its pinned code (non-canonical integers
+// included), and the check::validate_snapshot invariant battery on both a
+// live service's snapshot and hand-broken ones.
 
 #include "svc/durable/snapshot.hpp"
 
@@ -16,6 +16,16 @@
 
 namespace flattree::svc::durable {
 namespace {
+
+/// Recomputes the `end` trailer CRC, so a payload edit reaches the line
+/// parsers behind it.
+std::string reseal(const std::string& bytes) {
+  const std::size_t payload_begin = bytes.find('\n') + 1;
+  const std::size_t end_at = bytes.rfind("end ");
+  const std::string payload = bytes.substr(payload_begin, end_at - payload_begin);
+  return bytes.substr(0, end_at) + "end " + util::crc32_hex(util::crc32(payload)) +
+         "\n";
+}
 
 /// A hand-built snapshot with two sessions and non-trivial counters.
 ServiceSnapshot sample_snapshot() {
@@ -33,8 +43,8 @@ ServiceSnapshot sample_snapshot() {
   s.stats.shed_oversize = 1;
   s.stats.shed_queue = 1;
   s.stats.shed_deadline = 0;
-  s.stats.by_op[static_cast<std::size_t>(Op::Build)] = 2;
-  s.stats.by_op[static_cast<std::size_t>(Op::Query)] = 5;
+  s.stats.accepted_by_op[static_cast<std::size_t>(Op::Build)] = 2;
+  s.stats.accepted_by_op[static_cast<std::size_t>(Op::Query)] = 5;
   s.groups_committed = 6;
   SnapshotSession a;
   a.id = 0;
@@ -60,7 +70,7 @@ TEST(Snapshot, EncodeDecodeIsAByteExactRoundTrip) {
   // encode(decode(s)) == s, byte for byte — the canonical-encoding contract.
   EXPECT_EQ(encode_snapshot(d), bytes);
   EXPECT_EQ(d.stats.lines, 9u);
-  EXPECT_EQ(d.stats.by_op[static_cast<std::size_t>(Op::Query)], 5u);
+  EXPECT_EQ(d.stats.accepted_by_op[static_cast<std::size_t>(Op::Query)], 5u);
   EXPECT_EQ(d.groups_committed, 6u);
   ASSERT_EQ(d.sessions.size(), 2u);
   EXPECT_EQ(d.sessions[1].id, 2u);
@@ -105,16 +115,65 @@ TEST(Snapshot, DecodeRefusesABadRecordBehindAValidTrailer) {
   std::size_t at = bytes.find("\"k\":4}");
   ASSERT_NE(at, std::string::npos);
   bytes[at + 4] = '6';  // record bytes no longer match the record CRC
-  const std::size_t payload_begin = bytes.find('\n') + 1;
-  const std::size_t end_at = bytes.rfind("end ");
-  const std::string payload = bytes.substr(payload_begin, end_at - payload_begin);
-  bytes = bytes.substr(0, end_at) + "end " + util::crc32_hex(util::crc32(payload)) +
-          "\n";
+  bytes = reseal(bytes);
   ServiceSnapshot d;
   SnapshotError err;
   ASSERT_FALSE(decode_snapshot(bytes, d, err));
   EXPECT_EQ(err.code, "svc.snapshot.bad_record");
   EXPECT_EQ(err.line, 6u);  // header, stats, ops, groups, session, then the record
+}
+
+/// Replaces the first `from` in the sample encoding with `to`, re-seals the
+/// trailer, and expects decode to refuse with `code` at `line`.
+void expect_refused(const std::string& from, const std::string& to,
+                    const std::string& code, std::uint64_t line) {
+  std::string bytes = encode_snapshot(sample_snapshot());
+  const std::size_t at = bytes.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  bytes = reseal(bytes.replace(at, from.size(), to));
+  ServiceSnapshot d;
+  SnapshotError err;
+  ASSERT_FALSE(decode_snapshot(bytes, d, err)) << to;
+  EXPECT_EQ(err.code, code) << to;
+  EXPECT_EQ(err.line, line) << to;
+}
+
+// A leading zero or a value past UINT64_MAX (2^64 = 18446744073709551616)
+// would decode to a number that re-encodes differently, so encode(decode(s))
+// == s needs every integer scanner to refuse both.
+
+TEST(Snapshot, StatsLineRefusesNonCanonicalIntegers) {
+  expect_refused("\nstats 9 ", "\nstats 09 ", "svc.snapshot.corrupt", 2);
+  expect_refused("\nstats 9 ", "\nstats 18446744073709551625 ", "svc.snapshot.corrupt", 2);
+}
+
+TEST(Snapshot, OpsLineRefusesNonCanonicalIntegers) {
+  expect_refused("\nops 0 2 ", "\nops 00 2 ", "svc.snapshot.corrupt", 3);
+  expect_refused("\nops 0 2 ", "\nops 18446744073709551616 2 ", "svc.snapshot.corrupt", 3);
+}
+
+TEST(Snapshot, GroupsLineRefusesNonCanonicalIntegers) {
+  expect_refused("\ngroups 6\n", "\ngroups 06\n", "svc.snapshot.corrupt", 4);
+  expect_refused("\ngroups 6\n", "\ngroups 18446744073709551622\n", "svc.snapshot.corrupt",
+                 4);
+}
+
+TEST(Snapshot, SessionLineRefusesNonCanonicalIntegers) {
+  const std::string code = "svc.snapshot.corrupt";
+  expect_refused("\nsession 0 2\n", "\nsession 00 2\n", code, 5);
+  expect_refused("\nsession 0 2\n", "\nsession 0 02\n", code, 5);
+  // An id past the 32-bit shard field would truncate on decode.
+  expect_refused("\nsession 2 1\n", "\nsession 4294967298 1\n", code, 8);
+  expect_refused("\nsession 2 1\n", "\nsession 18446744073709551618 1\n", code, 8);
+}
+
+TEST(Snapshot, RecordLineRefusesNonCanonicalIntegers) {
+  const std::string code = "svc.snapshot.bad_record";
+  expect_refused("\nbuild 20 ", "\nbuild 020 ", code, 6);  // len
+  expect_refused("\nbuild 20 ", "\nbuild 18446744073709551636 ", code, 6);
+  expect_refused(" 1 {\"op\":\"build\"", " 01 {\"op\":\"build\"", code, 6);  // seq
+  expect_refused(" 1 {\"op\":\"build\"", " 18446744073709551617 {\"op\":\"build\"",
+                 code, 6);
 }
 
 TEST(Snapshot, ValidateBatteryPassesALiveServiceSnapshot) {

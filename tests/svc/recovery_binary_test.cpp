@@ -1,9 +1,8 @@
-// flattree_svc --recover end to end, out of process (ISSUE 10): a journal
-// file severed mid-record recovers to a byte-identical journal and the
-// exact remaining response stream; a crash after a periodic snapshot
-// restores through the snapshot and resumes; a corrupted journal or
-// snapshot is refused with exit code 3; a headerless v1 journal recovers
-// through the upgrade path and leaves a v2 file behind.
+// flattree_svc --recover end to end, out of process: a journal file
+// severed mid-record recovers to a byte-identical journal and the exact
+// remaining response stream; a crash after a periodic snapshot restores
+// through the snapshot and resumes; a corrupted or headerless journal and
+// a corrupted snapshot are refused with exit code 3.
 
 #include <gtest/gtest.h>
 
@@ -221,31 +220,29 @@ TEST(RecoveryBinary, CorruptJournalIsRefusedWithExitThree) {
   std::remove(journal_path.c_str());
 }
 
-TEST(RecoveryBinary, HeaderlessV1JournalRecoversThroughUpgrade) {
+TEST(RecoveryBinary, HeaderlessJournalIsRefusedWithExitThree) {
   std::string bin = FT_SVC_BIN;
   if (!file_exists(bin)) GTEST_SKIP() << "binary not built: " << bin;
 
-  // A pre-framing journal: bare canonical lines for the first two requests.
+  // Bare canonical lines with no journal header: refused like any other
+  // corruption, and the file is left exactly as it was.
   std::string script = session_script();
-  std::string script_path = testing::TempDir() + "rec_v1_session.jsonl";
-  std::string journal_path = testing::TempDir() + "rec_v1_journal.jsonl";
+  std::string script_path = testing::TempDir() + "rec_hdr_session.jsonl";
+  std::string journal_path = testing::TempDir() + "rec_hdr_journal.jsonl";
   write_file(script_path, script);
   std::size_t two = script.find('\n', script.find('\n') + 1) + 1;
-  write_file(journal_path, script.substr(0, two));
+  const std::string journal = script.substr(0, two);
+  write_file(journal_path, journal);
 
   BinRun rec = run_svc(bin,
                        "--threads 1 --recover --script " + script_path +
                            " --journal " + journal_path,
-                       "v1rec");
-  EXPECT_EQ(rec.exit_code, 0) << rec.stderr_text;
-  EXPECT_NE(rec.stderr_text.find("resuming after line 2"), std::string::npos)
+                       "hdrrec");
+  EXPECT_EQ(rec.exit_code, 3);
+  EXPECT_NE(rec.stderr_text.find("svc.journal.bad_header"), std::string::npos)
       << rec.stderr_text;
-  // The file on disk is now a v2 journal: upgraded `u` commits for the
-  // durable prefix, CRC-framed records for the resumed tail.
-  std::string upgraded = slurp(journal_path);
-  EXPECT_EQ(upgraded.rfind("# flattree-svc-journal v2", 0), 0u) << upgraded;
-  EXPECT_NE(upgraded.find("\nu "), std::string::npos) << upgraded;
-  EXPECT_NE(upgraded.find("\nc "), std::string::npos) << upgraded;
+  EXPECT_TRUE(rec.stdout_text.empty());
+  EXPECT_EQ(slurp(journal_path), journal);
 
   std::remove(script_path.c_str());
   std::remove(journal_path.c_str());

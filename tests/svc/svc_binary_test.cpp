@@ -106,7 +106,7 @@ TEST(SvcBinary, ReplayMatrixIsByteIdentical) {
   std::remove(script_path.c_str());
 }
 
-/// Drops journal v2 commit frames (`c `/`u ` lines): commit placement
+/// Drops journal v2 commit frames (`c ` lines): commit placement
 /// intentionally tracks batch (durability) boundaries, but the record and
 /// gap sequence must be batch-invariant.
 std::string strip_commits(const std::string& journal) {
@@ -116,7 +116,7 @@ std::string strip_commits(const std::string& journal) {
     std::size_t nl = journal.find('\n', pos);
     if (nl == std::string::npos) nl = journal.size() - 1;
     std::string line = journal.substr(pos, nl + 1 - pos);
-    if (line.rfind("c ", 0) != 0 && line.rfind("u ", 0) != 0) out += line;
+    if (line.rfind("c ", 0) != 0) out += line;
     pos = nl + 1;
   }
   return out;
