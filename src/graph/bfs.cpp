@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include <atomic>
-
 #include "exec/parallel_for.hpp"
 #include "graph/multi_bfs.hpp"
 #include "obs/metrics.hpp"
@@ -13,11 +11,6 @@
 namespace flattree::graph {
 
 namespace {
-
-// Always-on settle total for the scalar kernels (one relaxed add per BFS
-// call): the deterministic baseline the bench ops sweep compares the
-// batched engine against.
-std::atomic<std::uint64_t> g_scalar_settled{0};
 
 // Per-BFS-call accounting only (never per node/edge): one branch per
 // source, invisible on the disabled path, negligible when enabled.
@@ -50,7 +43,6 @@ std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source) {
       }
     }
   }
-  g_scalar_settled.fetch_add(queue.size(), std::memory_order_relaxed);
   note_bfs(queue.size());
   return dist;
 }
@@ -75,16 +67,9 @@ std::vector<std::uint32_t> bfs_distances_filtered(const Graph& g, NodeId source,
       }
     }
   }
-  g_scalar_settled.fetch_add(queue.size(), std::memory_order_relaxed);
   note_bfs(queue.size());
   return dist;
 }
-
-std::uint64_t scalar_bfs_settled() {
-  return g_scalar_settled.load(std::memory_order_relaxed);
-}
-
-void reset_scalar_bfs_settled() { g_scalar_settled.store(0, std::memory_order_relaxed); }
 
 std::vector<std::vector<std::uint32_t>> apsp_distances(const Graph& g) {
   OBS_SPAN("graph.apsp");

@@ -25,16 +25,6 @@ std::vector<std::uint32_t> bfs_distances_filtered(const Graph& g, NodeId source,
 /// result is identical at any thread count. O(V^2) memory.
 std::vector<std::vector<std::uint32_t>> apsp_distances(const Graph& g);
 
-/// Deterministic count of nodes settled by the scalar kernels
-/// (bfs_distances / bfs_distances_filtered) since the last reset: one per
-/// (call, reached node). Always on (one relaxed atomic add per call);
-/// bench_micro brackets the scalar baseline with reset + read to compare
-/// against MultiBfsStats::nodes_settled.
-std::uint64_t scalar_bfs_settled();
-
-/// Zeroes the scalar_bfs_settled() counter.
-void reset_scalar_bfs_settled();
-
 /// BFS tree: parent arc per node (kInvalidLink at source/unreached).
 struct BfsTree {
   std::vector<std::uint32_t> dist;

@@ -1,9 +1,10 @@
 #include "graph/metrics.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "exec/parallel_for.hpp"
-#include "graph/bfs.hpp"
 #include "graph/multi_bfs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -16,196 +17,103 @@ obs::Counter c_apl_runs("graph.apl.runs");
 obs::Counter c_apl_sources("graph.apl.sources_visited");
 obs::Counter c_apl_pairs("graph.apl.pairs");
 
-/// Per-source partial of the APL accumulation; combined in source order so
-/// the long-double sum is bit-identical at any thread count — and, because
-/// identity partials add exactly 0.0L, bit-identical between the scalar
-/// per-source fold and the batched per-eligible-source fold.
-struct AplPartial {
-  long double total = 0.0L;
-  std::uint64_t pairs = 0;
-  std::uint32_t max_dist = 0;
-
-  AplPartial& operator+=(const AplPartial& o) {
-    total += o.total;
-    pairs += o.pairs;
-    max_dist = std::max(max_dist, o.max_dist);
-    return *this;
-  }
-};
-
-/// Accumulates one source's contribution given its distance row. Shared by
-/// the scalar and batched engines so the long-double accumulation order
-/// within a source is identical by construction: same-node pairs first,
-/// then targets v > u ascending.
-template <typename DistRow>
-AplPartial source_partial(const Graph& g, const std::vector<std::uint32_t>& weight,
-                          const std::vector<char>* member, NodeId u, const DistRow& dist,
-                          std::uint32_t offset, std::uint32_t same_node_dist) {
-  AplPartial part;
-  std::uint64_t wu = weight[u];
-  if (wu >= 2) {
-    std::uint64_t p = wu * (wu - 1) / 2;
-    part.total += static_cast<long double>(p) * same_node_dist;
-    part.pairs += p;
-    part.max_dist = std::max(part.max_dist, same_node_dist);
-  }
-  for (NodeId v = u + 1; v < g.node_count(); ++v) {
-    if (weight[v] == 0) continue;
-    if (member != nullptr && !(*member)[v]) continue;
-    if (dist[v] == kUnreachable)
-      throw std::runtime_error("weighted_apl: weighted pair disconnected");
-    std::uint64_t p = wu * weight[v];
-    std::uint32_t d = dist[v] + offset;
-    part.total += static_cast<long double>(p) * d;
-    part.pairs += p;
-    part.max_dist = std::max(part.max_dist, d);
-  }
-  return part;
+/// Batch sums folded over the pool; integers, so the fold order is free.
+LevelSums add_sums(LevelSums acc, const LevelSums& b) {
+  acc.weighted_hops += b.weighted_hops;
+  acc.target_hits += b.target_hits;
+  acc.depth = std::max(acc.depth, b.depth);
+  return acc;
 }
 
-AplResult finish_apl(const AplPartial& sum) {
-  AplResult r;
-  r.pairs = sum.pairs;
-  r.max_dist = sum.max_dist;
-  r.average =
-      sum.pairs ? static_cast<double>(sum.total / static_cast<long double>(sum.pairs)) : 0.0;
-  c_apl_runs.inc();
-  c_apl_pairs.add(sum.pairs);
-  return r;
-}
-
-/// Reference engine: one scalar BFS per weighted source, per-source
-/// partials reduced in source order (grain 1).
-AplResult accumulate_apl_scalar(const Graph& g, const std::vector<std::uint32_t>& weight,
-                                const std::vector<char>* member, bool confine_paths,
-                                std::uint32_t offset, std::uint32_t same_node_dist) {
-  if (weight.size() != g.node_count())
-    throw std::invalid_argument("weighted_apl: weight size mismatch");
-
-  OBS_SPAN("graph.apl");
-  const std::size_t n = g.node_count();
-  AplPartial sum = exec::parallel_reduce(
-      n, /*grain=*/1, AplPartial{},
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        AplPartial part;
-        for (std::size_t s = begin; s < end; ++s) {
-          NodeId u = static_cast<NodeId>(s);
-          if (weight[u] == 0) continue;
-          if (member != nullptr && !(*member)[u]) continue;
-          c_apl_sources.inc();
-          std::vector<std::uint32_t> dist =
-              confine_paths && member != nullptr ? bfs_distances_filtered(g, u, *member)
-                                                 : bfs_distances(g, u);
-          part += source_partial(g, weight, member, u, dist, offset, same_node_dist);
-        }
-        return part;
-      },
-      [](AplPartial acc, AplPartial part) {
-        acc += part;
-        return acc;
-      });
-  return finish_apl(sum);
-}
-
-/// Production engine: eligible sources packed into 64-wide MultiSourceBfs
-/// batches fanned out over the pool. Per-source partials land in a dense
-/// array and are folded sequentially in ascending source order afterwards —
-/// the same long-double association as the scalar grain-1 reduce (identity
-/// partials of ineligible sources add exactly 0.0L there), so the result is
-/// bitwise-identical to accumulate_apl_scalar at any thread count.
-AplResult accumulate_apl_batched(const Graph& g, const std::vector<std::uint32_t>& weight,
-                                 const std::vector<char>* member, bool confine_paths,
-                                 std::uint32_t offset, std::uint32_t same_node_dist) {
-  if (weight.size() != g.node_count())
-    throw std::invalid_argument("weighted_apl: weight size mismatch");
-
-  OBS_SPAN("graph.apl");
-  const std::size_t n = g.node_count();
-  std::vector<NodeId> sources;
-  sources.reserve(n);
-  for (NodeId u = 0; u < n; ++u) {
-    if (weight[u] == 0) continue;
-    if (member != nullptr && !(*member)[u]) continue;
-    sources.push_back(u);
-  }
-
-  const std::vector<char>* mask = confine_paths && member != nullptr ? member : nullptr;
-  std::vector<AplPartial> partials(sources.size());
+/// Runs every source in 64-wide counting batches over the pool and folds
+/// the per-batch sums.
+LevelSums sum_over_sources(const Graph& g, const std::vector<NodeId>& sources,
+                           const std::vector<std::uint32_t>& weight,
+                           const std::vector<char>* mask) {
   MultiBfsPool pool(g);
-  exec::parallel_for_chunked(
-      sources.size(), kBfsBatchWidth,
+  return exec::parallel_reduce(
+      sources.size(), kBfsBatchWidth, LevelSums{},
       [&](std::size_t begin, std::size_t end, std::size_t) {
         MultiBfsLease engine(pool);
-        engine->run(sources.data() + begin, end - begin, mask);
-        for (std::size_t i = begin; i < end; ++i) {
-          c_apl_sources.inc();
-          partials[i] = source_partial(g, weight, member, sources[i],
-                                       engine->distances(i - begin), offset,
-                                       same_node_dist);
-        }
-      });
-
-  AplPartial sum;
-  for (const AplPartial& part : partials) sum += part;
-  return finish_apl(sum);
+        return engine->run_counting(sources.data() + begin, end - begin, weight, mask);
+      },
+      add_sums);
 }
 
-/// Unweighted APL partials, batched, folded in source order. Unreachable
-/// pairs are skipped and counted (the documented policy).
-UnweightedAplResult accumulate_unweighted(const Graph& g) {
-  struct Partial {
-    long double total = 0.0L;
-    std::uint64_t pairs = 0;
-    std::uint64_t unreachable = 0;
-  };
-  const std::size_t n = g.node_count();
-  std::vector<Partial> partials(n);
-  MultiBfsPool pool(g);
-  exec::parallel_for_chunked(n, kBfsBatchWidth,
-                             [&](std::size_t begin, std::size_t end, std::size_t) {
-                               MultiBfsLease engine(pool);
-                               std::vector<NodeId> batch(end - begin);
-                               for (std::size_t s = begin; s < end; ++s)
-                                 batch[s - begin] = static_cast<NodeId>(s);
-                               engine->run(batch.data(), batch.size());
-                               for (std::size_t s = begin; s < end; ++s) {
-                                 auto dist = engine->distances(s - begin);
-                                 Partial part;
-                                 for (NodeId v = static_cast<NodeId>(s) + 1; v < n; ++v) {
-                                   if (dist[v] == kUnreachable) {
-                                     ++part.unreachable;
-                                     continue;
-                                   }
-                                   part.total += dist[v];
-                                   ++part.pairs;
-                                 }
-                                 partials[s] = part;
-                               }
-                             });
-  Partial sum;
-  for (const Partial& part : partials) {
-    sum.total += part.total;
-    sum.pairs += part.pairs;
-    sum.unreachable += part.unreachable;
+std::vector<NodeId> all_nodes(const Graph& g) {
+  std::vector<NodeId> nodes(g.node_count());
+  for (NodeId v = 0; v < nodes.size(); ++v) nodes[v] = v;
+  return nodes;
+}
+
+/// The weighted APL over the weighted members: the counting BFS sums
+/// w[u] * w[v] * d(u,v) over ordered pairs of distinct weighted nodes;
+/// halving that and adding the offset and same-node terms in closed form
+/// gives the unordered total.
+AplResult accumulate_apl(const Graph& g, const std::vector<std::uint32_t>& weight,
+                         const std::vector<char>* member, bool confine_paths,
+                         std::uint32_t offset, std::uint32_t same_node_dist) {
+  if (weight.size() != g.node_count())
+    throw std::invalid_argument("weighted_apl: weight size mismatch");
+
+  OBS_SPAN("graph.apl");
+  // Non-members weigh nothing: they are neither sources nor targets.
+  std::vector<std::uint32_t> target = weight;
+  if (member != nullptr)
+    for (NodeId v = 0; v < target.size(); ++v)
+      if (!(*member)[v]) target[v] = 0;
+  require_apl_sum_fits(target, offset, same_node_dist);
+
+  std::vector<NodeId> sources;
+  std::uint64_t sum_w = 0, sum_w2 = 0, same_pairs = 0;
+  for (NodeId v = 0; v < target.size(); ++v) {
+    const std::uint64_t w = target[v];
+    if (w == 0) continue;
+    sources.push_back(v);
+    sum_w += w;
+    sum_w2 += w * w;
+    same_pairs += w * (w - 1) / 2;
   }
-  UnweightedAplResult r;
-  r.pairs = sum.pairs;
-  r.unreachable_pairs = sum.unreachable;
-  r.average = sum.pairs ? static_cast<double>(sum.total / static_cast<long double>(sum.pairs))
-                        : 0.0;
+  c_apl_sources.add(sources.size());
+
+  const LevelSums sums = sum_over_sources(
+      g, sources, target, confine_paths && member != nullptr ? member : nullptr);
+  // Every weighted node must have reached every weighted node.
+  if (sums.target_hits != sources.size() * sources.size())
+    throw std::runtime_error("weighted_apl: weighted pair disconnected");
+
+  const std::uint64_t cross_pairs = (sum_w * sum_w - sum_w2) / 2;
+  const std::uint64_t total =
+      sums.weighted_hops / 2 + cross_pairs * offset + same_pairs * same_node_dist;
+  AplResult r;
+  r.pairs = cross_pairs + same_pairs;
+  if (cross_pairs != 0) r.max_dist = sums.depth + offset;
+  if (same_pairs != 0) r.max_dist = std::max(r.max_dist, same_node_dist);
+  r.average = r.pairs ? static_cast<double>(static_cast<long double>(total) /
+                                            static_cast<long double>(r.pairs))
+                      : 0.0;
+  c_apl_runs.inc();
+  c_apl_pairs.add(r.pairs);
   return r;
 }
 
 }  // namespace
 
-AplResult weighted_apl(const Graph& g, const std::vector<std::uint32_t>& weight,
-                       std::uint32_t offset, std::uint32_t same_node_dist) {
-  return accumulate_apl_batched(g, weight, nullptr, false, offset, same_node_dist);
+void require_apl_sum_fits(const std::vector<std::uint32_t>& weight, std::uint32_t offset,
+                          std::uint32_t same_node_dist) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t n = weight.size();
+  std::uint64_t sum_w = 0;
+  for (std::uint32_t w : weight) sum_w += w;  // n < 2^32 nodes: no wrap
+  const std::uint64_t reach =
+      std::max<std::uint64_t>({1, n == 0 ? 0 : n - 1 + offset, same_node_dist});
+  if ((sum_w != 0 && sum_w > kMax / sum_w) || sum_w * sum_w > kMax / reach)
+    throw std::overflow_error("weighted_apl: hop total may exceed 64 bits");
 }
 
-AplResult weighted_apl_scalar(const Graph& g, const std::vector<std::uint32_t>& weight,
-                              std::uint32_t offset, std::uint32_t same_node_dist) {
-  return accumulate_apl_scalar(g, weight, nullptr, false, offset, same_node_dist);
+AplResult weighted_apl(const Graph& g, const std::vector<std::uint32_t>& weight,
+                       std::uint32_t offset, std::uint32_t same_node_dist) {
+  return accumulate_apl(g, weight, nullptr, false, offset, same_node_dist);
 }
 
 AplResult weighted_apl_subset(const Graph& g, const std::vector<std::uint32_t>& weight,
@@ -213,47 +121,34 @@ AplResult weighted_apl_subset(const Graph& g, const std::vector<std::uint32_t>& 
                               std::uint32_t offset, std::uint32_t same_node_dist) {
   if (member.size() != g.node_count())
     throw std::invalid_argument("weighted_apl_subset: member mask size mismatch");
-  return accumulate_apl_batched(g, weight, &member, confine_paths, offset, same_node_dist);
+  return accumulate_apl(g, weight, &member, confine_paths, offset, same_node_dist);
 }
 
-AplResult weighted_apl_subset_scalar(const Graph& g,
-                                     const std::vector<std::uint32_t>& weight,
-                                     const std::vector<char>& member, bool confine_paths,
-                                     std::uint32_t offset, std::uint32_t same_node_dist) {
-  if (member.size() != g.node_count())
-    throw std::invalid_argument("weighted_apl_subset: member mask size mismatch");
-  return accumulate_apl_scalar(g, weight, &member, confine_paths, offset, same_node_dist);
+/// Every node is a unit-weight source and target; unreachable pairs are
+/// skipped and counted (the documented policy).
+UnweightedAplResult unweighted_apl_stats(const Graph& g) {
+  const std::uint64_t n = g.node_count();
+  const std::vector<std::uint32_t> ones(n, 1);
+  require_apl_sum_fits(ones, 0, 0);
+  const LevelSums sums = sum_over_sources(g, all_nodes(g), ones, nullptr);
+  UnweightedAplResult r;
+  r.pairs = (sums.target_hits - n) / 2;
+  r.unreachable_pairs = (n * n - sums.target_hits) / 2;
+  r.average = r.pairs ? static_cast<double>(static_cast<long double>(sums.weighted_hops / 2) /
+                                            static_cast<long double>(r.pairs))
+                      : 0.0;
+  return r;
 }
 
-UnweightedAplResult unweighted_apl_stats(const Graph& g) { return accumulate_unweighted(g); }
-
-double unweighted_apl(const Graph& g) { return accumulate_unweighted(g).average; }
+double unweighted_apl(const Graph& g) { return unweighted_apl_stats(g).average; }
 
 std::uint32_t diameter(const Graph& g) {
-  const std::size_t n = g.node_count();
-  std::vector<std::uint32_t> best_per_source(n, 0);
-  MultiBfsPool pool(g);
-  exec::parallel_for_chunked(n, kBfsBatchWidth,
-                             [&](std::size_t begin, std::size_t end, std::size_t) {
-                               MultiBfsLease engine(pool);
-                               std::vector<NodeId> batch(end - begin);
-                               for (std::size_t s = begin; s < end; ++s)
-                                 batch[s - begin] = static_cast<NodeId>(s);
-                               engine->run(batch.data(), batch.size());
-                               for (std::size_t s = begin; s < end; ++s) {
-                                 auto dist = engine->distances(s - begin);
-                                 std::uint32_t best = 0;
-                                 for (NodeId v = 0; v < n; ++v) {
-                                   if (dist[v] == kUnreachable)
-                                     throw std::runtime_error("diameter: graph disconnected");
-                                   best = std::max(best, dist[v]);
-                                 }
-                                 best_per_source[s] = best;
-                               }
-                             });
-  std::uint32_t best = 0;
-  for (std::uint32_t b : best_per_source) best = std::max(best, b);
-  return best;
+  const std::uint64_t n = g.node_count();
+  // The hop sum is not used here, so its wrap on huge graphs is harmless.
+  const LevelSums sums =
+      sum_over_sources(g, all_nodes(g), std::vector<std::uint32_t>(n, 1), nullptr);
+  if (sums.target_hits != n * n) throw std::runtime_error("diameter: graph disconnected");
+  return sums.depth;
 }
 
 std::vector<std::size_t> degree_histogram(const Graph& g) {

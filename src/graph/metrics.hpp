@@ -8,12 +8,17 @@
 // (servers per switch) and an additive hop offset (2 for the attachment
 // links).
 //
-// Engines: the production path runs sources through the bit-parallel
-// batched BFS (graph::MultiSourceBfs, 64 sources per word); the *_scalar
-// variants keep the original one-BFS-per-source kernels as the reference.
-// Both fold per-source long-double partials in ascending source order, so
-// batched and scalar results are bitwise-identical at any thread count —
-// equivalence tests and the bench_micro ops sweep bank on that.
+// Engine: sources run through the bit-parallel batched BFS
+// (graph::MultiSourceBfs, 64 sources per word) in its counting mode, which
+// writes no distance rows. Every term of an APL total is an integer
+// (weight product times hop count), so the totals are folded in uint64:
+// exact, and therefore the same bits in any batch order at any thread
+// count. require_apl_sum_fits checks up front that the total cannot pass
+// 2^64. The average is then (long double)total / (long double)pairs, the
+// same expression a per-pair long-double fold reduces to while its partial
+// sums stay below 2^64 (a 64-bit mantissa holds them exactly), so the
+// results are bitwise-identical to the one-BFS-per-source reference the
+// tests keep (tests/graph/apl_oracle.hpp).
 
 #include <cstdint>
 #include <vector>
@@ -32,15 +37,10 @@ struct AplResult {
 /// Average over unordered pairs (u,v), u != v or same-node pairs among
 /// distinct endpoints: sum over node pairs of w[u]*w[v] pairs at distance
 /// d(u,v) + offset, plus w[u]*(w[u]-1)/2 same-node pairs at distance
-/// `same_node_dist`. Throws if any weighted pair is disconnected.
+/// `same_node_dist`. Throws std::runtime_error if any weighted pair is
+/// disconnected, and std::overflow_error as require_apl_sum_fits does.
 AplResult weighted_apl(const Graph& g, const std::vector<std::uint32_t>& weight,
                        std::uint32_t offset, std::uint32_t same_node_dist);
-
-/// Reference scalar kernel behind weighted_apl (one BFS per source);
-/// bitwise-identical to the batched production path. Kept public for
-/// equivalence tests and the bench_micro batched-vs-scalar ops sweep.
-AplResult weighted_apl_scalar(const Graph& g, const std::vector<std::uint32_t>& weight,
-                              std::uint32_t offset, std::uint32_t same_node_dist);
 
 /// Same metric restricted to nodes with allowed[v] == true: paths may only
 /// traverse allowed nodes (used for intra-pod APL in local-RG mode... the
@@ -50,12 +50,13 @@ AplResult weighted_apl_subset(const Graph& g, const std::vector<std::uint32_t>& 
                               const std::vector<char>& member, bool confine_paths,
                               std::uint32_t offset, std::uint32_t same_node_dist);
 
-/// Reference scalar kernel behind weighted_apl_subset; see
-/// weighted_apl_scalar.
-AplResult weighted_apl_subset_scalar(const Graph& g,
-                                     const std::vector<std::uint32_t>& weight,
-                                     const std::vector<char>& member, bool confine_paths,
-                                     std::uint32_t offset, std::uint32_t same_node_dist);
+/// Throws std::overflow_error unless (sum of weight)^2 * max(n - 1 + offset,
+/// same_node_dist) < 2^64, n = weight.size(): the bound under which every
+/// integer hop total of an APL over `weight` (ordered pairs included) is
+/// exact. weighted_apl*, unweighted_apl* and inc::weighted_apl call it
+/// before any traversal.
+void require_apl_sum_fits(const std::vector<std::uint32_t>& weight, std::uint32_t offset,
+                          std::uint32_t same_node_dist);
 
 /// Unweighted APL with the unreachable-pair policy explicit: disconnected
 /// pairs are *skipped* from the average and reported in

@@ -1,8 +1,8 @@
 #include "graph/multi_bfs.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstring>
 #include <stdexcept>
 
 #include "graph/bfs.hpp"
@@ -23,7 +23,9 @@ std::atomic<std::uint64_t> g_nodes_settled{0};
 
 // The batched engine bills the same per-source BFS counters as the scalar
 // kernels (graph.bfs.*) so manifests stay comparable across engines, plus
-// engine-level counters for the batch mechanics.
+// engine-level counters for the batch mechanics. Both settle modes bill
+// runs, visits and word work identically; only row mode, which knows each
+// source's reach, feeds the per-source histogram.
 obs::Counter c_bfs_runs("graph.bfs.runs");
 obs::Counter c_bfs_visited("graph.bfs.nodes_visited");
 obs::Histogram h_bfs_visited("graph.bfs.visited_per_source",
@@ -73,35 +75,35 @@ std::span<const std::uint32_t> MultiSourceBfs::distances(std::size_t i) const {
   return {dist_.data() + i * node_count_, node_count_};
 }
 
-void MultiSourceBfs::run(const NodeId* sources, std::size_t count,
-                         const std::vector<char>* allowed) {
+void MultiSourceBfs::check_batch(const NodeId* sources, std::size_t count,
+                                 const std::vector<char>* allowed) const {
   if (count == 0 || count > kBfsBatchWidth)
     throw std::invalid_argument("MultiSourceBfs::run: batch size out of range");
   if (allowed && allowed->size() != node_count_)
     throw std::invalid_argument("MultiSourceBfs::run: mask size mismatch");
+  for (std::size_t i = 0; i < count; ++i) {
+    if (sources[i] >= node_count_)
+      throw std::invalid_argument("MultiSourceBfs::run: source out of range");
+    if (allowed && !(*allowed)[sources[i]])
+      throw std::invalid_argument("MultiSourceBfs::run: source not allowed");
+  }
+}
 
+template <typename Settle>
+void MultiSourceBfs::traverse(const NodeId* sources, std::size_t count,
+                              const std::vector<char>* allowed, Settle&& settle) {
   const std::size_t n = node_count_;
-  count_ = count;
-  dist_.resize(count * n);
-  std::fill(dist_.begin(), dist_.end(), kUnreachable);
   std::fill(visited_.begin(), visited_.end(), 0);
   std::fill(frontier_.begin(), frontier_.end(), 0);
   std::fill(next_.begin(), next_.end(), 0);
-  std::fill(reached_, reached_ + kBfsBatchWidth, 0);
-
   for (std::size_t i = 0; i < count; ++i) {
-    NodeId s = sources[i];
-    if (s >= n) throw std::invalid_argument("MultiSourceBfs::run: source out of range");
-    if (allowed && !(*allowed)[s])
-      throw std::invalid_argument("MultiSourceBfs::run: source not allowed");
-    visited_[s] |= std::uint64_t{1} << i;
-    frontier_[s] |= std::uint64_t{1} << i;
-    dist_[i * n + s] = 0;
-    ++reached_[i];
+    visited_[sources[i]] |= std::uint64_t{1} << i;
+    frontier_[sources[i]] |= std::uint64_t{1} << i;
   }
 
   // Local counters folded into the globals once at the end (deterministic:
-  // the scan order below is fixed, independent of threads or pool state).
+  // the scan order below is fixed, independent of threads or pool state,
+  // and the settle callback does no word work of its own).
   std::uint64_t levels = 0;
   std::uint64_t expansions = 0;
   std::uint64_t words = 0;
@@ -130,22 +132,17 @@ void MultiSourceBfs::run(const NodeId* sources, std::size_t count,
         }
       }
     }
-    // Settle sweep: assign this level's distance per fresh (source, node)
-    // bit and detect termination.
+    // Settle sweep: hand this level's fresh bits per node to the mode and
+    // detect termination.
     bool any = false;
     const std::uint32_t level32 = static_cast<std::uint32_t>(levels);
     for (NodeId v = 0; v < n; ++v) {
-      std::uint64_t nw = next_[v];
+      const std::uint64_t nw = next_[v];
       ++words;
       if (!nw) continue;
       any = true;
-      while (nw) {
-        const unsigned i = static_cast<unsigned>(std::countr_zero(nw));
-        nw &= nw - 1;
-        dist_[i * n + v] = level32;
-        ++reached_[i];
-        ++settled;
-      }
+      settled += static_cast<std::uint64_t>(std::popcount(nw));
+      settle(v, nw, level32);
     }
     if (!any) {
       --levels;  // the last sweep found an empty next frontier
@@ -167,20 +164,87 @@ void MultiSourceBfs::run(const NodeId* sources, std::size_t count,
     c_batches.inc();
     c_expansions.add(expansions);
     c_words.add(words);
-    // Same per-source accounting as the scalar kernels: every (source,
-    // node) pair settles exactly once in either engine.
-    for (std::size_t i = 0; i < count; ++i) {
-      c_bfs_runs.inc();
-      c_bfs_visited.add(reached_[i]);
-      h_bfs_visited.observe(static_cast<double>(reached_[i]));
-    }
+    // Same totals as the scalar kernels: one run per source, one visit per
+    // reached (source, node) pair.
+    c_bfs_runs.add(count);
+    c_bfs_visited.add(settled);
   }
+}
+
+void MultiSourceBfs::run(const NodeId* sources, std::size_t count,
+                         const std::vector<char>* allowed) {
+  check_batch(sources, count, allowed);
+  const std::size_t n = node_count_;
+  count_ = count;
+  dist_.assign(count * n, kUnreachable);
+  for (std::size_t i = 0; i < count; ++i) {
+    dist_[i * n + sources[i]] = 0;
+    reached_[i] = 1;
+  }
+  traverse(sources, count, allowed, [&](NodeId v, std::uint64_t nw, std::uint32_t level) {
+    for (; nw; nw &= nw - 1) {
+      const unsigned i = static_cast<unsigned>(std::countr_zero(nw));
+      dist_[i * n + v] = level;
+      ++reached_[i];
+    }
+  });
+  if (obs::enabled())
+    for (std::size_t i = 0; i < count; ++i)
+      h_bfs_visited.observe(static_cast<double>(reached_[i]));
 
   if (const DistanceAuditHook& hook = audit_hook()) {
     std::vector<std::uint32_t> row(dist_.begin(),
                                    dist_.begin() + static_cast<std::ptrdiff_t>(n));
     hook(*g_, sources[0], row);
   }
+}
+
+LevelSums MultiSourceBfs::run_counting(const NodeId* sources, std::size_t count,
+                                       const std::vector<std::uint32_t>& weight,
+                                       const std::vector<char>* allowed) {
+  check_batch(sources, count, allowed);
+  if (weight.size() != node_count_)
+    throw std::invalid_argument("MultiSourceBfs::run_counting: weight size mismatch");
+  count_ = 0;
+
+  // Equal source weights (the common case: every switch of a Clos edge
+  // layer hosts the same number of servers) let one popcount stand for the
+  // whole fresh word; the shared weight multiplies in once at the end.
+  std::uint32_t source_weight[kBfsBatchWidth] = {};
+  bool uniform = true;
+  LevelSums sums;
+  for (std::size_t i = 0; i < count; ++i) {
+    source_weight[i] = weight[sources[i]];
+    uniform = uniform && source_weight[i] == source_weight[0];
+    if (source_weight[i] != 0) ++sums.target_hits;
+  }
+
+  // With an audit hook installed, source 0's row is recorded (and only
+  // then): the sampled row --selfcheck certifies.
+  const DistanceAuditHook& hook = audit_hook();
+  if (hook) {
+    dist_.assign(node_count_, kUnreachable);
+    dist_[sources[0]] = 0;
+  }
+
+  traverse(sources, count, allowed, [&](NodeId v, std::uint64_t nw, std::uint32_t level) {
+    if (hook && (nw & 1)) dist_[v] = level;
+    const std::uint64_t wv = weight[v];
+    if (wv == 0) return;
+    sums.target_hits += static_cast<std::uint64_t>(std::popcount(nw));
+    sums.depth = level;
+    std::uint64_t from = 0;  // summed source weight of the fresh bits
+    if (uniform) {
+      from = static_cast<std::uint64_t>(std::popcount(nw));
+    } else {
+      for (; nw; nw &= nw - 1) from += source_weight[std::countr_zero(nw)];
+    }
+    sums.weighted_hops += level * wv * from;
+  });
+  if (uniform) sums.weighted_hops *= source_weight[0];
+
+  if (hook) hook(*g_, sources[0], dist_);
+  return sums;
 }
 
 std::unique_ptr<MultiSourceBfs> MultiBfsPool::acquire() {

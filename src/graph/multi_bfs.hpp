@@ -13,23 +13,36 @@
 // distances are exact: every (source, node) pair settles at the first
 // level its bit appears, identical to the scalar BFS result bit for bit.
 //
+// One expansion loop, two ways to settle a level. run() writes distance
+// rows, for callers whose output *is* the rows (APSP, the incremental
+// engine's materialize, certify_distances). run_counting() writes no rows:
+// like Then et al.'s closeness-centrality use of MS-BFS it folds each
+// level's fresh bits straight into an integer sum of weighted hop counts
+// (a popcount per node when the batch's source weights are equal, a
+// countr_zero walk over the fresh bits otherwise). APL, diameter and the
+// unweighted APL only need that sum, its depth and the reached count.
+//
 // Allocation discipline: an engine owns its scratch (three word arrays,
-// one row-major distance block) and reuses it across run() calls — the
-// hot loop allocates nothing. Parallel callers lease engines from a
-// MultiBfsPool (one engine per concurrently running batch, recycled via a
-// free list) instead of constructing per batch.
+// plus the row-major distance block of row mode) and reuses it across
+// runs — the hot loop allocates nothing. Parallel callers lease engines
+// from a MultiBfsPool (one engine per concurrently running batch, recycled
+// via a free list) instead of constructing per batch.
 //
 // Determinism contract: a batch's result and its operation counters are a
-// pure function of (graph, source list, mask) — the expansion scans nodes
-// in ascending id and arcs in CSR order, single-threaded per batch. The
-// global MultiBfsStats totals are order-independent sums over batches, so
-// they are identical at any thread count; benches record them as proof of
-// work (wall-clock on a 1-core container is untrustworthy).
+// pure function of (graph, source list, mask, weights) — the expansion
+// scans nodes in ascending id and arcs in CSR order, single-threaded per
+// batch, and both settle modes do the same word work. The global
+// MultiBfsStats totals are order-independent sums over batches, so they
+// are identical at any thread count and in either mode; benches record
+// them as proof of work. The counting sums are integers, so any fold order
+// over batches gives the same bits.
 //
 // Sampled certification: set_distance_audit_hook installs a process-wide
-// callback invoked with the first source row of every batch. Benches use
-// it under --selfcheck to run check::certify_distances on sampled batched
-// rows without ft_graph depending on ft_check.
+// callback invoked with the first source row of every batch, in either
+// mode (a counting run records that one row only while a hook is
+// installed). Benches use it under --selfcheck to run
+// check::certify_distances on sampled batched rows without ft_graph
+// depending on ft_check.
 
 #include <cstdint>
 #include <functional>
@@ -53,7 +66,7 @@ struct MultiBfsStats {
   std::uint64_t levels = 0;          ///< BFS levels expanded, summed over batches
   std::uint64_t node_expansions = 0; ///< nodes expanded with a nonzero frontier word
   std::uint64_t words_touched = 0;   ///< 64-bit frontier/visited words read or written
-  std::uint64_t nodes_settled = 0;   ///< (source, node) pairs assigned a distance
+  std::uint64_t nodes_settled = 0;   ///< (source, node) pairs reached, sources included
 };
 
 /// Snapshot of the process-wide batched-BFS counters.
@@ -74,42 +87,82 @@ using DistanceAuditHook =
 /// thread-safe — it fires from whichever worker ran the batch.
 void set_distance_audit_hook(DistanceAuditHook hook);
 
+/// Per-batch result of MultiSourceBfs::run_counting. With w the weight
+/// vector passed in, a *target* is a node with w[v] != 0.
+struct LevelSums {
+  /// Sum over reached (source s, target v != s) pairs of
+  /// w[s] * w[v] * dist(s, v), in uint64 (exact while the caller's
+  /// overflow bound holds; see graph::require_apl_sum_fits).
+  std::uint64_t weighted_hops = 0;
+  /// (source, target) pairs reached over every source of the batch, a
+  /// source that is itself a target counting its own node: it equals
+  /// (#sources) * (#targets) exactly when every target's visited word is
+  /// full.
+  std::uint64_t target_hits = 0;
+  /// Deepest level at which some target was reached (0 when none was).
+  std::uint32_t depth = 0;
+};
+
 /// Batched BFS engine over one graph. Not thread-safe: one engine serves
 /// one batch at a time (lease per worker via MultiBfsPool for parallel
-/// fan-out). Scratch is sized on first run() and reused afterwards.
+/// fan-out). Scratch is sized on first run and reused afterwards.
 class MultiSourceBfs {
  public:
-  /// Binds the engine to `g` (the CSR is built eagerly so run() never
-  /// takes the lazy-build lock). The graph must outlive the engine and
+  /// Binds the engine to `g` (the CSR is built eagerly so runs never
+  /// take the lazy-build lock). The graph must outlive the engine and
   /// must not be mutated while the engine is in use.
   explicit MultiSourceBfs(const Graph& g);
 
-  /// Traverses from sources[0 .. count), count in [1, kBfsBatchWidth].
-  /// With `allowed` non-null the traversal is confined to nodes with
+  /// Row mode: traverses from sources[0 .. count), count in
+  /// [1, kBfsBatchWidth], and keeps one distance row per source. With
+  /// `allowed` non-null the traversal is confined to nodes with
   /// allowed[v] != 0 (the bfs_distances_filtered semantics; every source
   /// must be allowed). Throws std::invalid_argument on a bad count, an
   /// out-of-range or disallowed source, or a mask size mismatch.
   void run(const NodeId* sources, std::size_t count,
            const std::vector<char>* allowed = nullptr);
 
-  /// Number of sources in the last run() batch.
+  /// Counting mode: the same traversal as run(), but no rows are
+  /// written; each level's fresh (source, node) bits fold into the
+  /// returned LevelSums, with source i weighted by weight[sources[i]] and
+  /// every node v by weight[v]. Throws as run() does, and on a weight
+  /// vector whose size is not node_count(). Afterwards batch_size() is 0:
+  /// a counting run leaves no rows behind.
+  LevelSums run_counting(const NodeId* sources, std::size_t count,
+                         const std::vector<std::uint32_t>& weight,
+                         const std::vector<char>* allowed = nullptr);
+
+  /// Number of sources in the last row-mode batch (0 after a counting run).
   std::size_t batch_size() const { return count_; }
 
-  /// Distance row of the i-th source of the last batch: exactly what
-  /// bfs_distances (or bfs_distances_filtered) returns for that source,
-  /// kUnreachable marking unreached nodes. Valid until the next run().
+  /// Distance row of the i-th source of the last row-mode batch: exactly
+  /// what bfs_distances (or bfs_distances_filtered) returns for that
+  /// source, kUnreachable marking unreached nodes. Valid until the next
+  /// run; throws std::out_of_range when i >= batch_size().
   std::span<const std::uint32_t> distances(std::size_t i) const;
 
-  /// Nodes reached by the i-th source of the last batch (incl. itself).
+  /// Nodes reached by the i-th source of the last row-mode batch (incl.
+  /// itself).
   std::size_t reached(std::size_t i) const { return reached_[i]; }
 
  private:
+  /// Throws std::invalid_argument on a bad batch (see run()).
+  void check_batch(const NodeId* sources, std::size_t count,
+                   const std::vector<char>* allowed) const;
+
+  /// The one expansion loop over a checked batch: seeds it, then per level
+  /// expands the frontier and hands every nonzero `next` word to
+  /// settle(node, word, level).
+  template <typename Settle>
+  void traverse(const NodeId* sources, std::size_t count, const std::vector<char>* allowed,
+                Settle&& settle);
+
   const Graph* g_;
   std::size_t node_count_;
   std::vector<std::uint64_t> visited_;
   std::vector<std::uint64_t> frontier_;
   std::vector<std::uint64_t> next_;
-  std::vector<std::uint32_t> dist_;  ///< row-major: dist_[i * node_count_ + v]
+  std::vector<std::uint32_t> dist_;  ///< row mode: dist_[i * node_count_ + v]
   std::size_t count_ = 0;
   std::size_t reached_[kBfsBatchWidth] = {};
 };

@@ -5,6 +5,7 @@
 
 #include "exec/parallel_for.hpp"
 #include "graph/bfs.hpp"
+#include "graph/metrics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -19,10 +20,10 @@ obs::Counter c_apl_sources("graph.apl.sources_visited");
 obs::Counter c_apl_pairs("graph.apl.pairs");
 obs::Counter c_topo_apl_runs("topo.apl.runs");
 
-/// Same shape as graph/metrics.cpp's AplPartial: the combine order and
-/// member arithmetic must match exactly for bitwise-equal averages.
+/// Integer partial of the APL total: exact under graph::require_apl_sum_fits,
+/// so any combine order gives the cold path's bits.
 struct AplPartial {
-  long double total = 0.0L;
+  std::uint64_t total = 0;
   std::uint64_t pairs = 0;
   std::uint32_t max_dist = 0;
 
@@ -42,6 +43,7 @@ graph::AplResult weighted_apl(DynamicApsp& engine,
   const graph::Graph& g = engine.graph();
   if (weight.size() != g.node_count())
     throw std::invalid_argument("weighted_apl: weight size mismatch");
+  graph::require_apl_sum_fits(weight, offset, same_node_dist);
 
   OBS_SPAN("graph.apl");
   const std::size_t n = g.node_count();
@@ -65,7 +67,7 @@ graph::AplResult weighted_apl(DynamicApsp& engine,
           std::uint64_t wu = weight[u];
           if (wu >= 2) {
             std::uint64_t p = wu * (wu - 1) / 2;
-            part.total += static_cast<long double>(p) * same_node_dist;
+            part.total += p * same_node_dist;
             part.pairs += p;
             part.max_dist = std::max(part.max_dist, same_node_dist);
           }
@@ -76,7 +78,7 @@ graph::AplResult weighted_apl(DynamicApsp& engine,
               throw std::runtime_error("weighted_apl: weighted pair disconnected");
             std::uint64_t p = wu * weight[v];
             std::uint32_t d = dist[v] + offset;
-            part.total += static_cast<long double>(p) * d;
+            part.total += p * d;
             part.pairs += p;
             part.max_dist = std::max(part.max_dist, d);
           }
@@ -91,8 +93,9 @@ graph::AplResult weighted_apl(DynamicApsp& engine,
   graph::AplResult r;
   r.pairs = sum.pairs;
   r.max_dist = sum.max_dist;
-  r.average =
-      sum.pairs ? static_cast<double>(sum.total / static_cast<long double>(sum.pairs)) : 0.0;
+  r.average = sum.pairs ? static_cast<double>(static_cast<long double>(sum.total) /
+                                              static_cast<long double>(sum.pairs))
+                        : 0.0;
   c_apl_runs.inc();
   c_apl_pairs.add(sum.pairs);
   return r;

@@ -1,12 +1,13 @@
 #pragma once
 // Weighted APL over a DynamicApsp engine's cached distances.
 //
-// Mirrors graph::weighted_apl / topo::server_apl term for term: the same
-// per-source partial sums in the same long-double accumulation structure,
-// combined in the same source order — so at equal distances the result is
-// *bitwise* equal to the cold computation at any thread count (floating-
-// point addition is not associative; replicating the association order is
-// what makes `--incremental` byte-identical, not just "close").
+// Computes the same metric as graph::weighted_apl / topo::server_apl from
+// cached rows: every term is an integer (weight product times hops), so the
+// total folds exactly in uint64 (under graph::require_apl_sum_fits) and the
+// average is the cold path's (long double)total / (long double)pairs. At
+// equal distances the result is therefore *bitwise* equal to the cold
+// computation at any thread count and in any fold order — what makes
+// `--incremental` byte-identical, not just "close".
 //
 // Sources the engine has not materialized yet are computed cold
 // (sequentially, before the parallel accumulation — the engine is not

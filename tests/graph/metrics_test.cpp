@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "apl_oracle.hpp"
+
 namespace flattree::graph {
 namespace {
 
@@ -146,7 +148,7 @@ TEST(WeightedApl, ThrowsOnTwoComponents) {
   g.add_link(3, 4);
   std::vector<std::uint32_t> w(5, 1);
   EXPECT_THROW(weighted_apl(g, w, 0, 0), std::runtime_error);
-  EXPECT_THROW(weighted_apl_scalar(g, w, 0, 0), std::runtime_error);
+  EXPECT_THROW(oracle::weighted_apl_scalar(g, w, 0, 0), std::runtime_error);
   // Zero-weighting one component makes every weighted pair connected
   // again: the policy is about *weighted* pairs, not global connectivity.
   std::vector<std::uint32_t> one_side{1, 1, 1, 0, 0};

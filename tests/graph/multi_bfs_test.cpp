@@ -1,7 +1,8 @@
 // Bit-parallel batched BFS (graph::MultiSourceBfs) equivalence battery:
 // the engine must reproduce the scalar kernels bit for bit — distances on
 // random (including disconnected) graphs, filtered traversals, APSP rows,
-// and the long-double APL reductions — at any thread count, with
+// and, through the row-free counting mode, the APL/diameter reductions
+// against the scalar oracle (apl_oracle.hpp) — at any thread count, with
 // deterministic operation counters. Negative controls prove the sampled
 // certification hook actually catches corrupted rows.
 
@@ -11,7 +12,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
+#include <mutex>
+#include <set>
+#include <string>
 #include <vector>
+
+#include "apl_oracle.hpp"
 
 #include "check/distances.hpp"
 #include "exec/parallel_for.hpp"
@@ -37,6 +44,25 @@ Graph random_graph(std::size_t n, std::size_t m, std::uint64_t seed) {
     g.add_link(a, b);
   }
   return g;
+}
+
+void expect_bitwise_equal(const AplResult& batched, const AplResult& scalar,
+                          const std::string& what) {
+  EXPECT_EQ(batched.average, scalar.average) << what;  // bitwise, not approximate
+  EXPECT_EQ(batched.pairs, scalar.pairs) << what;
+  EXPECT_EQ(batched.max_dist, scalar.max_dist) << what;
+}
+
+/// Weight regimes for the counting path: equal weights (with zeros) keep
+/// every batch on the popcount branch; mixed weights take the walk.
+enum class Weights { Equal, Mixed };
+
+std::vector<std::uint32_t> draw_weights(std::size_t n, Weights kind, util::Rng& rng) {
+  std::vector<std::uint32_t> weight(n, 0);
+  for (std::size_t v = 0; v < n; ++v)
+    weight[v] = kind == Weights::Equal ? (rng.below(5) == 0 ? 0u : 3u)
+                                       : static_cast<std::uint32_t>(rng.below(4));
+  return weight;
 }
 
 TEST(MultiBfs, MatchesScalarOnRandomGraphs) {
@@ -121,32 +147,165 @@ TEST(MultiBfs, ApspMatchesPerSourceScalar) {
     EXPECT_EQ(batched[u], bfs_distances(g, u)) << "source=" << u;
 }
 
+TEST(MultiBfs, CountingRunMatchesRowRun) {
+  // The counting mode's sums, recomputed from the row mode's distances,
+  // for full and partial batches, both weight regimes, with and without a
+  // mask; the operation counters of the two modes agree too. Sources are
+  // the weighted nodes, as in weighted_apl, so equal weights take the
+  // popcount branch.
+  util::Rng rng(17);
+  for (std::size_t m : {std::size_t{60}, std::size_t{300}}) {
+    Graph g = random_graph(100, m, 71 + m);
+    std::vector<char> allowed(g.node_count(), 1);
+    for (NodeId v = 1; v < g.node_count(); v += 4) allowed[v] = 0;
+    for (Weights kind : {Weights::Equal, Weights::Mixed}) {
+      std::vector<std::uint32_t> weight = draw_weights(g.node_count(), kind, rng);
+      for (bool masked : {false, true}) {
+        const std::vector<char>* mask = masked ? &allowed : nullptr;
+        std::vector<NodeId> sources;
+        for (NodeId v = 0; v < g.node_count(); ++v)
+          if (weight[v] != 0 && (mask == nullptr || (*mask)[v])) sources.push_back(v);
+        MultiSourceBfs engine(g);
+        for (std::size_t begin = 0; begin < sources.size(); begin += kBfsBatchWidth) {
+          const std::size_t count = std::min(kBfsBatchWidth, sources.size() - begin);
+          reset_multi_bfs_stats();
+          engine.run(sources.data() + begin, count, mask);
+          const MultiBfsStats row_stats = multi_bfs_stats();
+          LevelSums expect;
+          for (std::size_t i = 0; i < count; ++i) {
+            const std::uint64_t ws = weight[sources[begin + i]];
+            auto row = engine.distances(i);
+            for (NodeId v = 0; v < g.node_count(); ++v) {
+              if (weight[v] == 0 || row[v] == kUnreachable) continue;
+              ++expect.target_hits;
+              expect.weighted_hops += ws * weight[v] * row[v];
+              expect.depth = std::max(expect.depth, row[v]);
+            }
+          }
+          reset_multi_bfs_stats();
+          const LevelSums got = engine.run_counting(sources.data() + begin, count, weight, mask);
+          const MultiBfsStats count_stats = multi_bfs_stats();
+          const std::string what = "m=" + std::to_string(m) + " batch@" +
+                                   std::to_string(begin) + (mask ? " masked" : "");
+          EXPECT_EQ(got.weighted_hops, expect.weighted_hops) << what;
+          EXPECT_EQ(got.target_hits, expect.target_hits) << what;
+          EXPECT_EQ(got.depth, expect.depth) << what;
+          EXPECT_EQ(engine.batch_size(), 0u) << what;  // no rows left behind
+          EXPECT_EQ(count_stats.words_touched, row_stats.words_touched) << what;
+          EXPECT_EQ(count_stats.node_expansions, row_stats.node_expansions) << what;
+          EXPECT_EQ(count_stats.nodes_settled, row_stats.nodes_settled) << what;
+          EXPECT_EQ(count_stats.levels, row_stats.levels) << what;
+        }
+      }
+    }
+  }
+}
+
 TEST(MultiBfs, WeightedAplBitwiseEqualsScalar) {
+  // 90 and 150 weighted-or-not nodes: the last batch is partial.
   util::Rng rng(13);
-  for (std::uint64_t seed : {21ull, 22ull}) {
-    Graph g = random_graph(90, 500, seed);  // dense draw: connected whp
-    std::vector<std::uint32_t> weight(g.node_count(), 0);
-    for (NodeId v = 0; v < g.node_count(); ++v)
-      weight[v] = static_cast<std::uint32_t>(rng.below(4));  // zeros included
-    AplResult batched = weighted_apl(g, weight, 2, 2);
-    AplResult scalar = weighted_apl_scalar(g, weight, 2, 2);
-    EXPECT_EQ(batched.average, scalar.average);  // bitwise, not approximate
-    EXPECT_EQ(batched.pairs, scalar.pairs);
-    EXPECT_EQ(batched.max_dist, scalar.max_dist);
+  for (std::size_t n : {std::size_t{90}, std::size_t{150}}) {
+    for (std::uint64_t seed : {21ull, 22ull}) {
+      Graph g = random_graph(n, n * 6, seed);  // dense draw: connected whp
+      ASSERT_TRUE(is_connected(g));
+      for (Weights kind : {Weights::Equal, Weights::Mixed}) {
+        std::vector<std::uint32_t> weight = draw_weights(n, kind, rng);
+        const std::string what = "n=" + std::to_string(n) + " seed=" + std::to_string(seed) +
+                                 (kind == Weights::Equal ? " equal" : " mixed");
+        expect_bitwise_equal(weighted_apl(g, weight, 2, 2),
+                             oracle::weighted_apl_scalar(g, weight, 2, 2), what);
+        expect_bitwise_equal(weighted_apl(g, weight, 0, 5),
+                             oracle::weighted_apl_scalar(g, weight, 0, 5), what + " offset0");
+      }
+    }
   }
 }
 
 TEST(MultiBfs, WeightedAplSubsetBitwiseEqualsScalar) {
-  Graph g = random_graph(90, 500, 31);
-  std::vector<std::uint32_t> weight(g.node_count(), 1);
+  util::Rng rng(33);
+  Graph g = random_graph(150, 1500, 31);  // members stay connected whp
   std::vector<char> member(g.node_count(), 0);
   for (NodeId v = 0; v < g.node_count(); v += 2) member[v] = 1;
-  for (bool confine : {false, true}) {
-    AplResult batched = weighted_apl_subset(g, weight, member, confine, 2, 2);
-    AplResult scalar = weighted_apl_subset_scalar(g, weight, member, confine, 2, 2);
-    EXPECT_EQ(batched.average, scalar.average) << "confine=" << confine;
-    EXPECT_EQ(batched.pairs, scalar.pairs) << "confine=" << confine;
-    EXPECT_EQ(batched.max_dist, scalar.max_dist) << "confine=" << confine;
+  for (Weights kind : {Weights::Equal, Weights::Mixed}) {
+    std::vector<std::uint32_t> weight = draw_weights(g.node_count(), kind, rng);
+    for (bool confine : {false, true}) {
+      const std::string what = std::string(kind == Weights::Equal ? "equal" : "mixed") +
+                               " confine=" + (confine ? "1" : "0");
+      expect_bitwise_equal(weighted_apl_subset(g, weight, member, confine, 2, 2),
+                           oracle::weighted_apl_subset_scalar(g, weight, member, confine, 2, 2),
+                           what);
+    }
+  }
+}
+
+TEST(MultiBfs, WeightedAplThrowsOnDisconnectedWeightedPair) {
+  // Two dense halves joined by nothing: one weighted node on the far side
+  // disconnects it from every source batch (70 sources: two batches).
+  Graph g(140);
+  util::Rng rng(43);
+  for (int i = 0; i < 600; ++i) {
+    const NodeId half = i % 2 == 0 ? 0 : 70;
+    NodeId a = half + static_cast<NodeId>(rng.below(70));
+    NodeId b = half + static_cast<NodeId>(rng.below(70));
+    if (a != b) g.add_link(a, b);
+  }
+  std::vector<std::uint32_t> weight(g.node_count(), 0);
+  for (NodeId v = 0; v < 70; ++v) weight[v] = 2;
+  expect_bitwise_equal(weighted_apl(g, weight, 2, 2),
+                       oracle::weighted_apl_scalar(g, weight, 2, 2), "one side weighted");
+  weight[139] = 1;
+  EXPECT_THROW(weighted_apl(g, weight, 2, 2), std::runtime_error);
+  EXPECT_THROW(oracle::weighted_apl_scalar(g, weight, 2, 2), std::runtime_error);
+  // Confined to members of one half, a member on the other side is cut off
+  // even though unconfined paths would not matter (no path exists at all).
+  std::vector<char> member(g.node_count(), 0);
+  for (NodeId v = 0; v < 70; ++v) member[v] = 1;
+  member[139] = 1;
+  for (bool confine : {false, true})
+    EXPECT_THROW(weighted_apl_subset(g, weight, member, confine, 2, 2), std::runtime_error);
+}
+
+TEST(MultiBfs, WeightedAplOverflowGuard) {
+  Graph g(3);
+  g.add_link(0, 1);
+  g.add_link(1, 2);
+  // (sum w)^2 = 2^66 does not fit 64 bits: refused before any traversal.
+  const std::uint32_t big = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> huge{big, 0, big};
+  EXPECT_THROW(weighted_apl(g, huge, 2, 2), std::overflow_error);
+  std::vector<char> member{1, 1, 1};
+  EXPECT_THROW(weighted_apl_subset(g, huge, member, true, 2, 2), std::overflow_error);
+  EXPECT_THROW(require_apl_sum_fits(huge, 2, 2), std::overflow_error);
+  // Just inside the bound: (2^30)^2 * (3 - 1 + 2) = 2^62. The total is
+  // still exact and equal to the long-double oracle.
+  std::vector<std::uint32_t> large{1u << 29, 0, 1u << 29};
+  EXPECT_NO_THROW(require_apl_sum_fits(large, 2, 2));
+  expect_bitwise_equal(weighted_apl(g, large, 2, 2),
+                       oracle::weighted_apl_scalar(g, large, 2, 2), "large weights");
+  // One past it: 2^31 squared times 4 is 2^64.
+  std::vector<std::uint32_t> edge{1u << 30, 0, 1u << 30};
+  EXPECT_THROW(weighted_apl(g, edge, 2, 2), std::overflow_error);
+}
+
+TEST(MultiBfs, DiameterAndUnweightedAplMatchEngine) {
+  for (std::uint64_t seed : {41ull, 42ull}) {
+    // m < n leaves isolated nodes; the dense draw is connected whp.
+    for (std::size_t m : {std::size_t{60}, std::size_t{130}, std::size_t{700}}) {
+      Graph g = random_graph(130, m, seed);
+      const std::string what = "seed=" + std::to_string(seed) + " m=" + std::to_string(m);
+      UnweightedAplResult batched = unweighted_apl_stats(g);
+      UnweightedAplResult scalar = oracle::unweighted_apl_stats_scalar(g);
+      EXPECT_EQ(batched.average, scalar.average) << what;
+      EXPECT_EQ(batched.pairs, scalar.pairs) << what;
+      EXPECT_EQ(batched.unreachable_pairs, scalar.unreachable_pairs) << what;
+      EXPECT_EQ(unweighted_apl(g), scalar.average) << what;
+      if (is_connected(g)) {
+        EXPECT_EQ(diameter(g), oracle::diameter_scalar(g)) << what;
+      } else {
+        EXPECT_THROW(diameter(g), std::runtime_error) << what;
+        EXPECT_THROW(oracle::diameter_scalar(g), std::runtime_error) << what;
+      }
+    }
   }
 }
 
@@ -154,8 +313,9 @@ TEST(MultiBfs, FatTreeAplBitwiseEqualAcrossThreadCounts) {
   topo::FatTree ft = topo::build_fat_tree(8);
   exec::set_global_threads(1);
   AplResult serial = topo::server_apl(ft.topo);
-  AplResult scalar = weighted_apl_scalar(ft.topo.graph(), ft.topo.servers_per_switch(),
-                                         /*offset=*/2, /*same_node_dist=*/2);
+  oracle::reset_oracle_bfs_settled();
+  AplResult scalar = oracle::weighted_apl_scalar(ft.topo.graph(), ft.topo.servers_per_switch(),
+                                                 /*offset=*/2, /*same_node_dist=*/2);
   reset_multi_bfs_stats();
   exec::set_global_threads(4);
   AplResult parallel = topo::server_apl(ft.topo);
@@ -172,31 +332,10 @@ TEST(MultiBfs, FatTreeAplBitwiseEqualAcrossThreadCounts) {
   EXPECT_EQ(at4.words_touched, again4.words_touched);
   EXPECT_EQ(at4.node_expansions, again4.node_expansions);
   EXPECT_EQ(at4.nodes_settled, again4.nodes_settled);
-}
-
-TEST(MultiBfs, DiameterAndUnweightedAplMatchEngine) {
-  Graph g = random_graph(60, 400, 41);
-  // Reference values straight from scalar BFS rows.
-  std::uint64_t pairs = 0;
-  long double total = 0.0L;
-  std::uint32_t diam = 0;
-  bool connected = true;
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    auto dist = bfs_distances(g, u);
-    for (NodeId v = u + 1; v < g.node_count(); ++v) {
-      if (dist[v] == kUnreachable) {
-        connected = false;
-        continue;
-      }
-      total += dist[v];
-      ++pairs;
-      diam = std::max(diam, dist[v]);
-    }
-  }
-  ASSERT_TRUE(connected);  // dense draw; keeps diameter() well-defined
-  EXPECT_EQ(diameter(g), diam);
-  EXPECT_DOUBLE_EQ(unweighted_apl(g),
-                   static_cast<double>(total / static_cast<long double>(pairs)));
+  // The counting path reaches exactly the (source, node) pairs the scalar
+  // kernel settles: the batching saves expansions, not reach.
+  EXPECT_EQ(at4.nodes_settled, oracle::oracle_bfs_settled());
+  EXPECT_LT(at4.node_expansions * 10, at4.nodes_settled);
 }
 
 TEST(MultiBfs, CertifyCatchesCorruptedRow) {
@@ -227,22 +366,35 @@ TEST(MultiBfs, AuditHookSamplesEveryBatch) {
     NodeId b = static_cast<NodeId>(rng.below(100));
     if (a != b) g.add_link(a, b);
   }
-  static std::atomic<int> calls{0};
+  static std::mutex mu;
+  static std::vector<std::pair<NodeId, std::vector<std::uint32_t>>> rows;
   static std::atomic<int> certified{0};
-  calls = 0;
+  rows.clear();
   certified = 0;
   set_distance_audit_hook([](const Graph& graph, NodeId source,
                              const std::vector<std::uint32_t>& dist) {
-    calls.fetch_add(1);
     if (check::certify_distances(graph, source, dist).ok()) certified.fetch_add(1);
+    std::lock_guard<std::mutex> lock(mu);
+    rows.emplace_back(source, dist);
   });
   ASSERT_TRUE(is_connected(g));
   std::vector<std::uint32_t> weight(g.node_count(), 1);
-  weighted_apl(g, weight, 0, 0);
+  weight[70] = 4;  // the second batch takes the mixed-weight walk
+  exec::set_global_threads(4);
+  const AplResult r = weighted_apl(g, weight, 0, 0);
+  exec::set_global_threads(1);
   set_distance_audit_hook(nullptr);
-  // 100 sources at batch width 64 -> 2 batches, each sampled once.
-  EXPECT_EQ(calls.load(), 2);
-  EXPECT_EQ(certified.load(), calls.load());
+  expect_bitwise_equal(r, oracle::weighted_apl_scalar(g, weight, 0, 0), "hooked");
+  // 100 sources at batch width 64 -> 2 batches, each sampled once, with
+  // the batch's first source and its exact scalar row.
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(certified.load(), 2);
+  std::set<NodeId> sampled;
+  for (const auto& [source, dist] : rows) {
+    sampled.insert(source);
+    EXPECT_EQ(dist, bfs_distances(g, source)) << "source=" << source;
+  }
+  EXPECT_EQ(sampled, (std::set<NodeId>{0, 64}));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Incremental APL must be *bitwise* equal to the cold computation — same
 // mean bits, same pair count, same max — across failure sweeps, because
-// inc::weighted_apl replicates the cold accumulation's association order
-// exactly (see src/inc/apl.cpp).
+// both sides fold the same integer terms exactly in uint64 and divide the
+// same way (see src/inc/apl.hpp).
 
 #include "inc/apl.hpp"
 
@@ -106,6 +106,17 @@ TEST(IncApl, HealedSweepRecoversHealthyBits) {
   for (auto it = dropped.rbegin(); it != dropped.rend(); ++it) target.restore_link(*it);
   engine.retarget(target);
   expect_bitwise_equal(inc::server_apl(engine, ft.topo), healthy, "healed");
+}
+
+TEST(IncApl, OverflowGuardMatchesCold) {
+  // (sum of weights)^2 past 2^64: both paths refuse before summing.
+  Graph g(3);
+  g.add_link(0, 1);
+  g.add_link(1, 2);
+  DynamicApsp engine(g);
+  std::vector<std::uint32_t> huge{~std::uint32_t{0}, 0, ~std::uint32_t{0}};
+  EXPECT_THROW(graph::weighted_apl(g, huge, 2, 2), std::overflow_error);
+  EXPECT_THROW(inc::weighted_apl(engine, huge, 2, 2), std::overflow_error);
 }
 
 TEST(IncApl, WeightSizeMismatchThrows) {
