@@ -20,26 +20,22 @@ int main(int argc, char** argv) {
   cli.add_int("kmax", &kmax, "largest fat-tree parameter k");
   cli.add_int("kstep", &kstep, "k sweep step");
   cli.add_bool("dump", &dump, "print every sweep point, not just the optima");
-  bool selfcheck = false, incremental = false;
+  bool selfcheck = false;
   bench::add_threads_flag(cli, &threads);
   bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::add_incremental_flag(cli, &incremental);
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
-  bench::apply_incremental(incremental);
   bench::ObsScope obs_run(obsf, argc, argv);
   obs_run.set_int("threads", threads);
-  obs_run.set_int("incremental", incremental ? 1 : 0);
 
   util::Table table({"k", "best m", "best n", "best APL", "paper m", "paper n",
                      "paper APL", "gap %"});
   for (std::uint32_t k : bench::k_values(kmax, kstep)) {
     core::ProfileResult fine = core::profile_mn(k, core::WiringPattern::Auto,
-                                                core::PodChain::Ring, /*step=*/1,
-                                                bench::incremental_enabled());
+                                                core::PodChain::Ring, /*step=*/1);
     if (bench::selfcheck_enabled()) {
       core::FlatTreeConfig best;
       best.k = k;

@@ -6,7 +6,8 @@
 // stresses both tracks:
 //
 //   fat   static fat-tree; faults only remove links/switches (FaultedGraph
-//         journals the edits so --incremental repairs BFS trees in place).
+//         tombstones the affected links; --selfcheck compares it with the
+//         cold degrade).
 //   flat  ResilientController converting Clos -> --mode from t=0, advancing
 //         --convert-rate micro-transactions per event, so faults land mid-
 //         reconfiguration and exercise replan / rollback / recovery.
@@ -16,13 +17,12 @@
 // --mcf-every report — throughput lambda with unreachable commodities
 // excised (mcf allow_unreachable) plus the served fraction of demand
 // volume. Timelines are a pure function of the trace: bitwise identical
-// across --threads, --incremental, and a --save-scenario/--load-scenario
+// across --threads and a --save-scenario/--load-scenario
 // round trip. --selfcheck validates every instant (assignment validity,
 // degraded topology battery, certify_served, fault-tally conservation).
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -30,8 +30,6 @@
 #include "check/certify.hpp"
 #include "common.hpp"
 #include "fault/fault.hpp"
-#include "inc/apl.hpp"
-#include "inc/dynamic_bfs.hpp"
 #include "topo/apl.hpp"
 
 using namespace flattree;
@@ -111,22 +109,19 @@ int main(int argc, char** argv) {
   cli.add_int("backoff", &backoff, "events to park an aborted conversion");
   cli.add_string("save-scenario", &save_path, "write the generated trace to this path");
   cli.add_string("load-scenario", &load_path, "replay a saved trace instead of generating");
-  bool selfcheck = false, incremental = false;
+  bool selfcheck = false;
   bench::add_threads_flag(cli, &threads);
   bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::add_incremental_flag(cli, &incremental);
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
-  bench::apply_incremental(incremental);
   bench::ObsScope obs_run(obsf, argc, argv);
   obs_run.set_int("threads", threads);
   obs_run.set_int("seed", seed);
   obs_run.set_double("eps", eps);
   obs_run.set_double("duration", duration);
-  obs_run.set_int("incremental", incremental ? 1 : 0);
   obs_run.set_int("convert_rate", convert_rate);
 
   core::Mode target;
@@ -203,26 +198,6 @@ int main(int argc, char** argv) {
   fault::ResilientController ctl(cfg, ropt);
   ctl.begin_conversion(target);
 
-  // One BFS engine per track under --incremental; the fat engine follows
-  // the FaultedGraph journal, the flat engine retargets across the
-  // controller's evolving degraded topologies.
-  std::unique_ptr<inc::DynamicApsp> apsp_fat, apsp_flat;
-  auto apl_of = [&](std::unique_ptr<inc::DynamicApsp>& engine, const graph::Graph& g,
-                    const topo::Topology& hosts,
-                    const std::vector<topo::ServerId>& subset) {
-    if (subset.size() < 2) return 0.0;
-    if (!bench::incremental_enabled())
-      return topo::server_apl_subset(hosts, subset).average;
-    if (engine == nullptr) {
-      inc::DynamicApspOptions aopt;
-      aopt.churn_threshold = 0.75;  // pod outages touch many trees at once
-      engine = std::make_unique<inc::DynamicApsp>(g, aopt);
-    } else {
-      engine->retarget(g);
-    }
-    return inc::server_apl_subset(*engine, hosts, subset).average;
-  };
-
   // Throughput with unreachable commodities excised; served = fraction of
   // demand volume still deliverable (endpoints alive AND connected).
   auto mcf_point = [&](const topo::Topology& t, const std::vector<char>& stranded,
@@ -260,12 +235,12 @@ int main(int argc, char** argv) {
                      "lambda", "served%"});
   auto report_track = [&](double t, const std::string& label, const char* track,
                           const fault::FaultState& st, const fault::DegradeResult& d,
-                          std::unique_ptr<inc::DynamicApsp>& engine,
-                          const graph::Graph& engine_graph, bool mcf_now) {
+                          bool mcf_now) {
     std::vector<char> stranded(d.topo.server_count(), 0);
     for (topo::ServerId s : d.stranded) stranded[s] = 1;
     auto subset = largest_alive_component(d.topo, stranded);
-    double apl = apl_of(engine, engine_graph, d.topo, subset);
+    const double apl =
+        subset.size() < 2 ? 0.0 : topo::server_apl_subset(d.topo, subset).average;
     table.begin_row();
     table.num(t, 2);
     table.add(label);
@@ -331,13 +306,11 @@ int main(int argc, char** argv) {
         r.add("fault.journal.stranded", "FaultedGraph stranded != cold degrade");
       bench::selfcheck_record(r, "fat journal");
     }
-    report_track(e.time, label, "fat", ft_state, d_fat, apsp_fat, faulted.graph(),
-                 mcf_now);
+    report_track(e.time, label, "fat", ft_state, d_fat, mcf_now);
 
     fault::DegradeResult d_flat = ctl.degraded();
     check_degraded_topo(d_flat, "flat degraded");
-    report_track(e.time, label, "flat", ctl.fault_state(), d_flat, apsp_flat,
-                 d_flat.topo.graph(), mcf_now);
+    report_track(e.time, label, "flat", ctl.fault_state(), d_flat, mcf_now);
   }
 
   // Drain any still-parked conversion work, then verify conservation: every

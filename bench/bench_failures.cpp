@@ -12,8 +12,6 @@
 
 #include "common.hpp"
 #include "core/recovery.hpp"
-#include "inc/apl.hpp"
-#include "inc/dynamic_bfs.hpp"
 #include "topo/apl.hpp"
 
 using namespace flattree;
@@ -58,12 +56,9 @@ int main(int argc, char** argv) {
                                           net.params().servers_per_pod(), wl);
   auto demands = workload::cluster_traffic(clusters, workload::Pattern::Broadcast, wl);
 
-  // Incremental sweep state: one BFS engine retargeted across the failure
-  // levels (degraded/recovered alternate, so consecutive graphs differ by a
-  // few switches' links) and one exact-only MCF warm cache (identical
+  // Incremental sweep state: one exact-only MCF warm cache (identical
   // instances — e.g. the four fails=0 solves — resume bitwise). Cold mode
-  // leaves both null; stdout is byte-identical either way.
-  std::unique_ptr<inc::DynamicApsp> apsp;
+  // leaves it null; stdout is byte-identical either way.
   std::unique_ptr<inc::McfWarmCache> warm;
   if (bench::incremental_enabled())
     warm = std::make_unique<inc::McfWarmCache>(inc::McfWarmCacheOptions{.exact_only = true});
@@ -95,26 +90,11 @@ int main(int argc, char** argv) {
                                : static_cast<double>(alive.size()) /
                                      static_cast<double>(demands.size());
     // APL among surviving servers (the stranded ones sit on isolated dead
-    // switches). Incremental mode repairs the cached BFS trees from the
-    // graph delta; the result is bitwise equal to the cold computation.
+    // switches).
     std::vector<topo::ServerId> alive_servers;
     for (topo::ServerId sv = 0; sv < d.topo.server_count(); ++sv)
       if (!stranded[sv]) alive_servers.push_back(sv);
-    if (bench::incremental_enabled()) {
-      if (apsp == nullptr) {
-        // A failed core switch invalidates many trees at once, so allow
-        // deep repairs before falling back to full BFS (repairs are exact
-        // at any threshold; this only trades repair work against rebuilds).
-        inc::DynamicApspOptions aopt;
-        aopt.churn_threshold = 0.75;
-        apsp = std::make_unique<inc::DynamicApsp>(d.topo.graph(), aopt);
-      } else {
-        apsp->retarget(d.topo.graph());
-      }
-      r.apl = inc::server_apl_subset(*apsp, d.topo, alive_servers).average;
-    } else {
-      r.apl = topo::server_apl_subset(d.topo, alive_servers).average;
-    }
+    r.apl = topo::server_apl_subset(d.topo, alive_servers).average;
     try {
       r.lambda = bench::throughput(d.topo, alive, eps, nullptr, warm.get());
     } catch (const std::exception&) {

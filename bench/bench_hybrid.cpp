@@ -24,8 +24,6 @@
 
 #include "common.hpp"
 #include "core/zones.hpp"
-#include "inc/apl.hpp"
-#include "inc/dynamic_bfs.hpp"
 #include "topo/apl.hpp"
 
 using namespace flattree;
@@ -114,12 +112,8 @@ int main(int argc, char** argv) {
     return v;
   };
 
-  // Incremental sweep state: consecutive proportions convert a few pods
-  // between modes, so the hybrid graphs differ by those pods' wiring — the
-  // BFS engine repairs across the conversion delta, and the exact-only MCF
-  // warm cache resumes any bitwise-repeated instance. Stdout stays
-  // byte-identical to cold mode.
-  std::unique_ptr<inc::DynamicApsp> apsp;
+  // Incremental sweep state: the exact-only MCF warm cache resumes any
+  // bitwise-repeated instance. Stdout stays byte-identical to cold mode.
   std::unique_ptr<inc::McfWarmCache> warm;
   if (bench::incremental_enabled())
     warm = std::make_unique<inc::McfWarmCache>(inc::McfWarmCacheOptions{.exact_only = true});
@@ -132,16 +126,7 @@ int main(int argc, char** argv) {
         core::ZonePartition::proportion(ku, static_cast<double>(pct) / 100.0);
     topo::Topology hybrid = net.build(zones.pod_modes);
     bench::check_topology(hybrid, "flat-tree(hybrid)");
-    double hybrid_apl;
-    if (bench::incremental_enabled()) {
-      if (apsp == nullptr)
-        apsp = std::make_unique<inc::DynamicApsp>(hybrid.graph());
-      else
-        apsp->retarget(hybrid.graph());
-      hybrid_apl = inc::server_apl(*apsp, hybrid).average;
-    } else {
-      hybrid_apl = topo::server_apl(hybrid).average;
-    }
+    const double hybrid_apl = topo::server_apl(hybrid).average;
     bench::check_parity(full_global, hybrid, "global vs hybrid build");
     auto g_servers = core::servers_in_pods(net, zones.pods_in(core::Mode::GlobalRandom));
     auto l_servers = core::servers_in_pods(net, zones.pods_in(core::Mode::LocalRandom));

@@ -1,9 +1,8 @@
 // Microbenchmarks (google-benchmark): cost of the primitives behind the
-// figure harnesses — topology construction, conversion, BFS/APL, and the
-// max-concurrent-flow solver — plus serial-vs-parallel versions of the two
-// embarrassingly parallel kernels (per-source BFS APSP/APL and the
-// Garg-Koenemann commodity phase). The repository benchmark with
-// interleaved, repeated runs is perfbench/ (see perfbench/README.md).
+// figure harnesses — topology construction, conversion, APL, and the
+// max-concurrent-flow solver. Thread scaling and every other measured claim
+// go through the repository benchmark, perfbench/ (interleaved, repeated
+// runs; see perfbench/README.md).
 
 #include <benchmark/benchmark.h>
 
@@ -15,8 +14,6 @@
 
 #include "common.hpp"
 #include "core/controller.hpp"
-#include "exec/parallel_for.hpp"
-#include "graph/bfs.hpp"
 #include "obs/obs.hpp"
 #include "mcf/garg_koenemann.hpp"
 #include "topo/apl.hpp"
@@ -56,32 +53,6 @@ void BM_ServerApl(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(topo::server_apl(ft.topo));
 }
 BENCHMARK(BM_ServerApl)->Arg(8)->Arg(16)->Arg(24);
-
-// Serial vs parallel: args are {k, threads}. The same kernel runs on a
-// global pool of the given size; results are bit-identical across rows.
-void BM_ServerAplThreads(benchmark::State& state) {
-  const std::uint32_t k = static_cast<std::uint32_t>(state.range(0));
-  exec::set_global_threads(static_cast<unsigned>(state.range(1)));
-  topo::FatTree ft = topo::build_fat_tree(k);
-  for (auto _ : state) benchmark::DoNotOptimize(topo::server_apl(ft.topo));
-  exec::set_global_threads(1);
-}
-BENCHMARK(BM_ServerAplThreads)
-    ->Args({16, 1})
-    ->Args({16, 2})
-    ->Args({16, 4})
-    ->Args({24, 1})
-    ->Args({24, 4})
-    ->UseRealTime();
-
-void BM_ApspThreads(benchmark::State& state) {
-  const std::uint32_t k = static_cast<std::uint32_t>(state.range(0));
-  exec::set_global_threads(static_cast<unsigned>(state.range(1)));
-  topo::FatTree ft = topo::build_fat_tree(k);
-  for (auto _ : state) benchmark::DoNotOptimize(graph::apsp_distances(ft.topo.graph()));
-  exec::set_global_threads(1);
-}
-BENCHMARK(BM_ApspThreads)->Args({16, 1})->Args({16, 2})->Args({16, 4})->UseRealTime();
 
 // Plan preview from Clos; the second argument picks the target: 0 = all
 // pods global, 1 = hybrid (half the pods global, the rest local).
@@ -127,19 +98,6 @@ void BM_MaxConcurrentFlowBroadcast(benchmark::State& state) {
     benchmark::DoNotOptimize(mcf::max_concurrent_flow(ft.topo.graph(), commodities, opt));
 }
 BENCHMARK(BM_MaxConcurrentFlowBroadcast)->Arg(8)->Arg(12);
-
-void BM_MaxConcurrentFlowThreads(benchmark::State& state) {
-  const std::uint32_t k = static_cast<std::uint32_t>(state.range(0));
-  exec::set_global_threads(static_cast<unsigned>(state.range(1)));
-  topo::FatTree ft = topo::build_fat_tree(k);
-  auto commodities = broadcast_commodities(ft.topo, k, 100);
-  mcf::McfOptions opt;
-  opt.epsilon = 0.15;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(mcf::max_concurrent_flow(ft.topo.graph(), commodities, opt));
-  exec::set_global_threads(1);
-}
-BENCHMARK(BM_MaxConcurrentFlowThreads)->Args({12, 1})->Args({12, 2})->Args({12, 4})->UseRealTime();
 
 }  // namespace
 

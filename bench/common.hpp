@@ -163,14 +163,12 @@ class ObsScope {
 // -- incremental sweeps (--incremental) -------------------------------------
 //
 // With --incremental the sweep-style benches reuse work between
-// consecutive sweep points through src/inc: cached BFS trees are repaired
-// instead of recomputed (inc::DynamicApsp) and identical MCF instances
-// resume from their terminal solver state (inc::McfWarmCache, exact-only
-// tier). Stdout is byte-identical to cold mode at any thread count — the
-// incremental paths are bitwise-equivalent by construction and every
-// warm-started solver result is re-certified through src/check. The
-// savings show up in a --metrics-json manifest: graph.bfs.nodes_visited
-// drops (repairs bill inc.apl.repair_visits instead) and
+// consecutive sweep points through src/inc: identical MCF instances resume
+// from their terminal solver state (inc::McfWarmCache, exact-only tier).
+// APL is always the cold counting BFS. Stdout is byte-identical to cold
+// mode at any thread count — an exact resume is bitwise-equivalent by
+// construction and every warm-started solver result is re-certified
+// through src/check. The savings show up in a --metrics-json manifest:
 // inc.mcf.warm_phases_saved counts GK phases inherited instead of re-run.
 
 /// Process-wide switch; set from the --incremental flag.
@@ -182,8 +180,8 @@ inline bool& incremental_enabled() {
 /// Registers the shared `--incremental` flag (sweep benches grow one).
 inline void add_incremental_flag(util::CliParser& cli, bool* flag) {
   cli.add_bool("incremental", flag,
-               "reuse work across sweep points (delta-repaired BFS caches, "
-               "warm-started MCF); output is byte-identical to cold mode");
+               "resume identical throughput solves from a warm MCF cache; "
+               "output is byte-identical to cold mode");
 }
 
 inline void apply_incremental(bool on) { incremental_enabled() = on; }

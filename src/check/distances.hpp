@@ -1,10 +1,9 @@
 #pragma once
 // Certificate for single-source hop-distance arrays.
 //
-// The incremental engine (src/inc) repairs BFS distance trees in place
-// instead of recomputing them; this validator proves a distance array
-// correct against the *current* graph without trusting how it was
-// produced. The three local conditions below are jointly sound AND
+// This validator proves a distance array correct against the *current*
+// graph without trusting how it was produced (the bit-parallel batched
+// BFS writes its rows word by word). The three local conditions below are jointly sound AND
 // complete for unit-weight distances, so a patched array passes iff it is
 // bitwise what a cold BFS from the same source would compute:
 //
@@ -27,9 +26,9 @@
 // reached and an unreached node, so the reached set is exactly the
 // source's component.
 //
-// Cost: O(V + E) per source. Used by the inc equivalence tests and by the
-// engine's verify mode; reports through check::Report like every other
-// validator ("dist.*" codes).
+// Cost: O(V + E) per source. Used by the benches' --selfcheck audit of
+// sampled batched rows and by the perfbench convert-apl check; reports
+// through check::Report like every other validator ("dist.*" codes).
 
 #include <cstdint>
 #include <vector>

@@ -2,23 +2,19 @@
 
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 
-#include "inc/apl.hpp"
-#include "inc/dynamic_bfs.hpp"
 #include "topo/apl.hpp"
 
 namespace flattree::core {
 
 ProfileResult profile_mn(std::uint32_t k, WiringPattern pattern, PodChain chain,
-                         std::uint32_t step, bool incremental) {
+                         std::uint32_t step) {
   if (step == 0)
     step = std::max<std::uint32_t>(
         1, static_cast<std::uint32_t>(std::lround(static_cast<double>(k) / 8.0)));
   ProfileResult result;
   result.best_apl = std::numeric_limits<double>::infinity();
-  std::unique_ptr<inc::DynamicApsp> engine;  // shared across sweep points
   for (std::uint32_t m = step; m <= k / 2; m += step) {
     for (std::uint32_t n = step; m + n <= k / 2; n += step) {
       FlatTreeConfig cfg;
@@ -29,16 +25,7 @@ ProfileResult profile_mn(std::uint32_t k, WiringPattern pattern, PodChain chain,
       cfg.chain = chain;
       FlatTreeNetwork net(cfg);
       topo::Topology topo = net.build(Mode::GlobalRandom);
-      double apl;
-      if (incremental) {
-        if (engine == nullptr)
-          engine = std::make_unique<inc::DynamicApsp>(topo.graph());
-        else
-          engine->retarget(topo.graph());
-        apl = inc::server_apl(*engine, topo).average;
-      } else {
-        apl = topo::server_apl(topo).average;
-      }
+      const double apl = topo::server_apl(topo).average;
       result.points.push_back({m, n, apl});
       if (apl < result.best_apl) {
         result.best_apl = apl;

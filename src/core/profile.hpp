@@ -30,15 +30,7 @@ struct ProfileResult {
 /// Sweeps m, n over positive multiples of `step` (the paper uses k/8,
 /// rounded to the closest integer) subject to m + n <= k/2, measuring the
 /// global-RG-mode server APL. `step` 0 means the paper's k/8.
-///
-/// With `incremental` true, consecutive sweep points reuse one
-/// inc::DynamicApsp engine: the (m, n) builds share most of their wiring,
-/// so the engine diffs the graphs and repairs the cached BFS trees instead
-/// of recomputing them. The APL numbers are bitwise identical to the cold
-/// sweep (see src/inc/apl.hpp); only the graph.bfs.* / inc.* counters in a
-/// metrics manifest tell the modes apart.
 ProfileResult profile_mn(std::uint32_t k, WiringPattern pattern = WiringPattern::Auto,
-                         PodChain chain = PodChain::Ring, std::uint32_t step = 0,
-                         bool incremental = false);
+                         PodChain chain = PodChain::Ring, std::uint32_t step = 0);
 
 }  // namespace flattree::core

@@ -1,9 +1,12 @@
 #include "design/candidate.hpp"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "util/scan.hpp"
 
 namespace flattree::design {
 namespace {
@@ -13,6 +16,17 @@ core::Mode parse_mode_token(const std::string& token) {
   if (token == "global-random") return core::Mode::GlobalRandom;
   if (token == "local-random") return core::Mode::LocalRandom;
   throw std::runtime_error("design candidate: unknown mode token '" + token + "'");
+}
+
+/// A pod count or zone bound: canonical decimal within uint32.
+std::uint32_t parse_pod_index(const std::string& token, const std::string& line) {
+  std::uint64_t v = 0;
+  util::UintError err =
+      util::parse_uint(token, std::numeric_limits<std::uint32_t>::max(), v);
+  if (err != util::UintError::Ok)
+    throw std::runtime_error(std::string("design candidate: ") + util::describe(err) +
+                             " '" + token + "' in line: " + line);
+  return static_cast<std::uint32_t>(v);
 }
 
 }  // namespace
@@ -88,6 +102,7 @@ Candidate Candidate::decode(const std::string& text) {
   bool have_pods = false;
   std::uint32_t pods = 0;
   std::vector<Zone> zones;
+  std::vector<std::string> f;
   while (std::getline(in, line)) {
     if (!header) {
       if (line != "# flattree-design-candidate v1")
@@ -96,19 +111,27 @@ Candidate Candidate::decode(const std::string& text) {
       continue;
     }
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string directive;
-    fields >> directive;
+    if (!util::split_words(line, f))
+      throw std::runtime_error("design candidate: stray space in line: " + line);
+    // Exactly `n` fields: fewer is a bad line, more a trailing token.
+    auto arity = [&](std::size_t n) {
+      if (f.size() < n)
+        throw std::runtime_error("design candidate: bad " + f[0] + " line: " + line);
+      if (f.size() > n)
+        throw std::runtime_error("design candidate: trailing token '" + f[n] +
+                                 "' in line: " + line);
+    };
+    const std::string& directive = f[0];
     if (directive == "pods") {
-      if (!(fields >> pods))
-        throw std::runtime_error("design candidate: bad pods line");
+      arity(2);
+      pods = parse_pod_index(f[1], line);
       have_pods = true;
     } else if (directive == "zone") {
+      arity(4);
       Zone z;
-      std::string token;
-      if (!(fields >> z.begin >> z.end >> token))
-        throw std::runtime_error("design candidate: bad zone line: " + line);
-      z.mode = parse_mode_token(token);
+      z.begin = parse_pod_index(f[1], line);
+      z.end = parse_pod_index(f[2], line);
+      z.mode = parse_mode_token(f[3]);
       zones.push_back(z);
     } else {
       throw std::runtime_error("design candidate: unknown directive '" +

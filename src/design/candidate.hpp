@@ -65,8 +65,10 @@ class Candidate {
 
   /// Parses the v1 text format (blank lines and additional "#" comment
   /// lines are ignored). Throws std::runtime_error on malformed input:
-  /// missing header, unknown directives or mode tokens, or zones that
-  /// fail the from_zones coverage rules.
+  /// missing header, unknown directives or mode tokens, a short line, a
+  /// trailing token, a stray space, an integer that is signed, has a
+  /// leading zero or overflows uint32 (util/scan.hpp), or zones that fail
+  /// the from_zones coverage rules.
   static Candidate decode(const std::string& text);
 
   /// Structural equality over (pods, zones); canonical form makes this a

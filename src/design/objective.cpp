@@ -226,12 +226,7 @@ Evaluator::Evaluator(const core::FlatTreeNetwork& net, WorkloadMix mix)
 
 Score Evaluator::score(const Candidate& candidate) {
   const topo::Topology t = net_->build(candidate.pod_modes());
-  if (!apsp_) {
-    apsp_ = std::make_unique<inc::DynamicApsp>(t.graph());
-  } else {
-    apsp_->retarget(t.graph());
-  }
-  const graph::AplResult apl = inc::server_apl(*apsp_, t);
+  const graph::AplResult apl = topo::server_apl(t);
   const auto demands = mix_demands(*net_, candidate, mix_);
   const auto commodities = mcf::aggregate_to_switches(t, demands);
   mcf::McfOptions options;

@@ -25,21 +25,19 @@
 // evaluation order — the property the search's replayability rests on.
 //
 // Two scoring paths share the demand generator: Evaluator keeps an
-// inc::DynamicApsp + inc::McfWarmCache pair alive across candidates (the
-// incremental path the annealer drives), while score_cold_certified
+// inc::McfWarmCache alive across candidates (the warm path the annealer
+// drives; APL is always the cold topo::server_apl), while score_cold_certified
 // rebuilds everything from scratch and runs the full check::validate +
 // check::certify battery (the path winners must survive before being
 // reported).
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "check/check.hpp"
 #include "core/flat_tree.hpp"
 #include "design/candidate.hpp"
-#include "inc/apl.hpp"
 #include "inc/mcf_warm.hpp"
 #include "mcf/commodity.hpp"
 #include "workload/cluster.hpp"
@@ -130,17 +128,17 @@ struct Score {
   std::uint64_t demands = 0;  ///< server-level demand count of the mix
 };
 
-/// Warm incremental scorer: one inc::DynamicApsp (retargeted per
-/// candidate) and one inc::McfWarmCache (dual seeding allowed — every
-/// warm result is re-certified inside the cache, and the search's final
-/// winner is additionally re-scored cold) shared across score() calls.
+/// Warm incremental scorer: cold APL plus one inc::McfWarmCache (dual
+/// seeding allowed — every warm result is re-certified inside the cache,
+/// and the search's final winner is additionally re-scored cold) shared
+/// across score() calls.
 class Evaluator {
  public:
   /// Binds the scorer to a plant and a mix. `net` must outlive the
   /// Evaluator.
   Evaluator(const core::FlatTreeNetwork& net, WorkloadMix mix);
 
-  /// Scores one candidate through the warm engines.
+  /// Scores one candidate through the warm MCF cache.
   Score score(const Candidate& candidate);
 
   /// Number of throughput solves run so far (one per score()).
@@ -149,7 +147,6 @@ class Evaluator {
  private:
   const core::FlatTreeNetwork* net_;
   WorkloadMix mix_;
-  std::unique_ptr<inc::DynamicApsp> apsp_;
   inc::McfWarmCache warm_;
   std::uint64_t solves_ = 0;
 };

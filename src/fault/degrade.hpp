@@ -9,9 +9,8 @@
 //
 // FaultedGraph is the incremental form: it owns a graph::Graph mirroring a
 // fixed logical topology and reacts to each fault event by tombstoning /
-// restoring exactly the affected link slots through the graph's edit
-// journal, so inc::DynamicApsp::retarget sees a handful-of-links delta
-// instead of a rebuild. Per-link "down reason" counts (endpoint a down,
+// restoring exactly the affected link slots, so the CSR adjacency is
+// patched in place instead of rebuilt. Per-link "down reason" counts (endpoint a down,
 // endpoint b down, pair down — each counted independently) make
 // overlapping failures unwind exactly: a link is live iff its reason count
 // is zero, and a fully unwound trace restores every slot.

@@ -5,13 +5,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/scan.hpp"
 
 namespace flattree::fault {
 
@@ -165,39 +166,52 @@ Scenario load_scenario(std::istream& in) {
     throw std::runtime_error("load_scenario: missing v1 header");
   Scenario s;
   std::size_t line_no = 1;
+  std::vector<std::string> f;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    auto fail = [&](const char* why) {
+    auto fail = [&](const std::string& why) {
       throw std::runtime_error("load_scenario: line " + std::to_string(line_no) + ": " +
                                why);
     };
+    if (!util::split_words(line, f)) fail("stray space");
+    // Exactly `n` fields: fewer is a truncated line, more a trailing token.
+    auto arity = [&](std::size_t n, const char* truncated) {
+      if (f.size() < n) fail(truncated);
+      if (f.size() > n) fail("trailing token '" + f[n] + "'");
+    };
     // Times come in as whole tokens through strtod so that "inf"/"nan"
-    // spellings are seen and rejected uniformly; operator>> on double is
-    // implementation-varying for them, and a non-finite time would poison
-    // every downstream comparison silently.
-    auto finite_token = [&](double& out_v, const char* why) {
-      std::string tok;
-      if (!(ls >> tok)) fail(why);
+    // spellings are seen and rejected uniformly, and a non-finite time
+    // would poison every downstream comparison silently.
+    auto finite = [&](const std::string& tok, const char* why) {
       char* tail = nullptr;
       double v = std::strtod(tok.c_str(), &tail);
       if (tail == nullptr || *tail != '\0') fail(why);
       if (!std::isfinite(v)) fail("non-finite time");
-      out_v = v;
+      return v;
     };
+    auto integer = [&](const std::string& tok, std::uint64_t max, const char* what) {
+      std::uint64_t v = 0;
+      util::UintError err = util::parse_uint(tok, max, v);
+      if (err != util::UintError::Ok)
+        fail(std::string(what) + ": " + util::describe(err) + " '" + tok + "'");
+      return v;
+    };
+    constexpr std::uint64_t kIdMax = std::numeric_limits<std::uint32_t>::max();
+    const std::string& tag = f[0];
     if (tag == "duration") {
-      finite_token(s.duration, "bad duration");
+      arity(2, "bad duration");
+      s.duration = finite(f[1], "bad duration");
     } else if (tag == "seed") {
-      if (!(ls >> s.seed)) fail("bad seed");
+      arity(2, "bad seed");
+      s.seed = integer(f[1], std::numeric_limits<std::uint64_t>::max(), "bad seed");
     } else if (tag == "e") {
+      arity(5, "truncated event");
       FaultEvent e;
-      std::string kind;
-      finite_token(e.time, "truncated event");
-      if (!(ls >> kind >> e.a >> e.b)) fail("truncated event");
-      if (!parse_fault_kind(kind, e.kind)) fail("unknown fault kind");
+      e.time = finite(f[1], "bad event time");
+      if (!parse_fault_kind(f[2], e.kind)) fail("unknown fault kind");
+      e.a = static_cast<std::uint32_t>(integer(f[3], kIdMax, "bad entity id"));
+      e.b = static_cast<std::uint32_t>(integer(f[4], kIdMax, "bad entity id"));
       s.events.push_back(e);
     } else {
       fail("unknown directive");

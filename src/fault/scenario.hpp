@@ -72,8 +72,10 @@ Scenario generate_scenario(const topo::Topology& base, const ScenarioParams& par
 /// Writes the v1 text format. Doubles round-trip exactly.
 void save_scenario(const Scenario& s, std::ostream& out);
 /// Parses the v1 text format; throws std::runtime_error on malformed
-/// input (bad header, unknown kind, truncated line). Events are re-sorted
-/// on load, so a hand-edited trace replays in canonical order.
+/// input: bad header, unknown directive or kind, truncated line, trailing
+/// token, stray space, non-finite time, or an integer that is signed, has
+/// a leading zero or overflows its field (util/scan.hpp). Events are
+/// re-sorted on load, so a hand-edited trace replays in canonical order.
 Scenario load_scenario(std::istream& in);
 
 }  // namespace flattree::fault

@@ -1,6 +1,5 @@
 #include "graph/bfs.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "exec/parallel_for.hpp"
@@ -89,36 +88,6 @@ std::vector<std::vector<std::uint32_t>> apsp_distances(const Graph& g) {
                                }
                              });
   return dist;
-}
-
-BfsTree bfs_tree(const Graph& g, NodeId source) {
-  BfsTree t;
-  t.dist.assign(g.node_count(), kUnreachable);
-  t.parent.assign(g.node_count(), kInvalidNode);
-  t.parent_link.assign(g.node_count(), kInvalidLink);
-  std::vector<NodeId> queue;
-  t.dist[source] = 0;
-  queue.push_back(source);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    NodeId u = queue[head];
-    for (const Arc& arc : g.neighbors(u)) {
-      if (t.dist[arc.to] == kUnreachable) {
-        t.dist[arc.to] = t.dist[u] + 1;
-        t.parent[arc.to] = u;
-        t.parent_link[arc.to] = arc.link;
-        queue.push_back(arc.to);
-      }
-    }
-  }
-  return t;
-}
-
-std::vector<NodeId> extract_path(const BfsTree& tree, NodeId target) {
-  if (tree.dist[target] == kUnreachable) return {};
-  std::vector<NodeId> path;
-  for (NodeId v = target; v != kInvalidNode; v = tree.parent[v]) path.push_back(v);
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 bool is_connected(const Graph& g) {

@@ -25,21 +25,6 @@ std::vector<std::uint32_t> bfs_distances_filtered(const Graph& g, NodeId source,
 /// result is identical at any thread count. O(V^2) memory.
 std::vector<std::vector<std::uint32_t>> apsp_distances(const Graph& g);
 
-/// BFS tree: parent arc per node (kInvalidLink at source/unreached).
-struct BfsTree {
-  std::vector<std::uint32_t> dist;
-  std::vector<NodeId> parent;
-  std::vector<LinkId> parent_link;
-};
-
-/// Single-source BFS returning the full tree (distances + parents); use
-/// bfs_distances when only the distance array is needed.
-BfsTree bfs_tree(const Graph& g, NodeId source);
-
-/// Reconstructs a node path source..target from a BFS tree; empty when
-/// target is unreachable.
-std::vector<NodeId> extract_path(const BfsTree& tree, NodeId target);
-
 /// True when every node is reachable from node 0 (or the graph is empty).
 bool is_connected(const Graph& g);
 

@@ -1,7 +1,6 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -33,7 +32,6 @@ Graph& Graph::operator=(const Graph& other) {
     links_ = other.links_;
     live_ = other.live_;
     live_link_count_ = other.live_link_count_;
-    journal_.clear();
     csr_structurally_stale_ = true;
     csr_pending_.clear();
     csr_valid_.store(false, std::memory_order_release);
@@ -53,7 +51,6 @@ Graph& Graph::operator=(Graph&& other) noexcept {
     links_ = std::move(other.links_);
     live_ = std::move(other.live_);
     live_link_count_ = other.live_link_count_;
-    journal_.clear();
     csr_structurally_stale_ = true;
     csr_pending_.clear();
     csr_valid_.store(false, std::memory_order_release);
@@ -61,9 +58,7 @@ Graph& Graph::operator=(Graph&& other) noexcept {
   return *this;
 }
 
-void Graph::note_structural_edit(GraphEdit::Kind kind, LinkId id) {
-  ++edit_epoch_;
-  journal_.push_back(GraphEdit{kind, id});
+void Graph::note_structural_edit() {
   csr_structurally_stale_ = true;
   csr_pending_.clear();
   // Release so a reader sequenced after this mutation (the documented
@@ -71,21 +66,15 @@ void Graph::note_structural_edit(GraphEdit::Kind kind, LinkId id) {
   csr_valid_.store(false, std::memory_order_release);
 }
 
-void Graph::note_liveness_edit(GraphEdit::Kind kind, LinkId id) {
-  ++edit_epoch_;
-  journal_.push_back(GraphEdit{kind, id});
-  if (csr_built_ && !csr_structurally_stale_)
-    csr_pending_.emplace_back(id, kind == GraphEdit::Kind::Restore);
+void Graph::note_liveness_edit(LinkId id, bool now_live) {
+  if (csr_built_ && !csr_structurally_stale_) csr_pending_.emplace_back(id, now_live);
   csr_valid_.store(false, std::memory_order_release);
 }
 
 NodeId Graph::add_nodes(std::size_t count) {
   NodeId first = static_cast<NodeId>(node_count_);
   node_count_ += count;
-  ++edit_epoch_;
-  csr_structurally_stale_ = true;
-  csr_pending_.clear();
-  csr_valid_.store(false, std::memory_order_release);
+  note_structural_edit();
   return first;
 }
 
@@ -97,9 +86,8 @@ LinkId Graph::add_link(NodeId a, NodeId b, double capacity) {
   links_.push_back(Link{a, b, capacity});
   if (!live_.empty()) live_.push_back(1);
   ++live_link_count_;
-  LinkId id = static_cast<LinkId>(links_.size() - 1);
-  note_structural_edit(GraphEdit::Kind::Add, id);
-  return id;
+  note_structural_edit();
+  return static_cast<LinkId>(links_.size() - 1);
 }
 
 void Graph::remove_link(LinkId id) {
@@ -108,7 +96,7 @@ void Graph::remove_link(LinkId id) {
   if (!live_[id]) throw std::logic_error("Graph::remove_link: link already removed");
   live_[id] = 0;
   --live_link_count_;
-  note_liveness_edit(GraphEdit::Kind::Remove, id);
+  note_liveness_edit(id, false);
 }
 
 void Graph::restore_link(LinkId id) {
@@ -117,17 +105,7 @@ void Graph::restore_link(LinkId id) {
     throw std::logic_error("Graph::restore_link: link is live");
   live_[id] = 1;
   ++live_link_count_;
-  note_liveness_edit(GraphEdit::Kind::Restore, id);
-}
-
-void Graph::set_capacity(LinkId id, double capacity) {
-  if (id >= links_.size()) throw std::out_of_range("Graph::set_capacity: bad link id");
-  if (!(capacity > 0.0) || !std::isfinite(capacity))
-    throw std::invalid_argument("Graph::set_capacity: non-positive or non-finite capacity");
-  links_[id].capacity = capacity;
-  ++edit_epoch_;
-  journal_.push_back(GraphEdit{GraphEdit::Kind::SetCapacity, id});
-  // The CSR stores no capacities, so the adjacency index stays valid.
+  note_liveness_edit(id, true);
 }
 
 std::size_t Graph::degree(NodeId node) const {
@@ -207,8 +185,8 @@ void Graph::ensure_csr() const {
   // workers sharing one Graph) may race to the first neighbors() call. The
   // release-store publishes the vectors filled under the lock; the acquire
   // load in the fast path synchronizes with it. Every mutator — including
-  // the edit-journal path (remove/restore) — stores csr_valid_ = false, so
-  // a reader sequenced after the mutation never sees a stale index.
+  // remove/restore — stores csr_valid_ = false, so a reader sequenced
+  // after the mutation never sees a stale index.
   if (csr_valid_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(csr_mutex_);
   if (csr_valid_.load(std::memory_order_relaxed)) return;

@@ -7,14 +7,13 @@
 // each link as a pair of opposing arcs with the full link capacity each
 // (full-duplex), which is the standard model in DCN throughput studies.
 //
-// Edit journal (src/inc support): links can be removed, restored, and
-// recapacitated *in place* — link ids are never renumbered, removed links
-// stay as tombstoned slots in `links()`. The CSR adjacency is maintained
-// incrementally: small remove/restore deltas patch the existing index in
-// O(delta * degree) instead of the O(V + E) full rebuild. Graphs built by
-// the topology layer never remove links; tombstones only ever appear on
-// graphs owned by the incremental engine (src/inc), whose consumers all go
-// through neighbors() (which skips dead links). Code that iterates
+// Tombstones: links can be removed and restored *in place* — link ids are
+// never renumbered, removed links stay as tombstoned slots in `links()`.
+// The CSR adjacency is maintained incrementally: small remove/restore
+// deltas patch the existing index in O(delta * degree) instead of the
+// O(V + E) full rebuild. Graphs built by the topology layer never remove
+// links; the one tombstone user is fault::FaultedGraph, whose consumers
+// all go through neighbors() (which skips dead links). Code that iterates
 // `links()` directly must either know the graph has no tombstones (every
 // materialized Topology) or check `link_live()` per slot.
 
@@ -54,26 +53,13 @@ struct Arc {
   LinkId link = kInvalidLink;    ///< link carrying this half-edge
 };
 
-/// One recorded mutation of a Graph's link set (see Graph::journal()).
-struct GraphEdit {
-  /// What happened to the link slot.
-  enum class Kind : std::uint8_t {
-    Add,          ///< fresh slot appended by add_link
-    Remove,       ///< live slot tombstoned by remove_link
-    Restore,      ///< tombstoned slot revived by restore_link
-    SetCapacity,  ///< capacity changed in place by set_capacity
-  };
-  Kind kind = Kind::Add;  ///< mutation type
-  LinkId link = kInvalidLink;  ///< affected link slot
-};
-
 /// Undirected multigraph with lazily built, incrementally patched CSR
 /// adjacency.
 ///
 /// Thread-safety: the lazy CSR build/patch is internally synchronized
 /// (double-checked lock), so any number of read-only algorithms (BFS,
 /// Dijkstra, Yen) may run concurrently on a shared Graph. Mutation
-/// (add_nodes/add_link/remove_link/restore_link/set_capacity) is NOT safe
+/// (add_nodes/add_link/remove_link/restore_link) is NOT safe
 /// against concurrent readers: callers must establish a happens-before
 /// edge between the last mutation and the first concurrent read (e.g.
 /// mutate, then launch the readers). Every mutator invalidates the CSR
@@ -114,13 +100,6 @@ class Graph {
   /// std::logic_error if the link is live. Cost mirrors remove_link.
   void restore_link(LinkId id);
 
-  /// Replaces a link's capacity in place (the link may be live or
-  /// tombstoned). Throws std::out_of_range on a bad id and
-  /// std::invalid_argument on a non-positive or non-finite capacity. The
-  /// CSR stores no capacities, so this never triggers a rebuild — but it
-  /// is still a mutation and must not race with readers.
-  void set_capacity(LinkId id, double capacity);
-
   /// Number of nodes.
   std::size_t node_count() const { return node_count_; }
   /// Number of link *slots*, including tombstoned ones (stable id space).
@@ -134,18 +113,6 @@ class Graph {
   /// All link slots in id order, tombstones included — check link_live()
   /// when the graph may have been edited (see the header comment).
   const std::vector<Link>& links() const { return links_; }
-
-  /// Monotonic count of mutations applied so far (adds, removes, restores,
-  /// capacity changes). Incremental consumers use it to detect drift
-  /// between a Graph and state derived from it.
-  std::uint64_t edit_epoch() const { return edit_epoch_; }
-
-  /// The journal of every mutation since construction (or since the last
-  /// clear_journal()), in application order. Copies/moves do not transfer
-  /// the journal.
-  const std::vector<GraphEdit>& journal() const { return journal_; }
-  /// Drops the recorded journal (the graph itself is untouched).
-  void clear_journal() { journal_.clear(); }
 
   /// Number of live link endpoints at `node` (counts parallel links).
   std::size_t degree(NodeId node) const;
@@ -169,8 +136,8 @@ class Graph {
  private:
   void build_csr() const;
   bool patch_csr() const;
-  void note_structural_edit(GraphEdit::Kind kind, LinkId id);
-  void note_liveness_edit(GraphEdit::Kind kind, LinkId id);
+  void note_structural_edit();
+  void note_liveness_edit(LinkId id, bool now_live);
 
   std::size_t node_count_ = 0;
   std::vector<Link> links_;
@@ -178,8 +145,6 @@ class Graph {
   // edited case pays no memory or branch cost beyond an empty() check).
   std::vector<char> live_;
   std::size_t live_link_count_ = 0;
-  std::uint64_t edit_epoch_ = 0;
-  std::vector<GraphEdit> journal_;
 
   // Lazily built CSR adjacency. csr_valid_ is the double-checked guard:
   // readers acquire-load it; the builder publishes the vectors with a

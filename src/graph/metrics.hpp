@@ -53,8 +53,7 @@ AplResult weighted_apl_subset(const Graph& g, const std::vector<std::uint32_t>& 
 /// Throws std::overflow_error unless (sum of weight)^2 * max(n - 1 + offset,
 /// same_node_dist) < 2^64, n = weight.size(): the bound under which every
 /// integer hop total of an APL over `weight` (ordered pairs included) is
-/// exact. weighted_apl*, unweighted_apl* and inc::weighted_apl call it
-/// before any traversal.
+/// exact. weighted_apl* and unweighted_apl* call it before any traversal.
 void require_apl_sum_fits(const std::vector<std::uint32_t>& weight, std::uint32_t offset,
                           std::uint32_t same_node_dist);
 

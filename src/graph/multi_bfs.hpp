@@ -14,8 +14,8 @@
 // level its bit appears, identical to the scalar BFS result bit for bit.
 //
 // One expansion loop, two ways to settle a level. run() writes distance
-// rows, for callers whose output *is* the rows (APSP, the incremental
-// engine's materialize, certify_distances). run_counting() writes no rows:
+// rows, for callers whose output *is* the rows (APSP and the
+// certify_distances audit). run_counting() writes no rows:
 // like Then et al.'s closeness-centrality use of MS-BFS it folds each
 // level's fresh bits straight into an integer sum of weighted hop counts
 // (a popcount per node when the batch's source weights are equal, a

@@ -39,8 +39,8 @@ bool same_commodities(const std::vector<mcf::Commodity>& a,
   return true;
 }
 
-/// Multiset key: normalized endpoints + exact capacity bits (the same
-/// matching rule as inc::diff_graphs).
+/// Multiset key: normalized endpoints + exact capacity bits; parallel links
+/// match by multiplicity.
 struct LinkKey {
   std::uint64_t endpoints;
   std::uint64_t cap_bits;

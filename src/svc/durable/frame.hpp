@@ -1,16 +1,15 @@
 #pragma once
 // Line framing shared by the two durable formats, journal v2
-// (journal.hpp) and snapshot v1 (snapshot.hpp): the integer and word
-// scanners, and the stored-request line both formats carry,
+// (journal.hpp) and snapshot v1 (snapshot.hpp): the stored-request line
+// both formats carry,
 //
 //   <tag> <len> <crc> <seq> <canonical>
 //
 // with tag `r` in a journal and the op token in a snapshot. `len` is the
 // canonical's byte length and `crc` the CRC-32 of "<seq> <canonical>".
-// Integers are canonical decimal: digits only, no leading zero on a
-// multi-digit number, nothing above UINT64_MAX. A line the scanners accept
-// therefore re-renders to its own bytes, which is what keeps both formats
-// decode fixpoints.
+// Fields are read with the strict scanners of util/scan.hpp (canonical
+// decimal integers up to UINT64_MAX), so a line they accept re-renders to
+// its own bytes, which is what keeps both formats decode fixpoints.
 
 #include <cstdint>
 #include <string>
@@ -19,14 +18,6 @@ namespace flattree::svc::durable {
 
 /// Decimal rendering of a frame integer.
 std::string u64s(std::uint64_t v);
-
-/// Reads one canonical decimal integer at `pos` and advances past it.
-/// False (pos unspecified) on no digit, a leading zero, or overflow.
-bool take_u64(const std::string& s, std::size_t& pos, std::uint64_t& out);
-/// Consumes exactly one ' ' at `pos`.
-bool take_space(const std::string& s, std::size_t& pos);
-/// Reads the non-empty run of non-space bytes at `pos`.
-bool take_word(const std::string& s, std::size_t& pos, std::string& out);
 
 /// CRC-32 of "<seq> <body>": the checksum of a stored request (body = its
 /// canonical) and of a journal gap frame (body = its class).

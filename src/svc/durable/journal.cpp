@@ -5,8 +5,13 @@
 #include "obs/metrics.hpp"
 #include "svc/durable/frame.hpp"
 #include "util/crc32.hpp"
+#include "util/scan.hpp"
 
 namespace flattree::svc::durable {
+
+using util::take_space;
+using util::take_u64;
+using util::take_word;
 
 namespace {
 

@@ -4,8 +4,13 @@
 
 #include "svc/durable/frame.hpp"
 #include "util/crc32.hpp"
+#include "util/scan.hpp"
 
 namespace flattree::svc::durable {
+
+using util::take_space;
+using util::take_u64;
+using util::take_word;
 
 std::string encode_snapshot(const ServiceSnapshot& s) {
   std::string payload = "stats";

@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
                  "SLO cost model: GK augmentations afforded per deadline millisecond");
   cli.add_int("min-augs", &min_augs, "SLO budget floor (augmentations)");
   cli.add_bool("incremental", &incremental,
-               "reuse work across requests (delta-repaired BFS caches, warm-started "
-               "MCF); output is byte-identical to cold mode");
+               "resume identical throughput solves from a warm MCF cache; output "
+               "is byte-identical to cold mode");
   cli.add_bool("selfcheck", &selfcheck,
                "run the controller validity battery after every mutating request "
                "and the snapshot battery after every snapshot (exit 1 on any "

@@ -20,7 +20,7 @@
 // collect into a batch; any mutating op, any rejected line, a full batch
 // (max_batch), or EOF is a boundary. Boundaries are a pure function of the
 // input, never of timing. A batch with one live request evaluates
-// sequentially through the warm engines; a larger batch fans out over the
+// sequentially through the warm MCF cache; a larger batch fans out over the
 // exec pool with every worker evaluating cold — the two paths are
 // bitwise-equal by construction (see session.hpp), so the batch layout
 // never shows in the output bytes. `batches`/`max_batch` count *accepted*
@@ -68,7 +68,7 @@ namespace flattree::svc {
 struct ServiceOptions {
   std::size_t max_batch = 8;   ///< read-only requests per batch (>= 1)
   double epsilon = 0.12;       ///< GK epsilon for throughput queries
-  bool incremental = false;    ///< warm engines on the sequential path
+  bool incremental = false;    ///< warm MCF cache on the sequential path
   bool selfcheck = false;      ///< controller + snapshot invariant batteries
   SloPolicy slo;
   std::ostream* journal = nullptr;  ///< v2 framed journal (null = off)

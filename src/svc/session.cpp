@@ -7,7 +7,6 @@
 
 #include "core/expansion.hpp"
 #include "design/design.hpp"
-#include "inc/apl.hpp"
 #include "topo/apl.hpp"
 #include "workload/cluster.hpp"
 #include "workload/traffic.hpp"
@@ -167,11 +166,10 @@ bool Session::exec_build(const Request& req, obs::JsonValue& payload, RequestErr
     }
   }
 
-  // Commit: replace the plant, drop the old traffic snapshot and engines.
+  // Commit: replace the plant, drop the old traffic snapshot and warm cache.
   ctl_ = std::move(next);
   demands_.clear();
   total_demand_ = 0.0;
-  apsp_.reset();
   warm_.reset();
 
   const topo::ClosParams& p = ctl_->network().params();
@@ -445,10 +443,9 @@ bool Session::exec_expand(const Request& req, obs::JsonValue& payload, RequestEr
     core::FlatTreeNetwork expanded = core::expand(ctl_->network(), plan);
     ctl_ = std::make_unique<fault::ResilientController>(std::move(expanded),
                                                         ctl_->options());
-    // Server ids changed: the old traffic snapshot and engines are void.
+    // Server ids changed: the old traffic snapshot and warm cache are void.
     demands_.clear();
     total_demand_ = 0.0;
-    apsp_.reset();
     warm_.reset();
   }
 
@@ -484,20 +481,7 @@ void Session::metric_block(const Request& req, const fault::DegradeResult& d,
 
   double apl = 0.0;
   if (subset.size() >= 2) {
-    if (sequential && opt_.incremental) {
-      // Delta-repaired BFS trees; bitwise-equal to the cold path, so the
-      // parallel batch workers (always cold) emit the same bytes.
-      if (apsp_ == nullptr) {
-        inc::DynamicApspOptions aopt;
-        aopt.churn_threshold = 0.75;  // fault bursts touch many trees at once
-        apsp_ = std::make_unique<inc::DynamicApsp>(t.graph(), aopt);
-      } else {
-        apsp_->retarget(t.graph());
-      }
-      apl = inc::server_apl_subset(*apsp_, t, subset).average;
-    } else {
-      apl = topo::server_apl_subset(t, subset).average;
-    }
+    apl = topo::server_apl_subset(t, subset).average;
   }
   put(payload, "apl", jdouble(apl));
 

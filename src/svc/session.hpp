@@ -3,18 +3,16 @@
 // space (the "session" envelope field selects a shard).
 //
 // A session owns a fault::ResilientController over its own physical plant,
-// the current traffic-matrix snapshot, and the warm engines that make
-// --incremental evaluation cheap without changing a single output byte:
-//
-//   * inc::DynamicApsp for APL queries — delta-repaired BFS trees,
-//     bitwise-equal to cold topo::server_apl_subset;
-//   * inc::McfWarmCache (exact-only tier) for throughput queries —
-//     resumes of identical instances are bitwise-identical to cold solves.
+// the current traffic-matrix snapshot, and the warm cache that makes
+// --incremental throughput queries cheap without changing a single output
+// byte: inc::McfWarmCache (exact-only tier), whose resumes of identical
+// instances are bitwise-identical to cold solves. APL is always the cold
+// topo::server_apl_subset.
 //
 // Mutating executors (build/traffic/fault/convert/expand) are only ever
 // called from the service's sequential path. Read-only executors
 // (query/what_if) run in two modes: `sequential = true` (batch of one)
-// uses the warm engines; `sequential = false` (parallel batch worker)
+// uses the warm cache; `sequential = false` (parallel batch worker)
 // evaluates cold and touches no session members beyond const reads —
 // both produce the same bytes, so batching never shows in the output.
 //
@@ -30,7 +28,6 @@
 #include <vector>
 
 #include "fault/resilient_controller.hpp"
-#include "inc/dynamic_bfs.hpp"
 #include "inc/mcf_warm.hpp"
 #include "mcf/commodity.hpp"
 #include "svc/protocol.hpp"
@@ -41,13 +38,12 @@ namespace flattree::svc {
 /// Per-shard evaluation knobs, shared by every session of a service run.
 struct SessionOptions {
   double epsilon = 0.12;     ///< GK epsilon for throughput queries
-  bool incremental = false;  ///< warm engines on the sequential path
+  bool incremental = false;  ///< warm MCF cache on the sequential path
   SloPolicy slo;
 };
 
-/// One state shard: a resilient controller, its traffic snapshot, and
-/// warm engines (DynamicApsp + McfWarmCache) whose answers are bitwise
-/// equal to cold evaluation. Ops arrive pre-parsed as Requests.
+/// One state shard: a resilient controller, its traffic snapshot, and a
+/// warm McfWarmCache whose answers are bitwise equal to cold evaluation. Ops arrive pre-parsed as Requests.
 class Session {
  public:
   explicit Session(SessionOptions opt) : opt_(opt) {}
@@ -97,8 +93,7 @@ class Session {
   std::unique_ptr<fault::ResilientController> ctl_;
   std::vector<mcf::ServerDemand> demands_;
   double total_demand_ = 0.0;
-  std::unique_ptr<inc::DynamicApsp> apsp_;       ///< sequential + incremental only
-  std::unique_ptr<inc::McfWarmCache> warm_;      ///< exact-only; same restriction
+  std::unique_ptr<inc::McfWarmCache> warm_;  ///< exact-only; sequential + incremental only
 };
 
 }  // namespace flattree::svc

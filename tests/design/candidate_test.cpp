@@ -8,6 +8,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace flattree::design {
@@ -120,6 +121,35 @@ TEST(Candidate, DecodeRejectsMalformedInput) {
                                  "pods 4\n"
                                  "frob 0 4 clos\n"),
                std::runtime_error);  // unknown directive
+}
+
+// Pod counts and zone bounds are canonical decimal within uint32
+// (util/scan.hpp), and a line holds exactly its fields; each refusal
+// names its own reason. `pods -1` used to decode as 4294967295 pods.
+TEST(Candidate, DecodeRejectsNonCanonicalIntegersAndTrailingTokens) {
+  const std::string head = "# flattree-design-candidate v1\n";
+  const std::pair<const char*, const char*> cases[] = {
+      {"pods -1\nzone 0 -1 clos\n", "signed integer '-1'"},
+      {"pods 4\nzone 0 -1 clos\n", "signed integer '-1'"},
+      {"pods 04\nzone 0 4 clos\n", "leading zero '04'"},
+      {"pods 4\nzone 00 4 clos\n", "leading zero '00'"},
+      {"pods 4294967296\nzone 0 4294967296 clos\n", "integer out of range"},
+      {"pods 4 4\nzone 0 4 clos\n", "trailing token '4'"},
+      {"pods 4\nzone 0 4 clos extra\n", "trailing token 'extra'"},
+      {"pods 4\nzone 0 4\n", "bad zone line"},
+      {"pods\nzone 0 4 clos\n", "bad pods line"},
+      {"pods 4\nzone 0  4 clos\n", "stray space"},
+      {"pods 4x\nzone 0 4 clos\n", "non-digit in integer '4x'"},
+  };
+  for (const auto& [body, why] : cases) {
+    try {
+      Candidate::decode(head + body);
+      FAIL() << "accepted: " << body;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << body << " -> " << e.what();
+    }
+  }
 }
 
 }  // namespace

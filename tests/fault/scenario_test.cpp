@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/flat_tree.hpp"
 #include "fault/state.hpp"
@@ -168,6 +170,41 @@ TEST(Scenario, LoadRejectsNonFiniteTimes) {
   std::istringstream junk_time(
       "# flattree-fault-scenario v1\nduration 10\nseed 1\ne 1.0x switch_down 2 0\n");
   EXPECT_THROW(load_scenario(junk_time), std::runtime_error);
+}
+
+// Integers are canonical decimal within their field (util/scan.hpp), and a
+// line holds exactly its fields; each refusal names its own reason.
+TEST(Scenario, LoadRejectsNonCanonicalIntegersAndTrailingTokens) {
+  const std::string head = "# flattree-fault-scenario v1\nduration 10\n";
+  const std::pair<const char*, const char*> cases[] = {
+      {"seed -5\n", "bad seed: signed integer"},
+      {"seed +5\n", "bad seed: signed integer"},
+      {"seed 05\n", "bad seed: leading zero"},
+      {"seed 18446744073709551616\n", "bad seed: integer out of range"},
+      {"seed 5 6\n", "trailing token '6'"},
+      {"seed 1\ne 1 switch_down -1 0\n", "bad entity id: signed integer"},
+      {"seed 1\ne 1 switch_down 03 0\n", "bad entity id: leading zero"},
+      {"seed 1\ne 1 switch_down 4294967296 0\n", "bad entity id: integer out of range"},
+      {"seed 1\ne 1 switch_down 3 0 junk\n", "trailing token 'junk'"},
+      {"seed 1\ne 1 switch_down 3\n", "truncated event"},
+      {"seed 1\ne 1 switch_down  3 0\n", "stray space"},
+  };
+  for (const auto& [body, why] : cases) {
+    std::istringstream in(head + body);
+    try {
+      load_scenario(in);
+      FAIL() << "accepted: " << body;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << body << " -> " << e.what();
+    }
+  }
+  // The widest id still loads.
+  std::istringstream widest(head + "seed 0\ne 1 switch_down 4294967295 0\n");
+  Scenario s = load_scenario(widest);
+  ASSERT_EQ(s.events.size(), 1u);
+  EXPECT_EQ(s.events[0].a, 4294967295u);
+  EXPECT_EQ(s.seed, 0u);
 }
 
 TEST(Scenario, LoadRejectsDuplicateEvents) {

@@ -83,32 +83,6 @@ TEST(Bfs, FilteredRejectsBadMaskSize) {
   EXPECT_THROW(bfs_distances_filtered(g, 0, allowed), std::invalid_argument);
 }
 
-TEST(BfsTree, PathExtraction) {
-  Graph g = path_graph(4);
-  auto t = bfs_tree(g, 0);
-  auto p = extract_path(t, 3);
-  std::vector<NodeId> expected{0, 1, 2, 3};
-  EXPECT_EQ(p, expected);
-}
-
-TEST(BfsTree, UnreachableGivesEmptyPath) {
-  Graph g(3);
-  g.add_link(0, 1);
-  auto t = bfs_tree(g, 0);
-  EXPECT_TRUE(extract_path(t, 2).empty());
-}
-
-TEST(BfsTree, ParentLinksConsistent) {
-  Graph g = cycle_graph(5);
-  auto t = bfs_tree(g, 0);
-  for (NodeId v = 1; v < 5; ++v) {
-    ASSERT_NE(t.parent[v], kInvalidNode);
-    const Link& l = g.link(t.parent_link[v]);
-    EXPECT_TRUE((l.a == v && l.b == t.parent[v]) || (l.b == v && l.a == t.parent[v]));
-    EXPECT_EQ(t.dist[v], t.dist[t.parent[v]] + 1);
-  }
-}
-
 TEST(Connectivity, ConnectedGraph) {
   EXPECT_TRUE(is_connected(path_graph(10)));
   EXPECT_EQ(component_count(path_graph(10)), 1u);

@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include "graph/bfs.hpp"
+#include "util/rng.hpp"
 
 namespace flattree::graph {
 namespace {
@@ -114,7 +118,7 @@ TEST(Graph, NeighborsOutOfRangeThrows) {
   EXPECT_THROW(g.neighbors(1), std::out_of_range);
 }
 
-// -- edit journal / tombstones / CSR patching -------------------------------
+// -- tombstones / CSR patching ----------------------------------------------
 
 // Sorted (neighbor, link) multiset at `node`, for order-insensitive compares.
 std::vector<std::pair<NodeId, LinkId>> arcs_of(const Graph& g, NodeId node) {
@@ -170,53 +174,16 @@ TEST(GraphEdits, RemoveRestorePreconditions) {
   EXPECT_THROW(g.restore_link(l), std::logic_error);
 }
 
-TEST(GraphEdits, SetCapacityInPlace) {
-  Graph g(2);
-  LinkId l = g.add_link(0, 1, 1.0);
-  g.set_capacity(l, 4.0);
-  EXPECT_DOUBLE_EQ(g.link(l).capacity, 4.0);
-  EXPECT_DOUBLE_EQ(g.capacity_between(0, 1), 4.0);
-  EXPECT_THROW(g.set_capacity(l, 0.0), std::invalid_argument);
-  EXPECT_THROW(g.set_capacity(l, -2.0), std::invalid_argument);
-  EXPECT_THROW(g.set_capacity(9, 1.0), std::out_of_range);
-}
-
-TEST(GraphEdits, JournalRecordsMutationsInOrder) {
-  Graph g(3);
-  LinkId l0 = g.add_link(0, 1);
-  LinkId l1 = g.add_link(1, 2);
-  g.remove_link(l0);
-  g.set_capacity(l1, 3.0);
-  g.restore_link(l0);
-  const auto& j = g.journal();
-  ASSERT_EQ(j.size(), 5u);
-  EXPECT_EQ(j[0].kind, GraphEdit::Kind::Add);
-  EXPECT_EQ(j[0].link, l0);
-  EXPECT_EQ(j[1].kind, GraphEdit::Kind::Add);
-  EXPECT_EQ(j[2].kind, GraphEdit::Kind::Remove);
-  EXPECT_EQ(j[2].link, l0);
-  EXPECT_EQ(j[3].kind, GraphEdit::Kind::SetCapacity);
-  EXPECT_EQ(j[3].link, l1);
-  EXPECT_EQ(j[4].kind, GraphEdit::Kind::Restore);
-  EXPECT_EQ(j[4].link, l0);
-  EXPECT_EQ(g.edit_epoch(), 5u);
-  g.clear_journal();
-  EXPECT_TRUE(g.journal().empty());
-  EXPECT_EQ(g.edit_epoch(), 5u);  // epoch is not reset by clear_journal
-}
-
-TEST(GraphEdits, CopyAndMoveDropJournalKeepLiveness) {
+TEST(GraphEdits, CopyAndMoveKeepLiveness) {
   Graph g(3);
   LinkId l0 = g.add_link(0, 1);
   g.add_link(1, 2);
   g.remove_link(l0);
   Graph c = g;
-  EXPECT_TRUE(c.journal().empty());
   EXPECT_EQ(c.live_link_count(), 1u);
   EXPECT_FALSE(c.link_live(l0));
   EXPECT_EQ(arcs_of(c, 1), arcs_of(g, 1));
   Graph m = std::move(c);
-  EXPECT_TRUE(m.journal().empty());
   EXPECT_EQ(m.live_link_count(), 1u);
   EXPECT_FALSE(m.link_live(l0));
 }
@@ -297,6 +264,54 @@ TEST(GraphEdits, LargeDeltaFallsBackToFullRebuild) {
   for (NodeId v = 0; v < n; ++v) EXPECT_EQ(g.degree(v), 0u);
   for (LinkId id : ids) g.restore_link(id);
   for (NodeId v = 0; v < n; ++v) EXPECT_EQ(g.degree(v), n - 1);
+}
+
+// Concurrency regression (label `graph`, run by the tsan preset). The
+// lazy-CSR double-checked lock must publish a *patched* index to readers
+// that race on the first neighbors() call after a remove/restore. Before
+// the fix, only add_link invalidated the guard; remove_link left
+// csr_valid_ stale so concurrent readers could see the dead link. The
+// mutation itself happens-before the reader threads (thread creation),
+// per the documented contract.
+TEST(GraphEdits, ConcurrentReadAfterMutateIsRaceFree) {
+  util::Rng rng(13);
+  Graph g(24);
+  for (std::size_t i = 0; i < 60; ++i) {
+    NodeId a = static_cast<NodeId>(rng.below(24));
+    NodeId b = static_cast<NodeId>(rng.below(24));
+    if (a != b) g.add_link(a, b);
+  }
+  g.ensure_csr();  // build once so the edit takes the patch path
+
+  std::vector<LinkId> live;
+  for (LinkId id = 0; id < g.link_count(); ++id)
+    if (g.link_live(id)) live.push_back(id);
+
+  for (int round = 0; round < 8; ++round) {
+    LinkId flip = live[rng.index(live.size())];
+    if (g.link_live(flip))
+      g.remove_link(flip);
+    else
+      g.restore_link(flip);
+    // Readers race each other on the lazily patched CSR (the mutation
+    // above is sequenced before the threads start).
+    auto reader = [&g]() {
+      for (NodeId s = 0; s < g.node_count(); s += 3) {
+        auto dist = bfs_distances(g, s);
+        ASSERT_EQ(dist.size(), g.node_count());
+      }
+    };
+    std::thread t1(reader), t2(reader), t3(reader);
+    t1.join();
+    t2.join();
+    t3.join();
+    // The patched view must match what a from-scratch rebuild sees.
+    Graph fresh(g.node_count());
+    for (LinkId id = 0; id < g.link_count(); ++id)
+      if (g.link_live(id)) fresh.add_link(g.link(id).a, g.link(id).b);
+    for (NodeId s = 0; s < g.node_count(); ++s)
+      ASSERT_EQ(bfs_distances(g, s), bfs_distances(fresh, s));
+  }
 }
 
 }  // namespace

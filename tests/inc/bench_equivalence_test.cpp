@@ -1,8 +1,10 @@
 // End-to-end check of the --incremental contract: a sweep bench's stdout
 // must be byte-identical with and without the flag, at more than one
-// thread count, while the incremental run's manifest shows the work it
-// skipped. FT_BENCH_DIR is injected by CMake; the test skips cleanly when
-// the binaries are not built.
+// thread count, while the incremental run's manifest shows the GK phases
+// its exact MCF resumes skipped. The (m, n) ablation, which has no warm
+// path, must be byte-identical across thread counts. FT_BENCH_DIR is
+// injected by CMake; the test skips cleanly when the binaries are not
+// built.
 
 #include <gtest/gtest.h>
 
@@ -57,8 +59,8 @@ TEST(BenchEquivalence, FailureSweepIsByteIdenticalAndCheaper) {
     EXPECT_EQ(slurp(cold_out), slurp(inc_out)) << "threads=" << threads;
   }
 
-  // The incremental manifest must show real savings: fewer cold BFS node
-  // visits than the cold run, and GK phases inherited via exact resume.
+  // The incremental manifest must show real savings: GK phases inherited
+  // via exact resume.
   std::string cold_json = tmp + "bf_cold.json";
   std::string inc_json = tmp + "bf_inc.json";
   ASSERT_EQ(run(bench, base + " --threads 2 --metrics-json=" + cold_json, "/dev/null"), 0);
@@ -67,11 +69,6 @@ TEST(BenchEquivalence, FailureSweepIsByteIdenticalAndCheaper) {
             0);
   std::string cold_doc = slurp(cold_json);
   std::string inc_doc = slurp(inc_json);
-  std::uint64_t cold_visits = metric_value(cold_doc, "graph.bfs.nodes_visited");
-  std::uint64_t inc_visits = metric_value(inc_doc, "graph.bfs.nodes_visited");
-  ASSERT_GT(cold_visits, 0u);
-  EXPECT_LT(inc_visits * 2, cold_visits)
-      << "incremental mode should at least halve cold BFS work";
   EXPECT_GT(metric_value(inc_doc, "inc.mcf.warm_phases_saved"), 0u);
   EXPECT_EQ(metric_value(cold_doc, "inc.mcf.warm_phases_saved"), 0u);
 }
@@ -81,11 +78,11 @@ TEST(BenchEquivalence, AblationSweepIsByteIdentical) {
   if (!file_exists(bench)) GTEST_SKIP() << "bench binary not built: " << bench;
 
   std::string tmp = testing::TempDir();
-  std::string cold_out = tmp + "ba_cold.txt";
-  std::string inc_out = tmp + "ba_inc.txt";
-  ASSERT_EQ(run(bench, "--kmax 8 --threads 2", cold_out), 0);
-  ASSERT_EQ(run(bench, "--kmax 8 --threads 2 --incremental", inc_out), 0);
-  EXPECT_EQ(slurp(cold_out), slurp(inc_out));
+  std::string one_out = tmp + "ba_t1.txt";
+  std::string four_out = tmp + "ba_t4.txt";
+  ASSERT_EQ(run(bench, "--kmax 8 --threads 1", one_out), 0);
+  ASSERT_EQ(run(bench, "--kmax 8 --threads 4", four_out), 0);
+  EXPECT_EQ(slurp(one_out), slurp(four_out));
 }
 
 }  // namespace
