@@ -35,19 +35,18 @@ Report certify_distances(const graph::Graph& g, graph::NodeId source,
                  "node " + std::to_string(v) + " has distance 0 but is not the source");
   }
 
-  // 2. step: 1-Lipschitz across every live link; a live link never joins a
-  // reached and an unreached node.
+  // 2. step: 1-Lipschitz across every link; a link never joins a reached
+  // and an unreached node.
   const auto& links = g.links();
   for (graph::LinkId id = 0; id < links.size(); ++id) {
-    if (!g.link_live(id)) continue;
     report.note_check();
     std::uint32_t da = dist[links[id].a];
     std::uint32_t db = dist[links[id].b];
     if ((da == kUnreachable) != (db == kUnreachable)) {
-      report.add("dist.step", "live link " + std::to_string(id) +
+      report.add("dist.step", "link " + std::to_string(id) +
                                   " joins reached and unreached nodes");
     } else if (da != kUnreachable && (da > db + 1 || db > da + 1)) {
-      report.add("dist.step", "live link " + std::to_string(id) + " spans distances " +
+      report.add("dist.step", "link " + std::to_string(id) + " spans distances " +
                                   std::to_string(da) + " and " + std::to_string(db));
     }
   }

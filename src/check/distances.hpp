@@ -8,11 +8,10 @@
 // bitwise what a cold BFS from the same source would compute:
 //
 //   1. anchor     — dist[source] == 0 and no other node has distance 0.
-//   2. step       — across every live link, |dist[a] - dist[b]| <= 1,
-//                   where "unreachable" on one side only is a violation
-//                   (a live link cannot join a reached and an unreached
-//                   node).
-//   3. support    — every reached node v != source has a live neighbor at
+//   2. step       — across every link, |dist[a] - dist[b]| <= 1, where
+//                   "unreachable" on one side only is a violation (a
+//                   link cannot join a reached and an unreached node).
+//   3. support    — every reached node v != source has a neighbor at
 //                   exactly dist[v] - 1 (a witness predecessor on some
 //                   shortest path).
 //
@@ -22,7 +21,7 @@
 // distance. Support chains a witness predecessor downward from v: each
 // step reduces dist by exactly 1 and the only node at 0 is the source
 // (anchor), so the chain is a real path of length dist[v] — true distance
-// <= dist[v]. Hence equality. Step also forbids a live link joining a
+// <= dist[v]. Hence equality. Step also forbids a link joining a
 // reached and an unreached node, so the reached set is exactly the
 // source's component.
 //
@@ -39,7 +38,7 @@
 namespace flattree::check {
 
 /// Certifies that `dist` is exactly the hop-distance array of a BFS from
-/// `source` on the live links of `g` (graph::kUnreachable marks
+/// `source` on the links of `g` (graph::kUnreachable marks
 /// unreached nodes). Throws std::invalid_argument only on API misuse
 /// (source out of range); wrong *contents* are reported, never thrown.
 Report certify_distances(const graph::Graph& g, graph::NodeId source,

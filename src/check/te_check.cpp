@@ -116,12 +116,12 @@ Report validate_weighted_fib(
              << hop.link << " has weight " << hop.weight << ", not 1";
           report.add("te.wfib.weight_sum", os.str());
         }
-        bool incident = hop.link < g.link_count() && g.link_live(hop.link) &&
+        bool incident = hop.link < g.link_count() &&
                         (g.link(hop.link).a == at || g.link(hop.link).b == at);
         if (!incident) {
           std::ostringstream os;
           os << "rule at switch " << at << " toward " << dst << " uses link " << hop.link
-             << " which is unknown, dead, or not incident to " << at;
+             << " which is unknown or not incident to " << at;
           report.add("te.wfib.bad_link", os.str());
         }
       }

@@ -6,8 +6,8 @@
 // and accumulates every finding under a stable dotted code, so --selfcheck
 // benches and negative-control tests can filter programmatically. Codes:
 //
-//   te.wfib.bad_link      rule's link id is out of range, tombstoned, or
-//                         not incident to the switch it is installed at
+//   te.wfib.bad_link      rule's link id is out of range or not incident
+//                         to the switch it is installed at
 //   te.wfib.zero_weight   stored rule with weight 0 (compilers prune)
 //   te.wfib.weight_sum    weighted table: a non-empty entry's weights do
 //                         not sum to the table's weight budget

@@ -1,6 +1,6 @@
 #include "fault/degrade.hpp"
 
-#include <algorithm>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -10,14 +10,12 @@ namespace flattree::fault {
 namespace {
 
 obs::Counter c_degrades("fault.degrade.rebuilds");
-obs::Counter c_links_removed("fault.graph.links_removed");
-obs::Counter c_links_restored("fault.graph.links_restored");
-
-bool link_dead(const FaultState& s, NodeId a, NodeId b) {
-  return s.switch_down(a) || s.switch_down(b) || s.pair_down(a, b);
-}
 
 }  // namespace
+
+bool link_dead(const FaultState& state, NodeId a, NodeId b) {
+  return state.switch_down(a) || state.switch_down(b) || state.pair_down(a, b);
+}
 
 DegradeResult degrade(const topo::Topology& base, const FaultState& state) {
   OBS_SPAN("fault.degrade");
@@ -30,7 +28,6 @@ DegradeResult degrade(const topo::Topology& base, const FaultState& state) {
   std::vector<std::uint32_t> degree(base.switch_count(), 0);
   const graph::Graph& g = base.graph();
   for (graph::LinkId l = 0; l < g.link_count(); ++l) {
-    if (!g.link_live(l)) continue;
     const graph::Link& link = g.link(l);
     if (link_dead(state, link.a, link.b)) {
       ++out.dropped_links;
@@ -48,74 +45,28 @@ DegradeResult degrade(const topo::Topology& base, const FaultState& state) {
   return out;
 }
 
-FaultedGraph::FaultedGraph(const topo::Topology& base, const FaultState& state)
-    : base_(base), g_(base.graph()), reasons_(base.graph().link_count(), 0),
-      incident_(base.switch_count()) {
-  for (graph::LinkId l = 0; l < g_.link_count(); ++l) {
-    const graph::Link& link = g_.link(l);
-    incident_[link.a].push_back(l);
-    incident_[link.b].push_back(l);
-    // Seed the reason counts from whatever is already down: one reason per
-    // active condition, exactly as the event path would have accumulated.
-    std::uint32_t reasons = 0;
-    if (state.switch_down(link.a)) ++reasons;
-    if (state.switch_down(link.b)) ++reasons;
-    if (state.pair_down(link.a, link.b)) ++reasons;
-    reasons_[l] = reasons;
-    if (reasons > 0 && g_.link_live(l)) {
-      g_.remove_link(l);
-      ++removed_;
-      c_links_removed.inc();
-    }
+std::vector<ServerId> largest_alive_component(const topo::Topology& t,
+                                              const std::vector<char>& stranded) {
+  std::vector<NodeId> parent(t.switch_count());
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&](NodeId v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  for (const graph::Link& link : t.graph().links()) {
+    NodeId ra = find(link.a), rb = find(link.b);
+    if (ra != rb) parent[ra < rb ? rb : ra] = ra < rb ? ra : rb;
   }
-}
-
-void FaultedGraph::add_reason(graph::LinkId l) {
-  if (reasons_[l]++ == 0) {
-    g_.remove_link(l);
-    ++removed_;
-    c_links_removed.inc();
-  }
-}
-
-void FaultedGraph::drop_reason(graph::LinkId l) {
-  if (--reasons_[l] == 0) {
-    g_.restore_link(l);
-    ++restored_;
-    c_links_restored.inc();
-  }
-}
-
-void FaultedGraph::on_event(const FaultState& state, const FaultEvent& e) {
-  (void)state;
-  switch (e.kind) {
-    case FaultKind::SwitchDown:
-      for (graph::LinkId l : incident_[e.a]) add_reason(l);
-      break;
-    case FaultKind::SwitchUp:
-      for (graph::LinkId l : incident_[e.a]) drop_reason(l);
-      break;
-    case FaultKind::LinkDown:
-      for (graph::LinkId l : incident_[e.a])
-        if (g_.link(l).other(e.a) == e.b) add_reason(l);
-      break;
-    case FaultKind::LinkUp:
-      for (graph::LinkId l : incident_[e.a])
-        if (g_.link(l).other(e.a) == e.b) drop_reason(l);
-      break;
-    case FaultKind::ConverterStuck:
-    case FaultKind::ConverterFreed:
-      break;  // control-plane only; the data plane is untouched
-  }
-}
-
-std::vector<ServerId> FaultedGraph::stranded(const FaultState& state) const {
-  std::vector<ServerId> out;
-  for (ServerId s = 0; s < base_.server_count(); ++s) {
-    NodeId host = base_.host(s);
-    if (state.switch_down(host) || g_.degree(host) == 0) out.push_back(s);
-  }
-  return out;
+  std::vector<std::size_t> weight(t.switch_count(), 0);
+  for (ServerId s = 0; s < t.server_count(); ++s)
+    if (!stranded[s]) ++weight[find(t.host(s))];
+  NodeId best = 0;
+  for (NodeId v = 1; v < t.switch_count(); ++v)
+    if (weight[v] > weight[best]) best = v;
+  std::vector<ServerId> subset;
+  for (ServerId s = 0; s < t.server_count(); ++s)
+    if (!stranded[s] && find(t.host(s)) == best) subset.push_back(s);
+  return subset;
 }
 
 }  // namespace flattree::fault

@@ -1,24 +1,16 @@
 #pragma once
-// Degraded topology under a FaultState — cold and incremental forms.
+// Degraded topology under a FaultState.
 //
-// degrade() is the one-shot form: a fresh Topology with every link that
-// touches a down switch or rides a down pair left out (failed switches
-// stay as isolated nodes, so ids are stable, matching core::recovery's
-// convention). Use it wherever a tombstone-free graph is required — the
-// MCF solver rejects edited graphs outright.
+// degrade() is a fresh Topology with every link that touches a down switch
+// or rides a down pair left out (failed switches stay as isolated nodes,
+// so ids are stable, matching core::recovery's convention). graph::Graph
+// is append-only, so every fault event is answered by a new degrade() of
+// the fixed base topology; link_dead() is the per-link predicate it
+// applies.
 //
-// FaultedGraph is the incremental form: it owns a graph::Graph mirroring a
-// fixed logical topology and reacts to each fault event by tombstoning /
-// restoring exactly the affected link slots, so the CSR adjacency is
-// patched in place instead of rebuilt. Per-link "down reason" counts (endpoint a down,
-// endpoint b down, pair down — each counted independently) make
-// overlapping failures unwind exactly: a link is live iff its reason count
-// is zero, and a fully unwound trace restores every slot.
-//
-// Strandedness at link granularity (the ISSUE's "a live switch with a dead
-// uplink still counts as a home" fix): a server is stranded when its host
-// switch is down OR the host has degree zero in the degraded graph — both
-// forms report the same set for the same state.
+// Strandedness at link granularity: a server is stranded when its host
+// switch is down OR the host has degree zero in the degraded graph (a
+// live switch whose every link is dead is not a home).
 
 #include <cstdint>
 #include <vector>
@@ -33,53 +25,26 @@ using topo::ServerId;
 
 /// A degraded topology plus the bookkeeping of what the faults removed.
 struct DegradeResult {
-  topo::Topology topo;                 ///< tombstone-free degraded copy
+  topo::Topology topo;                 ///< degraded copy, same switch ids
   std::vector<ServerId> stranded;      ///< host down or isolated, ascending
   std::size_t dropped_links = 0;       ///< links left out of `topo`
 };
 
+/// True when a link between switches `a` and `b` is down under `state`:
+/// either endpoint is down or the (a, b) pair is down. degrade() leaves
+/// out exactly the links this holds for.
+bool link_dead(const FaultState& state, NodeId a, NodeId b);
+
 /// One-shot degraded rebuild of `base` under `state`.
 DegradeResult degrade(const topo::Topology& base, const FaultState& state);
 
-/// Incrementally maintained degraded switch graph over a fixed topology.
-class FaultedGraph {
- public:
-  /// Seeds from `base` (all links live) and `state` (whatever is already
-  /// down is applied immediately, so a FaultedGraph can be built
-  /// mid-trace).
-  FaultedGraph(const topo::Topology& base, const FaultState& state);
-
-  /// The live degraded graph (tombstoned slots = dead links). Link slot
-  /// ids match `base`'s link ids.
-  const graph::Graph& graph() const { return g_; }
-
-  /// Reacts to one *edge-triggered* event: call right after
-  /// FaultState::apply returned true for `e` on the same state object.
-  /// Non-edge events (a second down on an already-down entity) must be
-  /// skipped by the caller — the state's counts already absorb them.
-  /// Converter events are no-ops here (they gate reconfiguration, not the
-  /// data plane).
-  void on_event(const FaultState& state, const FaultEvent& e);
-
-  /// Stranded servers of `base` under the current graph: host down or
-  /// isolated. Ascending.
-  std::vector<ServerId> stranded(const FaultState& state) const;
-
-  /// Total slots tombstoned / restored so far (conservation mirror of the
-  /// fault.graph.links_removed / links_restored counters).
-  std::uint64_t links_removed() const { return removed_; }
-  std::uint64_t links_restored() const { return restored_; }
-
- private:
-  void add_reason(graph::LinkId l);
-  void drop_reason(graph::LinkId l);
-
-  const topo::Topology& base_;
-  graph::Graph g_;
-  std::vector<std::uint32_t> reasons_;  ///< active down-reasons per link slot
-  std::vector<std::vector<graph::LinkId>> incident_;  ///< per switch
-  std::uint64_t removed_ = 0;
-  std::uint64_t restored_ = 0;
-};
+/// Alive servers of the connected component of `t` that holds the most
+/// alive servers, ascending; `stranded[s] != 0` marks server s as not
+/// alive, and such servers never join the result. Ties go to the
+/// component with the smallest union-find root (its smallest switch id).
+/// APL is only defined within one component, so this is the server set
+/// the chaos bench and the service report surviving-server APL on.
+std::vector<ServerId> largest_alive_component(const topo::Topology& t,
+                                              const std::vector<char>& stranded);
 
 }  // namespace flattree::fault

@@ -5,7 +5,7 @@
 //   event.hpp                timed fault/repair event vocabulary
 //   scenario.hpp             seeded trace generation + text save/replay
 //   state.hpp                live down-count bookkeeping (FaultState)
-//   degrade.hpp              degraded topologies, cold and incremental
+//   degrade.hpp              degraded topologies and their largest component
 //   resilient_controller.hpp mid-reconfiguration fault handling
 //   fault_check.hpp          degraded-validity + conservation validators
 

@@ -25,10 +25,9 @@ check::Report check_degraded(const core::FlatTreeNetwork& net,
   std::vector<std::uint32_t> degree(d.topo.switch_count(), 0);
   {
     const graph::Graph& g = d.topo.graph();
-    for (graph::LinkId l = 0; l < g.link_count(); ++l) {
-      if (!g.link_live(l)) continue;
-      ++degree[g.link(l).a];
-      ++degree[g.link(l).b];
+    for (const graph::Link& link : g.links()) {
+      ++degree[link.a];
+      ++degree[link.b];
     }
   }
   auto usable = [&](NodeId v) { return !state.switch_down(v) && degree[v] > 0; };

@@ -56,13 +56,10 @@ Scenario generate_scenario(const topo::Topology& base, const ScenarioParams& par
   s.duration = params.duration;
   s.seed = params.seed;
 
-  // -- link class: one process per distinct live switch pair --------------
+  // -- link class: one process per distinct switch pair -------------------
   std::vector<std::uint64_t> pairs;
-  const graph::Graph& g = base.graph();
-  for (graph::LinkId l = 0; l < g.link_count(); ++l) {
-    if (!g.link_live(l)) continue;
-    pairs.push_back(pair_key(g.link(l).a, g.link(l).b));
-  }
+  for (const graph::Link& link : base.graph().links())
+    pairs.push_back(pair_key(link.a, link.b));
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   for (std::size_t pi = 0; pi < pairs.size(); ++pi) {

@@ -61,7 +61,7 @@ struct Scenario {
 };
 
 /// Generates the scenario for `base` (link pairs are enumerated from its
-/// live links; switch pairs with parallel links fault as one unit). Pass
+/// links; switch pairs with parallel links fault as one unit). Pass
 /// the *physical baseline* topology (the Clos build): switch ids are shared
 /// by every conversion, so the same trace stresses fat-tree and flat-tree
 /// identically. `converter_count`/`pod_count` scope the converter and

@@ -6,7 +6,7 @@
 // down. FaultState therefore tracks *down counts* per entity, not
 // booleans: an entity is down while its count is positive, and only the
 // 0 -> 1 and 1 -> 0 transitions are edge-triggered (those are what
-// degrade() and FaultedGraph react to). Applying a trace and its matching
+// callers re-degrade the topology on). Applying a trace and its matching
 // repairs in any interleaving returns every count to zero — the
 // conservation invariant check_conserved() certifies and the
 // fault.apply.* / fault.unapply.* obs counters mirror.

@@ -72,7 +72,7 @@ class McfWarmCache {
  private:
   struct Instance {
     std::size_t nodes = 0;
-    std::vector<graph::Link> links;  ///< live links in slot order
+    std::vector<graph::Link> links;  ///< links in id order
     std::vector<mcf::Commodity> commodities;
     double epsilon = 0.0;
     std::uint64_t max_phases = 0;

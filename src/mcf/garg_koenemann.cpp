@@ -136,12 +136,6 @@ McfResult max_concurrent_flow(const graph::Graph& g,
       throw std::invalid_argument(
           "max_concurrent_flow: non-positive or non-finite link capacity");
   }
-  // DirectedNet expands every link slot; tombstoned slots would silently
-  // re-admit dead links, so edited graphs are rejected outright (solve on
-  // the materialized topology instead — inc::McfWarmCache does).
-  if (g.live_link_count() != g.link_count())
-    throw std::invalid_argument("max_concurrent_flow: graph has tombstoned links");
-
   // -- unreachable-commodity pre-pass (allow_unreachable) ------------------
   // Arcs are symmetric (full-duplex links), so directed reachability
   // classes are exactly the undirected connected components; a union-find

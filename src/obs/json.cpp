@@ -135,158 +135,6 @@ void JsonWriter::raw_value(const std::string& fragment) {
   out_ += fragment;
 }
 
-namespace {
-
-/// Recursive-descent JSON validator (no value materialization).
-struct Parser {
-  const char* p;
-  const char* end;
-  int depth = 0;
-
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) ++p;
-  }
-
-  bool literal(const char* word) {
-    std::size_t len = std::strlen(word);
-    if (static_cast<std::size_t>(end - p) < len || std::strncmp(p, word, len) != 0)
-      return false;
-    p += len;
-    return true;
-  }
-
-  bool string() {
-    if (p >= end || *p != '"') return false;
-    ++p;
-    while (p < end) {
-      unsigned char c = static_cast<unsigned char>(*p);
-      if (c == '"') {
-        ++p;
-        return true;
-      }
-      if (c == '\\') {
-        ++p;
-        if (p >= end) return false;
-        char e = *p;
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++p;
-            if (p >= end || !std::isxdigit(static_cast<unsigned char>(*p))) return false;
-          }
-        } else if (std::strchr("\"\\/bfnrt", e) == nullptr) {
-          return false;
-        }
-        ++p;
-      } else if (c < 0x20) {
-        return false;
-      } else {
-        ++p;
-      }
-    }
-    return false;
-  }
-
-  bool number() {
-    const char* start = p;
-    if (p < end && *p == '-') ++p;
-    if (p >= end || !std::isdigit(static_cast<unsigned char>(*p))) return false;
-    if (*p == '0') {
-      ++p;
-    } else {
-      while (p < end && std::isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    if (p < end && *p == '.') {
-      ++p;
-      if (p >= end || !std::isdigit(static_cast<unsigned char>(*p))) return false;
-      while (p < end && std::isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    if (p < end && (*p == 'e' || *p == 'E')) {
-      ++p;
-      if (p < end && (*p == '+' || *p == '-')) ++p;
-      if (p >= end || !std::isdigit(static_cast<unsigned char>(*p))) return false;
-      while (p < end && std::isdigit(static_cast<unsigned char>(*p))) ++p;
-    }
-    return p > start;
-  }
-
-  bool value() {
-    if (++depth > 256) return false;
-    skip_ws();
-    bool ok = false;
-    if (p >= end) {
-      ok = false;
-    } else if (*p == '{') {
-      ++p;
-      skip_ws();
-      if (p < end && *p == '}') {
-        ++p;
-        ok = true;
-      } else {
-        for (;;) {
-          skip_ws();
-          if (!string()) return false;
-          skip_ws();
-          if (p >= end || *p != ':') return false;
-          ++p;
-          if (!value()) return false;
-          skip_ws();
-          if (p < end && *p == ',') {
-            ++p;
-            continue;
-          }
-          if (p < end && *p == '}') {
-            ++p;
-            ok = true;
-          }
-          break;
-        }
-      }
-    } else if (*p == '[') {
-      ++p;
-      skip_ws();
-      if (p < end && *p == ']') {
-        ++p;
-        ok = true;
-      } else {
-        for (;;) {
-          if (!value()) return false;
-          skip_ws();
-          if (p < end && *p == ',') {
-            ++p;
-            continue;
-          }
-          if (p < end && *p == ']') {
-            ++p;
-            ok = true;
-          }
-          break;
-        }
-      }
-    } else if (*p == '"') {
-      ok = string();
-    } else if (*p == 't') {
-      ok = literal("true");
-    } else if (*p == 'f') {
-      ok = literal("false");
-    } else if (*p == 'n') {
-      ok = literal("null");
-    } else {
-      ok = number();
-    }
-    --depth;
-    return ok;
-  }
-};
-
-}  // namespace
-
-bool json_valid(const std::string& text) {
-  Parser parser{text.data(), text.data() + text.size()};
-  if (!parser.value()) return false;
-  parser.skip_ws();
-  return parser.p == parser.end;
-}
-
 // -- JsonValue ---------------------------------------------------------------
 
 JsonValue JsonValue::make_bool(bool v) {
@@ -722,6 +570,11 @@ bool json_parse(const std::string& text, JsonValue& out, JsonError* error) {
   }
   if (error != nullptr) *error = parser.err;
   return false;
+}
+
+bool json_valid(const std::string& text) {
+  JsonValue discarded;
+  return json_parse(text, discarded);
 }
 
 }  // namespace flattree::obs

@@ -4,11 +4,8 @@
 //
 // JsonWriter produces compact, deterministic JSON (keys are emitted in the
 // order the caller writes them; doubles use shortest round-trip formatting).
-// json_valid() is a strict structural validator used by tests and by the
-// manifest reader side of the tooling — it accepts exactly the subset the
-// writers emit (RFC 8259 values, no trailing commas, UTF-8 passthrough).
-// json_parse() is the materializing counterpart: a strict recursive-descent
-// parser producing a JsonValue tree with line/column error reporting and
+// json_parse() is the one reader: a strict recursive-descent parser
+// producing a JsonValue tree with line/column error reporting and
 // stable error codes, rejecting non-finite numbers (the same guard GK
 // applies to capacities — a 1e999 in a request must fail loudly, not leak
 // an inf into solver state). Canonical re-emission (JsonValue::write) is a
@@ -66,9 +63,6 @@ class JsonWriter {
   std::string counts_;  ///< parallel to stack_: 0 = empty, 1 = non-empty
   bool after_key_ = false;
 };
-
-/// Strict structural validation of a complete JSON document.
-bool json_valid(const std::string& text);
 
 // -- materializing parser ----------------------------------------------------
 
@@ -150,5 +144,8 @@ struct JsonError {
 /// ("json.duplicate_key"), numbers that overflow to +/-inf rejected
 /// ("json.number_nonfinite"), nesting capped at depth 256 ("json.depth").
 bool json_parse(const std::string& text, JsonValue& out, JsonError* error = nullptr);
+
+/// True when json_parse accepts `text` (the parsed value is discarded).
+bool json_valid(const std::string& text);
 
 }  // namespace flattree::obs

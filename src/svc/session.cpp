@@ -1,12 +1,12 @@
 #include "svc/session.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
 #include "core/expansion.hpp"
 #include "design/design.hpp"
+#include "fault/degrade.hpp"
 #include "topo/apl.hpp"
 #include "workload/cluster.hpp"
 #include "workload/traffic.hpp"
@@ -32,35 +32,6 @@ bool parse_mode(const std::string& token, core::Mode& out) {
     return false;
   }
   return true;
-}
-
-/// Alive servers of the component holding the most alive servers (ties:
-/// smallest union-find root) — the subset APL is defined on. Same rule as
-/// bench_chaos, so service numbers line up with the chaos timelines.
-std::vector<topo::ServerId> largest_alive_component(const topo::Topology& t,
-                                                    const std::vector<char>& stranded) {
-  std::vector<graph::NodeId> parent(t.switch_count());
-  std::iota(parent.begin(), parent.end(), 0);
-  auto find = [&](graph::NodeId v) {
-    while (parent[v] != v) v = parent[v] = parent[parent[v]];
-    return v;
-  };
-  const graph::Graph& g = t.graph();
-  for (graph::LinkId l = 0; l < g.link_count(); ++l) {
-    if (!g.link_live(l)) continue;
-    graph::NodeId ra = find(g.link(l).a), rb = find(g.link(l).b);
-    if (ra != rb) parent[ra < rb ? rb : ra] = ra < rb ? ra : rb;
-  }
-  std::vector<std::size_t> weight(t.switch_count(), 0);
-  for (topo::ServerId s = 0; s < t.server_count(); ++s)
-    if (!stranded[s]) ++weight[find(t.host(s))];
-  graph::NodeId best = 0;
-  for (graph::NodeId v = 1; v < t.switch_count(); ++v)
-    if (weight[v] > weight[best]) best = v;
-  std::vector<topo::ServerId> subset;
-  for (topo::ServerId s = 0; s < t.server_count(); ++s)
-    if (!stranded[s] && find(t.host(s)) == best) subset.push_back(s);
-  return subset;
 }
 
 }  // namespace
@@ -476,7 +447,7 @@ void Session::metric_block(const Request& req, const fault::DegradeResult& d,
   put(payload, "stuck", jint(static_cast<std::int64_t>(fs.stuck_converter_count())));
   put(payload, "stranded", jint(static_cast<std::int64_t>(d.stranded.size())));
 
-  std::vector<topo::ServerId> subset = largest_alive_component(t, stranded);
+  std::vector<topo::ServerId> subset = fault::largest_alive_component(t, stranded);
   put(payload, "alive", jint(static_cast<std::int64_t>(subset.size())));
 
   double apl = 0.0;

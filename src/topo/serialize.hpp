@@ -11,6 +11,11 @@
 //   <a> <b> <capacity> <origin>         # one per link, id order
 //   servers <count>
 //   <host>                              # one per server, id order
+//
+// Fields are separated by one ' '; integers are canonical decimal (read
+// through util/scan.hpp, a pod may carry a leading '-'); capacities print
+// with at least 6 significant digits and as many more as reading them
+// back exactly needs, so deserialize(serialize(t)) keeps every bit.
 
 #include <string>
 
@@ -22,7 +27,10 @@ namespace flattree::topo {
 std::string serialize(const Topology& topo);
 
 /// Parses the v1 text format. Throws std::invalid_argument with a
-/// line-numbered message on malformed input.
+/// line-numbered message on malformed input: a short row, a trailing
+/// token or line, a non-canonical or out-of-range integer, an endpoint or
+/// host that names no switch, a self-loop, or a capacity that is not a
+/// finite positive number.
 Topology deserialize(const std::string& text);
 
 }  // namespace flattree::topo

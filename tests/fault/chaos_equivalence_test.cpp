@@ -3,8 +3,9 @@
 // byte-identical across --threads 1 / 8 and across a --save-scenario ->
 // --load-scenario round trip of the same trace. --selfcheck must exit 0
 // (zero violations after every injected event, including
-// mid-reconfiguration ones). FT_BENCH_DIR is injected by CMake; the test
-// skips cleanly when the binary is not built.
+// mid-reconfiguration ones), and the default-seed summary is pinned.
+// FT_BENCH_DIR is injected by CMake; the test skips cleanly when the
+// binary is not built.
 
 #include <gtest/gtest.h>
 
@@ -84,6 +85,20 @@ TEST(ChaosEquivalence, SelfcheckPassesAndDoesNotPerturbOutput) {
   // Exit 0 == every event boundary validated with zero violations.
   ASSERT_EQ(run(bench, std::string(kBase) + " --selfcheck", checked), 0);
   EXPECT_EQ(slurp(plain), slurp(checked));
+}
+
+// The fat track's "links cut" / "links healed" come from the rise and fall
+// of the dead-link count over the edge-triggered events; at the default
+// seed every generated failure carries its repair, so both are 78.
+TEST(ChaosEquivalence, DefaultSeedSummaryPinsLinksCutAndHealed) {
+  std::string bench = std::string(FT_BENCH_DIR) + "/bench_chaos";
+  if (!file_exists(bench)) GTEST_SKIP() << "bench binary not built: " << bench;
+  std::string out = testing::TempDir() + "chaos_default.txt";
+  ASSERT_EQ(run(bench, "", out), 0);
+  const std::string text = slurp(out);
+  const std::string header = "track,final stranded,steps,replans,rollbacks,deferred,links cut,"
+                             "links healed\n";
+  EXPECT_NE(text.find(header + "fat,0,-,-,-,-,78,78\n"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -3,12 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
 #include <vector>
 
 #include "core/flat_tree.hpp"
-#include "fault/scenario.hpp"
-#include "graph/bfs.hpp"
 
 namespace flattree::fault {
 namespace {
@@ -34,77 +31,25 @@ TEST(Degrade, DropCountsAndStrandedAgree) {
   EXPECT_TRUE(std::is_sorted(d.stranded.begin(), d.stranded.end()));
 }
 
-// A FaultedGraph built mid-trace must agree with one that followed the
-// trace from the start (the seeding path vs the event path).
-TEST(FaultedGraph, MidTraceConstructionMatchesEventPath) {
-  core::FlatTreeNetwork net = make_net();
-  topo::Topology clos = net.build(core::Mode::Clos);
-  ScenarioParams p;
-  p.duration = 30.0;
-  p.seed = 17;
-  p.switches = {40.0, 5.0};
-  p.link = {50.0, 4.0};
-  p.pod_power = {120.0, 4.0};
-  Scenario sc = generate_scenario(clos, p, 0, net.params().pods());
-  ASSERT_GT(sc.events.size(), 4u);
+// The largest alive component counts alive servers only, skips stranded
+// ones even on a live switch, and breaks a tie by the smallest root.
+TEST(Degrade, LargestAliveComponentTieRuleAndStrandedServers) {
+  topo::Topology t;
+  for (std::uint32_t i = 0; i < 5; ++i) t.add_switch(topo::SwitchKind::Edge, 0, i, 4);
+  // Components {0, 1}, {2, 3} and {4}; link order puts the larger root first.
+  t.add_link(3, 2, topo::LinkOrigin::Random);
+  t.add_link(1, 0, topo::LinkOrigin::Random);
+  for (graph::NodeId host : {0u, 1u, 2u, 3u, 4u, 4u, 4u}) t.add_server(host);
 
-  FaultState state(net.params().total_switches(), 0);
-  FaultedGraph followed(clos, state);
-  std::size_t half = sc.events.size() / 2;
-  for (std::size_t i = 0; i < half; ++i)
-    if (state.apply(sc.events[i])) followed.on_event(state, sc.events[i]);
+  // Two alive servers in each of {0, 1} and {2, 3}: the tie goes to root 0.
+  std::vector<char> stranded = {0, 0, 0, 0, 1, 1, 1};
+  EXPECT_EQ(largest_alive_component(t, stranded), (std::vector<ServerId>{0, 1}));
 
-  FaultedGraph seeded(clos, state);  // built from the mid-trace state
-  EXPECT_EQ(seeded.graph().live_link_count(), followed.graph().live_link_count());
-  for (graph::LinkId l = 0; l < clos.graph().link_count(); ++l)
-    EXPECT_EQ(seeded.graph().link_live(l), followed.graph().link_live(l)) << "link " << l;
-  EXPECT_EQ(seeded.stranded(state), followed.stranded(state));
-}
-
-// -- concurrency regression (run under the tsan preset, label `fault`) ------
-
-// The fault apply/unapply path mutates the shared graph through the edit
-// journal (remove_link/restore_link patch the lazily rebuilt CSR). Readers
-// that race on the first neighbors() call after an on_event mutation must
-// see the patched index — the same ConcurrentReadAfterMutateIsRaceFree
-// contract the inc suite pins for raw journal edits, here exercised
-// through FaultState + FaultedGraph. The mutation happens-before the
-// reader threads (thread creation).
-TEST(FaultedGraph, ConcurrentReadAfterMutateIsRaceFree) {
-  core::FlatTreeNetwork net = make_net();
-  topo::Topology clos = net.build(core::Mode::Clos);
-  ScenarioParams p;
-  p.duration = 16.0;
-  p.seed = 23;
-  p.switches = {30.0, 3.0};
-  p.link = {40.0, 3.0};
-  p.flap_probability = 0.5;
-  Scenario sc = generate_scenario(clos, p, 0, net.params().pods());
-  ASSERT_FALSE(sc.events.empty());
-
-  FaultState state(net.params().total_switches(), 0);
-  FaultedGraph fg(clos, state);
-  const graph::Graph& g = fg.graph();
-  for (const FaultEvent& e : sc.events) {
-    if (!state.apply(e)) continue;
-    fg.on_event(state, e);  // tombstones/restores links in the journal
-    auto reader = [&g]() {
-      for (graph::NodeId s = 0; s < g.node_count(); s += 4) {
-        auto dist = graph::bfs_distances(g, s);
-        ASSERT_EQ(dist.size(), g.node_count());
-      }
-    };
-    std::thread t1(reader), t2(reader), t3(reader);
-    t1.join();
-    t2.join();
-    t3.join();
-    // The patched view equals the cold degraded rebuild.
-    DegradeResult d = degrade(clos, state);
-    ASSERT_EQ(g.live_link_count(), d.topo.graph().link_count());
-    ASSERT_EQ(graph::bfs_distances(g, 0), graph::bfs_distances(d.topo.graph(), 0));
-  }
-  EXPECT_TRUE(state.clean());
-  EXPECT_EQ(fg.links_removed(), fg.links_restored());
+  // Switch 4 hosts the most servers, but stranded servers never count.
+  stranded = {1, 0, 0, 0, 1, 1, 0};
+  EXPECT_EQ(largest_alive_component(t, stranded), (std::vector<ServerId>{2, 3}));
+  stranded = {1, 1, 1, 1, 0, 0, 1};
+  EXPECT_EQ(largest_alive_component(t, stranded), (std::vector<ServerId>{4, 5}));
 }
 
 }  // namespace

@@ -92,8 +92,7 @@ TEST(McfWarm, DualSeedKeepsCertifiedBoundsAcrossLinkChanges) {
   cache.solve(healthy, commodities, opt);
   ASSERT_EQ(cache.last_tier(), WarmTier::Cold);
 
-  // Degraded instance: same node space, one chord gone (rebuilt fresh —
-  // the solver rejects tombstoned graphs).
+  // Degraded instance: same node space, one chord gone.
   Graph degraded(8);
   for (NodeId v = 0; v < 8; ++v)
     degraded.add_link(v, static_cast<NodeId>((v + 1) % 8));
@@ -157,13 +156,6 @@ TEST(McfWarm, CacheOwnsWarmFields) {
   opt.warm_start = nullptr;
   opt.export_state = &state;
   EXPECT_THROW(cache.solve(g, test_commodities(), opt), std::invalid_argument);
-}
-
-TEST(McfWarm, SolverRejectsTombstonedGraphs) {
-  Graph g = test_graph();
-  g.remove_link(0);
-  EXPECT_THROW(mcf::max_concurrent_flow(g, test_commodities(), test_options()),
-               std::invalid_argument);
 }
 
 // -- negative control ------------------------------------------------------

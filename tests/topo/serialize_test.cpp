@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "core/flat_tree.hpp"
 #include "topo/fat_tree.hpp"
 
@@ -89,6 +94,75 @@ TEST(Serialize, EmptySectionsAllowed) {
   EXPECT_EQ(parsed.switch_count(), 1u);
   EXPECT_EQ(parsed.link_count(), 0u);
   EXPECT_EQ(parsed.server_count(), 0u);
+}
+
+// The refusal message deserialize() throws for `text` ("" if it loads).
+std::string refusal(const std::string& text) {
+  try {
+    deserialize(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Two edge switches (pods 0 and -1) plus whatever `links` and `servers`
+// rows the case needs.
+std::string two_switches(const std::string& links, const std::string& servers = "servers 0\n") {
+  return "flattree-topology v1\nswitches 2\nedge 0 0 4\ncore -1 0 4\n" + links + servers;
+}
+
+TEST(Serialize, RoundTripKeepsEveryCapacityBit) {
+  Topology t;
+  t.add_switch(SwitchKind::Edge, 0, 0, 4);
+  t.add_switch(SwitchKind::Edge, 0, 1, 4);
+  t.add_link(0, 1, LinkOrigin::Random, 1.0 / 3.0);
+  t.add_link(0, 1, LinkOrigin::Random, 2.5);
+  t.add_link(0, 1, LinkOrigin::Random, 40.0);
+  const std::string text = serialize(t);
+  // Short values keep their six-digit rendering; 1/3 needs all its digits.
+  EXPECT_NE(text.find("\n0 1 2.5 random\n0 1 40 random\n"), std::string::npos) << text;
+  Topology parsed = deserialize(text);
+  for (graph::LinkId l = 0; l < t.link_count(); ++l)
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed.graph().link(l).capacity),
+              std::bit_cast<std::uint64_t>(t.graph().link(l).capacity));
+  EXPECT_EQ(serialize(parsed), text);
+}
+
+TEST(Serialize, RejectsTrailingTokens) {
+  EXPECT_EQ(refusal(two_switches("links 1\n0 1 1 random junk\n")),
+            "deserialize: trailing token 'junk' at line 6");
+  EXPECT_EQ(refusal("flattree-topology v1\nswitches 1\nedge 0 0 4 9\nlinks 0\nservers 0\n"),
+            "deserialize: trailing token '9' at line 3");
+  EXPECT_EQ(refusal(two_switches("links 0\n", "servers 1\n0 0\n")),
+            "deserialize: trailing token '0' at line 7");
+  EXPECT_EQ(refusal(two_switches("links 0 0\n")),
+            "deserialize: expected 'links <count>' at line 5");
+  EXPECT_EQ(refusal(two_switches("links 0\n", "servers 0\n0\n")),
+            "deserialize: trailing line after the servers section at line 7");
+}
+
+TEST(Serialize, RejectsNonCanonicalIntegers) {
+  EXPECT_EQ(refusal(two_switches("links 01\n")),
+            "deserialize: bad count '01' (leading zero) at line 5");
+  EXPECT_EQ(refusal(two_switches("links 1\n+0 1 1 random\n")),
+            "deserialize: bad endpoint '+0' (signed integer) at line 6");
+  EXPECT_EQ(refusal("flattree-topology v1\nswitches 1\nedge -0 0 4\nlinks 0\nservers 0\n"),
+            "deserialize: bad pod '-0' (negative zero) at line 3");
+  EXPECT_EQ(refusal("flattree-topology v1\nswitches 1\nedge 0 0 4294967296\n"),
+            "deserialize: bad ports '4294967296' (integer out of range) at line 3");
+  EXPECT_EQ(refusal(two_switches("links 0\n", "servers 1\n2\n")),
+            "deserialize: bad host '2' (no such switch) at line 7");
+  EXPECT_EQ(refusal(two_switches("links 1\n0  1 1 random\n")),
+            "deserialize: malformed link at line 6");
+}
+
+TEST(Serialize, RejectsBadLinks) {
+  EXPECT_EQ(refusal(two_switches("links 1\n1 1 1 random\n")),
+            "deserialize: self-loop link at line 6");
+  for (const char* cap : {"0", "-1", "nan", "inf", "1e999", "1x"})
+    EXPECT_EQ(refusal(two_switches("links 1\n0 1 " + std::string(cap) + " random\n")),
+              "deserialize: bad capacity '" + std::string(cap) + "' at line 6");
 }
 
 }  // namespace
