@@ -1,8 +1,11 @@
 #include "sim/packet_sim.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -27,37 +30,125 @@ struct Packet {
   std::uint64_t flow_id = 0;      ///< index into the flow table
   std::uint64_t salt = 0;         ///< flowlet-salted id fed to the FIB hash
   topo::NodeId dst_switch = 0;
+  topo::NodeId at = 0;            ///< switch its next Arrive reaches
   double injected_at = 0.0;
   bool marked = false;            ///< ECN CE bit (set at a hot queue)
   bool dropped = false;
 };
 
-/// Event kinds. Drop-tail runs only use Arrive; Credit (delivery or drop
-/// feedback to the source) and Inject (window-clocked send) drive DCTCP.
+/// Event kinds. Inject is a flow's next send: under drop-tail the next
+/// NIC-paced packet entering its source switch, under DCTCP a
+/// window-clocked pump. Arrive moves a packet one hop; Credit (delivery or
+/// drop feedback to the source) drives DCTCP only.
 enum class EventKind : std::uint8_t { Arrive, Credit, Inject };
 
 struct Event {
   double time = 0.0;
   std::uint64_t seq = 0;  ///< FIFO tie-break for determinism
+  std::uint32_t idx = 0;  ///< packet index (Arrive/Credit) or flow index (Inject)
   EventKind kind = EventKind::Arrive;
-  topo::NodeId at = 0;    ///< switch the packet arrives at (Arrive only)
-  std::size_t idx = 0;    ///< packet index (Arrive/Credit) or flow index (Inject)
+  std::uint64_t key = 0;  ///< `time` as an order-preserving integer (EventHeap)
+};
 
-  bool operator>(const Event& o) const {
-    if (time != o.time) return time > o.time;
-    return seq > o.seq;
+/// The event queue: a binary min-heap on (time, seq). Times compare as
+/// integers whose order is the doubles' order (-0.0 ties +0.0, as `<` on
+/// doubles has it), so (key, seq) is one 128-bit compare, and pop() walks
+/// the hole to a leaf with a branch-free child pick before sifting the last
+/// element back up. Every seq is distinct, so the pop order is the unique
+/// (time, seq) order and does not depend on the heap's layout.
+class EventHeap {
+ public:
+  bool empty() const { return heap_.empty(); }
+
+  void push(Event item) {
+    item.key = order_key(item.time);
+    std::size_t i = heap_.size();
+    heap_.emplace_back();
+    while (i > 0) {
+      std::size_t p = (i - 1) / 2;
+      if (!before(item, heap_[p])) break;
+      heap_[i] = heap_[p];
+      i = p;
+    }
+    heap_[i] = item;
+  }
+
+  Event pop() {
+    const Event top = heap_[0];
+    const Event last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) return top;
+    std::size_t i = 0, c;
+    while ((c = 2 * i + 2) < n) {
+      c -= before(heap_[c - 1], heap_[c]);
+      heap_[i] = heap_[c];
+      i = c;
+    }
+    if (c == n) {
+      heap_[i] = heap_[c - 1];
+      i = c - 1;
+    }
+    while (i > 0) {
+      std::size_t p = (i - 1) / 2;
+      if (!before(last, heap_[p])) break;
+      heap_[i] = heap_[p];
+      i = p;
+    }
+    heap_[i] = last;
+    return top;
+  }
+
+ private:
+  static std::uint64_t order_key(double t) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(t + 0.0);  // -0.0 -> +0.0
+    return (bits >> 63) ? ~bits : bits | (std::uint64_t{1} << 63);
+  }
+  static bool before(const Event& a, const Event& b) {
+    const unsigned __int128 ka = (static_cast<unsigned __int128>(a.key) << 64) | a.seq;
+    const unsigned __int128 kb = (static_cast<unsigned __int128>(b.key) << 64) | b.seq;
+    return ka < kb;
+  }
+
+  std::vector<Event> heap_;
+};
+
+/// Per-directed-arc transmit state: when the line frees up, and the
+/// arrival times at the far end of the packets that are waiting or in
+/// flight on the arc (store-and-forward: a packet occupies the queue until
+/// received). Departures on an arc are FIFO, so these times only increase:
+/// they sit in a ring, oldest first, and retire from the front once due.
+struct ArcState {
+  double busy_until = 0.0;
+  std::vector<double> ring;  ///< capacity 0 or a power of two
+  std::size_t head = 0;
+  std::size_t count = 0;
+
+  /// Occupancy at `now`: every arrival due at or before `now` has left.
+  std::size_t queued(double now) {
+    while (count != 0 && ring[head] <= now) {
+      head = (head + 1) & (ring.size() - 1);
+      --count;
+    }
+    return count;
+  }
+
+  void push(double arrive) {
+    if (count == ring.size()) {
+      std::vector<double> grown(std::max<std::size_t>(8, 2 * ring.size()));
+      for (std::size_t i = 0; i < count; ++i)
+        grown[i] = ring[(head + i) & (ring.size() - 1)];
+      ring.swap(grown);
+      head = 0;
+    }
+    ring[(head + count) & (ring.size() - 1)] = arrive;
+    ++count;
   }
 };
 
-/// Per-directed-arc transmit state: when the line frees up and how many
-/// packets are waiting or in flight.
-struct ArcState {
-  double busy_until = 0.0;
-  std::size_t queued = 0;
-};
-
-/// DCTCP source state, one per flow. alpha starts at 1.0 (react strongly
-/// to the first marked window, the conservative standard choice).
+/// Source state, one per flow; drop-tail uses only `sent` and
+/// `first_packet`. DCTCP's alpha starts at 1.0 (react strongly to the
+/// first marked window, the conservative standard choice).
 struct FlowState {
   std::uint32_t sent = 0;
   std::uint32_t inflight = 0;
@@ -68,15 +159,7 @@ struct FlowState {
   double alpha = 1.0;
   double nic_free = 0.0;
   bool inject_pending = false;     ///< an Inject event is already queued
-};
-
-/// Departure bookkeeping: queued counts drain when the head leaves the
-/// wire; model it by scheduling the decrement together with the arrival
-/// (store-and-forward: the packet occupies the queue until received).
-struct Drain {
-  double time;
-  std::size_t arc;
-  bool operator>(const Drain& o) const { return time > o.time; }
+  std::size_t first_packet = 0;    ///< drop-tail: index and seq of packet 0
 };
 
 /// Queue-occupancy sampling (sampled at each arc arrival, before the drop
@@ -126,10 +209,18 @@ void finalize_distributions(PacketStats& stats, std::vector<double>& delays,
 PacketSimulator::PacketSimulator(const topo::Topology& topo, const te::WeightedFib& fib,
                                  PacketSimConfig config)
     : topo_(topo), fib_(fib), config_(config) {
-  if (config_.packet_size <= 0 || config_.nic_rate <= 0)
-    throw std::invalid_argument("PacketSimulator: non-positive packet size or NIC rate");
-  if (config_.init_cwnd == 0)
-    throw std::invalid_argument("PacketSimulator: init_cwnd must be positive");
+  auto require = [](bool ok, const char* what) {
+    if (!ok) throw std::invalid_argument(std::string("PacketSimulator: ") + what);
+  };
+  require(std::isfinite(config_.packet_size) && config_.packet_size > 0,
+          "packet_size must be finite and positive");
+  require(std::isfinite(config_.nic_rate) && config_.nic_rate > 0,
+          "nic_rate must be finite and positive");
+  require(std::isfinite(config_.propagation_delay) && config_.propagation_delay >= 0,
+          "propagation_delay must be finite and non-negative");
+  require(std::isfinite(config_.ack_delay) && config_.ack_delay >= 0,
+          "ack_delay must be finite and non-negative");
+  require(config_.init_cwnd != 0, "init_cwnd must be positive");
 }
 
 graph::LinkId PacketSimulator::select(topo::NodeId at, topo::NodeId dst,
@@ -143,16 +234,24 @@ graph::LinkId PacketSimulator::select(topo::NodeId at, topo::NodeId dst,
 
 PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
   if (flows.empty()) throw std::invalid_argument("PacketSimulator::run: no flows");
-  for (const PacketFlow& flow : flows)
+  std::uint64_t total_packets = 0;
+  for (const PacketFlow& flow : flows) {
     if (flow.src == flow.dst)
       throw std::invalid_argument("PacketSimulator: src == dst");
+    if (!std::isfinite(flow.start))
+      throw std::invalid_argument("PacketSimulator: flow start must be finite");
+    total_packets += flow.packets;
+  }
+  // Events carry 32-bit packet and flow indices.
+  constexpr std::uint64_t kMaxIndex = std::numeric_limits<std::uint32_t>::max();
+  if (flows.size() > kMaxIndex || total_packets > kMaxIndex)
+    throw std::invalid_argument("PacketSimulator: more than 2^32 - 1 flows or packets");
   OBS_SPAN("sim.packet.run");
 
-  const std::size_t arcs = topo_.link_count() * 2;
-  std::vector<ArcState> arc_state(arcs);
+  std::vector<ArcState> arc_state(topo_.link_count() * 2);
   std::vector<Packet> packets;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
-  std::priority_queue<Drain, std::vector<Drain>, std::greater<>> drains;
+  packets.reserve(total_packets);  // every packet is sent, under either discipline
+  EventHeap events;
   std::uint64_t seq = 0;
 
   PacketStats stats;
@@ -160,39 +259,49 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
   std::vector<double> last_delivery(flows.size(), -1.0);
   QueueSampler queues;
   te::FlowletTable flowlets(config_.flowlet_gap);
-  std::vector<FlowState> state;
+  std::vector<FlowState> state(flows.size());
   const double injection_gap = config_.packet_size / config_.nic_rate;
 
   if (!config_.ecn) {
-    // Drop-tail: packets enter their source host switch at NIC pace.
-    // Scheduling every arrival up front fixes the seq tie-break order the
-    // drop-tail outputs (and BENCH_te.json) are pinned to. Flowlet salts
-    // are a per-flow function of the injection times, so they can be
-    // assigned during this pre-scheduling pass.
+    // Drop-tail: packets enter their source host switch at NIC pace, and
+    // packet p of flow f carries seq first_packet(f) + p, the flow-major
+    // numbering the drop-tail outputs (and BENCH_te.json) are pinned to.
+    // Only each flow's next packet waits in the heap, as an Inject event
+    // under that seq; a flow's later packets are later in (time, seq), so
+    // the pop order is the one of scheduling every packet up front.
+    // Flowlet salts are a per-flow function of the injection times and are
+    // assigned in this pass, in the same flow-major order.
     for (std::size_t f = 0; f < flows.size(); ++f) {
       const PacketFlow& flow = flows[f];
-      topo::NodeId dst_switch = topo_.host(flow.dst);
+      const topo::NodeId src_switch = topo_.host(flow.src);
+      const topo::NodeId dst_switch = topo_.host(flow.dst);
+      state[f].first_packet = packets.size();
       for (std::uint32_t p = 0; p < flow.packets; ++p) {
         double t = flow.start + static_cast<double>(p) * injection_gap;
         Packet pkt;
         pkt.flow_id = static_cast<std::uint64_t>(f);
         pkt.salt = flowlets.salt(pkt.flow_id, t);
         pkt.dst_switch = dst_switch;
+        pkt.at = src_switch;
         pkt.injected_at = t;
         packets.push_back(pkt);
-        events.push({t, seq++, EventKind::Arrive, topo_.host(flow.src), packets.size() - 1});
-        ++stats.injected;
+      }
+      if (flow.packets != 0) {
+        const std::size_t first = state[f].first_packet;
+        events.push({packets[first].injected_at, first, static_cast<std::uint32_t>(f),
+                     EventKind::Inject});
       }
     }
+    stats.injected = packets.size();
+    seq = packets.size();
   } else {
-    state.resize(flows.size());
     for (std::size_t f = 0; f < flows.size(); ++f) {
       FlowState& fs = state[f];
       fs.cwnd = config_.init_cwnd;
       fs.window_size = fs.cwnd;
       fs.nic_free = flows[f].start;
       fs.inject_pending = true;
-      events.push({flows[f].start, seq++, EventKind::Inject, 0, f});
+      events.push({flows[f].start, seq++, static_cast<std::uint32_t>(f), EventKind::Inject});
     }
   }
 
@@ -206,10 +315,11 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
       pkt.flow_id = static_cast<std::uint64_t>(f);
       pkt.salt = flowlets.salt(pkt.flow_id, now);
       pkt.dst_switch = topo_.host(flow.dst);
+      pkt.at = topo_.host(flow.src);
       pkt.injected_at = now;
       packets.push_back(pkt);
-      events.push({now, seq++, EventKind::Arrive, topo_.host(flow.src),
-                   packets.size() - 1});
+      events.push({now, seq++, static_cast<std::uint32_t>(packets.size() - 1),
+                   EventKind::Arrive});
       ++fs.sent;
       ++fs.inflight;
       fs.nic_free = now + injection_gap;
@@ -217,7 +327,8 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
     }
     if (!fs.inject_pending && fs.sent < flow.packets && fs.inflight < fs.cwnd) {
       fs.inject_pending = true;
-      events.push({std::max(now, fs.nic_free), seq++, EventKind::Inject, 0, f});
+      events.push({std::max(now, fs.nic_free), seq++, static_cast<std::uint32_t>(f),
+                   EventKind::Inject});
     }
   };
 
@@ -259,26 +370,32 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
   };
 
   while (!events.empty()) {
-    Event ev = events.top();
-    events.pop();
+    Event ev = events.pop();
     c_pkt_events.inc();
-    while (!drains.empty() && drains.top().time <= ev.time) {
-      --arc_state[drains.top().arc].queued;
-      drains.pop();
-    }
 
     if (ev.kind == EventKind::Inject) {
-      state[ev.idx].inject_pending = false;
-      pump(ev.idx, ev.time);
-      continue;
-    }
-    if (ev.kind == EventKind::Credit) {
+      const std::size_t f = ev.idx;
+      if (config_.ecn) {
+        state[f].inject_pending = false;
+        pump(f, ev.time);
+        continue;
+      }
+      // Drop-tail: queue the flow's next packet, then this one arrives at
+      // its source switch.
+      FlowState& fs = state[f];
+      ev.idx = static_cast<std::uint32_t>(fs.first_packet + fs.sent);
+      if (++fs.sent < flows[f].packets) {
+        const std::size_t next = ev.idx + 1;
+        events.push({packets[next].injected_at, next, static_cast<std::uint32_t>(f),
+                     EventKind::Inject});
+      }
+    } else if (ev.kind == EventKind::Credit) {
       credit(ev.idx, ev.time);
       continue;
     }
 
     Packet& pkt = packets[ev.idx];
-    if (ev.at == pkt.dst_switch) {
+    if (pkt.at == pkt.dst_switch) {
       ++stats.delivered;
       double delay = ev.time - pkt.injected_at;
       c_pkt_delivered.inc();
@@ -288,33 +405,34 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
       last_delivery[pkt.flow_id] = std::max(last_delivery[pkt.flow_id], ev.time);
       stats.finish_time = std::max(stats.finish_time, ev.time);
       if (config_.ecn)
-        events.push({ev.time + config_.ack_delay, seq++, EventKind::Credit, 0, ev.idx});
+        events.push({ev.time + config_.ack_delay, seq++, ev.idx, EventKind::Credit});
       continue;
     }
 
-    graph::LinkId link = select(ev.at, pkt.dst_switch, pkt.salt);
+    graph::LinkId link = select(pkt.at, pkt.dst_switch, pkt.salt);
     const graph::Link& l = topo_.graph().link(link);
-    std::size_t arc = 2 * link + (l.a == ev.at ? 0 : 1);
+    std::size_t arc = 2 * link + (l.a == pkt.at ? 0 : 1);
     ArcState& astate = arc_state[arc];
-    queues.sample(astate.queued);
+    const std::size_t queued = astate.queued(ev.time);
+    queues.sample(queued);
 
-    if (config_.queue_packets != 0 && astate.queued >= config_.queue_packets) {
+    if (config_.queue_packets != 0 && queued >= config_.queue_packets) {
       ++stats.dropped;
       c_pkt_dropped.inc();
       pkt.dropped = true;
       stats.finish_time = std::max(stats.finish_time, ev.time);
       if (config_.ecn)
-        events.push({ev.time + config_.ack_delay, seq++, EventKind::Credit, 0, ev.idx});
+        events.push({ev.time + config_.ack_delay, seq++, ev.idx, EventKind::Credit});
       continue;
     }
-    if (config_.ecn && astate.queued >= config_.ecn_threshold) pkt.marked = true;
+    if (config_.ecn && queued >= config_.ecn_threshold) pkt.marked = true;
     double service = config_.packet_size / l.capacity;
     double depart = std::max(ev.time, astate.busy_until) + service;
     astate.busy_until = depart;
-    ++astate.queued;
     double arrive = depart + config_.propagation_delay;
-    drains.push({arrive, arc});
-    events.push({arrive, seq++, EventKind::Arrive, l.other(ev.at), ev.idx});
+    astate.push(arrive);
+    pkt.at = l.other(pkt.at);
+    events.push({arrive, seq++, ev.idx, EventKind::Arrive});
   }
 
   c_pkt_injected.add(stats.injected);

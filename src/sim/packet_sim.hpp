@@ -9,11 +9,16 @@
 // shows up as queueing delay and tail drops rather than a fair-share rate.
 //
 // One (time, seq)-ordered event loop serves both sending disciplines (all
-// deterministic discrete-event time, no wall clock; see DESIGN.md §11):
+// deterministic discrete-event time, no wall clock; see DESIGN.md §11).
+// Its one heap holds each flow's next send plus the packets in flight.
+// Queue occupancy comes from a ring per directed arc of the arrival times
+// still pending on it (FIFO departures, so they only increase), retired
+// when the arc is next used:
 //
-//   * Drop-tail (ecn = false): open-loop NIC-paced injection. Every
-//     packet's first arrival is scheduled before the loop starts; no
-//     feedback reaches the sources.
+//   * Drop-tail (ecn = false): open-loop NIC-paced injection. Packet p of
+//     flow f is numbered first_packet(f) + p, as if every packet were
+//     scheduled up front, and only the flow's next packet waits in the
+//     heap; no feedback reaches the sources.
 //   * ECN / DCTCP (ecn = true): queues mark packets that arrive to an
 //     occupancy >= ecn_threshold; each delivery or drop returns a Credit
 //     to its source, which runs a per-flow congestion window with an
@@ -27,6 +32,8 @@
 //
 // Time units: a packet of size 1 takes 1/capacity time units to serialize
 // onto a link of that capacity; propagation delay is per hop and constant.
+// Sizes and rates must be finite and positive, delays finite and
+// non-negative, and flow starts finite (std::invalid_argument otherwise).
 
 #include <cstdint>
 #include <vector>
@@ -100,7 +107,10 @@ class PacketSimulator {
  public:
   /// `fib` must cover every (host(src), host(dst)) switch pair the flows
   /// use (compile via te::compile_fib or te::compile_wcmp_*). Both
-  /// references must outlive the simulator.
+  /// references must outlive the simulator. Throws std::invalid_argument,
+  /// naming the field, on a packet_size or nic_rate that is not finite and
+  /// positive, a propagation_delay or ack_delay that is not finite and
+  /// non-negative, or a zero init_cwnd.
   PacketSimulator(const topo::Topology& topo, const te::WeightedFib& fib,
                   PacketSimConfig config = {});
 
@@ -108,7 +118,7 @@ class PacketSimulator {
   /// Deterministic for a given input ordering. Flows with src == dst are
   /// rejected (std::invalid_argument): the fabric model has nothing to
   /// simulate for them, and silently delivering at zero hops would skew
-  /// delay statistics. Zero-packet flows are legal no-ops, so a run that
+  /// delay statistics. So is a flow whose start is not finite. Zero-packet flows are legal no-ops, so a run that
   /// delivers nothing reports every delay/FCT statistic as 0.0.
   PacketStats run(const std::vector<PacketFlow>& flows);
 

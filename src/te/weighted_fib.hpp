@@ -13,6 +13,12 @@
 // On an equal-cost table that walk returns hops[hash % n], the classic
 // ECMP choice.
 //
+// Storage is flat: a dense switches x switches slot index (4 B a pair,
+// 26 KB at k=8 and 410 KB at k=16) points into one entry array, and each
+// entry caches its weight sum, so a lookup is two array reads and select()
+// does no hashing and no sum loop. Destinations are switch ids, like the
+// switch a rule sits at.
+//
 // Weighted tables (compiled by te::compile_wcmp_*) carry a weight budget
 // every entry's weights sum to; equal-cost tables (te::compile_fib, or
 // WeightedFib::equal_cost) carry none and hold weight-1 rules. Both are
@@ -22,7 +28,6 @@
 // emit zero-weight rules.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -52,10 +57,12 @@ class WeightedFib {
   /// Adds (or tops up) a rule at `at` toward `dst` via `link`. Weights
   /// accumulate on repeated calls for the same (at, dst, link). Zero
   /// weights are stored verbatim — validators flag them; compilers prune
-  /// them before installation.
+  /// them before installation. Throws std::out_of_range when `at` or
+  /// `dst` is not a switch of the table.
   void add_route(NodeId at, NodeId dst, graph::LinkId link, std::uint32_t weight);
 
   /// Rules at `at` toward `dst` in installation order (empty if none).
+  /// Throws std::out_of_range when `at` is not a switch of the table.
   const std::vector<WeightedHop>& next_hops(NodeId at, NodeId dst) const;
 
   /// Deterministic weighted per-flow choice: hashes (at, dst, flow_id)
@@ -74,18 +81,29 @@ class WeightedFib {
   /// iterate the table deterministically through this).
   std::vector<NodeId> destinations(NodeId at) const;
 
-  std::size_t switch_count() const { return tables_.size(); }
+  std::size_t switch_count() const { return switches_; }
   /// Total number of (switch, destination, link) rules.
   std::size_t rule_count() const;
   /// Number of (switch, destination) entries.
-  std::size_t entry_count() const;
+  std::size_t entry_count() const { return entries_.size(); }
   /// Sum of all rule weights across the table.
   std::uint64_t total_weight() const;
   /// Largest per-switch rule count (TCAM pressure proxy).
   std::size_t max_rules_per_switch() const;
 
  private:
-  std::vector<std::unordered_map<NodeId, std::vector<WeightedHop>>> tables_;
+  struct Entry {
+    std::vector<WeightedHop> hops;
+    std::uint64_t weight_sum = 0;  ///< sum of hops' weights
+  };
+  static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
+
+  /// Slot-index row of `at` (bounds-checked).
+  const std::uint32_t* row(NodeId at) const;
+
+  std::size_t switches_;
+  std::vector<std::uint32_t> slot_;  ///< at * switches_ + dst -> entries_ index
+  std::vector<Entry> entries_;
   std::uint32_t weight_budget_;
   static const std::vector<WeightedHop> kEmpty;
 };

@@ -1,15 +1,16 @@
 // Deterministic mutation test for the hand-editable text formats: fault
 // scenarios (fault::load_scenario), design candidates
-// (design::Candidate::decode), JSON documents (obs::json_parse) and
-// service request lines (svc::parse_request). The seeds are a busy
-// generated scenario, a three-zone candidate, a run manifest and a
-// request script of canonical lines; each mutant applies one mutator of
-// tests/fuzz/mutator.hpp with positions drawn from Rng::substream, so
-// every run tests the same kMutants mutants per format. Every mutant must
-// be either refused (std::runtime_error for the text formats, a stable
-// json.* / svc.* code for JSON and requests; any other exception fails
-// the test) or accepted as a value that re-encodes and re-parses to an
-// equal value, bit for bit.
+// (design::Candidate::decode), JSON documents (obs::json_parse), service
+// request lines (svc::parse_request) and topologies (topo::deserialize).
+// The seeds are a busy generated scenario, a three-zone candidate, a run
+// manifest, a request script of canonical lines and a flat-tree topology;
+// each mutant applies one mutator of tests/fuzz/mutator.hpp with positions
+// drawn from Rng::substream, so every run tests the same kMutants mutants
+// per format. Every mutant must be either refused (std::runtime_error for
+// the scenario and candidate formats, a "deserialize: " std::invalid_argument
+// for topologies, a stable json.* / svc.* code for JSON and requests; any
+// other exception fails the test) or accepted as a value that re-encodes
+// and re-parses to an equal value, bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "fuzz/mutator.hpp"
 #include "obs/json.hpp"
 #include "svc/protocol.hpp"
+#include "topo/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace flattree::fuzz {
@@ -35,6 +37,7 @@ constexpr std::uint64_t kScenarioSeed = 0x7363656e6172696fULL;
 constexpr std::uint64_t kCandidateSeed = 0x63616e646964ULL;
 constexpr std::uint64_t kJsonSeed = 0x6a736f6eULL;
 constexpr std::uint64_t kRequestSeed = 0x72657175657374ULL;
+constexpr std::uint64_t kTopologySeed = 0x746f706fULL;
 
 // A flattree.run.v1 manifest, one member per line so the line mutators
 // have lines to move.
@@ -225,6 +228,44 @@ TEST(TextFuzz, RequestMutantsAreRefusedOrRoundTrip) {
           << "mutant " << i << " (mutator " << m << ") is not a canonical fixpoint";
     }
     ++(refused ? o.refused : o.accepted)[m];
+  }
+  expect_every_mutator_refused_something(o, /*truncation_refuses=*/true);
+  EXPECT_GT(o.accepted[kBitFlip] + o.accepted[kDigitExtend], 0u);  // the fixpoint half ran
+}
+
+/// A k=4 global-random flat-tree (every switch kind and several link
+/// origins) plus two links whose capacities need more than the default
+/// six significant digits.
+std::string seed_topology() {
+  core::FlatTreeConfig cfg;
+  cfg.k = 4;
+  topo::Topology t = core::FlatTreeNetwork(cfg).build(core::Mode::GlobalRandom);
+  t.add_link(0, 5, topo::LinkOrigin::Random, 2.5);
+  t.add_link(3, 9, topo::LinkOrigin::Random, 0.1);
+  return topo::serialize(t);
+}
+
+TEST(TextFuzz, TopologyMutantsAreRefusedOrReachAFixpoint) {
+  const std::string seed = seed_topology();
+  ASSERT_EQ(topo::serialize(topo::deserialize(seed)), seed);
+  Outcomes o;
+  for (std::uint64_t i = 0; i < kMutants; ++i) {
+    util::Rng rng = util::Rng::substream(kTopologySeed, i);
+    const auto m = static_cast<Mutator>(i % kMutators);
+    const std::string mutant = mutate(seed, m, rng);
+    topo::Topology t;
+    try {
+      t = topo::deserialize(mutant);
+    } catch (const std::invalid_argument& e) {
+      ++o.refused[m];
+      EXPECT_TRUE(has_prefix(e.what(), "deserialize: "))
+          << "mutant " << i << " (mutator " << m << ") refused with '" << e.what() << "'";
+      continue;
+    }
+    ++o.accepted[m];
+    const std::string written = topo::serialize(t);
+    EXPECT_EQ(topo::serialize(topo::deserialize(written)), written)
+        << "mutant " << i << " (mutator " << m << ") is not a write fixpoint";
   }
   expect_every_mutator_refused_something(o, /*truncation_refuses=*/true);
   EXPECT_GT(o.accepted[kBitFlip] + o.accepted[kDigitExtend], 0u);  // the fixpoint half ran

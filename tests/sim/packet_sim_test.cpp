@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "routing/ecmp.hpp"
 #include "routing/fib.hpp"
 #include "te/wcmp.hpp"
@@ -194,6 +199,86 @@ TEST(PacketSim, FctTracksLastPacketOfEachFlow) {
   EXPECT_NEAR(stats.fct_mean, 6.0, 1e-9);
   EXPECT_NEAR(stats.fct_p50, 6.0, 1e-9);
   EXPECT_NEAR(stats.fct_max, 6.0, 1e-9);
+}
+
+// -- input validation ---------------------------------------------------------
+
+/// A 2-flow inter-pod run with ECN on, the shape the refused inputs used to
+/// hang or corrupt.
+PacketStats run_two_flows(const Fixture& fx, PacketSimConfig cfg, double start = 0.0) {
+  cfg.ecn = true;
+  PacketSimulator sim(fx.ft.topo, fx.fib, cfg);
+  return sim.run({{fx.ft.server(0, 0, 0), fx.ft.server(1, 0, 0), 4, start},
+                  {fx.ft.server(2, 0, 0), fx.ft.server(3, 0, 0), 4, 0.0}});
+}
+
+void expect_refused(const Fixture& fx, const PacketSimConfig& cfg, const char* field) {
+  try {
+    run_two_flows(fx, cfg);
+    ADD_FAILURE() << field << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(PacketSim, NanPacketSizeRefused) {
+  Fixture fx;
+  PacketSimConfig cfg;
+  cfg.packet_size = std::nan("");
+  expect_refused(fx, cfg, "packet_size");
+  cfg.packet_size = std::numeric_limits<double>::infinity();
+  expect_refused(fx, cfg, "packet_size");
+}
+
+TEST(PacketSim, NanNicRateRefused) {
+  Fixture fx;
+  PacketSimConfig cfg;
+  cfg.nic_rate = std::nan("");
+  expect_refused(fx, cfg, "nic_rate");
+  cfg.nic_rate = -1.0;
+  expect_refused(fx, cfg, "nic_rate");
+}
+
+TEST(PacketSim, NanPropagationDelayRefused) {
+  Fixture fx;
+  PacketSimConfig cfg;
+  cfg.propagation_delay = std::nan("");
+  expect_refused(fx, cfg, "propagation_delay");
+  cfg.propagation_delay = std::numeric_limits<double>::infinity();
+  expect_refused(fx, cfg, "propagation_delay");
+}
+
+TEST(PacketSim, NegativePropagationDelayRefused) {
+  Fixture fx;
+  PacketSimConfig cfg;
+  cfg.propagation_delay = -5.0;
+  expect_refused(fx, cfg, "propagation_delay");
+  cfg.propagation_delay = 0.0;  // the boundary stays legal
+  EXPECT_EQ(run_two_flows(fx, cfg).delivered, 8u);
+}
+
+TEST(PacketSim, NegativeAckDelayRefused) {
+  Fixture fx;
+  PacketSimConfig cfg;
+  cfg.ack_delay = -5.0;
+  expect_refused(fx, cfg, "ack_delay");
+  cfg.ack_delay = std::nan("");
+  expect_refused(fx, cfg, "ack_delay");
+}
+
+TEST(PacketSim, NonFiniteFlowStartRefused) {
+  Fixture fx;
+  for (double start : {std::nan(""), std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    try {
+      run_two_flows(fx, PacketSimConfig{}, start);
+      ADD_FAILURE() << "start " << start << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("start"), std::string::npos) << e.what();
+    }
+  }
+  // A finite negative start is an ordinary time origin.
+  EXPECT_EQ(run_two_flows(fx, PacketSimConfig{}, -3.0).delivered, 8u);
 }
 
 // -- golden stats -------------------------------------------------------------

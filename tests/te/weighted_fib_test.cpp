@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
+#include <vector>
 
 #include "check/te_check.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/fib.hpp"
 #include "te/wcmp.hpp"
 #include "topo/fat_tree.hpp"
+#include "util/rng.hpp"
 
 namespace flattree::te {
 namespace {
@@ -67,12 +70,26 @@ TEST(WeightedFib, ZeroBudgetRejected) {
 }
 
 TEST(WeightedFib, DestinationsSortedPerSwitch) {
-  WeightedFib fib(2, 64);
+  WeightedFib fib(10, 64);
   fib.add_route(0, 9, 0, 64);
   fib.add_route(0, 3, 0, 64);
   fib.add_route(0, 7, 0, 64);
   EXPECT_EQ(fib.destinations(0), (std::vector<NodeId>{3, 7, 9}));
   EXPECT_TRUE(fib.destinations(1).empty());
+
+  // Ascending whatever the insertion order, repeats included.
+  WeightedFib big(64, 64);
+  util::Rng rng(5);
+  std::vector<NodeId> want;
+  for (int i = 0; i < 40; ++i) {
+    auto dst = static_cast<NodeId>(rng.index(64));
+    big.add_route(7, dst, 0, 64);
+    want.push_back(dst);
+  }
+  std::sort(want.begin(), want.end());
+  want.erase(std::unique(want.begin(), want.end()), want.end());
+  EXPECT_EQ(big.destinations(7), want);
+  EXPECT_EQ(big.entry_count(), want.size());
 }
 
 TEST(WeightedFib, SelectDeterministicSkipsZeroAndThrowsOnMiss) {
@@ -100,6 +117,100 @@ TEST(WeightedFib, SelectTracksWeightsOverFlowSweep) {
   double heavy = static_cast<double>(hits[0]) / sweep;
   EXPECT_NEAR(heavy, 0.75, 0.02);  // mix64 is a good hash; 2% slack is ample
   EXPECT_NEAR(static_cast<double>(hits[1]) / sweep, 0.25, 0.02);
+}
+
+/// select()'s documented walk, computed by hand from the rule list.
+graph::LinkId walk(const std::vector<WeightedHop>& hops, NodeId at, NodeId dst,
+                   std::uint64_t flow) {
+  std::uint64_t total = 0;
+  for (const WeightedHop& hop : hops) total += hop.weight;
+  std::uint64_t point =
+      util::mix64(flow ^ ((static_cast<std::uint64_t>(at) << 32) | dst)) % total;
+  for (const WeightedHop& hop : hops) {
+    if (point < hop.weight) return hop.link;
+    point -= hop.weight;
+  }
+  ADD_FAILURE() << "walk ran off the weight line";
+  return hops.back().link;
+}
+
+TEST(WeightedFib, HopsStayInInstallationOrder) {
+  WeightedFib fib(4, 64);
+  fib.add_route(0, 3, 9, 10);
+  fib.add_route(0, 3, 2, 20);
+  fib.add_route(0, 3, 5, 30);
+  fib.add_route(0, 3, 2, 4);  // a top-up keeps the rule where it was
+  const auto& hops = fib.next_hops(0, 3);
+  ASSERT_EQ(hops.size(), 3u);
+  EXPECT_EQ(hops[0].link, 9u);
+  EXPECT_EQ(hops[1].link, 2u);
+  EXPECT_EQ(hops[1].weight, 24u);
+  EXPECT_EQ(hops[2].link, 5u);
+}
+
+TEST(WeightedFib, CachedWeightSumFollowsTopUpsAndZeroWeights) {
+  WeightedFib fib(4, 64);
+  fib.add_route(1, 2, 0, 0);  // zero-weight only: nothing to select yet
+  EXPECT_THROW(fib.select(1, 2, 0), std::runtime_error);
+  fib.add_route(1, 2, 1, 0);
+  EXPECT_THROW(fib.select(1, 2, 0), std::runtime_error);
+  fib.add_route(1, 2, 1, 3);  // top-up of a zero-weight rule
+  fib.add_route(1, 2, 2, 5);
+  fib.add_route(1, 2, 0, 0);
+  fib.add_route(1, 2, 2, 2);
+  EXPECT_EQ(fib.total_weight(), 10u);
+  const auto& hops = fib.next_hops(1, 2);
+  for (std::uint64_t flow = 0; flow < 2000; ++flow) {
+    graph::LinkId link = fib.select(1, 2, flow);
+    ASSERT_EQ(link, walk(hops, 1, 2, flow)) << "flow " << flow;
+    ASSERT_NE(link, 0u);  // zero-weight rule never chosen
+  }
+  // A top-up that wraps the 32-bit weight keeps the cached sum equal to
+  // the stored weights.
+  WeightedFib wrap(2, 64);
+  wrap.add_route(0, 1, 0, 0xffffffffu);
+  wrap.add_route(0, 1, 0, 2);
+  wrap.add_route(0, 1, 1, 1);
+  EXPECT_EQ(wrap.next_hops(0, 1)[0].weight, 1u);
+  EXPECT_EQ(wrap.total_weight(), 2u);
+  for (std::uint64_t flow = 0; flow < 200; ++flow)
+    ASSERT_EQ(wrap.select(0, 1, flow), walk(wrap.next_hops(0, 1), 0, 1, flow));
+}
+
+TEST(WeightedFib, MissingEntriesAndForeignSwitches) {
+  WeightedFib fib(3, 64);
+  fib.add_route(0, 2, 0, 64);
+  EXPECT_THROW(fib.select(0, 1, 0), std::runtime_error);  // no entry
+  EXPECT_THROW(fib.select(0, 3, 0), std::runtime_error);  // not a switch
+  EXPECT_TRUE(fib.next_hops(0, 3).empty());
+  EXPECT_THROW(fib.next_hops(3, 2), std::out_of_range);
+  EXPECT_THROW(fib.add_route(3, 2, 0, 1), std::out_of_range);
+  EXPECT_THROW(fib.add_route(0, 3, 0, 1), std::out_of_range);
+  EXPECT_THROW(fib.destinations(3), std::out_of_range);
+  EXPECT_EQ(fib.rule_count(), 1u);
+}
+
+TEST(WeightedFib, SelectMatchesHandComputedWalk) {
+  WeightedFib fib(8, 64);
+  fib.add_route(5, 6, 11, 7);
+  fib.add_route(5, 6, 3, 1);
+  fib.add_route(5, 6, 8, 56);
+  WeightedFib ecmp = WeightedFib::equal_cost(8);
+  for (graph::LinkId link : {4u, 1u, 9u}) ecmp.add_route(2, 7, link, 1);
+  const std::vector<graph::LinkId> ecmp_hops = {4, 1, 9};
+  for (std::uint64_t flow = 0; flow < 5000; ++flow) {
+    ASSERT_EQ(fib.select(5, 6, flow), walk(fib.next_hops(5, 6), 5, 6, flow));
+    // On an equal-cost entry the walk is hops[hash % n].
+    const std::uint64_t h = util::mix64(flow ^ ((std::uint64_t{2} << 32) | 7));
+    ASSERT_EQ(ecmp.select(2, 7, flow), ecmp_hops[h % 3]);
+  }
+  // Pinned points on the weight line [11:7 | 3:1 | 8:56], worked out from
+  // splitmix64 by hand, so a change to mix64 or the key layout shows here:
+  // flow 0 lands at 59, flow 8 at 1 and flow 111 at 7.
+  EXPECT_EQ(fib.select(5, 6, 0), 8u);
+  EXPECT_EQ(fib.select(5, 6, 8), 11u);
+  EXPECT_EQ(fib.select(5, 6, 111), 3u);
+  EXPECT_EQ(fib.max_rules_per_switch(), 3u);
 }
 
 TEST(VerifyWeightedFib, CompiledFatTreePasses) {
