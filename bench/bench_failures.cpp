@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
   auto demands = workload::cluster_traffic(clusters, workload::Pattern::Broadcast, wl);
 
   // Incremental sweep state: one exact-only MCF warm cache (identical
-  // instances — e.g. the four fails=0 solves — resume bitwise). Cold mode
-  // leaves it null; stdout is byte-identical either way.
+  // instances — e.g. the four fails=0 solves — get the stored result).
+  // Cold mode leaves it null; stdout is byte-identical either way.
   std::unique_ptr<inc::McfWarmCache> warm;
   if (bench::incremental_enabled())
     warm = std::make_unique<inc::McfWarmCache>(inc::McfWarmCacheOptions{.exact_only = true});

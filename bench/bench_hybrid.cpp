@@ -112,8 +112,9 @@ int main(int argc, char** argv) {
     return v;
   };
 
-  // Incremental sweep state: the exact-only MCF warm cache resumes any
-  // bitwise-repeated instance. Stdout stays byte-identical to cold mode.
+  // Incremental sweep state: the exact-only MCF warm cache answers any
+  // bitwise-repeated instance with its stored result. Stdout stays
+  // byte-identical to cold mode.
   std::unique_ptr<inc::McfWarmCache> warm;
   if (bench::incremental_enabled())
     warm = std::make_unique<inc::McfWarmCache>(inc::McfWarmCacheOptions{.exact_only = true});

@@ -31,6 +31,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -107,6 +108,15 @@ int main(int argc, char** argv) {
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
+  // Written so that NaN fails both tests.
+  if (!(eps > 0.0 && eps < 1.0)) {
+    std::fprintf(stderr, "bench_service: --eps must be in (0, 1)\n");
+    return 2;
+  }
+  if (!(augs_per_ms > 0.0) || !std::isfinite(augs_per_ms)) {
+    std::fprintf(stderr, "bench_service: --augs-per-ms must be finite and positive\n");
+    return 2;
+  }
   threads = threads_flag;
   selfcheck = selfcheck_flag;
   incremental = incremental_flag;

@@ -163,13 +163,12 @@ class ObsScope {
 // -- incremental sweeps (--incremental) -------------------------------------
 //
 // With --incremental the sweep-style benches reuse work between
-// consecutive sweep points through src/inc: identical MCF instances resume
-// from their terminal solver state (inc::McfWarmCache, exact-only tier).
-// APL is always the cold counting BFS. Stdout is byte-identical to cold
-// mode at any thread count — an exact resume is bitwise-equivalent by
-// construction and every warm-started solver result is re-certified
-// through src/check. The savings show up in a --metrics-json manifest:
-// inc.mcf.warm_phases_saved counts GK phases inherited instead of re-run.
+// consecutive sweep points through src/inc: an identical MCF instance gets
+// the stored result of its cold solve (inc::McfWarmCache, exact-only
+// tier). APL is always the cold counting BFS. Stdout is byte-identical to
+// cold mode at any thread count, because GK is a pure function of its
+// inputs. The savings show up in a --metrics-json manifest:
+// inc.mcf.exact_resumes counts the solves answered from the stored result.
 
 /// Process-wide switch; set from the --incremental flag.
 inline bool& incremental_enabled() {
@@ -212,8 +211,8 @@ inline double throughput(const topo::Topology& topo,
   // Certification needs the dual bound for the bracket check, so selfcheck
   // forces the upper bound on even when the caller does not want it.
   opt.compute_upper_bound = upper != nullptr || selfcheck_enabled();
-  // The warm cache (exact-only in benches) resumes identical instances
-  // bitwise and re-certifies internally; different instances solve cold.
+  // The warm cache (exact-only in benches) returns the stored result for
+  // an identical instance; different instances solve cold.
   auto r = warm != nullptr ? warm->solve(topo.graph(), commodities, opt)
                            : mcf::max_concurrent_flow(topo.graph(), commodities, opt);
   if (selfcheck_enabled()) {
@@ -229,10 +228,9 @@ inline double throughput(const topo::Topology& topo,
 /// the mean lambda. Placements are independent, so the seed loop fans out
 /// over the exec pool: each seed keeps its own Rng(seed_base + s) exactly
 /// as the sequential loop did, and partial sums reduce in seed order, so
-/// the mean is bit-identical at any thread count. (The GK solver inside
-/// each seed then runs its tree precompute sequentially — nested parallel
-/// regions degrade to seq — which keeps the parallelism at the widest,
-/// cheapest level.)
+/// the mean is bit-identical at any thread count. (Each GK solve runs on
+/// its seed's thread, which keeps the parallelism at the widest, cheapest
+/// level.)
 inline double mean_cluster_throughput(const topo::Topology& topo, std::uint32_t cluster_size,
                                       workload::Placement placement,
                                       workload::Pattern pattern,

@@ -45,12 +45,19 @@ Controller::Controller(FlatTreeNetwork net)
       configs_(net_.assign_configs(Mode::Clos)),
       pod_modes_(net_.params().pods(), Mode::Clos) {}
 
+std::vector<ReconfigStep> Controller::steps_between(const std::vector<ConverterConfig>& from,
+                                                   const std::vector<ConverterConfig>& to) {
+  std::vector<ReconfigStep> steps;
+  for (std::uint32_t i = 0; i < from.size(); ++i)
+    if (from[i] != to[i]) steps.push_back({i, from[i], to[i]});
+  return steps;
+}
+
 ReconfigPlan Controller::diff(const std::vector<ConverterConfig>& from,
                               const std::vector<ConverterConfig>& to) const {
   OBS_SPAN("core.reconfig.diff");
   ReconfigPlan plan;
-  for (std::uint32_t i = 0; i < from.size(); ++i)
-    if (from[i] != to[i]) plan.steps.push_back({i, from[i], to[i]});
+  plan.steps = steps_between(from, to);
   if (plan.steps.empty()) return plan;
 
   // Both states are materialized only for their checks (assignment

@@ -64,6 +64,11 @@ class Controller {
   // directly — partial plan application and fault-aware recovery mutate
   // configs_ outside the mode-level apply() path.
 
+  /// One step per converter whose configuration differs, in converter
+  /// order.
+  static std::vector<ReconfigStep> steps_between(const std::vector<ConverterConfig>& from,
+                                                 const std::vector<ConverterConfig>& to);
+
   /// The plan from `from` to `to`. Link and server churn come from the
   /// changed converters' wiring alone; both states are still materialized
   /// so an invalid or unmaterializable one throws as materialize() does.

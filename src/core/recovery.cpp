@@ -18,24 +18,6 @@ obs::Counter c_unrecoverable("core.recovery.unrecoverable");
 
 }  // namespace
 
-void FailureSet::normalize(std::size_t switch_count) {
-  std::sort(failed_switches.begin(), failed_switches.end());
-  failed_switches.erase(std::unique(failed_switches.begin(), failed_switches.end()),
-                        failed_switches.end());
-  if (!failed_switches.empty() && failed_switches.back() >= switch_count)
-    throw std::invalid_argument("FailureSet: switch id " +
-                                std::to_string(failed_switches.back()) +
-                                " out of range (have " + std::to_string(switch_count) +
-                                " switches)");
-}
-
-bool FailureSet::contains(NodeId node) const {
-  if (std::is_sorted(failed_switches.begin(), failed_switches.end()))
-    return std::binary_search(failed_switches.begin(), failed_switches.end(), node);
-  return std::find(failed_switches.begin(), failed_switches.end(), node) !=
-         failed_switches.end();
-}
-
 FailureMask::FailureMask(const FailureSet& failures, std::size_t switch_count)
     : mask_(switch_count, 0) {
   for (NodeId node : failures.failed_switches) {

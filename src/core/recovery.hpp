@@ -21,25 +21,14 @@ namespace flattree::core {
 /// Failed equipment (switch granularity; converter switches are assumed
 /// reliable — they are passive circuit devices. src/fault models the
 /// richer time-ordered fault classes: links, converters, repairs).
+/// Raw (unsorted, possibly duplicated) ids are accepted: the recovery
+/// entry points (apply_failures, plan_recovery, stranded_server_count)
+/// read it through a FailureMask, which deduplicates and range-checks.
 struct FailureSet {
   std::vector<NodeId> failed_switches;
-
-  /// Canonicalizes the set in place: sorts, drops duplicates, and throws
-  /// std::invalid_argument when any id is >= `switch_count`. The recovery
-  /// entry points (apply_failures, plan_recovery, stranded_server_count)
-  /// normalize internally, so raw (unsorted, duplicated) input remains
-  /// accepted there; call this yourself before relying on contains().
-  void normalize(std::size_t switch_count);
-
-  /// Membership test. O(log n) via binary search on a normalized set,
-  /// O(n) fallback scan otherwise (correct either way; the hot per-link /
-  /// per-converter paths use FailureMask instead and never call this).
-  bool contains(NodeId node) const;
 };
 
-/// Dense O(1) failure lookup built once per recovery operation — the
-/// sorted-vector/bitset replacement for the per-link FailureSet::contains
-/// scans apply_failures and plan_recovery used to do.
+/// Dense O(1) failure lookup built once per recovery operation.
 class FailureMask {
  public:
   /// Builds the mask; duplicates collapse, out-of-range ids throw

@@ -54,8 +54,10 @@ std::vector<ConverterConfig> ResilientController::fault_aware_target(
   // so pass 1 would move the servers straight back); the candidate that
   // strands fewer servers wins, ties to the later pass.
   std::vector<std::vector<ConverterConfig>> candidates;
+  std::size_t s0 = 0;  // servers pass 0's choice strands
   for (int pass = 0; pass < 2; ++pass) {
     DegradeResult d = degrade(net_.materialize(out), state_);
+    if (pass == 1) s0 = d.stranded.size();  // `out` is candidates[0] here
     std::vector<std::uint32_t> degree(d.topo.switch_count(), 0);
     for (const graph::Link& link : d.topo.graph().links()) {
       ++degree[link.a];
@@ -115,21 +117,11 @@ std::vector<ConverterConfig> ResilientController::fault_aware_target(
     out = std::move(next);
     candidates.push_back(out);
   }
-  std::size_t s0 = degrade(net_.materialize(candidates[0]), state_).stranded.size();
   std::size_t s1 = degrade(net_.materialize(candidates[1]), state_).stranded.size();
   return s0 < s1 ? std::move(candidates[0]) : std::move(candidates[1]);
 }
 
 // -- plan decomposition ------------------------------------------------------
-
-std::vector<ReconfigStep> ResilientController::steps_between(
-    const std::vector<ConverterConfig>& from,
-    const std::vector<ConverterConfig>& to) const {
-  std::vector<ReconfigStep> steps;
-  for (std::uint32_t i = 0; i < from.size(); ++i)
-    if (from[i] != to[i]) steps.push_back({i, from[i], to[i]});
-  return steps;
-}
 
 std::vector<ResilientController::MicroTx> ResilientController::decompose(
     const std::vector<ReconfigStep>& steps) const {

@@ -122,9 +122,6 @@ class ResilientController : public core::Controller {
   };
 
   static bool paired_cfg(core::ConverterConfig c) { return core::is_pair_config(c); }
-  std::vector<core::ReconfigStep> steps_between(
-      const std::vector<core::ConverterConfig>& from,
-      const std::vector<core::ConverterConfig>& to) const;
   std::vector<MicroTx> decompose(const std::vector<core::ReconfigStep>& steps) const;
   bool tx_blocked(const MicroTx& tx) const;
   std::size_t apply_tx(const MicroTx& tx);

@@ -104,11 +104,4 @@ bool FaultState::apply(const FaultEvent& e) {
   return false;
 }
 
-core::FailureSet FaultState::failed_switches() const {
-  core::FailureSet set;
-  for (NodeId v = 0; v < switch_down_.size(); ++v)
-    if (switch_down_[v] > 0) set.failed_switches.push_back(v);
-  return set;  // ascending by construction => normalized
-}
-
 }  // namespace flattree::fault

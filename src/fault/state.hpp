@@ -20,7 +20,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/recovery.hpp"
 #include "fault/event.hpp"
 
 namespace flattree::fault {
@@ -52,10 +51,6 @@ class FaultState {
   bool clean() const {
     return down_switches_ == 0 && down_pairs_ == 0 && stuck_converters_ == 0;
   }
-
-  /// The currently-down switches as a normalized core::FailureSet (for
-  /// plan_recovery / apply_failures interop).
-  core::FailureSet failed_switches() const;
 
   // -- conservation tallies ------------------------------------------------
   /// Events consumed per kind (indexed by FaultKind). check_conserved()

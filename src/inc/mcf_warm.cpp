@@ -65,9 +65,10 @@ LinkKey key_of(const graph::Link& l) {
 }  // namespace
 
 void McfWarmCache::reset() {
-  has_state_ = false;
-  state_ = {};
+  has_prev_ = false;
   prev_ = {};
+  result_ = {};
+  state_ = {};
   last_tier_ = WarmTier::Cold;
 }
 
@@ -81,7 +82,7 @@ mcf::McfResult McfWarmCache::solve(const graph::Graph& g,
   mcf::McfWarmState seed;
   last_tier_ = WarmTier::Cold;
 
-  if (has_state_ && state_.converged && g.node_count() == prev_.nodes &&
+  if (has_prev_ && g.node_count() == prev_.nodes &&
       std::bit_cast<std::uint64_t>(opt.epsilon) ==
           std::bit_cast<std::uint64_t>(prev_.epsilon) &&
       opt.max_phases == prev_.max_phases &&
@@ -89,11 +90,14 @@ mcf::McfResult McfWarmCache::solve(const graph::Graph& g,
       opt.allow_unreachable == prev_.allow_unreachable) {
     if (same_links(g.links(), prev_.links) &&
         same_commodities(commodities, prev_.commodities)) {
-      // Identical instance: full exact resume.
-      seed = state_;
-      seed.exact = true;
-      last_tier_ = WarmTier::ExactResume;
-    } else if (!opt_.exact_only) {
+      // Identical instance: the stored result is what a solve would return.
+      // With only the bound request changed, solve cold.
+      if (opt.compute_upper_bound == prev_.compute_upper_bound) {
+        last_tier_ = WarmTier::ExactResume;
+        c_exact.inc();
+        return result_;
+      }
+    } else if (!state_.empty()) {
       // Overlapping instance: carry the duals of every link that survived,
       // matched by key multiset. Orientation may flip between builds, so
       // the forward/backward arc lengths follow the endpoints.
@@ -114,38 +118,28 @@ mcf::McfResult McfWarmCache::solve(const graph::Graph& g,
         seed.length[2 * id + 1] = state_.length[2 * pid + (flipped ? 0 : 1)];
       }
       seed.d_sum = state_.d_sum;
-      seed.exact = false;
+      opt.warm_start = &seed;
       last_tier_ = WarmTier::DualSeed;
     }
-    if (last_tier_ != WarmTier::Cold) opt.warm_start = &seed;
   }
 
   mcf::McfWarmState exported;
-  opt.export_state = &exported;
+  if (!opt_.exact_only) opt.export_state = &exported;
   mcf::McfResult result = mcf::max_concurrent_flow(g, commodities, opt);
 
-  switch (last_tier_) {
-    case WarmTier::Cold:
-      c_cold.inc();
-      break;
-    case WarmTier::DualSeed:
-      c_dual.inc();
-      break;
-    case WarmTier::ExactResume:
-      c_exact.inc();
-      break;
-  }
-
-  // Re-certify every warm-started result: feasibility, conservation,
-  // support, bracket, FPTAS gap (check::certify). A violation here means
-  // the warm logic broke the solver's own evidence — fail loudly.
-  if (last_tier_ != WarmTier::Cold) {
+  if (last_tier_ == WarmTier::DualSeed) {
+    c_dual.inc();
+    // Certify every dual-seeded result: feasibility, conservation,
+    // support, bracket, FPTAS gap (check::certify). A violation here
+    // means the seed broke the solver's own evidence — fail loudly.
     check::CertifyOptions copt;
     copt.epsilon = opt.epsilon;
     check::Report report = check::certify(g, commodities, result, copt);
     if (!report.ok())
       throw std::runtime_error("McfWarmCache: warm-started result failed certification\n" +
                                report.to_string());
+  } else {
+    c_cold.inc();
   }
 
   prev_.nodes = g.node_count();
@@ -155,8 +149,11 @@ mcf::McfResult McfWarmCache::solve(const graph::Graph& g,
   prev_.max_phases = opt.max_phases;
   prev_.max_augmentations = opt.max_augmentations;
   prev_.allow_unreachable = opt.allow_unreachable;
-  state_ = std::move(exported);
-  has_state_ = true;
+  prev_.compute_upper_bound = opt.compute_upper_bound;
+  result_ = result;
+  // A truncated run's lengths never seed the next instance.
+  state_ = result.truncated ? mcf::McfWarmState{} : std::move(exported);
+  has_prev_ = true;
   return result;
 }
 

@@ -2,27 +2,29 @@
 // Warm-start cache for Garg-Koenemann solves across a sweep.
 //
 // Wraps mcf::max_concurrent_flow with a one-deep memory of the previous
-// instance and its terminal solver state, and picks the strongest safe
-// warm tier per call (see mcf::McfWarmState):
+// instance, its result and its final dual lengths, and picks the
+// strongest safe warm tier per call:
 //
 //   * identical instance (same link list bit-for-bit, same commodities,
-//     same epsilon/options) -> exact resume: bitwise-identical result,
-//     every prior phase saved;
+//     same epsilon/options) -> exact resume: the stored result is returned
+//     without a solver call. The solver is a pure function of its inputs,
+//     so this is exactly what a new solve would return, truncated and
+//     partially unreachable runs included;
 //   * same node space, overlapping links -> dual seed: prior lengths are
 //     mapped link-by-link onto the new instance (matched by normalized
 //     endpoints + exact capacity, multiset semantics for parallel links),
-//     fresh links start at the cold floor;
+//     fresh links start at the cold floor (see mcf::McfWarmState). Only a
+//     run that reached D(l) >= 1 seeds the next one;
 //   * anything else (node-count change, first call) -> cold solve.
 //
-// Every warm-started result is re-certified through check::certify before
-// it is returned — correctness is externally verified per solve, not
-// assumed from the warm-start reasoning (a failed certificate throws
+// Every dual-seeded result is certified through check::certify before it
+// is returned — correctness is externally verified per solve, not assumed
+// from the warm-start reasoning (a failed certificate throws
 // std::runtime_error; it indicates a solver bug, not bad input). Cold
 // solves are returned as-is, exactly what the caller would have gotten
-// without the cache.
+// without the cache, and a hit returns one of those two.
 //
-// Not thread-safe: one cache per sweep loop, called sequentially (the
-// solver parallelizes internally).
+// Not thread-safe: one cache per sweep loop, called sequentially.
 
 #include <cstdint>
 #include <vector>
@@ -38,9 +40,10 @@ enum class WarmTier { Cold, DualSeed, ExactResume };
 
 /// Tuning knobs for McfWarmCache.
 struct McfWarmCacheOptions {
-  /// Restrict the cache to the ExactResume tier. Exact resumes are bitwise
-  /// identical to a cold solve; dual seeds are certified-correct but take a
-  /// different phase trajectory, so their bounds differ in the low bits.
+  /// Restrict the cache to the ExactResume tier; the cache then keeps no
+  /// dual lengths at all. Exact resumes are bitwise identical to a cold
+  /// solve; dual seeds are certified-correct but take a different phase
+  /// trajectory, so their bounds differ in the low bits.
   /// Benches that promise byte-identical stdout under --incremental
   /// (bench_failures, bench_hybrid) run exact-only; sweeps that only need
   /// certified bounds can keep dual seeding on.
@@ -48,9 +51,9 @@ struct McfWarmCacheOptions {
 };
 
 /// Warm-start cache around mcf::max_concurrent_flow: keeps the previous
-/// solve's phase state per commodity-set shape and resumes (exactly, or
-/// via certified dual seeding — see McfWarmCacheOptions) when a sweep
-/// re-solves a slightly edited instance.
+/// solve's result and dual lengths, returns the result again for an
+/// identical instance, and seeds the duals (certified, see
+/// McfWarmCacheOptions) when a sweep re-solves a slightly edited instance.
 class McfWarmCache {
  public:
   McfWarmCache() = default;
@@ -81,12 +84,16 @@ class McfWarmCache {
     /// trajectory, not what a cold solve under the new budget produces.
     std::uint64_t max_augmentations = 0;
     bool allow_unreachable = false;
+    /// A hit must not hand lambda_upper = inf to a caller that asked for
+    /// the bound.
+    bool compute_upper_bound = false;
   };
 
   McfWarmCacheOptions opt_;
-  bool has_state_ = false;
+  bool has_prev_ = false;
   Instance prev_;
-  mcf::McfWarmState state_;
+  mcf::McfResult result_;    ///< prev_'s result, returned on a hit
+  mcf::McfWarmState state_;  ///< prev_'s final duals; empty unless it may seed
   WarmTier last_tier_ = WarmTier::Cold;
 };
 

@@ -5,8 +5,8 @@
 #include <queue>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
-#include "exec/parallel_for.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -24,13 +24,9 @@ obs::Counter c_gk_phases("mcf.gk.phases");
 obs::Counter c_gk_augmentations("mcf.gk.augmentations");
 obs::Counter c_gk_dijkstras("mcf.gk.dijkstra_runs");
 obs::Counter c_gk_stale("mcf.gk.stale_retrees");
-obs::Counter c_gk_warm_exact("mcf.gk.warm_exact_resumes");
 obs::Counter c_gk_warm_dual("mcf.gk.warm_dual_seeds");
 obs::Counter c_gk_unreachable("mcf.gk.unreachable_commodities");
 obs::Counter c_gk_budget_stops("mcf.gk.budget_stops");
-// Cross-filed under inc.*: the incremental-sweep win this counter measures
-// belongs to the inc subsystem's ledger even though the solver records it.
-obs::Counter c_warm_phases_saved("inc.mcf.warm_phases_saved");
 // Dual-bound trajectory: D(l) grows from ~0 to 1 across phases; the
 // histogram records its value at every phase end, so the bucket profile
 // shows how the certificate tightened over the run.
@@ -126,7 +122,7 @@ McfResult max_concurrent_flow(const graph::Graph& g,
       throw std::invalid_argument("max_concurrent_flow: non-positive demand");
   }
   const double eps = options.epsilon;
-  if (eps <= 0.0 || eps >= 1.0)
+  if (!(eps > 0.0 && eps < 1.0))  // written so that NaN fails too
     throw std::invalid_argument("max_concurrent_flow: epsilon outside (0,1)");
 
   // Zero or negative capacities would turn delta / cap into inf/NaN and
@@ -181,9 +177,8 @@ McfResult max_concurrent_flow(const graph::Graph& g,
         out.lambda_upper = 0.0;
         return out;
       }
-      // Certified solve of the reachable sub-instance. Warm start / export
-      // are bypassed: their per-commodity arrays are aligned with the full
-      // input, not the filtered one.
+      // Certified solve of the reachable sub-instance, cold and exporting
+      // nothing (see McfOptions::allow_unreachable).
       McfOptions sub = options;
       sub.allow_unreachable = false;
       sub.warm_start = nullptr;
@@ -225,7 +220,7 @@ McfResult max_concurrent_flow(const graph::Graph& g,
   // Commodity index -> (group, target) slot. group_by_source appends
   // targets in input order within each group, so replaying that order maps
   // the caller's commodity indices onto (group, target) slots exactly;
-  // used for commodity_routed, warm-state export, and warm-state replay.
+  // used for commodity_routed.
   std::vector<std::pair<std::size_t, std::size_t>> slot_of(commodities.size());
   {
     std::unordered_map<NodeId, std::size_t> group_index;
@@ -239,67 +234,41 @@ McfResult max_concurrent_flow(const graph::Graph& g,
   }
 
   McfResult result;
-  std::uint64_t phase_base = 0;
 
-  // -- warm start (see McfWarmState) ---------------------------------------
+  // -- dual seed (see McfWarmState) ----------------------------------------
   if (options.warm_start != nullptr && !options.warm_start->empty()) {
     const McfWarmState& w = *options.warm_start;
     if (w.length.size() != m)
       throw std::invalid_argument("max_concurrent_flow: warm state arc count mismatch");
-    if (w.exact) {
-      // Identical instance (caller-asserted): restore the full terminal
-      // state. A converged state makes the main loop exit immediately, so
-      // everything downstream recomputes bitwise what the prior run saw.
-      if (!w.converged || w.arc_flow.size() != m ||
-          w.routed.size() != commodities.size())
-        throw std::invalid_argument("max_concurrent_flow: exact warm state incomplete");
-      length = w.length;
-      flow = w.arc_flow;
-      d_sum = w.d_sum;
-      for (std::size_t i = 0; i < commodities.size(); ++i)
-        routed[slot_of[i].first][slot_of[i].second] = w.routed[i];
-      phase_base = w.phases;
-      result.warm_phases_saved = w.phases;
-      c_gk_warm_exact.inc();
-      c_warm_phases_saved.add(w.phases);
-    } else {
-      // Changed instance: trust only the duals. Rescaling back to the cold
-      // start's total D(l) = delta*m and clamping to the cold floor keeps
-      // every invariant of the analysis (lengths >= delta/cap, growth-only
-      // updates); the profile just starts biased away from arcs the
-      // previous point congested.
-      double scale = w.d_sum > 0.0 ? delta * static_cast<double>(m) / w.d_sum : 0.0;
-      d_sum = 0.0;
-      for (std::size_t a = 0; a < m; ++a) {
-        length[a] = std::max(delta / net.cap[a], w.length[a] * scale);
-        d_sum += length[a] * net.cap[a];
-      }
-      c_gk_warm_dual.inc();
+    // Trust only the duals. Rescaling back to the cold start's total
+    // D(l) = delta*m and clamping to the cold floor keeps every invariant
+    // of the analysis (lengths >= delta/cap, growth-only updates); the
+    // profile just starts biased away from arcs the previous point
+    // congested.
+    double scale = w.d_sum > 0.0 ? delta * static_cast<double>(m) / w.d_sum : 0.0;
+    d_sum = 0.0;
+    for (std::size_t a = 0; a < m; ++a) {
+      length[a] = std::max(delta / net.cap[a], w.length[a] * scale);
+      d_sum += length[a] * net.cap[a];
     }
+    c_gk_warm_dual.inc();
   }
 
   std::vector<Tree> trees(groups.size());
   std::vector<std::uint32_t> path;  // arcs target<-...<-source (reverse order)
 
-  bool done = d_sum >= 1.0;  // true only on a converged exact resume
-  // Augmentation budget (McfOptions::max_augmentations). Checked inside
-  // the sequential augmentation loop, so the cut point is deterministic at
-  // any thread count; 0 disables it.
+  bool done = false;
+  // Augmentation budget (McfOptions::max_augmentations), checked inside
+  // the augmentation loop; 0 disables it.
   const std::uint64_t max_aug = options.max_augmentations;
   bool budget_hit = false;
   while (!done && !budget_hit && d_sum < 1.0 && result.phases < options.max_phases) {
     OBS_SPAN("gk.phase");
-    // The per-source shortest-path trees of this phase are independent
-    // reads of the phase-start length function — the embarrassingly
-    // parallel half of each Garg-Koenemann iteration. They are computed
-    // from identical inputs at any thread count, and the augmentation loop
-    // below stays sequential across groups, so the FPTAS certificate and
-    // every reported number are thread-count-invariant. Groups whose trees
-    // go stale while earlier groups route flow are caught by Fleischer's
-    // re-pricing rule and recomputed locally, exactly as before.
-    exec::parallel_for(groups.size(), [&](std::size_t gi) {
+    // Every group's tree is computed up front from the phase-start length
+    // function. Groups whose trees go stale while earlier groups route
+    // flow are caught by Fleischer's re-pricing rule and recomputed.
+    for (std::size_t gi = 0; gi < groups.size(); ++gi)
       dijkstra(net, groups[gi].src, length, trees[gi]);
-    });
     result.dijkstra_runs += groups.size();
 
     for (std::size_t gi = 0; gi < groups.size() && !done && !budget_hit; ++gi) {
@@ -353,28 +322,10 @@ McfResult max_concurrent_flow(const graph::Graph& g,
     ++result.phases;
     h_gk_dsum.observe(d_sum);
   }
-  // Counter counts phases actually run here; result.phases also carries
-  // the inherited ones so resumed and cold solves report the same total.
   c_gk_phases.add(result.phases);
   // `done` is only ever set by the D(l) >= 1 termination test, so leaving
   // the loop without it means max_phases cut the run short.
   result.truncated = !done;
-  result.phases += phase_base;
-
-  // Terminal state export for the next sweep point, before the arrays are
-  // rescaled/moved below (warm state stores the *raw* primal).
-  if (options.export_state != nullptr) {
-    McfWarmState& out = *options.export_state;
-    out.length = length;
-    out.arc_flow = flow;
-    out.routed.resize(commodities.size());
-    for (std::size_t i = 0; i < commodities.size(); ++i)
-      out.routed[i] = routed[slot_of[i].first][slot_of[i].second];
-    out.d_sum = d_sum;
-    out.phases = result.phases;
-    out.converged = done;
-    out.exact = false;  // the caller re-asserts instance identity per use
-  }
 
   // Primal bound: rescale by worst congestion.
   double congestion = 0.0;
@@ -399,27 +350,26 @@ McfResult max_concurrent_flow(const graph::Graph& g,
     result.commodity_routed[i] = congestion > 0.0 ? routed[gi][ti] / congestion : 0.0;
   }
 
-  // Dual bound under the final lengths: lambda* <= D(l) / alpha(l).
-  // One read-only Dijkstra per source group, fanned out over the pool;
-  // per-group alpha partials reduce in group order (deterministic).
+  // Dual bound under the final lengths: lambda* <= D(l) / alpha(l), one
+  // Dijkstra per source group. Each group's part is summed on its own
+  // before it joins alpha, which fixes the floating-point order.
   result.lambda_upper = kInf;
   if (options.compute_upper_bound) {
     OBS_SPAN("gk.dual_bound");
-    double alpha = exec::parallel_reduce(
-        groups.size(), /*grain=*/1, 0.0,
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          double part = 0.0;
-          Tree local;
-          for (std::size_t gi = begin; gi < end; ++gi) {
-            dijkstra(net, groups[gi].src, length, local);
-            for (auto [target, demand] : groups[gi].targets)
-              part += demand * local.dist[target];
-          }
-          return part;
-        },
-        [](double acc, double part) { return acc + part; });
+    double alpha = 0.0;
+    Tree local;
+    for (const SourceGroup& grp : groups) {
+      dijkstra(net, grp.src, length, local);
+      double part = 0.0;
+      for (auto [target, demand] : grp.targets) part += demand * local.dist[target];
+      alpha += part;
+    }
     result.dijkstra_runs += groups.size();
     if (alpha > 0.0) result.lambda_upper = d_sum / alpha;
+  }
+  if (options.export_state != nullptr) {
+    options.export_state->length = std::move(length);
+    options.export_state->d_sum = d_sum;
   }
   c_gk_augmentations.add(result.augmentations);
   c_gk_dijkstras.add(result.dijkstra_runs);

@@ -27,40 +27,26 @@
 
 namespace flattree::mcf {
 
-/// Reusable solver state for warm starts across a sweep (src/inc wraps
-/// this in inc::McfWarmCache; most callers never touch it directly).
-///
-/// Two tiers, selected by `exact`:
-///
-///   * exact == true — the caller asserts the instance (graph link order,
-///     capacities, commodities, epsilon) is *identical* to the run that
-///     exported this state. The solver restores lengths, raw flow, and
-///     per-commodity routed totals and re-enters its main loop; a
-///     converged prior state terminates immediately, so the result is
-///     bitwise identical to a cold solve while every prior phase is saved
-///     (McfResult::warm_phases_saved, inc.mcf.warm_phases_saved).
-///   * exact == false — only the *dual* half is trusted: prior lengths are
-///     rescaled back to the cold start's total D(l) = delta*m and clamped
-///     to >= delta/cap per arc, the primal state starts from zero, and the
-///     solver runs normally. Every invariant of the analysis holds
-///     (lengths only ever grow from >= delta/cap, termination at D >= 1),
-///     so both bounds stay certified; the prior duals merely steer early
-///     phases away from previously congested arcs.
+/// Dual seed for a changed instance (src/inc wraps this in
+/// inc::McfWarmCache; most callers never touch it directly). Only the dual
+/// half of a finished run is carried: prior lengths are rescaled back to
+/// the cold start's total D(l) = delta*m and clamped to >= delta/cap per
+/// arc, the primal state starts from zero, and the solver runs normally.
+/// Every invariant of the analysis holds (lengths only ever grow from
+/// >= delta/cap, termination at D >= 1), so both bounds stay certified;
+/// the prior duals merely steer early phases away from previously
+/// congested arcs. An identical instance needs no seed: the solver is a
+/// pure function of its inputs, so the cache returns the stored result.
 struct McfWarmState {
-  std::vector<double> length;     ///< per-arc dual lengths (2 per link)
-  std::vector<double> arc_flow;   ///< raw (pre-rescale) routed flow per arc
-  std::vector<double> routed;     ///< raw routed total per input commodity
-  double d_sum = 0.0;             ///< D(l) at export
-  std::uint64_t phases = 0;       ///< phases spent producing this state
-  bool converged = false;         ///< prior run reached D(l) >= 1
-  bool exact = false;             ///< caller-asserted identical instance
+  std::vector<double> length;  ///< per-arc dual lengths (2 per link)
+  double d_sum = 0.0;          ///< D(l) at export
 
   bool empty() const { return length.empty(); }
 };
 
 /// Solver knobs for max_concurrent_flow.
 struct McfOptions {
-  double epsilon = 0.2;            ///< FPTAS accuracy knob
+  double epsilon = 0.2;            ///< FPTAS accuracy knob, in (0, 1)
   bool compute_upper_bound = true; ///< duality bound sweep at termination
   /// Phase cap. When hit before the termination test D(l) >= 1 the run is
   /// *truncated* (see McfResult::truncated): both bounds stay valid —
@@ -81,17 +67,16 @@ struct McfOptions {
   /// throwing: they are excluded from the solve, listed in
   /// McfResult::unreachable, routed zero flow, and reported through the
   /// demand-weighted McfResult::served_fraction. The returned bracket then
-  /// certifies the *reachable sub-instance* (check::certify_served). Warm
-  /// start / state export are bypassed when any commodity is actually
-  /// unreachable (the per-commodity state no longer lines up).
+  /// certifies the *reachable sub-instance* (check::certify_served). Dual
+  /// seed and export are bypassed when any commodity is actually
+  /// unreachable, so such a solve always starts cold and seeds nothing.
   bool allow_unreachable = false;
-  /// Optional warm start (see McfWarmState). Null = cold start. The state
+  /// Optional dual seed (see McfWarmState). Null = cold start. The state
   /// must have length.size() == 2 * link_count (std::invalid_argument
-  /// otherwise); exact resume additionally requires converged state and
-  /// matching flow/routed sizes.
+  /// otherwise).
   const McfWarmState* warm_start = nullptr;
-  /// When non-null, filled with the terminal solver state for the next
-  /// sweep point's warm start. Export costs two array copies.
+  /// When non-null, filled with the terminal lengths and D(l) for the next
+  /// sweep point's dual seed. Export costs one array copy.
   McfWarmState* export_state = nullptr;
 };
 
@@ -118,10 +103,6 @@ struct McfResult {
   /// arc_flow at every node equals the net routed supply. check::certify
   /// verifies both.
   std::vector<double> commodity_routed;
-  /// Phases inherited from an exact warm resume instead of being re-run
-  /// (0 on cold and dual-seeded solves). Also accumulated into the
-  /// inc.mcf.warm_phases_saved counter.
-  std::uint64_t warm_phases_saved = 0;
   /// Demand-weighted fraction of the input that was solvable at all:
   /// sum(demand over reachable commodities) / sum(demand). 1.0 unless
   /// McfOptions::allow_unreachable excluded commodities; 0.0 when every
@@ -134,8 +115,10 @@ struct McfResult {
   std::vector<std::uint32_t> unreachable;
 };
 
-/// Solves max concurrent flow for `commodities` over `g`. Throws
-/// std::invalid_argument on empty commodities, unreachable pairs (unless
+/// Solves max concurrent flow for `commodities` over `g` on the caller's
+/// thread (callers fan out independent solves instead). Throws
+/// std::invalid_argument on empty commodities, an epsilon outside the
+/// open interval (0, 1) (NaN included), unreachable pairs (unless
 /// McfOptions::allow_unreachable), or any link with a non-positive/
 /// non-finite capacity (zero-capacity links would otherwise poison every
 /// length with inf).

@@ -21,9 +21,11 @@
 // --max-line-bytes sheds oversized lines; --max-queued arms per-session
 // admission control and deadline shedding (svc.overload.* codes).
 //
-// Exit codes: 0 ok, 1 selfcheck violations, 2 unopenable file,
-// 3 recovery refused (corrupt journal/snapshot or replay failure).
+// Exit codes: 0 ok, 1 selfcheck violations, 2 bad flag value or
+// unopenable file, 3 recovery refused (corrupt journal/snapshot or replay
+// failure).
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -94,6 +96,15 @@ int main(int argc, char** argv) {
                  "write a JSON run manifest to this path (also backs the 'manifest' op)");
   cli.add_string("trace", &trace, "write a JSON-lines span trace to this path");
   if (!cli.parse(argc, argv)) return cli.exit_code();
+  // Written so that NaN fails both tests.
+  if (!(eps > 0.0 && eps < 1.0)) {
+    std::fprintf(stderr, "flattree_svc: --eps must be in (0, 1)\n");
+    return 2;
+  }
+  if (!(augs_per_ms > 0.0) || !std::isfinite(augs_per_ms)) {
+    std::fprintf(stderr, "flattree_svc: --augs-per-ms must be finite and positive\n");
+    return 2;
+  }
 
   exec::set_global_threads(threads > 0 ? static_cast<unsigned>(threads) : 0);
   obs::RunSession obs_session(argc, argv, metrics_json, trace);

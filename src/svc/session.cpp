@@ -486,7 +486,7 @@ void Session::metric_block(const Request& req, const fault::DegradeResult& d,
   if (sequential && opt_.incremental) {
     if (warm_ == nullptr) {
       inc::McfWarmCacheOptions wopt;
-      wopt.exact_only = true;  // resumes must be bitwise-identical to cold
+      wopt.exact_only = true;  // hits must be bitwise-identical to cold
       warm_ = std::make_unique<inc::McfWarmCache>(wopt);
     }
     warm = warm_.get();

@@ -5,8 +5,8 @@
 // A session owns a fault::ResilientController over its own physical plant,
 // the current traffic-matrix snapshot, and the warm cache that makes
 // --incremental throughput queries cheap without changing a single output
-// byte: inc::McfWarmCache (exact-only tier), whose resumes of identical
-// instances are bitwise-identical to cold solves. APL is always the cold
+// byte: inc::McfWarmCache (exact-only tier), which answers an identical
+// instance with the stored result of its cold solve. APL is always the cold
 // topo::server_apl_subset.
 //
 // Mutating executors (build/traffic/fault/convert/expand) are only ever

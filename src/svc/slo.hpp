@@ -13,8 +13,8 @@
 // still externally verified evidence, just with a wider bracket.
 //
 // The augmentations-per-millisecond rate is a policy knob (flattree_svc
-// --augs-per-ms), not a measurement: it makes the deadline-to-budget map a
-// pure function of the request. bench_service reports how well the default
+// --augs-per-ms, refused unless finite and positive), not a measurement:
+// it makes the deadline-to-budget map a pure function of the request. bench_service reports how well the default
 // rate tracks real wall time (SLO hit rate, latency percentiles).
 
 #include <cstdint>
@@ -41,11 +41,14 @@ struct SloPolicy {
 };
 
 /// Maps a deadline to an augmentation budget (0 deadline = 0 = unlimited).
+/// Throws std::invalid_argument unless augmentations_per_ms is finite and
+/// positive.
 std::uint64_t budget_augmentations(const SloPolicy& policy, double deadline_ms);
 
 /// Maps a deadline to a design-search iteration budget (0 deadline = 0 =
 /// unlimited) using the same saturating policy shape as
-/// budget_augmentations.
+/// budget_augmentations. Throws std::invalid_argument unless
+/// design_iterations_per_ms is finite and positive.
 std::uint64_t budget_iterations(const SloPolicy& policy, double deadline_ms);
 
 /// A budgeted solve plus its certificate verdict.
@@ -58,9 +61,10 @@ struct SloSolve {
 /// Budgeted, certified max concurrent flow: allow_unreachable (stranded
 /// endpoints are excised, served_fraction reports the remainder), dual
 /// upper bound on, at most `budget` augmentations. `warm` may be null;
-/// when given it must be an exact-only inc::McfWarmCache, whose resumes
-/// are bitwise identical to a cold solve — the service's cold-vs-warm
-/// byte-identity rests on that.
+/// when given it must be an exact-only inc::McfWarmCache, which answers
+/// an identical instance with the stored result of its cold solve — the
+/// service's cold-vs-warm byte-identity rests on that. The result is
+/// certified either way.
 SloSolve solve_with_budget(const graph::Graph& g,
                            const std::vector<mcf::Commodity>& commodities,
                            double epsilon, std::uint64_t budget,

@@ -8,6 +8,7 @@
 #include "core/converter.hpp"
 #include "fault/fault_check.hpp"
 #include "fault/scenario.hpp"
+#include "obs/metrics.hpp"
 
 namespace flattree::fault {
 namespace {
@@ -54,6 +55,25 @@ TEST(ResilientController, ConvertsCleanlyWithoutFaults) {
   }
   EXPECT_EQ(ctl.current_configs(), ctl.network().assign_configs(Mode::GlobalRandom));
   EXPECT_EQ(ctl.pod_modes(), goal);
+}
+
+// Pass 1 already degrades pass 0's choice, so its stranded count is
+// reused: two passes plus the final candidate make 3 rebuilds per call.
+TEST(ResilientController, FaultAwareTargetDegradesThreeTimesPerCall) {
+  ResilientController ctl(make_cfg());
+  ctl.on_event(ev(1.0, FaultKind::SwitchDown, ctl.network().core_switch(0)));
+  std::vector<Mode> goal(ctl.network().params().pods(), Mode::GlobalRandom);
+
+  bool before = obs::enabled();
+  obs::set_enabled(true);
+  obs::reset_metrics();
+  for (int call = 0; call < 2; ++call) ctl.fault_aware_target(goal);
+  obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  obs::set_enabled(before);
+  std::uint64_t rebuilds = 0;
+  for (const auto& [name, value] : snap.counters)
+    if (name == "fault.degrade.rebuilds") rebuilds = value;
+  EXPECT_EQ(rebuilds, 6u);
 }
 
 TEST(ResilientController, RejectsTimeRegressionsAndDoubleConversions) {

@@ -65,17 +65,6 @@ TEST(FaultState, RejectsOutOfRangeAndUnmatchedRepairs) {
   EXPECT_THROW(s.apply(ev(1.0, FaultKind::ConverterFreed, 0)), std::invalid_argument);
 }
 
-TEST(FaultState, FailedSwitchesIsNormalized) {
-  FaultState s(16, 0);
-  s.apply(ev(1.0, FaultKind::SwitchDown, 9));
-  s.apply(ev(2.0, FaultKind::SwitchDown, 4));
-  s.apply(ev(3.0, FaultKind::SwitchDown, 12));
-  core::FailureSet f = s.failed_switches();
-  EXPECT_EQ(f.failed_switches, (std::vector<NodeId>{4, 9, 12}));
-  EXPECT_TRUE(f.contains(9));
-  EXPECT_FALSE(f.contains(5));
-}
-
 // Along a flapping trace, degrade() drops exactly the links link_dead()
 // names, the per-event rise/fall of that dead count (bench_chaos's "links
 // cut/healed") balances, and a fully played trace restores the baseline.

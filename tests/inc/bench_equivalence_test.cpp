@@ -59,8 +59,8 @@ TEST(BenchEquivalence, FailureSweepIsByteIdenticalAndCheaper) {
     EXPECT_EQ(slurp(cold_out), slurp(inc_out)) << "threads=" << threads;
   }
 
-  // The incremental manifest must show real savings: GK phases inherited
-  // via exact resume.
+  // The incremental manifest must show real savings: identical solves
+  // answered from the stored result.
   std::string cold_json = tmp + "bf_cold.json";
   std::string inc_json = tmp + "bf_inc.json";
   ASSERT_EQ(run(bench, base + " --threads 2 --metrics-json=" + cold_json, "/dev/null"), 0);
@@ -69,8 +69,8 @@ TEST(BenchEquivalence, FailureSweepIsByteIdenticalAndCheaper) {
             0);
   std::string cold_doc = slurp(cold_json);
   std::string inc_doc = slurp(inc_json);
-  EXPECT_GT(metric_value(inc_doc, "inc.mcf.warm_phases_saved"), 0u);
-  EXPECT_EQ(metric_value(cold_doc, "inc.mcf.warm_phases_saved"), 0u);
+  EXPECT_GT(metric_value(inc_doc, "inc.mcf.exact_resumes"), 0u);
+  EXPECT_EQ(metric_value(cold_doc, "inc.mcf.exact_resumes"), 0u);
 }
 
 TEST(BenchEquivalence, AblationSweepIsByteIdentical) {

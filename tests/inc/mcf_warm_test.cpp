@@ -1,18 +1,20 @@
-// MCF warm-start equivalence: exact resume must be bitwise identical to a
-// cold solve with every prior phase saved; dual seeds must keep both
-// certified bounds; tampered warm state (negative control) must be caught
-// by check::certify.
+// MCF warm-start equivalence: an exact resume must return a cold solve's
+// result field for field without running the solver; dual seeds must keep
+// both certified bounds, and only a finished run may seed.
 
 #include "inc/mcf_warm.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "check/certify.hpp"
 #include "mcf/garg_koenemann.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace flattree::inc {
@@ -30,6 +32,26 @@ bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     if (!bits_equal(a[i], b[i])) return false;
   return true;
+}
+
+void expect_same_result(const mcf::McfResult& a, const mcf::McfResult& b) {
+  EXPECT_TRUE(bits_equal(a.lambda_lower, b.lambda_lower));
+  EXPECT_TRUE(bits_equal(a.lambda_upper, b.lambda_upper));
+  EXPECT_TRUE(bits_equal(a.max_congestion, b.max_congestion));
+  EXPECT_EQ(a.phases, b.phases);
+  EXPECT_EQ(a.augmentations, b.augmentations);
+  EXPECT_EQ(a.dijkstra_runs, b.dijkstra_runs);
+  EXPECT_EQ(a.truncated, b.truncated);
+  EXPECT_TRUE(bits_equal(a.arc_flow, b.arc_flow));
+  EXPECT_TRUE(bits_equal(a.commodity_routed, b.commodity_routed));
+  EXPECT_TRUE(bits_equal(a.served_fraction, b.served_fraction));
+  EXPECT_EQ(a.unreachable, b.unreachable);
+}
+
+std::uint64_t counter(const obs::MetricsSnapshot& snap, const std::string& name) {
+  for (const auto& [n, v] : snap.counters)
+    if (n == name) return v;
+  return 0;
 }
 
 /// Ring + chords: connected, with enough path diversity for the solver to
@@ -66,21 +88,84 @@ TEST(McfWarm, ExactResumeIsBitwiseIdenticalAndSavesAllPhases) {
   EXPECT_EQ(cache.last_tier(), WarmTier::Cold);
   EXPECT_TRUE(bits_equal(first.lambda_lower, cold.lambda_lower));
 
+  // The resume returns the stored result: every phase is saved because
+  // the solver does not run at all.
+  bool before = obs::enabled();
+  obs::set_enabled(true);
+  obs::reset_metrics();
   mcf::McfResult resumed = cache.solve(g, commodities, opt);
+  obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  obs::set_enabled(before);
   EXPECT_EQ(cache.last_tier(), WarmTier::ExactResume);
-  EXPECT_TRUE(bits_equal(resumed.lambda_lower, cold.lambda_lower));
-  EXPECT_TRUE(bits_equal(resumed.lambda_upper, cold.lambda_upper));
-  EXPECT_TRUE(bits_equal(resumed.max_congestion, cold.max_congestion));
-  EXPECT_TRUE(bits_equal(resumed.arc_flow, cold.arc_flow));
-  EXPECT_TRUE(bits_equal(resumed.commodity_routed, cold.commodity_routed));
-  EXPECT_EQ(resumed.phases, cold.phases);
-  EXPECT_EQ(resumed.warm_phases_saved, cold.phases);
-  EXPECT_FALSE(resumed.truncated);
+  expect_same_result(resumed, cold);
+  EXPECT_EQ(counter(snap, "mcf.gk.solves"), 0u);
+  EXPECT_EQ(counter(snap, "mcf.gk.phases"), 0u);
+  EXPECT_EQ(counter(snap, "inc.mcf.exact_resumes"), 1u);
 
-  // A third call resumes again — the exported state stays converged.
+  // A third call resumes again.
   mcf::McfResult again = cache.solve(g, commodities, opt);
   EXPECT_EQ(cache.last_tier(), WarmTier::ExactResume);
-  EXPECT_TRUE(bits_equal(again.lambda_lower, cold.lambda_lower));
+  expect_same_result(again, cold);
+}
+
+TEST(McfWarm, UpperBoundRequestIsPartOfTheInstanceKey) {
+  Graph g = test_graph();
+  auto commodities = test_commodities();
+  auto no_bound = test_options();
+  no_bound.compute_upper_bound = false;
+  auto bound = test_options();
+  McfWarmCache cache;
+
+  mcf::McfResult first = cache.solve(g, commodities, no_bound);
+  EXPECT_EQ(first.lambda_upper, std::numeric_limits<double>::infinity());
+  // Same instance, but now the caller wants the bound: a hit would hand
+  // back the stored inf, so this must solve (cold, as a resume would).
+  mcf::McfResult second = cache.solve(g, commodities, bound);
+  EXPECT_EQ(cache.last_tier(), WarmTier::Cold);
+  EXPECT_TRUE(std::isfinite(second.lambda_upper));
+  expect_same_result(second, mcf::max_concurrent_flow(g, commodities, bound));
+
+  mcf::McfResult third = cache.solve(g, commodities, bound);
+  EXPECT_EQ(cache.last_tier(), WarmTier::ExactResume);
+  EXPECT_TRUE(std::isfinite(third.lambda_upper));
+  expect_same_result(third, second);
+}
+
+TEST(McfWarm, TruncatedRunsAreStoredButNeverSeed) {
+  Graph g = test_graph();
+  auto commodities = test_commodities();
+  auto opt = test_options();
+  opt.max_phases = 1;
+  McfWarmCache cache;
+
+  mcf::McfResult cut = cache.solve(g, commodities, opt);
+  ASSERT_TRUE(cut.truncated);
+  mcf::McfResult hit = cache.solve(g, commodities, opt);
+  EXPECT_EQ(cache.last_tier(), WarmTier::ExactResume);
+  expect_same_result(hit, mcf::max_concurrent_flow(g, commodities, opt));
+
+  // A changed instance would be dual-seedable, but a truncated run's
+  // lengths never seed: it solves cold.
+  auto heavier = commodities;
+  heavier[0].demand = 2.0;
+  cache.solve(g, heavier, opt);
+  EXPECT_EQ(cache.last_tier(), WarmTier::Cold);
+}
+
+TEST(McfWarm, ExactOnlyCacheNeverSeeds) {
+  Graph g = test_graph();
+  auto commodities = test_commodities();
+  auto opt = test_options();
+  McfWarmCache cache(McfWarmCacheOptions{.exact_only = true});
+
+  cache.solve(g, commodities, opt);
+  auto heavier = commodities;
+  heavier[0].demand = 2.0;
+  mcf::McfResult changed = cache.solve(g, heavier, opt);
+  EXPECT_EQ(cache.last_tier(), WarmTier::Cold);
+  expect_same_result(changed, mcf::max_concurrent_flow(g, heavier, opt));
+  cache.solve(g, heavier, opt);
+  EXPECT_EQ(cache.last_tier(), WarmTier::ExactResume);
 }
 
 TEST(McfWarm, DualSeedKeepsCertifiedBoundsAcrossLinkChanges) {
@@ -156,40 +241,6 @@ TEST(McfWarm, CacheOwnsWarmFields) {
   opt.warm_start = nullptr;
   opt.export_state = &state;
   EXPECT_THROW(cache.solve(g, test_commodities(), opt), std::invalid_argument);
-}
-
-// -- negative control ------------------------------------------------------
-
-// Corrupt the primal half of an exported warm state and resume "exactly":
-// the solver trusts the caller's assertion, but check::certify must reject
-// the resulting solution (conservation: arc-flow divergence no longer
-// matches the claimed per-commodity routed totals).
-TEST(McfWarm, CertifyCatchesCorruptedWarmState) {
-  Graph g = test_graph();
-  auto commodities = test_commodities();
-  mcf::McfOptions opt = test_options();
-
-  mcf::McfWarmState exported;
-  opt.export_state = &exported;
-  mcf::McfResult clean = mcf::max_concurrent_flow(g, commodities, opt);
-  ASSERT_FALSE(clean.truncated);
-  ASSERT_TRUE(exported.converged);
-
-  mcf::McfWarmState tampered = exported;
-  tampered.exact = true;
-  tampered.routed[0] *= 3.0;  // claim commodity 0 shipped 3x what it did
-
-  mcf::McfOptions resume = opt;
-  resume.export_state = nullptr;
-  resume.warm_start = &tampered;
-  mcf::McfResult bogus = mcf::max_concurrent_flow(g, commodities, resume);
-
-  check::CertifyOptions copt;
-  copt.epsilon = opt.epsilon;
-  check::Report clean_report = check::certify(g, commodities, clean, copt);
-  EXPECT_TRUE(clean_report.ok());
-  check::Report bogus_report = check::certify(g, commodities, bogus, copt);
-  EXPECT_FALSE(bogus_report.ok()) << "corrupted warm state escaped certification";
 }
 
 TEST(McfWarm, MalformedWarmStateRejectedUpFront) {

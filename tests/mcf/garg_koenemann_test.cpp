@@ -140,6 +140,17 @@ TEST(GargKoenemann, ErrorCases) {
   EXPECT_THROW(max_concurrent_flow(g, {{0, 1, 1.0}}, bad), std::invalid_argument);
 }
 
+TEST(GargKoenemann, EpsilonMustLieInTheOpenUnitInterval) {
+  graph::Graph g(2);
+  g.add_link(0, 1);
+  for (double eps : {0.0, -0.1, 1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    McfOptions o;
+    o.epsilon = eps;
+    EXPECT_THROW(max_concurrent_flow(g, {{0, 1, 1.0}}, o), std::invalid_argument) << eps;
+  }
+}
+
 TEST(GargKoenemann, UpperBoundSkippable) {
   graph::Graph g(2);
   g.add_link(0, 1);

@@ -3,13 +3,16 @@
 // solve must stay certified — truncation widens the bracket, it never
 // invalidates it. The warm path must remain bitwise identical to cold
 // under a budget, because the service's batch layout (warm sequential vs
-// cold parallel) must never show in the response bytes.
+// cold parallel) must never show in the response bytes. A rate that is
+// not finite and positive is refused.
 
 #include "svc/slo.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "check/certify.hpp"
@@ -75,6 +78,22 @@ TEST(SloBudget, MonotoneInDeadline) {
   }
 }
 
+TEST(SloBudget, RefusesNonPositiveOrNonFiniteRates) {
+  // Casting a negative or NaN product to uint64_t is undefined behaviour;
+  // both budget maps refuse such a rate whatever the deadline.
+  for (double rate : {0.0, -1.0, -1e30, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    SloPolicy aug;
+    aug.augmentations_per_ms = rate;
+    EXPECT_THROW(budget_augmentations(aug, 5.0), std::invalid_argument) << rate;
+    EXPECT_THROW(budget_augmentations(aug, 0.0), std::invalid_argument) << rate;
+    SloPolicy design;
+    design.design_iterations_per_ms = rate;
+    EXPECT_THROW(budget_iterations(design, 5.0), std::invalid_argument) << rate;
+    EXPECT_THROW(budget_iterations(design, 0.0), std::invalid_argument) << rate;
+  }
+}
+
 TEST(SloBudget, SaturatesInsteadOfOverflowing) {
   SloPolicy policy;
   std::uint64_t cap = budget_augmentations(policy, 1e300);
@@ -119,8 +138,8 @@ TEST(SloSolveTest, WarmResumeIsBitwiseIdenticalUnderBudget) {
   auto commodities = test_commodities();
   inc::McfWarmCache warm(inc::McfWarmCacheOptions{/*exact_only=*/true});
 
-  // A budget generous enough to converge: the state exports converged and
-  // the identical instance resumes exactly.
+  // A budget generous enough to converge; the identical instance gets the
+  // stored result back.
   const std::uint64_t budget = 1000000;
   SloSolve cold = solve_with_budget(g, commodities, 0.12, budget, nullptr);
   ASSERT_FALSE(cold.result.truncated);
@@ -133,9 +152,10 @@ TEST(SloSolveTest, WarmResumeIsBitwiseIdenticalUnderBudget) {
 }
 
 TEST(SloSolveTest, TruncatedSolvesNeverResume) {
-  // A truncated run stops before D(l) >= 1, so its exported state is not
-  // converged and the next identical solve runs cold — warm caching can
-  // never make a budgeted answer diverge from the cold path.
+  // A truncated run is never re-entered: the identical instance gets the
+  // stored result back, which is exactly what a cold solve under the same
+  // budget returns, so warm caching can never make a budgeted answer
+  // diverge from the cold path.
   Graph g = test_graph();
   auto commodities = test_commodities();
   inc::McfWarmCache warm(inc::McfWarmCacheOptions{/*exact_only=*/true});
@@ -144,9 +164,12 @@ TEST(SloSolveTest, TruncatedSolvesNeverResume) {
   ASSERT_TRUE(cold.result.truncated);
   solve_with_budget(g, commodities, 0.12, 10, &warm);
   SloSolve again = solve_with_budget(g, commodities, 0.12, 10, &warm);
-  EXPECT_EQ(warm.last_tier(), inc::WarmTier::Cold);
+  EXPECT_EQ(warm.last_tier(), inc::WarmTier::ExactResume);
+  EXPECT_TRUE(again.result.truncated);
+  EXPECT_EQ(again.result.augmentations, cold.result.augmentations);
   EXPECT_TRUE(bits_equal(again.result.lambda_lower, cold.result.lambda_lower));
   EXPECT_TRUE(bits_equal(again.result.lambda_upper, cold.result.lambda_upper));
+  EXPECT_EQ(again.certified, cold.certified);
 }
 
 TEST(SloSolveTest, BudgetIsPartOfTheWarmInstanceKey) {

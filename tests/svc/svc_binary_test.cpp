@@ -209,5 +209,29 @@ TEST(SvcBinary, MissingScriptFileExitsTwo) {
   EXPECT_EQ(WEXITSTATUS(status), 2);
 }
 
+// NaN passes `eps <= 0 || eps >= 1`, and a negative rate cast to the
+// uint64_t budget is undefined behaviour: both binaries refuse such knobs
+// before any request is read, naming the flag.
+TEST(SvcBinary, BadEpsilonOrRateExitsTwo) {
+  std::string svc = FT_SVC_BIN;
+  std::string bench = std::string(FT_BENCH_DIR) + "/bench_service";
+  const char* bad[] = {"--eps nan",          "--eps 0",          "--eps 1",
+                       "--eps -0.5",         "--augs-per-ms -1e30", "--augs-per-ms nan",
+                       "--augs-per-ms 0",    "--augs-per-ms inf"};
+  std::string err_path = testing::TempDir() + "svc_badknob.txt";
+  for (const std::string& bin : {svc, bench}) {
+    if (!file_exists(bin)) GTEST_SKIP() << "binary not built: " << bin;
+    for (const char* flags : bad) {
+      std::string cmd =
+          bin + " " + flags + " < /dev/null > /dev/null 2> " + err_path;
+      int status = std::system(cmd.c_str());
+      EXPECT_EQ(WEXITSTATUS(status), 2) << bin << " " << flags;
+      std::string flag = std::string(flags).substr(0, std::string(flags).find(' '));
+      EXPECT_NE(slurp(err_path).find(flag), std::string::npos) << bin << " " << flags;
+    }
+  }
+  std::remove(err_path.c_str());
+}
+
 }  // namespace
 }  // namespace flattree
