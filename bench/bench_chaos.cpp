@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "check/certify.hpp"
@@ -134,8 +135,13 @@ int main(int argc, char** argv) {
     sp.pod_power = {pod_mtbf, pod_mttr};
     sp.flap_probability = flap_prob;
     sp.flap_max_cycles = static_cast<std::uint32_t>(flap_cycles);
-    scenario = fault::generate_scenario(clos, sp, net.converters().size(),
-                                        net.params().pods());
+    try {
+      scenario = fault::generate_scenario(clos, sp, net.converters().size(),
+                                          net.params().pods());
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "bench_chaos: %s\n", e.what());
+      return 2;
+    }
   }
   if (!save_path.empty()) {
     std::ofstream out(save_path);

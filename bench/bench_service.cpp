@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -138,8 +139,13 @@ int main(int argc, char** argv) {
   sp.switches = {250.0, 4.0};
   sp.link = {600.0, 3.0};
   sp.converter = {500.0, 6.0};
-  fault::Scenario scenario =
-      fault::generate_scenario(clos, sp, net.converters().size(), net.params().pods());
+  fault::Scenario scenario;
+  try {
+    scenario = fault::generate_scenario(clos, sp, net.converters().size(), net.params().pods());
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_service: %s\n", e.what());
+    return 2;
+  }
 
   // Deadline ladder cycled across queries: one tight tier that forces
   // budget truncation, two realistic tiers, and unlimited.

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -253,85 +252,6 @@ inline double mean_cluster_throughput(const topo::Topology& topo, std::uint32_t 
       [](double acc, double part) { return acc + part; });
   return sum / static_cast<double>(seeds);
 }
-
-// -- flag peeling for wrapper mains (bench_micro) ----------------------------
-//
-// Most benches own their whole command line through util::CliParser, which
-// already rejects unknown --flags with a usage listing. bench_micro cannot:
-// google-benchmark owns its argv. ArgPeeler centralizes the other half of
-// that contract — it extracts the repo's shared flags (--name=value or
-// --name value) from argv before the third-party parser runs, reports a
-// missing value as a hard error, and renders a usage listing so "unknown
-// flag" failures can show every flag the binary actually understands.
-
-class ArgPeeler {
- public:
-  /// Registers --name expecting a value.
-  void add_string(const char* name, std::string* out, const char* help) {
-    flags_.push_back({name, out, help});
-  }
-
-  /// Removes registered flags from argc/argv in place (argv[0] untouched).
-  /// Returns false with `error` set when a registered flag is missing its
-  /// value. Unregistered arguments are left for the caller to validate.
-  bool peel(int& argc, char** argv, std::string* error) {
-    int w = 1;
-    for (int i = 1; i < argc; ++i) {
-      const Flag* hit = nullptr;
-      const char* inline_value = nullptr;
-      for (const Flag& f : flags_) {
-        std::size_t len = std::strlen(f.name);
-        if (std::strncmp(argv[i], f.name, len) != 0) continue;
-        if (argv[i][len] == '=') {
-          hit = &f;
-          inline_value = argv[i] + len + 1;
-          break;
-        }
-        if (argv[i][len] == '\0') {
-          hit = &f;
-          break;
-        }
-      }
-      if (hit == nullptr) {
-        argv[w++] = argv[i];
-        continue;
-      }
-      if (inline_value != nullptr) {
-        *hit->out = inline_value;
-      } else if (i + 1 < argc) {
-        *hit->out = argv[++i];
-      } else {
-        if (error != nullptr)
-          *error = std::string(hit->name) + " requires a value (" + hit->name +
-                   "=PATH or " + hit->name + " PATH)";
-        return false;
-      }
-    }
-    argc = w;
-    return true;
-  }
-
-  /// One-line-per-flag listing for error messages.
-  std::string usage() const {
-    std::string out;
-    for (const Flag& f : flags_) {
-      out += "  ";
-      out += f.name;
-      out += "=VALUE  ";
-      out += f.help;
-      out += '\n';
-    }
-    return out;
-  }
-
- private:
-  struct Flag {
-    const char* name;
-    std::string* out;
-    const char* help;
-  };
-  std::vector<Flag> flags_;
-};
 
 /// The k sweep used by the figures: 4..kmax step kstep.
 inline std::vector<std::uint32_t> k_values(std::int64_t kmax, std::int64_t kstep) {

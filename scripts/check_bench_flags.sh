@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # README bench-flag gate (ctest label `docs`): for every row of README's
-# bench catalog except bench_micro (google-benchmark owns its --help), run
-# `<bench> --help` and fail when a flag the row names is not in the help.
+# bench catalog, run `<bench> --help` and fail when a flag the row names is
+# not in the help.
 # Rows list only their main flags, so the reverse direction (a registered
 # flag the row leaves out) is not checked.
 #
@@ -29,8 +29,6 @@ if not rows:
 failures = []
 checked = 0
 for bench, flags_cell in rows:
-    if bench == "bench_micro":
-        continue
     binary = os.path.join(bench_dir, bench)
     if not os.path.exists(binary):
         failures.append(f"{bench}: binary not built at {binary}")

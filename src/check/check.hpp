@@ -5,8 +5,8 @@
 // invariants: topology validators (check/invariants.hpp), solver
 // certificates (check/certify.hpp), path-set checks
 // (check/routing_check.hpp), the one forwarding-table model checker for
-// ECMP and WCMP tables alike (check/te_check.hpp), and the GK-vs-exact-LP
-// differential harness (check/differential.hpp). Everything reports
+// ECMP and WCMP tables alike (check/te_check.hpp) and BFS distance
+// certificates (check/distances.hpp). Everything reports
 // through check::Report and bumps the check.violations / check.runs obs
 // counters, so any bench run with --selfcheck and --metrics-json carries
 // the verdict in its run manifest.
@@ -18,10 +18,8 @@
 //   check::validate_paths(graph, src, dst, paths) — k-shortest path sets
 //   check::validate_weighted_fib(topology, fib, pairs) — every FIB
 //   check::certify_distances(graph, source, dist) — BFS distance arrays
-//   check::run_differential(spec)          — tests only (exact LP inside)
 
 #include "check/certify.hpp"
-#include "check/differential.hpp"
 #include "check/distances.hpp"
 #include "check/invariants.hpp"
 #include "check/report.hpp"

@@ -107,11 +107,6 @@ void parallel_for(std::size_t n, Body&& body, std::size_t grain = 1) {
   parallel_for(global_pool(), n, std::forward<Body>(body), grain);
 }
 
-template <typename Body>
-void parallel_for_chunked(std::size_t n, std::size_t grain, Body&& body) {
-  parallel_for_chunked(global_pool(), n, grain, std::forward<Body>(body));
-}
-
 template <typename T, typename Map, typename Combine>
 T parallel_reduce(std::size_t n, std::size_t grain, T identity, Map&& map,
                   Combine&& combine) {

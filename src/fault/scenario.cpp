@@ -48,10 +48,25 @@ void renewal_process(util::Rng& rng, const FaultRate& rate, double duration,
   }
 }
 
+/// Refuses knobs under which a renewal process never reaches the horizon:
+/// a NaN time stays NaN and never compares >= duration, and an infinite
+/// duration is never reached, so the event list would grow without bound.
+void check_params(const ScenarioParams& params) {
+  if (!(params.duration >= 0.0) || !std::isfinite(params.duration))
+    throw std::invalid_argument("generate_scenario: duration must be finite and >= 0");
+  for (const FaultRate* rate : {&params.link, &params.switches, &params.converter,
+                                &params.pod_power})
+    if (std::isnan(rate->mtbf) || std::isnan(rate->mttr))
+      throw std::invalid_argument("generate_scenario: mtbf and mttr must not be NaN");
+  if (!(params.flap_probability >= 0.0 && params.flap_probability <= 1.0))
+    throw std::invalid_argument("generate_scenario: flap_probability must lie in [0, 1]");
+}
+
 }  // namespace
 
 Scenario generate_scenario(const topo::Topology& base, const ScenarioParams& params,
                            std::size_t converter_count, std::uint32_t pod_count) {
+  check_params(params);
   Scenario s;
   s.duration = params.duration;
   s.seed = params.seed;

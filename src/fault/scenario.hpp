@@ -65,7 +65,10 @@ struct Scenario {
 /// the *physical baseline* topology (the Clos build): switch ids are shared
 /// by every conversion, so the same trace stresses fat-tree and flat-tree
 /// identically. `converter_count`/`pod_count` scope the converter and
-/// pod-power classes (0 disables either regardless of rates).
+/// pod-power classes (0 disables either regardless of rates). Throws
+/// std::invalid_argument unless `duration` is finite and >= 0, no mtbf or
+/// mttr is NaN (a value <= 0 still disables its class) and
+/// `flap_probability` lies in [0, 1].
 Scenario generate_scenario(const topo::Topology& base, const ScenarioParams& params,
                            std::size_t converter_count, std::uint32_t pod_count);
 

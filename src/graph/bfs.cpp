@@ -1,11 +1,7 @@
 #include "graph/bfs.hpp"
 
-#include <stdexcept>
 
-#include "exec/parallel_for.hpp"
-#include "graph/multi_bfs.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace flattree::graph {
 
@@ -43,50 +39,6 @@ std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source) {
     }
   }
   note_bfs(queue.size());
-  return dist;
-}
-
-std::vector<std::uint32_t> bfs_distances_filtered(const Graph& g, NodeId source,
-                                                  const std::vector<char>& allowed) {
-  if (allowed.size() != g.node_count())
-    throw std::invalid_argument("bfs_distances_filtered: mask size mismatch");
-  if (!allowed[source])
-    throw std::invalid_argument("bfs_distances_filtered: source not allowed");
-  std::vector<std::uint32_t> dist(g.node_count(), kUnreachable);
-  std::vector<NodeId> queue;
-  queue.reserve(g.node_count());
-  dist[source] = 0;
-  queue.push_back(source);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    NodeId u = queue[head];
-    for (const Arc& arc : g.neighbors(u)) {
-      if (allowed[arc.to] && dist[arc.to] == kUnreachable) {
-        dist[arc.to] = dist[u] + 1;
-        queue.push_back(arc.to);
-      }
-    }
-  }
-  note_bfs(queue.size());
-  return dist;
-}
-
-std::vector<std::vector<std::uint32_t>> apsp_distances(const Graph& g) {
-  OBS_SPAN("graph.apsp");
-  const std::size_t n = g.node_count();
-  std::vector<std::vector<std::uint32_t>> dist(n);
-  MultiBfsPool pool(g);
-  exec::parallel_for_chunked(n, kBfsBatchWidth,
-                             [&](std::size_t begin, std::size_t end, std::size_t) {
-                               MultiBfsLease engine(pool);
-                               std::vector<NodeId> batch(end - begin);
-                               for (std::size_t s = begin; s < end; ++s)
-                                 batch[s - begin] = static_cast<NodeId>(s);
-                               engine->run(batch.data(), batch.size());
-                               for (std::size_t s = begin; s < end; ++s) {
-                                 auto row = engine->distances(s - begin);
-                                 dist[s].assign(row.begin(), row.end());
-                               }
-                             });
   return dist;
 }
 

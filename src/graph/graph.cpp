@@ -108,11 +108,4 @@ bool Graph::connected(NodeId a, NodeId b) const {
   return false;
 }
 
-double Graph::capacity_between(NodeId a, NodeId b) const {
-  double total = 0.0;
-  for (const Arc& arc : neighbors(a))
-    if (arc.to == b) total += links_[arc.link].capacity;
-  return total;
-}
-
 }  // namespace flattree::graph

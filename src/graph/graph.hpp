@@ -107,9 +107,6 @@ class Graph {
   /// True if a link (possibly one of several) joins a and b.
   bool connected(NodeId a, NodeId b) const;
 
-  /// Total capacity between a and b over all parallel links.
-  double capacity_between(NodeId a, NodeId b) const;
-
  private:
   void build_csr() const;
   void invalidate_csr();

@@ -28,46 +28,46 @@ LevelSums add_sums(LevelSums acc, const LevelSums& b) {
 /// Runs every source in 64-wide counting batches over the pool and folds
 /// the per-batch sums.
 LevelSums sum_over_sources(const Graph& g, const std::vector<NodeId>& sources,
-                           const std::vector<std::uint32_t>& weight,
-                           const std::vector<char>* mask) {
+                           const std::vector<std::uint32_t>& weight) {
   MultiBfsPool pool(g);
   return exec::parallel_reduce(
       sources.size(), kBfsBatchWidth, LevelSums{},
       [&](std::size_t begin, std::size_t end, std::size_t) {
         MultiBfsLease engine(pool);
-        return engine->run_counting(sources.data() + begin, end - begin, weight, mask);
+        return engine->run_counting(sources.data() + begin, end - begin, weight);
       },
       add_sums);
 }
 
-std::vector<NodeId> all_nodes(const Graph& g) {
-  std::vector<NodeId> nodes(g.node_count());
-  for (NodeId v = 0; v < nodes.size(); ++v) nodes[v] = v;
-  return nodes;
+}  // namespace
+
+void require_apl_sum_fits(const std::vector<std::uint32_t>& weight, std::uint32_t offset,
+                          std::uint32_t same_node_dist) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t n = weight.size();
+  std::uint64_t sum_w = 0;
+  for (std::uint32_t w : weight) sum_w += w;  // n < 2^32 nodes: no wrap
+  const std::uint64_t reach =
+      std::max<std::uint64_t>({1, n == 0 ? 0 : n - 1 + offset, same_node_dist});
+  if ((sum_w != 0 && sum_w > kMax / sum_w) || sum_w * sum_w > kMax / reach)
+    throw std::overflow_error("weighted_apl: hop total may exceed 64 bits");
 }
 
-/// The weighted APL over the weighted members: the counting BFS sums
-/// w[u] * w[v] * d(u,v) over ordered pairs of distinct weighted nodes;
-/// halving that and adding the offset and same-node terms in closed form
-/// gives the unordered total.
-AplResult accumulate_apl(const Graph& g, const std::vector<std::uint32_t>& weight,
-                         const std::vector<char>* member, bool confine_paths,
-                         std::uint32_t offset, std::uint32_t same_node_dist) {
+/// The counting BFS sums w[u] * w[v] * d(u,v) over ordered pairs of
+/// distinct weighted nodes; halving that and adding the offset and
+/// same-node terms in closed form gives the unordered total.
+AplResult weighted_apl(const Graph& g, const std::vector<std::uint32_t>& weight,
+                       std::uint32_t offset, std::uint32_t same_node_dist) {
   if (weight.size() != g.node_count())
     throw std::invalid_argument("weighted_apl: weight size mismatch");
 
   OBS_SPAN("graph.apl");
-  // Non-members weigh nothing: they are neither sources nor targets.
-  std::vector<std::uint32_t> target = weight;
-  if (member != nullptr)
-    for (NodeId v = 0; v < target.size(); ++v)
-      if (!(*member)[v]) target[v] = 0;
-  require_apl_sum_fits(target, offset, same_node_dist);
+  require_apl_sum_fits(weight, offset, same_node_dist);
 
   std::vector<NodeId> sources;
   std::uint64_t sum_w = 0, sum_w2 = 0, same_pairs = 0;
-  for (NodeId v = 0; v < target.size(); ++v) {
-    const std::uint64_t w = target[v];
+  for (NodeId v = 0; v < weight.size(); ++v) {
+    const std::uint64_t w = weight[v];
     if (w == 0) continue;
     sources.push_back(v);
     sum_w += w;
@@ -76,8 +76,7 @@ AplResult accumulate_apl(const Graph& g, const std::vector<std::uint32_t>& weigh
   }
   c_apl_sources.add(sources.size());
 
-  const LevelSums sums = sum_over_sources(
-      g, sources, target, confine_paths && member != nullptr ? member : nullptr);
+  const LevelSums sums = sum_over_sources(g, sources, weight);
   // Every weighted node must have reached every weighted node.
   if (sums.target_hits != sources.size() * sources.size())
     throw std::runtime_error("weighted_apl: weighted pair disconnected");
@@ -95,70 +94,6 @@ AplResult accumulate_apl(const Graph& g, const std::vector<std::uint32_t>& weigh
   c_apl_runs.inc();
   c_apl_pairs.add(r.pairs);
   return r;
-}
-
-}  // namespace
-
-void require_apl_sum_fits(const std::vector<std::uint32_t>& weight, std::uint32_t offset,
-                          std::uint32_t same_node_dist) {
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  const std::uint64_t n = weight.size();
-  std::uint64_t sum_w = 0;
-  for (std::uint32_t w : weight) sum_w += w;  // n < 2^32 nodes: no wrap
-  const std::uint64_t reach =
-      std::max<std::uint64_t>({1, n == 0 ? 0 : n - 1 + offset, same_node_dist});
-  if ((sum_w != 0 && sum_w > kMax / sum_w) || sum_w * sum_w > kMax / reach)
-    throw std::overflow_error("weighted_apl: hop total may exceed 64 bits");
-}
-
-AplResult weighted_apl(const Graph& g, const std::vector<std::uint32_t>& weight,
-                       std::uint32_t offset, std::uint32_t same_node_dist) {
-  return accumulate_apl(g, weight, nullptr, false, offset, same_node_dist);
-}
-
-AplResult weighted_apl_subset(const Graph& g, const std::vector<std::uint32_t>& weight,
-                              const std::vector<char>& member, bool confine_paths,
-                              std::uint32_t offset, std::uint32_t same_node_dist) {
-  if (member.size() != g.node_count())
-    throw std::invalid_argument("weighted_apl_subset: member mask size mismatch");
-  return accumulate_apl(g, weight, &member, confine_paths, offset, same_node_dist);
-}
-
-/// Every node is a unit-weight source and target; unreachable pairs are
-/// skipped and counted (the documented policy).
-UnweightedAplResult unweighted_apl_stats(const Graph& g) {
-  const std::uint64_t n = g.node_count();
-  const std::vector<std::uint32_t> ones(n, 1);
-  require_apl_sum_fits(ones, 0, 0);
-  const LevelSums sums = sum_over_sources(g, all_nodes(g), ones, nullptr);
-  UnweightedAplResult r;
-  r.pairs = (sums.target_hits - n) / 2;
-  r.unreachable_pairs = (n * n - sums.target_hits) / 2;
-  r.average = r.pairs ? static_cast<double>(static_cast<long double>(sums.weighted_hops / 2) /
-                                            static_cast<long double>(r.pairs))
-                      : 0.0;
-  return r;
-}
-
-double unweighted_apl(const Graph& g) { return unweighted_apl_stats(g).average; }
-
-std::uint32_t diameter(const Graph& g) {
-  const std::uint64_t n = g.node_count();
-  // The hop sum is not used here, so its wrap on huge graphs is harmless.
-  const LevelSums sums =
-      sum_over_sources(g, all_nodes(g), std::vector<std::uint32_t>(n, 1), nullptr);
-  if (sums.target_hits != n * n) throw std::runtime_error("diameter: graph disconnected");
-  return sums.depth;
-}
-
-std::vector<std::size_t> degree_histogram(const Graph& g) {
-  std::vector<std::size_t> hist;
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    std::size_t d = g.degree(u);
-    if (d >= hist.size()) hist.resize(d + 1, 0);
-    ++hist[d];
-  }
-  return hist;
 }
 
 }  // namespace flattree::graph

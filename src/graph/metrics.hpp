@@ -1,5 +1,5 @@
 #pragma once
-// Graph-level metrics: weighted average path length, diameter, degrees.
+// Graph-level metric: weighted average path length.
 //
 // The paper's Figures 5 and 6 are average path lengths over *server pairs*.
 // Servers attach to switches, so the server-pair APL is a switch-pair APL
@@ -42,46 +42,11 @@ struct AplResult {
 AplResult weighted_apl(const Graph& g, const std::vector<std::uint32_t>& weight,
                        std::uint32_t offset, std::uint32_t same_node_dist);
 
-/// Same metric restricted to nodes with allowed[v] == true: paths may only
-/// traverse allowed nodes (used for intra-pod APL in local-RG mode... the
-/// paper measures pairs in the same pod but allows paths to exit the pod;
-/// set `confine_paths` false for that reading).
-AplResult weighted_apl_subset(const Graph& g, const std::vector<std::uint32_t>& weight,
-                              const std::vector<char>& member, bool confine_paths,
-                              std::uint32_t offset, std::uint32_t same_node_dist);
-
 /// Throws std::overflow_error unless (sum of weight)^2 * max(n - 1 + offset,
 /// same_node_dist) < 2^64, n = weight.size(): the bound under which every
 /// integer hop total of an APL over `weight` (ordered pairs included) is
-/// exact. weighted_apl* and unweighted_apl* call it before any traversal.
+/// exact. weighted_apl calls it before any traversal.
 void require_apl_sum_fits(const std::vector<std::uint32_t>& weight, std::uint32_t offset,
                           std::uint32_t same_node_dist);
-
-/// Unweighted APL with the unreachable-pair policy explicit: disconnected
-/// pairs are *skipped* from the average and reported in
-/// `unreachable_pairs` (contrast weighted_apl, which throws — a weighted
-/// instance is a paper figure where a disconnected pair means a broken
-/// topology, while the unweighted metric is also used on deliberately
-/// partitioned graphs).
-struct UnweightedAplResult {
-  double average = 0.0;                ///< mean hops over connected pairs
-  std::uint64_t pairs = 0;             ///< connected unordered pairs averaged
-  std::uint64_t unreachable_pairs = 0; ///< skipped disconnected unordered pairs
-};
-
-/// Unweighted switch-level APL plus the skip accounting described on
-/// UnweightedAplResult.
-UnweightedAplResult unweighted_apl_stats(const Graph& g);
-
-/// Unweighted switch-level APL over all connected node pairs; disconnected
-/// pairs are skipped silently (use unweighted_apl_stats to observe how
-/// many were skipped).
-double unweighted_apl(const Graph& g);
-
-/// Graph diameter (max eccentricity); throws on disconnected graphs.
-std::uint32_t diameter(const Graph& g);
-
-/// Histogram of node degrees (index = degree).
-std::vector<std::size_t> degree_histogram(const Graph& g);
 
 }  // namespace flattree::graph

@@ -75,23 +75,16 @@ std::span<const std::uint32_t> MultiSourceBfs::distances(std::size_t i) const {
   return {dist_.data() + i * node_count_, node_count_};
 }
 
-void MultiSourceBfs::check_batch(const NodeId* sources, std::size_t count,
-                                 const std::vector<char>* allowed) const {
+void MultiSourceBfs::check_batch(const NodeId* sources, std::size_t count) const {
   if (count == 0 || count > kBfsBatchWidth)
     throw std::invalid_argument("MultiSourceBfs::run: batch size out of range");
-  if (allowed && allowed->size() != node_count_)
-    throw std::invalid_argument("MultiSourceBfs::run: mask size mismatch");
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i)
     if (sources[i] >= node_count_)
       throw std::invalid_argument("MultiSourceBfs::run: source out of range");
-    if (allowed && !(*allowed)[sources[i]])
-      throw std::invalid_argument("MultiSourceBfs::run: source not allowed");
-  }
 }
 
 template <typename Settle>
-void MultiSourceBfs::traverse(const NodeId* sources, std::size_t count,
-                              const std::vector<char>* allowed, Settle&& settle) {
+void MultiSourceBfs::traverse(const NodeId* sources, std::size_t count, Settle&& settle) {
   const std::size_t n = node_count_;
   std::fill(visited_.begin(), visited_.end(), 0);
   std::fill(frontier_.begin(), frontier_.end(), 0);
@@ -109,7 +102,6 @@ void MultiSourceBfs::traverse(const NodeId* sources, std::size_t count,
   std::uint64_t words = 0;
   std::uint64_t settled = count;  // sources settle at level 0
 
-  const char* mask = allowed ? allowed->data() : nullptr;
   for (;;) {
     ++levels;
     // Expansion sweep: nodes in ascending id, arcs in CSR order. Word
@@ -122,7 +114,6 @@ void MultiSourceBfs::traverse(const NodeId* sources, std::size_t count,
       ++expansions;
       for (const Arc& arc : g_->neighbors(u)) {
         const NodeId v = arc.to;
-        if (mask && !mask[v]) continue;
         ++words;
         const std::uint64_t fresh = fw & ~visited_[v];
         if (fresh) {
@@ -171,9 +162,8 @@ void MultiSourceBfs::traverse(const NodeId* sources, std::size_t count,
   }
 }
 
-void MultiSourceBfs::run(const NodeId* sources, std::size_t count,
-                         const std::vector<char>* allowed) {
-  check_batch(sources, count, allowed);
+void MultiSourceBfs::run(const NodeId* sources, std::size_t count) {
+  check_batch(sources, count);
   const std::size_t n = node_count_;
   count_ = count;
   dist_.assign(count * n, kUnreachable);
@@ -181,7 +171,7 @@ void MultiSourceBfs::run(const NodeId* sources, std::size_t count,
     dist_[i * n + sources[i]] = 0;
     reached_[i] = 1;
   }
-  traverse(sources, count, allowed, [&](NodeId v, std::uint64_t nw, std::uint32_t level) {
+  traverse(sources, count, [&](NodeId v, std::uint64_t nw, std::uint32_t level) {
     for (; nw; nw &= nw - 1) {
       const unsigned i = static_cast<unsigned>(std::countr_zero(nw));
       dist_[i * n + v] = level;
@@ -200,9 +190,8 @@ void MultiSourceBfs::run(const NodeId* sources, std::size_t count,
 }
 
 LevelSums MultiSourceBfs::run_counting(const NodeId* sources, std::size_t count,
-                                       const std::vector<std::uint32_t>& weight,
-                                       const std::vector<char>* allowed) {
-  check_batch(sources, count, allowed);
+                                       const std::vector<std::uint32_t>& weight) {
+  check_batch(sources, count);
   if (weight.size() != node_count_)
     throw std::invalid_argument("MultiSourceBfs::run_counting: weight size mismatch");
   count_ = 0;
@@ -227,7 +216,7 @@ LevelSums MultiSourceBfs::run_counting(const NodeId* sources, std::size_t count,
     dist_[sources[0]] = 0;
   }
 
-  traverse(sources, count, allowed, [&](NodeId v, std::uint64_t nw, std::uint32_t level) {
+  traverse(sources, count, [&](NodeId v, std::uint64_t nw, std::uint32_t level) {
     if (hook && (nw & 1)) dist_[v] = level;
     const std::uint64_t wv = weight[v];
     if (wv == 0) return;

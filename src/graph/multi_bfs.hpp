@@ -3,8 +3,8 @@
 //
 // One scalar BFS per source touches every node and edge once *per source*;
 // at mega scale (k=48/64 fat-trees, 100k+ servers) the per-source sweeps
-// behind APL/APSP/diameter dominate everything else. This engine runs up
-// to 64 sources in lock-step instead (Then et al., "The More the Merrier:
+// behind APL dominate everything else. This engine runs up to 64 sources
+// in lock-step instead (Then et al., "The More the Merrier:
 // Efficient Multi-Source Graph Traversal", VLDB 2015): each node carries
 // one 64-bit word per role — `visited` (bit i: source i reached the node)
 // and `frontier` (bit i: source i reached it at the current level) — and
@@ -14,13 +14,13 @@
 // level its bit appears, identical to the scalar BFS result bit for bit.
 //
 // One expansion loop, two ways to settle a level. run() writes distance
-// rows, for callers whose output *is* the rows (APSP and the
-// certify_distances audit). run_counting() writes no rows:
+// rows, for callers whose output *is* the rows (the certify_distances
+// audit). run_counting() writes no rows:
 // like Then et al.'s closeness-centrality use of MS-BFS it folds each
 // level's fresh bits straight into an integer sum of weighted hop counts
 // (a popcount per node when the batch's source weights are equal, a
-// countr_zero walk over the fresh bits otherwise). APL, diameter and the
-// unweighted APL only need that sum, its depth and the reached count.
+// countr_zero walk over the fresh bits otherwise). APL only needs that
+// sum, its depth and the reached count.
 //
 // Allocation discipline: an engine owns its scratch (three word arrays,
 // plus the row-major distance block of row mode) and reuses it across
@@ -29,7 +29,7 @@
 // via a free list) instead of constructing per batch.
 //
 // Determinism contract: a batch's result and its operation counters are a
-// pure function of (graph, source list, mask, weights) — the expansion
+// pure function of (graph, source list, weights) — the expansion
 // scans nodes in ascending id and arcs in CSR order, single-threaded per
 // batch, and both settle modes do the same word work. The global
 // MultiBfsStats totals are order-independent sums over batches, so they
@@ -114,13 +114,9 @@ class MultiSourceBfs {
   explicit MultiSourceBfs(const Graph& g);
 
   /// Row mode: traverses from sources[0 .. count), count in
-  /// [1, kBfsBatchWidth], and keeps one distance row per source. With
-  /// `allowed` non-null the traversal is confined to nodes with
-  /// allowed[v] != 0 (the bfs_distances_filtered semantics; every source
-  /// must be allowed). Throws std::invalid_argument on a bad count, an
-  /// out-of-range or disallowed source, or a mask size mismatch.
-  void run(const NodeId* sources, std::size_t count,
-           const std::vector<char>* allowed = nullptr);
+  /// [1, kBfsBatchWidth], and keeps one distance row per source. Throws
+  /// std::invalid_argument on a bad count or an out-of-range source.
+  void run(const NodeId* sources, std::size_t count);
 
   /// Counting mode: the same traversal as run(), but no rows are
   /// written; each level's fresh (source, node) bits fold into the
@@ -129,16 +125,15 @@ class MultiSourceBfs {
   /// vector whose size is not node_count(). Afterwards batch_size() is 0:
   /// a counting run leaves no rows behind.
   LevelSums run_counting(const NodeId* sources, std::size_t count,
-                         const std::vector<std::uint32_t>& weight,
-                         const std::vector<char>* allowed = nullptr);
+                         const std::vector<std::uint32_t>& weight);
 
   /// Number of sources in the last row-mode batch (0 after a counting run).
   std::size_t batch_size() const { return count_; }
 
   /// Distance row of the i-th source of the last row-mode batch: exactly
-  /// what bfs_distances (or bfs_distances_filtered) returns for that
-  /// source, kUnreachable marking unreached nodes. Valid until the next
-  /// run; throws std::out_of_range when i >= batch_size().
+  /// what bfs_distances returns for that source, kUnreachable marking
+  /// unreached nodes. Valid until the next run; throws std::out_of_range
+  /// when i >= batch_size().
   std::span<const std::uint32_t> distances(std::size_t i) const;
 
   /// Nodes reached by the i-th source of the last row-mode batch (incl.
@@ -147,15 +142,13 @@ class MultiSourceBfs {
 
  private:
   /// Throws std::invalid_argument on a bad batch (see run()).
-  void check_batch(const NodeId* sources, std::size_t count,
-                   const std::vector<char>* allowed) const;
+  void check_batch(const NodeId* sources, std::size_t count) const;
 
   /// The one expansion loop over a checked batch: seeds it, then per level
   /// expands the frontier and hands every nonzero `next` word to
   /// settle(node, word, level).
   template <typename Settle>
-  void traverse(const NodeId* sources, std::size_t count, const std::vector<char>* allowed,
-                Settle&& settle);
+  void traverse(const NodeId* sources, std::size_t count, Settle&& settle);
 
   const Graph* g_;
   std::size_t node_count_;

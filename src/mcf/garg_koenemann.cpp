@@ -18,7 +18,8 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Per-solve / per-phase / per-augmentation accounting. Nothing is recorded
 // per arc, so the enabled-path overhead stays well under the 3% budget on
-// the solver's wall time (see bench_micro).
+// the solver's wall time (perfbench's trace.overhead.fig-throughput
+// measures it).
 obs::Counter c_gk_solves("mcf.gk.solves");
 obs::Counter c_gk_phases("mcf.gk.phases");
 obs::Counter c_gk_augmentations("mcf.gk.augmentations");

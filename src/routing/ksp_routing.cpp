@@ -2,9 +2,7 @@
 
 #include <stdexcept>
 
-#include "exec/parallel_for.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace flattree::routing {
@@ -13,7 +11,6 @@ namespace {
 
 obs::Counter c_cache_hits("routing.ksp.cache_hits");
 obs::Counter c_cache_misses("routing.ksp.cache_misses");
-obs::Counter c_precomputed("routing.ksp.pairs_precomputed");
 obs::Counter c_selected("routing.ksp.paths_selected");
 
 }  // namespace
@@ -31,35 +28,6 @@ const std::vector<Path>& KspRouting::paths(NodeId src, NodeId dst) {
   if (computed.empty()) throw std::runtime_error("KspRouting: pair disconnected");
   db_.set(src, dst, std::move(computed));
   return *db_.find(src, dst);
-}
-
-void KspRouting::precompute(const std::vector<std::pair<NodeId, NodeId>>& pairs) {
-  OBS_SPAN("routing.ksp.precompute");
-  c_precomputed.add(pairs.size());
-  // Compute into per-pair slots in parallel, then install sequentially in
-  // pair order so the database contents (and any later iteration order)
-  // never depend on the thread count.
-  std::vector<std::vector<Path>> computed(pairs.size());
-  std::vector<char> fresh(pairs.size(), 0);
-  exec::parallel_for(pairs.size(), [&](std::size_t i) {
-    auto [src, dst] = pairs[i];
-    if (db_.find(src, dst) != nullptr) return;  // db_ is read-only here
-    computed[i] = graph::yen_ksp_hops(graph_, src, dst, k_);
-    if (computed[i].empty()) throw std::runtime_error("KspRouting: pair disconnected");
-    fresh[i] = 1;
-  });
-  for (std::size_t i = 0; i < pairs.size(); ++i)
-    if (fresh[i]) db_.set(pairs[i].first, pairs[i].second, std::move(computed[i]));
-}
-
-void KspRouting::precompute_all_pairs() {
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  const auto n = static_cast<NodeId>(graph_.node_count());
-  pairs.reserve(static_cast<std::size_t>(n) * (n - 1));
-  for (NodeId s = 0; s < n; ++s)
-    for (NodeId d = 0; d < n; ++d)
-      if (s != d) pairs.emplace_back(s, d);
-  precompute(pairs);
 }
 
 const Path& KspRouting::select(NodeId src, NodeId dst, std::uint64_t flow_id) {

@@ -2,8 +2,6 @@
 // k-shortest-paths routing, the paper's scheme for (approximated) random
 // graphs [Singla et al., NSDI'12 use k = 8].
 
-#include <utility>
-
 #include "routing/paths.hpp"
 
 namespace flattree::routing {
@@ -15,17 +13,6 @@ class KspRouting : public Routing {
 
   const Path& select(NodeId src, NodeId dst, std::uint64_t flow_id) override;
   const std::vector<Path>& paths(NodeId src, NodeId dst) override;
-
-  /// Bulk-computes the path sets for `pairs` over the exec pool (Yen runs
-  /// are independent per pair) and installs them in deterministic pair
-  /// order, skipping pairs already cached. The resulting database is
-  /// byte-identical at any thread count. Throws on a disconnected pair.
-  void precompute(const std::vector<std::pair<NodeId, NodeId>>& pairs);
-
-  /// precompute() over every ordered pair of distinct switches.
-  void precompute_all_pairs();
-
-  std::size_t cached_pairs() const { return db_.pairs(); }
 
  private:
   const graph::Graph& graph_;

@@ -23,7 +23,6 @@ class PathDb {
  public:
   const std::vector<Path>* find(NodeId src, NodeId dst) const;
   void set(NodeId src, NodeId dst, std::vector<Path> paths);
-  std::size_t pairs() const { return map_.size(); }
 
  private:
   static std::uint64_t key(NodeId src, NodeId dst) {

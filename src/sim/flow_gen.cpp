@@ -32,8 +32,8 @@ std::vector<SimFlow> poisson_flows(std::uint32_t count, double arrival_rate,
                                    util::Rng& rng) {
   if (total_servers < 2)
     throw std::invalid_argument("poisson_flows: need at least two servers");
-  if (arrival_rate <= 0.0)
-    throw std::invalid_argument("poisson_flows: non-positive arrival rate");
+  if (!(arrival_rate > 0.0) || !std::isfinite(arrival_rate))
+    throw std::invalid_argument("poisson_flows: arrival rate must be finite and positive");
   std::vector<SimFlow> flows;
   flows.reserve(count);
   double t = 0.0;
@@ -46,21 +46,6 @@ std::vector<SimFlow> poisson_flows(std::uint32_t count, double arrival_rate,
     do {
       f.dst = static_cast<topo::ServerId>(rng.below(total_servers));
     } while (f.dst == f.src);
-    flows.push_back(f);
-  }
-  return flows;
-}
-
-std::vector<SimFlow> flows_from_demands(const std::vector<mcf::ServerDemand>& demands,
-                                        double size_scale) {
-  std::vector<SimFlow> flows;
-  flows.reserve(demands.size());
-  for (const auto& d : demands) {
-    SimFlow f;
-    f.src = d.src;
-    f.dst = d.dst;
-    f.size = d.demand * size_scale;
-    f.arrival = 0.0;
     flows.push_back(f);
   }
   return flows;

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "mcf/commodity.hpp"
 #include "sim/flow_sim.hpp"
 #include "util/rng.hpp"
 
@@ -29,14 +28,11 @@ struct FlowSizeDist {
 };
 
 /// `count` flows between uniform random distinct server pairs, Poisson
-/// arrivals with the given rate, sizes from `dist`.
+/// arrivals with the given rate, sizes from `dist`. Throws
+/// std::invalid_argument on fewer than two servers or a rate that is not
+/// finite and positive.
 std::vector<SimFlow> poisson_flows(std::uint32_t count, double arrival_rate,
                                    std::uint32_t total_servers, const FlowSizeDist& dist,
                                    util::Rng& rng);
-
-/// One flow per server demand, all arriving at t = 0, size = demand scaled
-/// by `size_scale` (bridges MCF workloads into the simulator).
-std::vector<SimFlow> flows_from_demands(const std::vector<mcf::ServerDemand>& demands,
-                                        double size_scale = 1.0);
 
 }  // namespace flattree::sim

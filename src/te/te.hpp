@@ -8,9 +8,8 @@
 //                            per (switch, dst) entry; ECMP tables carry
 //                            weight 1 everywhere (te/weighted_fib.hpp)
 //   te::compile_fib        — equal-cost (ECMP) table from path sets
-//   te::compile_wcmp_*     — weight derivation from path multiplicities or
-//                            MCF arc flows, largest-remainder quantized
-//                            (te/wcmp.hpp)
+//   te::compile_wcmp_paths — weights from path multiplicities,
+//                            largest-remainder quantized (te/wcmp.hpp)
 //   te::FlowletTable       — idle-gap flowlet detection with substream
 //                            salt mixing (te/flowlet.hpp)
 //

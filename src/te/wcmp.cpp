@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "graph/bfs.hpp"
 #include "obs/metrics.hpp"
 
 namespace flattree::te {
@@ -148,71 +147,6 @@ WeightedFib compile_wcmp_paths(const topo::Topology& topo, routing::Routing& rou
       shares.push_back(count);
     }
     install_entry(fib, key.first, key.second, ids, shares, options.weight_budget);
-  }
-  count_table(fib);
-  return fib;
-}
-
-WeightedFib compile_wcmp_mcf(const topo::Topology& topo,
-                             const std::vector<std::pair<NodeId, NodeId>>& pairs,
-                             const std::vector<double>& arc_flow,
-                             const WcmpOptions& options) {
-  const graph::Graph& g = topo.graph();
-  if (arc_flow.size() != g.link_count() * 2)
-    throw std::invalid_argument("compile_wcmp_mcf: arc_flow size mismatch");
-  WeightedFib fib(topo.switch_count(), options.weight_budget);
-
-  // Group sources by destination: entries are per (switch, dst), so the
-  // shortest-path DAG and its reachable closure are shared per dst.
-  std::map<NodeId, std::vector<NodeId>> by_dst;
-  for (auto [src, dst] : pairs)
-    if (src != dst) by_dst[dst].push_back(src);
-
-  for (const auto& [dst, sources] : by_dst) {
-    std::vector<std::uint32_t> dist = graph::bfs_distances(g, dst);
-    // Forward closure from the sources along distance-decreasing arcs:
-    // exactly the switches a greedy walk can visit.
-    std::vector<char> relevant(g.node_count(), 0);
-    std::vector<NodeId> stack;
-    for (NodeId src : sources) {
-      if (dist[src] == graph::kUnreachable || relevant[src]) continue;
-      relevant[src] = 1;
-      stack.push_back(src);
-    }
-    std::vector<NodeId> order;
-    while (!stack.empty()) {
-      NodeId u = stack.back();
-      stack.pop_back();
-      if (u == dst) continue;
-      order.push_back(u);
-      for (const graph::Arc& arc : g.neighbors(u)) {
-        if (dist[arc.to] + 1 != dist[u]) continue;
-        if (!relevant[arc.to]) {
-          relevant[arc.to] = 1;
-          stack.push_back(arc.to);
-        }
-      }
-    }
-    // Deterministic entry order regardless of DFS discovery order.
-    std::sort(order.begin(), order.end());
-    for (NodeId u : order) {
-      std::vector<graph::LinkId> ids;
-      std::vector<double> shares;
-      double flow_total = 0.0;
-      for (const graph::Arc& arc : g.neighbors(u)) {
-        if (dist[arc.to] + 1 != dist[u]) continue;
-        const graph::Link& l = g.link(arc.link);
-        double flow = arc_flow[2 * arc.link + (l.a == u ? 0 : 1)];
-        ids.push_back(arc.link);
-        shares.push_back(std::max(flow, 0.0));
-        flow_total += std::max(flow, 0.0);
-      }
-      if (ids.empty()) continue;  // cannot happen for finite dist > 0
-      // A solver may route nothing through this switch toward dst (it only
-      // carries other commodities); fall back to the even ECMP split.
-      if (!(flow_total > 0.0)) std::fill(shares.begin(), shares.end(), 1.0);
-      install_entry(fib, u, dst, ids, shares, options.weight_budget);
-    }
   }
   count_table(fib);
   return fib;

@@ -1,8 +1,8 @@
 #pragma once
-// Forwarding-table compilers: install a routing scheme's path sets, or a
-// solver's flow splits, into a te::WeightedFib.
+// Forwarding-table compilers: install a routing scheme's path sets into a
+// te::WeightedFib.
 //
-// Three sources of rules:
+// Two sources of rules:
 //
 //   * Equal cost (compile_fib): every next hop of every candidate path is
 //     installed once at weight 1, hop by hop — the ECMP table. Hop-by-hop
@@ -16,12 +16,6 @@
 //     the per-entry counts are the share vector. With ECMP this weights a
 //     next hop by the number of shortest paths through it — the classic
 //     WCMP derivation; with KSP the same hop-by-hop caveat applies.
-//   * MCF arc flows (compile_wcmp_mcf): shares come from a
-//     max-concurrent-flow solution's arc_flow vector (mcf::McfResult
-//     convention: arc 2l = link l a->b, arc 2l+1 = b->a) restricted to the
-//     shortest-path DAG toward each destination, so the solver's split of
-//     load over equal-cost hops programs the FIB. Entries whose candidate
-//     arcs carry no flow fall back to an even split.
 //
 // Quantization (quantize_weights) uses largest-remainder rounding: floor
 // shares scaled to the budget, then hand out the remaining units by
@@ -40,7 +34,7 @@
 
 namespace flattree::te {
 
-/// Knobs shared by both WCMP compilers.
+/// Knobs of the WCMP compiler.
 struct WcmpOptions {
   /// Per-entry weight sum (hardware table resolution); must be positive.
   std::uint32_t weight_budget = 64;
@@ -74,15 +68,5 @@ WeightedFib compile_fib(const topo::Topology& topo, routing::Routing& routing,
 WeightedFib compile_wcmp_paths(const topo::Topology& topo, routing::Routing& routing,
                                const std::vector<std::pair<NodeId, NodeId>>& pairs,
                                const WcmpOptions& options = {});
-
-/// Compiles a weighted FIB over the shortest-path DAG toward each
-/// destination in `pairs`, weighting candidate hops by `arc_flow` (GK arc
-/// convention, see header comment; size must be 2 * link_count). Only
-/// switches reachable from some source of the pair set along the DAG get
-/// entries. Same counters as compile_wcmp_paths.
-WeightedFib compile_wcmp_mcf(const topo::Topology& topo,
-                             const std::vector<std::pair<NodeId, NodeId>>& pairs,
-                             const std::vector<double>& arc_flow,
-                             const WcmpOptions& options = {});
 
 }  // namespace flattree::te

@@ -97,31 +97,6 @@ std::vector<Pair> random_simple_pairing(const std::vector<std::uint32_t>& stubs,
   throw std::runtime_error("random_simple_pairing: failed to build a simple graph");
 }
 
-Topology build_random_graph(std::uint32_t num_switches, std::uint32_t ports,
-                            std::uint32_t num_servers, util::Rng& rng,
-                            std::uint32_t max_attempts) {
-  if (num_switches == 0) throw std::invalid_argument("build_random_graph: no switches");
-  for (std::uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
-    Topology topo;
-    for (std::uint32_t v = 0; v < num_switches; ++v)
-      topo.add_switch(SwitchKind::Edge, -1, v, ports);
-    // Round-robin server spread: per-switch counts differ by at most one.
-    for (std::uint32_t s = 0; s < num_servers; ++s) topo.add_server(s % num_switches);
-
-    std::vector<std::uint32_t> stubs(num_switches);
-    auto servers = topo.servers_per_switch();
-    for (std::uint32_t v = 0; v < num_switches; ++v) {
-      if (servers[v] > ports)
-        throw std::invalid_argument("build_random_graph: more servers than ports");
-      stubs[v] = ports - servers[v];
-    }
-    auto pairs = random_simple_pairing(stubs, rng, 1);
-    for (auto [a, b] : pairs) topo.add_link(a, b, LinkOrigin::Random);
-    if (graph::is_connected(topo.graph())) return topo;
-  }
-  throw std::runtime_error("build_random_graph: failed to draw a connected graph");
-}
-
 Topology build_jellyfish_like_fat_tree(std::uint32_t k, util::Rng& rng) {
   ClosParams p;
   p.k = k;

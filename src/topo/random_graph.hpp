@@ -16,15 +16,6 @@
 
 namespace flattree::topo {
 
-/// Builds a random graph with exactly `num_switches` switches of
-/// `ports` ports each and `num_servers` servers spread round-robin.
-/// Remaining ports are fully consumed by random links when their total is
-/// even; one port is left idle otherwise. Retries seeds internally until
-/// the graph is simple and connected (throws after `max_attempts`).
-Topology build_random_graph(std::uint32_t num_switches, std::uint32_t ports,
-                            std::uint32_t num_servers, util::Rng& rng,
-                            std::uint32_t max_attempts = 64);
-
 /// Same equipment as fat-tree(k): 5k^2/4 switches with k ports, k^3/4
 /// servers. Switch kinds/pod labels are preserved from the fat-tree
 /// inventory for equipment accounting, but play no topological role.

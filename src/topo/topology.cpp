@@ -48,12 +48,6 @@ ServerId Topology::add_server(NodeId host) {
   return static_cast<ServerId>(server_host_.size() - 1);
 }
 
-void Topology::move_server(ServerId server, NodeId new_host) {
-  if (new_host >= graph_.node_count())
-    throw std::out_of_range("Topology::move_server: host out of range");
-  server_host_.at(server) = new_host;
-}
-
 std::vector<std::uint32_t> Topology::servers_per_switch() const {
   std::vector<std::uint32_t> count(graph_.node_count(), 0);
   for (NodeId host : server_host_) ++count[host];

@@ -56,8 +56,6 @@ class Topology {
                     std::uint32_t ports);
   LinkId add_link(NodeId a, NodeId b, LinkOrigin origin, double capacity = 1.0);
   ServerId add_server(NodeId host);
-  /// Reattaches an existing server (conversions relocate servers).
-  void move_server(ServerId server, NodeId new_host);
 
   // -- topology views ------------------------------------------------------
   const graph::Graph& graph() const { return graph_; }

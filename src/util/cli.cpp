@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -47,7 +48,9 @@ bool CliParser::assign(const Flag& flag, const std::string& value) {
     }
     case Kind::Double: {
       double v = std::strtod(value.c_str(), &end);
-      if (errno != 0 || end == value.c_str() || *end != '\0') return false;
+      // strtod also reads nan, inf and -inf; no flag means any of them.
+      if (errno != 0 || end == value.c_str() || *end != '\0' || !std::isfinite(v))
+        return false;
       *static_cast<double*>(flag.target) = v;
       return true;
     }

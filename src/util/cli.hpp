@@ -4,7 +4,8 @@
 // Supports `--name value`, `--name=value`, and boolean `--name` /
 // `--no-name` forms. Flags are registered with defaults and a help string;
 // `--help` prints usage and exits. Unknown flags are an error (typos in
-// experiment parameters should never be silently ignored).
+// experiment parameters should never be silently ignored), and so is a
+// double flag whose value is not finite (nan, inf, -inf).
 
 #include <cstdint>
 #include <functional>

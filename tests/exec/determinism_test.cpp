@@ -8,10 +8,8 @@
 #include <vector>
 
 #include "exec/parallel_for.hpp"
-#include "graph/bfs.hpp"
 #include "mcf/commodity.hpp"
 #include "mcf/garg_koenemann.hpp"
-#include "routing/ksp_routing.hpp"
 #include "topo/apl.hpp"
 #include "topo/fat_tree.hpp"
 #include "util/rng.hpp"
@@ -42,47 +40,6 @@ TEST(Determinism, WeightedAplBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r.average, base.average) << "threads=" << threads;
     EXPECT_EQ(r.pairs, base.pairs);
     EXPECT_EQ(r.max_dist, base.max_dist);
-  }
-}
-
-TEST(Determinism, ApspMatchesSerialBfs) {
-  PoolGuard guard;
-  topo::FatTree ft = topo::build_fat_tree(6);
-  const graph::Graph& g = ft.topo.graph();
-
-  exec::set_global_threads(8);
-  auto apsp = graph::apsp_distances(g);
-  ASSERT_EQ(apsp.size(), g.node_count());
-  for (graph::NodeId u = 0; u < g.node_count(); ++u)
-    EXPECT_EQ(apsp[u], graph::bfs_distances(g, u));
-}
-
-TEST(Determinism, KspPathDbBitIdenticalAcrossThreadCounts) {
-  PoolGuard guard;
-  topo::FatTree ft = topo::build_fat_tree(4);
-  const graph::Graph& g = ft.topo.graph();
-
-  exec::set_global_threads(1);
-  routing::KspRouting base(g, /*k=*/8);
-  base.precompute_all_pairs();
-
-  for (unsigned threads : kThreadCounts) {
-    exec::set_global_threads(threads);
-    routing::KspRouting r(g, /*k=*/8);
-    r.precompute_all_pairs();
-    ASSERT_EQ(r.cached_pairs(), base.cached_pairs());
-    for (graph::NodeId s = 0; s < g.node_count(); ++s) {
-      for (graph::NodeId d = 0; d < g.node_count(); ++d) {
-        if (s == d) continue;
-        const auto& pa = base.paths(s, d);
-        const auto& pb = r.paths(s, d);
-        ASSERT_EQ(pa.size(), pb.size());
-        for (std::size_t i = 0; i < pa.size(); ++i) {
-          EXPECT_EQ(pa[i].nodes, pb[i].nodes);
-          EXPECT_EQ(pa[i].links, pb[i].links);
-        }
-      }
-    }
   }
 }
 

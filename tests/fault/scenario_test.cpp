@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -115,6 +116,59 @@ TEST(Scenario, FlappingAlternatesAndEndsUp) {
     if (kinds.size() >= 4) saw_burst = true;  // >1 cycle within one outage
   }
   EXPECT_TRUE(saw_burst);
+}
+
+// A NaN time never compares >= the horizon and an infinite horizon is
+// never reached: the renewal loop would append events until memory ran
+// out. The generator refuses such knobs before drawing anything.
+TEST(Scenario, GenerateRefusesNonFiniteKnobs) {
+  core::FlatTreeNetwork net = make_net();
+  topo::Topology clos = net.build(core::Mode::Clos);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto generate = [&](const ScenarioParams& p) {
+    return generate_scenario(clos, p, net.converters().size(), net.params().pods());
+  };
+  auto refused = [&](const ScenarioParams& p) {
+    EXPECT_THROW(generate(p), std::invalid_argument);
+  };
+  for (double d : {nan, inf, -inf, -1.0}) {
+    ScenarioParams p = busy_params();
+    p.duration = d;
+    refused(p);
+  }
+  for (FaultRate ScenarioParams::*cls : {&ScenarioParams::link, &ScenarioParams::switches,
+                                         &ScenarioParams::converter, &ScenarioParams::pod_power}) {
+    ScenarioParams p = busy_params();
+    (p.*cls).mtbf = nan;
+    refused(p);
+    p = busy_params();
+    (p.*cls).mttr = nan;
+    refused(p);
+    p = busy_params();
+    (p.*cls).mttr = nan;
+    (p.*cls).mtbf = 0.0;  // disabled, but NaN is still refused
+    refused(p);
+  }
+  for (double q : {nan, -0.1, 1.5}) {
+    ScenarioParams p = busy_params();
+    p.flap_probability = q;
+    refused(p);
+  }
+  // The edges stay legal: an empty horizon, a non-positive mtbf or mttr
+  // (class disabled), an infinite mtbf (never fails), and flap
+  // probabilities 0 and 1.
+  ScenarioParams p = busy_params();
+  p.duration = 0.0;
+  EXPECT_TRUE(generate(p).events.empty());
+  p = busy_params();
+  p.switches = {-1.0, 3.0};
+  p.link = {80.0, 0.0};
+  p.converter = {inf, 4.0};
+  p.flap_probability = 1.0;
+  EXPECT_NO_THROW(generate(p));
+  p.flap_probability = 0.0;
+  EXPECT_NO_THROW(generate(p));
 }
 
 TEST(Scenario, SaveLoadRoundTripsBitwise) {

@@ -10,12 +10,16 @@
 // the scenario and candidate formats, a "deserialize: " std::invalid_argument
 // for topologies, a stable json.* / svc.* code for JSON and requests; any
 // other exception fails the test) or accepted as a value that re-encodes
-// and re-parses to an equal value, bit for bit.
+// and re-parses to an equal value, bit for bit. The histogram of refusal
+// reasons per format is pinned at the fixed seeds, so a mutant refused
+// for a different reason than before fails the test too.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <map>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -75,6 +79,25 @@ bool has_prefix(const std::string& s, const char* prefix) {
   return s.rfind(prefix, 0) == 0;
 }
 
+/// Refusal reason -> number of mutants refused for it.
+using Reasons = std::map<std::string, std::uint64_t>;
+
+/// The reason a refusal message gives, without the mutated bytes it
+/// echoes: the input echoed after "line: " or "event: " is dropped, the
+/// quoted span (first to last quote) becomes '', and digit runs become #.
+/// JSON and request refusals carry a code instead.
+std::string reason_of(std::string r) {
+  for (const std::string echo : {"line: ", "event: "})
+    if (const std::size_t at = r.find(echo); at != std::string::npos)
+      r.resize(at + echo.size());
+  // A quote with no partner (a NUL cut what() short) drops the rest.
+  if (const std::size_t first = r.find('\''); first != std::string::npos) {
+    const std::size_t last = r.rfind('\'');
+    r = r.substr(0, first) + "''" + (last > first ? r.substr(last + 1) : "");
+  }
+  return std::regex_replace(r, std::regex("[0-9]+"), "#");
+}
+
 fault::Scenario load(const std::string& text) {
   std::istringstream in(text);
   return fault::load_scenario(in);
@@ -119,6 +142,7 @@ TEST(TextFuzz, ScenarioMutantsAreRefusedOrRoundTrip) {
   const std::string seed = seed_scenario();
   ASSERT_GT(load(seed).events.size(), 20u);
   Outcomes o;
+  Reasons reasons;
   for (std::uint64_t i = 0; i < kMutants; ++i) {
     util::Rng rng = util::Rng::substream(kScenarioSeed, i);
     const auto m = static_cast<Mutator>(i % kMutators);
@@ -126,8 +150,9 @@ TEST(TextFuzz, ScenarioMutantsAreRefusedOrRoundTrip) {
     fault::Scenario s;
     try {
       s = load(mutant);
-    } catch (const std::runtime_error&) {
+    } catch (const std::runtime_error& e) {
       ++o.refused[m];
+      ++reasons[reason_of(e.what())];
       continue;
     }
     ++o.accepted[m];
@@ -136,6 +161,16 @@ TEST(TextFuzz, ScenarioMutantsAreRefusedOrRoundTrip) {
         << "mutant " << i << " (mutator " << m << ") does not round-trip";
   }
   expect_every_mutator_refused_something(o, /*truncation_refuses=*/true);
+  EXPECT_EQ(reasons, (Reasons{{"load_scenario: duplicate event: ", 322},
+                             {"load_scenario: line #: bad entity id: leading zero ''", 216},
+                             {"load_scenario: line #: bad entity id: non-digit in integer ''", 21},
+                             {"load_scenario: line #: bad event time", 100},
+                             {"load_scenario: line #: stray space", 40},
+                             {"load_scenario: line #: trailing token ''", 9},
+                             {"load_scenario: line #: truncated event", 293},
+                             {"load_scenario: line #: unknown directive", 21},
+                             {"load_scenario: line #: unknown fault kind", 87},
+                             {"load_scenario: missing v# header", 19}}));
 }
 
 TEST(TextFuzz, CandidateMutantsAreRefusedOrRoundTrip) {
@@ -146,6 +181,7 @@ TEST(TextFuzz, CandidateMutantsAreRefusedOrRoundTrip) {
                                          {7, 12, Mode::LocalRandom}})
           .encode();
   Outcomes o;
+  Reasons reasons;
   for (std::uint64_t i = 0; i < kMutants; ++i) {
     util::Rng rng = util::Rng::substream(kCandidateSeed, i);
     const auto m = static_cast<Mutator>(i % kMutators);
@@ -153,8 +189,9 @@ TEST(TextFuzz, CandidateMutantsAreRefusedOrRoundTrip) {
     design::Candidate c;
     try {
       c = design::Candidate::decode(mutant);
-    } catch (const std::runtime_error&) {
+    } catch (const std::runtime_error& e) {
       ++o.refused[m];
+      ++reasons[reason_of(e.what())];
       continue;
     }
     ++o.accepted[m];
@@ -162,6 +199,21 @@ TEST(TextFuzz, CandidateMutantsAreRefusedOrRoundTrip) {
         << "mutant " << i << " (mutator " << m << ") does not round-trip";
   }
   expect_every_mutator_refused_something(o, /*truncation_refuses=*/true);
+  EXPECT_EQ(reasons, (Reasons{{"design candidate: bad pods line: ", 2},
+                             {"design candidate: bad zone line: ", 44},
+                             {"design candidate: design candidate: zones must be non-empty, "
+                              "ascending, and cover [#, pods)",
+                              450},
+                             {"design candidate: design candidate: zones must cover [#, pods)",
+                              113},
+                             {"design candidate: leading zero '' in line: ", 338},
+                             {"design candidate: missing pods line", 7},
+                             {"design candidate: missing v# header", 437},
+                             {"design candidate: non-digit in integer '' in line: ", 18},
+                             {"design candidate: stray space in line: ", 44},
+                             {"design candidate: trailing token '' in line: ", 6},
+                             {"design candidate: unknown directive ''", 93},
+                             {"design candidate: unknown mode token ''", 207}}));
 }
 
 TEST(TextFuzz, JsonMutantsAreRefusedOrRoundTrip) {
@@ -169,6 +221,7 @@ TEST(TextFuzz, JsonMutantsAreRefusedOrRoundTrip) {
   obs::JsonValue parsed;
   ASSERT_TRUE(obs::json_parse(seed, parsed));
   Outcomes o;
+  Reasons reasons;
   for (std::uint64_t i = 0; i < kMutants; ++i) {
     util::Rng rng = util::Rng::substream(kJsonSeed, i);
     const auto m = static_cast<Mutator>(i % kMutators);
@@ -177,6 +230,7 @@ TEST(TextFuzz, JsonMutantsAreRefusedOrRoundTrip) {
     obs::JsonError err;
     if (!obs::json_parse(mutant, v, &err)) {
       ++o.refused[m];
+      ++reasons[err.code];
       EXPECT_TRUE(has_prefix(err.code, "json.") && !err.message.empty())
           << "mutant " << i << " (mutator " << m << ") refused with '" << err.code << "'";
       continue;
@@ -189,6 +243,17 @@ TEST(TextFuzz, JsonMutantsAreRefusedOrRoundTrip) {
         << "mutant " << i << " (mutator " << m << ") is not a write fixpoint";
   }
   expect_every_mutator_refused_something(o, /*truncation_refuses=*/true);
+  EXPECT_EQ(reasons, (Reasons{{"json.bad_escape", 1},
+                             {"json.bad_literal", 4},
+                             {"json.bad_number", 244},
+                             {"json.control_in_string", 11},
+                             {"json.duplicate_key", 105},
+                             {"json.expected_colon", 30},
+                             {"json.expected_comma_or_close", 140},
+                             {"json.expected_string", 96},
+                             {"json.expected_value", 44},
+                             {"json.trailing", 110},
+                             {"json.truncated", 353}}));
   EXPECT_GT(o.accepted[kBitFlip] + o.accepted[kDigitExtend], 0u);  // the fixpoint half ran
 }
 
@@ -202,6 +267,7 @@ TEST(TextFuzz, RequestMutantsAreRefusedOrRoundTrip) {
     ASSERT_EQ(req.canonical, bare) << "seed lines must be canonical";
   }
   Outcomes o;
+  Reasons reasons;
   for (std::uint64_t i = 0; i < kMutants; ++i) {
     util::Rng rng = util::Rng::substream(kRequestSeed, i);
     const auto m = static_cast<Mutator>(i % kMutators);
@@ -216,6 +282,7 @@ TEST(TextFuzz, RequestMutantsAreRefusedOrRoundTrip) {
       svc::RequestError err;
       if (!svc::parse_request(line, seq, req, err)) {
         refused = true;
+        ++reasons[err.code];
         EXPECT_TRUE((has_prefix(err.code, "json.") || has_prefix(err.code, "svc.")) &&
                     !err.message.empty())
             << "mutant " << i << " line " << seq << " refused with '" << err.code << "'";
@@ -230,6 +297,17 @@ TEST(TextFuzz, RequestMutantsAreRefusedOrRoundTrip) {
     ++(refused ? o.refused : o.accepted)[m];
   }
   expect_every_mutator_refused_something(o, /*truncation_refuses=*/true);
+  EXPECT_EQ(reasons, (Reasons{{"json.bad_number", 343},
+                             {"json.control_in_string", 5},
+                             {"json.expected_colon", 30},
+                             {"json.expected_comma_or_close", 51},
+                             {"json.expected_string", 23},
+                             {"json.expected_value", 26},
+                             {"json.trailing", 153},
+                             {"json.truncated", 322},
+                             {"svc.request.bad_field", 17},
+                             {"svc.request.missing_op", 14},
+                             {"svc.request.unknown_op", 39}}));
   EXPECT_GT(o.accepted[kBitFlip] + o.accepted[kDigitExtend], 0u);  // the fixpoint half ran
 }
 
@@ -249,6 +327,7 @@ TEST(TextFuzz, TopologyMutantsAreRefusedOrReachAFixpoint) {
   const std::string seed = seed_topology();
   ASSERT_EQ(topo::serialize(topo::deserialize(seed)), seed);
   Outcomes o;
+  Reasons reasons;
   for (std::uint64_t i = 0; i < kMutants; ++i) {
     util::Rng rng = util::Rng::substream(kTopologySeed, i);
     const auto m = static_cast<Mutator>(i % kMutators);
@@ -258,6 +337,7 @@ TEST(TextFuzz, TopologyMutantsAreRefusedOrReachAFixpoint) {
       t = topo::deserialize(mutant);
     } catch (const std::invalid_argument& e) {
       ++o.refused[m];
+      ++reasons[reason_of(e.what())];
       EXPECT_TRUE(has_prefix(e.what(), "deserialize: "))
           << "mutant " << i << " (mutator " << m << ") refused with '" << e.what() << "'";
       continue;
@@ -268,6 +348,29 @@ TEST(TextFuzz, TopologyMutantsAreRefusedOrReachAFixpoint) {
         << "mutant " << i << " (mutator " << m << ") is not a write fixpoint";
   }
   expect_every_mutator_refused_something(o, /*truncation_refuses=*/true);
+  EXPECT_EQ(reasons, (Reasons{{"deserialize: bad capacity '' at line #", 1},
+                             {"deserialize: bad count '' (leading zero) at line #", 5},
+                             {"deserialize: bad count '' (non-digit in integer) at line #", 1},
+                             {"deserialize: bad endpoint '' (leading zero) at line #", 127},
+                             {"deserialize: bad endpoint '' (no such switch) at line #", 103},
+                             {"deserialize: bad endpoint '' (non-digit in integer) at line #", 46},
+                             {"deserialize: bad host '' (leading zero) at line #", 26},
+                             {"deserialize: bad host '' (no such switch) at line #", 33},
+                             {"deserialize: bad host '' (non-digit in integer) at line #", 10},
+                             {"deserialize: bad index '' (leading zero) at line #", 57},
+                             {"deserialize: bad magic header (want '')", 28},
+                             {"deserialize: bad pod '' (leading zero) at line #", 40},
+                             {"deserialize: bad pod '' (non-digit in integer) at line #", 6},
+                             {"deserialize: bad ports '' (leading zero) at line #", 44},
+                             {"deserialize: bad ports '' (non-digit in integer) at line #", 2},
+                             {"deserialize: expected '' at line #", 165},
+                             {"deserialize: malformed link at line #", 217},
+                             {"deserialize: malformed switch at line #", 208},
+                             {"deserialize: trailing line after the servers section at line #", 16},
+                             {"deserialize: trailing token '' at line #", 65},
+                             {"deserialize: unexpected end of input after line #", 52},
+                             {"deserialize: unknown link origin '' at line #", 282},
+                             {"deserialize: unknown switch kind '' at line #", 126}}));
   EXPECT_GT(o.accepted[kBitFlip] + o.accepted[kDigitExtend], 0u);  // the fixpoint half ran
 }
 

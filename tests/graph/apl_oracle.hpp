@@ -1,9 +1,9 @@
 #pragma once
-// Test oracle for the APL reductions: the original one-BFS-per-source
-// kernels. Each weighted member source runs a scalar bfs_distances (or
-// bfs_distances_filtered when paths are confined) and its pairs are folded
-// in long double, sources in ascending order, targets v > u ascending —
-// the reference the batched counting path must match bit for bit.
+// Test oracle for the weighted APL: the original one-BFS-per-source
+// kernel. Each weighted source runs a scalar bfs_distances and its pairs
+// are folded in long double, sources in ascending order, targets v > u
+// ascending — the reference the batched counting path must match bit for
+// bit.
 // oracle_bfs_settled() counts the (source, node) pairs those scalar BFS
 // calls reached, the baseline MultiBfsStats::nodes_settled is compared to.
 
@@ -27,19 +27,16 @@ inline std::uint64_t& oracle_bfs_settled() {
 /// Zeroes oracle_bfs_settled().
 inline void reset_oracle_bfs_settled() { oracle_bfs_settled() = 0; }
 
-/// Scalar weighted APL over the members (all nodes when `member` is null);
-/// throws std::runtime_error on a disconnected weighted pair.
-inline AplResult scalar_apl(const Graph& g, const std::vector<std::uint32_t>& weight,
-                            const std::vector<char>* member, bool confine_paths,
-                            std::uint32_t offset, std::uint32_t same_node_dist) {
+/// Scalar reference for graph::weighted_apl; throws std::runtime_error on
+/// a disconnected weighted pair.
+inline AplResult weighted_apl_scalar(const Graph& g, const std::vector<std::uint32_t>& weight,
+                                     std::uint32_t offset, std::uint32_t same_node_dist) {
   long double total = 0.0L;
   AplResult r;
   for (NodeId u = 0; u < g.node_count(); ++u) {
     const std::uint64_t wu = weight[u];
-    if (wu == 0 || (member != nullptr && !(*member)[u])) continue;
-    const std::vector<std::uint32_t> dist = confine_paths && member != nullptr
-                                                ? bfs_distances_filtered(g, u, *member)
-                                                : bfs_distances(g, u);
+    if (wu == 0) continue;
+    const std::vector<std::uint32_t> dist = bfs_distances(g, u);
     oracle_bfs_settled() += static_cast<std::uint64_t>(
         std::count_if(dist.begin(), dist.end(), [](std::uint32_t d) { return d != kUnreachable; }));
     if (wu >= 2) {
@@ -49,7 +46,7 @@ inline AplResult scalar_apl(const Graph& g, const std::vector<std::uint32_t>& we
       r.max_dist = std::max(r.max_dist, same_node_dist);
     }
     for (NodeId v = u + 1; v < g.node_count(); ++v) {
-      if (weight[v] == 0 || (member != nullptr && !(*member)[v])) continue;
+      if (weight[v] == 0) continue;
       if (dist[v] == kUnreachable)
         throw std::runtime_error("weighted_apl: weighted pair disconnected");
       const std::uint64_t p = wu * weight[v];
@@ -61,53 +58,6 @@ inline AplResult scalar_apl(const Graph& g, const std::vector<std::uint32_t>& we
   }
   r.average = r.pairs ? static_cast<double>(total / static_cast<long double>(r.pairs)) : 0.0;
   return r;
-}
-
-/// Scalar reference for graph::weighted_apl.
-inline AplResult weighted_apl_scalar(const Graph& g, const std::vector<std::uint32_t>& weight,
-                                     std::uint32_t offset, std::uint32_t same_node_dist) {
-  return scalar_apl(g, weight, nullptr, false, offset, same_node_dist);
-}
-
-/// Scalar reference for graph::weighted_apl_subset.
-inline AplResult weighted_apl_subset_scalar(const Graph& g,
-                                            const std::vector<std::uint32_t>& weight,
-                                            const std::vector<char>& member,
-                                            bool confine_paths, std::uint32_t offset,
-                                            std::uint32_t same_node_dist) {
-  return scalar_apl(g, weight, &member, confine_paths, offset, same_node_dist);
-}
-
-/// Scalar reference for graph::unweighted_apl_stats: unreachable pairs
-/// skipped and counted.
-inline UnweightedAplResult unweighted_apl_stats_scalar(const Graph& g) {
-  long double total = 0.0L;
-  UnweightedAplResult r;
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    const std::vector<std::uint32_t> dist = bfs_distances(g, u);
-    for (NodeId v = u + 1; v < g.node_count(); ++v) {
-      if (dist[v] == kUnreachable) {
-        ++r.unreachable_pairs;
-        continue;
-      }
-      total += dist[v];
-      ++r.pairs;
-    }
-  }
-  r.average = r.pairs ? static_cast<double>(total / static_cast<long double>(r.pairs)) : 0.0;
-  return r;
-}
-
-/// Scalar reference for graph::diameter; throws std::runtime_error when
-/// the graph is disconnected.
-inline std::uint32_t diameter_scalar(const Graph& g) {
-  std::uint32_t best = 0;
-  for (NodeId u = 0; u < g.node_count(); ++u)
-    for (std::uint32_t d : bfs_distances(g, u)) {
-      if (d == kUnreachable) throw std::runtime_error("diameter: graph disconnected");
-      best = std::max(best, d);
-    }
-  return best;
 }
 
 }  // namespace flattree::graph::oracle

@@ -56,33 +56,6 @@ TEST(Bfs, SymmetricOnUndirected) {
   }
 }
 
-TEST(Bfs, FilteredRespectsMask) {
-  // 0-1-2 and a shortcut 0-3-2; masking 3 forces the long way.
-  Graph g(4);
-  g.add_link(0, 1);
-  g.add_link(1, 2);
-  g.add_link(0, 3);
-  g.add_link(3, 2);
-  std::vector<char> allowed{1, 1, 1, 0};
-  auto d = bfs_distances_filtered(g, 0, allowed);
-  EXPECT_EQ(d[2], 2u);
-  EXPECT_EQ(d[3], kUnreachable);
-}
-
-TEST(Bfs, FilteredRejectsBannedSource) {
-  Graph g(2);
-  g.add_link(0, 1);
-  std::vector<char> allowed{0, 1};
-  EXPECT_THROW(bfs_distances_filtered(g, 0, allowed), std::invalid_argument);
-}
-
-TEST(Bfs, FilteredRejectsBadMaskSize) {
-  Graph g(2);
-  g.add_link(0, 1);
-  std::vector<char> allowed{1};
-  EXPECT_THROW(bfs_distances_filtered(g, 0, allowed), std::invalid_argument);
-}
-
 TEST(Connectivity, ConnectedGraph) {
   EXPECT_TRUE(is_connected(path_graph(10)));
   EXPECT_EQ(component_count(path_graph(10)), 1u);

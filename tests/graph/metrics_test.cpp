@@ -68,79 +68,8 @@ TEST(WeightedApl, SizeMismatchThrows) {
   EXPECT_THROW(weighted_apl(g, w, 2, 2), std::invalid_argument);
 }
 
-TEST(WeightedAplSubset, ConfinedPathsAreLonger) {
-  // Square 0-1-2-3-0 plus diagonal via node 4: 0-4, 4-2.
-  Graph g(5);
-  g.add_link(0, 1);
-  g.add_link(1, 2);
-  g.add_link(2, 3);
-  g.add_link(3, 0);
-  g.add_link(0, 4);
-  g.add_link(4, 2);
-  std::vector<std::uint32_t> w{1, 0, 1, 0, 0};
-  std::vector<char> member{1, 1, 1, 1, 0};  // exclude the shortcut node
-  auto unconfined = weighted_apl_subset(g, w, member, false, 0, 0);
-  auto confined = weighted_apl_subset(g, w, member, true, 0, 0);
-  EXPECT_DOUBLE_EQ(unconfined.average, 2.0);
-  EXPECT_DOUBLE_EQ(confined.average, 2.0);  // square alone still gives 2
-  // Remove one square edge: confined must detour, unconfined can shortcut.
-  Graph g2(5);
-  g2.add_link(0, 1);
-  g2.add_link(1, 2);
-  g2.add_link(0, 4);
-  g2.add_link(4, 2);
-  auto conf2 = weighted_apl_subset(g2, w, member, true, 0, 0);
-  auto unconf2 = weighted_apl_subset(g2, w, member, false, 0, 0);
-  EXPECT_DOUBLE_EQ(conf2.average, 2.0);
-  EXPECT_DOUBLE_EQ(unconf2.average, 2.0);
-}
-
-TEST(WeightedAplSubset, MemberMaskLimitsPairs) {
-  Graph g = path_graph(4);
-  std::vector<std::uint32_t> w{1, 1, 1, 1};
-  std::vector<char> member{1, 0, 0, 1};
-  auto r = weighted_apl_subset(g, w, member, false, 0, 0);
-  EXPECT_EQ(r.pairs, 1u);
-  EXPECT_DOUBLE_EQ(r.average, 3.0);
-}
-
-TEST(UnweightedApl, PathGraphClosedForm) {
-  // Path on 3 nodes: distances 1,1,2 -> avg 4/3.
-  EXPECT_DOUBLE_EQ(unweighted_apl(path_graph(3)), 4.0 / 3.0);
-}
-
-TEST(UnweightedApl, IgnoresDisconnectedPairs) {
-  Graph g(3);
-  g.add_link(0, 1);
-  EXPECT_DOUBLE_EQ(unweighted_apl(g), 1.0);
-}
-
-// The unreachable-pair policy on a 2-component graph, both sides: the
-// unweighted metric skips disconnected pairs and reports how many it
-// skipped; the weighted metric treats any disconnected weighted pair as a
-// broken topology and throws.
-TEST(UnweightedApl, StatsReportSkippedPairsOnTwoComponents) {
-  Graph g(5);  // components {0,1,2} (path) and {3,4}
-  g.add_link(0, 1);
-  g.add_link(1, 2);
-  g.add_link(3, 4);
-  auto r = unweighted_apl_stats(g);
-  // In-component pairs: (0,1),(1,2),(0,2),(3,4) -> distances 1,1,2,1.
-  EXPECT_EQ(r.pairs, 4u);
-  EXPECT_DOUBLE_EQ(r.average, 5.0 / 4.0);
-  // Cross-component pairs: 3 * 2 = 6, skipped but counted.
-  EXPECT_EQ(r.unreachable_pairs, 6u);
-  EXPECT_DOUBLE_EQ(unweighted_apl(g), r.average);
-}
-
-TEST(UnweightedApl, StatsOnFullyDisconnectedGraph) {
-  Graph g(3);  // no links at all: nothing to average
-  auto r = unweighted_apl_stats(g);
-  EXPECT_EQ(r.pairs, 0u);
-  EXPECT_EQ(r.unreachable_pairs, 3u);
-  EXPECT_DOUBLE_EQ(r.average, 0.0);
-}
-
+// The unreachable-pair policy on a 2-component graph: any disconnected
+// weighted pair is a broken topology and throws.
 TEST(WeightedApl, ThrowsOnTwoComponents) {
   Graph g(5);
   g.add_link(0, 1);
@@ -153,27 +82,6 @@ TEST(WeightedApl, ThrowsOnTwoComponents) {
   // again: the policy is about *weighted* pairs, not global connectivity.
   std::vector<std::uint32_t> one_side{1, 1, 1, 0, 0};
   EXPECT_EQ(weighted_apl(g, one_side, 0, 0).pairs, 3u);
-}
-
-TEST(Diameter, PathAndCycle) {
-  EXPECT_EQ(diameter(path_graph(5)), 4u);
-  Graph cyc = path_graph(6);
-  cyc.add_link(5, 0);
-  EXPECT_EQ(diameter(cyc), 3u);
-}
-
-TEST(Diameter, DisconnectedThrows) {
-  Graph g(2);
-  EXPECT_THROW(diameter(g), std::runtime_error);
-}
-
-TEST(DegreeHistogram, CountsPerDegree) {
-  Graph g = path_graph(4);  // degrees 1,2,2,1
-  auto h = degree_histogram(g);
-  ASSERT_EQ(h.size(), 3u);
-  EXPECT_EQ(h[0], 0u);
-  EXPECT_EQ(h[1], 2u);
-  EXPECT_EQ(h[2], 2u);
 }
 
 }  // namespace

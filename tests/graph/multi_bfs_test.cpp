@@ -1,9 +1,9 @@
 // Bit-parallel batched BFS (graph::MultiSourceBfs) equivalence battery:
-// the engine must reproduce the scalar kernels bit for bit — distances on
-// random (including disconnected) graphs, filtered traversals, APSP rows,
-// and, through the row-free counting mode, the APL/diameter reductions
-// against the scalar oracle (apl_oracle.hpp) — at any thread count, with
-// deterministic operation counters. Negative controls prove the sampled
+// the engine must reproduce the scalar kernels bit for bit — distance rows
+// on random (including disconnected) graphs and, through the row-free
+// counting mode, the weighted APL against the scalar oracle
+// (apl_oracle.hpp) — at any thread count, with deterministic operation
+// counters. Negative controls prove the sampled
 // certification hook actually catches corrupted rows.
 
 #include "graph/multi_bfs.hpp"
@@ -87,24 +87,6 @@ TEST(MultiBfs, MatchesScalarOnRandomGraphs) {
   }
 }
 
-TEST(MultiBfs, MatchesScalarFiltered) {
-  Graph g = random_graph(80, 200, 7);
-  // Mask out every third node; keep the rest as both sources and targets.
-  std::vector<char> allowed(g.node_count(), 1);
-  for (NodeId v = 0; v < g.node_count(); v += 3) allowed[v] = 0;
-  std::vector<NodeId> sources;
-  for (NodeId v = 0; v < g.node_count(); ++v)
-    if (allowed[v]) sources.push_back(v);
-  MultiSourceBfs engine(g);
-  engine.run(sources.data(), std::min(kBfsBatchWidth, sources.size()), &allowed);
-  for (std::size_t i = 0; i < engine.batch_size(); ++i) {
-    auto scalar = bfs_distances_filtered(g, sources[i], allowed);
-    auto row = engine.distances(i);
-    EXPECT_TRUE(std::equal(scalar.begin(), scalar.end(), row.begin(), row.end()))
-        << "source=" << sources[i];
-  }
-}
-
 TEST(MultiBfs, RejectsBadBatches) {
   Graph g = random_graph(10, 20, 1);
   MultiSourceBfs engine(g);
@@ -112,11 +94,11 @@ TEST(MultiBfs, RejectsBadBatches) {
   EXPECT_THROW(engine.run(&source, 0), std::invalid_argument);
   NodeId out_of_range = 10;
   EXPECT_THROW(engine.run(&out_of_range, 1), std::invalid_argument);
-  std::vector<char> bad_mask(5, 1);
-  EXPECT_THROW(engine.run(&source, 1, &bad_mask), std::invalid_argument);
-  std::vector<char> mask(10, 1);
-  mask[0] = 0;
-  EXPECT_THROW(engine.run(&source, 1, &mask), std::invalid_argument);
+  std::vector<std::uint32_t> weight(10, 1);
+  EXPECT_THROW(engine.run_counting(&source, 0, weight), std::invalid_argument);
+  EXPECT_THROW(engine.run_counting(&out_of_range, 1, weight), std::invalid_argument);
+  std::vector<std::uint32_t> short_weight(5, 1);
+  EXPECT_THROW(engine.run_counting(&source, 1, short_weight), std::invalid_argument);
 }
 
 TEST(MultiBfs, ReachedCountsAndStats) {
@@ -139,63 +121,49 @@ TEST(MultiBfs, ReachedCountsAndStats) {
   EXPECT_GT(stats.node_expansions, 0u);
 }
 
-TEST(MultiBfs, ApspMatchesPerSourceScalar) {
-  Graph g = random_graph(70, 150, 11);
-  auto batched = apsp_distances(g);
-  ASSERT_EQ(batched.size(), g.node_count());
-  for (NodeId u = 0; u < g.node_count(); ++u)
-    EXPECT_EQ(batched[u], bfs_distances(g, u)) << "source=" << u;
-}
-
 TEST(MultiBfs, CountingRunMatchesRowRun) {
   // The counting mode's sums, recomputed from the row mode's distances,
-  // for full and partial batches, both weight regimes, with and without a
-  // mask; the operation counters of the two modes agree too. Sources are
+  // for full and partial batches and both weight regimes; the operation
+  // counters of the two modes agree too. Sources are
   // the weighted nodes, as in weighted_apl, so equal weights take the
   // popcount branch.
   util::Rng rng(17);
   for (std::size_t m : {std::size_t{60}, std::size_t{300}}) {
     Graph g = random_graph(100, m, 71 + m);
-    std::vector<char> allowed(g.node_count(), 1);
-    for (NodeId v = 1; v < g.node_count(); v += 4) allowed[v] = 0;
     for (Weights kind : {Weights::Equal, Weights::Mixed}) {
       std::vector<std::uint32_t> weight = draw_weights(g.node_count(), kind, rng);
-      for (bool masked : {false, true}) {
-        const std::vector<char>* mask = masked ? &allowed : nullptr;
-        std::vector<NodeId> sources;
-        for (NodeId v = 0; v < g.node_count(); ++v)
-          if (weight[v] != 0 && (mask == nullptr || (*mask)[v])) sources.push_back(v);
-        MultiSourceBfs engine(g);
-        for (std::size_t begin = 0; begin < sources.size(); begin += kBfsBatchWidth) {
-          const std::size_t count = std::min(kBfsBatchWidth, sources.size() - begin);
-          reset_multi_bfs_stats();
-          engine.run(sources.data() + begin, count, mask);
-          const MultiBfsStats row_stats = multi_bfs_stats();
-          LevelSums expect;
-          for (std::size_t i = 0; i < count; ++i) {
-            const std::uint64_t ws = weight[sources[begin + i]];
-            auto row = engine.distances(i);
-            for (NodeId v = 0; v < g.node_count(); ++v) {
-              if (weight[v] == 0 || row[v] == kUnreachable) continue;
-              ++expect.target_hits;
-              expect.weighted_hops += ws * weight[v] * row[v];
-              expect.depth = std::max(expect.depth, row[v]);
-            }
+      std::vector<NodeId> sources;
+      for (NodeId v = 0; v < g.node_count(); ++v)
+        if (weight[v] != 0) sources.push_back(v);
+      MultiSourceBfs engine(g);
+      for (std::size_t begin = 0; begin < sources.size(); begin += kBfsBatchWidth) {
+        const std::size_t count = std::min(kBfsBatchWidth, sources.size() - begin);
+        reset_multi_bfs_stats();
+        engine.run(sources.data() + begin, count);
+        const MultiBfsStats row_stats = multi_bfs_stats();
+        LevelSums expect;
+        for (std::size_t i = 0; i < count; ++i) {
+          const std::uint64_t ws = weight[sources[begin + i]];
+          auto row = engine.distances(i);
+          for (NodeId v = 0; v < g.node_count(); ++v) {
+            if (weight[v] == 0 || row[v] == kUnreachable) continue;
+            ++expect.target_hits;
+            expect.weighted_hops += ws * weight[v] * row[v];
+            expect.depth = std::max(expect.depth, row[v]);
           }
-          reset_multi_bfs_stats();
-          const LevelSums got = engine.run_counting(sources.data() + begin, count, weight, mask);
-          const MultiBfsStats count_stats = multi_bfs_stats();
-          const std::string what = "m=" + std::to_string(m) + " batch@" +
-                                   std::to_string(begin) + (mask ? " masked" : "");
-          EXPECT_EQ(got.weighted_hops, expect.weighted_hops) << what;
-          EXPECT_EQ(got.target_hits, expect.target_hits) << what;
-          EXPECT_EQ(got.depth, expect.depth) << what;
-          EXPECT_EQ(engine.batch_size(), 0u) << what;  // no rows left behind
-          EXPECT_EQ(count_stats.words_touched, row_stats.words_touched) << what;
-          EXPECT_EQ(count_stats.node_expansions, row_stats.node_expansions) << what;
-          EXPECT_EQ(count_stats.nodes_settled, row_stats.nodes_settled) << what;
-          EXPECT_EQ(count_stats.levels, row_stats.levels) << what;
         }
+        reset_multi_bfs_stats();
+        const LevelSums got = engine.run_counting(sources.data() + begin, count, weight);
+        const MultiBfsStats count_stats = multi_bfs_stats();
+        const std::string what = "m=" + std::to_string(m) + " batch@" + std::to_string(begin);
+        EXPECT_EQ(got.weighted_hops, expect.weighted_hops) << what;
+        EXPECT_EQ(got.target_hits, expect.target_hits) << what;
+        EXPECT_EQ(got.depth, expect.depth) << what;
+        EXPECT_EQ(engine.batch_size(), 0u) << what;  // no rows left behind
+        EXPECT_EQ(count_stats.words_touched, row_stats.words_touched) << what;
+        EXPECT_EQ(count_stats.node_expansions, row_stats.node_expansions) << what;
+        EXPECT_EQ(count_stats.nodes_settled, row_stats.nodes_settled) << what;
+        EXPECT_EQ(count_stats.levels, row_stats.levels) << what;
       }
     }
   }
@@ -221,23 +189,6 @@ TEST(MultiBfs, WeightedAplBitwiseEqualsScalar) {
   }
 }
 
-TEST(MultiBfs, WeightedAplSubsetBitwiseEqualsScalar) {
-  util::Rng rng(33);
-  Graph g = random_graph(150, 1500, 31);  // members stay connected whp
-  std::vector<char> member(g.node_count(), 0);
-  for (NodeId v = 0; v < g.node_count(); v += 2) member[v] = 1;
-  for (Weights kind : {Weights::Equal, Weights::Mixed}) {
-    std::vector<std::uint32_t> weight = draw_weights(g.node_count(), kind, rng);
-    for (bool confine : {false, true}) {
-      const std::string what = std::string(kind == Weights::Equal ? "equal" : "mixed") +
-                               " confine=" + (confine ? "1" : "0");
-      expect_bitwise_equal(weighted_apl_subset(g, weight, member, confine, 2, 2),
-                           oracle::weighted_apl_subset_scalar(g, weight, member, confine, 2, 2),
-                           what);
-    }
-  }
-}
-
 TEST(MultiBfs, WeightedAplThrowsOnDisconnectedWeightedPair) {
   // Two dense halves joined by nothing: one weighted node on the far side
   // disconnects it from every source batch (70 sources: two batches).
@@ -256,13 +207,6 @@ TEST(MultiBfs, WeightedAplThrowsOnDisconnectedWeightedPair) {
   weight[139] = 1;
   EXPECT_THROW(weighted_apl(g, weight, 2, 2), std::runtime_error);
   EXPECT_THROW(oracle::weighted_apl_scalar(g, weight, 2, 2), std::runtime_error);
-  // Confined to members of one half, a member on the other side is cut off
-  // even though unconfined paths would not matter (no path exists at all).
-  std::vector<char> member(g.node_count(), 0);
-  for (NodeId v = 0; v < 70; ++v) member[v] = 1;
-  member[139] = 1;
-  for (bool confine : {false, true})
-    EXPECT_THROW(weighted_apl_subset(g, weight, member, confine, 2, 2), std::runtime_error);
 }
 
 TEST(MultiBfs, WeightedAplOverflowGuard) {
@@ -273,8 +217,6 @@ TEST(MultiBfs, WeightedAplOverflowGuard) {
   const std::uint32_t big = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint32_t> huge{big, 0, big};
   EXPECT_THROW(weighted_apl(g, huge, 2, 2), std::overflow_error);
-  std::vector<char> member{1, 1, 1};
-  EXPECT_THROW(weighted_apl_subset(g, huge, member, true, 2, 2), std::overflow_error);
   EXPECT_THROW(require_apl_sum_fits(huge, 2, 2), std::overflow_error);
   // Just inside the bound: (2^30)^2 * (3 - 1 + 2) = 2^62. The total is
   // still exact and equal to the long-double oracle.
@@ -285,28 +227,6 @@ TEST(MultiBfs, WeightedAplOverflowGuard) {
   // One past it: 2^31 squared times 4 is 2^64.
   std::vector<std::uint32_t> edge{1u << 30, 0, 1u << 30};
   EXPECT_THROW(weighted_apl(g, edge, 2, 2), std::overflow_error);
-}
-
-TEST(MultiBfs, DiameterAndUnweightedAplMatchEngine) {
-  for (std::uint64_t seed : {41ull, 42ull}) {
-    // m < n leaves isolated nodes; the dense draw is connected whp.
-    for (std::size_t m : {std::size_t{60}, std::size_t{130}, std::size_t{700}}) {
-      Graph g = random_graph(130, m, seed);
-      const std::string what = "seed=" + std::to_string(seed) + " m=" + std::to_string(m);
-      UnweightedAplResult batched = unweighted_apl_stats(g);
-      UnweightedAplResult scalar = oracle::unweighted_apl_stats_scalar(g);
-      EXPECT_EQ(batched.average, scalar.average) << what;
-      EXPECT_EQ(batched.pairs, scalar.pairs) << what;
-      EXPECT_EQ(batched.unreachable_pairs, scalar.unreachable_pairs) << what;
-      EXPECT_EQ(unweighted_apl(g), scalar.average) << what;
-      if (is_connected(g)) {
-        EXPECT_EQ(diameter(g), oracle::diameter_scalar(g)) << what;
-      } else {
-        EXPECT_THROW(diameter(g), std::runtime_error) << what;
-        EXPECT_THROW(oracle::diameter_scalar(g), std::runtime_error) << what;
-      }
-    }
-  }
 }
 
 TEST(MultiBfs, FatTreeAplBitwiseEqualAcrossThreadCounts) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace flattree::sim {
 namespace {
 
@@ -62,17 +64,12 @@ TEST(PoissonFlows, ErrorCases) {
   util::Rng rng(6);
   EXPECT_THROW(poisson_flows(10, 1.0, 1, dist, rng), std::invalid_argument);
   EXPECT_THROW(poisson_flows(10, 0.0, 8, dist, rng), std::invalid_argument);
-}
-
-TEST(FlowsFromDemands, MapsFields) {
-  std::vector<mcf::ServerDemand> demands{{1, 2, 3.0}, {4, 5, 0.5}};
-  auto flows = flows_from_demands(demands, 2.0);
-  ASSERT_EQ(flows.size(), 2u);
-  EXPECT_EQ(flows[0].src, 1u);
-  EXPECT_EQ(flows[0].dst, 2u);
-  EXPECT_DOUBLE_EQ(flows[0].size, 6.0);
-  EXPECT_DOUBLE_EQ(flows[1].size, 1.0);
-  EXPECT_EQ(flows[0].arrival, 0.0);
+  // A NaN rate fails no `<= 0` test and would yield NaN arrivals; an
+  // infinite one would put every flow at t = 0.
+  for (double rate : {std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(poisson_flows(10, rate, 8, dist, rng), std::invalid_argument) << rate;
 }
 
 }  // namespace

@@ -7,8 +7,6 @@
 
 #include "check/te_check.hpp"
 #include "core/flat_tree.hpp"
-#include "mcf/commodity.hpp"
-#include "mcf/garg_koenemann.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/fib.hpp"
 #include "routing/ksp_routing.hpp"
@@ -133,43 +131,6 @@ TEST(CompileWcmpPaths, DeterministicAcrossRebuilds) {
         EXPECT_EQ(ha[i].weight, hb[i].weight);
       }
     }
-}
-
-TEST(CompileWcmpMcf, SolverSplitsProgramTheFib) {
-  topo::FatTree ft = topo::build_fat_tree(4);
-  auto pairs = routing::all_server_pairs(ft.topo);
-  // Drive the compiler from a real GK solution over a permutation-ish
-  // demand (server s -> server s+8 across pods).
-  std::vector<mcf::ServerDemand> demands;
-  for (std::uint32_t s = 0; s < 8; ++s)
-    demands.push_back({s, s + 8, 1.0});
-  auto commodities = mcf::aggregate_to_switches(ft.topo, demands);
-  mcf::McfOptions opt;
-  opt.epsilon = 0.2;
-  auto r = mcf::max_concurrent_flow(ft.topo.graph(), commodities, opt);
-  ASSERT_EQ(r.arc_flow.size(), ft.topo.graph().link_count() * 2);
-  WeightedFib fib = compile_wcmp_mcf(ft.topo, pairs, r.arc_flow);
-  check::Report report = check::validate_weighted_fib(ft.topo, fib, pairs);
-  EXPECT_TRUE(report.ok()) << report.to_string();
-}
-
-TEST(CompileWcmpMcf, ZeroFlowFallsBackToEvenSplit) {
-  topo::FatTree ft = topo::build_fat_tree(4);
-  auto pairs = routing::all_server_pairs(ft.topo);
-  // All-zero arc flows: every entry falls back to the even ECMP split but
-  // still conserves the budget and stays loop-free.
-  std::vector<double> arc_flow(ft.topo.graph().link_count() * 2, 0.0);
-  WeightedFib fib = compile_wcmp_mcf(ft.topo, pairs, arc_flow);
-  check::Report r = check::validate_weighted_fib(ft.topo, fib, pairs);
-  EXPECT_TRUE(r.ok()) << r.to_string();
-  EXPECT_GT(fib.entry_count(), 0u);
-}
-
-TEST(CompileWcmpMcf, ArcFlowSizeMismatchRejected) {
-  topo::FatTree ft = topo::build_fat_tree(4);
-  auto pairs = routing::all_server_pairs(ft.topo);
-  std::vector<double> wrong(3, 0.0);
-  EXPECT_THROW(compile_wcmp_mcf(ft.topo, pairs, wrong), std::invalid_argument);
 }
 
 }  // namespace

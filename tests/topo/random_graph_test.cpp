@@ -62,35 +62,6 @@ TEST(RandomSimplePairing, DifferentSeedsDifferentGraphs) {
   EXPECT_NE(p1, p2);
 }
 
-TEST(BuildRandomGraph, ServersRoundRobin) {
-  util::Rng rng(5);
-  Topology t = build_random_graph(10, 6, 23, rng);
-  auto w = t.servers_per_switch();
-  for (std::size_t v = 0; v < 10; ++v) {
-    EXPECT_GE(w[v], 2u);
-    EXPECT_LE(w[v], 3u);
-  }
-  EXPECT_EQ(t.server_count(), 23u);
-}
-
-TEST(BuildRandomGraph, PortBudgetRespected) {
-  util::Rng rng(6);
-  Topology t = build_random_graph(12, 5, 12, rng);
-  EXPECT_NO_THROW(t.validate());
-  for (graph::NodeId v = 0; v < t.switch_count(); ++v) EXPECT_LE(t.used_ports(v), 5u);
-}
-
-TEST(BuildRandomGraph, Connected) {
-  util::Rng rng(7);
-  Topology t = build_random_graph(30, 4, 30, rng);
-  EXPECT_TRUE(graph::is_connected(t.graph()));
-}
-
-TEST(BuildRandomGraph, TooManyServersThrows) {
-  util::Rng rng(8);
-  EXPECT_THROW(build_random_graph(2, 2, 10, rng), std::invalid_argument);
-}
-
 class JellyfishParam : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(JellyfishParam, SameEquipmentAsFatTree) {

@@ -45,20 +45,6 @@ TEST(Topology, ServersOnSwitch) {
   EXPECT_EQ(on0[1], 1u);
 }
 
-TEST(Topology, MoveServer) {
-  Topology t = tiny();
-  t.move_server(0, 2);
-  EXPECT_EQ(t.host(0), 2u);
-  auto w = t.servers_per_switch();
-  EXPECT_EQ(w[0], 1u);
-  EXPECT_EQ(w[2], 1u);
-}
-
-TEST(Topology, MoveServerOutOfRangeThrows) {
-  Topology t = tiny();
-  EXPECT_THROW(t.move_server(0, 99), std::out_of_range);
-}
-
 TEST(Topology, AddServerBadHostThrows) {
   Topology t = tiny();
   EXPECT_THROW(t.add_server(99), std::out_of_range);

@@ -169,6 +169,19 @@ TEST(Cli, NoFormRejectsValue) {
   EXPECT_EQ(cli.exit_code(), 2);
 }
 
+TEST(Cli, RefusesNonFiniteDoubles) {
+  // strtod accepts these spellings; a double flag must not.
+  for (const char* value : {"nan", "NaN", "inf", "-inf", "infinity", "1e999"}) {
+    double x = 0.5;
+    CliParser cli("test");
+    cli.add_double("x", &x, "x");
+    Argv a({"prog", std::string("--x=") + value});
+    EXPECT_FALSE(cli.parse(a.argc(), a.argv())) << value;
+    EXPECT_EQ(cli.exit_code(), 2) << value;
+    EXPECT_EQ(x, 0.5) << value;
+  }
+}
+
 TEST(Cli, NegativeNumbersParse) {
   std::int64_t v = 0;
   CliParser cli("test");
