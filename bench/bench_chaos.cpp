@@ -22,8 +22,10 @@
 // round trip. --selfcheck validates every instant (assignment validity,
 // degraded topology battery, certify_served, fault-tally conservation).
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -105,6 +107,11 @@ int main(int argc, char** argv) {
     target = core::Mode::Clos;
   } else {
     std::fprintf(stderr, "bench_chaos: unknown --mode '%s'\n", mode.c_str());
+    return 2;
+  }
+  if (flap_cycles < 0 || flap_cycles > std::numeric_limits<std::uint32_t>::max()) {
+    std::fprintf(stderr, "bench_chaos: --flap-cycles must lie in [0, %u]\n",
+                 std::numeric_limits<std::uint32_t>::max());
     return 2;
   }
 

@@ -9,8 +9,8 @@
 // objective beats the best single uniform mode.
 //
 // Determinism: stdout is byte-identical across --threads, obs on/off, and
-// repeated runs (every random choice is an Rng::substream draw; the warm
-// search path and the cold reporting path are separated — see
+// repeated runs (every random choice is an Rng::substream draw, and the
+// search scores each candidate exactly as a cold solve would — see
 // docs/design_search.md). --summary-json=PATH writes the machine-readable
 // summary (BENCH_design.json in CI, schema flattree.bench_design.v1).
 

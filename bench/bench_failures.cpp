@@ -56,12 +56,12 @@ int main(int argc, char** argv) {
                                           net.params().servers_per_pod(), wl);
   auto demands = workload::cluster_traffic(clusters, workload::Pattern::Broadcast, wl);
 
-  // Incremental sweep state: one exact-only MCF warm cache (identical
-  // instances — e.g. the four fails=0 solves — get the stored result).
-  // Cold mode leaves it null; stdout is byte-identical either way.
+  // Incremental sweep state: one MCF warm cache (identical instances —
+  // e.g. the four fails=0 solves — get the stored result). Cold mode
+  // leaves it null; stdout is byte-identical either way.
   std::unique_ptr<inc::McfWarmCache> warm;
   if (bench::incremental_enabled())
-    warm = std::make_unique<inc::McfWarmCache>(inc::McfWarmCacheOptions{.exact_only = true});
+    warm = std::make_unique<inc::McfWarmCache>();
 
   struct ZoneResult {
     double lambda = 0.0;

@@ -112,12 +112,12 @@ int main(int argc, char** argv) {
     return v;
   };
 
-  // Incremental sweep state: the exact-only MCF warm cache answers any
-  // bitwise-repeated instance with its stored result. Stdout stays
-  // byte-identical to cold mode.
+  // Incremental sweep state: the MCF warm cache answers any bitwise-repeated
+  // instance with its stored result. Stdout stays byte-identical to cold
+  // mode.
   std::unique_ptr<inc::McfWarmCache> warm;
   if (bench::incremental_enabled())
-    warm = std::make_unique<inc::McfWarmCache>(inc::McfWarmCacheOptions{.exact_only = true});
+    warm = std::make_unique<inc::McfWarmCache>();
 
   util::Table table({"global%", "hybrid apl", "global iso", "global dedicated",
                      "global iso ratio", "local iso", "local dedicated",

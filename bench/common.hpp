@@ -163,11 +163,11 @@ class ObsScope {
 //
 // With --incremental the sweep-style benches reuse work between
 // consecutive sweep points through src/inc: an identical MCF instance gets
-// the stored result of its cold solve (inc::McfWarmCache, exact-only
-// tier). APL is always the cold counting BFS. Stdout is byte-identical to
-// cold mode at any thread count, because GK is a pure function of its
-// inputs. The savings show up in a --metrics-json manifest:
-// inc.mcf.exact_resumes counts the solves answered from the stored result.
+// the stored result of its cold solve (inc::McfWarmCache). APL is always
+// the cold counting BFS. Stdout is byte-identical to cold mode at any
+// thread count, because GK is a pure function of its inputs. The savings
+// show up in a --metrics-json manifest: inc.mcf.exact_resumes counts the
+// solves answered from the stored result.
 
 /// Process-wide switch; set from the --incremental flag.
 inline bool& incremental_enabled() {
@@ -210,8 +210,8 @@ inline double throughput(const topo::Topology& topo,
   // Certification needs the dual bound for the bracket check, so selfcheck
   // forces the upper bound on even when the caller does not want it.
   opt.compute_upper_bound = upper != nullptr || selfcheck_enabled();
-  // The warm cache (exact-only in benches) returns the stored result for
-  // an identical instance; different instances solve cold.
+  // The warm cache returns the stored result for an identical instance;
+  // different instances solve cold.
   auto r = warm != nullptr ? warm->solve(topo.graph(), commodities, opt)
                            : mcf::max_concurrent_flow(topo.graph(), commodities, opt);
   if (selfcheck_enabled()) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Documentation gate (ctest label `docs`). Five checks:
+# Documentation gate (ctest label `docs`). Six checks:
 #
 #   1.  Markdown link integrity — every intra-repo link target in the
 #       checked .md files exists on disk (external http(s) links are
@@ -17,6 +17,12 @@
 #       svc.recover.* and svc.overload.* codes that src/svc returns are
 #       exactly the rows of the "Error codes" table in docs/durability.md
 #       (obs::Counter names such as svc.overload.shed are not codes).
+#   5.  Metric, span and code names — every backticked dotted name with a
+#       layer prefix (`graph.`, `mcf.`, `inc.`, ... see LAYERS) in README,
+#       DESIGN, EXPERIMENTS and docs/ starts a string literal in src/,
+#       bench/ or perfbench/src/, so a doc cannot cite a counter, span or
+#       error code the program no longer has. Names with `*` or `{...}`
+#       are families and are not checked.
 #
 # Usage: scripts/check_docs.sh [repo-root]   (defaults to the script's parent)
 
@@ -190,6 +196,28 @@ for code in sorted(returned - documented):
     fail(f"docs/durability.md: error code `{code}` is returned by src/svc but has no row")
 for code in sorted(documented - returned):
     fail(f"docs/durability.md: error code `{code}` has a row but src/svc never returns it")
+
+# -- 5. documented metric/span/code names exist in the program ---------------
+
+LAYERS = ["graph", "mcf", "inc", "sim", "te", "routing", "core", "fault", "svc",
+          "check", "exec", "design", "durable"]
+NAME_RE = re.compile(r"`((?:%s)(?:\.[A-Za-z0-9_]+)+)`" % "|".join(LAYERS))
+# The dotted run that opens a string literal: "mcf.gk.phases", and the
+# "svc.recover.bad_snapshot: ..." codes built as message prefixes.
+LITERAL_HEAD_RE = re.compile(r'"([A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)+)')
+literal_heads = set()
+for src_dir in ["src", "bench", os.path.join("perfbench", "src")]:
+    for dirpath, _, names in os.walk(os.path.join(root, src_dir)):
+        for name in names:
+            if name.endswith((".cpp", ".hpp")):
+                text = open(os.path.join(dirpath, name), encoding="utf-8").read()
+                literal_heads.update(LITERAL_HEAD_RE.findall(text))
+NAME_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + [
+    md for md in MD_FILES if md.startswith("docs" + os.sep)]
+for md in NAME_DOCS:
+    for name in sorted(set(NAME_RE.findall(md_text(md)))):
+        if name not in literal_heads:
+            fail(f"{md}: `{name}` names no string literal in src/, bench/ or perfbench/src/")
 
 # ---------------------------------------------------------------------------
 

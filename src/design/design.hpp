@@ -3,7 +3,7 @@
 //
 //   design::Candidate          zone layout + per-zone mode, canonical text codec
 //   design::WorkloadMix        declared traffic mix, affinity-placed demands
-//   design::Evaluator          warm incremental scorer (cold APL + McfWarmCache)
+//   design::Evaluator          incremental scorer (cold APL + McfWarmCache)
 //   design::search             deterministic annealing over the move set
 //
 // See docs/design_search.md (mirrored as DESIGN.md section 13) for the

@@ -25,11 +25,12 @@
 // evaluation order — the property the search's replayability rests on.
 //
 // Two scoring paths share the demand generator: Evaluator keeps an
-// inc::McfWarmCache alive across candidates (the warm path the annealer
-// drives; APL is always the cold topo::server_apl), while score_cold_certified
-// rebuilds everything from scratch and runs the full check::validate +
-// check::certify battery (the path winners must survive before being
-// reported).
+// inc::McfWarmCache alive across candidates (the path the annealer
+// drives; APL is always the cold topo::server_apl), while
+// score_cold_certified rebuilds everything from scratch and runs the full
+// check::validate + check::certify battery (the path winners must survive
+// before being reported). Both return the same Score for a candidate,
+// bit for bit: the cache only ever answers with a cold solve's result.
 
 #include <cstdint>
 #include <string>
@@ -128,17 +129,17 @@ struct Score {
   std::uint64_t demands = 0;  ///< server-level demand count of the mix
 };
 
-/// Warm incremental scorer: cold APL plus one inc::McfWarmCache (dual
-/// seeding allowed — every warm result is re-certified inside the cache,
-/// and the search's final winner is additionally re-scored cold) shared
-/// across score() calls.
+/// Incremental scorer: cold APL plus one inc::McfWarmCache shared across
+/// score() calls, so a repeated candidate skips its solve. Each Score
+/// equals score_cold_certified's for the same candidate; the search still
+/// re-scores its winner cold to run the certification battery.
 class Evaluator {
  public:
   /// Binds the scorer to a plant and a mix. `net` must outlive the
   /// Evaluator.
   Evaluator(const core::FlatTreeNetwork& net, WorkloadMix mix);
 
-  /// Scores one candidate through the warm MCF cache.
+  /// Scores one candidate through the MCF warm cache.
   Score score(const Candidate& candidate);
 
   /// Number of throughput solves run so far (one per score()).

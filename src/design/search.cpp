@@ -208,7 +208,7 @@ SearchResult search(const core::FlatTreeNetwork& net, const WorkloadMix& mix,
   Score current_score = eval.score(current);
   c_scored.inc();
   result.best = current;
-  result.best_warm = current_score;
+  double best_objective = current_score.objective;
 
   // Temperatures are fractions of the best uniform objective, so the
   // same schedule works at any plant size or mix scale.
@@ -224,8 +224,7 @@ SearchResult search(const core::FlatTreeNetwork& net, const WorkloadMix& mix,
       ++result.skipped;
       c_skipped.inc();
       result.trajectory.push_back(TrajectoryPoint{
-          iter, temperature, current_score.objective,
-          result.best_warm.objective});
+          iter, temperature, current_score.objective, best_objective});
       continue;
     }
     const Score next_score = eval.score(*next);
@@ -241,20 +240,20 @@ SearchResult search(const core::FlatTreeNetwork& net, const WorkloadMix& mix,
       c_accepted.inc();
       result.accepted_moves.push_back(
           AcceptedMove{iter, *move, next_score.objective});
-      if (next_score.objective > result.best_warm.objective) {
+      if (next_score.objective > best_objective) {
         result.best = current;
-        result.best_warm = next_score;
+        best_objective = next_score.objective;
       }
     } else {
       ++result.rejected;
       c_rejected.inc();
     }
     result.trajectory.push_back(TrajectoryPoint{
-        iter, temperature, current_score.objective, result.best_warm.objective});
+        iter, temperature, current_score.objective, best_objective});
   }
 
-  // The winner's reported number never comes from the warm path: cold
-  // rebuild, full validate + certify battery.
+  // The winner's reported number comes from a cold rebuild that runs the
+  // full validate + certify battery.
   check::Report report;
   result.best_cold = score_cold_certified(net, result.best, mix, &report);
   result.certified = report.ok();

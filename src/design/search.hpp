@@ -14,10 +14,10 @@
 // cooling^i, where scale is the best uniform objective (temperatures are
 // declared as fractions of the objective, not absolute throughputs).
 //
-// Scoring during the walk uses the warm incremental Evaluator; the three
-// uniform baselines and the final winner are scored cold and certified
-// (check::validate + check::certify) — the reported numbers never depend
-// on warm-path state.
+// Scoring during the walk uses the Evaluator, whose scores equal a cold
+// solve's bit for bit; the three uniform baselines and the final winner
+// are scored cold and certified (check::validate + check::certify), so
+// the reported numbers carry the full battery's evidence.
 
 #include <cstdint>
 #include <optional>
@@ -88,7 +88,7 @@ struct UniformScore {
 struct AcceptedMove {
   std::uint32_t iteration = 0;
   Move move;
-  double objective = 0.0;  ///< warm objective after the move
+  double objective = 0.0;  ///< objective after the move
 };
 
 /// One objective-trajectory sample (every iteration is recorded).
@@ -96,13 +96,12 @@ struct TrajectoryPoint {
   std::uint32_t iteration = 0;
   double temperature = 0.0;
   double current = 0.0;  ///< objective of the current candidate
-  double best = 0.0;     ///< best warm objective so far
+  double best = 0.0;     ///< best objective so far
 };
 
 /// Everything a search run produces.
 struct SearchResult {
   Candidate best;               ///< best layout found
-  Score best_warm;              ///< its warm score during the walk
   Score best_cold;              ///< its cold certified re-score
   bool certified = false;       ///< cold re-score passed the full battery
   std::vector<UniformScore> uniforms;  ///< Clos/Global/Local baselines
@@ -115,8 +114,8 @@ struct SearchResult {
 };
 
 /// Runs the full search: uniform baselines (cold, certified), annealing
-/// walk from the best uniform layout (warm Evaluator), cold certified
-/// re-score of the winner. Deterministic for fixed (net, mix, options).
+/// walk from the best uniform layout (Evaluator), cold certified re-score
+/// of the winner. Deterministic for fixed (net, mix, options).
 SearchResult search(const core::FlatTreeNetwork& net, const WorkloadMix& mix,
                     const SearchOptions& options);
 

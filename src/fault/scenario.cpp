@@ -62,6 +62,14 @@ void check_params(const ScenarioParams& params) {
     throw std::invalid_argument("generate_scenario: flap_probability must lie in [0, 1]");
 }
 
+/// Expected events of one class: about duration/mtbf outages per entity
+/// (an upper bound, repair time ignored), each `cycles` down/up pairs.
+double expected_events(const FaultRate& rate, std::size_t entities, double duration,
+                       double cycles) {
+  if (rate.mtbf <= 0.0 || rate.mttr <= 0.0 || entities == 0) return 0.0;
+  return 2.0 * static_cast<double>(entities) * (duration / rate.mtbf) * cycles;
+}
+
 }  // namespace
 
 Scenario generate_scenario(const topo::Topology& base, const ScenarioParams& params,
@@ -71,12 +79,39 @@ Scenario generate_scenario(const topo::Topology& base, const ScenarioParams& par
   s.duration = params.duration;
   s.seed = params.seed;
 
-  // -- link class: one process per distinct switch pair -------------------
+  // Link class entities: the distinct switch pairs.
   std::vector<std::uint64_t> pairs;
   for (const graph::Link& link : base.graph().links())
     pairs.push_back(pair_key(link.a, link.b));
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+
+  // Pod class entities: every switch of every pod.
+  std::vector<std::vector<NodeId>> pod_switches(pod_count);
+  std::size_t pod_members = 0;
+  for (NodeId v = 0; v < base.switch_count(); ++v) {
+    std::int32_t pod = base.info(v).pod;
+    if (pod >= 0 && static_cast<std::uint32_t>(pod) < pod_count) {
+      pod_switches[static_cast<std::uint32_t>(pod)].push_back(v);
+      ++pod_members;
+    }
+  }
+
+  // Refuse a parameter set whose trace would not fit in memory before
+  // drawing anything: a finite but tiny mtbf passes check_params.
+  const bool can_flap = params.flap_probability > 0.0 && params.flap_max_cycles >= 2;
+  const double expected =
+      expected_events(params.link, pairs.size(), params.duration,
+                      can_flap ? params.flap_max_cycles : 1.0) +
+      expected_events(params.switches, base.switch_count(), params.duration, 1.0) +
+      expected_events(params.converter, converter_count, params.duration, 1.0) +
+      expected_events(params.pod_power, pod_members, params.duration, 1.0);
+  if (!(expected <= kMaxExpectedEvents))
+    throw std::invalid_argument(
+        "generate_scenario: expected event count exceeds 2^24 (mtbf too small or "
+        "flap_max_cycles too large)");
+
+  // -- link class: one process per distinct switch pair -------------------
   for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
     std::uint32_t lo = static_cast<std::uint32_t>(pairs[pi] >> 32);
     std::uint32_t hi = static_cast<std::uint32_t>(pairs[pi]);
@@ -128,23 +163,15 @@ Scenario generate_scenario(const topo::Topology& base, const ScenarioParams& par
   // One renewal process per pod; each outage downs every switch in the pod
   // at the same instant. FaultState's per-switch down counts keep the
   // overlap with independent switch failures exact.
-  if (pod_count > 0 && params.pod_power.mtbf > 0.0) {
-    std::vector<std::vector<NodeId>> pod_switches(pod_count);
-    for (NodeId v = 0; v < base.switch_count(); ++v) {
-      std::int32_t pod = base.info(v).pod;
-      if (pod >= 0 && static_cast<std::uint32_t>(pod) < pod_count)
-        pod_switches[static_cast<std::uint32_t>(pod)].push_back(v);
-    }
-    for (std::uint32_t p = 0; p < pod_count; ++p) {
-      util::Rng rng = util::Rng::substream(params.seed, kPodClass + p);
-      renewal_process(rng, params.pod_power, params.duration,
-                      [&](double down, double up, util::Rng&) {
-                        for (NodeId v : pod_switches[p]) {
-                          s.events.push_back({down, FaultKind::SwitchDown, v, 0});
-                          s.events.push_back({up, FaultKind::SwitchUp, v, 0});
-                        }
-                      });
-    }
+  for (std::uint32_t p = 0; p < pod_count; ++p) {
+    util::Rng rng = util::Rng::substream(params.seed, kPodClass + p);
+    renewal_process(rng, params.pod_power, params.duration,
+                    [&](double down, double up, util::Rng&) {
+                      for (NodeId v : pod_switches[p]) {
+                        s.events.push_back({down, FaultKind::SwitchDown, v, 0});
+                        s.events.push_back({up, FaultKind::SwitchUp, v, 0});
+                      }
+                    });
   }
 
   std::sort(s.events.begin(), s.events.end());

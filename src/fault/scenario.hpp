@@ -53,6 +53,13 @@ struct ScenarioParams {
   std::uint32_t flap_max_cycles = 4;
 };
 
+/// Cap on a scenario's expected event count, 2 * sum over classes of
+/// (entities * duration / mtbf), the link class times flap_max_cycles when
+/// flapping is possible. Every caller in the repository stays far below
+/// it; above it a tiny mtbf or a huge cycle count would grow the event
+/// list until memory runs out.
+inline constexpr double kMaxExpectedEvents = 1 << 24;
+
 /// A time-sorted fault trace and the horizon it was drawn for.
 struct Scenario {
   double duration = 0.0;
@@ -67,8 +74,10 @@ struct Scenario {
 /// identically. `converter_count`/`pod_count` scope the converter and
 /// pod-power classes (0 disables either regardless of rates). Throws
 /// std::invalid_argument unless `duration` is finite and >= 0, no mtbf or
-/// mttr is NaN (a value <= 0 still disables its class) and
-/// `flap_probability` lies in [0, 1].
+/// mttr is NaN (a value <= 0 still disables its class),
+/// `flap_probability` lies in [0, 1] and the expected event count stays
+/// within kMaxExpectedEvents; every refusal comes before any event is
+/// drawn.
 Scenario generate_scenario(const topo::Topology& base, const ScenarioParams& params,
                            std::size_t converter_count, std::uint32_t pod_count);
 

@@ -1,7 +1,6 @@
 #include "graph/multi_bfs.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <stdexcept>
 
@@ -12,20 +11,11 @@ namespace flattree::graph {
 
 namespace {
 
-// Deterministic process-wide totals: each batch adds its (deterministic)
-// local counts once, so the sums are independent of batch scheduling.
-std::atomic<std::uint64_t> g_batches{0};
-std::atomic<std::uint64_t> g_sources{0};
-std::atomic<std::uint64_t> g_levels{0};
-std::atomic<std::uint64_t> g_node_expansions{0};
-std::atomic<std::uint64_t> g_words_touched{0};
-std::atomic<std::uint64_t> g_nodes_settled{0};
-
 // The batched engine bills the same per-source BFS counters as the scalar
 // kernels (graph.bfs.*) so manifests stay comparable across engines, plus
 // engine-level counters for the batch mechanics. Both settle modes bill
-// runs, visits and word work identically; only row mode, which knows each
-// source's reach, feeds the per-source histogram.
+// runs, visits and word work identically; only row mode, whose rows show
+// each source's reach, feeds the per-source histogram.
 obs::Counter c_bfs_runs("graph.bfs.runs");
 obs::Counter c_bfs_visited("graph.bfs.nodes_visited");
 obs::Histogram h_bfs_visited("graph.bfs.visited_per_source",
@@ -40,26 +30,6 @@ DistanceAuditHook& audit_hook() {
 }
 
 }  // namespace
-
-MultiBfsStats multi_bfs_stats() {
-  MultiBfsStats s;
-  s.batches = g_batches.load(std::memory_order_relaxed);
-  s.sources = g_sources.load(std::memory_order_relaxed);
-  s.levels = g_levels.load(std::memory_order_relaxed);
-  s.node_expansions = g_node_expansions.load(std::memory_order_relaxed);
-  s.words_touched = g_words_touched.load(std::memory_order_relaxed);
-  s.nodes_settled = g_nodes_settled.load(std::memory_order_relaxed);
-  return s;
-}
-
-void reset_multi_bfs_stats() {
-  g_batches.store(0, std::memory_order_relaxed);
-  g_sources.store(0, std::memory_order_relaxed);
-  g_levels.store(0, std::memory_order_relaxed);
-  g_node_expansions.store(0, std::memory_order_relaxed);
-  g_words_touched.store(0, std::memory_order_relaxed);
-  g_nodes_settled.store(0, std::memory_order_relaxed);
-}
 
 void set_distance_audit_hook(DistanceAuditHook hook) { audit_hook() = std::move(hook); }
 
@@ -94,16 +64,16 @@ void MultiSourceBfs::traverse(const NodeId* sources, std::size_t count, Settle&&
     frontier_[sources[i]] |= std::uint64_t{1} << i;
   }
 
-  // Local counters folded into the globals once at the end (deterministic:
-  // the scan order below is fixed, independent of threads or pool state,
-  // and the settle callback does no word work of its own).
-  std::uint64_t levels = 0;
+  // Local counters billed to obs once at the end (deterministic: the scan
+  // order below is fixed, independent of threads or pool state, and the
+  // settle callback does no word work of its own).
+  std::uint32_t level = 0;
   std::uint64_t expansions = 0;
   std::uint64_t words = 0;
   std::uint64_t settled = count;  // sources settle at level 0
 
   for (;;) {
-    ++levels;
+    ++level;
     // Expansion sweep: nodes in ascending id, arcs in CSR order. Word
     // accounting — one read per frontier word, one read per neighbour's
     // visited word, two writes when new bits land.
@@ -126,30 +96,19 @@ void MultiSourceBfs::traverse(const NodeId* sources, std::size_t count, Settle&&
     // Settle sweep: hand this level's fresh bits per node to the mode and
     // detect termination.
     bool any = false;
-    const std::uint32_t level32 = static_cast<std::uint32_t>(levels);
     for (NodeId v = 0; v < n; ++v) {
       const std::uint64_t nw = next_[v];
       ++words;
       if (!nw) continue;
       any = true;
       settled += static_cast<std::uint64_t>(std::popcount(nw));
-      settle(v, nw, level32);
+      settle(v, nw, level);
     }
-    if (!any) {
-      --levels;  // the last sweep found an empty next frontier
-      break;
-    }
+    if (!any) break;
     std::swap(frontier_, next_);
     std::fill(next_.begin(), next_.end(), 0);
     words += n;
   }
-
-  g_batches.fetch_add(1, std::memory_order_relaxed);
-  g_sources.fetch_add(count, std::memory_order_relaxed);
-  g_levels.fetch_add(levels, std::memory_order_relaxed);
-  g_node_expansions.fetch_add(expansions, std::memory_order_relaxed);
-  g_words_touched.fetch_add(words, std::memory_order_relaxed);
-  g_nodes_settled.fetch_add(settled, std::memory_order_relaxed);
 
   if (obs::enabled()) {
     c_batches.inc();
@@ -167,20 +126,18 @@ void MultiSourceBfs::run(const NodeId* sources, std::size_t count) {
   const std::size_t n = node_count_;
   count_ = count;
   dist_.assign(count * n, kUnreachable);
-  for (std::size_t i = 0; i < count; ++i) {
-    dist_[i * n + sources[i]] = 0;
-    reached_[i] = 1;
-  }
+  for (std::size_t i = 0; i < count; ++i) dist_[i * n + sources[i]] = 0;
   traverse(sources, count, [&](NodeId v, std::uint64_t nw, std::uint32_t level) {
-    for (; nw; nw &= nw - 1) {
-      const unsigned i = static_cast<unsigned>(std::countr_zero(nw));
-      dist_[i * n + v] = level;
-      ++reached_[i];
-    }
+    for (; nw; nw &= nw - 1)
+      dist_[static_cast<std::size_t>(std::countr_zero(nw)) * n + v] = level;
   });
   if (obs::enabled())
-    for (std::size_t i = 0; i < count; ++i)
-      h_bfs_visited.observe(static_cast<double>(reached_[i]));
+    for (std::size_t i = 0; i < count; ++i) {
+      const auto row = distances(i);
+      const auto unreached = std::count(row.begin(), row.end(), kUnreachable);
+      h_bfs_visited.observe(static_cast<double>(row.size()) -
+                            static_cast<double>(unreached));
+    }
 
   if (const DistanceAuditHook& hook = audit_hook()) {
     std::vector<std::uint32_t> row(dist_.begin(),

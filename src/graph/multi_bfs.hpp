@@ -28,14 +28,15 @@
 // from a MultiBfsPool (one engine per concurrently running batch, recycled
 // via a free list) instead of constructing per batch.
 //
-// Determinism contract: a batch's result and its operation counters are a
-// pure function of (graph, source list, weights) — the expansion
-// scans nodes in ascending id and arcs in CSR order, single-threaded per
-// batch, and both settle modes do the same word work. The global
-// MultiBfsStats totals are order-independent sums over batches, so they
-// are identical at any thread count and in either mode; benches record
-// them as proof of work. The counting sums are integers, so any fold order
-// over batches gives the same bits.
+// Determinism contract: a batch's result and its operation counts are a
+// pure function of (graph, source list, weights) — the expansion scans
+// nodes in ascending id and arcs in CSR order, single-threaded per batch,
+// and both settle modes do the same word work. Each batch bills its counts
+// to the obs counters graph.bitbfs.{batches,node_expansions,words_touched}
+// and graph.bfs.{runs,nodes_visited}; those totals are order-independent
+// sums over batches, so they are identical at any thread count and in
+// either mode, and benches record them as proof of work. The counting sums
+// are integers, so any fold order over batches gives the same bits.
 //
 // Sampled certification: set_distance_audit_hook installs a process-wide
 // callback invoked with the first source row of every batch, in either
@@ -57,24 +58,6 @@ namespace flattree::graph {
 
 /// Sources per batch: one bit per source in a 64-bit frontier word.
 inline constexpr std::size_t kBfsBatchWidth = 64;
-
-/// Deterministic operation totals accumulated across every MultiSourceBfs
-/// batch since the last reset (process-wide, thread-safe sums).
-struct MultiBfsStats {
-  std::uint64_t batches = 0;         ///< run() calls completed
-  std::uint64_t sources = 0;         ///< sources traversed (<= 64 per batch)
-  std::uint64_t levels = 0;          ///< BFS levels expanded, summed over batches
-  std::uint64_t node_expansions = 0; ///< nodes expanded with a nonzero frontier word
-  std::uint64_t words_touched = 0;   ///< 64-bit frontier/visited words read or written
-  std::uint64_t nodes_settled = 0;   ///< (source, node) pairs reached, sources included
-};
-
-/// Snapshot of the process-wide batched-BFS counters.
-MultiBfsStats multi_bfs_stats();
-
-/// Zeroes the process-wide batched-BFS counters (bench sweeps bracket a
-/// kernel with reset + snapshot to attribute work).
-void reset_multi_bfs_stats();
 
 /// Callback receiving (graph, source, distance row) for the first source
 /// of each completed batch; see set_distance_audit_hook.
@@ -122,23 +105,17 @@ class MultiSourceBfs {
   /// written; each level's fresh (source, node) bits fold into the
   /// returned LevelSums, with source i weighted by weight[sources[i]] and
   /// every node v by weight[v]. Throws as run() does, and on a weight
-  /// vector whose size is not node_count(). Afterwards batch_size() is 0:
-  /// a counting run leaves no rows behind.
+  /// vector whose size is not node_count(). A counting run leaves no rows
+  /// behind: distances() throws until the next row-mode run.
   LevelSums run_counting(const NodeId* sources, std::size_t count,
                          const std::vector<std::uint32_t>& weight);
-
-  /// Number of sources in the last row-mode batch (0 after a counting run).
-  std::size_t batch_size() const { return count_; }
 
   /// Distance row of the i-th source of the last row-mode batch: exactly
   /// what bfs_distances returns for that source, kUnreachable marking
   /// unreached nodes. Valid until the next run; throws std::out_of_range
-  /// when i >= batch_size().
+  /// when i is not below the last row-mode batch's source count (always
+  /// after a counting run).
   std::span<const std::uint32_t> distances(std::size_t i) const;
-
-  /// Nodes reached by the i-th source of the last row-mode batch (incl.
-  /// itself).
-  std::size_t reached(std::size_t i) const { return reached_[i]; }
 
  private:
   /// Throws std::invalid_argument on a bad batch (see run()).
@@ -156,8 +133,7 @@ class MultiSourceBfs {
   std::vector<std::uint64_t> frontier_;
   std::vector<std::uint64_t> next_;
   std::vector<std::uint32_t> dist_;  ///< row mode: dist_[i * node_count_ + v]
-  std::size_t count_ = 0;
-  std::size_t reached_[kBfsBatchWidth] = {};
+  std::size_t count_ = 0;  ///< sources of the last row-mode batch (0 after counting)
 };
 
 /// Thread-safe free list of MultiSourceBfs engines over one graph: at most

@@ -25,7 +25,6 @@ obs::Counter c_gk_phases("mcf.gk.phases");
 obs::Counter c_gk_augmentations("mcf.gk.augmentations");
 obs::Counter c_gk_dijkstras("mcf.gk.dijkstra_runs");
 obs::Counter c_gk_stale("mcf.gk.stale_retrees");
-obs::Counter c_gk_warm_dual("mcf.gk.warm_dual_seeds");
 obs::Counter c_gk_unreachable("mcf.gk.unreachable_commodities");
 obs::Counter c_gk_budget_stops("mcf.gk.budget_stops");
 // Dual-bound trajectory: D(l) grows from ~0 to 1 across phases; the
@@ -178,12 +177,9 @@ McfResult max_concurrent_flow(const graph::Graph& g,
         out.lambda_upper = 0.0;
         return out;
       }
-      // Certified solve of the reachable sub-instance, cold and exporting
-      // nothing (see McfOptions::allow_unreachable).
+      // Certified solve of the reachable sub-instance.
       McfOptions sub = options;
       sub.allow_unreachable = false;
-      sub.warm_start = nullptr;
-      sub.export_state = nullptr;
       McfResult r = max_concurrent_flow(g, reachable, sub);
       out.lambda_lower = r.lambda_lower;
       out.lambda_upper = r.lambda_upper;
@@ -235,25 +231,6 @@ McfResult max_concurrent_flow(const graph::Graph& g,
   }
 
   McfResult result;
-
-  // -- dual seed (see McfWarmState) ----------------------------------------
-  if (options.warm_start != nullptr && !options.warm_start->empty()) {
-    const McfWarmState& w = *options.warm_start;
-    if (w.length.size() != m)
-      throw std::invalid_argument("max_concurrent_flow: warm state arc count mismatch");
-    // Trust only the duals. Rescaling back to the cold start's total
-    // D(l) = delta*m and clamping to the cold floor keeps every invariant
-    // of the analysis (lengths >= delta/cap, growth-only updates); the
-    // profile just starts biased away from arcs the previous point
-    // congested.
-    double scale = w.d_sum > 0.0 ? delta * static_cast<double>(m) / w.d_sum : 0.0;
-    d_sum = 0.0;
-    for (std::size_t a = 0; a < m; ++a) {
-      length[a] = std::max(delta / net.cap[a], w.length[a] * scale);
-      d_sum += length[a] * net.cap[a];
-    }
-    c_gk_warm_dual.inc();
-  }
 
   std::vector<Tree> trees(groups.size());
   std::vector<std::uint32_t> path;  // arcs target<-...<-source (reverse order)
@@ -367,10 +344,6 @@ McfResult max_concurrent_flow(const graph::Graph& g,
     }
     result.dijkstra_runs += groups.size();
     if (alpha > 0.0) result.lambda_upper = d_sum / alpha;
-  }
-  if (options.export_state != nullptr) {
-    options.export_state->length = std::move(length);
-    options.export_state->d_sum = d_sum;
   }
   c_gk_augmentations.add(result.augmentations);
   c_gk_dijkstras.add(result.dijkstra_runs);

@@ -18,6 +18,11 @@
 // one Dijkstra tree and re-walks path lengths incrementally, recomputing
 // the tree only when a path's current length exceeds (1+eps) times its
 // length at tree-computation time (Fleischer's rule).
+//
+// Every solve starts from the same point, the length function delta/cap
+// with zero flow, so a result is a pure function of (graph, commodities,
+// options). inc::McfWarmCache relies on that to return a stored result
+// for a bit-identical instance.
 
 #include <cstdint>
 #include <vector>
@@ -26,23 +31,6 @@
 #include "mcf/commodity.hpp"
 
 namespace flattree::mcf {
-
-/// Dual seed for a changed instance (src/inc wraps this in
-/// inc::McfWarmCache; most callers never touch it directly). Only the dual
-/// half of a finished run is carried: prior lengths are rescaled back to
-/// the cold start's total D(l) = delta*m and clamped to >= delta/cap per
-/// arc, the primal state starts from zero, and the solver runs normally.
-/// Every invariant of the analysis holds (lengths only ever grow from
-/// >= delta/cap, termination at D >= 1), so both bounds stay certified;
-/// the prior duals merely steer early phases away from previously
-/// congested arcs. An identical instance needs no seed: the solver is a
-/// pure function of its inputs, so the cache returns the stored result.
-struct McfWarmState {
-  std::vector<double> length;  ///< per-arc dual lengths (2 per link)
-  double d_sum = 0.0;          ///< D(l) at export
-
-  bool empty() const { return length.empty(); }
-};
 
 /// Solver knobs for max_concurrent_flow.
 struct McfOptions {
@@ -67,17 +55,12 @@ struct McfOptions {
   /// throwing: they are excluded from the solve, listed in
   /// McfResult::unreachable, routed zero flow, and reported through the
   /// demand-weighted McfResult::served_fraction. The returned bracket then
-  /// certifies the *reachable sub-instance* (check::certify_served). Dual
-  /// seed and export are bypassed when any commodity is actually
-  /// unreachable, so such a solve always starts cold and seeds nothing.
+  /// certifies the *reachable sub-instance* (check::certify_served).
   bool allow_unreachable = false;
-  /// Optional dual seed (see McfWarmState). Null = cold start. The state
-  /// must have length.size() == 2 * link_count (std::invalid_argument
-  /// otherwise).
-  const McfWarmState* warm_start = nullptr;
-  /// When non-null, filled with the terminal lengths and D(l) for the next
-  /// sweep point's dual seed. Export costs one array copy.
-  McfWarmState* export_state = nullptr;
+
+  /// Field-wise equality (inc::McfWarmCache keys on it). For an epsilon
+  /// in (0, 1), the only kind a solve accepts, == is bit equality.
+  bool operator==(const McfOptions&) const = default;
 };
 
 /// Solver output: a certified bracket [lambda_lower, lambda_upper] around

@@ -484,11 +484,7 @@ void Session::metric_block(const Request& req, const fault::DegradeResult& d,
 
   inc::McfWarmCache* warm = nullptr;
   if (sequential && opt_.incremental) {
-    if (warm_ == nullptr) {
-      inc::McfWarmCacheOptions wopt;
-      wopt.exact_only = true;  // hits must be bitwise-identical to cold
-      warm_ = std::make_unique<inc::McfWarmCache>(wopt);
-    }
+    if (warm_ == nullptr) warm_ = std::make_unique<inc::McfWarmCache>();
     warm = warm_.get();
   }
   SloSolve s = solve_with_budget(t.graph(), commodities, opt_.epsilon, budget, warm);

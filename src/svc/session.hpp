@@ -5,8 +5,8 @@
 // A session owns a fault::ResilientController over its own physical plant,
 // the current traffic-matrix snapshot, and the warm cache that makes
 // --incremental throughput queries cheap without changing a single output
-// byte: inc::McfWarmCache (exact-only tier), which answers an identical
-// instance with the stored result of its cold solve. APL is always the cold
+// byte: inc::McfWarmCache, which answers an identical instance with the
+// stored result of its cold solve. APL is always the cold
 // topo::server_apl_subset.
 //
 // Mutating executors (build/traffic/fault/convert/expand) are only ever
@@ -93,7 +93,7 @@ class Session {
   std::unique_ptr<fault::ResilientController> ctl_;
   std::vector<mcf::ServerDemand> demands_;
   double total_demand_ = 0.0;
-  std::unique_ptr<inc::McfWarmCache> warm_;  ///< exact-only; sequential + incremental only
+  std::unique_ptr<inc::McfWarmCache> warm_;  ///< sequential + incremental only
 };
 
 }  // namespace flattree::svc

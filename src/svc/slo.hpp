@@ -61,10 +61,9 @@ struct SloSolve {
 /// Budgeted, certified max concurrent flow: allow_unreachable (stranded
 /// endpoints are excised, served_fraction reports the remainder), dual
 /// upper bound on, at most `budget` augmentations. `warm` may be null;
-/// when given it must be an exact-only inc::McfWarmCache, which answers
-/// an identical instance with the stored result of its cold solve — the
-/// service's cold-vs-warm byte-identity rests on that. The result is
-/// certified either way.
+/// an inc::McfWarmCache answers an identical instance with the stored
+/// result of its cold solve — the service's cold-vs-warm byte-identity
+/// rests on that. The result is certified either way.
 SloSolve solve_with_budget(const graph::Graph& g,
                            const std::vector<mcf::Commodity>& commodities,
                            double epsilon, std::uint64_t budget,

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -186,7 +188,7 @@ TEST(Search, AcceptedMovesReplayToTheFinalLayout) {
 
   // Replaying the accepted-move log from the best uniform layout must
   // visit the reported best candidate (the walk's current layout passes
-  // through it; the best is the prefix with the highest warm objective).
+  // through it; the best is the prefix with the highest objective).
   Candidate current = Candidate::uniform(net.params().pods(), r.best_uniform);
   bool visited = current == r.best;
   for (const AcceptedMove& am : r.accepted_moves) {
@@ -196,6 +198,46 @@ TEST(Search, AcceptedMovesReplayToTheFinalLayout) {
     visited = visited || current == r.best;
   }
   EXPECT_TRUE(visited);
+}
+
+bool bits_equal(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(Evaluator, ScoresEqualColdCertifiedAlongAWalk) {
+  // The walk's scores are exactly the cold certified ones, field for
+  // field and bit for bit, both when the warm cache solves a changed
+  // candidate and when it resumes a repeated one.
+  for (std::uint32_t k : {4u, 8u}) {
+    core::FlatTreeConfig cfg;
+    cfg.k = k;
+    const core::FlatTreeNetwork net(cfg);
+    const WorkloadMix mix = k == 4 ? small_mix() : WorkloadMix::defaults();
+    Evaluator eval(net, mix);
+    Candidate current = Candidate::uniform(net.params().pods(), Mode::Clos);
+    util::Rng rng(k);
+    for (int step = 0; step < 6; ++step) {
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        const Score warm = eval.score(current);
+        const Score cold = score_cold_certified(net, current, mix);
+        const std::string what = "k=" + std::to_string(k) + " step " +
+                                 std::to_string(step) + " repeat " +
+                                 std::to_string(repeat) + "\n" + current.encode();
+        EXPECT_TRUE(bits_equal(warm.objective, cold.objective)) << what;
+        EXPECT_TRUE(bits_equal(warm.lambda_upper, cold.lambda_upper)) << what;
+        EXPECT_TRUE(bits_equal(warm.apl, cold.apl)) << what;
+        EXPECT_EQ(warm.demands, cold.demands) << what;
+      }
+      // Next candidate: the first feasible proposal.
+      std::optional<Candidate> next;
+      while (!next) {
+        const std::optional<Move> move = propose_move(current, rng);
+        if (move) next = apply_move(current, *move);
+      }
+      current = std::move(*next);
+    }
+    EXPECT_EQ(eval.solves(), 12u);
+  }
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #include <sstream>
 #include <string>
 
+#include <sys/wait.h>
+
 namespace flattree {
 namespace {
 
@@ -99,6 +101,24 @@ TEST(ChaosEquivalence, DefaultSeedSummaryPinsLinksCutAndHealed) {
   const std::string header = "track,final stranded,steps,replans,rollbacks,deferred,links cut,"
                              "links healed\n";
   EXPECT_NE(text.find(header + "fat,0,-,-,-,-,78,78\n"), std::string::npos) << text;
+}
+
+// A negative --flap-cycles used to wrap to a uint32 near 4.3e9 cycles per
+// flapping outage. The bench refuses any value outside the uint32 range
+// with exit 2, naming the flag, before it builds anything (and
+// generate_scenario's event cap, pinned in scenario_test, would refuse
+// the wrapped value too).
+TEST(ChaosEquivalence, OutOfRangeFlapCyclesExitTwo) {
+  std::string bench = std::string(FT_BENCH_DIR) + "/bench_chaos";
+  if (!file_exists(bench)) GTEST_SKIP() << "bench binary not built: " << bench;
+  const std::string err_path = testing::TempDir() + "chaos_badknob.txt";
+  for (const char* flags : {"--flap-cycles -1", "--flap-cycles 4294967296"}) {
+    const std::string cmd = bench + " --k 4 " + flags + " > /dev/null 2> " + err_path;
+    const int status = std::system(cmd.c_str());
+    EXPECT_EQ(WEXITSTATUS(status), 2) << flags;
+    EXPECT_NE(slurp(err_path).find("--flap-cycles"), std::string::npos) << flags;
+  }
+  std::remove(err_path.c_str());
 }
 
 }  // namespace

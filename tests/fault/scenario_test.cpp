@@ -171,6 +171,43 @@ TEST(Scenario, GenerateRefusesNonFiniteKnobs) {
   EXPECT_NO_THROW(generate(p));
 }
 
+// A finite but tiny mtbf, or a huge flap cycle count, would draw far more
+// events than memory holds. The generator refuses a parameter set whose
+// expected event count passes kMaxExpectedEvents before drawing anything;
+// none of these cases is ever generated.
+TEST(Scenario, GenerateRefusesOversizedExpectedEventCounts) {
+  core::FlatTreeNetwork net = make_net();
+  topo::Topology clos = net.build(core::Mode::Clos);
+  auto generate = [&](const ScenarioParams& p) {
+    return generate_scenario(clos, p, net.converters().size(), net.params().pods());
+  };
+  for (FaultRate ScenarioParams::*cls : {&ScenarioParams::link, &ScenarioParams::switches,
+                                         &ScenarioParams::converter, &ScenarioParams::pod_power}) {
+    ScenarioParams p = busy_params();
+    (p.*cls).mtbf = 1e-300;
+    EXPECT_THROW(generate(p), std::invalid_argument);
+    // The bound ignores repair time, so a long mttr does not lift it.
+    p = busy_params();
+    (p.*cls) = {1e-6, 1.0};
+    EXPECT_THROW(generate(p), std::invalid_argument);
+  }
+  const std::uint32_t huge = std::numeric_limits<std::uint32_t>::max();
+  ScenarioParams p = busy_params();
+  p.flap_max_cycles = huge;
+  EXPECT_THROW(generate(p), std::invalid_argument);
+  // The cycle count only counts when a link outage can flap.
+  p.flap_probability = 0.0;
+  EXPECT_NO_THROW(generate(p));
+  p = busy_params();
+  p.flap_max_cycles = huge;
+  p.link = {0.0, 2.0};
+  EXPECT_NO_THROW(generate(p));
+  // A tiny mtbf on a class with no entities draws nothing.
+  p = busy_params();
+  p.converter = {1e-300, 1.0};
+  EXPECT_NO_THROW(generate_scenario(clos, p, 0, net.params().pods()));
+}
+
 TEST(Scenario, SaveLoadRoundTripsBitwise) {
   core::FlatTreeNetwork net = make_net();
   topo::Topology clos = net.build(core::Mode::Clos);

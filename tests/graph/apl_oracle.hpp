@@ -5,7 +5,8 @@
 // ascending — the reference the batched counting path must match bit for
 // bit.
 // oracle_bfs_settled() counts the (source, node) pairs those scalar BFS
-// calls reached, the baseline MultiBfsStats::nodes_settled is compared to.
+// calls reached, the baseline the batched engine's graph.bfs.nodes_visited
+// counter is compared to.
 
 #include <algorithm>
 #include <cstdint>

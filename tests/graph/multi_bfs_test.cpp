@@ -15,6 +15,8 @@
 #include <limits>
 #include <mutex>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "exec/parallel_for.hpp"
 #include "graph/bfs.hpp"
 #include "graph/metrics.hpp"
+#include "obs/metrics.hpp"
 #include "topo/apl.hpp"
 #include "topo/fat_tree.hpp"
 #include "util/rng.hpp"
@@ -44,6 +47,44 @@ Graph random_graph(std::size_t n, std::size_t m, std::uint64_t seed) {
     g.add_link(a, b);
   }
   return g;
+}
+
+/// Batched-BFS work billed to the obs counters (graph.bitbfs.*,
+/// graph.bfs.*) while `body` runs.
+struct BfsWork {
+  std::uint64_t batches = 0;
+  std::uint64_t runs = 0;             ///< sources traversed
+  std::uint64_t nodes_visited = 0;    ///< (source, node) pairs reached
+  std::uint64_t node_expansions = 0;
+  std::uint64_t words_touched = 0;
+  obs::HistogramSnapshot reach;       ///< graph.bfs.visited_per_source
+};
+
+template <typename Body>
+BfsWork bfs_work(Body&& body) {
+  const bool before = obs::enabled();
+  obs::set_enabled(true);
+  obs::reset_metrics();
+  body();
+  const obs::MetricsSnapshot snap = obs::snapshot_metrics();
+  obs::set_enabled(before);
+  auto counter = [&](const std::string& name) -> std::uint64_t {
+    for (const auto& [n, v] : snap.counters)
+      if (n == name) return v;
+    return 0;
+  };
+  BfsWork work{counter("graph.bitbfs.batches"), counter("graph.bfs.runs"),
+               counter("graph.bfs.nodes_visited"),
+               counter("graph.bitbfs.node_expansions"),
+               counter("graph.bitbfs.words_touched"), {}};
+  for (const obs::HistogramSnapshot& h : snap.histograms)
+    if (h.name == "graph.bfs.visited_per_source") work.reach = h;
+  return work;
+}
+
+std::size_t reached(std::span<const std::uint32_t> row) {
+  return static_cast<std::size_t>(
+      std::count_if(row.begin(), row.end(), [](std::uint32_t d) { return d != kUnreachable; }));
 }
 
 void expect_bitwise_equal(const AplResult& batched, const AplResult& scalar,
@@ -108,17 +149,28 @@ TEST(MultiBfs, ReachedCountsAndStats) {
   g.add_link(3, 4);  // node 5 isolated
   MultiSourceBfs engine(g);
   std::vector<NodeId> sources{0, 3, 5};
-  reset_multi_bfs_stats();
-  engine.run(sources.data(), sources.size());
-  EXPECT_EQ(engine.reached(0), 3u);
-  EXPECT_EQ(engine.reached(1), 2u);
-  EXPECT_EQ(engine.reached(2), 1u);
-  MultiBfsStats stats = multi_bfs_stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.sources, 3u);
-  EXPECT_EQ(stats.nodes_settled, 6u);  // one per (source, reached node)
-  EXPECT_GT(stats.words_touched, 0u);
-  EXPECT_GT(stats.node_expansions, 0u);
+  const BfsWork work = bfs_work([&] { engine.run(sources.data(), sources.size()); });
+  EXPECT_EQ(reached(engine.distances(0)), 3u);
+  EXPECT_EQ(reached(engine.distances(1)), 2u);
+  EXPECT_EQ(reached(engine.distances(2)), 1u);
+  EXPECT_EQ(work.batches, 1u);
+  EXPECT_EQ(work.runs, 3u);
+  EXPECT_EQ(work.nodes_visited, 6u);  // one per (source, reached node)
+  EXPECT_GT(work.words_touched, 0u);
+  EXPECT_GT(work.node_expansions, 0u);
+  // Row mode feeds one reach sample per source.
+  EXPECT_EQ(work.reach.count, 3u);
+  EXPECT_EQ(work.reach.sum, 6.0);
+  EXPECT_EQ(work.reach.min, 1.0);
+  EXPECT_EQ(work.reach.max, 3.0);
+  // Counting mode with every node a target: the same reach, and the
+  // deepest level is node 2 seen from source 0.
+  const std::vector<std::uint32_t> weight(g.node_count(), 1);
+  const LevelSums sums = engine.run_counting(sources.data(), sources.size(), weight);
+  EXPECT_EQ(sums.target_hits, 6u);
+  EXPECT_EQ(sums.depth, 2u);
+  EXPECT_EQ(sums.weighted_hops, 4u);  // 0->1, 0->2, 3->4: 1 + 2 + 1
+  EXPECT_THROW(engine.distances(0), std::out_of_range);  // no rows left behind
 }
 
 TEST(MultiBfs, CountingRunMatchesRowRun) {
@@ -138,9 +190,8 @@ TEST(MultiBfs, CountingRunMatchesRowRun) {
       MultiSourceBfs engine(g);
       for (std::size_t begin = 0; begin < sources.size(); begin += kBfsBatchWidth) {
         const std::size_t count = std::min(kBfsBatchWidth, sources.size() - begin);
-        reset_multi_bfs_stats();
-        engine.run(sources.data() + begin, count);
-        const MultiBfsStats row_stats = multi_bfs_stats();
+        const BfsWork row_work =
+            bfs_work([&] { engine.run(sources.data() + begin, count); });
         LevelSums expect;
         for (std::size_t i = 0; i < count; ++i) {
           const std::uint64_t ws = weight[sources[begin + i]];
@@ -152,18 +203,22 @@ TEST(MultiBfs, CountingRunMatchesRowRun) {
             expect.depth = std::max(expect.depth, row[v]);
           }
         }
-        reset_multi_bfs_stats();
-        const LevelSums got = engine.run_counting(sources.data() + begin, count, weight);
-        const MultiBfsStats count_stats = multi_bfs_stats();
+        LevelSums got;
+        const BfsWork count_work = bfs_work(
+            [&] { got = engine.run_counting(sources.data() + begin, count, weight); });
         const std::string what = "m=" + std::to_string(m) + " batch@" + std::to_string(begin);
         EXPECT_EQ(got.weighted_hops, expect.weighted_hops) << what;
         EXPECT_EQ(got.target_hits, expect.target_hits) << what;
         EXPECT_EQ(got.depth, expect.depth) << what;
-        EXPECT_EQ(engine.batch_size(), 0u) << what;  // no rows left behind
-        EXPECT_EQ(count_stats.words_touched, row_stats.words_touched) << what;
-        EXPECT_EQ(count_stats.node_expansions, row_stats.node_expansions) << what;
-        EXPECT_EQ(count_stats.nodes_settled, row_stats.nodes_settled) << what;
-        EXPECT_EQ(count_stats.levels, row_stats.levels) << what;
+        EXPECT_THROW(engine.distances(0), std::out_of_range) << what;  // no rows left behind
+        EXPECT_EQ(count_work.batches, 1u) << what;
+        EXPECT_EQ(count_work.runs, row_work.runs) << what;
+        EXPECT_EQ(count_work.words_touched, row_work.words_touched) << what;
+        EXPECT_EQ(count_work.node_expansions, row_work.node_expansions) << what;
+        EXPECT_EQ(count_work.nodes_visited, row_work.nodes_visited) << what;
+        EXPECT_EQ(row_work.reach.count, count) << what;
+        EXPECT_EQ(row_work.reach.sum, static_cast<double>(row_work.nodes_visited)) << what;
+        EXPECT_EQ(count_work.reach.count, 0u) << what;  // only row mode knows reach
       }
     }
   }
@@ -236,26 +291,24 @@ TEST(MultiBfs, FatTreeAplBitwiseEqualAcrossThreadCounts) {
   oracle::reset_oracle_bfs_settled();
   AplResult scalar = oracle::weighted_apl_scalar(ft.topo.graph(), ft.topo.servers_per_switch(),
                                                  /*offset=*/2, /*same_node_dist=*/2);
-  reset_multi_bfs_stats();
   exec::set_global_threads(4);
-  AplResult parallel = topo::server_apl(ft.topo);
-  MultiBfsStats at4 = multi_bfs_stats();
-  reset_multi_bfs_stats();
-  AplResult again = topo::server_apl(ft.topo);
-  MultiBfsStats again4 = multi_bfs_stats();
+  AplResult parallel, again;
+  const BfsWork at4 = bfs_work([&] { parallel = topo::server_apl(ft.topo); });
+  const BfsWork again4 = bfs_work([&] { again = topo::server_apl(ft.topo); });
   exec::set_global_threads(1);
   EXPECT_EQ(serial.average, parallel.average);
   EXPECT_EQ(serial.average, again.average);
   EXPECT_EQ(serial.average, scalar.average);
   EXPECT_EQ(serial.pairs, scalar.pairs);
   // Operation counters are deterministic too: identical across runs.
+  EXPECT_EQ(at4.batches, again4.batches);
   EXPECT_EQ(at4.words_touched, again4.words_touched);
   EXPECT_EQ(at4.node_expansions, again4.node_expansions);
-  EXPECT_EQ(at4.nodes_settled, again4.nodes_settled);
+  EXPECT_EQ(at4.nodes_visited, again4.nodes_visited);
   // The counting path reaches exactly the (source, node) pairs the scalar
   // kernel settles: the batching saves expansions, not reach.
-  EXPECT_EQ(at4.nodes_settled, oracle::oracle_bfs_settled());
-  EXPECT_LT(at4.node_expansions * 10, at4.nodes_settled);
+  EXPECT_EQ(at4.nodes_visited, oracle::oracle_bfs_settled());
+  EXPECT_LT(at4.node_expansions * 10, at4.nodes_visited);
 }
 
 TEST(MultiBfs, CertifyCatchesCorruptedRow) {

@@ -1,6 +1,6 @@
-// MCF warm-start equivalence: an exact resume must return a cold solve's
-// result field for field without running the solver; dual seeds must keep
-// both certified bounds, and only a finished run may seed.
+// MCF warm-cache equivalence: an exact resume must return a cold solve's
+// result field for field without running the solver, and any change to
+// the instance key must solve cold.
 
 #include "inc/mcf_warm.hpp"
 
@@ -9,13 +9,11 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "mcf/garg_koenemann.hpp"
 #include "obs/metrics.hpp"
-#include "util/rng.hpp"
 
 namespace flattree::inc {
 namespace {
@@ -144,59 +142,12 @@ TEST(McfWarm, TruncatedRunsAreStoredButNeverSeed) {
   EXPECT_EQ(cache.last_tier(), WarmTier::ExactResume);
   expect_same_result(hit, mcf::max_concurrent_flow(g, commodities, opt));
 
-  // A changed instance would be dual-seedable, but a truncated run's
-  // lengths never seed: it solves cold.
-  auto heavier = commodities;
-  heavier[0].demand = 2.0;
-  cache.solve(g, heavier, opt);
-  EXPECT_EQ(cache.last_tier(), WarmTier::Cold);
-}
-
-TEST(McfWarm, ExactOnlyCacheNeverSeeds) {
-  Graph g = test_graph();
-  auto commodities = test_commodities();
-  auto opt = test_options();
-  McfWarmCache cache(McfWarmCacheOptions{.exact_only = true});
-
-  cache.solve(g, commodities, opt);
+  // A changed instance solves cold, exactly as without the cache.
   auto heavier = commodities;
   heavier[0].demand = 2.0;
   mcf::McfResult changed = cache.solve(g, heavier, opt);
   EXPECT_EQ(cache.last_tier(), WarmTier::Cold);
   expect_same_result(changed, mcf::max_concurrent_flow(g, heavier, opt));
-  cache.solve(g, heavier, opt);
-  EXPECT_EQ(cache.last_tier(), WarmTier::ExactResume);
-}
-
-TEST(McfWarm, DualSeedKeepsCertifiedBoundsAcrossLinkChanges) {
-  auto commodities = test_commodities();
-  auto opt = test_options();
-  McfWarmCache cache;
-
-  Graph healthy = test_graph();
-  cache.solve(healthy, commodities, opt);
-  ASSERT_EQ(cache.last_tier(), WarmTier::Cold);
-
-  // Degraded instance: same node space, one chord gone.
-  Graph degraded(8);
-  for (NodeId v = 0; v < 8; ++v)
-    degraded.add_link(v, static_cast<NodeId>((v + 1) % 8));
-  degraded.add_link(0, 4, 2.0);
-  degraded.add_link(2, 6, 2.0);
-  mcf::McfResult warm = cache.solve(degraded, commodities, opt);
-  EXPECT_EQ(cache.last_tier(), WarmTier::DualSeed);
-  // solve() already certified internally (it throws otherwise); sanity-check
-  // the bracket against an independent cold solve of the same instance.
-  mcf::McfResult cold = mcf::max_concurrent_flow(degraded, commodities, opt);
-  EXPECT_LE(warm.lambda_lower, warm.lambda_upper);
-  EXPECT_LE(warm.lambda_lower, cold.lambda_upper + 1e-12);
-  EXPECT_LE(cold.lambda_lower, warm.lambda_upper + 1e-12);
-
-  // Back to healthy: dual seed again (instance differs from the degraded
-  // one the cache now remembers).
-  mcf::McfResult healed = cache.solve(healthy, commodities, opt);
-  EXPECT_EQ(cache.last_tier(), WarmTier::DualSeed);
-  EXPECT_LE(healed.lambda_lower, healed.lambda_upper);
 }
 
 TEST(McfWarm, ChangedCommoditiesOrEpsilonDowngradeTheTier) {
@@ -206,17 +157,29 @@ TEST(McfWarm, ChangedCommoditiesOrEpsilonDowngradeTheTier) {
   McfWarmCache cache;
   cache.solve(g, commodities, opt);
 
-  // Same graph, different demand vector: not exact, but dual-seedable.
+  // Same graph, different demand vector: cold, and bitwise a cold solve.
   auto heavier = commodities;
   heavier[0].demand = 2.0;
+  mcf::McfResult changed = cache.solve(g, heavier, opt);
+  EXPECT_EQ(cache.last_tier(), WarmTier::Cold);
+  expect_same_result(changed, mcf::max_concurrent_flow(g, heavier, opt));
+  // The changed instance is now the stored one.
   cache.solve(g, heavier, opt);
-  EXPECT_EQ(cache.last_tier(), WarmTier::DualSeed);
+  EXPECT_EQ(cache.last_tier(), WarmTier::ExactResume);
 
-  // Different epsilon: dual lengths were built for another delta — cold.
+  // Different epsilon: cold.
   auto opt2 = opt;
   opt2.epsilon = 0.2;
-  cache.solve(g, commodities, opt2);
+  mcf::McfResult other_eps = cache.solve(g, heavier, opt2);
   EXPECT_EQ(cache.last_tier(), WarmTier::Cold);
+  expect_same_result(other_eps, mcf::max_concurrent_flow(g, heavier, opt2));
+
+  // An added link: cold.
+  Graph wider = test_graph();
+  wider.add_link(3, 7);
+  mcf::McfResult more_links = cache.solve(wider, heavier, opt2);
+  EXPECT_EQ(cache.last_tier(), WarmTier::Cold);
+  expect_same_result(more_links, mcf::max_concurrent_flow(wider, heavier, opt2));
 }
 
 TEST(McfWarm, NodeCountChangeGoesCold) {
@@ -229,28 +192,6 @@ TEST(McfWarm, NodeCountChangeGoesCold) {
   for (NodeId v = 0; v < 9; ++v) bigger.add_link(v, static_cast<NodeId>((v + 1) % 9));
   cache.solve(bigger, {{0, 4, 1.0}}, opt);
   EXPECT_EQ(cache.last_tier(), WarmTier::Cold);
-}
-
-TEST(McfWarm, CacheOwnsWarmFields) {
-  McfWarmCache cache;
-  Graph g = test_graph();
-  mcf::McfOptions opt = test_options();
-  mcf::McfWarmState state;
-  opt.warm_start = &state;
-  EXPECT_THROW(cache.solve(g, test_commodities(), opt), std::invalid_argument);
-  opt.warm_start = nullptr;
-  opt.export_state = &state;
-  EXPECT_THROW(cache.solve(g, test_commodities(), opt), std::invalid_argument);
-}
-
-TEST(McfWarm, MalformedWarmStateRejectedUpFront) {
-  Graph g = test_graph();
-  auto commodities = test_commodities();
-  mcf::McfOptions opt = test_options();
-  mcf::McfWarmState bad;
-  bad.length.assign(3, 1.0);  // wrong arity: must be 2 * link_count
-  opt.warm_start = &bad;
-  EXPECT_THROW(mcf::max_concurrent_flow(g, commodities, opt), std::invalid_argument);
 }
 
 }  // namespace

@@ -136,7 +136,7 @@ TEST(SloSolveTest, EmptyCommoditiesAreVacuouslyCertified) {
 TEST(SloSolveTest, WarmResumeIsBitwiseIdenticalUnderBudget) {
   Graph g = test_graph();
   auto commodities = test_commodities();
-  inc::McfWarmCache warm(inc::McfWarmCacheOptions{/*exact_only=*/true});
+  inc::McfWarmCache warm;
 
   // A budget generous enough to converge; the identical instance gets the
   // stored result back.
@@ -158,7 +158,7 @@ TEST(SloSolveTest, TruncatedSolvesNeverResume) {
   // diverge from the cold path.
   Graph g = test_graph();
   auto commodities = test_commodities();
-  inc::McfWarmCache warm(inc::McfWarmCacheOptions{/*exact_only=*/true});
+  inc::McfWarmCache warm;
 
   SloSolve cold = solve_with_budget(g, commodities, 0.12, /*budget=*/10, nullptr);
   ASSERT_TRUE(cold.result.truncated);
@@ -177,7 +177,7 @@ TEST(SloSolveTest, BudgetIsPartOfTheWarmInstanceKey) {
   // trajectory; the cache must treat a budget change as a new instance.
   Graph g = test_graph();
   auto commodities = test_commodities();
-  inc::McfWarmCache warm(inc::McfWarmCacheOptions{/*exact_only=*/true});
+  inc::McfWarmCache warm;
 
   solve_with_budget(g, commodities, 0.12, /*budget=*/1000000, &warm);  // converges
   SloSolve cold = solve_with_budget(g, commodities, 0.12, /*budget=*/0, nullptr);
