@@ -1,5 +1,5 @@
 // Extension: congestion behavior of the converted fabrics under WCMP +
-// flowlet load balancing, drop-tail vs DCTCP (src/te, DESIGN.md §11).
+// flowlet load balancing, drop-tail vs DCTCP (src/te, DESIGN.md §10).
 //
 // Three workloads stress different parts of the fabric at equal equipment
 // cost: incast (N sources hammer one sink's edge link), a fabric-wide
@@ -100,6 +100,7 @@ int main(int argc, char** argv) {
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
+  if (!bench::k_in_range("bench_congestion", k)) return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
   bench::ObsScope obs_run(obsf, argc, argv);

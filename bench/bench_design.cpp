@@ -1,4 +1,4 @@
-// Automated conversion-plan search (src/design, DESIGN.md section 13).
+// Automated conversion-plan search (src/design, DESIGN.md section 12).
 //
 // Scores the three uniform conversion modes plus the fixed De Bruijn flat
 // baseline against the default mixed workload (pod-spanning broadcast,
@@ -74,6 +74,7 @@ int main(int argc, char** argv) {
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
+  if (!bench::k_in_range("bench_design", k)) return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
   bench::ObsScope obs_run(obsf, argc, argv);
@@ -154,7 +155,7 @@ int main(int argc, char** argv) {
     trajectory.num(p.current);
     trajectory.num(p.best);
   }
-  trajectory.print("Objective trajectory (warm incremental scores)");
+  trajectory.print("Objective trajectory");
 
   util::Table moves({"iter", "move", "objective"});
   for (const design::AcceptedMove& m : result.accepted_moves) {

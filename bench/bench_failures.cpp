@@ -8,7 +8,6 @@
 // reroute; flat-tree additionally re-homes servers by flipping converters.
 
 #include <cstdio>
-#include <memory>
 
 #include "common.hpp"
 #include "core/recovery.hpp"
@@ -27,21 +26,20 @@ int main(int argc, char** argv) {
   cli.add_int("seeds", &seeds, "failure draws to average");
   cli.add_int("seed", &seed, "base RNG seed");
   cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
-  bool selfcheck = false, incremental = false;
+  bool selfcheck = false;
   bench::add_threads_flag(cli, &threads);
   bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::add_incremental_flag(cli, &incremental);
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
+  if (!bench::k_in_range("bench_failures", k)) return 2;
+  if (!bench::seeds_in_range("bench_failures", seeds)) return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
-  bench::apply_incremental(incremental);
   bench::ObsScope obs_run(obsf, argc, argv);
   obs_run.set_int("threads", threads);
   obs_run.set_int("seed", seed);
   obs_run.set_double("eps", eps);
-  obs_run.set_int("incremental", incremental ? 1 : 0);
 
   const std::uint32_t ku = static_cast<std::uint32_t>(k);
   core::FlatTreeNetwork net = bench::profiled_network(ku);
@@ -55,13 +53,6 @@ int main(int argc, char** argv) {
                                           workload::Placement::NoLocality,
                                           net.params().servers_per_pod(), wl);
   auto demands = workload::cluster_traffic(clusters, workload::Pattern::Broadcast, wl);
-
-  // Incremental sweep state: one MCF warm cache (identical instances —
-  // e.g. the four fails=0 solves — get the stored result). Cold mode
-  // leaves it null; stdout is byte-identical either way.
-  std::unique_ptr<inc::McfWarmCache> warm;
-  if (bench::incremental_enabled())
-    warm = std::make_unique<inc::McfWarmCache>();
 
   struct ZoneResult {
     double lambda = 0.0;
@@ -96,7 +87,7 @@ int main(int argc, char** argv) {
       if (!stranded[sv]) alive_servers.push_back(sv);
     r.apl = topo::server_apl_subset(d.topo, alive_servers).average;
     try {
-      r.lambda = bench::throughput(d.topo, alive, eps, nullptr, warm.get());
+      r.lambda = bench::throughput(d.topo, alive, eps);
     } catch (const std::exception&) {
       r.lambda = 0.0;  // degraded network disconnected for some demand
     }

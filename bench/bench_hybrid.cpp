@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
 
 #include "common.hpp"
 #include "core/zones.hpp"
@@ -60,27 +59,26 @@ int main(int argc, char** argv) {
   cli.add_int("seed", &seed, "base RNG seed");
   cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
   cli.add_bool("full", &full, "paper-scale run: k = 30, 10% steps (slow)");
-  bool selfcheck = false, incremental = false;
+  bool selfcheck = false;
   bench::add_threads_flag(cli, &threads);
   bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::add_incremental_flag(cli, &incremental);
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
-  bench::apply_incremental(incremental);
   bench::ObsScope obs_run(obsf, argc, argv);
   obs_run.set_int("threads", threads);
   obs_run.set_int("seed", seed);
   obs_run.set_double("eps", eps);
-  obs_run.set_int("incremental", incremental ? 1 : 0);
   if (full) {
     k = 30;
     step_percent = 10;
     g_cluster = 1000;
     l_cluster = 20;
   }
+  if (!bench::k_in_range("bench_hybrid", k)) return 2;
+  if (!bench::seeds_in_range("bench_hybrid", seeds)) return 2;
 
   const std::uint32_t ku = static_cast<std::uint32_t>(k);
   const std::uint32_t per_pod = ku * ku / 4;
@@ -111,13 +109,6 @@ int main(int argc, char** argv) {
     cache.emplace(size, v);
     return v;
   };
-
-  // Incremental sweep state: the MCF warm cache answers any bitwise-repeated
-  // instance with its stored result. Stdout stays byte-identical to cold
-  // mode.
-  std::unique_ptr<inc::McfWarmCache> warm;
-  if (bench::incremental_enabled())
-    warm = std::make_unique<inc::McfWarmCache>();
 
   util::Table table({"global%", "hybrid apl", "global iso", "global dedicated",
                      "global iso ratio", "local iso", "local dedicated",
@@ -163,7 +154,7 @@ int main(int argc, char** argv) {
         d.demand *= l_ref;
         scaled.push_back(d);
       }
-      joint += bench::throughput(hybrid, scaled, eps, nullptr, warm.get());
+      joint += bench::throughput(hybrid, scaled, eps);
     }
     g_iso /= static_cast<double>(seeds);
     l_iso /= static_cast<double>(seeds);

@@ -59,6 +59,7 @@ int main(int argc, char** argv) {
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
+  if (!bench::k_in_range("bench_packet", k)) return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
   bench::ObsScope obs_run(obsf, argc, argv);

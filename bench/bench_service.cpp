@@ -10,9 +10,9 @@
 //
 //   * deterministic: per-op accepted/rejected counts, solver truncation
 //     and certification tallies, and an FNV-1a digest of the full response
-//     stream. These are byte-identical at any --threads count, with
-//     --incremental on or off, and with observability on or off — the
-//     service's core promise, which the svc test suite pins down.
+//     stream. These are byte-identical at any --threads count and with
+//     observability on or off — the service's core promise, which the svc
+//     test suite pins down.
 //   * timing (marked as such): latency p50/p99/max and the SLO hit rate —
 //     the fraction of deadline-tagged requests whose measured wall time
 //     fit their deadline. Wall-clock numbers are machine-dependent by
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   std::int64_t convert_rate = 8, batch = 8, threads = 0;
   double eps = 0.12, duration = 30.0, augs_per_ms = 4000.0;
   std::string slo_json, script_out;
-  bool incremental = false, selfcheck = false;
+  bool selfcheck = false;
 
   util::CliParser cli("Service: scripted flattree-svc sessions, latency vs SLO budgets.");
   cli.add_int("k", &k, "fat-tree parameter of the scripted session");
@@ -103,12 +103,12 @@ int main(int argc, char** argv) {
   cli.add_string("script-out", &script_out, "also write the generated script here");
   std::int64_t threads_flag = 0;
   bench::add_threads_flag(cli, &threads_flag);
-  bool selfcheck_flag = false, incremental_flag = false;
+  bool selfcheck_flag = false;
   bench::add_selfcheck_flag(cli, &selfcheck_flag);
-  bench::add_incremental_flag(cli, &incremental_flag);
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
+  if (!bench::k_in_range("bench_service", k)) return 2;
   // Written so that NaN fails both tests.
   if (!(eps > 0.0 && eps < 1.0)) {
     std::fprintf(stderr, "bench_service: --eps must be in (0, 1)\n");
@@ -120,14 +120,11 @@ int main(int argc, char** argv) {
   }
   threads = threads_flag;
   selfcheck = selfcheck_flag;
-  incremental = incremental_flag;
   bench::apply_threads(threads);
-  bench::apply_incremental(incremental);
   bench::ObsScope obs_run(obsf, argc, argv);
   obs_run.set_int("threads", threads);
   obs_run.set_int("seed", seed);
   obs_run.set_double("eps", eps);
-  obs_run.set_int("incremental", incremental ? 1 : 0);
 
   // -- generate the script (pure function of the flags) ----------------------
   const std::uint32_t ku = static_cast<std::uint32_t>(k);
@@ -215,7 +212,6 @@ int main(int argc, char** argv) {
   svc::ServiceOptions opt;
   opt.max_batch = batch > 0 ? static_cast<std::size_t>(batch) : 1;
   opt.epsilon = eps;
-  opt.incremental = incremental;
   opt.selfcheck = selfcheck;
   opt.slo.augmentations_per_ms = augs_per_ms;
   opt.latency_hook = [&](const svc::Request& req, bool ok, double wall_ms) {
@@ -283,7 +279,6 @@ int main(int argc, char** argv) {
   svc::ServiceOptions ropt;
   ropt.max_batch = opt.max_batch;
   ropt.epsilon = eps;
-  ropt.incremental = incremental;
   ropt.slo.augmentations_per_ms = augs_per_ms;
   svc::Service recovered(ropt);
   svc::RecoverStats rstats;

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "core/flat_tree.hpp"
 #include "exec/parallel_for.hpp"
 #include "graph/multi_bfs.hpp"
-#include "inc/mcf_warm.hpp"
 #include "mcf/garg_koenemann.hpp"
 #include "obs/obs.hpp"
 #include "topo/topology.hpp"
@@ -159,30 +159,34 @@ class ObsScope {
   obs::RunSession session_;  ///< writes manifest + trace on destruction
 };
 
-// -- incremental sweeps (--incremental) -------------------------------------
+// -- sizing flag checks -------------------------------------------------------
 //
-// With --incremental the sweep-style benches reuse work between
-// consecutive sweep points through src/inc: an identical MCF instance gets
-// the stored result of its cold solve (inc::McfWarmCache). APL is always
-// the cold counting BFS. Stdout is byte-identical to cold mode at any
-// thread count, because GK is a pure function of its inputs. The savings
-// show up in a --metrics-json manifest: inc.mcf.exact_resumes counts the
-// solves answered from the stored result.
+// --k and --seeds are cast to unsigned before use, so a value out of range
+// is refused here, with a message on stderr, before any cast: the bench
+// then exits 2 with nothing on stdout.
 
-/// Process-wide switch; set from the --incremental flag.
-inline bool& incremental_enabled() {
-  static bool on = false;
-  return on;
+/// True when `k` is an even fat-tree parameter in [4, 256]; otherwise
+/// prints why, prefixed with `bench`, and returns false.
+inline bool k_in_range(const char* bench, std::int64_t k) {
+  // Eight times the largest k any paper-scale sweep uses
+  // (bench_fig5_apl_global --full stops at 32).
+  constexpr std::int64_t kMaxK = 256;
+  if (k >= 4 && k <= kMaxK && k % 2 == 0) return true;
+  std::fprintf(stderr, "%s: --k must be an even integer in [4, %lld], got %lld\n", bench,
+               static_cast<long long>(kMaxK), static_cast<long long>(k));
+  return false;
 }
 
-/// Registers the shared `--incremental` flag (sweep benches grow one).
-inline void add_incremental_flag(util::CliParser& cli, bool* flag) {
-  cli.add_bool("incremental", flag,
-               "resume identical throughput solves from a warm MCF cache; "
-               "output is byte-identical to cold mode");
+/// True when `seeds` lies in [1, 2^32 - 1]; otherwise prints why,
+/// prefixed with `bench`, and returns false (an average over no draws is
+/// 0/0, and a larger count would wrap in the uint32 cast).
+inline bool seeds_in_range(const char* bench, std::int64_t seeds) {
+  constexpr std::int64_t kMaxSeeds = std::numeric_limits<std::uint32_t>::max();
+  if (seeds >= 1 && seeds <= kMaxSeeds) return true;
+  std::fprintf(stderr, "%s: --seeds must lie in [1, %lld], got %lld\n", bench,
+               static_cast<long long>(kMaxSeeds), static_cast<long long>(seeds));
+  return false;
 }
-
-inline void apply_incremental(bool on) { incremental_enabled() = on; }
 
 /// Registers the shared `--threads` flag (every bench grows one). 0 means
 /// the exec default: FLATTREE_THREADS env var, else hardware concurrency.
@@ -202,7 +206,7 @@ inline void apply_threads(std::int64_t threads) {
 /// (switch-aggregated max concurrent flow, certified lower bound).
 inline double throughput(const topo::Topology& topo,
                          const std::vector<mcf::ServerDemand>& demands, double epsilon,
-                         double* upper = nullptr, inc::McfWarmCache* warm = nullptr) {
+                         double* upper = nullptr) {
   auto commodities = mcf::aggregate_to_switches(topo, demands);
   if (commodities.empty()) return 0.0;
   mcf::McfOptions opt;
@@ -210,10 +214,7 @@ inline double throughput(const topo::Topology& topo,
   // Certification needs the dual bound for the bracket check, so selfcheck
   // forces the upper bound on even when the caller does not want it.
   opt.compute_upper_bound = upper != nullptr || selfcheck_enabled();
-  // The warm cache returns the stored result for an identical instance;
-  // different instances solve cold.
-  auto r = warm != nullptr ? warm->solve(topo.graph(), commodities, opt)
-                           : mcf::max_concurrent_flow(topo.graph(), commodities, opt);
+  auto r = mcf::max_concurrent_flow(topo.graph(), commodities, opt);
   if (selfcheck_enabled()) {
     check::CertifyOptions copt;
     copt.epsilon = epsilon;

@@ -18,7 +18,7 @@
 #       exactly the rows of the "Error codes" table in docs/durability.md
 #       (obs::Counter names such as svc.overload.shed are not codes).
 #   5.  Metric, span and code names — every backticked dotted name with a
-#       layer prefix (`graph.`, `mcf.`, `inc.`, ... see LAYERS) in README,
+#       layer prefix (`graph.`, `mcf.`, `sim.`, ... see LAYERS) in README,
 #       DESIGN, EXPERIMENTS and docs/ starts a string literal in src/,
 #       bench/ or perfbench/src/, so a doc cannot cite a counter, span or
 #       error code the program no longer has. Names with `*` or `{...}`
@@ -136,7 +136,7 @@ def covered(lines, i):
     prev = lines[j].strip()
     return prev.startswith(("//", "///", "/*", "*", "*/")) or prev.endswith("*/")
 
-HEADER_DIRS = ["src/graph", "src/inc", "src/mcf", "src/fault", "src/svc",
+HEADER_DIRS = ["src/graph", "src/mcf", "src/fault", "src/svc",
                "src/svc/durable", "src/te", "src/design", "src/routing",
                "src/sim", "src/check"]
 for d in HEADER_DIRS:
@@ -199,7 +199,7 @@ for code in sorted(documented - returned):
 
 # -- 5. documented metric/span/code names exist in the program ---------------
 
-LAYERS = ["graph", "mcf", "inc", "sim", "te", "routing", "core", "fault", "svc",
+LAYERS = ["graph", "mcf", "sim", "te", "routing", "core", "fault", "svc",
           "check", "exec", "design", "durable"]
 NAME_RE = re.compile(r"`((?:%s)(?:\.[A-Za-z0-9_]+)+)`" % "|".join(LAYERS))
 # The dotted run that opens a string literal: "mcf.gk.phases", and the

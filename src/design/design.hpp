@@ -3,10 +3,10 @@
 //
 //   design::Candidate          zone layout + per-zone mode, canonical text codec
 //   design::WorkloadMix        declared traffic mix, affinity-placed demands
-//   design::Evaluator          incremental scorer (cold APL + McfWarmCache)
+//   design::score_candidate    the walk's scorer (cold APL + one GK solve)
 //   design::search             deterministic annealing over the move set
 //
-// See docs/design_search.md (mirrored as DESIGN.md section 13) for the
+// See docs/design_search.md (mirrored as DESIGN.md section 12) for the
 // objective definition, the move set, the annealing schedule, the
 // determinism contract, and the certification story.
 

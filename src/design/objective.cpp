@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "core/zones.hpp"
 #include "mcf/garg_koenemann.hpp"
@@ -221,18 +220,15 @@ std::vector<ServerDemand> mix_demands_all(std::uint32_t total_servers,
   return out;
 }
 
-Evaluator::Evaluator(const core::FlatTreeNetwork& net, WorkloadMix mix)
-    : net_(&net), mix_(std::move(mix)) {}
-
-Score Evaluator::score(const Candidate& candidate) {
-  const topo::Topology t = net_->build(candidate.pod_modes());
+Score score_candidate(const core::FlatTreeNetwork& net, const Candidate& candidate,
+                      const WorkloadMix& mix) {
+  const topo::Topology t = net.build(candidate.pod_modes());
   const graph::AplResult apl = topo::server_apl(t);
-  const auto demands = mix_demands(*net_, candidate, mix_);
+  const auto demands = mix_demands(net, candidate, mix);
   const auto commodities = mcf::aggregate_to_switches(t, demands);
   mcf::McfOptions options;
-  options.epsilon = mix_.epsilon;
-  const mcf::McfResult result = warm_.solve(t.graph(), commodities, options);
-  ++solves_;
+  options.epsilon = mix.epsilon;
+  const mcf::McfResult result = mcf::max_concurrent_flow(t.graph(), commodities, options);
   return Score{result.lambda_lower, result.lambda_upper, apl.average,
                demands.size()};
 }

@@ -24,13 +24,11 @@
 // the same mix scores identically at any thread count, call site, or
 // evaluation order — the property the search's replayability rests on.
 //
-// Two scoring paths share the demand generator: Evaluator keeps an
-// inc::McfWarmCache alive across candidates (the path the annealer
-// drives; APL is always the cold topo::server_apl), while
-// score_cold_certified rebuilds everything from scratch and runs the full
-// check::validate + check::certify battery (the path winners must survive
-// before being reported). Both return the same Score for a candidate,
-// bit for bit: the cache only ever answers with a cold solve's result.
+// Two scoring paths share the demand generator: score_candidate builds
+// the topology and solves it (the path the annealer drives), while
+// score_cold_certified also runs the full check::validate +
+// check::certify battery (the path winners must survive before being
+// reported). Both return the same Score for a candidate, bit for bit.
 
 #include <cstdint>
 #include <string>
@@ -39,7 +37,6 @@
 #include "check/check.hpp"
 #include "core/flat_tree.hpp"
 #include "design/candidate.hpp"
-#include "inc/mcf_warm.hpp"
 #include "mcf/commodity.hpp"
 #include "workload/cluster.hpp"
 #include "workload/traffic.hpp"
@@ -129,28 +126,12 @@ struct Score {
   std::uint64_t demands = 0;  ///< server-level demand count of the mix
 };
 
-/// Incremental scorer: cold APL plus one inc::McfWarmCache shared across
-/// score() calls, so a repeated candidate skips its solve. Each Score
-/// equals score_cold_certified's for the same candidate; the search still
-/// re-scores its winner cold to run the certification battery.
-class Evaluator {
- public:
-  /// Binds the scorer to a plant and a mix. `net` must outlive the
-  /// Evaluator.
-  Evaluator(const core::FlatTreeNetwork& net, WorkloadMix mix);
-
-  /// Scores one candidate through the MCF warm cache.
-  Score score(const Candidate& candidate);
-
-  /// Number of throughput solves run so far (one per score()).
-  std::uint64_t solves() const { return solves_; }
-
- private:
-  const core::FlatTreeNetwork* net_;
-  WorkloadMix mix_;
-  inc::McfWarmCache warm_;
-  std::uint64_t solves_ = 0;
-};
+/// The walk's scorer: builds the candidate's topology, takes its APL and
+/// solves the mix once, without the check battery. The Score equals
+/// score_cold_certified's for the same candidate; the search re-scores
+/// its winner through that function to run the battery.
+Score score_candidate(const core::FlatTreeNetwork& net, const Candidate& candidate,
+                      const WorkloadMix& mix);
 
 /// Cold scoring of a fixed topology against explicit demands: fresh
 /// check::validate battery, cold solve, full check::certify. Violations

@@ -203,9 +203,8 @@ SearchResult search(const core::FlatTreeNetwork& net, const WorkloadMix& mix,
     }
   }
 
-  Evaluator eval(net, mix);
   Candidate current = Candidate::uniform(pods, result.best_uniform);
-  Score current_score = eval.score(current);
+  Score current_score = score_candidate(net, current, mix);
   c_scored.inc();
   result.best = current;
   double best_objective = current_score.objective;
@@ -227,7 +226,7 @@ SearchResult search(const core::FlatTreeNetwork& net, const WorkloadMix& mix,
           iter, temperature, current_score.objective, best_objective});
       continue;
     }
-    const Score next_score = eval.score(*next);
+    const Score next_score = score_candidate(net, *next, mix);
     c_scored.inc();
     const double delta = next_score.objective - current_score.objective;
     const bool accept =

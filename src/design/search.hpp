@@ -14,10 +14,11 @@
 // cooling^i, where scale is the best uniform objective (temperatures are
 // declared as fractions of the objective, not absolute throughputs).
 //
-// Scoring during the walk uses the Evaluator, whose scores equal a cold
-// solve's bit for bit; the three uniform baselines and the final winner
-// are scored cold and certified (check::validate + check::certify), so
-// the reported numbers carry the full battery's evidence.
+// Scoring during the walk uses score_candidate, whose scores equal a
+// cold solve's bit for bit; the three uniform baselines and the final
+// winner are scored cold and certified (check::validate +
+// check::certify), so the reported numbers carry the full battery's
+// evidence.
 
 #include <cstdint>
 #include <optional>
@@ -114,8 +115,8 @@ struct SearchResult {
 };
 
 /// Runs the full search: uniform baselines (cold, certified), annealing
-/// walk from the best uniform layout (Evaluator), cold certified re-score
-/// of the winner. Deterministic for fixed (net, mix, options).
+/// walk from the best uniform layout (score_candidate), cold certified
+/// re-score of the winner. Deterministic for fixed (net, mix, options).
 SearchResult search(const core::FlatTreeNetwork& net, const WorkloadMix& mix,
                     const SearchOptions& options);
 

@@ -21,8 +21,7 @@
 //
 // Every solve starts from the same point, the length function delta/cap
 // with zero flow, so a result is a pure function of (graph, commodities,
-// options). inc::McfWarmCache relies on that to return a stored result
-// for a bit-identical instance.
+// options).
 
 #include <cstdint>
 #include <vector>
@@ -57,10 +56,6 @@ struct McfOptions {
   /// demand-weighted McfResult::served_fraction. The returned bracket then
   /// certifies the *reachable sub-instance* (check::certify_served).
   bool allow_unreachable = false;
-
-  /// Field-wise equality (inc::McfWarmCache keys on it). For an epsilon
-  /// in (0, 1), the only kind a solve accepts, == is bit equality.
-  bool operator==(const McfOptions&) const = default;
 };
 
 /// Solver output: a certified bracket [lambda_lower, lambda_upper] around

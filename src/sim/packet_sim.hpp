@@ -9,7 +9,7 @@
 // shows up as queueing delay and tail drops rather than a fair-share rate.
 //
 // One (time, seq)-ordered event loop serves both sending disciplines (all
-// deterministic discrete-event time, no wall clock; see DESIGN.md §11).
+// deterministic discrete-event time, no wall clock; see DESIGN.md §10).
 // Its one heap holds each flow's next send plus the packets in flight.
 // Queue occupancy comes from a ring per directed arc of the arrival times
 // still pending on it (FIFO departures, so they only increase), retired

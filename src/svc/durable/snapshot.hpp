@@ -4,8 +4,8 @@
 // serializing engine internals, it stores each session's *mutating request
 // history* (the canonical build/traffic/fault/convert/expand lines, in seq
 // order). decode + re-executing that history through
-// the normal eval path rebuilds byte-identical session state — the same
-// warm/cold bitwise-equality invariant the service already relies on.
+// the normal eval path rebuilds byte-identical session state, because
+// every executor is a pure function of the session and the request.
 // A successful `build` resets its session, so the service compacts the
 // history at that point; histories stay proportional to mutations since
 // the last build, not to run length.

@@ -6,10 +6,10 @@
 //                --snapshot snap.txt --snapshot-every 8 --recover
 //
 // One flattree-svc.v1 response line per input line (see DESIGN.md
-// Section 10). The response stream and journal are byte-identical at any
-// --threads count, with or without --metrics-json/--trace, cold or
-// --incremental, when a journal is replayed as the next --script, and
-// across a crash + --recover (docs/durability.md).
+// Section 9). The response stream and journal are byte-identical at any
+// --threads count, with or without --metrics-json/--trace, when a journal
+// is replayed as the next --script, and across a crash + --recover
+// (docs/durability.md).
 //
 // Durability: --journal writes the CRC-framed v2 journal; --snapshot
 // names the snapshot file the periodic sink maintains (atomically, via
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   std::int64_t batch = 8, threads = 0, min_augs = 32;
   std::int64_t snapshot_every = 32, max_line_bytes = 0, max_queued = 0;
   double eps = 0.12, augs_per_ms = 4000.0;
-  bool incremental = false, selfcheck = false, recover = false;
+  bool selfcheck = false, recover = false;
 
   util::CliParser cli("flattree_svc: JSON-lines controller service (flattree-svc.v1).");
   cli.add_string("script", &script, "read requests from this file instead of stdin");
@@ -85,9 +85,6 @@ int main(int argc, char** argv) {
   cli.add_double("augs-per-ms", &augs_per_ms,
                  "SLO cost model: GK augmentations afforded per deadline millisecond");
   cli.add_int("min-augs", &min_augs, "SLO budget floor (augmentations)");
-  cli.add_bool("incremental", &incremental,
-               "resume identical throughput solves from a warm MCF cache; output "
-               "is byte-identical to cold mode");
   cli.add_bool("selfcheck", &selfcheck,
                "run the controller validity battery after every mutating request "
                "and the snapshot battery after every snapshot (exit 1 on any "
@@ -185,7 +182,6 @@ int main(int argc, char** argv) {
   svc::ServiceOptions opt;
   opt.max_batch = batch > 0 ? static_cast<std::size_t>(batch) : 1;
   opt.epsilon = eps;
-  opt.incremental = incremental;
   opt.selfcheck = selfcheck;
   opt.slo.augmentations_per_ms = augs_per_ms;
   opt.slo.min_augmentations = min_augs > 0 ? static_cast<std::uint64_t>(min_augs) : 0;

@@ -1,7 +1,7 @@
 #pragma once
 // flattree-svc.v1: the deterministic JSON-lines request protocol of the
-// long-running controller service (ISSUE 6 tentpole; DESIGN.md Section 10
-// has the full grammar).
+// long-running controller service (DESIGN.md Section 9 has the full
+// grammar).
 //
 // One request per input line, one response per request, in input order.
 // Every request is a JSON object with an "op" member; the optional

@@ -76,7 +76,7 @@ void Service::fill_stats_payload(obs::JsonValue& payload) const {
   }
 }
 
-Service::EvalResult Service::eval(const Request& req, bool sequential) {
+Service::EvalResult Service::eval(const Request& req) {
   OBS_SPAN("svc.eval");
   EvalResult r;
   obs::JsonValue payload = obs::JsonValue::make_object();
@@ -87,7 +87,7 @@ Service::EvalResult Service::eval(const Request& req, bool sequential) {
     switch (req.op) {
       case Op::Hello:
         // Protocol constants only: anything that varies with run knobs that
-        // the byte-identity matrix toggles (--incremental, --threads, obs)
+        // the byte-identity matrix toggles (--threads, obs)
         // must stay out of the response stream.
         put(payload, "proto", jstr("flattree-svc.v1"));
         put(payload, "max_batch", jint(static_cast<std::int64_t>(opt_.max_batch)));
@@ -130,7 +130,6 @@ Service::EvalResult Service::eval(const Request& req, bool sequential) {
         if (sessions_[req.session] == nullptr) {
           SessionOptions sopt;
           sopt.epsilon = opt_.epsilon;
-          sopt.incremental = opt_.incremental;
           sopt.slo = opt_.slo;
           sessions_[req.session] = std::make_unique<Session>(sopt);
         }
@@ -167,20 +166,15 @@ Service::EvalResult Service::eval(const Request& req, bool sequential) {
       case Op::Query:
       case Op::WhatIf:
       case Op::Design: {
-        Session* s = sessions_[req.session].get();
+        const Session* s = sessions_[req.session].get();
         if (s == nullptr || !s->built()) {
           err = RequestError{"svc.session.not_built",
                              "session has no plant; send a 'build' request first"};
           break;
         }
-        // Design builds every engine it needs locally per call, so it has
-        // no sequential/parallel split (batch layouts are trivially
-        // byte-identical).
-        r.ok = req.op == Op::Query
-                   ? s->exec_query(req, sequential, payload, r.tally, err)
-               : req.op == Op::WhatIf
-                   ? s->exec_what_if(req, sequential, payload, r.tally, err)
-                   : s->exec_design(req, payload, r.tally, err);
+        r.ok = req.op == Op::Query    ? s->exec_query(req, payload, r.tally, err)
+               : req.op == Op::WhatIf ? s->exec_what_if(req, payload, r.tally, err)
+                                      : s->exec_design(req, payload, r.tally, err);
         break;
       }
     }
@@ -242,13 +236,13 @@ std::vector<Service::EvalResult> Service::eval_live(
     if (reqs[i] != nullptr) live.push_back(i);
   std::vector<EvalResult> results(reqs.size());
   if (live.size() == 1) {
-    results[live[0]] = eval(*reqs[live[0]], /*sequential=*/true);
+    // Not through parallel_for: a single-chunk run opens a TaskScope, which
+    // would run the request's own inner parallel work sequentially.
+    results[live[0]] = eval(*reqs[live[0]]);
   } else if (live.size() > 1) {
-    // Read-only fan-out: every worker evaluates cold (bitwise-equal to the
-    // warm sequential path), results land in per-index slots.
-    exec::parallel_for(live.size(), [&](std::size_t i) {
-      results[live[i]] = eval(*reqs[live[i]], /*sequential=*/false);
-    });
+    // Read-only fan-out: results land in per-index slots.
+    exec::parallel_for(live.size(),
+                       [&](std::size_t i) { results[live[i]] = eval(*reqs[live[i]]); });
   }
   return results;
 }
@@ -406,7 +400,7 @@ void Service::process_line(std::string line, std::ostream& out,
   } else {
     flush(pending, out);
     const std::uint64_t mseq = req.seq;
-    emit(out, req, eval(req, /*sequential=*/true));
+    emit(out, req, eval(req));
     commit_group(mseq);
   }
 }
@@ -514,7 +508,7 @@ bool Service::replay_group_recover(const durable::JournalGroup& g,
     ++stats_.accepted;
     ++stats_.accepted_by_op[static_cast<int>(req.op)];
     if (mutating(req.op)) {
-      EvalResult r = eval(req, /*sequential=*/true);
+      EvalResult r = eval(req);
       if (!r.ok) {
         error = "svc.recover.replay_failed: journaled " +
                 std::string(to_string(req.op)) + " at seq " +
@@ -571,7 +565,7 @@ bool Service::recover(const durable::ServiceSnapshot* snap,
                   std::to_string(rec.seq) + " fails parse_request: " + rerr.code;
           return false;
         }
-        EvalResult r = eval(req, /*sequential=*/true);
+        EvalResult r = eval(req);
         if (!r.ok) {
           error = "svc.recover.replay_failed: snapshot " + rec.op +
                   " at seq " + std::to_string(rec.seq) +

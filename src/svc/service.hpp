@@ -12,17 +12,15 @@
 //
 //   * at any --threads count,
 //   * with observability on or off,
-//   * cold or --incremental,
 //   * when a journal is replayed as the input script,
 //   * and across a crash + recover() at any journal commit point.
 //
 // Batching: consecutive read-only requests (hello/query/what_if/design)
 // collect into a batch; any mutating op, any rejected line, a full batch
 // (max_batch), or EOF is a boundary. Boundaries are a pure function of the
-// input, never of timing. A batch with one live request evaluates
-// sequentially through the warm MCF cache; a larger batch fans out over the
-// exec pool with every worker evaluating cold — the two paths are
-// bitwise-equal by construction (see session.hpp), so the batch layout
+// input, never of timing. A batch with one live request evaluates on the
+// calling thread; a larger batch fans out over the exec pool. Both run the
+// same const session executors (see session.hpp), so the batch layout
 // never shows in the output bytes. `batches`/`max_batch` count *accepted*
 // requests per read-only flush (a flush whose every request is rejected
 // counts no batch), which is what lets recovery reconstruct them from the
@@ -68,7 +66,10 @@ namespace flattree::svc {
 struct ServiceOptions {
   std::size_t max_batch = 8;   ///< read-only requests per batch (>= 1)
   double epsilon = 0.12;       ///< GK epsilon for throughput queries
-  bool incremental = false;    ///< warm MCF cache on the sequential path
+  /// Read by nothing: throughput queries always solve cold. Still declared
+  /// because perfbench's svc-stream assigns it; the perfbench-only change
+  /// that drops that assignment deletes this field (ROADMAP item 4).
+  bool incremental = false;
   bool selfcheck = false;      ///< controller + snapshot invariant batteries
   SloPolicy slo;
   std::ostream* journal = nullptr;  ///< v2 framed journal (null = off)
@@ -159,10 +160,11 @@ class Service {
     std::string gap_class;  ///< journal gap class (shed only)
   };
 
-  EvalResult eval(const Request& req, bool sequential);
+  EvalResult eval(const Request& req);
   /// Evaluates every non-null slot of `reqs` into the same slot of the
-  /// result: a lone live request sequentially (warm under incremental),
-  /// several on the exec pool and cold.
+  /// result: a lone live request directly on the calling thread (so its
+  /// own inner parallel work, e.g. a design op's APL, still fans out),
+  /// several on the exec pool.
   std::vector<EvalResult> eval_live(const std::vector<const Request*>& reqs);
   void emit(std::ostream& out, const Request& req, EvalResult&& r);
   /// Counts one rejected line into the stats and obs counters and journals

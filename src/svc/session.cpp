@@ -137,11 +137,10 @@ bool Session::exec_build(const Request& req, obs::JsonValue& payload, RequestErr
     }
   }
 
-  // Commit: replace the plant, drop the old traffic snapshot and warm cache.
+  // Commit: replace the plant and drop the old traffic snapshot.
   ctl_ = std::move(next);
   demands_.clear();
   total_demand_ = 0.0;
-  warm_.reset();
 
   const topo::ClosParams& p = ctl_->network().params();
   put(payload, "pods", jint(p.pods()));
@@ -414,10 +413,9 @@ bool Session::exec_expand(const Request& req, obs::JsonValue& payload, RequestEr
     core::FlatTreeNetwork expanded = core::expand(ctl_->network(), plan);
     ctl_ = std::make_unique<fault::ResilientController>(std::move(expanded),
                                                         ctl_->options());
-    // Server ids changed: the old traffic snapshot and warm cache are void.
+    // Server ids changed: the old traffic snapshot is void.
     demands_.clear();
     total_demand_ = 0.0;
-    warm_.reset();
   }
 
   put(payload, "pods_added", jint(plan.pods_added));
@@ -436,12 +434,12 @@ bool Session::exec_expand(const Request& req, obs::JsonValue& payload, RequestEr
 }
 
 void Session::metric_block(const Request& req, const fault::DegradeResult& d,
-                           bool sequential, obs::JsonValue& payload, EvalTally& tally) {
+                           obs::JsonValue& payload, EvalTally& tally) const {
   const topo::Topology& t = d.topo;
   std::vector<char> stranded(t.server_count(), 0);
   for (topo::ServerId s : d.stranded) stranded[s] = 1;
 
-  const fault::FaultState& fs = ctl_->fault_state();
+  const fault::FaultState& fs = controller().fault_state();
   put(payload, "down_switches", jint(static_cast<std::int64_t>(fs.down_switch_count())));
   put(payload, "down_pairs", jint(static_cast<std::int64_t>(fs.down_pair_count())));
   put(payload, "stuck", jint(static_cast<std::int64_t>(fs.stuck_converter_count())));
@@ -482,12 +480,7 @@ void Session::metric_block(const Request& req, const fault::DegradeResult& d,
     return;
   }
 
-  inc::McfWarmCache* warm = nullptr;
-  if (sequential && opt_.incremental) {
-    if (warm_ == nullptr) warm_ = std::make_unique<inc::McfWarmCache>();
-    warm = warm_.get();
-  }
-  SloSolve s = solve_with_budget(t.graph(), commodities, opt_.epsilon, budget, warm);
+  SloSolve s = solve_with_budget(t.graph(), commodities, opt_.epsilon, budget);
   tally.solves += 1;
   tally.truncated += s.result.truncated ? 1 : 0;
   tally.certified += s.certified ? 1 : 0;
@@ -500,15 +493,15 @@ void Session::metric_block(const Request& req, const fault::DegradeResult& d,
   put(payload, "budget", jint(static_cast<std::int64_t>(budget)));
 }
 
-bool Session::exec_query(const Request& req, bool sequential, obs::JsonValue& payload,
-                         EvalTally& tally, RequestError& err) {
+bool Session::exec_query(const Request& req, obs::JsonValue& payload, EvalTally& tally,
+                         RequestError& err) const {
   if (!require_built(err)) return false;
-  metric_block(req, ctl_->degraded(), sequential, payload, tally);
+  metric_block(req, controller().degraded(), payload, tally);
   return true;
 }
 
-bool Session::exec_what_if(const Request& req, bool sequential, obs::JsonValue& payload,
-                           EvalTally& tally, RequestError& err) {
+bool Session::exec_what_if(const Request& req, obs::JsonValue& payload, EvalTally& tally,
+                           RequestError& err) const {
   if (!require_built(err)) return false;
   std::vector<core::Mode> modes;
   if (!parse_target_modes(req, modes, err)) return false;
@@ -516,21 +509,22 @@ bool Session::exec_what_if(const Request& req, bool sequential, obs::JsonValue& 
   // Pure hypothetical: the fault-avoiding configuration the controller
   // *would* steer toward, materialized and degraded, without touching the
   // live assignment — legal even mid-conversion.
-  std::vector<core::ConverterConfig> cfgs = ctl_->fault_aware_target(modes);
-  const std::vector<core::ConverterConfig>& live = ctl_->current_configs();
+  const fault::ResilientController& ctl = controller();
+  std::vector<core::ConverterConfig> cfgs = ctl.fault_aware_target(modes);
+  const std::vector<core::ConverterConfig>& live = ctl.current_configs();
   std::size_t steps = 0;
   for (std::size_t i = 0; i < cfgs.size(); ++i)
     if (cfgs[i] != live[i]) ++steps;
 
   fault::DegradeResult d =
-      fault::degrade(ctl_->network().materialize(cfgs), ctl_->fault_state());
+      fault::degrade(ctl.network().materialize(cfgs), ctl.fault_state());
   put(payload, "steps", jint(static_cast<std::int64_t>(steps)));
-  metric_block(req, d, sequential, payload, tally);
+  metric_block(req, d, payload, tally);
   return true;
 }
 
 bool Session::exec_design(const Request& req, obs::JsonValue& payload,
-                          EvalTally& tally, RequestError& err) {
+                          EvalTally& tally, RequestError& err) const {
   if (!require_built(err)) return false;
 
   std::uint64_t seed = 1, iters = 16;
@@ -611,7 +605,7 @@ bool Session::exec_design(const Request& req, obs::JsonValue& payload,
   design::SearchOptions sopt;
   sopt.seed = seed;
   sopt.iterations = static_cast<std::uint32_t>(applied);
-  design::SearchResult result = design::search(ctl_->network(), mix, sopt);
+  design::SearchResult result = design::search(controller().network(), mix, sopt);
 
   double uniform_best = 0.0;
   core::Mode uniform_mode = core::Mode::Clos;
@@ -624,8 +618,8 @@ bool Session::exec_design(const Request& req, obs::JsonValue& payload,
     if (u.certified) ++uniforms_certified;
   }
 
-  // Work accounting: 3 uniform baselines + the initial warm score + one
-  // warm score per decided move + the cold certified rescore.
+  // Work accounting: 3 uniform baselines + the initial walk score + one
+  // walk score per decided move + the cold certified rescore.
   tally.solves += 3 + 1 + result.accepted + result.rejected + 1;
   tally.certified += uniforms_certified + (result.certified ? 1 : 0);
 

@@ -42,8 +42,7 @@ std::uint64_t budget_iterations(const SloPolicy& policy, double deadline_ms) {
 
 SloSolve solve_with_budget(const graph::Graph& g,
                            const std::vector<mcf::Commodity>& commodities,
-                           double epsilon, std::uint64_t budget,
-                           inc::McfWarmCache* warm) {
+                           double epsilon, std::uint64_t budget) {
   SloSolve out;
   out.budget = budget;
   if (commodities.empty()) {
@@ -57,8 +56,7 @@ SloSolve solve_with_budget(const graph::Graph& g,
   opt.allow_unreachable = true;
   opt.compute_upper_bound = true;
   opt.max_augmentations = budget;
-  out.result = warm != nullptr ? warm->solve(g, commodities, opt)
-                               : mcf::max_concurrent_flow(g, commodities, opt);
+  out.result = mcf::max_concurrent_flow(g, commodities, opt);
 
   check::CertifyOptions copt;
   copt.epsilon = epsilon;

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "inc/mcf_warm.hpp"
 #include "mcf/commodity.hpp"
 #include "mcf/garg_koenemann.hpp"
 
@@ -60,13 +59,11 @@ struct SloSolve {
 
 /// Budgeted, certified max concurrent flow: allow_unreachable (stranded
 /// endpoints are excised, served_fraction reports the remainder), dual
-/// upper bound on, at most `budget` augmentations. `warm` may be null;
-/// an inc::McfWarmCache answers an identical instance with the stored
-/// result of its cold solve — the service's cold-vs-warm byte-identity
-/// rests on that. The result is certified either way.
+/// upper bound on, at most `budget` augmentations. GK is a pure function
+/// of its inputs, so the answer never depends on which thread or batch
+/// layout asked for it — the service's byte-identity rests on that.
 SloSolve solve_with_budget(const graph::Graph& g,
                            const std::vector<mcf::Commodity>& commodities,
-                           double epsilon, std::uint64_t budget,
-                           inc::McfWarmCache* warm);
+                           double epsilon, std::uint64_t budget);
 
 }  // namespace flattree::svc

@@ -6,7 +6,7 @@
 //   slo.hpp       deadline_ms -> deterministic GK augmentation budgets,
 //                 certified truncated solves
 //   session.hpp   per-shard state: resilient controller, traffic snapshot,
-//                 warm engines (bitwise-equal to cold)
+//                 const read-only executors
 //   service.hpp   the JSON-lines loop: deterministic batching, journaling,
 //                 overload shedding, snapshots, recovery, stats
 //   durable/journal.hpp   CRC-framed journal v2 (records, gaps, commits)
@@ -14,7 +14,7 @@
 //
 // The stdin/stdout binary is flattree_svc (src/svc/flattree_svc_main.cpp);
 // bench_service drives the same Service class in-process. DESIGN.md
-// Section 10 documents the protocol; EXPERIMENTS.md shows how to run it.
+// Section 9 documents the protocol; EXPERIMENTS.md shows how to run it.
 
 #include "svc/durable/journal.hpp"
 #include "svc/durable/snapshot.hpp"

@@ -16,7 +16,7 @@
 // Every table is model-checked by check::validate_weighted_fib
 // (check/te_check.hpp). The DCTCP-style ECN control loop lives in
 // sim::PacketSimulator (sim/packet_sim.hpp) and consumes WeightedFib +
-// FlowletTable; see DESIGN.md §11 for the determinism contract.
+// FlowletTable; see DESIGN.md §10 for the determinism contract.
 
 #include "te/flowlet.hpp"
 #include "te/wcmp.hpp"

@@ -183,7 +183,7 @@ TEST(SvcDesign, StatsCountDesignWorkDeterministically) {
   ASSERT_NE(ops, nullptr);
   ASSERT_NE(ops->find("design"), nullptr);
   EXPECT_EQ(ops->find("design")->as_int(), 1);
-  // 3 uniforms + initial warm score + decided moves + cold rescore.
+  // 3 uniforms + initial walk score + decided moves + cold rescore.
   obs::JsonValue d = response_at(r.responses, 1);
   const std::int64_t decided =
       d.find("accepted")->as_int() + d.find("rejected")->as_int();

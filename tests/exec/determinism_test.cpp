@@ -1,10 +1,18 @@
 // Thread-count invariance of the parallelized evaluation kernels: every
 // number a bench reports must be bit-identical at --threads 1, 2, and 8.
 // These tests run each kernel under global pools of those sizes and compare
-// results with exact (bitwise) equality — no tolerances.
+// results with exact (bitwise) equality — no tolerances. The BenchEquivalence
+// cases compare two sweep benches' stdout across thread counts end to end;
+// FT_BENCH_DIR is injected by CMake, and they skip cleanly when the
+// binaries are not built.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "exec/parallel_for.hpp"
@@ -109,6 +117,50 @@ TEST(Determinism, SubstreamSeedingIndependentOfChunkSchedule) {
   auto base = draws_at(1);
   EXPECT_EQ(draws_at(2), base);
   EXPECT_EQ(draws_at(8), base);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+bool file_exists(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f != nullptr) std::fclose(f);
+  return f != nullptr;
+}
+
+/// Runs `bench args > out 2>/dev/null`, returning the exit status.
+int run(const std::string& bench, const std::string& args, const std::string& out) {
+  std::string cmd = bench + " " + args + " > " + out + " 2>/dev/null";
+  return std::system(cmd.c_str());
+}
+
+/// Runs `bench` with `args` at --threads 1 and 4; both must exit 0 with
+/// the same stdout.
+void expect_same_stdout_across_threads(const std::string& name, const std::string& args) {
+  std::string bench = std::string(FT_BENCH_DIR) + "/" + name;
+  if (!file_exists(bench)) GTEST_SKIP() << "bench binary not built: " << bench;
+
+  std::string one_out = testing::TempDir() + name + "_t1.txt";
+  std::string four_out = testing::TempDir() + name + "_t4.txt";
+  ASSERT_EQ(run(bench, args + " --threads 1", one_out), 0);
+  ASSERT_EQ(run(bench, args + " --threads 4", four_out), 0);
+  std::string one = slurp(one_out);
+  EXPECT_FALSE(one.empty());
+  EXPECT_EQ(one, slurp(four_out));
+  std::remove(one_out.c_str());
+  std::remove(four_out.c_str());
+}
+
+TEST(BenchEquivalence, FailureSweepIsByteIdenticalAcrossThreads) {
+  expect_same_stdout_across_threads("bench_failures", "--max-failures 4 --seeds 1");
+}
+
+TEST(BenchEquivalence, AblationSweepIsByteIdentical) {
+  expect_same_stdout_across_threads("bench_ablation_mn", "--kmax 8");
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 // Bench flag handling through the real binaries: bench_service and
-// bench_packet refuse unknown flags with a usage listing, and
-// bench_service's --slo-json output reproduces the committed
-// BENCH_svc.json.
+// bench_packet refuse unknown flags with a usage listing, every bench
+// with a --k or --seeds flag refuses an out-of-range value with exit 2
+// before printing anything, and bench_service's --slo-json output
+// reproduces the committed BENCH_svc.json.
+
+#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/json.hpp"
 
@@ -40,6 +44,45 @@ TEST(BenchFlags, BenchServiceRejectsUnknownFlags) {
   std::string err = slurp(err_path);
   EXPECT_NE(err.find("frobnicate"), std::string::npos) << err;
   EXPECT_NE(err.find("--slo-json"), std::string::npos) << err;  // usage listing
+  std::remove(err_path.c_str());
+}
+
+TEST(BenchFlags, OutOfRangeSizingFlagsExitTwoWithEmptyStdout) {
+  // An odd, negative or too small --k and a --seeds below 1 are refused
+  // before the unsigned casts that would otherwise abort, wrap to a huge
+  // fabric, or average over no draws (a nan row).
+  const char* k_benches[] = {"bench_chaos",   "bench_congestion", "bench_design",
+                             "bench_failures", "bench_hybrid",    "bench_packet",
+                             "bench_service", "bench_sim_fct"};
+  const char* seeds_benches[] = {"bench_fig7_broadcast", "bench_fig8_alltoall",
+                                 "bench_hybrid", "bench_failures", "bench_oversub"};
+  struct Case {
+    std::string bench;
+    std::string flags;
+  };
+  std::vector<Case> cases;
+  for (const char* b : k_benches)
+    for (const char* flags : {"--k 5", "--k -2", "--k 2"})
+      cases.push_back({b, flags});
+  for (const char* b : seeds_benches)
+    for (const char* flags : {"--seeds 0", "--seeds -1"})
+      cases.push_back({b, flags});
+
+  std::string out_path = testing::TempDir() + "bench_sizing_out.txt";
+  std::string err_path = testing::TempDir() + "bench_sizing_err.txt";
+  for (const Case& c : cases) {
+    std::string bin = std::string(FT_BENCH_DIR) + "/" + c.bench;
+    if (!file_exists(bin)) GTEST_SKIP() << "bench binary not built: " << bin;
+    std::string cmd = bin + " " + c.flags + " > " + out_path + " 2> " + err_path;
+    int status = std::system(cmd.c_str());
+    const std::string what = c.bench + " " + c.flags;
+    ASSERT_TRUE(WIFEXITED(status)) << what;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << what;
+    EXPECT_EQ(slurp(out_path), "") << what;
+    std::string flag = c.flags.substr(0, c.flags.find(' '));
+    EXPECT_NE(slurp(err_path).find(flag), std::string::npos) << what;
+  }
+  std::remove(out_path.c_str());
   std::remove(err_path.c_str());
 }
 

@@ -5,7 +5,7 @@
 // byte-compare every response and the combined journal against the
 // uninterrupted run. Also the satellite replay-equivalence matrix:
 // journal(replay(recover(snapshot, journal_suffix))) == journal at
-// threads 1 and 8, obs on/off, incremental on/off, and the corrupted
+// threads 1 and 8, obs on/off, and the corrupted
 // non-tail record negative control.
 
 #include <gtest/gtest.h>
@@ -58,7 +58,7 @@ struct Recovered {
 };
 
 Recovered recover_and_resume(const Reference& ref, std::uint64_t cut,
-                             bool use_snapshot, bool incremental = false) {
+                             bool use_snapshot) {
   Recovered result;
   std::string prefix = ref.journal.substr(0, cut);
   durable::JournalContents contents;
@@ -85,7 +85,6 @@ Recovered recover_and_resume(const Reference& ref, std::uint64_t cut,
   ServiceOptions opt = crash_options();
   opt.journal = &journal2;
   opt.journal_resume = true;
-  opt.incremental = incremental;
   opt.snapshot_every = 2;
   opt.snapshot_sink = [](const std::string&) {};  // cadence on, capture unused
   Service service(opt);
@@ -143,7 +142,7 @@ TEST(CrashMatrix, CorruptedNonTailRecordIsRefused) {
   exec::set_global_threads(0);
 }
 
-TEST(CrashMatrix, ReplayEquivalenceAcrossThreadsObsAndIncremental) {
+TEST(CrashMatrix, ReplayEquivalenceAcrossThreadsAndObs) {
   // Satellite: journal(replay(recover(snapshot, journal_suffix))) ==
   // journal, byte for byte, across the whole determinism matrix. The cut
   // is a mid-stream commit boundary so the recovery has both a snapshot
@@ -156,18 +155,13 @@ TEST(CrashMatrix, ReplayEquivalenceAcrossThreadsObsAndIncremental) {
   struct Config {
     unsigned threads;
     bool obs;
-    bool incremental;
   };
-  const Config configs[] = {{1, false, false}, {8, false, false}, {1, true, false},
-                            {8, true, false},  {1, false, true},  {8, false, true},
-                            {1, true, true},   {8, true, true}};
+  const Config configs[] = {{1, false}, {8, false}, {1, true}, {8, true}};
   for (const Config& c : configs) {
     exec::set_global_threads(c.threads);
     obs::set_enabled(c.obs);
-    Recovered got = recover_and_resume(ref, cut, /*use_snapshot=*/true,
-                                       c.incremental);
-    EXPECT_EQ(got.journal, ref.journal)
-        << "threads=" << c.threads << " obs=" << c.obs << " inc=" << c.incremental;
+    Recovered got = recover_and_resume(ref, cut, /*use_snapshot=*/true);
+    EXPECT_EQ(got.journal, ref.journal) << "threads=" << c.threads << " obs=" << c.obs;
     EXPECT_EQ(got.responses, drop_lines(ref.responses, got.resume_seq));
 
     // And the recovered journal replays as a fixpoint: feeding it back as
@@ -175,13 +169,11 @@ TEST(CrashMatrix, ReplayEquivalenceAcrossThreadsObsAndIncremental) {
     std::ostringstream journal3;
     ServiceOptions opt = crash_options();
     opt.journal = &journal3;
-    opt.incremental = c.incremental;
     Service replayer(opt);
     std::istringstream in(got.journal);
     std::ostringstream out;
     replayer.run(in, out);
-    EXPECT_EQ(journal3.str(), got.journal)
-        << "threads=" << c.threads << " obs=" << c.obs << " inc=" << c.incremental;
+    EXPECT_EQ(journal3.str(), got.journal) << "threads=" << c.threads << " obs=" << c.obs;
   }
   obs::set_enabled(false);
   exec::set_global_threads(0);

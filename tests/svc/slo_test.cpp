@@ -1,10 +1,9 @@
 // SLO deadline budgets: the deadline_ms -> augmentation-budget map must be
 // a pure, monotone function of the request (no wall clock), and a budgeted
 // solve must stay certified — truncation widens the bracket, it never
-// invalidates it. The warm path must remain bitwise identical to cold
-// under a budget, because the service's batch layout (warm sequential vs
-// cold parallel) must never show in the response bytes. A rate that is
-// not finite and positive is refused.
+// invalidates it. A budgeted solve is a pure function of its inputs, so
+// the service's batch layout can never show in the response bytes. A rate
+// that is not finite and positive is refused.
 
 #include "svc/slo.hpp"
 
@@ -27,7 +26,7 @@ bool bits_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// Ring + chords (the inc::McfWarmCache test graph): enough path diversity
+/// Ring + chords: enough path diversity
 /// that GK needs many augmentations, so small budgets truncate.
 Graph test_graph() {
   Graph g(8);
@@ -103,8 +102,7 @@ TEST(SloBudget, SaturatesInsteadOfOverflowing) {
 
 TEST(SloSolveTest, UnlimitedBudgetIsNotTruncated) {
   Graph g = test_graph();
-  SloSolve s = solve_with_budget(g, test_commodities(), 0.12, /*budget=*/0,
-                                 /*warm=*/nullptr);
+  SloSolve s = solve_with_budget(g, test_commodities(), 0.12, /*budget=*/0);
   EXPECT_FALSE(s.result.truncated);
   EXPECT_TRUE(s.certified);
   EXPECT_GT(s.result.lambda_lower, 0.0);
@@ -113,78 +111,39 @@ TEST(SloSolveTest, UnlimitedBudgetIsNotTruncated) {
 
 TEST(SloSolveTest, TinyBudgetTruncatesButStaysCertified) {
   Graph g = test_graph();
-  SloSolve s = solve_with_budget(g, test_commodities(), 0.12, /*budget=*/3,
-                                 /*warm=*/nullptr);
+  SloSolve s = solve_with_budget(g, test_commodities(), 0.12, /*budget=*/3);
   EXPECT_TRUE(s.result.truncated);
   EXPECT_EQ(s.budget, 3u);
   // The truncated answer is still externally verified evidence: the flows
   // are feasible and the bracket is valid, just wider.
   EXPECT_TRUE(s.certified);
-  SloSolve full = solve_with_budget(g, test_commodities(), 0.12, 0, nullptr);
+  SloSolve full = solve_with_budget(g, test_commodities(), 0.12, 0);
   EXPECT_LE(s.result.lambda_lower, full.result.lambda_lower);
   EXPECT_GE(s.result.lambda_upper, full.result.lambda_lower);
 }
 
 TEST(SloSolveTest, EmptyCommoditiesAreVacuouslyCertified) {
   Graph g = test_graph();
-  SloSolve s = solve_with_budget(g, {}, 0.12, 100, nullptr);
+  SloSolve s = solve_with_budget(g, {}, 0.12, 100);
   EXPECT_TRUE(s.certified);
   EXPECT_FALSE(s.result.truncated);
   EXPECT_EQ(s.result.lambda_lower, 0.0);
 }
 
-TEST(SloSolveTest, WarmResumeIsBitwiseIdenticalUnderBudget) {
-  Graph g = test_graph();
-  auto commodities = test_commodities();
-  inc::McfWarmCache warm;
-
-  // A budget generous enough to converge; the identical instance gets the
-  // stored result back.
-  const std::uint64_t budget = 1000000;
-  SloSolve cold = solve_with_budget(g, commodities, 0.12, budget, nullptr);
-  ASSERT_FALSE(cold.result.truncated);
-  solve_with_budget(g, commodities, 0.12, budget, &warm);  // populate
-  SloSolve resumed = solve_with_budget(g, commodities, 0.12, budget, &warm);
-  EXPECT_EQ(warm.last_tier(), inc::WarmTier::ExactResume);
-  EXPECT_TRUE(bits_equal(resumed.result.lambda_lower, cold.result.lambda_lower));
-  EXPECT_TRUE(bits_equal(resumed.result.lambda_upper, cold.result.lambda_upper));
-  EXPECT_EQ(resumed.certified, cold.certified);
-}
-
 TEST(SloSolveTest, TruncatedSolvesNeverResume) {
-  // A truncated run is never re-entered: the identical instance gets the
-  // stored result back, which is exactly what a cold solve under the same
-  // budget returns, so warm caching can never make a budgeted answer
-  // diverge from the cold path.
+  // A truncated run is never re-entered: solving the identical budgeted
+  // instance again starts over and stops at the same point, bit for bit.
   Graph g = test_graph();
   auto commodities = test_commodities();
-  inc::McfWarmCache warm;
 
-  SloSolve cold = solve_with_budget(g, commodities, 0.12, /*budget=*/10, nullptr);
-  ASSERT_TRUE(cold.result.truncated);
-  solve_with_budget(g, commodities, 0.12, 10, &warm);
-  SloSolve again = solve_with_budget(g, commodities, 0.12, 10, &warm);
-  EXPECT_EQ(warm.last_tier(), inc::WarmTier::ExactResume);
+  SloSolve first = solve_with_budget(g, commodities, 0.12, /*budget=*/10);
+  ASSERT_TRUE(first.result.truncated);
+  SloSolve again = solve_with_budget(g, commodities, 0.12, /*budget=*/10);
   EXPECT_TRUE(again.result.truncated);
-  EXPECT_EQ(again.result.augmentations, cold.result.augmentations);
-  EXPECT_TRUE(bits_equal(again.result.lambda_lower, cold.result.lambda_lower));
-  EXPECT_TRUE(bits_equal(again.result.lambda_upper, cold.result.lambda_upper));
-  EXPECT_EQ(again.certified, cold.certified);
-}
-
-TEST(SloSolveTest, BudgetIsPartOfTheWarmInstanceKey) {
-  // A resume across different budgets would replay the old budget's
-  // trajectory; the cache must treat a budget change as a new instance.
-  Graph g = test_graph();
-  auto commodities = test_commodities();
-  inc::McfWarmCache warm;
-
-  solve_with_budget(g, commodities, 0.12, /*budget=*/1000000, &warm);  // converges
-  SloSolve cold = solve_with_budget(g, commodities, 0.12, /*budget=*/0, nullptr);
-  SloSolve switched = solve_with_budget(g, commodities, 0.12, /*budget=*/0, &warm);
-  EXPECT_EQ(warm.last_tier(), inc::WarmTier::Cold);  // key mismatch, no resume
-  EXPECT_TRUE(bits_equal(switched.result.lambda_lower, cold.result.lambda_lower));
-  EXPECT_TRUE(bits_equal(switched.result.lambda_upper, cold.result.lambda_upper));
+  EXPECT_EQ(again.result.augmentations, first.result.augmentations);
+  EXPECT_TRUE(bits_equal(again.result.lambda_lower, first.result.lambda_lower));
+  EXPECT_TRUE(bits_equal(again.result.lambda_upper, first.result.lambda_upper));
+  EXPECT_EQ(again.certified, first.certified);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // flattree_svc end to end, out of process: the acceptance matrix from
 // ISSUE 6 — a saved session script replayed through the binary produces
 // byte-identical response streams and journals at --threads 1 vs 8, with
-// observability on or off, cold vs --incremental, and when the journal is
-// fed back as the next --script. FT_SVC_BIN / FT_BENCH_DIR are injected
+// observability on or off, and when the journal is fed back as the next
+// --script. FT_SVC_BIN / FT_BENCH_DIR are injected
 // by CMake; the tests skip cleanly if a binary is missing.
 
 #include <gtest/gtest.h>
@@ -92,8 +92,6 @@ TEST(SvcBinary, ReplayMatrixIsByteIdentical) {
     std::string flags;
   } variants[] = {
       {"t8", "--threads 8"},
-      {"inc1", "--threads 1 --incremental"},
-      {"inc8", "--threads 8 --incremental"},
       {"obs", "--threads 2 --metrics-json=" + manifest},
   };
   for (const auto& v : variants) {
@@ -125,8 +123,8 @@ std::string strip_commits(const std::string& journal) {
 TEST(SvcBinary, BatchLayoutNeverShowsInResponses) {
   // max_batch is a protocol-surface knob only where it is deliberately
   // reported (the hello handshake and the `stats` counters); every other
-  // response must be byte-identical whether a query ran warm in a batch
-  // of one or cold in a parallel batch. The script drops both ops. The
+  // response must be byte-identical whether a query ran alone in a batch
+  // of one or beside others in a parallel batch. The script drops both ops. The
   // journal's records and gaps must match too; only commit-frame placement
   // may move, since commits *are* the batch boundaries.
   std::string bin = FT_SVC_BIN;
@@ -138,7 +136,7 @@ TEST(SvcBinary, BatchLayoutNeverShowsInResponses) {
   script.erase(script.find("{\"op\":\"stats\"}\n"));
   write_file(script_path, script);
 
-  BinRun one = run_svc(bin, script_path, "b1", "--threads 8 --batch 1 --incremental");
+  BinRun one = run_svc(bin, script_path, "b1", "--threads 8 --batch 1");
   ASSERT_EQ(one.exit_code, 0);
   for (const char* flags : {"--threads 8 --batch 8", "--threads 1 --batch 32"}) {
     BinRun wide = run_svc(bin, script_path, "bN", flags);
