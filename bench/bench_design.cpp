@@ -4,13 +4,13 @@
 // baseline against the default mixed workload (pod-spanning broadcast,
 // small all-to-all, skewed ML-training rings), then runs the
 // deterministic annealing search over hybrid-zone layouts and reports the
-// objective trajectory, the accepted-move log, and the winner's cold
-// certified score. The acceptance bar: the searched layout's certified
+// objective trajectory, the accepted-move log, and the winner's certified
+// score. The acceptance bar: the searched layout's certified
 // objective beats the best single uniform mode.
 //
 // Determinism: stdout is byte-identical across --threads, obs on/off, and
-// repeated runs (every random choice is an Rng::substream draw, and the
-// search scores each candidate exactly as a cold solve would — see
+// repeated runs (every random choice is an Rng::substream draw, and each
+// candidate is scored by one deterministic GK solve — see
 // docs/design_search.md). --summary-json=PATH writes the machine-readable
 // summary (BENCH_design.json in CI, schema flattree.bench_design.v1).
 
@@ -53,7 +53,7 @@ std::string layout_string(const design::Candidate& c) {
 
 int main(int argc, char** argv) {
   std::int64_t k = 8, iters = 32, seed = 1, trace_every = 4;
-  double eps = 0.2, temp = 0.05, cooling = 0.92;
+  double eps = 0.2;
   std::string summary_json;
   std::int64_t threads = 0;
   bool selfcheck = false;
@@ -64,8 +64,6 @@ int main(int argc, char** argv) {
   cli.add_int("iters", &iters, "annealing iterations");
   cli.add_int("seed", &seed, "RNG seed (workload mix and move stream)");
   cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
-  cli.add_double("temp", &temp, "initial temperature (fraction of best uniform)");
-  cli.add_double("cooling", &cooling, "geometric cooling factor per iteration");
   cli.add_int("trace-every", &trace_every, "trajectory table sampling stride");
   cli.add_string("summary-json", &summary_json,
                  "write the machine-readable summary to this path");
@@ -75,6 +73,17 @@ int main(int argc, char** argv) {
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
   if (!bench::k_in_range("bench_design", k)) return 2;
+  if (!bench::eps_in_range("bench_design", eps)) return 2;
+  if (iters < 0 || iters > design::kMaxIterations) {
+    std::fprintf(stderr, "bench_design: --iters must lie in [0, %u], got %lld\n",
+                 design::kMaxIterations, static_cast<long long>(iters));
+    return 2;
+  }
+  if (trace_every < 1) {
+    std::fprintf(stderr, "bench_design: --trace-every must be >= 1, got %lld\n",
+                 static_cast<long long>(trace_every));
+    return 2;
+  }
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
   bench::ObsScope obs_run(obsf, argc, argv);
@@ -92,17 +101,15 @@ int main(int argc, char** argv) {
   design::SearchOptions opt;
   opt.seed = static_cast<std::uint64_t>(seed);
   opt.iterations = static_cast<std::uint32_t>(iters);
-  opt.initial_temperature = temp;
-  opt.cooling = cooling;
 
   design::SearchResult result = design::search(net, mix, opt);
 
   // Fixed flat baseline: De Bruijn fabric sized against fat-tree(k), same
-  // server-id space, scored cold on the same mix (affinities fall back to
+  // server-id space, scored on the same mix (affinities fall back to
   // the whole fabric — a flat design has no zones to bind to).
   topo::Topology debruijn = topo::build_debruijn_like_fat_tree(ku);
   check::Report db_report;
-  design::Score db_score = design::score_topology_cold(
+  design::Score db_score = design::score_topology(
       debruijn,
       design::mix_demands_all(static_cast<std::uint32_t>(debruijn.server_count()),
                               net.params().servers_per_pod(), mix),
@@ -119,7 +126,7 @@ int main(int argc, char** argv) {
     baselines.num(u.score.lambda_upper);
     baselines.num(u.score.apl);
     baselines.integer(static_cast<std::int64_t>(u.score.demands));
-    baselines.add(u.certified ? "yes" : "NO");
+    baselines.add(u.score.certified ? "yes" : "NO");
   }
   unsigned db_dim = 0;
   while ((std::size_t{1} << (db_dim + 1)) <= debruijn.switch_count()) ++db_dim;
@@ -130,15 +137,15 @@ int main(int argc, char** argv) {
   baselines.num(db_score.lambda_upper);
   baselines.num(db_score.apl);
   baselines.integer(static_cast<std::int64_t>(db_score.demands));
-  baselines.add(db_report.ok() ? "yes" : "NO");
+  baselines.add(db_score.certified ? "yes" : "NO");
   baselines.begin_row();
   baselines.add("searched");
   baselines.add(layout_string(result.best));
-  baselines.num(result.best_cold.objective);
-  baselines.num(result.best_cold.lambda_upper);
-  baselines.num(result.best_cold.apl);
-  baselines.integer(static_cast<std::int64_t>(result.best_cold.demands));
-  baselines.add(result.certified ? "yes" : "NO");
+  baselines.num(result.best_score.objective);
+  baselines.num(result.best_score.lambda_upper);
+  baselines.num(result.best_score.apl);
+  baselines.integer(static_cast<std::int64_t>(result.best_score.demands));
+  baselines.add(result.best_score.certified ? "yes" : "NO");
   baselines.print("Design search: mixed-workload objective (certified lambda lower bound)");
 
   util::Table trajectory({"iter", "temperature", "current", "best"});
@@ -166,16 +173,14 @@ int main(int argc, char** argv) {
   }
   moves.print("Accepted moves");
 
-  double uniform_best = 0.0;
-  for (const design::UniformScore& u : result.uniforms)
-    if (u.score.objective > uniform_best) uniform_best = u.score.objective;
-  const bool beats = result.best_cold.objective > uniform_best;
+  const double uniform_best = result.best_uniform_score().score.objective;
+  const bool beats = result.best_score.objective > uniform_best;
   std::printf("moves: accepted=%u rejected=%u skipped=%u  (best uniform: %s)\n",
               result.accepted, result.rejected, result.skipped,
               core::to_string(result.best_uniform));
   std::printf("searched layout %s the best uniform mode: %s vs %s\n",
               beats ? "BEATS" : "does NOT beat",
-              util::format_double(result.best_cold.objective).c_str(),
+              util::format_double(result.best_score.objective).c_str(),
               util::format_double(uniform_best).c_str());
   std::printf("winner layout:\n%s", result.best.encode().c_str());
 
@@ -209,7 +214,7 @@ int main(int argc, char** argv) {
       w.key("apl");
       w.double_value(u.score.apl);
       w.key("certified");
-      w.bool_value(u.certified);
+      w.bool_value(u.score.certified);
       w.end_object();
     }
     w.end_array();
@@ -220,16 +225,16 @@ int main(int argc, char** argv) {
     w.key("apl");
     w.double_value(db_score.apl);
     w.key("certified");
-    w.bool_value(db_report.ok());
+    w.bool_value(db_score.certified);
     w.end_object();
     w.key("best");
     w.begin_object();
     w.key("objective");
-    w.double_value(result.best_cold.objective);
+    w.double_value(result.best_score.objective);
     w.key("apl");
-    w.double_value(result.best_cold.apl);
+    w.double_value(result.best_score.apl);
     w.key("certified");
-    w.bool_value(result.certified);
+    w.bool_value(result.best_score.certified);
     w.key("layout");
     w.begin_array();
     for (core::Mode m : result.best.pod_modes()) w.string_value(core::to_string(m));

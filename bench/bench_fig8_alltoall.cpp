@@ -37,6 +37,8 @@ int main(int argc, char** argv) {
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
+  if (!bench::k_sweep_in_range("bench_fig8_alltoall", kmax, kstep)) return 2;
+  if (!bench::eps_in_range("bench_fig8_alltoall", eps)) return 2;
   if (!bench::seeds_in_range("bench_fig8_alltoall", seeds)) return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);

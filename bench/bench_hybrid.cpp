@@ -79,6 +79,7 @@ int main(int argc, char** argv) {
   }
   if (!bench::k_in_range("bench_hybrid", k)) return 2;
   if (!bench::seeds_in_range("bench_hybrid", seeds)) return 2;
+  if (!bench::eps_in_range("bench_hybrid", eps)) return 2;
 
   const std::uint32_t ku = static_cast<std::uint32_t>(k);
   const std::uint32_t per_pod = ku * ku / 4;

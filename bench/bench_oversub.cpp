@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
   if (!bench::seeds_in_range("bench_oversub", seeds)) return 2;
+  if (!bench::eps_in_range("bench_oversub", eps)) return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
   bench::ObsScope obs_run(obsf, argc, argv);

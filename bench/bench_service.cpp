@@ -109,11 +109,7 @@ int main(int argc, char** argv) {
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
   if (!bench::k_in_range("bench_service", k)) return 2;
-  // Written so that NaN fails both tests.
-  if (!(eps > 0.0 && eps < 1.0)) {
-    std::fprintf(stderr, "bench_service: --eps must be in (0, 1)\n");
-    return 2;
-  }
+  if (!bench::eps_in_range("bench_service", eps)) return 2;
   if (!(augs_per_ms > 0.0) || !std::isfinite(augs_per_ms)) {
     std::fprintf(stderr, "bench_service: --augs-per-ms must be finite and positive\n");
     return 2;

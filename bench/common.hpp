@@ -161,19 +161,48 @@ class ObsScope {
 
 // -- sizing flag checks -------------------------------------------------------
 //
-// --k and --seeds are cast to unsigned before use, so a value out of range
-// is refused here, with a message on stderr, before any cast: the bench
-// then exits 2 with nothing on stdout.
+// --k, --kmax/--kstep, --seeds and --eps are checked before use, so a
+// value out of range is refused here, with a message on stderr naming the
+// flag, before any cast or solve: the bench then exits 2 with nothing on
+// stdout.
 
-/// True when `k` is an even fat-tree parameter in [4, 256]; otherwise
+/// The largest fat-tree parameter a bench accepts: eight times the largest
+/// k any paper-scale sweep uses (bench_fig5_apl_global --full stops at 32).
+inline constexpr std::int64_t kMaxK = 256;
+
+/// True when `k` is an even fat-tree parameter in [4, kMaxK]; otherwise
 /// prints why, prefixed with `bench`, and returns false.
 inline bool k_in_range(const char* bench, std::int64_t k) {
-  // Eight times the largest k any paper-scale sweep uses
-  // (bench_fig5_apl_global --full stops at 32).
-  constexpr std::int64_t kMaxK = 256;
   if (k >= 4 && k <= kMaxK && k % 2 == 0) return true;
   std::fprintf(stderr, "%s: --k must be an even integer in [4, %lld], got %lld\n", bench,
                static_cast<long long>(kMaxK), static_cast<long long>(k));
+  return false;
+}
+
+/// True when the k_values sweep 4, 4 + kstep, ... <= kmax visits only
+/// values k_in_range accepts and ends: kmax in [4, kMaxK] and kstep a
+/// positive even number. Otherwise prints why, prefixed with `bench`, and
+/// returns false (an odd k crashes the builders; a step of 0 never ends).
+inline bool k_sweep_in_range(const char* bench, std::int64_t kmax, std::int64_t kstep) {
+  if (kmax < 4 || kmax > kMaxK) {
+    std::fprintf(stderr, "%s: --kmax must lie in [4, %lld], got %lld\n", bench,
+                 static_cast<long long>(kMaxK), static_cast<long long>(kmax));
+    return false;
+  }
+  if (kstep < 2 || kstep % 2 != 0) {
+    std::fprintf(stderr, "%s: --kstep must be a positive even integer, got %lld\n", bench,
+                 static_cast<long long>(kstep));
+    return false;
+  }
+  return true;
+}
+
+/// True when `eps` lies in the open interval (0, 1) that Garg-Koenemann
+/// accepts; otherwise prints why, prefixed with `bench`, and returns false.
+inline bool eps_in_range(const char* bench, double eps) {
+  // Written so that NaN fails both tests.
+  if (eps > 0.0 && eps < 1.0) return true;
+  std::fprintf(stderr, "%s: --eps must be in (0, 1), got %g\n", bench, eps);
   return false;
 }
 
@@ -254,7 +283,8 @@ inline double mean_cluster_throughput(const topo::Topology& topo, std::uint32_t 
   return sum / static_cast<double>(seeds);
 }
 
-/// The k sweep used by the figures: 4..kmax step kstep.
+/// The k sweep used by the figures: 4..kmax step kstep (check the flags
+/// with k_sweep_in_range first).
 inline std::vector<std::uint32_t> k_values(std::int64_t kmax, std::int64_t kstep) {
   std::vector<std::uint32_t> ks;
   for (std::int64_t k = 4; k <= kmax; k += kstep) ks.push_back(static_cast<std::uint32_t>(k));

@@ -1,50 +1,14 @@
 #include "design/candidate.hpp"
 
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "util/scan.hpp"
-
 namespace flattree::design {
-namespace {
-
-core::Mode parse_mode_token(const std::string& token) {
-  if (token == "clos") return core::Mode::Clos;
-  if (token == "global-random") return core::Mode::GlobalRandom;
-  if (token == "local-random") return core::Mode::LocalRandom;
-  throw std::runtime_error("design candidate: unknown mode token '" + token + "'");
-}
-
-/// A pod count or zone bound: canonical decimal within uint32.
-std::uint32_t parse_pod_index(const std::string& token, const std::string& line) {
-  std::uint64_t v = 0;
-  util::UintError err =
-      util::parse_uint(token, std::numeric_limits<std::uint32_t>::max(), v);
-  if (err != util::UintError::Ok)
-    throw std::runtime_error(std::string("design candidate: ") + util::describe(err) +
-                             " '" + token + "' in line: " + line);
-  return static_cast<std::uint32_t>(v);
-}
-
-}  // namespace
 
 Candidate Candidate::uniform(std::uint32_t pods, core::Mode mode) {
   return from_zones(pods, {Zone{0, pods, mode}});
-}
-
-Candidate Candidate::from_pod_modes(const std::vector<core::Mode>& modes) {
-  std::vector<Zone> zones;
-  for (std::uint32_t p = 0; p < modes.size(); ++p) {
-    if (!zones.empty() && zones.back().mode == modes[p]) {
-      zones.back().end = p + 1;
-    } else {
-      zones.push_back(Zone{p, p + 1, modes[p]});
-    }
-  }
-  return from_zones(static_cast<std::uint32_t>(modes.size()), std::move(zones));
 }
 
 Candidate Candidate::from_zones(std::uint32_t pods, std::vector<Zone> zones) {
@@ -93,58 +57,6 @@ std::string Candidate::encode() const {
     out << "zone " << z.begin << " " << z.end << " " << core::to_string(z.mode)
         << "\n";
   return out.str();
-}
-
-Candidate Candidate::decode(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  bool header = false;
-  bool have_pods = false;
-  std::uint32_t pods = 0;
-  std::vector<Zone> zones;
-  std::vector<std::string> f;
-  while (std::getline(in, line)) {
-    if (!header) {
-      if (line != "# flattree-design-candidate v1")
-        throw std::runtime_error("design candidate: missing v1 header");
-      header = true;
-      continue;
-    }
-    if (line.empty() || line[0] == '#') continue;
-    if (!util::split_words(line, f))
-      throw std::runtime_error("design candidate: stray space in line: " + line);
-    // Exactly `n` fields: fewer is a bad line, more a trailing token.
-    auto arity = [&](std::size_t n) {
-      if (f.size() < n)
-        throw std::runtime_error("design candidate: bad " + f[0] + " line: " + line);
-      if (f.size() > n)
-        throw std::runtime_error("design candidate: trailing token '" + f[n] +
-                                 "' in line: " + line);
-    };
-    const std::string& directive = f[0];
-    if (directive == "pods") {
-      arity(2);
-      pods = parse_pod_index(f[1], line);
-      have_pods = true;
-    } else if (directive == "zone") {
-      arity(4);
-      Zone z;
-      z.begin = parse_pod_index(f[1], line);
-      z.end = parse_pod_index(f[2], line);
-      z.mode = parse_mode_token(f[3]);
-      zones.push_back(z);
-    } else {
-      throw std::runtime_error("design candidate: unknown directive '" +
-                               directive + "'");
-    }
-  }
-  if (!header) throw std::runtime_error("design candidate: missing v1 header");
-  if (!have_pods) throw std::runtime_error("design candidate: missing pods line");
-  try {
-    return from_zones(pods, std::move(zones));
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(std::string("design candidate: ") + e.what());
-  }
 }
 
 }  // namespace flattree::design

@@ -7,8 +7,6 @@
 // form* — zones ascending, covering [0, pods) exactly, no empty zone, no
 // two adjacent zones with the same mode — so structural equality, the
 // text encoding, and the search's accepted-move log are all well defined.
-// The text format round-trips byte-exactly (decode(encode(c)) == c and
-// encode(decode(s)) == s for canonical s), mirroring fault scenario files.
 
 #include <cstdint>
 #include <string>
@@ -30,16 +28,12 @@ struct Zone {
 
 /// A canonical zone layout over a fixed pod count. Construct through the
 /// named factories; the constructorless canonical invariant is what makes
-/// encode/decode and operator== trustworthy.
+/// encode and operator== trustworthy.
 class Candidate {
  public:
   /// Single zone spanning every pod. Throws std::invalid_argument when
   /// pods == 0.
   static Candidate uniform(std::uint32_t pods, core::Mode mode);
-
-  /// Canonicalizes an explicit per-pod mode vector (the
-  /// core::ZonePartition representation) into merged zones.
-  static Candidate from_pod_modes(const std::vector<core::Mode>& modes);
 
   /// Builds from explicit zones: they must be non-empty, ascending, and
   /// cover [0, pods) exactly (std::invalid_argument otherwise). Adjacent
@@ -62,14 +56,6 @@ class Candidate {
   /// a "pods N" line, then one "zone BEGIN END MODE" line per zone with
   /// core::to_string mode tokens. Newline-terminated.
   std::string encode() const;
-
-  /// Parses the v1 text format (blank lines and additional "#" comment
-  /// lines are ignored). Throws std::runtime_error on malformed input:
-  /// missing header, unknown directives or mode tokens, a short line, a
-  /// trailing token, a stray space, an integer that is signed, has a
-  /// leading zero or overflows uint32 (util/scan.hpp), or zones that fail
-  /// the from_zones coverage rules.
-  static Candidate decode(const std::string& text);
 
   /// Structural equality over (pods, zones); canonical form makes this a
   /// true layout equality.

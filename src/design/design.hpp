@@ -1,9 +1,9 @@
 #pragma once
 // Umbrella header for the conversion-plan design search (src/design).
 //
-//   design::Candidate          zone layout + per-zone mode, canonical text codec
+//   design::Candidate          zone layout + per-zone mode, canonical text encoding
 //   design::WorkloadMix        declared traffic mix, affinity-placed demands
-//   design::score_candidate    the walk's scorer (cold APL + one GK solve)
+//   design::score_layout       the one scorer (validate, APL, GK, certify)
 //   design::search             deterministic annealing over the move set
 //
 // See docs/design_search.md (mirrored as DESIGN.md section 12) for the

@@ -137,17 +137,6 @@ std::vector<ServerId> eligible_servers(const core::FlatTreeNetwork& net,
 
 }  // namespace
 
-const char* to_string(PatternKind kind) {
-  switch (kind) {
-    case PatternKind::Broadcast: return "broadcast";
-    case PatternKind::Incast: return "incast";
-    case PatternKind::AllToAll: return "all-to-all";
-    case PatternKind::Permutation: return "permutation";
-    case PatternKind::MlTraining: return "ml-training";
-  }
-  return "?";
-}
-
 PatternKind parse_pattern_kind(const std::string& token) {
   if (token == "broadcast") return PatternKind::Broadcast;
   if (token == "incast") return PatternKind::Incast;
@@ -155,16 +144,6 @@ PatternKind parse_pattern_kind(const std::string& token) {
   if (token == "permutation") return PatternKind::Permutation;
   if (token == "ml-training") return PatternKind::MlTraining;
   throw std::runtime_error("design mix: unknown pattern kind '" + token + "'");
-}
-
-const char* to_string(Affinity affinity) {
-  switch (affinity) {
-    case Affinity::Global: return "global";
-    case Affinity::Local: return "local";
-    case Affinity::Clos: return "clos";
-    case Affinity::Any: return "any";
-  }
-  return "?";
 }
 
 Affinity parse_affinity(const std::string& token) {
@@ -220,25 +199,10 @@ std::vector<ServerDemand> mix_demands_all(std::uint32_t total_servers,
   return out;
 }
 
-Score score_candidate(const core::FlatTreeNetwork& net, const Candidate& candidate,
-                      const WorkloadMix& mix) {
-  const topo::Topology t = net.build(candidate.pod_modes());
-  const graph::AplResult apl = topo::server_apl(t);
-  const auto demands = mix_demands(net, candidate, mix);
-  const auto commodities = mcf::aggregate_to_switches(t, demands);
-  mcf::McfOptions options;
-  options.epsilon = mix.epsilon;
-  const mcf::McfResult result = mcf::max_concurrent_flow(t.graph(), commodities, options);
-  return Score{result.lambda_lower, result.lambda_upper, apl.average,
-               demands.size()};
-}
-
-Score score_topology_cold(const topo::Topology& t,
-                          const std::vector<ServerDemand>& demands,
-                          double epsilon, check::Report* report) {
-  check::Report local;
-  check::Report& rep = report ? *report : local;
-  rep.merge(check::validate(t));
+Score score_topology(const topo::Topology& t,
+                     const std::vector<ServerDemand>& demands, double epsilon,
+                     check::Report* report) {
+  check::Report rep = check::validate(t);
   const graph::AplResult apl = topo::server_apl(t);
   const auto commodities = mcf::aggregate_to_switches(t, demands);
   mcf::McfOptions options;
@@ -247,16 +211,15 @@ Score score_topology_cold(const topo::Topology& t,
   check::CertifyOptions certify;
   certify.epsilon = epsilon;
   rep.merge(check::certify(t.graph(), commodities, result, certify));
+  if (report != nullptr) report->merge(rep);
   return Score{result.lambda_lower, result.lambda_upper, apl.average,
-               demands.size()};
+               demands.size(), rep.ok()};
 }
 
-Score score_cold_certified(const core::FlatTreeNetwork& net,
-                           const Candidate& candidate, const WorkloadMix& mix,
-                           check::Report* report) {
+Score score_layout(const core::FlatTreeNetwork& net, const Candidate& candidate,
+                   const WorkloadMix& mix) {
   const topo::Topology t = net.build(candidate.pod_modes());
-  return score_topology_cold(t, mix_demands(net, candidate, mix), mix.epsilon,
-                             report);
+  return score_topology(t, mix_demands(net, candidate, mix), mix.epsilon);
 }
 
 }  // namespace flattree::design

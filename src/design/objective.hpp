@@ -24,11 +24,10 @@
 // the same mix scores identically at any thread count, call site, or
 // evaluation order — the property the search's replayability rests on.
 //
-// Two scoring paths share the demand generator: score_candidate builds
-// the topology and solves it (the path the annealer drives), while
-// score_cold_certified also runs the full check::validate +
-// check::certify battery (the path winners must survive before being
-// reported). Both return the same Score for a candidate, bit for bit.
+// One scorer serves every candidate: score_layout builds the topology,
+// runs the check::validate battery, takes its APL, solves the mix once
+// and checks the solve with check::certify, so every number the search
+// reports carries its certificate.
 
 #include <cstdint>
 #include <string>
@@ -53,12 +52,9 @@ enum class PatternKind : std::uint8_t {
   MlTraining,  ///< per-cluster all-reduce rings, one hot cluster skewed
 };
 
-/// Token form of a PatternKind ("broadcast", "incast", "all-to-all",
-/// "permutation", "ml-training").
-const char* to_string(PatternKind kind);
-
-/// Inverse of to_string(PatternKind); throws std::runtime_error on an
-/// unknown token.
+/// Parses a pattern-kind token ("broadcast", "incast", "all-to-all",
+/// "permutation", "ml-training"); throws std::runtime_error on an unknown
+/// token.
 PatternKind parse_pattern_kind(const std::string& token);
 
 /// Zone affinity: which conversion mode's zone a component's clusters
@@ -68,11 +64,8 @@ PatternKind parse_pattern_kind(const std::string& token);
 /// cycle always spans every server).
 enum class Affinity : std::uint8_t { Global, Local, Clos, Any };
 
-/// Token form of an Affinity ("global", "local", "clos", "any").
-const char* to_string(Affinity affinity);
-
-/// Inverse of to_string(Affinity); throws std::runtime_error on an
-/// unknown token.
+/// Parses an affinity token ("global", "local", "clos", "any"); throws
+/// std::runtime_error on an unknown token.
 Affinity parse_affinity(const std::string& token);
 
 /// One weighted component of the declared workload mix.
@@ -124,27 +117,20 @@ struct Score {
   double lambda_upper = 0.0;  ///< LP-duality upper bound of the same solve
   double apl = 0.0;           ///< server-weighted average path length (hops)
   std::uint64_t demands = 0;  ///< server-level demand count of the mix
+  bool certified = false;     ///< validate + certify battery passed
 };
 
-/// The walk's scorer: builds the candidate's topology, takes its APL and
-/// solves the mix once, without the check battery. The Score equals
-/// score_cold_certified's for the same candidate; the search re-scores
-/// its winner through that function to run the battery.
-Score score_candidate(const core::FlatTreeNetwork& net, const Candidate& candidate,
-                      const WorkloadMix& mix);
+/// Scores a fixed topology against explicit demands: check::validate,
+/// APL, one GK solve and check::certify. Violations merge into `report`
+/// when provided; `certified` says whether there were none.
+Score score_topology(const topo::Topology& t,
+                     const std::vector<mcf::ServerDemand>& demands,
+                     double epsilon, check::Report* report = nullptr);
 
-/// Cold scoring of a fixed topology against explicit demands: fresh
-/// check::validate battery, cold solve, full check::certify. Violations
-/// merge into `report` when provided.
-Score score_topology_cold(const topo::Topology& t,
-                          const std::vector<mcf::ServerDemand>& demands,
-                          double epsilon, check::Report* report = nullptr);
-
-/// Cold certified score of a candidate layout: materializes the topology
-/// from scratch and delegates to score_topology_cold with the mix's
-/// demands. This is the number the search reports for winners.
-Score score_cold_certified(const core::FlatTreeNetwork& net,
-                           const Candidate& candidate, const WorkloadMix& mix,
-                           check::Report* report = nullptr);
+/// Scores a candidate layout: builds its topology and delegates to
+/// score_topology with the mix's demands. The search scores every
+/// candidate it visits through this function, once.
+Score score_layout(const core::FlatTreeNetwork& net, const Candidate& candidate,
+                   const WorkloadMix& mix);
 
 }  // namespace flattree::design

@@ -18,11 +18,15 @@ using util::Rng;
 // the objective's component streams (those hang off WorkloadMix::seed).
 constexpr std::uint64_t kMoveStream = 1u << 20;
 
+// Fixed annealing schedule: T_i = kInitialTemperature * scale *
+// kCooling^i, where scale is the best uniform objective.
+constexpr double kInitialTemperature = 0.05;
+constexpr double kCooling = 0.92;
+
 obs::Counter c_scored("design.candidates_scored");
 obs::Counter c_accepted("design.moves_accepted");
 obs::Counter c_rejected("design.moves_rejected");
 obs::Counter c_skipped("design.moves_skipped");
-obs::Counter c_rescore("design.certify_rescore");
 
 // The two modes other than `mode`, in enum order.
 std::array<core::Mode, 2> other_modes(core::Mode mode) {
@@ -177,45 +181,47 @@ std::optional<Move> propose_move(const Candidate& candidate, util::Rng& rng) {
   return move;
 }
 
+const UniformScore& SearchResult::best_uniform_score() const {
+  return *std::find_if(uniforms.begin(), uniforms.end(),
+                       [&](const UniformScore& u) { return u.mode == best_uniform; });
+}
+
 SearchResult search(const core::FlatTreeNetwork& net, const WorkloadMix& mix,
                     const SearchOptions& options) {
   SearchResult result;
   const std::uint32_t pods = net.params().pods();
+  auto score = [&](const Candidate& candidate) {
+    const Score s = score_layout(net, candidate, mix);
+    c_scored.inc();
+    if (s.certified) ++result.certified_solves;
+    return s;
+  };
 
-  // Uniform baselines, cold and certified. They double as the search's
-  // reference point: the walk starts from the best of them.
+  // Uniform baselines. They double as the search's reference point: the
+  // walk starts from the best of them, with its stored score.
   for (core::Mode mode :
-       {core::Mode::Clos, core::Mode::GlobalRandom, core::Mode::LocalRandom}) {
-    check::Report report;
-    UniformScore u;
-    u.mode = mode;
-    u.score = score_cold_certified(net, Candidate::uniform(pods, mode), mix,
-                                   &report);
-    u.certified = report.ok();
-    result.uniforms.push_back(u);
-  }
-  double uniform_best = result.uniforms.front().score.objective;
+       {core::Mode::Clos, core::Mode::GlobalRandom, core::Mode::LocalRandom})
+    result.uniforms.push_back(UniformScore{mode, score(Candidate::uniform(pods, mode))});
+  Score current_score = result.uniforms.front().score;
   result.best_uniform = result.uniforms.front().mode;
   for (const UniformScore& u : result.uniforms) {
-    if (u.score.objective > uniform_best) {
-      uniform_best = u.score.objective;
+    if (u.score.objective > current_score.objective) {
+      current_score = u.score;
       result.best_uniform = u.mode;
     }
   }
 
   Candidate current = Candidate::uniform(pods, result.best_uniform);
-  Score current_score = score_candidate(net, current, mix);
-  c_scored.inc();
   result.best = current;
-  double best_objective = current_score.objective;
+  result.best_score = current_score;
 
   // Temperatures are fractions of the best uniform objective, so the
   // same schedule works at any plant size or mix scale.
-  const double scale = std::max(std::abs(uniform_best), 1e-12);
+  const double scale = std::max(std::abs(current_score.objective), 1e-12);
   for (std::uint32_t iter = 0; iter < options.iterations; ++iter) {
     Rng rng = Rng::substream(options.seed, kMoveStream + iter);
     const double temperature =
-        options.initial_temperature * scale * std::pow(options.cooling, iter);
+        kInitialTemperature * scale * std::pow(kCooling, iter);
     std::optional<Move> move = propose_move(current, rng);
     std::optional<Candidate> next =
         move ? apply_move(current, *move) : std::nullopt;
@@ -223,11 +229,10 @@ SearchResult search(const core::FlatTreeNetwork& net, const WorkloadMix& mix,
       ++result.skipped;
       c_skipped.inc();
       result.trajectory.push_back(TrajectoryPoint{
-          iter, temperature, current_score.objective, best_objective});
+          iter, temperature, current_score.objective, result.best_score.objective});
       continue;
     }
-    const Score next_score = score_candidate(net, *next, mix);
-    c_scored.inc();
+    const Score next_score = score(*next);
     const double delta = next_score.objective - current_score.objective;
     const bool accept =
         delta >= 0.0 ||
@@ -239,24 +244,17 @@ SearchResult search(const core::FlatTreeNetwork& net, const WorkloadMix& mix,
       c_accepted.inc();
       result.accepted_moves.push_back(
           AcceptedMove{iter, *move, next_score.objective});
-      if (next_score.objective > best_objective) {
+      if (next_score.objective > result.best_score.objective) {
         result.best = current;
-        best_objective = next_score.objective;
+        result.best_score = next_score;
       }
     } else {
       ++result.rejected;
       c_rejected.inc();
     }
     result.trajectory.push_back(TrajectoryPoint{
-        iter, temperature, current_score.objective, best_objective});
+        iter, temperature, current_score.objective, result.best_score.objective});
   }
-
-  // The winner's reported number comes from a cold rebuild that runs the
-  // full validate + certify battery.
-  check::Report report;
-  result.best_cold = score_cold_certified(net, result.best, mix, &report);
-  result.certified = report.ok();
-  c_rescore.inc();
   return result;
 }
 

@@ -10,15 +10,15 @@
 // with the accepted-move log as the replay witness.
 //
 // Schedule: greedy uphill plus simulated-annealing downhill acceptance
-// with a geometric temperature T_i = initial_temperature * scale *
-// cooling^i, where scale is the best uniform objective (temperatures are
-// declared as fractions of the objective, not absolute throughputs).
+// with a fixed geometric temperature T_i = 0.05 * scale * 0.92^i, where
+// scale is the best uniform objective (temperatures are fractions of the
+// objective, not absolute throughputs).
 //
-// Scoring during the walk uses score_candidate, whose scores equal a
-// cold solve's bit for bit; the three uniform baselines and the final
-// winner are scored cold and certified (check::validate +
-// check::certify), so the reported numbers carry the full battery's
-// evidence.
+// Every candidate is scored once, through score_layout (check::validate,
+// APL, one GK solve, check::certify): the three uniform baselines, then
+// each walk proposal. The walk starts from the best uniform's stored
+// score, and the winner's Score is the one its walk step produced, so
+// every reported number carries its certificate without a second solve.
 
 #include <cstdint>
 #include <optional>
@@ -70,19 +70,20 @@ std::optional<Candidate> apply_move(const Candidate& candidate, const Move& move
 /// the search counts those as skipped iterations.
 std::optional<Move> propose_move(const Candidate& candidate, util::Rng& rng);
 
+/// The most iterations a caller may ask of one search (the svc design
+/// op's cap and bench_design's --iters bound).
+inline constexpr std::uint32_t kMaxIterations = 4096;
+
 /// Search knobs. Defaults match bench_design's defaults.
 struct SearchOptions {
-  std::uint64_t seed = 1;            ///< substream base for the move stream
-  std::uint32_t iterations = 32;     ///< annealing iterations
-  double initial_temperature = 0.05; ///< fraction of the best uniform objective
-  double cooling = 0.92;             ///< geometric temperature factor
+  std::uint64_t seed = 1;         ///< substream base for the move stream
+  std::uint32_t iterations = 32;  ///< annealing iterations
 };
 
-/// Cold certified score of one uniform baseline mode.
+/// Certified score of one uniform baseline mode.
 struct UniformScore {
   core::Mode mode = core::Mode::Clos;
   Score score;
-  bool certified = false;  ///< validate + certify battery passed
 };
 
 /// One accepted move of the walk (the replay witness).
@@ -100,23 +101,27 @@ struct TrajectoryPoint {
   double best = 0.0;     ///< best objective so far
 };
 
-/// Everything a search run produces.
+/// Everything a search run produces. The search solves
+/// uniforms.size() + accepted + rejected candidates, one GK solve each.
 struct SearchResult {
   Candidate best;               ///< best layout found
-  Score best_cold;              ///< its cold certified re-score
-  bool certified = false;       ///< cold re-score passed the full battery
+  Score best_score;             ///< its certified score
   std::vector<UniformScore> uniforms;  ///< Clos/Global/Local baselines
   core::Mode best_uniform = core::Mode::Clos;  ///< argmax of `uniforms`
   std::uint32_t accepted = 0;
   std::uint32_t rejected = 0;
   std::uint32_t skipped = 0;    ///< infeasible proposals
+  std::uint32_t certified_solves = 0;  ///< solves whose battery passed
   std::vector<AcceptedMove> accepted_moves;
   std::vector<TrajectoryPoint> trajectory;
+
+  /// The entry of `uniforms` for best_uniform.
+  const UniformScore& best_uniform_score() const;
 };
 
-/// Runs the full search: uniform baselines (cold, certified), annealing
-/// walk from the best uniform layout (score_candidate), cold certified
-/// re-score of the winner. Deterministic for fixed (net, mix, options).
+/// Runs the full search: the three uniform baselines, then the annealing
+/// walk from the best of them, every candidate scored once through
+/// score_layout. Deterministic for fixed (net, mix, options).
 SearchResult search(const core::FlatTreeNetwork& net, const WorkloadMix& mix,
                     const SearchOptions& options);
 

@@ -123,8 +123,9 @@ TEST_P(ModeSweep, ServerDistributionMatchesMode) {
       EXPECT_GE(on_agg, pairs * n);  // unpaired 6-ports fall back to Local
       // With a ring chain every 6-port is paired, so the counts are exact
       // (odd-d pods keep one middle column unpaired per blade).
-      if (net.config().chain == PodChain::Ring && p.d() % 2 == 0)
+      if (net.config().chain == PodChain::Ring && p.d() % 2 == 0) {
         EXPECT_EQ(on_core, pairs * m);
+      }
       break;
     }
   }
@@ -228,7 +229,9 @@ TEST_P(ModeSweep, LinkOriginsMatchMode) {
   }
   if (mode == Mode::GlobalRandom) {
     const Case& c = std::get<0>(GetParam());
-    if (c.m > 0 && c.chain == PodChain::Ring && c.k % 4 == 0) EXPECT_GT(side, 0u);
+    if (c.m > 0 && c.chain == PodChain::Ring && c.k % 4 == 0) {
+      EXPECT_GT(side, 0u);
+    }
   }
 }
 

@@ -1,18 +1,17 @@
-// Deterministic mutation test for the hand-editable text formats: fault
-// scenarios (fault::load_scenario), design candidates
-// (design::Candidate::decode), JSON documents (obs::json_parse), service
-// request lines (svc::parse_request) and topologies (topo::deserialize).
-// The seeds are a busy generated scenario, a three-zone candidate, a run
-// manifest, a request script of canonical lines and a flat-tree topology;
-// each mutant applies one mutator of tests/fuzz/mutator.hpp with positions
-// drawn from Rng::substream, so every run tests the same kMutants mutants
-// per format. Every mutant must be either refused (std::runtime_error for
-// the scenario and candidate formats, a "deserialize: " std::invalid_argument
-// for topologies, a stable json.* / svc.* code for JSON and requests; any
-// other exception fails the test) or accepted as a value that re-encodes
-// and re-parses to an equal value, bit for bit. The histogram of refusal
-// reasons per format is pinned at the fixed seeds, so a mutant refused
-// for a different reason than before fails the test too.
+// Deterministic mutation test for the text formats the binaries parse:
+// fault scenarios (fault::load_scenario), JSON documents
+// (obs::json_parse), service request lines (svc::parse_request) and
+// topologies (topo::deserialize). The seeds are a busy generated
+// scenario, a run manifest, a request script of canonical lines and a
+// flat-tree topology; each mutant applies one mutator of
+// tests/fuzz/mutator.hpp with positions drawn from Rng::substream, so
+// every run tests the same kMutants mutants per format. Every mutant must
+// be either refused (std::runtime_error for scenarios, a "deserialize: "
+// std::invalid_argument for topologies, a stable json.* / svc.* code for
+// JSON and requests; any other exception fails the test) or accepted as a
+// value that re-encodes and re-parses to an equal value, bit for bit. The
+// histogram of refusal reasons per format is pinned at the fixed seeds, so
+// a mutant refused for a different reason than before fails the test too.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +24,6 @@
 #include <string>
 
 #include "core/flat_tree.hpp"
-#include "design/candidate.hpp"
 #include "fault/scenario.hpp"
 #include "fuzz/mutator.hpp"
 #include "obs/json.hpp"
@@ -38,7 +36,6 @@ namespace {
 
 constexpr std::uint64_t kMutants = 2000;
 constexpr std::uint64_t kScenarioSeed = 0x7363656e6172696fULL;
-constexpr std::uint64_t kCandidateSeed = 0x63616e646964ULL;
 constexpr std::uint64_t kJsonSeed = 0x6a736f6eULL;
 constexpr std::uint64_t kRequestSeed = 0x72657175657374ULL;
 constexpr std::uint64_t kTopologySeed = 0x746f706fULL;
@@ -171,49 +168,6 @@ TEST(TextFuzz, ScenarioMutantsAreRefusedOrRoundTrip) {
                              {"load_scenario: line #: unknown directive", 21},
                              {"load_scenario: line #: unknown fault kind", 87},
                              {"load_scenario: missing v# header", 19}}));
-}
-
-TEST(TextFuzz, CandidateMutantsAreRefusedOrRoundTrip) {
-  using core::Mode;
-  const std::string seed =
-      design::Candidate::from_zones(12, {{0, 3, Mode::GlobalRandom},
-                                         {3, 7, Mode::Clos},
-                                         {7, 12, Mode::LocalRandom}})
-          .encode();
-  Outcomes o;
-  Reasons reasons;
-  for (std::uint64_t i = 0; i < kMutants; ++i) {
-    util::Rng rng = util::Rng::substream(kCandidateSeed, i);
-    const auto m = static_cast<Mutator>(i % kMutators);
-    const std::string mutant = mutate(seed, m, rng);
-    design::Candidate c;
-    try {
-      c = design::Candidate::decode(mutant);
-    } catch (const std::runtime_error& e) {
-      ++o.refused[m];
-      ++reasons[reason_of(e.what())];
-      continue;
-    }
-    ++o.accepted[m];
-    EXPECT_EQ(design::Candidate::decode(c.encode()), c)
-        << "mutant " << i << " (mutator " << m << ") does not round-trip";
-  }
-  expect_every_mutator_refused_something(o, /*truncation_refuses=*/true);
-  EXPECT_EQ(reasons, (Reasons{{"design candidate: bad pods line: ", 2},
-                             {"design candidate: bad zone line: ", 44},
-                             {"design candidate: design candidate: zones must be non-empty, "
-                              "ascending, and cover [#, pods)",
-                              450},
-                             {"design candidate: design candidate: zones must cover [#, pods)",
-                              113},
-                             {"design candidate: leading zero '' in line: ", 338},
-                             {"design candidate: missing pods line", 7},
-                             {"design candidate: missing v# header", 437},
-                             {"design candidate: non-digit in integer '' in line: ", 18},
-                             {"design candidate: stray space in line: ", 44},
-                             {"design candidate: trailing token '' in line: ", 6},
-                             {"design candidate: unknown directive ''", 93},
-                             {"design candidate: unknown mode token ''", 207}}));
 }
 
 TEST(TextFuzz, JsonMutantsAreRefusedOrRoundTrip) {

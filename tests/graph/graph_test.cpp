@@ -111,8 +111,12 @@ TEST(Graph, ArcLinkIdsMatch) {
   LinkId l0 = g.add_link(0, 1);
   LinkId l1 = g.add_link(1, 2);
   for (const Arc& arc : g.neighbors(1)) {
-    if (arc.to == 0) EXPECT_EQ(arc.link, l0);
-    if (arc.to == 2) EXPECT_EQ(arc.link, l1);
+    if (arc.to == 0) {
+      EXPECT_EQ(arc.link, l0);
+    }
+    if (arc.to == 2) {
+      EXPECT_EQ(arc.link, l1);
+    }
   }
 }
 

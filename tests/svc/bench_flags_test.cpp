@@ -1,6 +1,7 @@
 // Bench flag handling through the real binaries: bench_service and
 // bench_packet refuse unknown flags with a usage listing, every bench
-// with a --k or --seeds flag refuses an out-of-range value with exit 2
+// with a --k, --kmax/--kstep, --seeds or --eps flag (and bench_design's
+// --iters and --trace-every) refuses an out-of-range value with exit 2
 // before printing anything, and bench_service's --slo-json output
 // reproduces the committed BENCH_svc.json.
 
@@ -50,12 +51,22 @@ TEST(BenchFlags, BenchServiceRejectsUnknownFlags) {
 TEST(BenchFlags, OutOfRangeSizingFlagsExitTwoWithEmptyStdout) {
   // An odd, negative or too small --k and a --seeds below 1 are refused
   // before the unsigned casts that would otherwise abort, wrap to a huge
-  // fabric, or average over no draws (a nan row).
+  // fabric, or average over no draws (a nan row). A --kmax/--kstep sweep
+  // that would reach an odd k or never end, an --eps outside (0, 1), and
+  // bench_design's --iters outside [0, 4096] or --trace-every below 1 are
+  // refused the same way.
   const char* k_benches[] = {"bench_chaos",   "bench_congestion", "bench_design",
                              "bench_failures", "bench_hybrid",    "bench_packet",
                              "bench_service", "bench_sim_fct"};
   const char* seeds_benches[] = {"bench_fig7_broadcast", "bench_fig8_alltoall",
                                  "bench_hybrid", "bench_failures", "bench_oversub"};
+  const char* sweep_benches[] = {"bench_fig5_apl_global", "bench_fig6_apl_pod",
+                                 "bench_fig7_broadcast",  "bench_fig8_alltoall",
+                                 "bench_ablation_mn",     "bench_ablation_wiring"};
+  const char* eps_benches[] = {"bench_chaos",          "bench_design",
+                               "bench_failures",       "bench_fig7_broadcast",
+                               "bench_fig8_alltoall",  "bench_hybrid",
+                               "bench_oversub",        "bench_service"};
   struct Case {
     std::string bench;
     std::string flags;
@@ -67,6 +78,15 @@ TEST(BenchFlags, OutOfRangeSizingFlagsExitTwoWithEmptyStdout) {
   for (const char* b : seeds_benches)
     for (const char* flags : {"--seeds 0", "--seeds -1"})
       cases.push_back({b, flags});
+  for (const char* b : sweep_benches)
+    for (const char* flags : {"--kmax 2", "--kmax 258", "--kstep 1", "--kstep 3",
+                              "--kstep 0", "--kstep -2"})
+      cases.push_back({b, flags});
+  for (const char* b : eps_benches)
+    for (const char* flags : {"--eps 0", "--eps 1", "--eps -0.5"})
+      cases.push_back({b, flags});
+  for (const char* flags : {"--iters -1", "--iters 4097", "--trace-every 0"})
+    cases.push_back({"bench_design", flags});
 
   std::string out_path = testing::TempDir() + "bench_sizing_out.txt";
   std::string err_path = testing::TempDir() + "bench_sizing_err.txt";

@@ -54,7 +54,9 @@ TEST_P(FatTreeParam, IntraPodDistances) {
   FatTree ft = build_fat_tree(k);
   auto dist = graph::bfs_distances(ft.topo.graph(), ft.edge_switch(0, 0));
   // Same-pod edge switches are 2 apart (via any aggregation switch).
-  if (k >= 4) EXPECT_EQ(dist[ft.edge_switch(0, 1)], 2u);
+  if (k >= 4) {
+    EXPECT_EQ(dist[ft.edge_switch(0, 1)], 2u);
+  }
   EXPECT_EQ(dist[ft.agg_switch(0, 0)], 1u);
 }
 
