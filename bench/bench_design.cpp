@@ -43,8 +43,8 @@ std::string layout_string(const design::Candidate& c) {
   std::string out;
   for (const design::Zone& z : c.zones()) {
     if (!out.empty()) out += " ";
-    out += "[" + std::to_string(z.begin) + "," + std::to_string(z.end) +
-           ")=" + core::to_string(z.mode);
+    out.append("[").append(std::to_string(z.begin)).append(",");
+    out.append(std::to_string(z.end)).append(")=").append(core::to_string(z.mode));
   }
   return out;
 }

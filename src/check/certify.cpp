@@ -117,6 +117,36 @@ Report certify(const graph::Graph& g, const std::vector<mcf::Commodity>& commodi
       report.add("mcf.fptas_gap", os.str());
     }
   }
+
+  // (6) Cut bound, exact-path results only (GK carries no cut). For any
+  // node set S, lambda* <= cap(out of S) / (demand from S to the rest), so
+  // lambda_upper must be at least that ratio. Recomputed in O(m).
+  if (!result.cut_source_side.empty()) {
+    report.note_check();
+    const auto& side = result.cut_source_side;
+    if (side.size() != g.node_count()) {
+      report.add("mcf.cut_bound", "cut_source_side has " + std::to_string(side.size()) +
+                                      " entries for " + std::to_string(g.node_count()) +
+                                      " nodes");
+      return report;
+    }
+    double cap = 0.0;
+    for (const graph::Link& link : g.links())
+      if ((side[link.a] != 0) != (side[link.b] != 0)) cap += link.capacity;
+    double crossing = 0.0;
+    for (const mcf::Commodity& c : commodities)
+      if (side[c.src] != 0 && side[c.dst] == 0) crossing += c.demand;
+    // An empty set, a full set and a set without a source all fail here.
+    if (!(crossing > 0.0)) {
+      report.add("mcf.cut_bound", "no commodity demand leaves the cut set");
+    } else if (!leq(cap / crossing, result.lambda_upper, options)) {
+      std::ostringstream os;
+      os << "lambda_upper " << result.lambda_upper << " below the cut ratio "
+         << cap / crossing << " (capacity " << cap << " over crossing demand " << crossing
+         << ")";
+      report.add("mcf.cut_bound", os.str());
+    }
+  }
   return report;
 }
 

@@ -17,7 +17,11 @@
 //   5. FPTAS gap: on converged runs (result.truncated == false),
 //      lambda_lower >= (1 - 3*epsilon) * lambda_upper — the guarantee
 //      documented in mcf/garg_koenemann.hpp. Truncated runs keep valid
-//      bounds but carry no gap promise, so the gap check is skipped.
+//      bounds but carry no gap promise, so the gap check is skipped;
+//   6. cut bound: when the result carries a cut (the exact one-source /
+//      one-sink path; GK results carry none and skip this), its set S must
+//      hold a commodity source whose demand leaves S, and lambda_upper >=
+//      cap(out of S) / demand(S -> rest), recomputed from the graph.
 //
 // All comparisons are tolerance-aware (floating-point accumulation over
 // ~1/eps^2 augmentations): x <= y is checked as x <= y * (1 + rel_tol) +
@@ -43,7 +47,8 @@ struct CertifyOptions {
 
 /// Certifies `result` as a solution of max_concurrent_flow(g, commodities).
 /// Codes: mcf.arc_flow_size, mcf.routed_size, mcf.capacity,
-/// mcf.conservation, mcf.primal_support, mcf.bracket, mcf.fptas_gap.
+/// mcf.conservation, mcf.primal_support, mcf.bracket, mcf.fptas_gap,
+/// mcf.cut_bound.
 Report certify(const graph::Graph& g, const std::vector<mcf::Commodity>& commodities,
                const mcf::McfResult& result, const CertifyOptions& options = {});
 

@@ -68,6 +68,11 @@ enum class Affinity : std::uint8_t { Global, Local, Clos, Any };
 /// std::runtime_error on an unknown token.
 Affinity parse_affinity(const std::string& token);
 
+/// Largest Component::count a request may ask for. A count the fabric
+/// cannot hold is trimmed to the clusters that fit; this cap only refuses
+/// values no plant could use.
+inline constexpr std::uint32_t kMaxComponentCount = 1u << 16;
+
 /// One weighted component of the declared workload mix.
 struct Component {
   PatternKind kind = PatternKind::AllToAll;

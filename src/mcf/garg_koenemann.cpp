@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "mcf/max_flow.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -109,6 +110,11 @@ NodeId arc_tail(const graph::Graph& g, std::uint32_t arc) {
   return arc % 2 == 0 ? l.a : l.b;
 }
 
+/// The Garg-Koenemann loop, for instances with several sources and
+/// several sinks; inputs are already checked by max_concurrent_flow.
+McfResult gk_solve(const graph::Graph& g, const std::vector<Commodity>& commodities,
+                   const McfOptions& options);
+
 }  // namespace
 
 McfResult max_concurrent_flow(const graph::Graph& g,
@@ -121,8 +127,7 @@ McfResult max_concurrent_flow(const graph::Graph& g,
     if (c.demand <= 0.0)
       throw std::invalid_argument("max_concurrent_flow: non-positive demand");
   }
-  const double eps = options.epsilon;
-  if (!(eps > 0.0 && eps < 1.0))  // written so that NaN fails too
+  if (!(options.epsilon > 0.0 && options.epsilon < 1.0))  // NaN fails too
     throw std::invalid_argument("max_concurrent_flow: epsilon outside (0,1)");
 
   // Zero or negative capacities would turn delta / cap into inf/NaN and
@@ -166,35 +171,45 @@ McfResult max_concurrent_flow(const graph::Graph& g,
       for (const Commodity& c : reachable) reachable_demand += c.demand;
 
       McfResult out;
-      out.unreachable = std::move(unreachable);
-      out.served_fraction = reachable_demand / total_demand;
-      out.arc_flow.assign(g.link_count() * 2, 0.0);
-      out.commodity_routed.assign(commodities.size(), 0.0);
       if (reachable.empty()) {
         // Every commodity disconnected: the degenerate zero solve. Both
         // bounds are 0 (nothing routable, and zero is a valid optimum for
         // the empty sub-instance), not a truncation.
-        out.lambda_upper = 0.0;
-        return out;
+        out.arc_flow.assign(g.link_count() * 2, 0.0);
+      } else {
+        // Certified solve of the reachable sub-instance.
+        McfOptions sub = options;
+        sub.allow_unreachable = false;
+        out = max_concurrent_flow(g, reachable, sub);
       }
-      // Certified solve of the reachable sub-instance.
-      McfOptions sub = options;
-      sub.allow_unreachable = false;
-      McfResult r = max_concurrent_flow(g, reachable, sub);
-      out.lambda_lower = r.lambda_lower;
-      out.lambda_upper = r.lambda_upper;
-      out.max_congestion = r.max_congestion;
-      out.phases = r.phases;
-      out.augmentations = r.augmentations;
-      out.dijkstra_runs = r.dijkstra_runs;
-      out.truncated = r.truncated;
-      out.arc_flow = std::move(r.arc_flow);
+      std::vector<double> routed(commodities.size(), 0.0);
       for (std::size_t j = 0; j < reach_index.size(); ++j)
-        out.commodity_routed[reach_index[j]] = r.commodity_routed[j];
+        routed[reach_index[j]] = out.commodity_routed[j];
+      out.commodity_routed = std::move(routed);
+      out.unreachable = std::move(unreachable);
+      out.served_fraction = reachable_demand / total_demand;
       return out;
     }
   }
 
+  // -- solver dispatch -------------------------------------------------------
+  auto shared = [&](NodeId Commodity::*end) {
+    for (const Commodity& c : commodities)
+      if (c.*end != commodities.front().*end) return false;
+    return true;
+  };
+  if (shared(&Commodity::src))
+    return exact_concurrent_flow(g, commodities, SharedEndpoint::Source);
+  if (shared(&Commodity::dst))
+    return exact_concurrent_flow(g, commodities, SharedEndpoint::Sink);
+  return gk_solve(g, commodities, options);
+}
+
+namespace {
+
+McfResult gk_solve(const graph::Graph& g, const std::vector<Commodity>& commodities,
+                   const McfOptions& options) {
+  const double eps = options.epsilon;
   OBS_SPAN("gk.solve");
   c_gk_solves.inc();
 
@@ -351,5 +366,7 @@ McfResult max_concurrent_flow(const graph::Graph& g,
   if (result.lambda_upper != kInf) g_gk_lambda_upper.set(result.lambda_upper);
   return result;
 }
+
+}  // namespace
 
 }  // namespace flattree::mcf

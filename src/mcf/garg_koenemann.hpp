@@ -1,6 +1,12 @@
 #pragma once
-// Maximum concurrent multicommodity flow via the Garg-Koenemann framework
-// with Fleischer's phase/path-reuse improvements.
+// Maximum concurrent multicommodity flow. max_concurrent_flow() is the one
+// entry point and picks the solver:
+//
+//   * every commodity shares one source, or every commodity shares one
+//     sink: the exact parametric max-flow of mcf/max_flow.hpp, whose
+//     answer is certified from above by a cut (McfResult::cut_source_side);
+//   * anything else: the Garg-Koenemann framework with Fleischer's
+//     phase/path-reuse improvements, described below.
 //
 // Links are full-duplex: each undirected link becomes two opposing arcs of
 // the full link capacity (the standard model in DCN throughput studies).
@@ -31,7 +37,10 @@
 
 namespace flattree::mcf {
 
-/// Solver knobs for max_concurrent_flow.
+/// Solver knobs for max_concurrent_flow. epsilon, compute_upper_bound,
+/// max_phases and max_augmentations steer Garg-Koenemann only: a one-source
+/// or one-sink instance is solved exactly, always reports its cut bound, and
+/// is never truncated (epsilon is still range-checked for every instance).
 struct McfOptions {
   double epsilon = 0.2;            ///< FPTAS accuracy knob, in (0, 1)
   bool compute_upper_bound = true; ///< duality bound sweep at termination
@@ -62,7 +71,11 @@ struct McfOptions {
 /// the optimum plus the flow that witnesses the lower bound.
 struct McfResult {
   double lambda_lower = 0.0;  ///< certified feasible concurrent-flow value
-  double lambda_upper = 0.0;  ///< duality upper bound (inf if not computed)
+  /// Upper bound: GK's duality bound (inf if not computed), or the exact
+  /// path's cut ratio.
+  double lambda_upper = 0.0;
+  /// GK: the worst arc congestion before rescaling. Exact path: the worst
+  /// arc utilisation of arc_flow.
   double max_congestion = 0.0;
   std::uint64_t phases = 0;
   std::uint64_t augmentations = 0;
@@ -91,10 +104,17 @@ struct McfResult {
   /// ascending. Empty unless allow_unreachable is set. Their
   /// commodity_routed entries are exactly 0.
   std::vector<std::uint32_t> unreachable;
+  /// Exact path only (empty for GK): one entry per node, 1 on the source
+  /// side S of the cut behind lambda_upper, so lambda_upper >=
+  /// cap(out of S) / (demand from S to the rest), which check::certify
+  /// recomputes (mcf.cut_bound).
+  std::vector<std::uint8_t> cut_source_side;
 };
 
 /// Solves max concurrent flow for `commodities` over `g` on the caller's
-/// thread (callers fan out independent solves instead). Throws
+/// thread (callers fan out independent solves instead): exactly when every
+/// commodity shares one source or one sink, by Garg-Koenemann otherwise
+/// (see the header comment). Throws
 /// std::invalid_argument on empty commodities, an epsilon outside the
 /// open interval (0, 1) (NaN included), unreachable pairs (unless
 /// McfOptions::allow_unreachable), or any link with a non-positive/

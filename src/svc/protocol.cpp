@@ -104,6 +104,19 @@ bool req_string(const obs::JsonValue& body, const char* key, std::string& out,
   return true;
 }
 
+std::string nested_u32(const obs::JsonValue& obj, const char* key, std::uint32_t lo,
+                       std::uint32_t hi, std::uint32_t& out, bool& present) {
+  present = false;
+  const obs::JsonValue* v = obj.find(key);
+  if (v == nullptr) return {};
+  if (!v->is_int() || v->as_int() < lo || v->as_int() > hi)
+    return "field '" + std::string(key) + "' must be an integer in [" + std::to_string(lo) +
+           ", " + std::to_string(hi) + "]";
+  out = static_cast<std::uint32_t>(v->as_int());
+  present = true;
+  return {};
+}
+
 bool parse_request(const std::string& line, std::uint64_t seq, Request& out,
                    RequestError& err) {
   out = Request{};

@@ -187,4 +187,12 @@ bool req_bool(const obs::JsonValue& body, const char* key, bool& out, bool& pres
 bool req_string(const obs::JsonValue& body, const char* key, std::string& out,
                 bool& present, RequestError& err);
 
+/// Integer member `key` of an object nested in a request array (fault
+/// events, design mix components), bounded to [lo, hi]. Returns "" when the
+/// member is absent (`present = false`, `out` untouched) or in range (`out`
+/// set); otherwise the reason to refuse it, which the caller reports under
+/// its op's code. A value above hi is refused, never wrapped to 32 bits.
+std::string nested_u32(const obs::JsonValue& obj, const char* key, std::uint32_t lo,
+                       std::uint32_t hi, std::uint32_t& out, bool& present);
+
 }  // namespace flattree::svc

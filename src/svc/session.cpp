@@ -278,25 +278,31 @@ bool Session::exec_fault(const Request& req, obs::JsonValue& payload, EvalTally&
     if (!e.is_object()) return bad("expected an object");
     const obs::JsonValue* t = e.find("t");
     const obs::JsonValue* kind = e.find("kind");
-    const obs::JsonValue* a = e.find("a");
-    const obs::JsonValue* b = e.find("b");
     if (t == nullptr || !t->is_number()) return bad("field 't' (number) is required");
     if (kind == nullptr || !kind->is_string()) return bad("field 'kind' (string) is required");
-    if (a == nullptr || !a->is_int() || a->as_int() < 0)
-      return bad("field 'a' (non-negative integer) is required");
     fault::FaultEvent ev;
     ev.time = t->as_number();
     if (!fault::parse_fault_kind(kind->as_string(), ev.kind))
       return bad("unknown kind '" + kind->as_string() + "'");
-    ev.a = static_cast<fault::NodeId>(a->as_int());
-    ev.b = 0;
+    // Ids are bounded by the plant: switch ids for switch and link events,
+    // converter indices for converter events.
     const bool link = ev.kind == fault::FaultKind::LinkDown ||
                       ev.kind == fault::FaultKind::LinkUp;
+    const bool converter = ev.kind == fault::FaultKind::ConverterStuck ||
+                           ev.kind == fault::FaultKind::ConverterFreed;
+    const std::size_t ids = converter ? ctl_->fault_state().converter_count()
+                                      : ctl_->fault_state().switch_count();
+    if (ids == 0) return bad("the plant has no converters");  // a built plant has switches
+    const auto last_id = static_cast<std::uint32_t>(ids - 1);
+    bool present = false;
+    if (std::string why = nested_u32(e, "a", 0, last_id, ev.a, present); !why.empty())
+      return bad(why);
+    if (!present) return bad("field 'a' (non-negative integer) is required");
     if (link) {
-      if (b == nullptr || !b->is_int() || b->as_int() < 0)
-        return bad("link events need field 'b' (non-negative integer)");
-      ev.b = static_cast<fault::NodeId>(b->as_int());
-    } else if (b != nullptr) {
+      if (std::string why = nested_u32(e, "b", 0, last_id, ev.b, present); !why.empty())
+        return bad(why);
+      if (!present) return bad("link events need field 'b' (non-negative integer)");
+    } else if (e.find("b") != nullptr) {
       return bad("field 'b' is only valid on link events");
     }
     events.push_back(ev);
@@ -553,6 +559,7 @@ bool Session::exec_design(const Request& req, obs::JsonValue& payload,
   if (!req_u64(req.body, "iters", design::kMaxIterations, iters, present, err))
     return false;
 
+  const std::uint32_t servers = ctl_->network().params().total_servers();
   design::WorkloadMix mix = design::WorkloadMix::defaults();
   mix.seed = seed;
   mix.epsilon = opt_.epsilon;
@@ -581,16 +588,16 @@ bool Session::exec_design(const Request& req, obs::JsonValue& payload,
       } catch (const std::runtime_error& ex) {
         return bad(ex.what());
       }
-      if (const obs::JsonValue* v = e.find("cluster"); v != nullptr) {
-        if (!v->is_int() || v->as_int() < 2)
-          return bad("field 'cluster' must be an integer >= 2");
-        comp.cluster = static_cast<std::uint32_t>(v->as_int());
-      }
-      if (const obs::JsonValue* v = e.find("count"); v != nullptr) {
-        if (!v->is_int() || v->as_int() < 0)
-          return bad("field 'count' must be a non-negative integer");
-        comp.count = static_cast<std::uint32_t>(v->as_int());
-      }
+      // A cluster is bounded by the plant's servers, a count by
+      // design::kMaxComponentCount.
+      bool present = false;
+      if (std::string why = nested_u32(e, "cluster", 2, servers, comp.cluster, present);
+          !why.empty())
+        return bad(why);
+      if (std::string why =
+              nested_u32(e, "count", 0, design::kMaxComponentCount, comp.count, present);
+          !why.empty())
+        return bad(why);
       if (const obs::JsonValue* v = e.find("placement"); v != nullptr) {
         if (!v->is_string()) return bad("field 'placement' must be a string");
         if (!parse_placement(v->as_string(), comp.placement))

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "check/report.hpp"
 
@@ -128,7 +129,8 @@ TEST(Certify, TruncatedRunStillCertifiesPrimally) {
   g.add_link(1, 2, 2.0);
   g.add_link(2, 3, 0.5);
   g.add_link(0, 3, 1.0);
-  std::vector<mcf::Commodity> cs{{0, 3, 1.0}, {1, 3, 0.5}};
+  // Two sources and two sinks, so the instance reaches GK.
+  std::vector<mcf::Commodity> cs{{0, 3, 1.0}, {1, 2, 0.5}};
   mcf::McfOptions opt;
   opt.epsilon = 0.05;
   opt.max_phases = 1;
@@ -143,14 +145,73 @@ TEST(Certify, TruncatedRunStillCertifiesPrimally) {
 TEST(Certify, SkippedUpperBoundBracketsTrivially) {
   graph::Graph g(2);
   g.add_link(0, 1, 1.0);
+  // Two sources and two sinks, so the instance reaches GK.
+  const std::vector<mcf::Commodity> cs{{0, 1, 1.0}, {1, 0, 1.0}};
   mcf::McfOptions opt;
   opt.epsilon = 0.1;
   opt.compute_upper_bound = false;
-  auto r = mcf::max_concurrent_flow(g, {{0, 1, 1.0}}, opt);
+  auto r = mcf::max_concurrent_flow(g, cs, opt);
+  ASSERT_TRUE(std::isinf(r.lambda_upper));
   CertifyOptions opts;
   opts.epsilon = 0.1;  // gap check must self-skip on the infinite upper
-  Report report = certify(g, {{0, 1, 1.0}}, r, opts);
+  Report report = certify(g, cs, r, opts);
   EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// -- the cut bound of exact (one-source / one-sink) results ----------------
+
+/// One source behind a bottleneck: 0 -10- 1, then 1 reaches 2 and 3 over
+/// unit links; the exact answer's cut is {0, 1}.
+struct CutInstance {
+  graph::Graph g{4};
+  std::vector<mcf::Commodity> cs{{0, 2, 1.0}, {0, 3, 1.0}};
+  mcf::McfResult r;
+
+  CutInstance() {
+    g.add_link(0, 1, 10.0);
+    g.add_link(1, 2, 1.0);
+    g.add_link(1, 3, 1.0);
+    r = mcf::max_concurrent_flow(g, cs);
+  }
+};
+
+TEST(Certify, ExactResultPassesTheCutBound) {
+  CutInstance in;
+  ASSERT_EQ(in.r.cut_source_side, (std::vector<std::uint8_t>{1, 1, 0, 0}));
+  Report report = certify(in.g, in.cs, in.r);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  // A GK result carries no cut and skips the check.
+  Instance gk;
+  ASSERT_TRUE(gk.r.cut_source_side.empty());
+  EXPECT_EQ(certify(gk.g, gk.cs, gk.r).checks_run + 1, report.checks_run);
+}
+
+TEST(Certify, UpperBelowTheCutRatioDetected) {
+  CutInstance in;
+  mcf::McfResult bad = in.r;
+  bad.lambda_upper *= 0.5;  // below cap 2 / crossing demand 2
+  Report report = certify(in.g, in.cs, bad);
+  EXPECT_TRUE(has_code(report, "mcf.cut_bound")) << report.to_string();
+}
+
+TEST(Certify, EmptyOrFullCutSetDetected) {
+  CutInstance in;
+  mcf::McfResult bad = in.r;
+  bad.cut_source_side.assign(4, 0);
+  EXPECT_TRUE(has_code(certify(in.g, in.cs, bad), "mcf.cut_bound"));
+  bad.cut_source_side.assign(4, 1);
+  EXPECT_TRUE(has_code(certify(in.g, in.cs, bad), "mcf.cut_bound"));
+  bad.cut_source_side.assign(3, 1);  // wrong size
+  EXPECT_TRUE(has_code(certify(in.g, in.cs, bad), "mcf.cut_bound"));
+}
+
+TEST(Certify, CutSetWithoutCrossingDemandDetected) {
+  CutInstance in;
+  mcf::McfResult bad = in.r;
+  bad.cut_source_side = {0, 1, 1, 0};  // no commodity source inside
+  EXPECT_TRUE(has_code(certify(in.g, in.cs, bad), "mcf.cut_bound"));
+  bad.cut_source_side = {1, 0, 1, 1};  // the source, but every target too
+  EXPECT_TRUE(has_code(certify(in.g, in.cs, bad), "mcf.cut_bound"));
 }
 
 // -- certify_served: degraded-service certificates (ISSUE 5) ---------------

@@ -157,7 +157,8 @@ TEST(GargKoenemann, UpperBoundSkippable) {
   McfOptions o;
   o.epsilon = 0.1;
   o.compute_upper_bound = false;
-  auto r = max_concurrent_flow(g, {{0, 1, 1.0}}, o);
+  // Two sources and two sinks, so the instance reaches GK.
+  auto r = max_concurrent_flow(g, {{0, 1, 1.0}, {1, 0, 1.0}}, o);
   EXPECT_GT(r.lambda_lower, 0.0);
   EXPECT_TRUE(std::isinf(r.lambda_upper));
 }
@@ -195,7 +196,8 @@ TEST(GargKoenemann, TruncatedRunKeepsPrimalFeasibleLowerBound) {
   g.add_link(1, 2, 2.0);
   g.add_link(2, 3, 0.5);
   g.add_link(0, 3, 1.0);
-  std::vector<Commodity> cs{{0, 3, 1.0}, {1, 3, 0.5}};
+  // Two sources and two sinks, so the instance reaches GK.
+  std::vector<Commodity> cs{{0, 3, 1.0}, {1, 2, 0.5}};
   McfOptions o;
   o.epsilon = 0.05;
   o.max_phases = 1;
@@ -247,7 +249,8 @@ TEST(GargKoenemann, StatsPopulated) {
   graph::Graph g(3);
   g.add_link(0, 1);
   g.add_link(1, 2);
-  auto r = max_concurrent_flow(g, {{0, 2, 1.0}}, tight());
+  // Two sources and two sinks, so the instance reaches GK.
+  auto r = max_concurrent_flow(g, {{0, 2, 1.0}, {2, 0, 1.0}}, tight());
   EXPECT_GT(r.phases, 0u);
   EXPECT_GT(r.augmentations, 0u);
   EXPECT_GT(r.dijkstra_runs, 0u);

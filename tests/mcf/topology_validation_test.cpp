@@ -1,5 +1,5 @@
 // Solver validation on real (small) flat-tree topologies, not just toy
-// graphs: exact simplex LP vs GK FPTAS vs Dinic single-source flow on
+// graph: exact simplex LP vs GK FPTAS vs the exact one-source max-flow on
 // k = 4 networks in each operating mode.
 
 #include <gtest/gtest.h>
@@ -7,7 +7,6 @@
 #include "core/flat_tree.hpp"
 #include "mcf/garg_koenemann.hpp"
 #include "mcf/lp_exact.hpp"
-#include "mcf/max_flow.hpp"
 #include "workload/traffic.hpp"
 
 namespace flattree::mcf {
@@ -51,16 +50,14 @@ TEST_P(TopologyValidation, BroadcastAgreesWithDinicOracle) {
   auto groups = group_by_source(commodities);
   ASSERT_EQ(groups.size(), 1u);
 
-  double dinic = single_source_concurrent_flow(t.graph(), groups[0], 1e-6);
   auto exact = max_concurrent_flow_exact(t.graph(), commodities, /*max_variables=*/80'000);
   ASSERT_TRUE(exact.solved);
-  EXPECT_NEAR(dinic, exact.lambda, exact.lambda * 1e-3);
-
-  McfOptions opt;
-  opt.epsilon = 0.08;
-  auto gk = max_concurrent_flow(t.graph(), commodities, opt);
-  EXPECT_LE(gk.lambda_lower, dinic * (1 + 1e-4));
-  EXPECT_GE(gk.lambda_upper, dinic * (1 - 1e-4));
+  // One source, so max_concurrent_flow runs the exact max-flow path.
+  auto r = max_concurrent_flow(t.graph(), commodities);
+  EXPECT_NEAR(r.lambda_lower, exact.lambda, exact.lambda * 1e-6);
+  EXPECT_LE(r.lambda_lower, exact.lambda * (1 + 1e-9));
+  EXPECT_GE(r.lambda_upper, exact.lambda * (1 - 1e-9));
+  EXPECT_FALSE(r.cut_source_side.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, TopologyValidation,

@@ -295,9 +295,11 @@ JsonValue random_value(util::Rng& rng, int depth) {
     default: {
       JsonValue obj = JsonValue::make_object();
       std::uint64_t n = rng.below(4);
-      for (std::uint64_t i = 0; i < n; ++i)
-        obj.object().emplace_back("k" + std::to_string(i),
-                                  random_value(rng, depth + 1));
+      for (std::uint64_t i = 0; i < n; ++i) {
+        std::string key = "k";
+        key.append(std::to_string(i));
+        obj.object().emplace_back(std::move(key), random_value(rng, depth + 1));
+      }
       return obj;
     }
   }

@@ -261,6 +261,41 @@ TEST(Service, BadAdvanceRejectsFaultBatchBeforeApply) {
   EXPECT_EQ(r.journal.find("\"op\":\"fault\""), std::string::npos);
 }
 
+TEST(Service, NestedIntegersAreBoundedByThePlant) {
+  // k = 4: 20 switches, 16 converters, 16 servers. Nested ids above the
+  // plant, negative ones and ones past 2^32 are refused under the op's
+  // code instead of being wrapped to 32 bits; the session is untouched.
+  RunResult r = run_service(
+      "{\"op\":\"build\",\"k\":4}\n"
+      "{\"op\":\"fault\",\"events\":[{\"t\":0.5,\"kind\":\"switch_down\",\"a\":4294967297}]}\n"
+      "{\"op\":\"fault\",\"events\":[{\"t\":0.5,\"kind\":\"switch_down\",\"a\":20}]}\n"
+      "{\"op\":\"fault\",\"events\":[{\"t\":0.5,\"kind\":\"switch_down\",\"a\":-1}]}\n"
+      "{\"op\":\"fault\",\"events\":[{\"t\":0.5,\"kind\":\"link_down\",\"a\":0,"
+      "\"b\":9223372036854775807}]}\n"
+      "{\"op\":\"fault\",\"events\":[{\"t\":0.5,\"kind\":\"converter_stuck\",\"a\":16}]}\n"
+      "{\"op\":\"query\",\"lambda\":false}\n"
+      "{\"op\":\"fault\",\"events\":[{\"t\":0.5,\"kind\":\"switch_down\",\"a\":1}]}\n"
+      "{\"op\":\"design\",\"iters\":0,\"mix\":[{\"kind\":\"broadcast\","
+      "\"cluster\":4294967299,\"count\":1}]}\n"
+      "{\"op\":\"design\",\"iters\":0,\"mix\":[{\"kind\":\"broadcast\",\"cluster\":17}]}\n"
+      "{\"op\":\"design\",\"iters\":0,\"mix\":[{\"kind\":\"broadcast\",\"count\":65537}]}\n"
+      "{\"op\":\"design\",\"iters\":0,\"mix\":[{\"kind\":\"broadcast\","
+      "\"count\":4294967297}]}\n"
+      "{\"op\":\"design\",\"iters\":0,\"mix\":[{\"kind\":\"broadcast\",\"cluster\":16,"
+      "\"count\":65536}]}\n");
+  for (std::size_t i = 1; i <= 5; ++i)
+    EXPECT_EQ(error_code(response_at(r.responses, i)), "svc.fault.bad_event") << i;
+  obs::JsonValue q = response_at(r.responses, 6);
+  ASSERT_TRUE(response_ok(q));
+  EXPECT_EQ(q.find("down_switches")->as_int(), 0);
+  obs::JsonValue f = response_at(r.responses, 7);
+  ASSERT_TRUE(response_ok(f));
+  EXPECT_EQ(f.find("changed")->as_int(), 1);  // switch 1 was still up
+  for (std::size_t i = 8; i <= 11; ++i)
+    EXPECT_EQ(error_code(response_at(r.responses, i)), "svc.design.bad_mix") << i;
+  EXPECT_TRUE(response_ok(response_at(r.responses, 12)));  // both bounds inclusive
+}
+
 TEST(Service, TrafficDefaultClusterClampsToPlant) {
   // k=4 fat tree has 16 servers, fewer than the default cluster size of
   // 40; the default clamps to the plant so the workload is non-empty.
