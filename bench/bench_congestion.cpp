@@ -1,5 +1,6 @@
 // Extension: congestion behavior of the converted fabrics under WCMP +
-// flowlet load balancing, drop-tail vs DCTCP (src/te, DESIGN.md §10).
+// flowlet load balancing, drop-tail vs DCTCP (src/te, DESIGN.md §10), and
+// the paper's §2.6 routing pairing: the same runs source-routed over KSP.
 //
 // Three workloads stress different parts of the fabric at equal equipment
 // cost: incast (N sources hammer one sink's edge link), a fabric-wide
@@ -9,6 +10,14 @@
 // switch inventory — twice: the drop-tail baseline and the DCTCP/ECN loop.
 // The two schemes share the compiled WCMP FIB, flowlet table settings, and
 // flow list, so rows differ only where the congestion control differs.
+//
+// The first 24 rows forward by the table. The next 24 repeat the matrix
+// with every flow striped over its switch pair's k = 8 shortest paths
+// (routing::KspRouting, Jellyfish's k; packet i takes path i mod 8, as 8
+// MPTCP subflows under one window), scheme names suffixed "+ksp8". Path
+// sets are built only for the pairs the flows use; same-switch pairs stay
+// on the table (zero hops). --selfcheck runs check::validate_paths on each
+// routed pair.
 //
 // Every simulation is single-threaded discrete-event time; --threads only
 // fans independent cases over the pool, and rows are assembled into a
@@ -21,6 +30,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,6 +38,7 @@
 #include "obs/json.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/fib.hpp"
+#include "routing/ksp_routing.hpp"
 #include "sim/packet_sim.hpp"
 #include "te/te.hpp"
 #include "topo/fat_tree.hpp"
@@ -46,20 +57,24 @@ std::uint64_t fnv1a(const std::string& bytes) {
   return h;
 }
 
-struct Topo {
-  const char* name;
-  const topo::Topology* topo;
-  te::WeightedFib fib;
-};
-
 struct Load {
   const char* name;
   std::vector<sim::PacketFlow> flows;
 };
 
+struct Topo {
+  const char* name;
+  const topo::Topology* topo;
+  te::WeightedFib fib;
+  /// KSP8 path sets; `routed` flows point into its cache.
+  std::unique_ptr<routing::KspRouting> ksp;
+  std::vector<Load> routed;  ///< the shared loads, source-routed over `ksp`
+};
+
 struct Case {
-  const char* topo;
-  const char* workload;
+  const Topo* topo;
+  const Load* load;
+  bool ecn;
   const char* scheme;
   sim::PacketStats stats;
 };
@@ -100,7 +115,16 @@ int main(int argc, char** argv) {
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::k_in_range("bench_congestion", k)) return 2;
+  const char* self = "bench_congestion";
+  if (!bench::k_in_range(self, k) ||
+      !bench::int_in_range(self, "train", train, 1, bench::kMaxTrain) ||
+      !bench::int_in_range(self, "queue-packets", queue, 0, bench::kMaxU32) ||
+      !bench::int_in_range(self, "sources", sources, 1, bench::kMaxU32) ||
+      !bench::int_in_range(self, "a2a", a2a, 2, bench::kMaxU32) ||
+      !bench::int_in_range(self, "ecn-threshold", ecn_threshold, 1, bench::kMaxU32) ||
+      !bench::finite_in_range(self, "nic-rate", nic_rate, false) ||
+      !bench::finite_in_range(self, "prop-delay", prop_delay, true))
+    return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
   bench::ObsScope obs_run(obsf, argc, argv);
@@ -131,10 +155,10 @@ int main(int argc, char** argv) {
     return fib;
   };
   std::vector<Topo> topos;
-  topos.push_back({"fat-tree (clos)", &ft.topo, compile("wcmp/fat-tree", ft.topo)});
-  topos.push_back({"flat-tree (global RG)", &grg, compile("wcmp/global", grg)});
-  topos.push_back({"flat-tree (pod RG)", &prg, compile("wcmp/pod", prg)});
-  topos.push_back({"jellyfish", &jelly, compile("wcmp/jellyfish", jelly)});
+  topos.push_back({"fat-tree (clos)", &ft.topo, compile("wcmp/fat-tree", ft.topo), {}, {}});
+  topos.push_back({"flat-tree (global RG)", &grg, compile("wcmp/global", grg), {}, {}});
+  topos.push_back({"flat-tree (pod RG)", &prg, compile("wcmp/pod", prg), {}, {}});
+  topos.push_back({"jellyfish", &jelly, compile("wcmp/jellyfish", jelly), {}, {}});
 
   // Shared workloads (server ids are equipment-parity comparable across
   // the four builds). All derive from substreams of --seed.
@@ -174,29 +198,47 @@ int main(int argc, char** argv) {
   base.flowlet_gap = flowlet_gap;
   base.ecn_threshold = static_cast<std::size_t>(ecn_threshold);
 
+  // The routed copies of the loads: each flow between distinct switches
+  // stripes over its pair's KSP8 set (built once per pair, on first use).
+  for (Topo& t : topos) {
+    t.ksp = std::make_unique<routing::KspRouting>(t.topo->graph(), 8);
+    for (const Load& load : loads) {
+      Load routed{load.name, load.flows};
+      for (sim::PacketFlow& flow : routed.flows) {
+        const graph::NodeId a = t.topo->host(flow.src), b = t.topo->host(flow.dst);
+        if (a == b) continue;
+        flow.paths = &t.ksp->paths(a, b);
+        if (bench::selfcheck_enabled())
+          bench::selfcheck_record(check::validate_paths(t.topo->graph(), a, b, *flow.paths),
+                                  "ksp8");
+      }
+      t.routed.push_back(std::move(routed));
+    }
+  }
+
   // Fan the independent simulations over the pool; each case is a
   // single-threaded DES, so row values cannot depend on the fan-out.
   std::vector<Case> cases;
-  for (const Topo& t : topos)
-    for (const Load& load : loads)
-      for (const char* scheme : {"drop-tail", "dctcp"})
-        cases.push_back({t.name, load.name, scheme, {}});
+  for (bool routed : {false, true})
+    for (const Topo& t : topos)
+      for (std::size_t l = 0; l < loads.size(); ++l) {
+        const Load* load = routed ? &t.routed[l] : &loads[l];
+        cases.push_back({&t, load, false, routed ? "drop-tail+ksp8" : "drop-tail", {}});
+        cases.push_back({&t, load, true, routed ? "dctcp+ksp8" : "dctcp", {}});
+      }
   exec::parallel_for(cases.size(), [&](std::size_t i) {
-    const std::size_t per_topo = loads.size() * 2;
-    const Topo& t = topos[i / per_topo];
-    const Load& load = loads[(i % per_topo) / 2];
     sim::PacketSimConfig cfg = base;
-    cfg.ecn = (i % 2) == 1;
-    sim::PacketSimulator simulator(*t.topo, t.fib, cfg);
-    cases[i].stats = simulator.run(load.flows);
+    cfg.ecn = cases[i].ecn;
+    sim::PacketSimulator simulator(*cases[i].topo->topo, cases[i].topo->fib, cfg);
+    cases[i].stats = simulator.run(cases[i].load->flows);
   });
 
   util::Table table({"topology", "workload", "scheme", "packets", "loss %", "mark %",
                      "fct p50", "fct p99", "mean queue", "max queue", "finish"});
   for (const Case& c : cases) {
     table.begin_row();
-    table.add(c.topo);
-    table.add(c.workload);
+    table.add(c.topo->name);
+    table.add(c.load->name);
     table.add(c.scheme);
     table.integer(static_cast<std::int64_t>(c.stats.injected));
     table.num(100.0 * c.stats.loss_rate(), 2);
@@ -207,10 +249,13 @@ int main(int argc, char** argv) {
     table.num(c.stats.max_queue, 0);
     table.num(c.stats.finish_time, 2);
   }
-  table.print("Extension: congestion control on converted fabrics (WCMP + flowlet)");
+  table.print("Extension: congestion control and routing on converted fabrics "
+              "(WCMP + flowlet vs KSP8 source routes)");
   std::puts("Expected: DCTCP holds queues near the marking threshold (lower mean queue\n"
             "and loss than drop-tail at the same load); random-graph conversions spread\n"
-            "the permutation/all-to-all load while incast stays sink-limited everywhere.");
+            "the permutation/all-to-all load while incast stays sink-limited everywhere.\n"
+            "Paper §2.6 pairs ECMP with Clos and KSP with the random-graph modes: the\n"
+            "+ksp8 rows should gain most on the random graphs.");
 
   if (!summary_json.empty()) {
     obs::JsonWriter w;
@@ -234,9 +279,9 @@ int main(int argc, char** argv) {
     for (const Case& c : cases) {
       w.begin_object();
       w.key("topology");
-      w.string_value(c.topo);
+      w.string_value(c.topo->name);
       w.key("workload");
-      w.string_value(c.workload);
+      w.string_value(c.load->name);
       w.key("scheme");
       w.string_value(c.scheme);
       w.key("injected");

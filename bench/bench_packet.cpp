@@ -59,7 +59,12 @@ int main(int argc, char** argv) {
   bench::ObsFlags obsf;
   bench::add_obs_flags(cli, &obsf);
   if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::k_in_range("bench_packet", k)) return 2;
+  if (!bench::k_in_range("bench_packet", k) ||
+      !bench::int_in_range("bench_packet", "train", train, 1, bench::kMaxTrain) ||
+      !bench::int_in_range("bench_packet", "queue-packets", queue, 0, bench::kMaxU32) ||
+      !bench::finite_in_range("bench_packet", "nic-rate", nic_rate, false) ||
+      !bench::finite_in_range("bench_packet", "prop-delay", prop_delay, true))
+    return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
   bench::ObsScope obs_run(obsf, argc, argv);

@@ -161,10 +161,10 @@ class ObsScope {
 
 // -- sizing flag checks -------------------------------------------------------
 //
-// --k, --kmax/--kstep, --seeds and --eps are checked before use, so a
-// value out of range is refused here, with a message on stderr naming the
-// flag, before any cast or solve: the bench then exits 2 with nothing on
-// stdout.
+// --k, --kmax/--kstep, --seeds, --eps and the packet simulator's sizing
+// and rate flags are checked before use, so a value out of range is
+// refused here, with a message on stderr naming the flag, before any cast
+// or solve: the bench then exits 2 with nothing on stdout.
 
 /// The largest fat-tree parameter a bench accepts: eight times the largest
 /// k any paper-scale sweep uses (bench_fig5_apl_global --full stops at 32).
@@ -216,6 +216,37 @@ inline bool seeds_in_range(const char* bench, std::int64_t seeds) {
                static_cast<long long>(kMaxSeeds), static_cast<long long>(seeds));
   return false;
 }
+
+/// True when the integer flag `--flag` lies in [lo, hi]; otherwise prints
+/// why, prefixed with `bench`, and returns false (a negative value would
+/// wrap in the unsigned cast, a huge one wrap or exhaust memory).
+inline bool int_in_range(const char* bench, const char* flag, std::int64_t value,
+                         std::int64_t lo, std::int64_t hi) {
+  if (value >= lo && value <= hi) return true;
+  std::fprintf(stderr, "%s: --%s must lie in [%lld, %lld], got %lld\n", bench, flag,
+               static_cast<long long>(lo), static_cast<long long>(hi),
+               static_cast<long long>(value));
+  return false;
+}
+
+/// True when the double flag `--flag` is finite and positive, or finite
+/// and non-negative when `zero_ok`; otherwise prints why, prefixed with
+/// `bench`, and returns false.
+inline bool finite_in_range(const char* bench, const char* flag, double value, bool zero_ok) {
+  // Written so that NaN fails.
+  if (value > 0.0 && value <= std::numeric_limits<double>::max()) return true;
+  if (zero_ok && value == 0.0) return true;
+  std::fprintf(stderr, "%s: --%s must be finite and %s, got %g\n", bench, flag,
+               zero_ok ? "non-negative" : "positive", value);
+  return false;
+}
+
+/// Packet-simulator sizing: the most packets per flow (--train) a DES
+/// bench accepts. Every packet of a run is kept (40 bytes each), so a
+/// longer train only exhausts memory.
+inline constexpr std::int64_t kMaxTrain = std::int64_t{1} << 16;
+/// The largest --queue-packets, --sources, --a2a or --ecn-threshold value.
+inline constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
 
 /// Registers the shared `--threads` flag (every bench grows one). 0 means
 /// the exec default: FLATTREE_THREADS env var, else hardware concurrency.

@@ -11,8 +11,11 @@
 #   2.  Header doc coverage — every public header under HEADER_DIRS has a
 #       file-level comment, and every namespace-scope declaration (struct/
 #       class/enum/free function) is immediately preceded by a doc comment.
-#   3.  README bench catalog — the bench catalog table in README.md lists
-#       every bench binary that exists under bench/.
+#   3.  Bench and example names, both ways — the bench catalog table in
+#       README.md lists every bench binary that exists under bench/, and
+#       every `bench_*` name (or `bench_*_test` test source) and every
+#       `examples/*.cpp` path that README, DESIGN or EXPERIMENTS names
+#       still exists.
 #   4.  Durability error codes — the svc.journal.*, svc.snapshot.*,
 #       svc.recover.* and svc.overload.* codes that src/svc returns are
 #       exactly the rows of the "Error codes" table in docs/durability.md
@@ -167,7 +170,7 @@ for d in HEADER_DIRS:
                         fail(f"{rel}:{i + 1}: undocumented public declaration: {line[:60]}")
             depth += raw.count("{") - raw.count("}")
 
-# -- 3. README bench catalog completeness -----------------------------------
+# -- 3. bench and example names, both ways ----------------------------------
 
 bench_dir = os.path.join(root, "bench")
 benches = sorted(
@@ -177,6 +180,20 @@ readme = open(os.path.join(root, "README.md"), encoding="utf-8").read()
 for b in benches:
     if b not in readme:
         fail(f"README.md: bench catalog is missing `{b}`")
+bench_tests = {
+    f[:-4] for _, _, names in os.walk(os.path.join(root, "tests"))
+    for f in names if f.startswith("bench_") and f.endswith("_test.cpp")
+}
+# `flattree.bench_te.v1`-style schema names are not binaries.
+BENCH_NAME_RE = re.compile(r"(?<![\w.])bench_[a-z0-9_]+")
+EXAMPLE_RE = re.compile(r"examples/\w+\.cpp")
+for md in ["README.md", "DESIGN.md", "EXPERIMENTS.md"]:
+    text = open(os.path.join(root, md), encoding="utf-8").read()
+    for name in sorted(set(BENCH_NAME_RE.findall(text)) - set(benches) - bench_tests):
+        fail(f"{md}: names `{name}`, which is neither a bench under bench/ nor a test")
+    for path in sorted(set(EXAMPLE_RE.findall(text))):
+        if not os.path.exists(os.path.join(root, path)):
+            fail(f"{md}: names `{path}`, which does not exist")
 
 # -- 4. durability error codes vs the docs/durability.md table ---------------
 

@@ -2,8 +2,8 @@
 // Yen's k-shortest loopless paths.
 //
 // Jellyfish-style topologies route over the k shortest paths between each
-// switch pair [Singla et al., NSDI'12]; the routing module and the flow
-// simulator consume this.
+// switch pair [Singla et al., NSDI'12]; the routing module consumes this,
+// and the packet simulator follows its paths as source routes.
 
 #include <vector>
 

@@ -255,7 +255,7 @@ McfResult gk_solve(const graph::Graph& g, const std::vector<Commodity>& commodit
   // the augmentation loop; 0 disables it.
   const std::uint64_t max_aug = options.max_augmentations;
   bool budget_hit = false;
-  while (!done && !budget_hit && d_sum < 1.0 && result.phases < options.max_phases) {
+  while (!done && !budget_hit && d_sum < 1.0) {
     OBS_SPAN("gk.phase");
     // Every group's tree is computed up front from the phase-start length
     // function. Groups whose trees go stale while earlier groups route
@@ -317,7 +317,7 @@ McfResult gk_solve(const graph::Graph& g, const std::vector<Commodity>& commodit
   }
   c_gk_phases.add(result.phases);
   // `done` is only ever set by the D(l) >= 1 termination test, so leaving
-  // the loop without it means max_phases cut the run short.
+  // the loop without it means max_augmentations cut the run short.
   result.truncated = !done;
 
   // Primal bound: rescale by worst congestion.

@@ -37,27 +37,23 @@
 
 namespace flattree::mcf {
 
-/// Solver knobs for max_concurrent_flow. epsilon, compute_upper_bound,
-/// max_phases and max_augmentations steer Garg-Koenemann only: a one-source
+/// Solver knobs for max_concurrent_flow. epsilon, compute_upper_bound and
+/// max_augmentations steer Garg-Koenemann only: a one-source
 /// or one-sink instance is solved exactly, always reports its cut bound, and
 /// is never truncated (epsilon is still range-checked for every instance).
 struct McfOptions {
   double epsilon = 0.2;            ///< FPTAS accuracy knob, in (0, 1)
   bool compute_upper_bound = true; ///< duality bound sweep at termination
-  /// Phase cap. When hit before the termination test D(l) >= 1 the run is
-  /// *truncated* (see McfResult::truncated): both bounds stay valid —
-  /// lambda_lower is the actually-routed flow rescaled by the observed
-  /// congestion (primal-feasible by construction), lambda_upper is still
-  /// an LP-duality bound — but the FPTAS gap guarantee between them no
+  /// Deadline-style budget, denominated in augmentations rather than wall
+  /// time so truncation points are bitwise-reproducible at any thread
+  /// count (the augmentation loop is sequential and deterministic; a
+  /// wall-clock deadline would not be). 0 = unlimited. When hit before the
+  /// termination test D(l) >= 1 the run is *truncated* (see
+  /// McfResult::truncated): both bounds stay valid -- lambda_lower is the
+  /// actually-routed flow rescaled by the observed congestion
+  /// (primal-feasible by construction), lambda_upper is still an
+  /// LP-duality bound -- but the FPTAS gap guarantee between them no
   /// longer applies, so the bracket may be arbitrarily loose.
-  std::uint64_t max_phases = 1u << 20;
-  /// Deadline-style budget alongside max_phases, denominated in
-  /// augmentations rather than wall time so truncation points are
-  /// bitwise-reproducible at any thread count (the augmentation loop is
-  /// sequential and deterministic; a wall-clock deadline would not be).
-  /// 0 = unlimited. Hitting the budget mid-phase stops the solve with
-  /// McfResult::truncated = true and the same validity caveats as a
-  /// max_phases cut.
   std::uint64_t max_augmentations = 0;
   /// Accept commodities whose endpoints are disconnected in `g` instead of
   /// throwing: they are excluded from the solve, listed in
@@ -80,7 +76,7 @@ struct McfResult {
   std::uint64_t phases = 0;
   std::uint64_t augmentations = 0;
   std::uint64_t dijkstra_runs = 0;
-  /// True when max_phases stopped the run before D(l) reached 1. The
+  /// True when max_augmentations stopped the run before D(l) reached 1. The
   /// bounds above remain individually valid (feasible lower, duality
   /// upper) but carry no (1 - 3*eps) gap promise; callers relying on the
   /// FPTAS guarantee must check this flag (check::certify does).

@@ -24,8 +24,8 @@
 // problem run from the sink: only the two arcs of each link swap, and the
 // cut's side is complemented.
 //
-// The solve is exact: McfOptions::epsilon, max_phases and
-// max_augmentations do not apply to it, so a budgeted solve of a
+// The solve is exact: McfOptions::epsilon and max_augmentations do not
+// apply to it, so a budgeted solve of a
 // one-source instance is never truncated, and its phase, augmentation and
 // Dijkstra counts are 0.
 

@@ -2,12 +2,10 @@
 
 #include <stdexcept>
 
-#include "util/rng.hpp"
-
 namespace flattree::routing {
 
-EcmpRouting::EcmpRouting(const graph::Graph& g, std::size_t max_paths, std::uint64_t salt)
-    : graph_(g), max_paths_(max_paths), salt_(salt) {}
+EcmpRouting::EcmpRouting(const graph::Graph& g, std::size_t max_paths)
+    : graph_(g), max_paths_(max_paths) {}
 
 const std::vector<Path>& EcmpRouting::paths(NodeId src, NodeId dst) {
   if (const auto* cached = db_.find(src, dst)) return *cached;
@@ -15,13 +13,6 @@ const std::vector<Path>& EcmpRouting::paths(NodeId src, NodeId dst) {
   if (computed.empty()) throw std::runtime_error("EcmpRouting: pair disconnected");
   db_.set(src, dst, std::move(computed));
   return *db_.find(src, dst);
-}
-
-const Path& EcmpRouting::select(NodeId src, NodeId dst, std::uint64_t flow_id) {
-  const auto& set = paths(src, dst);
-  std::uint64_t h = util::mix64(flow_id ^ salt_ ^
-                                ((static_cast<std::uint64_t>(src) << 32) | dst));
-  return set[h % set.size()];
 }
 
 }  // namespace flattree::routing

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "util/rng.hpp"
 
 namespace flattree::routing {
 
@@ -11,12 +10,10 @@ namespace {
 
 obs::Counter c_cache_hits("routing.ksp.cache_hits");
 obs::Counter c_cache_misses("routing.ksp.cache_misses");
-obs::Counter c_selected("routing.ksp.paths_selected");
 
 }  // namespace
 
-KspRouting::KspRouting(const graph::Graph& g, std::size_t k, std::uint64_t salt)
-    : graph_(g), k_(k), salt_(salt) {}
+KspRouting::KspRouting(const graph::Graph& g, std::size_t k) : graph_(g), k_(k) {}
 
 const std::vector<Path>& KspRouting::paths(NodeId src, NodeId dst) {
   if (const auto* cached = db_.find(src, dst)) {
@@ -28,14 +25,6 @@ const std::vector<Path>& KspRouting::paths(NodeId src, NodeId dst) {
   if (computed.empty()) throw std::runtime_error("KspRouting: pair disconnected");
   db_.set(src, dst, std::move(computed));
   return *db_.find(src, dst);
-}
-
-const Path& KspRouting::select(NodeId src, NodeId dst, std::uint64_t flow_id) {
-  c_selected.inc();
-  const auto& set = paths(src, dst);
-  std::uint64_t h = util::mix64(flow_id ^ salt_ ^
-                                ((static_cast<std::uint64_t>(src) << 32) | dst));
-  return set[h % set.size()];
 }
 
 }  // namespace flattree::routing

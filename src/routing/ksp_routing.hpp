@@ -6,18 +6,16 @@
 
 namespace flattree::routing {
 
-/// Hash-based choice among the k shortest (Yen) paths of a switch pair.
+/// The k shortest (Yen) paths of a switch pair.
 class KspRouting : public Routing {
  public:
-  explicit KspRouting(const graph::Graph& g, std::size_t k = 8, std::uint64_t salt = 0);
+  explicit KspRouting(const graph::Graph& g, std::size_t k = 8);
 
-  const Path& select(NodeId src, NodeId dst, std::uint64_t flow_id) override;
   const std::vector<Path>& paths(NodeId src, NodeId dst) override;
 
  private:
   const graph::Graph& graph_;
   std::size_t k_;
-  std::uint64_t salt_;
   PathDb db_;
 };
 

@@ -3,9 +3,10 @@
 //
 // Flat-tree routes Clos mode with ECMP and random-graph modes with
 // k-shortest-paths (as Jellyfish does). Because flat-tree's topologies are
-// known in advance, paths are precomputed — here lazily, per switch pair —
-// and selections are made with a deterministic flow hash (an SDN controller
-// would instead install the precomputed paths).
+// known in advance, paths are precomputed -- here lazily, per switch pair.
+// A path set is either compiled into a forwarding table
+// (te::compile_fib, te::compile_wcmp_paths) or handed to the packet
+// simulator as source routes (sim::PacketFlow::paths).
 
 #include <cstdint>
 #include <unordered_map>
@@ -31,16 +32,14 @@ class PathDb {
   std::unordered_map<std::uint64_t, std::vector<Path>> map_;
 };
 
-/// A routing scheme: deterministic per-flow path selection between
-/// switches. Implementations cache computed path sets.
+/// A routing scheme: the candidate path set of each switch pair.
+/// Implementations cache computed path sets, so a returned reference stays
+/// valid for the scheme's lifetime.
 class Routing {
  public:
   virtual ~Routing() = default;
-  /// The path a given flow takes; never null for connected pairs
-  /// (throws std::runtime_error when src and dst are disconnected).
-  /// `flow_id` feeds the hash that spreads flows over the path set.
-  virtual const Path& select(NodeId src, NodeId dst, std::uint64_t flow_id) = 0;
-  /// Full candidate set for a pair (for tests and inspection).
+  /// The path set of a pair (throws std::runtime_error when src and dst
+  /// are disconnected).
   virtual const std::vector<Path>& paths(NodeId src, NodeId dst) = 0;
 };
 

@@ -26,15 +26,60 @@ obs::Counter c_ecn_marked("sim.ecn.marked");
 obs::Counter c_ecn_window_cuts("sim.ecn.window_cuts");
 obs::Counter c_flowlet_switches("sim.flowlet.switches");
 
+/// Route index of a packet forwarded by the table (PacketFlow::paths null
+/// or empty); any other value indexes the flow's path set.
+constexpr std::uint16_t kTableRoute = 0xFFFF;
+
 struct Packet {
   std::uint64_t flow_id = 0;      ///< index into the flow table
   std::uint64_t salt = 0;         ///< flowlet-salted id fed to the FIB hash
   topo::NodeId dst_switch = 0;
   topo::NodeId at = 0;            ///< switch its next Arrive reaches
   double injected_at = 0.0;
+  std::uint16_t route = kTableRoute;  ///< path in the flow's set, or the table
+  std::uint16_t hop = 0;          ///< links of the route already taken
   bool marked = false;            ///< ECN CE bit (set at a hot queue)
   bool dropped = false;
 };
+static_assert(sizeof(Packet) == 40, "route and hop live in Packet's padding");
+
+/// The route of packet `i` of `flow`: path i mod |set|, or the table.
+std::uint16_t route_of(const PacketFlow& flow, std::uint32_t i) {
+  if (flow.paths == nullptr || flow.paths->empty()) return kTableRoute;
+  return static_cast<std::uint16_t>(i % flow.paths->size());
+}
+
+/// Refuses a routed flow whose paths the hop-by-hop walk cannot follow:
+/// every path must run host(src)..host(dst) over links joining its
+/// consecutive nodes and reach host(dst) only at its end (delivery is
+/// detected by arrival there), within the u16 route and hop counters.
+void check_routes(const topo::Topology& topo, const PacketFlow& flow) {
+  if (flow.paths == nullptr) return;
+  auto refuse = [](const char* what) {
+    throw std::invalid_argument(std::string("PacketSimulator: routed flow ") + what);
+  };
+  if (flow.paths->size() > kTableRoute) refuse("has more than 65,535 paths");
+  const topo::NodeId src = topo.host(flow.src);
+  const topo::NodeId dst = topo.host(flow.dst);
+  for (const graph::Path& path : *flow.paths) {
+    if (path.links.size() > std::numeric_limits<std::uint16_t>::max())
+      refuse("has a path of more than 65,535 hops");
+    if (path.nodes.empty() || path.nodes.front() != src)
+      refuse("has a path that does not start at host(src)");
+    if (path.nodes.back() != dst) refuse("has a path that does not end at host(dst)");
+    if (path.links.size() + 1 != path.nodes.size())
+      refuse("has a link that does not join consecutive nodes");
+    for (std::size_t i = 0; i < path.links.size(); ++i) {
+      if (path.nodes[i] == dst) refuse("has a path that reaches host(dst) before its end");
+      if (path.links[i] >= topo.link_count())
+        refuse("has a link that does not join consecutive nodes");
+      const graph::Link& l = topo.graph().link(path.links[i]);
+      const topo::NodeId a = path.nodes[i], b = path.nodes[i + 1];
+      if (!((l.a == a && l.b == b) || (l.a == b && l.b == a)))
+        refuse("has a link that does not join consecutive nodes");
+    }
+  }
+}
 
 /// Event kinds. Inject is a flow's next send: under drop-tail the next
 /// NIC-paced packet entering its source switch, under DCTCP a
@@ -240,6 +285,7 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
       throw std::invalid_argument("PacketSimulator: src == dst");
     if (!std::isfinite(flow.start))
       throw std::invalid_argument("PacketSimulator: flow start must be finite");
+    check_routes(topo_, flow);
     total_packets += flow.packets;
   }
   // Events carry 32-bit packet and flow indices.
@@ -269,8 +315,9 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
     // Only each flow's next packet waits in the heap, as an Inject event
     // under that seq; a flow's later packets are later in (time, seq), so
     // the pop order is the one of scheduling every packet up front.
-    // Flowlet salts are a per-flow function of the injection times and are
-    // assigned in this pass, in the same flow-major order.
+    // Flowlet salts of table flows are a per-flow function of the
+    // injection times and are assigned in this pass, in the same
+    // flow-major order.
     for (std::size_t f = 0; f < flows.size(); ++f) {
       const PacketFlow& flow = flows[f];
       const topo::NodeId src_switch = topo_.host(flow.src);
@@ -280,7 +327,8 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
         double t = flow.start + static_cast<double>(p) * injection_gap;
         Packet pkt;
         pkt.flow_id = static_cast<std::uint64_t>(f);
-        pkt.salt = flowlets.salt(pkt.flow_id, t);
+        pkt.route = route_of(flow, p);
+        if (pkt.route == kTableRoute) pkt.salt = flowlets.salt(pkt.flow_id, t);
         pkt.dst_switch = dst_switch;
         pkt.at = src_switch;
         pkt.injected_at = t;
@@ -313,7 +361,8 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
     if (fs.sent < flow.packets && fs.inflight < fs.cwnd && fs.nic_free <= now) {
       Packet pkt;
       pkt.flow_id = static_cast<std::uint64_t>(f);
-      pkt.salt = flowlets.salt(pkt.flow_id, now);
+      pkt.route = route_of(flow, fs.sent);
+      if (pkt.route == kTableRoute) pkt.salt = flowlets.salt(pkt.flow_id, now);
       pkt.dst_switch = topo_.host(flow.dst);
       pkt.at = topo_.host(flow.src);
       pkt.injected_at = now;
@@ -409,7 +458,9 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
       continue;
     }
 
-    graph::LinkId link = select(pkt.at, pkt.dst_switch, pkt.salt);
+    const graph::LinkId link =
+        pkt.route == kTableRoute ? select(pkt.at, pkt.dst_switch, pkt.salt)
+                                 : (*flows[pkt.flow_id].paths)[pkt.route].links[pkt.hop++];
     const graph::Link& l = topo_.graph().link(link);
     std::size_t arc = 2 * link + (l.a == pkt.at ? 0 : 1);
     ArcState& astate = arc_state[arc];

@@ -1,12 +1,14 @@
 #pragma once
 // Discrete-event packet-level simulator.
 //
-// Complements the fluid flow-level simulator (sim/flow_sim.hpp) with
-// queueing behavior: packets traverse the switch fabric hop by hop through
-// per-direction output queues, forwarded by a compiled te::WeightedFib —
-// equal-cost (te::compile_fib) or weighted (te::compile_wcmp_*) — with
-// per-flow hashing. Store-and-forward with finite buffers, so congestion
-// shows up as queueing delay and tail drops rather than a fair-share rate.
+// Packets traverse the switch fabric hop by hop through per-direction
+// output queues. A flow's packets either follow a compiled te::WeightedFib
+// -- equal-cost (te::compile_fib) or weighted (te::compile_wcmp_*) -- with
+// per-flow hashing, or carry source routes: packet i of a flow given a
+// path set (PacketFlow::paths, e.g. routing::KspRouting's k shortest
+// paths) follows path i mod |set|, modelling MPTCP-style striping over
+// |set| subflows that share one congestion window. Store-and-forward with
+// finite buffers, so congestion shows up as queueing delay and tail drops.
 //
 // One (time, seq)-ordered event loop serves both sending disciplines (all
 // deterministic discrete-event time, no wall clock; see DESIGN.md §10).
@@ -26,9 +28,10 @@
 //     marked window, additive increase otherwise, and a multiplicative cut
 //     on loss. Inject events pace the window-clocked sends.
 //
-// Flowlet load balancing works under both: with flowlet_gap > 0, a flow
-// that pauses longer than the gap re-hashes onto a fresh path salt
-// (te::FlowletTable) at the next injection.
+// Flowlet load balancing works under both for table flows: with
+// flowlet_gap > 0, a flow that pauses longer than the gap re-hashes onto a
+// fresh path salt (te::FlowletTable) at the next injection. Routed flows
+// consult neither the table nor the flowlet table.
 //
 // Time units: a packet of size 1 takes 1/capacity time units to serialize
 // onto a link of that capacity; propagation delay is per hop and constant.
@@ -38,6 +41,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/ksp.hpp"
 #include "te/weighted_fib.hpp"
 #include "topo/topology.hpp"
 
@@ -66,6 +70,9 @@ struct PacketFlow {
   topo::ServerId dst = 0;
   std::uint32_t packets = 1;
   double start = 0.0;
+  /// Source routes between host(src) and host(dst); null or empty = the
+  /// table. Packet i follows path i mod size(). Must outlive run().
+  const std::vector<graph::Path>* paths = nullptr;
 };
 
 /// Aggregate outcome of one PacketSimulator::run.
@@ -88,7 +95,7 @@ struct PacketStats {
   // -- congestion signals ---------------------------------------------------
   std::uint64_t ecn_marked = 0;     ///< delivered packets marked at >= 1 hop
   std::uint64_t window_cuts = 0;    ///< multiplicative cwnd decreases
-  std::uint64_t flowlet_switches = 0; ///< flowlet re-hashes
+  std::uint64_t flowlet_switches = 0; ///< flowlet re-hashes (table flows only)
   double mean_queue = 0.0;          ///< occupancy sampled at each arc arrival
   double max_queue = 0.0;           ///< largest occupancy sampled
 
@@ -105,8 +112,8 @@ struct PacketStats {
 /// Discrete-event packet simulator over a topology and its forwarding table.
 class PacketSimulator {
  public:
-  /// `fib` must cover every (host(src), host(dst)) switch pair the flows
-  /// use (compile via te::compile_fib or te::compile_wcmp_*). Both
+  /// `fib` must cover every (host(src), host(dst)) switch pair the table
+  /// flows use (compile via te::compile_fib or te::compile_wcmp_*). Both
   /// references must outlive the simulator. Throws std::invalid_argument,
   /// naming the field, on a packet_size or nic_rate that is not finite and
   /// positive, a propagation_delay or ack_delay that is not finite and
@@ -118,8 +125,13 @@ class PacketSimulator {
   /// Deterministic for a given input ordering. Flows with src == dst are
   /// rejected (std::invalid_argument): the fabric model has nothing to
   /// simulate for them, and silently delivering at zero hops would skew
-  /// delay statistics. So is a flow whose start is not finite. Zero-packet flows are legal no-ops, so a run that
-  /// delivers nothing reports every delay/FCT statistic as 0.0.
+  /// delay statistics. So is a flow whose start is not finite, and a
+  /// routed flow with more than 65,535 paths, a path of more than 65,535
+  /// hops, or a path that does not start at host(src), does not end at
+  /// host(dst), reaches host(dst) before its last node, or has a link that
+  /// does not join its consecutive nodes. Zero-packet flows are legal
+  /// no-ops, so a run that delivers nothing reports every delay/FCT
+  /// statistic as 0.0.
   PacketStats run(const std::vector<PacketFlow>& flows);
 
  private:

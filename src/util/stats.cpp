@@ -7,44 +7,6 @@
 
 namespace flattree::util {
 
-void Accumulator::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void Accumulator::merge(const Accumulator& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  std::size_t n = n_ + other.n_;
-  double delta = other.mean_ - mean_;
-  double mean = mean_ + delta * static_cast<double>(other.n_) / static_cast<double>(n);
-  m2_ += other.m2_ +
-         delta * delta * static_cast<double>(n_) * static_cast<double>(other.n_) /
-             static_cast<double>(n);
-  mean_ = mean;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ = n;
-}
-
-double Accumulator::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double Accumulator::stdev() const { return std::sqrt(variance()); }
-
 double percentile(std::vector<double> samples, double p) {
   return Distribution(std::move(samples)).quantile(p / 100.0);
 }

@@ -6,30 +6,6 @@
 
 namespace flattree::util {
 
-/// Streaming accumulator for mean/variance/min/max (Welford's algorithm).
-class Accumulator {
- public:
-  void add(double x);
-  /// Merges another accumulator into this one (parallel-combine safe).
-  void merge(const Accumulator& other);
-
-  std::size_t count() const { return n_; }
-  double sum() const { return mean_ * static_cast<double>(n_); }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 when fewer than two samples.
-  double variance() const;
-  double stdev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Percentile of a sample with linear interpolation, p in [0,100].
 /// Sorts a copy; for repeated queries use Distribution below.
 double percentile(std::vector<double> samples, double p);

@@ -31,7 +31,7 @@ std::vector<ServerDemand> cluster_traffic(const std::vector<Cluster>& clusters,
 
 /// Random permutation traffic over [0, total): each server sends one unit
 /// to a distinct random server (derangement-ish; no self-pairs). Used by
-/// the flow-level simulator benches.
+/// the packet simulator benches.
 std::vector<ServerDemand> permutation_traffic(std::uint32_t total_servers, util::Rng& rng);
 
 /// Fabric-wide incast over [0, total): `sources` distinct random servers

@@ -122,8 +122,8 @@ TEST(Certify, FptasGapCheckedOnlyWhenMeaningful) {
 }
 
 TEST(Certify, TruncatedRunStillCertifiesPrimally) {
-  // max_phases = 1: bounds hold, flows feasible, certificate passes (gap
-  // check skipped via result.truncated).
+  // Two augmentations, the first phase's worth: bounds hold, flows
+  // feasible, certificate passes (gap check skipped via result.truncated).
   graph::Graph g(4);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 2, 2.0);
@@ -133,7 +133,7 @@ TEST(Certify, TruncatedRunStillCertifiesPrimally) {
   std::vector<mcf::Commodity> cs{{0, 3, 1.0}, {1, 2, 0.5}};
   mcf::McfOptions opt;
   opt.epsilon = 0.05;
-  opt.max_phases = 1;
+  opt.max_augmentations = 2;
   auto r = mcf::max_concurrent_flow(g, cs, opt);
   ASSERT_TRUE(r.truncated);
   CertifyOptions opts;

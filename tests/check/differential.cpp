@@ -75,32 +75,32 @@ DifferentialOutcome run_differential(const DifferentialSpec& spec) {
   mcf::McfOptions opt;
   opt.epsilon = spec.epsilon;
   opt.compute_upper_bound = true;
-  out.gk = mcf::max_concurrent_flow(out.graph, out.commodities, opt);
+  out.result = mcf::max_concurrent_flow(out.graph, out.commodities, opt);
 
   CertifyOptions copts;
   copts.epsilon = spec.epsilon;
-  out.report.merge(certify(out.graph, out.commodities, out.gk, copts));
+  out.report.merge(certify(out.graph, out.commodities, out.result, copts));
 
   const double tol = 1e-6;
   out.report.note_check();
-  if (out.gk.lambda_lower > out.exact * (1.0 + tol)) {
+  if (out.result.lambda_lower > out.exact * (1.0 + tol)) {
     std::ostringstream os;
-    os << "lambda_lower " << out.gk.lambda_lower << " exceeds the exact optimum "
+    os << "lambda_lower " << out.result.lambda_lower << " exceeds the exact optimum "
        << out.exact;
     out.report.add("diff.lower_exceeds_exact", os.str());
   }
   out.report.note_check();
-  if (out.gk.lambda_upper < out.exact * (1.0 - tol)) {
+  if (out.result.lambda_upper < out.exact * (1.0 - tol)) {
     std::ostringstream os;
-    os << "lambda_upper " << out.gk.lambda_upper << " below the exact optimum "
+    os << "lambda_upper " << out.result.lambda_upper << " below the exact optimum "
        << out.exact;
     out.report.add("diff.upper_below_exact", os.str());
   }
   out.report.note_check();
   double gap = spec.gap_factor > 0.0 ? spec.gap_factor : 1.0 + spec.epsilon;
-  if (out.gk.lambda_lower * gap < out.exact * (1.0 - tol)) {
+  if (out.result.lambda_lower * gap < out.exact * (1.0 - tol)) {
     std::ostringstream os;
-    os << "lambda_lower " << out.gk.lambda_lower << " misses the exact optimum "
+    os << "lambda_lower " << out.result.lambda_lower << " misses the exact optimum "
        << out.exact << " by more than the gap factor " << gap;
     out.report.add("diff.gap", os.str());
   }

@@ -1,19 +1,21 @@
 #pragma once
-// Differential harness: Garg-Koenemann vs the exact LP on small random
-// instances.
+// Differential harness: mcf::max_concurrent_flow vs the exact LP on small
+// random instances.
 //
 // Certificates (check/certify.hpp) prove a result is internally
 // consistent; only an independent solver proves it is *right*. This
 // harness draws a small random connected multigraph (heterogeneous
 // capacities, optional parallel links) and a random commodity set, solves
 // it with both mcf::max_concurrent_flow and mcf::max_concurrent_flow_exact,
-// and reports every disagreement:
+// and reports every disagreement. A draw whose commodities share one source
+// or one sink takes max_concurrent_flow's exact max-flow path instead of
+// Garg-Koenemann (GK); it is kept, and checked against the LP the same way:
 //
 //   * the exact optimum must land inside [lambda_lower, lambda_upper];
 //   * lambda_lower must be within the requested gap factor of the exact
 //     optimum (default 1 + epsilon — the empirical FPTAS agreement the
 //     experiments rely on, tighter than the (1 - 3*eps) worst case);
-//   * the GK result must pass its own certificate.
+//   * the result must pass its own certificate.
 //
 // tests/check/differential_test.cpp sweeps seeds; benches do not run this
 // (the exact LP is exponential in practice beyond toy sizes).
@@ -47,8 +49,11 @@ struct DifferentialOutcome {
   graph::Graph graph;
   std::vector<mcf::Commodity> commodities;
   double exact = 0.0;
-  mcf::McfResult gk;
-  Report report;  ///< empty iff GK and the exact LP agree
+  mcf::McfResult result;  ///< max_concurrent_flow's answer
+  Report report;  ///< empty iff `result` and the exact LP agree
+  /// True when GK solved the instance: only the exact max-flow path
+  /// reports a cut.
+  bool ran_gk() const { return result.cut_source_side.empty(); }
 };
 
 /// Runs one differential case. Codes (beyond certify()'s):

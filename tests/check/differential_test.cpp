@@ -8,8 +8,11 @@ namespace flattree::check {
 namespace {
 
 TEST(Differential, GkAgreesWithExactLpAcrossSeeds) {
-  // The PR's acceptance bar: on small instances GK must land within
-  // (1 + eps) of the exact LP optimum and bracket it, every seed.
+  // On small instances GK must land within (1 + eps) of the exact LP
+  // optimum and bracket it, every seed. A one-source or one-sink draw
+  // would take the exact max-flow path instead; none of these 20 does, so
+  // the sweep really exercises GK.
+  std::size_t gk_seeds = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     DifferentialSpec spec;
     spec.seed = seed;
@@ -17,8 +20,10 @@ TEST(Differential, GkAgreesWithExactLpAcrossSeeds) {
     EXPECT_TRUE(out.report.ok())
         << "seed " << seed << ":\n" << out.report.to_string();
     EXPECT_GT(out.exact, 0.0) << "seed " << seed;
-    EXPECT_GT(out.gk.lambda_lower, 0.0) << "seed " << seed;
+    EXPECT_GT(out.result.lambda_lower, 0.0) << "seed " << seed;
+    gk_seeds += out.ran_gk();
   }
+  EXPECT_EQ(gk_seeds, 20u);
 }
 
 TEST(Differential, SimpleGraphInstances) {
@@ -51,8 +56,20 @@ TEST(Differential, TighterEpsilonStillAgrees) {
   DifferentialOutcome out = run_differential(spec);
   EXPECT_TRUE(out.report.ok()) << out.report.to_string();
   // Bracket actually contains the exact optimum.
-  EXPECT_LE(out.gk.lambda_lower, out.exact * (1.0 + 1e-6));
-  EXPECT_GE(out.gk.lambda_upper, out.exact * (1.0 - 1e-6));
+  EXPECT_LE(out.result.lambda_lower, out.exact * (1.0 + 1e-6));
+  EXPECT_GE(out.result.lambda_upper, out.exact * (1.0 - 1e-6));
+}
+
+TEST(Differential, OneCommodityDrawTakesTheExactPath) {
+  // The negative control for ran_gk(): one commodity is one source, which
+  // max_concurrent_flow solves exactly, and the LP must agree to 1e-6.
+  DifferentialSpec spec;
+  spec.seed = 3;
+  spec.commodities = 1;
+  spec.gap_factor = 1.0000001;
+  DifferentialOutcome out = run_differential(spec);
+  EXPECT_FALSE(out.ran_gk());
+  EXPECT_TRUE(out.report.ok()) << out.report.to_string();
 }
 
 TEST(Differential, StrictGapFactorCanFail) {

@@ -10,8 +10,7 @@
 #include "mcf/garg_koenemann.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/ksp_routing.hpp"
-#include "sim/flow_gen.hpp"
-#include "sim/flow_sim.hpp"
+#include "sim/packet_sim.hpp"
 #include "topo/apl.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/random_graph.hpp"
@@ -184,20 +183,36 @@ TEST(Integration, ControllerDrivenConversionAffectsWorkload) {
   EXPECT_GT(grg_lambda, clos_lambda);
 }
 
-TEST(Integration, FlowSimulatorRunsOnConvertedTopology) {
+TEST(Integration, RoutedPacketSimRunsOnConvertedTopology) {
+  // A permutation burst source-routed over each pair's KSP4 set on the
+  // converted fabric: with unbounded queues every packet arrives.
   core::FlatTreeConfig cfg;
   cfg.k = 4;
   core::FlatTreeNetwork net(cfg);
   topo::Topology grg = net.build(core::Mode::GlobalRandom);
   routing::KspRouting routing(grg.graph(), 4);
-  sim::FlowSimulator simulator(grg, routing);
   util::Rng rng(9);
-  sim::FlowSizeDist dist;
-  auto flows = sim::poisson_flows(100, 50.0, static_cast<std::uint32_t>(grg.server_count()),
-                                  dist, rng);
-  auto records = simulator.run(flows);
-  ASSERT_EQ(records.size(), 100u);
-  for (const auto& r : records) EXPECT_GE(r.fct(), 0.0);
+  std::vector<sim::PacketFlow> flows;
+  std::size_t routed = 0;
+  for (const auto& d :
+       workload::permutation_traffic(static_cast<std::uint32_t>(grg.server_count()), rng)) {
+    flows.push_back({d.src, d.dst, 8, 0.0});
+    const graph::NodeId a = grg.host(d.src), b = grg.host(d.dst);
+    if (a != b) {
+      flows.back().paths = &routing.paths(a, b);
+      ++routed;
+    }
+  }
+  ASSERT_GT(routed, 0u);
+  // Routed flows never read the table, and same-switch pairs are
+  // delivered without it, so an empty one will do.
+  te::WeightedFib table = te::WeightedFib::equal_cost(grg.switch_count());
+  sim::PacketSimConfig pcfg;
+  pcfg.queue_packets = 0;
+  sim::PacketStats stats = sim::PacketSimulator(grg, table, pcfg).run(flows);
+  EXPECT_EQ(stats.injected, 8u * flows.size());
+  EXPECT_EQ(stats.delivered, stats.injected);
+  EXPECT_GT(stats.fct_max, 0.0);
 }
 
 TEST(Integration, ProfiledMnMatchesPaperChoiceAtK16) {

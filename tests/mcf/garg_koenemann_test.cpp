@@ -188,9 +188,10 @@ TEST(GargKoenemann, RejectsZeroCapacityLinks) {
 }
 
 TEST(GargKoenemann, TruncatedRunKeepsPrimalFeasibleLowerBound) {
-  // Stop the solver after a single phase: the reported lambda_lower must
-  // still be achieved by the rescaled flows (primal-feasible), the flag
-  // must say the run was truncated, and the bounds must still bracket.
+  // Stop the solver after its first phase (two augmentations, one per
+  // commodity): the reported lambda_lower must still be achieved by the
+  // rescaled flows (primal-feasible), the flag must say the run was
+  // truncated, and the bounds must still bracket.
   graph::Graph g(4);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 2, 2.0);
@@ -200,9 +201,10 @@ TEST(GargKoenemann, TruncatedRunKeepsPrimalFeasibleLowerBound) {
   std::vector<Commodity> cs{{0, 3, 1.0}, {1, 2, 0.5}};
   McfOptions o;
   o.epsilon = 0.05;
-  o.max_phases = 1;
+  o.max_augmentations = 2;
   auto r = max_concurrent_flow(g, cs, o);
   EXPECT_TRUE(r.truncated);
+  EXPECT_EQ(r.phases, 1u);
   EXPECT_GT(r.lambda_lower, 0.0);
   EXPECT_LE(r.lambda_lower, r.lambda_upper * (1 + 1e-9));
   // Primal feasibility after rescaling: no arc over capacity, and every

@@ -292,7 +292,7 @@ TEST(ExactConcurrent, IncastEqualsBroadcastOnFatTreeK8) {
 }
 
 TEST(ExactConcurrent, GkBudgetsDoNotApply) {
-  // epsilon, max_phases and max_augmentations steer GK only: the exact
+  // epsilon and max_augmentations steer GK only: the exact
   // answer is the same, untruncated, under any of them.
   graph::Graph g(4);
   g.add_link(0, 1, 1.0);
@@ -303,7 +303,6 @@ TEST(ExactConcurrent, GkBudgetsDoNotApply) {
   auto base = max_concurrent_flow(g, cs);
   McfOptions o;
   o.epsilon = 0.9;
-  o.max_phases = 1;
   o.max_augmentations = 1;
   o.compute_upper_bound = false;
   auto r = max_concurrent_flow(g, cs, o);

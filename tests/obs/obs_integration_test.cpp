@@ -16,8 +16,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "routing/ksp_routing.hpp"
-#include "sim/flow_gen.hpp"
-#include "sim/flow_sim.hpp"
+#include "sim/packet_sim.hpp"
 #include "topo/apl.hpp"
 #include "topo/fat_tree.hpp"
 #include "workload/traffic.hpp"
@@ -35,7 +34,7 @@ struct WorkloadResult {
 };
 
 /// Touches core (flat-tree build + conversion + recovery), topo + graph +
-/// exec (APL), mcf (GK solve), routing + sim (flow simulation).
+/// exec (APL), mcf (GK solve), routing + sim (KSP-routed packet run).
 WorkloadResult run_workload(unsigned threads) {
   exec::set_global_threads(threads);
   obs::reset_metrics();
@@ -60,12 +59,15 @@ WorkloadResult run_workload(unsigned threads) {
   out.lambda = mcf::max_concurrent_flow(t.graph(), commodities, opt).lambda_lower;
 
   routing::KspRouting routing(t.graph(), 4);
-  sim::FlowSimulator simulator(t, routing);
-  std::vector<sim::SimFlow> flows;
-  for (std::uint32_t i = 0; i < 8; ++i)
-    flows.push_back({i, static_cast<topo::ServerId>((i + 5) % 16), 1.0, 0.1 * i});
-  for (const auto& rec : simulator.run(flows))
-    out.last_finish = std::max(out.last_finish, rec.finish);
+  std::vector<sim::PacketFlow> flows;
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    const auto dst = static_cast<topo::ServerId>((i + 5) % 16);
+    flows.push_back({i, dst, 4, 0.1 * i, &routing.paths(t.host(i), t.host(dst))});
+  }
+  te::WeightedFib table = te::WeightedFib::equal_cost(t.switch_count());  // unread
+  sim::PacketSimConfig pcfg;
+  pcfg.queue_packets = 0;
+  out.last_finish = sim::PacketSimulator(t, table, pcfg).run(flows).finish_time;
 
   out.snap = obs::snapshot_metrics();
   exec::set_global_threads(0);
@@ -97,8 +99,8 @@ TEST(ObsIntegration, WorkloadCoversAtLeastFourSubsystems) {
   EXPECT_GE(counter_value(r.snap, "graph.apl.sources_visited"), 1u);
   EXPECT_GE(counter_value(r.snap, "mcf.gk.solves"), 1u);
   EXPECT_GE(counter_value(r.snap, "mcf.gk.phases"), 1u);
-  EXPECT_GE(counter_value(r.snap, "routing.ksp.paths_selected"), 1u);
-  EXPECT_GE(counter_value(r.snap, "sim.flow.completions"), 8u);
+  EXPECT_GE(counter_value(r.snap, "routing.ksp.cache_misses"), 1u);
+  EXPECT_EQ(counter_value(r.snap, "sim.packet.delivered"), 32u);
 }
 
 TEST(ObsIntegration, CountersIdenticalAcrossThreadCounts) {

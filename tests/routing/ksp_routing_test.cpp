@@ -34,18 +34,22 @@ TEST(KspRouting, PathsSortedByLength) {
 }
 
 TEST(KspRouting, SelectionUsesNonShortestPathsToo) {
+  // The set a routed flow stripes over holds both ring directions: the
+  // 2-hop shortest path and the 4-hop detour.
   graph::Graph g = ring(6);
   KspRouting routing(g, 8);
   std::set<std::size_t> lengths;
-  for (std::uint64_t flow = 0; flow < 100; ++flow)
-    lengths.insert(routing.select(0, 2, flow).links.size());
-  EXPECT_EQ(lengths.size(), 2u);  // both ring directions get traffic
+  for (const graph::Path& p : routing.paths(0, 2)) lengths.insert(p.links.size());
+  EXPECT_EQ(lengths, (std::set<std::size_t>{2, 4}));
 }
 
 TEST(KspRouting, DeterministicSelection) {
   graph::Graph g = ring(6);
-  KspRouting routing(g, 8);
-  EXPECT_EQ(routing.select(0, 3, 7).nodes, routing.select(0, 3, 7).nodes);
+  KspRouting r1(g, 8), r2(g, 8);
+  const auto& a = r1.paths(0, 3);
+  const auto& b = r2.paths(0, 3);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].nodes, b[i].nodes);
 }
 
 TEST(KspRouting, DisconnectedThrows) {

@@ -1,10 +1,11 @@
 // Differential test: PacketSimulator::run against the two-heap reference
 // loop in packet_sim_oracle.hpp. The configs cross fat-tree, flat-tree
 // (global and local random) and Jellyfish at k=4 with equal-cost and WCMP
-// tables, queue capacities 0/1/4/16, ecn off/on, ack_delay 0/0.5,
-// flowlet_gap 0/0.5 and equal or staggered starts; the flows, NIC rate,
-// propagation delay and ECN threshold of each config are drawn from
-// Rng::substream. Every PacketStats field must match exactly.
+// tables and KSP4 source routes, queue capacities 0/1/4/16, ecn off/on,
+// ack_delay 0/0.5, flowlet_gap 0/0.5 and equal or staggered starts; the
+// flows, NIC rate, propagation delay and ECN threshold of each config are
+// drawn from Rng::substream. The 512 table configs take substreams 0..511
+// and the routed ones follow. Every PacketStats field must match exactly.
 
 #include "packet_sim_oracle.hpp"
 
@@ -18,6 +19,7 @@
 #include "core/flat_tree.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/fib.hpp"
+#include "routing/ksp_routing.hpp"
 #include "sim/packet_sim.hpp"
 #include "te/wcmp.hpp"
 #include "topo/fat_tree.hpp"
@@ -72,18 +74,28 @@ void expect_same(const PacketStats& got, const PacketStats& want) {
   EXPECT_EQ(got.max_queue, want.max_queue);
 }
 
+enum class Table { Ecmp, Wcmp, Ksp4 };
+
 TEST(PacketSimDiff, MatchesTwoHeapOracleBitForBit) {
+  constexpr std::uint64_t kTableConfigs = 512;
   const std::vector<Fabric> fabs = fabrics();
-  std::uint64_t configs = 0, dropped = 0, marked = 0, flowlet_switches = 0;
+  std::vector<routing::KspRouting> ksp;
+  ksp.reserve(fabs.size());
+  for (const Fabric& f : fabs) ksp.emplace_back(f.topo.graph(), 4);
+  std::uint64_t table_configs = 0, routed_configs = 0, routed_hops = 0;
+  std::uint64_t routed_dropped = 0, routed_marked = 0;
+  std::uint64_t dropped = 0, marked = 0, flowlet_switches = 0;
   for (std::size_t fab = 0; fab < fabs.size(); ++fab)
-    for (bool wcmp : {false, true})
+    for (Table table : {Table::Ecmp, Table::Wcmp, Table::Ksp4})
       for (std::size_t queue : {0, 1, 4, 16})
         for (bool ecn : {false, true})
           for (double ack : {0.0, 0.5})
             for (double gap : {0.0, 0.5})
               for (bool staggered : {false, true}) {
                 const Fabric& f = fabs[fab];
-                util::Rng rng = util::Rng::substream(kSeed, configs++);
+                const bool routed = table == Table::Ksp4;
+                util::Rng rng = util::Rng::substream(
+                    kSeed, routed ? kTableConfigs + routed_configs++ : table_configs++);
                 PacketSimConfig cfg;
                 cfg.queue_packets = queue;
                 cfg.ecn = ecn;
@@ -110,19 +122,37 @@ TEST(PacketSimDiff, MatchesTwoHeapOracleBitForBit) {
                                            ? 0.25 * (static_cast<double>(rng.index(12)) - 2.0)
                                            : (rng.chance(0.5) ? 0.0 : -0.0);
                   flows.push_back({src, dst, packets, start});
+                  const topo::NodeId a = f.topo.host(src), b = f.topo.host(dst);
+                  if (routed && a != b) {
+                    flows.back().paths = &ksp[fab].paths(a, b);
+                    routed_hops += flows.back().paths->front().links.size();
+                  }
                 }
-                SCOPED_TRACE(f.name + (wcmp ? "/wcmp" : "/ecmp") + " queue " +
+                const char* table_name = table == Table::Ecmp   ? "/ecmp"
+                                         : table == Table::Wcmp ? "/wcmp"
+                                                                : "/ksp4";
+                SCOPED_TRACE(f.name + table_name + " queue " +
                              std::to_string(queue) + (ecn ? " ecn" : " drop-tail") + " ack " +
                              std::to_string(ack) + " gap " + std::to_string(gap) +
                              (staggered ? " staggered" : " equal"));
-                const te::WeightedFib& fib = wcmp ? *f.wcmp : *f.ecmp;
+                // Routed flows never read the table; same-switch pairs
+                // are delivered at zero hops without it.
+                const te::WeightedFib& fib = table == Table::Wcmp ? *f.wcmp : *f.ecmp;
                 const PacketStats got = PacketSimulator(f.topo, fib, cfg).run(flows);
                 expect_same(got, oracle::oracle_run(f.topo, fib, cfg, flows));
                 dropped += got.dropped;
+                if (routed) {
+                  routed_dropped += got.dropped;
+                  routed_marked += got.ecn_marked;
+                }
                 marked += got.ecn_marked;
                 flowlet_switches += got.flowlet_switches;
               }
-  EXPECT_GE(configs, 200u);
+  EXPECT_EQ(table_configs, kTableConfigs);
+  EXPECT_EQ(routed_configs, kTableConfigs / 2);
+  EXPECT_GT(routed_hops, 0u);
+  EXPECT_GT(routed_dropped, 0u);
+  EXPECT_GT(routed_marked, 0u);
   // The matrix must reach the branches it is meant to compare.
   EXPECT_GT(dropped, 0u);
   EXPECT_GT(marked, 0u);

@@ -2,8 +2,10 @@
 // Test oracle for PacketSimulator::run: the original two-heap event loop.
 // Drop-tail schedules every packet's first arrival before the loop starts
 // (seq in flow-major order), and a second min-heap of (arrival time, arc)
-// drains decrements every arc's occupancy before each event. The simulator
-// must reproduce its PacketStats bit for bit on any valid input.
+// drains decrements every arc's occupancy before each event. Packet i of a
+// flow with a non-empty path set follows path i mod |set| and skips the
+// table and the flowlet table. The simulator must reproduce its
+// PacketStats bit for bit on any valid input.
 
 #include <algorithm>
 #include <cstdint>
@@ -29,6 +31,8 @@ inline PacketStats oracle_run(const topo::Topology& topo, const te::WeightedFib&
   struct Packet {
     std::uint64_t flow_id = 0;
     std::uint64_t salt = 0;
+    const graph::Path* route = nullptr;  ///< null = the table
+    std::size_t hop = 0;
     topo::NodeId dst_switch = 0;
     double injected_at = 0.0;
     bool marked = false;
@@ -82,18 +86,26 @@ inline PacketStats oracle_run(const topo::Topology& topo, const te::WeightedFib&
   te::FlowletTable flowlets(config.flowlet_gap);
   std::vector<Flow> state;
   const double injection_gap = config.packet_size / config.nic_rate;
+  // Packet i of flow f: its route, and its flowlet salt on the table.
+  auto make_packet = [&](std::size_t f, std::uint32_t i, double t) {
+    const PacketFlow& flow = flows[f];
+    Packet pkt;
+    pkt.flow_id = f;
+    if (flow.paths != nullptr && !flow.paths->empty())
+      pkt.route = &(*flow.paths)[i % flow.paths->size()];
+    else
+      pkt.salt = flowlets.salt(pkt.flow_id, t);
+    pkt.dst_switch = topo.host(flow.dst);
+    pkt.injected_at = t;
+    return pkt;
+  };
 
   if (!config.ecn) {
     for (std::size_t f = 0; f < flows.size(); ++f) {
       const PacketFlow& flow = flows[f];
       for (std::uint32_t p = 0; p < flow.packets; ++p) {
         double t = flow.start + static_cast<double>(p) * injection_gap;
-        Packet pkt;
-        pkt.flow_id = f;
-        pkt.salt = flowlets.salt(pkt.flow_id, t);
-        pkt.dst_switch = topo.host(flow.dst);
-        pkt.injected_at = t;
-        packets.push_back(pkt);
+        packets.push_back(make_packet(f, p, t));
         events.push({t, seq++, Kind::Arrive, topo.host(flow.src), packets.size() - 1});
         ++stats.injected;
       }
@@ -114,12 +126,7 @@ inline PacketStats oracle_run(const topo::Topology& topo, const te::WeightedFib&
     Flow& fs = state[f];
     const PacketFlow& flow = flows[f];
     if (fs.sent < flow.packets && fs.inflight < fs.cwnd && fs.nic_free <= now) {
-      Packet pkt;
-      pkt.flow_id = f;
-      pkt.salt = flowlets.salt(pkt.flow_id, now);
-      pkt.dst_switch = topo.host(flow.dst);
-      pkt.injected_at = now;
-      packets.push_back(pkt);
+      packets.push_back(make_packet(f, fs.sent, now));
       events.push({now, seq++, Kind::Arrive, topo.host(flow.src), packets.size() - 1});
       ++fs.sent;
       ++fs.inflight;
@@ -193,7 +200,8 @@ inline PacketStats oracle_run(const topo::Topology& topo, const te::WeightedFib&
       continue;
     }
 
-    graph::LinkId link = fib.select(ev.at, pkt.dst_switch, pkt.salt);
+    graph::LinkId link = pkt.route != nullptr ? pkt.route->links[pkt.hop++]
+                                              : fib.select(ev.at, pkt.dst_switch, pkt.salt);
     const graph::Link& l = topo.graph().link(link);
     std::size_t arc = 2 * link + (l.a == ev.at ? 0 : 1);
     Arc& astate = arc_state[arc];

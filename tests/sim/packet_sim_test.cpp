@@ -9,6 +9,7 @@
 
 #include "routing/ecmp.hpp"
 #include "routing/fib.hpp"
+#include "routing/ksp_routing.hpp"
 #include "te/wcmp.hpp"
 #include "topo/fat_tree.hpp"
 #include "workload/traffic.hpp"
@@ -279,6 +280,138 @@ TEST(PacketSim, NonFiniteFlowStartRefused) {
   }
   // A finite negative start is an ordinary time origin.
   EXPECT_EQ(run_two_flows(fx, PacketSimConfig{}, -3.0).delivered, 8u);
+}
+
+// -- source routes --------------------------------------------------------------
+
+/// The k=4 fat-tree's KSP8 set between pod 0's and pod 1's first edge
+/// switches: four 4-hop shortest paths, then four 6-hop detours.
+struct RoutedFixture : Fixture {
+  routing::KspRouting ksp{ft.topo.graph(), 8};
+  topo::ServerId src = ft.server(0, 0, 0);
+  topo::ServerId dst = ft.server(1, 0, 0);
+  const std::vector<graph::Path>& set = ksp.paths(ft.edge_switch(0, 0), ft.edge_switch(1, 0));
+};
+
+TEST(PacketSim, RoutedPacketsStripeOverThePathSet) {
+  RoutedFixture fx;
+  ASSERT_EQ(fx.set.size(), 8u);
+  ASSERT_EQ(fx.set[0].links.size(), 4u);
+  ASSERT_EQ(fx.set[4].links.size(), 6u);
+  const std::vector<graph::Path> set{fx.set[0], fx.set[4]};
+  PacketSimConfig cfg;
+  cfg.propagation_delay = 0.01;
+  cfg.nic_rate = 0.1;  // 10 time units apart: the packets never meet
+  // The table would send both packets over 4 hops; the routes send packet
+  // 0 over 4 and packet 1 over the 6-hop detour.
+  PacketStats stats =
+      PacketSimulator(fx.ft.topo, fx.fib, cfg).run({{fx.src, fx.dst, 2, 0.0, &set}});
+  EXPECT_EQ(stats.delivered, 2u);
+  EXPECT_NEAR(stats.mean_delay, 5 * 1.01, 1e-9);
+  EXPECT_NEAR(stats.max_delay, 6 * 1.01, 1e-9);
+  // An empty set means the table.
+  const std::vector<graph::Path> none;
+  stats = PacketSimulator(fx.ft.topo, fx.fib, cfg).run({{fx.src, fx.dst, 2, 0.0, &none}});
+  EXPECT_NEAR(stats.max_delay, 4 * 1.01, 1e-9);
+}
+
+TEST(PacketSim, RoutedFlowsSkipTheFlowletTable) {
+  // Every packet of a slow flow starts a flowlet, but only the table
+  // flow's count: a routed flow never consults the flowlet table.
+  RoutedFixture fx;
+  PacketSimConfig cfg;
+  cfg.nic_rate = 0.1;
+  cfg.flowlet_gap = 0.5;
+  for (bool ecn : {false, true}) {
+    cfg.ecn = ecn;
+    PacketStats stats = PacketSimulator(fx.ft.topo, fx.fib, cfg)
+                            .run({{fx.src, fx.dst, 4, 0.0, &fx.set},
+                                  {fx.ft.server(2, 0, 0), fx.ft.server(3, 0, 0), 4, 0.0}});
+    EXPECT_EQ(stats.delivered, 8u) << ecn;
+    EXPECT_EQ(stats.flowlet_switches, 3u) << ecn;
+  }
+}
+
+/// Runs a valid table flow beside a flow routed over `set`, and expects
+/// the run to be refused with `what` in the message.
+void expect_route_refused(const RoutedFixture& fx, topo::ServerId src, topo::ServerId dst,
+                          const std::vector<graph::Path>& set, const char* what) {
+  PacketSimulator sim(fx.ft.topo, fx.fib);
+  try {
+    sim.run({{fx.ft.server(2, 0, 0), fx.ft.server(3, 0, 0), 1, 0.0}, {src, dst, 1, 0.0, &set}});
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(PacketSim, RouteNotStartingAtTheSourceRefused) {
+  RoutedFixture fx;
+  expect_route_refused(fx, fx.ft.server(2, 0, 0), fx.dst, fx.set, "start at host(src)");
+}
+
+TEST(PacketSim, RouteNotEndingAtTheDestinationRefused) {
+  RoutedFixture fx;
+  expect_route_refused(fx, fx.src, fx.ft.server(3, 0, 0), fx.set, "end at host(dst)");
+}
+
+TEST(PacketSim, RouteLinkNotJoiningItsNodesRefused) {
+  RoutedFixture fx;
+  std::vector<graph::Path> set{fx.set[0]};
+  set[0].links[1] = set[0].links[0];
+  expect_route_refused(fx, fx.src, fx.dst, set, "does not join consecutive nodes");
+  set[0] = fx.set[0];
+  set[0].links.pop_back();
+  expect_route_refused(fx, fx.src, fx.dst, set, "does not join consecutive nodes");
+}
+
+TEST(PacketSim, RouteThroughTheDestinationRefused) {
+  // Pod 0: edge 0 -> agg 0 -> edge 1 (the destination) -> agg 1 -> edge 1.
+  RoutedFixture fx;
+  const auto& pod = fx.ksp.paths(fx.ft.edge_switch(0, 0), fx.ft.edge_switch(0, 1));
+  ASSERT_EQ(pod[1].links.size(), 2u);  // the two 2-hop paths come first
+  graph::Path loop = pod[0];
+  loop.nodes.push_back(pod[1].nodes[1]);
+  loop.nodes.push_back(pod[1].nodes[2]);
+  loop.links.push_back(pod[1].links[1]);
+  loop.links.push_back(pod[1].links[1]);
+  expect_route_refused(fx, fx.src, fx.ft.server(0, 1, 0), {loop}, "reaches host(dst) before");
+}
+
+TEST(PacketSim, MoreThan65535RoutesRefused) {
+  RoutedFixture fx;
+  std::vector<graph::Path> set(65535, fx.set[0]);
+  PacketSimulator sim(fx.ft.topo, fx.fib);
+  EXPECT_EQ(sim.run({{fx.src, fx.dst, 1, 0.0, &set}}).delivered, 1u);
+  set.push_back(fx.set[0]);
+  expect_route_refused(fx, fx.src, fx.dst, set, "more than 65,535 paths");
+}
+
+TEST(PacketSim, RouteOver65535HopsRefused) {
+  // Edge 0 and agg 0 of pod 0 bounce a packet before it crosses to edge 1
+  // (the fat-tree is bipartite, so an edge-to-edge walk has even length).
+  RoutedFixture fx;
+  const auto& pod = fx.ksp.paths(fx.ft.edge_switch(0, 0), fx.ft.edge_switch(0, 1));
+  auto bounce = [&](std::size_t hops) {
+    graph::Path p;
+    p.nodes.push_back(pod[0].nodes[0]);
+    for (std::size_t i = 0; i + 1 < hops; ++i) {
+      p.links.push_back(pod[0].links[0]);
+      p.nodes.push_back(pod[0].nodes[i % 2 == 0 ? 1 : 0]);
+    }
+    p.links.push_back(pod[0].links[1]);
+    p.nodes.push_back(pod[0].nodes[2]);
+    return std::vector<graph::Path>{p};
+  };
+  const topo::ServerId dst = fx.ft.server(0, 1, 0);
+  const auto longest = bounce(65534);
+  PacketSimConfig cfg;
+  cfg.propagation_delay = 0.0;
+  PacketStats stats =
+      PacketSimulator(fx.ft.topo, fx.fib, cfg).run({{fx.src, dst, 1, 0.0, &longest}});
+  EXPECT_EQ(stats.delivered, 1u);
+  EXPECT_NEAR(stats.max_delay, 65534.0, 1e-6);
+  expect_route_refused(fx, fx.src, dst, bounce(65536), "more than 65,535 hops");
 }
 
 // -- golden stats -------------------------------------------------------------

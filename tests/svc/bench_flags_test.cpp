@@ -1,9 +1,10 @@
 // Bench flag handling through the real binaries: bench_service and
 // bench_packet refuse unknown flags with a usage listing, every bench
 // with a --k, --kmax/--kstep, --seeds or --eps flag (and bench_design's
-// --iters and --trace-every) refuses an out-of-range value with exit 2
-// before printing anything, and bench_service's --slo-json output
-// reproduces the committed BENCH_svc.json.
+// --iters and --trace-every, and the packet benches' sizing and rate
+// flags) refuses an out-of-range value with exit 2 before printing
+// anything, and bench_service's --slo-json output reproduces the committed
+// BENCH_svc.json.
 
 #include <sys/wait.h>
 
@@ -57,7 +58,7 @@ TEST(BenchFlags, OutOfRangeSizingFlagsExitTwoWithEmptyStdout) {
   // refused the same way.
   const char* k_benches[] = {"bench_chaos",   "bench_congestion", "bench_design",
                              "bench_failures", "bench_hybrid",    "bench_packet",
-                             "bench_service", "bench_sim_fct"};
+                             "bench_service"};
   const char* seeds_benches[] = {"bench_fig7_broadcast", "bench_fig8_alltoall",
                                  "bench_hybrid", "bench_failures", "bench_oversub"};
   const char* sweep_benches[] = {"bench_fig5_apl_global", "bench_fig6_apl_pod",
@@ -87,6 +88,23 @@ TEST(BenchFlags, OutOfRangeSizingFlagsExitTwoWithEmptyStdout) {
       cases.push_back({b, flags});
   for (const char* flags : {"--iters -1", "--iters 4097", "--trace-every 0"})
     cases.push_back({"bench_design", flags});
+  // The packet benches: a --train that is not in [1, 65536] (it used to
+  // abort, or wrap in the uint32 cast), a negative --queue-packets (it used
+  // to wrap to an unbounded queue), and a --nic-rate that is not positive
+  // or a negative --prop-delay (they used to abort in the simulator).
+  for (const char* b : {"bench_congestion", "bench_packet"})
+    for (const char* flags :
+         {"--train -1", "--train 0", "--train 65537", "--train 5000000000",
+          "--queue-packets -1", "--queue-packets 4294967296", "--nic-rate 0",
+          "--nic-rate -1", "--prop-delay -1"})
+      cases.push_back({b, flags});
+  // bench_congestion's fan-in, subset and marking threshold: negatives used
+  // to wrap (and --sources -3 silently clamped), 0 sources or a subset of
+  // one left a workload with no flows.
+  for (const char* flags : {"--sources -3", "--sources 0", "--a2a 1", "--a2a -1",
+                            "--ecn-threshold 0", "--ecn-threshold -1",
+                            "--ecn-threshold 4294967296"})
+    cases.push_back({"bench_congestion", flags});
 
   std::string out_path = testing::TempDir() + "bench_sizing_out.txt";
   std::string err_path = testing::TempDir() + "bench_sizing_err.txt";
@@ -104,6 +122,20 @@ TEST(BenchFlags, OutOfRangeSizingFlagsExitTwoWithEmptyStdout) {
   }
   std::remove(out_path.c_str());
   std::remove(err_path.c_str());
+}
+
+TEST(BenchFlags, PacketBenchFlagBoundsAreAccepted) {
+  // The inclusive ends of the ranges above still run.
+  for (const char* b : {"bench_congestion", "bench_packet"})
+    if (!file_exists(std::string(FT_BENCH_DIR) + "/" + b))
+      GTEST_SKIP() << "bench binary not built: " << b;
+  for (const char* run :
+       {"bench_congestion --k 4 --train 1 --queue-packets 0 --sources 1 --a2a 2"
+        " --ecn-threshold 1 --prop-delay 0 --nic-rate 0.5",
+        "bench_packet --k 4 --train 1 --queue-packets 0 --prop-delay 0 --nic-rate 0.5"}) {
+    std::string cmd = std::string(FT_BENCH_DIR) + "/" + run + " > /dev/null 2>&1";
+    EXPECT_EQ(std::system(cmd.c_str()), 0) << run;
+  }
 }
 
 TEST(BenchFlags, BenchServiceEmitsSloJson) {

@@ -79,8 +79,8 @@ TEST(BenchCongestion, SummaryJsonIsValidAndStable) {
   EXPECT_EQ(doc.find("schema")->as_string(), "flattree.bench_te.v1");
   ASSERT_NE(doc.find("cases"), nullptr);
   const auto& cases = doc.find("cases")->array();
-  // 4 topologies x 3 workloads x 2 schemes.
-  EXPECT_EQ(cases.size(), 24u);
+  // 4 topologies x 3 workloads x 2 schemes, by the table and KSP8-routed.
+  EXPECT_EQ(cases.size(), 48u);
   for (const auto& c : cases) {
     ASSERT_NE(c.find("scheme"), nullptr);
     ASSERT_NE(c.find("injected"), nullptr);
@@ -115,12 +115,23 @@ TEST(BenchCongestion, DropTailAndDctcpRowsShareTheWorkload) {
   obs::JsonValue doc;
   ASSERT_TRUE(obs::json_parse(slurp(sj), doc, nullptr));
   const auto& cases = doc.find("cases")->array();
+  ASSERT_EQ(cases.size(), 48u);
   // Consecutive rows are the drop-tail / dctcp pair for the same
   // (topology, workload): they must inject the identical packet count —
-  // the schemes may differ only where congestion control differs.
+  // the schemes may differ only where congestion control differs. The
+  // second half repeats the first with KSP8 source routes, on the same
+  // flows.
   for (std::size_t i = 0; i + 1 < cases.size(); i += 2) {
-    EXPECT_EQ(cases[i].find("scheme")->as_string(), "drop-tail");
-    EXPECT_EQ(cases[i + 1].find("scheme")->as_string(), "dctcp");
+    const std::string routes = i < 24 ? "" : "+ksp8";
+    EXPECT_EQ(cases[i].find("scheme")->as_string(), "drop-tail" + routes);
+    EXPECT_EQ(cases[i + 1].find("scheme")->as_string(), "dctcp" + routes);
+    if (i >= 24) {
+      EXPECT_EQ(cases[i].find("topology")->as_string(),
+                cases[i - 24].find("topology")->as_string());
+      EXPECT_EQ(cases[i].find("workload")->as_string(),
+                cases[i - 24].find("workload")->as_string());
+      EXPECT_EQ(cases[i].find("injected")->as_int(), cases[i - 24].find("injected")->as_int());
+    }
     EXPECT_EQ(cases[i].find("topology")->as_string(),
               cases[i + 1].find("topology")->as_string());
     EXPECT_EQ(cases[i].find("workload")->as_string(),

@@ -7,69 +7,6 @@
 namespace flattree::util {
 namespace {
 
-TEST(Accumulator, EmptyIsZero) {
-  Accumulator acc;
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_EQ(acc.mean(), 0.0);
-  EXPECT_EQ(acc.variance(), 0.0);
-}
-
-TEST(Accumulator, SingleValue) {
-  Accumulator acc;
-  acc.add(5.0);
-  EXPECT_EQ(acc.count(), 1u);
-  EXPECT_EQ(acc.mean(), 5.0);
-  EXPECT_EQ(acc.min(), 5.0);
-  EXPECT_EQ(acc.max(), 5.0);
-  EXPECT_EQ(acc.variance(), 0.0);
-}
-
-TEST(Accumulator, KnownMeanAndVariance) {
-  Accumulator acc;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(x);
-  EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-  // Sample variance with n-1: sum sq dev = 32, n-1 = 7.
-  EXPECT_NEAR(acc.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_NEAR(acc.stdev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_EQ(acc.min(), 2.0);
-  EXPECT_EQ(acc.max(), 9.0);
-}
-
-TEST(Accumulator, SumMatches) {
-  Accumulator acc;
-  acc.add(1.5);
-  acc.add(2.5);
-  acc.add(-1.0);
-  EXPECT_NEAR(acc.sum(), 3.0, 1e-12);
-}
-
-TEST(Accumulator, MergeEqualsSequential) {
-  Accumulator whole, left, right;
-  for (int i = 0; i < 50; ++i) {
-    double x = std::sin(i) * 10.0;
-    whole.add(x);
-    (i % 2 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_EQ(left.min(), whole.min());
-  EXPECT_EQ(left.max(), whole.max());
-}
-
-TEST(Accumulator, MergeWithEmpty) {
-  Accumulator a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_EQ(empty.mean(), 2.0);
-}
-
 TEST(Distribution, RejectsEmpty) {
   EXPECT_THROW(Distribution({}), std::invalid_argument);
 }
@@ -140,32 +77,6 @@ TEST(Distribution, AllIdenticalSamples) {
   Distribution d(std::vector<double>(1000, 3.25));
   for (double q : {0.0, 0.01, 0.5, 0.99, 1.0}) EXPECT_EQ(d.quantile(q), 3.25);
   EXPECT_DOUBLE_EQ(d.mean(), 3.25);
-}
-
-TEST(Accumulator, StableOnLargeUniformSample) {
-  // 10^6 identical values far from zero: the naive sum-of-squares formula
-  // suffers catastrophic cancellation here; Welford must report exactly
-  // zero variance and the exact mean.
-  Accumulator acc;
-  const double v = 1e8 + 0.25;
-  for (int i = 0; i < 1'000'000; ++i) acc.add(v);
-  EXPECT_EQ(acc.count(), 1'000'000u);
-  EXPECT_DOUBLE_EQ(acc.mean(), v);
-  EXPECT_EQ(acc.variance(), 0.0);
-  EXPECT_EQ(acc.stdev(), 0.0);
-}
-
-TEST(Accumulator, StableOnLargeOffsetUniformGrid) {
-  // Uniform grid {K, K+1} with a huge offset K: true sample variance is
-  // n/(4(n-1)) ~ 0.25. Welford keeps several digits where the naive
-  // formula would lose all of them.
-  Accumulator acc;
-  const double offset = 1e9;
-  const int n = 100'000;
-  for (int i = 0; i < n; ++i) acc.add(offset + static_cast<double>(i % 2));
-  double expected = 0.25 * static_cast<double>(n) / static_cast<double>(n - 1);
-  EXPECT_NEAR(acc.mean(), offset + 0.5, 1e-3);
-  EXPECT_NEAR(acc.variance(), expected, 1e-6);
 }
 
 TEST(ApproxEqual, RelativeAndAbsolute) {
