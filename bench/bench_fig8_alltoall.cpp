@@ -9,6 +9,8 @@
 // the global random graph sits in between and is the least sensitive.
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "common.hpp"
 #include "topo/fat_tree.hpp"
@@ -51,10 +53,21 @@ int main(int argc, char** argv) {
     kstep = 2;
   }
 
-  util::Table table({"k", "fat loc", "fat weak", "flat loc", "flat weak", "2stage loc",
-                     "2stage weak", "random loc", "random weak"});
-  for (std::uint32_t k : bench::k_values(kmax, kstep)) {
-    if (k * k * k / 4 < cluster) continue;  // network smaller than one cluster
+  // One row per k. Rows build in parallel (each draws from its own
+  // Rng(seed * 523 + k)), then the 8 cells of every row fan out over the
+  // pool, largest k first so the slowest solves start early. Each cell's
+  // inner seed fan-out runs sequentially inside its pool task, in seed
+  // order, so every value is bit-identical at any thread count; the table
+  // prints in row order afterwards.
+  struct Row {
+    std::uint32_t k;
+    topo::Topology topos[4];  ///< fat-tree, flat-tree (local), two-stage, random
+  };
+  std::vector<Row> rows;
+  for (std::uint32_t k : bench::k_values(kmax, kstep))
+    if (k * k * k / 4 >= cluster) rows.push_back({k, {}});  // else smaller than a cluster
+  exec::parallel_for(rows.size(), [&](std::size_t r) {
+    const std::uint32_t k = rows[r].k;
     core::FlatTreeNetwork net = bench::profiled_network(k);
     topo::Topology flat = net.build(core::Mode::LocalRandom);
     topo::FatTree ft = topo::build_fat_tree(k);
@@ -66,24 +79,31 @@ int main(int argc, char** argv) {
     bench::check_topology(rg, "random-graph");
     bench::check_topology(ts, "two-stage-random");
     bench::check_parity(ft.topo, flat, "fat-tree vs flat-tree(local)");
+    rows[r].topos[0] = std::move(ft.topo);
+    rows[r].topos[1] = std::move(flat);
+    rows[r].topos[2] = std::move(ts);
+    rows[r].topos[3] = std::move(rg);
+  });
 
-    auto mean = [&](const topo::Topology& t, workload::Placement placement) {
-      return bench::mean_cluster_throughput(
-          t, static_cast<std::uint32_t>(cluster), placement, workload::Pattern::AllToAll,
-          k * k / 4, eps, static_cast<std::uint64_t>(seed) * 499 + k,
-          static_cast<std::uint32_t>(seeds));
-    };
+  constexpr workload::Placement kPlacements[2] = {workload::Placement::Locality,
+                                                  workload::Placement::WeakLocality};
+  std::vector<double> cells(rows.size() * 8);
+  exec::parallel_for(cells.size(), [&](std::size_t i) {
+    const std::size_t c = cells.size() - 1 - i;
+    const Row& row = rows[c / 8];
+    const std::uint32_t k = row.k;
+    cells[c] = bench::mean_cluster_throughput(
+        row.topos[c % 8 / 2], static_cast<std::uint32_t>(cluster), kPlacements[c % 2],
+        workload::Pattern::AllToAll, k * k / 4, eps,
+        static_cast<std::uint64_t>(seed) * 499 + k, static_cast<std::uint32_t>(seeds));
+  });
+
+  util::Table table({"k", "fat loc", "fat weak", "flat loc", "flat weak", "2stage loc",
+                     "2stage weak", "random loc", "random weak"});
+  for (std::size_t r = 0; r < rows.size(); ++r) {
     table.begin_row();
-    table.integer(k);
-    table.num(mean(ft.topo, workload::Placement::Locality), 5);
-    table.num(mean(ft.topo, workload::Placement::WeakLocality), 5);
-    table.num(mean(flat, workload::Placement::Locality), 5);
-    table.num(mean(flat, workload::Placement::WeakLocality), 5);
-    table.num(mean(ts, workload::Placement::Locality), 5);
-    table.num(mean(ts, workload::Placement::WeakLocality), 5);
-    table.num(mean(rg, workload::Placement::Locality), 5);
-    table.num(mean(rg, workload::Placement::WeakLocality), 5);
-    std::fprintf(stderr, "[fig8] k=%u done\n", k);
+    table.integer(rows[r].k);
+    for (std::size_t col = 0; col < 8; ++col) table.num(cells[r * 8 + col], 5);
   }
   table.print("Figure 8: all-to-all throughput in 20-server clusters");
   std::puts("Paper shape: flat-tree ~= two-stage random (ahead for k <= 14); fat-tree\n"

@@ -1,7 +1,9 @@
 #include "check/certify.hpp"
 
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <sstream>
 
 namespace flattree::check {
@@ -11,6 +13,33 @@ namespace {
 /// Tolerance-aware x <= y.
 bool leq(double x, double y, const CertifyOptions& o) {
   return x <= y * (1.0 + o.rel_tol) + o.abs_tol;
+}
+
+/// Directed shortest-path distances from `src` under per-arc lengths
+/// (arc 2l = link l a->b, 2l+1 = b->a; `out` lists each node's arcs). A
+/// plain lazy-deletion Dijkstra, kept apart from the solver's own.
+std::vector<double> arc_distances(const graph::Graph& g,
+                                  const std::vector<std::vector<std::uint32_t>>& out,
+                                  const std::vector<double>& length, graph::NodeId src) {
+  std::vector<double> dist(g.node_count(), std::numeric_limits<double>::infinity());
+  using Entry = std::pair<double, graph::NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  dist[src] = 0.0;
+  heap.push({0.0, src});
+  while (!heap.empty()) {
+    auto [d, u] = heap.top();
+    heap.pop();
+    if (d > dist[u]) continue;
+    for (std::uint32_t a : out[u]) {
+      const graph::Link& link = g.link(a / 2);
+      graph::NodeId v = a % 2 == 0 ? link.b : link.a;
+      if (d + length[a] < dist[v]) {
+        dist[v] = d + length[a];
+        heap.push({dist[v], v});
+      }
+    }
+  }
+  return dist;
 }
 
 }  // namespace
@@ -145,6 +174,53 @@ Report certify(const graph::Graph& g, const std::vector<mcf::Commodity>& commodi
          << cap / crossing << " (capacity " << cap << " over crossing demand " << crossing
          << ")";
       report.add("mcf.cut_bound", os.str());
+    }
+  }
+
+  // (7) Dual bound, GK results only (the exact path carries a cut). For
+  // any non-negative lengths l, lambda* <= D(l) / alpha(l) with D = sum of
+  // cap * l and alpha = sum of demand * dist_l(src, dst), so lambda_upper
+  // must be at least that ratio. A GK result that reports a finite upper
+  // bound must carry its lengths; recomputed with one Dijkstra per
+  // distinct source.
+  const auto& len = result.dual_length;
+  if (result.cut_source_side.empty() && !commodities.empty() &&
+      (!len.empty() || std::isfinite(result.lambda_upper))) {
+    report.note_check();
+    if (len.size() != arcs) {
+      report.add("mcf.dual_bound", "dual_length has " + std::to_string(len.size()) +
+                                       " entries, expected " + std::to_string(arcs));
+      return report;
+    }
+    double d_sum = 0.0;
+    for (std::size_t a = 0; a < arcs; ++a) {
+      if (!(len[a] >= 0.0) || !std::isfinite(len[a])) {
+        std::ostringstream os;
+        os << "arc " << a << " has length " << len[a] << ", not finite and non-negative";
+        report.add("mcf.dual_bound", os.str());
+        return report;
+      }
+      d_sum += g.link(static_cast<graph::LinkId>(a / 2)).capacity * len[a];
+    }
+    std::vector<std::vector<std::uint32_t>> out(g.node_count());
+    for (graph::LinkId l = 0; l < g.link_count(); ++l) {
+      out[g.link(l).a].push_back(2 * l);
+      out[g.link(l).b].push_back(2 * l + 1);
+    }
+    double alpha = 0.0;
+    for (const mcf::SourceGroup& grp : mcf::group_by_source(commodities)) {
+      const std::vector<double> dist = arc_distances(g, out, len, grp.src);
+      for (auto [dst, demand] : grp.targets) alpha += demand * dist[dst];
+    }
+    if (!(alpha > 0.0) || !std::isfinite(alpha)) {
+      std::ostringstream os;
+      os << "alpha(l) = " << alpha << " under dual_length prices no finite bound";
+      report.add("mcf.dual_bound", os.str());
+    } else if (!leq(d_sum / alpha, result.lambda_upper, options)) {
+      std::ostringstream os;
+      os << "lambda_upper " << result.lambda_upper << " below the dual ratio "
+         << d_sum / alpha << " (D(l) " << d_sum << " over alpha(l) " << alpha << ")";
+      report.add("mcf.dual_bound", os.str());
     }
   }
   return report;

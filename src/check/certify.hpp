@@ -5,8 +5,8 @@
 // actually holds; FPTAS implementations are notorious for quietly
 // returning primal/dual "bounds" that fail to bracket the optimum after a
 // rescaling or termination bug. certify() re-derives every claim from the
-// McfResult's own evidence (rescaled arc flows + per-commodity routed
-// totals), independently of the solver's internal state:
+// McfResult's own evidence (rescaled arc flows, per-commodity routed
+// totals, the cut or dual lengths behind the upper bound), independently of the solver's internal state:
 //
 //   1. capacity feasibility: arc_flow[a] <= cap[a] on every arc;
 //   2. flow conservation: per-node divergence of arc_flow equals the net
@@ -21,7 +21,13 @@
 //   6. cut bound: when the result carries a cut (the exact one-source /
 //      one-sink path; GK results carry none and skip this), its set S must
 //      hold a commodity source whose demand leaves S, and lambda_upper >=
-//      cap(out of S) / demand(S -> rest), recomputed from the graph.
+//      cap(out of S) / demand(S -> rest), recomputed from the graph;
+//   7. dual bound: a GK result carries the lengths l behind its upper
+//      bound (McfResult::dual_length); they must be finite and
+//      non-negative, and lambda_upper >= D(l) / alpha(l), with
+//      D = sum cap * l and alpha = sum demand * dist_l recomputed by a
+//      directed Dijkstra per distinct source. A GK result with a finite
+//      lambda_upper and no lengths fails.
 //
 // All comparisons are tolerance-aware (floating-point accumulation over
 // ~1/eps^2 augmentations): x <= y is checked as x <= y * (1 + rel_tol) +
@@ -48,7 +54,7 @@ struct CertifyOptions {
 /// Certifies `result` as a solution of max_concurrent_flow(g, commodities).
 /// Codes: mcf.arc_flow_size, mcf.routed_size, mcf.capacity,
 /// mcf.conservation, mcf.primal_support, mcf.bracket, mcf.fptas_gap,
-/// mcf.cut_bound.
+/// mcf.cut_bound, mcf.dual_bound.
 Report certify(const graph::Graph& g, const std::vector<mcf::Commodity>& commodities,
                const mcf::McfResult& result, const CertifyOptions& options = {});
 

@@ -1,8 +1,9 @@
 #include "mcf/garg_koenemann.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -28,6 +29,7 @@ obs::Counter c_gk_dijkstras("mcf.gk.dijkstra_runs");
 obs::Counter c_gk_stale("mcf.gk.stale_retrees");
 obs::Counter c_gk_unreachable("mcf.gk.unreachable_commodities");
 obs::Counter c_gk_budget_stops("mcf.gk.budget_stops");
+obs::Counter c_gk_gap_stops("mcf.gk.gap_stops");
 // Dual-bound trajectory: D(l) grows from ~0 to 1 across phases; the
 // histogram records its value at every phase end, so the bucket profile
 // shows how the certificate tightened over the run.
@@ -41,6 +43,7 @@ obs::Gauge g_gk_lambda_upper("mcf.gk.last_lambda_upper");
 struct DirectedNet {
   std::size_t nodes = 0;
   std::vector<NodeId> head;       ///< arc -> destination node
+  std::vector<NodeId> tail;       ///< arc -> node it leaves
   std::vector<double> cap;        ///< arc capacity
   std::vector<std::uint32_t> offset;  ///< CSR: arcs leaving each node
   std::vector<std::uint32_t> arcs;    ///< CSR payload: arc ids
@@ -49,11 +52,12 @@ struct DirectedNet {
     nodes = g.node_count();
     const auto& links = g.links();
     head.resize(links.size() * 2);
+    tail.resize(links.size() * 2);
     cap.resize(links.size() * 2);
     offset.assign(nodes + 1, 0);
     for (std::size_t l = 0; l < links.size(); ++l) {
-      head[2 * l] = links[l].b;
-      head[2 * l + 1] = links[l].a;
+      head[2 * l] = tail[2 * l + 1] = links[l].b;
+      head[2 * l + 1] = tail[2 * l] = links[l].a;
       cap[2 * l] = cap[2 * l + 1] = links[l].capacity;
       ++offset[links[l].a + 1];
       ++offset[links[l].b + 1];
@@ -70,45 +74,79 @@ struct DirectedNet {
   std::size_t arc_count() const { return head.size(); }
 };
 
+/// A shortest-path tree from one source. Only the nodes the run settled
+/// (every requested target and the tree paths leading to them) carry
+/// final values; the rest are tentative.
 struct Tree {
   std::vector<double> dist;
   std::vector<std::uint32_t> parent_arc;  ///< arc entering each node
 };
 
-void dijkstra(const DirectedNet& net, NodeId src, const std::vector<double>& length,
-              Tree& tree) {
-  tree.dist.assign(net.nodes, kInf);
-  tree.parent_arc.assign(net.nodes, ~0u);
+/// Dijkstra with storage reused across runs: the heap's vector and the
+/// pending-target marks live as long as the solve.
+class Dijkstra {
+ public:
+  explicit Dijkstra(std::size_t nodes) : mark_(nodes, 0) {}
+
+  /// Grows `tree` from grp.src under `length` until every target
+  /// grp.targets[first..] is settled. The heap is the binary heap of
+  /// std::priority_queue (push_heap/pop_heap, same comparator), so ties
+  /// pop in the same order and every settled distance and parent arc is
+  /// the one a run to exhaustion would give.
+  void run(const DirectedNet& net, const SourceGroup& grp, std::size_t first,
+           const std::vector<double>& length, Tree& tree) {
+    if (++stamp_ == 0) {  // wrapped: clear the old marks once
+      std::fill(mark_.begin(), mark_.end(), 0u);
+      stamp_ = 1;
+    }
+    std::size_t pending = 0;
+    for (std::size_t ti = first; ti < grp.targets.size(); ++ti) {
+      NodeId t = grp.targets[ti].first;
+      if (mark_[t] != stamp_) {
+        mark_[t] = stamp_;
+        ++pending;
+      }
+    }
+    tree.dist.assign(net.nodes, kInf);
+    tree.parent_arc.assign(net.nodes, ~0u);
+    heap_.clear();
+    tree.dist[grp.src] = 0.0;
+    push({0.0, grp.src});
+    while (!heap_.empty() && pending > 0) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      auto [d, u] = heap_.back();
+      heap_.pop_back();
+      if (d > tree.dist[u]) continue;
+      if (mark_[u] == stamp_ && --pending == 0) break;
+      for (std::uint32_t idx = net.offset[u]; idx < net.offset[u + 1]; ++idx) {
+        std::uint32_t a = net.arcs[idx];
+        NodeId v = net.head[a];
+        double nd = d + length[a];
+        if (nd < tree.dist[v]) {
+          tree.dist[v] = nd;
+          tree.parent_arc[v] = a;
+          push({nd, v});
+        }
+      }
+    }
+  }
+
+ private:
   struct Entry {
     double d;
     NodeId v;
     bool operator>(const Entry& o) const { return d > o.d; }
   };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  tree.dist[src] = 0.0;
-  heap.push({0.0, src});
-  while (!heap.empty()) {
-    auto [d, u] = heap.top();
-    heap.pop();
-    if (d > tree.dist[u]) continue;
-    for (std::uint32_t idx = net.offset[u]; idx < net.offset[u + 1]; ++idx) {
-      std::uint32_t a = net.arcs[idx];
-      NodeId v = net.head[a];
-      double nd = d + length[a];
-      if (nd < tree.dist[v]) {
-        tree.dist[v] = nd;
-        tree.parent_arc[v] = a;
-        heap.push({nd, v});
-      }
-    }
-  }
-}
 
-/// Tail node of an arc (the node it leaves).
-NodeId arc_tail(const graph::Graph& g, std::uint32_t arc) {
-  const graph::Link& l = g.link(arc / 2);
-  return arc % 2 == 0 ? l.a : l.b;
-}
+  void push(Entry e) {
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
+
+  std::vector<Entry> heap_;
+  std::vector<std::uint32_t> mark_;  ///< == stamp_ for a pending target
+  std::uint32_t stamp_ = 0;
+};
 
 /// The Garg-Koenemann loop, for instances with several sources and
 /// several sinks; inputs are already checked by max_concurrent_flow.
@@ -247,10 +285,58 @@ McfResult gk_solve(const graph::Graph& g, const std::vector<Commodity>& commodit
 
   McfResult result;
 
+  // The best certified bracket of the run. Every phase start offers both
+  // candidates; the best primal keeps a copy of its flow and routed
+  // totals, the best dual a copy of its lengths (when the bound is
+  // reported), so the result is the witness of whichever point won.
+  struct Primal {
+    double lower = 0.0;
+    double congestion = 0.0;
+  };
+  auto primal = [&] {
+    Primal p;
+    for (std::size_t a = 0; a < m; ++a)
+      p.congestion = std::max(p.congestion, flow[a] / net.cap[a]);
+    double min_ratio = kInf;
+    for (std::size_t gi = 0; gi < groups.size(); ++gi)
+      for (std::size_t ti = 0; ti < groups[gi].targets.size(); ++ti)
+        min_ratio = std::min(min_ratio, routed[gi][ti] / groups[gi].targets[ti].second);
+    p.lower = p.congestion > 0.0 ? min_ratio / p.congestion : 0.0;
+    return p;
+  };
+  Primal best;
+  std::vector<double> best_flow;
+  std::vector<std::vector<double>> best_routed;
+  double best_upper = kInf;
+  std::vector<double> best_length;
+  auto offer_dual = [&](double upper) {
+    if (!(upper < best_upper)) return;
+    best_upper = upper;
+    if (options.compute_upper_bound) best_length = length;
+  };
+  Dijkstra dijkstra(net.nodes);
   std::vector<Tree> trees(groups.size());
+  // Grows every group's tree under the current lengths and returns
+  // alpha(l), so lambda* <= D(l) / alpha(l). Each group's part is summed
+  // on its own before it joins alpha, which fixes the floating-point
+  // order.
+  auto grow_trees = [&] {
+    double alpha = 0.0;
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+      dijkstra.run(net, groups[gi], 0, length, trees[gi]);
+      double part = 0.0;
+      for (auto [target, demand] : groups[gi].targets) part += demand * trees[gi].dist[target];
+      if (part == kInf)
+        throw std::invalid_argument("max_concurrent_flow: commodity disconnected");
+      alpha += part;
+    }
+    result.dijkstra_runs += groups.size();
+    return alpha;
+  };
   std::vector<std::uint32_t> path;  // arcs target<-...<-source (reverse order)
 
   bool done = false;
+  bool gap_stop = false;
   // Augmentation budget (McfOptions::max_augmentations), checked inside
   // the augmentation loop; 0 disables it.
   const std::uint64_t max_aug = options.max_augmentations;
@@ -259,20 +345,29 @@ McfResult gk_solve(const graph::Graph& g, const std::vector<Commodity>& commodit
     OBS_SPAN("gk.phase");
     // Every group's tree is computed up front from the phase-start length
     // function. Groups whose trees go stale while earlier groups route
-    // flow are caught by Fleischer's re-pricing rule and recomputed.
-    for (std::size_t gi = 0; gi < groups.size(); ++gi)
-      dijkstra(net, groups[gi].src, length, trees[gi]);
-    result.dijkstra_runs += groups.size();
+    // flow are caught by Fleischer's re-pricing rule and recomputed. The
+    // same trees price alpha(l), so the phase-start bracket is free.
+    offer_dual(d_sum / grow_trees());
+    Primal p = primal();
+    if (p.lower > best.lower) {
+      best = p;
+      best_flow = flow;
+      best_routed = routed;
+    }
+    // Converged: the bracket is eps-tight, which is stronger than the
+    // (1 - 3 eps) promise of the D(l) >= 1 finish.
+    if (best.lower * (1.0 + eps) >= best_upper) {
+      gap_stop = true;
+      c_gk_gap_stops.inc();
+      break;
+    }
 
     for (std::size_t gi = 0; gi < groups.size() && !done && !budget_hit; ++gi) {
       const SourceGroup& grp = groups[gi];
       Tree& tree = trees[gi];
-      std::vector<double> dist_at_compute = tree.dist;
 
       for (std::size_t ti = 0; ti < grp.targets.size() && !done && !budget_hit; ++ti) {
         auto [target, demand] = grp.targets[ti];
-        if (tree.dist[target] == kInf)
-          throw std::invalid_argument("max_concurrent_flow: commodity disconnected");
         double need = demand;
         while (need > 0.0 && !done && !budget_hit) {
           // Walk the tree path and re-price it under current lengths.
@@ -284,14 +379,14 @@ McfResult gk_solve(const graph::Graph& g, const std::vector<Commodity>& commodit
             path.push_back(a);
             cur_len += length[a];
             bottleneck = std::min(bottleneck, net.cap[a]);
-            v = arc_tail(g, a);
+            v = net.tail[a];
           }
-          if (cur_len > (1.0 + eps) * dist_at_compute[target]) {
-            // Stale tree (Fleischer's rule): recompute and retry.
+          if (cur_len > (1.0 + eps) * tree.dist[target]) {
+            // Stale tree (Fleischer's rule): regrow it for the targets
+            // still to route and retry.
             c_gk_stale.inc();
-            dijkstra(net, grp.src, length, tree);
+            dijkstra.run(net, grp, ti, length, tree);
             ++result.dijkstra_runs;
-            dist_at_compute = tree.dist;
             continue;
           }
           double f = std::min(need, bottleneck);
@@ -316,49 +411,44 @@ McfResult gk_solve(const graph::Graph& g, const std::vector<Commodity>& commodit
     h_gk_dsum.observe(d_sum);
   }
   c_gk_phases.add(result.phases);
-  // `done` is only ever set by the D(l) >= 1 termination test, so leaving
-  // the loop without it means max_augmentations cut the run short.
-  result.truncated = !done;
+  // Only max_augmentations ends a run without converging.
+  result.truncated = budget_hit;
 
-  // Primal bound: rescale by worst congestion.
-  double congestion = 0.0;
-  for (std::size_t a = 0; a < m; ++a)
-    congestion = std::max(congestion, flow[a] / net.cap[a]);
-  result.max_congestion = congestion;
-  double min_ratio = kInf;
-  for (std::size_t gi = 0; gi < groups.size(); ++gi)
-    for (std::size_t ti = 0; ti < groups[gi].targets.size(); ++ti)
-      min_ratio = std::min(min_ratio, routed[gi][ti] / groups[gi].targets[ti].second);
-  result.lambda_lower = congestion > 0.0 ? min_ratio / congestion : 0.0;
+  // The final flow competes with the phase starts and wins ties (after a
+  // gap stop it is the phase-start flow just offered).
+  Primal last = primal();
+  if (last.lower >= best.lower) {
+    best = last;
+    best_flow = std::move(flow);
+    best_routed = std::move(routed);
+  }
+  // The final dual sweep prices the final lengths; a gap stop priced
+  // exactly these lengths already.
+  if (options.compute_upper_bound && !gap_stop) {
+    OBS_SPAN("gk.dual_bound");
+    offer_dual(d_sum / grow_trees());
+  }
 
-  result.arc_flow = std::move(flow);
-  if (congestion > 0.0)
-    for (double& f : result.arc_flow) f /= congestion;
+  // Primal bound: the best flow rescaled by its worst congestion.
+  result.max_congestion = best.congestion;
+  result.lambda_lower = best.lower;
+  result.arc_flow = std::move(best_flow);
+  if (best.congestion > 0.0)
+    for (double& f : result.arc_flow) f /= best.congestion;
 
   // Per-input-commodity routed totals under the same rescaling, for
-  // solver certificates (check::certify), via the same slot mapping.
+  // solver certificates (check::certify), via the slot mapping.
   result.commodity_routed.assign(commodities.size(), 0.0);
   for (std::size_t i = 0; i < commodities.size(); ++i) {
     const auto& [gi, ti] = slot_of[i];
-    result.commodity_routed[i] = congestion > 0.0 ? routed[gi][ti] / congestion : 0.0;
+    result.commodity_routed[i] =
+        best.congestion > 0.0 ? best_routed[gi][ti] / best.congestion : 0.0;
   }
 
-  // Dual bound under the final lengths: lambda* <= D(l) / alpha(l), one
-  // Dijkstra per source group. Each group's part is summed on its own
-  // before it joins alpha, which fixes the floating-point order.
   result.lambda_upper = kInf;
   if (options.compute_upper_bound) {
-    OBS_SPAN("gk.dual_bound");
-    double alpha = 0.0;
-    Tree local;
-    for (const SourceGroup& grp : groups) {
-      dijkstra(net, grp.src, length, local);
-      double part = 0.0;
-      for (auto [target, demand] : grp.targets) part += demand * local.dist[target];
-      alpha += part;
-    }
-    result.dijkstra_runs += groups.size();
-    if (alpha > 0.0) result.lambda_upper = d_sum / alpha;
+    result.lambda_upper = best_upper;
+    result.dual_length = std::move(best_length);
   }
   c_gk_augmentations.add(result.augmentations);
   c_gk_dijkstras.add(result.dijkstra_runs);

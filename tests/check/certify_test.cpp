@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "check/report.hpp"
 
@@ -158,6 +159,50 @@ TEST(Certify, SkippedUpperBoundBracketsTrivially) {
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
+// -- the dual bound of GK results -------------------------------------------
+
+TEST(Certify, GkResultPassesTheDualBound) {
+  Instance in;
+  ASSERT_EQ(in.r.dual_length.size(), in.g.link_count() * 2);
+  Report report = certify(in.g, in.cs, in.r);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  // Without lengths or a finite upper bound there is nothing to check.
+  mcf::McfResult skipped = in.r;
+  skipped.dual_length.clear();
+  skipped.lambda_upper = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(certify(in.g, in.cs, skipped).checks_run + 1, report.checks_run);
+}
+
+TEST(Certify, LoweredUpperBoundDetected) {
+  // lambda_upper is D(l) / alpha(l) of its own lengths; a value just
+  // below it still brackets lambda_lower but no longer follows from l.
+  Instance in;
+  mcf::McfResult bad = in.r;
+  bad.lambda_upper *= 1.0 - 1e-4;
+  Report report = certify(in.g, in.cs, bad);
+  EXPECT_TRUE(has_code(report, "mcf.dual_bound")) << report.to_string();
+  bad.lambda_upper = in.r.lambda_lower;
+  EXPECT_TRUE(has_code(certify(in.g, in.cs, bad), "mcf.dual_bound"));
+}
+
+TEST(Certify, MalformedDualLengthsDetected) {
+  Instance in;
+  mcf::McfResult bad = in.r;
+  bad.dual_length.pop_back();  // wrong size
+  EXPECT_TRUE(has_code(certify(in.g, in.cs, bad), "mcf.dual_bound"));
+  bad.dual_length.clear();  // a finite upper bound with no lengths behind it
+  EXPECT_TRUE(has_code(certify(in.g, in.cs, bad), "mcf.dual_bound"));
+  bad = in.r;
+  bad.dual_length[3] = -bad.dual_length[3];  // negative length
+  EXPECT_TRUE(has_code(certify(in.g, in.cs, bad), "mcf.dual_bound"));
+  bad = in.r;
+  bad.dual_length[3] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(has_code(certify(in.g, in.cs, bad), "mcf.dual_bound"));
+  bad = in.r;
+  bad.dual_length.assign(bad.dual_length.size(), 0.0);  // alpha(l) = 0
+  EXPECT_TRUE(has_code(certify(in.g, in.cs, bad), "mcf.dual_bound"));
+}
+
 // -- the cut bound of exact (one-source / one-sink) results ----------------
 
 /// One source behind a bottleneck: 0 -10- 1, then 1 reaches 2 and 3 over
@@ -180,10 +225,12 @@ TEST(Certify, ExactResultPassesTheCutBound) {
   ASSERT_EQ(in.r.cut_source_side, (std::vector<std::uint8_t>{1, 1, 0, 0}));
   Report report = certify(in.g, in.cs, in.r);
   EXPECT_TRUE(report.ok()) << report.to_string();
-  // A GK result carries no cut and skips the check.
+  // A GK result carries no cut and skips the check; it runs the dual-bound
+  // check in its place, which the exact result skips.
   Instance gk;
   ASSERT_TRUE(gk.r.cut_source_side.empty());
-  EXPECT_EQ(certify(gk.g, gk.cs, gk.r).checks_run + 1, report.checks_run);
+  ASSERT_TRUE(in.r.dual_length.empty());
+  EXPECT_EQ(certify(gk.g, gk.cs, gk.r).checks_run, report.checks_run);
 }
 
 TEST(Certify, UpperBelowTheCutRatioDetected) {

@@ -3,27 +3,46 @@
 #include <gtest/gtest.h>
 
 #include "check/invariants.hpp"
+#include "obs/metrics.hpp"
 
 namespace flattree::check {
 namespace {
+
+/// mcf.gk.gap_stops so far (metrics must be on).
+std::uint64_t gap_stops() {
+  for (const auto& [name, value] : obs::snapshot_metrics().counters)
+    if (name == "mcf.gk.gap_stops") return value;
+  return 0;
+}
 
 TEST(Differential, GkAgreesWithExactLpAcrossSeeds) {
   // On small instances GK must land within (1 + eps) of the exact LP
   // optimum and bracket it, every seed. A one-source or one-sink draw
   // would take the exact max-flow path instead; none of these 20 does, so
-  // the sweep really exercises GK.
-  std::size_t gk_seeds = 0;
+  // the sweep really exercises GK. The stop rule must fire on some seeds:
+  // a gap-stopped bracket still holds the optimum.
+  const bool metrics_before = obs::enabled();
+  obs::set_enabled(true);
+  obs::reset_metrics();
+  std::size_t gk_seeds = 0, gap_stopped = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     DifferentialSpec spec;
     spec.seed = seed;
+    const std::uint64_t stops_before = gap_stops();
     DifferentialOutcome out = run_differential(spec);
+    gap_stopped += gap_stops() - stops_before;
     EXPECT_TRUE(out.report.ok())
         << "seed " << seed << ":\n" << out.report.to_string();
     EXPECT_GT(out.exact, 0.0) << "seed " << seed;
     EXPECT_GT(out.result.lambda_lower, 0.0) << "seed " << seed;
+    EXPECT_LE(out.result.lambda_lower, out.exact * (1.0 + 1e-6)) << "seed " << seed;
+    EXPECT_GE(out.result.lambda_upper, out.exact * (1.0 - 1e-6)) << "seed " << seed;
     gk_seeds += out.ran_gk();
   }
+  obs::reset_metrics();
+  obs::set_enabled(metrics_before);
   EXPECT_EQ(gk_seeds, 20u);
+  EXPECT_GE(gap_stopped, 1u);
 }
 
 TEST(Differential, SimpleGraphInstances) {

@@ -85,6 +85,8 @@ TEST(Determinism, GargKoenemannBoundsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(r.augmentations, base.augmentations);
     EXPECT_EQ(r.dijkstra_runs, base.dijkstra_runs);
     EXPECT_EQ(r.arc_flow, base.arc_flow);  // exact per-arc equality
+    EXPECT_EQ(r.commodity_routed, base.commodity_routed);
+    EXPECT_EQ(r.dual_length, base.dual_length);
   }
 }
 
@@ -163,6 +165,11 @@ TEST(BenchEquivalence, FailureSweepIsByteIdenticalAcrossThreads) {
 
 TEST(BenchEquivalence, AblationSweepIsByteIdentical) {
   expect_same_stdout_across_threads("bench_ablation_mn", "--kmax 8");
+}
+
+TEST(BenchEquivalence, Fig8CellFanOutIsByteIdenticalAcrossThreads) {
+  // Rows (k = 6 and 8) and their 8 cells each run as pool tasks.
+  expect_same_stdout_across_threads("bench_fig8_alltoall", "--kmax 8 --kstep 2");
 }
 
 }  // namespace

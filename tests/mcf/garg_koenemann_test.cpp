@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
+#include "obs/metrics.hpp"
 
 namespace flattree::mcf {
 namespace {
@@ -245,6 +247,104 @@ TEST(GargKoenemann, CommodityRoutedMatchesArcFlowDivergence) {
     div[cs[i].dst] += r.commodity_routed[i];
   }
   for (graph::NodeId v = 0; v < g.node_count(); ++v) EXPECT_NEAR(div[v], 0.0, 1e-7);
+}
+
+/// Solves with metrics on and returns how many runs gap-stopped.
+std::uint64_t count_gap_stops(const graph::Graph& g, const std::vector<Commodity>& cs,
+                              const McfOptions& o, McfResult* out) {
+  const bool before = obs::enabled();
+  obs::set_enabled(true);
+  obs::reset_metrics();
+  *out = max_concurrent_flow(g, cs, o);
+  std::uint64_t stops = 0;
+  for (const auto& [name, value] : obs::snapshot_metrics().counters)
+    if (name == "mcf.gk.gap_stops") stops = value;
+  obs::reset_metrics();
+  obs::set_enabled(before);
+  return stops;
+}
+
+/// The two-source fixture of the truncation test: 0 -> 3 and 1 -> 2 over
+/// a 4-cycle with uneven capacities.
+struct TwoSources {
+  graph::Graph g{4};
+  std::vector<Commodity> cs{{0, 3, 1.0}, {1, 2, 0.5}};
+  TwoSources() {
+    g.add_link(0, 1, 1.0);
+    g.add_link(1, 2, 2.0);
+    g.add_link(2, 3, 0.5);
+    g.add_link(0, 3, 1.0);
+  }
+};
+
+TEST(GargKoenemann, GapStopIsConvergedAndEpsTight) {
+  // The stop rule ends the run at the first phase start whose best
+  // bracket is eps-tight: converged, not truncated, and tighter than the
+  // (1 - 3 eps) promise of a D(l) >= 1 finish.
+  TwoSources in;
+  McfResult r;
+  ASSERT_EQ(count_gap_stops(in.g, in.cs, tight(), &r), 1u);
+  EXPECT_FALSE(r.truncated);
+  EXPECT_GT(r.lambda_lower, 0.0);
+  EXPECT_GE(r.lambda_lower * (1.0 + 0.05), r.lambda_upper);
+  EXPECT_LE(r.lambda_lower, r.lambda_upper);
+  EXPECT_EQ(r.phases, 228u);
+  // The stop skips the final dual sweep: one tree per source per phase
+  // start (the stopping one included) plus the stale regrowths.
+  EXPECT_GE(r.dijkstra_runs, 2 * (r.phases + 1));
+}
+
+TEST(GargKoenemann, UpperBoundFlagOnlyControlsTheReport) {
+  // The phase-start bracket drives the stop rule whether or not the upper
+  // bound is reported, so the primal side and the counts are the same
+  // bits either way; only a run that ends at D(l) >= 1 runs the final
+  // sweep (one Dijkstra per source group).
+  TwoSources two;
+  // A multigraph on which GK's phase-start duals stay loose: at eps = 0.5
+  // the run ends at D(l) >= 1 instead.
+  graph::Graph loose(6);
+  for (auto [a, b, cap] : {std::tuple{0, 1, 1.1}, {1, 2, 0.7}, {0, 3, 0.86}, {3, 4, 1.5},
+                           {0, 5, 1.73}, {4, 3, 1.44}, {2, 3, 1.01}, {1, 0, 1.63}})
+    loose.add_link(a, b, cap);
+  const std::vector<Commodity> loose_cs{{1, 4, 0.5}, {0, 4, 2.16}, {5, 0, 0.93}};
+  struct Case {
+    const graph::Graph* g;
+    std::vector<Commodity> cs;
+    double eps;
+  };
+  const std::vector<Case> cases{
+      {&two.g, two.cs, 0.05},
+      {&two.g, two.cs, 0.3},
+      {&loose, loose_cs, 0.05},
+      {&loose, loose_cs, 0.5},
+  };
+  std::size_t gap_stopped = 0, finished = 0;
+  for (const Case& c : cases) {
+    McfOptions on;
+    on.epsilon = c.eps;
+    McfOptions off = on;
+    off.compute_upper_bound = false;
+    McfResult with, without;
+    std::uint64_t stops = count_gap_stops(*c.g, c.cs, on, &with);
+    EXPECT_EQ(count_gap_stops(*c.g, c.cs, off, &without), stops);
+    EXPECT_EQ(with.lambda_lower, without.lambda_lower);
+    EXPECT_EQ(with.max_congestion, without.max_congestion);
+    EXPECT_EQ(with.arc_flow, without.arc_flow);
+    EXPECT_EQ(with.commodity_routed, without.commodity_routed);
+    EXPECT_EQ(with.phases, without.phases);
+    EXPECT_EQ(with.augmentations, without.augmentations);
+    EXPECT_EQ(with.truncated, without.truncated);
+    const std::uint64_t sweep = stops == 1 ? 0 : c.cs.size();  // one group per source
+    EXPECT_EQ(with.dijkstra_runs, without.dijkstra_runs + sweep);
+    EXPECT_TRUE(std::isfinite(with.lambda_upper));
+    EXPECT_EQ(with.dual_length.size(), c.g->link_count() * 2);
+    EXPECT_TRUE(std::isinf(without.lambda_upper));
+    EXPECT_TRUE(without.dual_length.empty());
+    (stops == 1 ? gap_stopped : finished) += 1;
+  }
+  // Both endings are covered.
+  EXPECT_GE(gap_stopped, 1u);
+  EXPECT_GE(finished, 1u);
 }
 
 TEST(GargKoenemann, StatsPopulated) {
