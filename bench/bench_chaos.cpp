@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.exit_code();
   if (!bench::k_in_range("bench_chaos", k)) return 2;
   if (!bench::eps_in_range("bench_chaos", eps)) return 2;
+  if (!bench::cluster_in_range("bench_chaos", cluster)) return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
   bench::ObsScope obs_run(obsf, argc, argv);

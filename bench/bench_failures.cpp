@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   if (!bench::k_in_range("bench_failures", k)) return 2;
   if (!bench::seeds_in_range("bench_failures", seeds)) return 2;
   if (!bench::eps_in_range("bench_failures", eps)) return 2;
+  if (!bench::cluster_in_range("bench_failures", cluster)) return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
   bench::ObsScope obs_run(obsf, argc, argv);

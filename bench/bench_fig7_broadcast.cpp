@@ -45,6 +45,7 @@ int main(int argc, char** argv) {
   if (!bench::k_sweep_in_range("bench_fig7_broadcast", kmax, kstep)) return 2;
   if (!bench::eps_in_range("bench_fig7_broadcast", eps)) return 2;
   if (!bench::seeds_in_range("bench_fig7_broadcast", seeds)) return 2;
+  if (!bench::cluster_in_range("bench_fig7_broadcast", cluster)) return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
   bench::ObsScope obs_run(obsf, argc, argv);

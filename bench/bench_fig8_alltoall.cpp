@@ -8,6 +8,7 @@
 // staying within ~6-9% above; fat-tree is highly placement-sensitive;
 // the global random graph sits in between and is the least sensitive.
 
+#include <atomic>
 #include <cstdio>
 #include <utility>
 #include <vector>
@@ -42,6 +43,7 @@ int main(int argc, char** argv) {
   if (!bench::k_sweep_in_range("bench_fig8_alltoall", kmax, kstep)) return 2;
   if (!bench::eps_in_range("bench_fig8_alltoall", eps)) return 2;
   if (!bench::seeds_in_range("bench_fig8_alltoall", seeds)) return 2;
+  if (!bench::cluster_in_range("bench_fig8_alltoall", cluster)) return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
   bench::ObsScope obs_run(obsf, argc, argv);
@@ -58,7 +60,8 @@ int main(int argc, char** argv) {
   // pool, largest k first so the slowest solves start early. Each cell's
   // inner seed fan-out runs sequentially inside its pool task, in seed
   // order, so every value is bit-identical at any thread count; the table
-  // prints in row order afterwards.
+  // prints in row order afterwards. The cell that finishes a row reports
+  // it on stderr, so a long run shows progress without touching stdout.
   struct Row {
     std::uint32_t k;
     topo::Topology topos[4];  ///< fat-tree, flat-tree (local), two-stage, random
@@ -88,6 +91,9 @@ int main(int argc, char** argv) {
   constexpr workload::Placement kPlacements[2] = {workload::Placement::Locality,
                                                   workload::Placement::WeakLocality};
   std::vector<double> cells(rows.size() * 8);
+  std::vector<std::atomic<std::uint32_t>> cells_left(rows.size());
+  for (auto& left : cells_left) left.store(8);
+  std::atomic<std::size_t> rows_done{0};
   exec::parallel_for(cells.size(), [&](std::size_t i) {
     const std::size_t c = cells.size() - 1 - i;
     const Row& row = rows[c / 8];
@@ -96,6 +102,9 @@ int main(int argc, char** argv) {
         row.topos[c % 8 / 2], static_cast<std::uint32_t>(cluster), kPlacements[c % 2],
         workload::Pattern::AllToAll, k * k / 4, eps,
         static_cast<std::uint64_t>(seed) * 499 + k, static_cast<std::uint32_t>(seeds));
+    if (cells_left[c / 8].fetch_sub(1) == 1)
+      std::fprintf(stderr, "bench_fig8_alltoall: k = %u done (%zu of %zu rows)\n", k,
+                   rows_done.fetch_add(1) + 1, rows.size());
   });
 
   util::Table table({"k", "fat loc", "fat weak", "flat loc", "flat weak", "2stage loc",

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.exit_code();
   if (!bench::seeds_in_range("bench_oversub", seeds)) return 2;
   if (!bench::eps_in_range("bench_oversub", eps)) return 2;
+  if (!bench::cluster_in_range("bench_oversub", cluster)) return 2;
   bench::apply_threads(threads);
   bench::apply_selfcheck(selfcheck);
   bench::ObsScope obs_run(obsf, argc, argv);

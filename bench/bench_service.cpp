@@ -110,6 +110,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.exit_code();
   if (!bench::k_in_range("bench_service", k)) return 2;
   if (!bench::eps_in_range("bench_service", eps)) return 2;
+  if (!bench::cluster_in_range("bench_service", cluster)) return 2;
   if (!(augs_per_ms > 0.0) || !std::isfinite(augs_per_ms)) {
     std::fprintf(stderr, "bench_service: --augs-per-ms must be finite and positive\n");
     return 2;

@@ -149,9 +149,6 @@ class ObsScope {
   void set_double(const std::string& key, double value) {
     if (session_.active()) session_.set_double(key, value);
   }
-  void set_string(const std::string& key, const std::string& value) {
-    if (session_.active()) session_.set_string(key, value);
-  }
 
   obs::RunSession& session() { return session_; }
 
@@ -227,6 +224,14 @@ inline bool int_in_range(const char* bench, const char* flag, std::int64_t value
                static_cast<long long>(lo), static_cast<long long>(hi),
                static_cast<long long>(value));
   return false;
+}
+
+/// True when `--cluster` lies in [2, 2^32 - 1]; otherwise prints why,
+/// prefixed with `bench`, and returns false (a broadcast needs a sender
+/// and a receiver, an all-to-all a pair, and a larger size would wrap in
+/// the uint32 cast).
+inline bool cluster_in_range(const char* bench, std::int64_t cluster) {
+  return int_in_range(bench, "cluster", cluster, 2, std::numeric_limits<std::uint32_t>::max());
 }
 
 /// True when the double flag `--flag` is finite and positive, or finite

@@ -10,10 +10,12 @@ namespace flattree::check {
 
 namespace {
 
+// Comparison tolerances: relative, then absolute.
+constexpr double kRelTol = 1e-7;
+constexpr double kAbsTol = 1e-9;
+
 /// Tolerance-aware x <= y.
-bool leq(double x, double y, const CertifyOptions& o) {
-  return x <= y * (1.0 + o.rel_tol) + o.abs_tol;
-}
+bool leq(double x, double y) { return x <= y * (1.0 + kRelTol) + kAbsTol; }
 
 /// Directed shortest-path distances from `src` under per-arc lengths
 /// (arc 2l = link l a->b, 2l+1 = b->a; `out` lists each node's arcs). A
@@ -70,7 +72,7 @@ Report certify(const graph::Graph& g, const std::vector<mcf::Commodity>& commodi
   report.note_check();
   for (std::size_t a = 0; a < arcs; ++a) {
     double cap = g.link(static_cast<graph::LinkId>(a / 2)).capacity;
-    if (leq(result.arc_flow[a], cap, options)) continue;
+    if (leq(result.arc_flow[a], cap)) continue;
     std::ostringstream os;
     os << "arc " << a << " (link " << a / 2 << (a % 2 == 0 ? " forward" : " reverse")
        << ") carries " << result.arc_flow[a] << " over capacity " << cap;
@@ -101,7 +103,7 @@ Report certify(const graph::Graph& g, const std::vector<mcf::Commodity>& commodi
     gross[commodities[i].dst] += result.commodity_routed[i];
   }
   for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-    double slack = options.abs_tol + options.rel_tol * std::max(1.0, gross[v]);
+    double slack = kAbsTol + kRelTol * std::max(1.0, gross[v]);
     if (std::abs(divergence[v]) <= slack) continue;
     std::ostringstream os;
     os << "node " << v << " has net divergence " << divergence[v]
@@ -114,7 +116,7 @@ Report certify(const graph::Graph& g, const std::vector<mcf::Commodity>& commodi
   report.note_check();
   for (std::size_t i = 0; i < commodities.size(); ++i) {
     double required = result.lambda_lower * commodities[i].demand;
-    double slack = options.abs_tol + options.rel_tol * std::max(1.0, required);
+    double slack = kAbsTol + kRelTol * std::max(1.0, required);
     if (result.commodity_routed[i] >= required - slack) continue;
     std::ostringstream os;
     os << "commodity " << i << " (" << commodities[i].src << " -> " << commodities[i].dst
@@ -126,7 +128,7 @@ Report certify(const graph::Graph& g, const std::vector<mcf::Commodity>& commodi
   // (4) Bracket sanity. lambda_upper is +inf when the dual sweep was
   // skipped, which brackets trivially.
   report.note_check();
-  if (!leq(result.lambda_lower, result.lambda_upper, options)) {
+  if (!leq(result.lambda_lower, result.lambda_upper)) {
     std::ostringstream os;
     os << "lambda_lower " << result.lambda_lower << " exceeds lambda_upper "
        << result.lambda_upper;
@@ -138,7 +140,7 @@ Report certify(const graph::Graph& g, const std::vector<mcf::Commodity>& commodi
       std::isfinite(result.lambda_upper)) {
     report.note_check();
     double floor = (1.0 - 3.0 * options.epsilon) * result.lambda_upper;
-    if (!leq(floor, result.lambda_lower, options)) {
+    if (!leq(floor, result.lambda_lower)) {
       std::ostringstream os;
       os << "lambda_lower " << result.lambda_lower << " below the (1 - 3*eps) FPTAS floor "
          << floor << " of lambda_upper " << result.lambda_upper << " (eps "
@@ -168,7 +170,7 @@ Report certify(const graph::Graph& g, const std::vector<mcf::Commodity>& commodi
     // An empty set, a full set and a set without a source all fail here.
     if (!(crossing > 0.0)) {
       report.add("mcf.cut_bound", "no commodity demand leaves the cut set");
-    } else if (!leq(cap / crossing, result.lambda_upper, options)) {
+    } else if (!leq(cap / crossing, result.lambda_upper)) {
       std::ostringstream os;
       os << "lambda_upper " << result.lambda_upper << " below the cut ratio "
          << cap / crossing << " (capacity " << cap << " over crossing demand " << crossing
@@ -216,7 +218,7 @@ Report certify(const graph::Graph& g, const std::vector<mcf::Commodity>& commodi
       std::ostringstream os;
       os << "alpha(l) = " << alpha << " under dual_length prices no finite bound";
       report.add("mcf.dual_bound", os.str());
-    } else if (!leq(d_sum / alpha, result.lambda_upper, options)) {
+    } else if (!leq(d_sum / alpha, result.lambda_upper)) {
       std::ostringstream os;
       os << "lambda_upper " << result.lambda_upper << " below the dual ratio "
          << d_sum / alpha << " (D(l) " << d_sum << " over alpha(l) " << alpha << ")";
@@ -278,7 +280,7 @@ Report certify_served(const graph::Graph& g,
     if (!excluded[i]) reachable_demand += commodities[i].demand;
   }
   double expected = total_demand > 0.0 ? reachable_demand / total_demand : 0.0;
-  double slack = options.abs_tol + options.rel_tol;
+  double slack = kAbsTol + kRelTol;
   if (std::abs(result.served_fraction - expected) > slack) {
     std::ostringstream os;
     os << "served_fraction " << result.served_fraction

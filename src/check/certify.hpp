@@ -30,8 +30,7 @@
 //      lambda_upper and no lengths fails.
 //
 // All comparisons are tolerance-aware (floating-point accumulation over
-// ~1/eps^2 augmentations): x <= y is checked as x <= y * (1 + rel_tol) +
-// abs_tol.
+// ~1/eps^2 augmentations): x <= y is checked as x <= y * (1 + 1e-7) + 1e-9.
 
 #include <vector>
 
@@ -42,13 +41,11 @@
 
 namespace flattree::check {
 
-/// Tolerances for certify() and the epsilon the certified solve ran with.
+/// The epsilon the certified solve ran with.
 struct CertifyOptions {
   /// The epsilon the solve ran with; enables the FPTAS gap check (5) when
   /// in (0, 1/3). 0 skips the gap check.
   double epsilon = 0.0;
-  double rel_tol = 1e-7;
-  double abs_tol = 1e-9;
 };
 
 /// Certifies `result` as a solution of max_concurrent_flow(g, commodities).

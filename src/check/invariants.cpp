@@ -1,10 +1,8 @@
 #include "check/invariants.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
-#include <unordered_map>
 
 #include "graph/bfs.hpp"
 
@@ -31,9 +29,9 @@ Report validate(const Topology& t, const TopologyCheckOptions& options) {
   const graph::Graph& g = t.graph();
   const std::size_t switches = t.switch_count();
 
-  // Link structure: endpoints, self links, capacities, parallel links.
+  // Link structure: endpoints, self links, capacities. Parallel links are
+  // legal (a multigraph).
   std::vector<std::size_t> degree(switches, 0);
-  std::unordered_map<std::uint64_t, std::size_t> pair_count;
   report.note_check(3);
   for (graph::LinkId l = 0; l < t.link_count(); ++l) {
     const graph::Link& link = g.link(l);
@@ -57,20 +55,6 @@ Report validate(const Topology& t, const TopologyCheckOptions& options) {
     }
     ++degree[link.a];
     ++degree[link.b];
-    if (!options.allow_parallel_links) {
-      auto [lo, hi] = std::minmax(link.a, link.b);
-      ++pair_count[(static_cast<std::uint64_t>(lo) << 32) | hi];
-    }
-  }
-  if (!options.allow_parallel_links) {
-    report.note_check();
-    for (const auto& [key, count] : pair_count) {
-      if (count <= 1) continue;
-      std::ostringstream os;
-      os << count << " parallel links between switches " << (key >> 32) << " and "
-         << (key & 0xffffffffu) << " (declared simple)";
-      report.add("topo.parallel_link", os.str());
-    }
   }
 
   // Port budgets: link endpoints + attached servers per switch.
@@ -114,7 +98,7 @@ Report validate(const Topology& t, const TopologyCheckOptions& options) {
   }
 
   // Connectivity, optionally on the live (degree > 0) subgraph.
-  if (options.require_connected && switches > 0) {
+  if (switches > 0) {
     report.note_check();
     if (!options.allow_isolated_switches) {
       if (!graph::is_connected(g))

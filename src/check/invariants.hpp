@@ -4,12 +4,12 @@
 //
 // Topology::validate() throws on the two hard invariants (port budget,
 // connectivity); these validators cover the wider battery in report form:
-// self links, undeclared parallel links, non-positive capacities, servers
-// homed on dead switches, connectivity with declared isolated switches
-// (degraded topologies keep failed switches as isolated nodes), and
-// equipment parity between two builds that claim the same hardware
-// (fat-tree vs Jellyfish vs two-stage vs any flat-tree conversion of the
-// same (k, oversubscription) — conversions rewire, they never add ports).
+// self links, non-positive capacities, servers homed on dead switches,
+// connectivity with declared isolated switches (degraded topologies keep
+// failed switches as isolated nodes), and equipment parity between two
+// builds that claim the same hardware (fat-tree vs Jellyfish vs two-stage
+// vs any flat-tree conversion of the same (k, oversubscription) —
+// conversions rewire, they never add ports).
 
 #include <cstdint>
 #include <vector>
@@ -19,28 +19,23 @@
 
 namespace flattree::check {
 
-/// Which topology invariants validate() enforces.
+/// Which topology invariants validate() enforces. Parallel links are
+/// always legal (every topology is a multigraph) and the switch graph must
+/// always be connected.
 struct TopologyCheckOptions {
-  /// Parallel links are legal in a multigraph; Jellyfish-style builds
-  /// promise simple graphs, so their checks set this to false.
-  bool allow_parallel_links = true;
   /// Degraded topologies keep failed switches as isolated nodes so ids
   /// stay stable; set true to exempt zero-degree switches from the
   /// connectivity requirement (the live subgraph must still be one
   /// component).
   bool allow_isolated_switches = false;
-  /// Require the switch graph (or its live subgraph, see above) to be one
-  /// connected component.
-  bool require_connected = true;
   /// Servers known to be stranded (e.g. DegradedTopology::stranded_servers)
   /// — exempt from the live-host check.
   std::vector<topo::ServerId> declared_stranded;
 };
 
 /// Runs the full invariant battery over `t`. Codes: topo.self_link,
-/// topo.link_endpoint, topo.capacity, topo.parallel_link,
-/// topo.port_budget, topo.server_host, topo.stranded_server,
-/// topo.connectivity.
+/// topo.link_endpoint, topo.capacity, topo.port_budget, topo.server_host,
+/// topo.stranded_server, topo.connectivity.
 Report validate(const topo::Topology& t, const TopologyCheckOptions& options = {});
 
 /// Checks that two topologies are built from the same equipment: switch

@@ -20,11 +20,9 @@ enum class WalkFault : std::uint8_t { None, Blackhole, Loop, HopLimit };
 class WalkChecker {
  public:
   WalkChecker(const topo::Topology& topo, const te::WeightedFib& fib, graph::NodeId dst,
-              const std::vector<std::uint32_t>& dist, std::uint32_t hop_limit,
-              Report& report)
-      : topo_(topo), fib_(fib), dst_(dst), dist_(dist), hop_limit_(hop_limit),
-        report_(report), state_(topo.switch_count(), State::Unknown),
-        depth_(topo.switch_count(), 0) {}
+              const std::vector<std::uint32_t>& dist, Report& report)
+      : topo_(topo), fib_(fib), dst_(dst), dist_(dist), report_(report),
+        state_(topo.switch_count(), State::Unknown), depth_(topo.switch_count(), 0) {}
 
   WalkFault check(graph::NodeId src, graph::NodeId& at_fault) {
     return visit(src, at_fault);
@@ -66,7 +64,7 @@ class WalkChecker {
       }
       worst = std::max(worst, (v == dst_ ? 0u : depth_[v]) + 1u);
     }
-    if (worst > hop_limit_) {
+    if (worst > kFibHopLimit) {
       state_[u] = State::Unknown;
       at_fault = u;
       return WalkFault::HopLimit;
@@ -80,7 +78,6 @@ class WalkChecker {
   const te::WeightedFib& fib_;
   graph::NodeId dst_;
   const std::vector<std::uint32_t>& dist_;
-  std::uint32_t hop_limit_;
   Report& report_;
   std::vector<State> state_;
   std::vector<std::uint32_t> depth_;
@@ -90,8 +87,7 @@ class WalkChecker {
 
 Report validate_weighted_fib(
     const topo::Topology& t, const te::WeightedFib& fib,
-    const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs,
-    const WeightedFibCheckOptions& options) {
+    const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs) {
   count_run();
   Report report;
   const graph::Graph& g = t.graph();
@@ -148,7 +144,7 @@ Report validate_weighted_fib(
 
   for (graph::NodeId dst : dsts) {
     std::vector<std::uint32_t> dist = graph::bfs_distances(g, dst);
-    WalkChecker checker(t, fib, dst, dist, options.hop_limit, report);
+    WalkChecker checker(t, fib, dst, dist, report);
     bool dst_reported = false;
     for (graph::NodeId src : by_dst[dst]) {
       if (dist[src] == graph::kUnreachable) {
@@ -180,7 +176,7 @@ Report validate_weighted_fib(
         case WalkFault::HopLimit: {
           std::ostringstream os;
           os << "walk from switch " << at_fault << " toward " << dst << " exceeds "
-             << options.hop_limit << " hops";
+             << kFibHopLimit << " hops";
           report.add("te.wfib.hop_limit", os.str());
           dst_reported = true;
           break;

@@ -21,7 +21,7 @@
 //                         make progress; hop-by-hop KSP tables may not)
 //   te.wfib.loop          positive-weight rules form a forwarding cycle
 //                         toward dst
-//   te.wfib.hop_limit     some greedy walk exceeds the hop limit
+//   te.wfib.hop_limit     some greedy walk exceeds kFibHopLimit hops
 
 #include <utility>
 #include <vector>
@@ -32,11 +32,8 @@
 
 namespace flattree::check {
 
-/// Tuning for validate_weighted_fib.
-struct WeightedFibCheckOptions {
-  /// Longest admissible greedy walk, in switch hops.
-  std::uint32_t hop_limit = 32;
-};
+/// Longest admissible greedy walk, in switch hops.
+inline constexpr std::uint32_t kFibHopLimit = 32;
 
 /// Model-checks `fib` for every ordered pair in `pairs`: structural rule
 /// hygiene (bad_link / zero_weight / weight_sum) over the whole table,
@@ -44,7 +41,6 @@ struct WeightedFibCheckOptions {
 /// hop bound over every positive-weight walk of the checked pairs. See
 /// the header comment for the violation codes.
 Report validate_weighted_fib(const topo::Topology& t, const te::WeightedFib& fib,
-                             const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs,
-                             const WeightedFibCheckOptions& options = {});
+                             const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs);
 
 }  // namespace flattree::check

@@ -86,10 +86,6 @@ ServerId FlatTreeNetwork::server(std::uint32_t pod, std::uint32_t j, std::uint32
   return (pod * params_.d() + j) * params_.servers_per_edge() + s;
 }
 
-std::uint32_t FlatTreeNetwork::pod_of_server(ServerId s) const {
-  return s / params_.servers_per_pod();
-}
-
 std::uint32_t FlatTreeNetwork::converter_index(std::uint32_t pod, std::uint32_t slot) const {
   return pod * layout_.converters_per_pod() + slot;
 }

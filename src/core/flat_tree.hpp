@@ -99,8 +99,6 @@ class FlatTreeNetwork {
   NodeId agg_switch(std::uint32_t pod, std::uint32_t i) const;
   NodeId core_switch(std::uint32_t c) const;
   ServerId server(std::uint32_t pod, std::uint32_t j, std::uint32_t s) const;
-  /// Pod that server `s` belongs to (by its home edge switch).
-  std::uint32_t pod_of_server(ServerId s) const;
 
   // -- configuration -------------------------------------------------------
   /// Converter configuration realizing `pod_modes` (one Mode per pod).

@@ -53,15 +53,6 @@ bool pattern_server_uniform(WiringPattern pattern, std::uint32_t m,
   return m % c == 0;
 }
 
-bool pattern_fully_uniform(WiringPattern pattern, std::uint32_t m, std::uint32_t n,
-                           std::uint32_t group_size) {
-  if (pattern == WiringPattern::Auto)
-    throw std::invalid_argument("pattern_fully_uniform: resolve Auto first");
-  std::uint32_t c = gcd32(rotation_step(pattern, m) % group_size, group_size);
-  if (c == 0) c = group_size;
-  return m % c == 0 && n % c == 0;
-}
-
 WiringPattern resolve_pattern(WiringPattern pattern, std::uint32_t k, std::uint32_t m,
                               std::uint32_t group_size) {
   if (pattern != WiringPattern::Auto) return pattern;

@@ -66,11 +66,6 @@ bool pattern_degenerate(WiringPattern pattern, std::uint32_t m, std::uint32_t gr
 bool pattern_server_uniform(WiringPattern pattern, std::uint32_t m,
                             std::uint32_t group_size);
 
-/// Stronger: every connector family (blade B, blade A, aggregation) lands
-/// uniformly, i.e. the gcd also divides n (paper Property 2 exactly).
-bool pattern_fully_uniform(WiringPattern pattern, std::uint32_t m, std::uint32_t n,
-                           std::uint32_t group_size);
-
 /// What a pod-core connector slot is wired through.
 enum class CoreConnectorKind : std::uint8_t { BladeB, BladeA, Aggregation };
 

@@ -35,7 +35,6 @@ bool FaultState::apply(const FaultEvent& e) {
                                 to_string(e.kind) + " " + std::to_string(e.a) + " " +
                                 std::to_string(e.b) + ")");
   };
-  time_ = e.time;
   tally_[static_cast<std::size_t>(e.kind)] += 1;
   switch (e.kind) {
     case FaultKind::LinkDown: {

@@ -42,7 +42,6 @@ class FaultState {
   bool switch_down(NodeId v) const { return switch_down_[v] > 0; }
   bool pair_down(NodeId a, NodeId b) const;
   bool converter_stuck(std::uint32_t idx) const { return stuck_[idx] > 0; }
-  double time() const { return time_; }  ///< time of the last applied event
 
   std::size_t down_switch_count() const { return down_switches_; }
   std::size_t down_pair_count() const { return down_pairs_; }
@@ -67,7 +66,6 @@ class FaultState {
   std::size_t down_switches_ = 0;
   std::size_t down_pairs_ = 0;
   std::size_t stuck_converters_ = 0;
-  double time_ = 0.0;
   std::array<std::uint64_t, 6> tally_{};
 };
 

@@ -14,8 +14,10 @@ struct QueueEntry {
   bool operator>(const QueueEntry& o) const { return dist > o.dist; }
 };
 
-DijkstraResult run(const Graph& g, NodeId source, NodeId target,
-                   const std::vector<double>& length) {
+}  // namespace
+
+DijkstraResult dijkstra_to(const Graph& g, NodeId source, NodeId target,
+                           const std::vector<double>& length) {
   if (length.size() != g.link_count())
     throw std::invalid_argument("dijkstra: length vector size mismatch");
   DijkstraResult r;
@@ -42,17 +44,6 @@ DijkstraResult run(const Graph& g, NodeId source, NodeId target,
     }
   }
   return r;
-}
-
-}  // namespace
-
-DijkstraResult dijkstra(const Graph& g, NodeId source, const std::vector<double>& length) {
-  return run(g, source, kInvalidNode, length);
-}
-
-DijkstraResult dijkstra_to(const Graph& g, NodeId source, NodeId target,
-                           const std::vector<double>& length) {
-  return run(g, source, target, length);
 }
 
 std::vector<NodeId> extract_path(const DijkstraResult& r, NodeId target) {

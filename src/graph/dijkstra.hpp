@@ -21,12 +21,10 @@ struct DijkstraResult {
   std::vector<LinkId> parent_link; ///< kInvalidLink at source/unreached
 };
 
-/// Full single-source run. `length[l]` must be >= 0 for every link.
-DijkstraResult dijkstra(const Graph& g, NodeId source, const std::vector<double>& length);
-
-/// Early-exit variant: stops once `target` is settled (dist/parents for
-/// nodes settled after that point are unspecified but dist[target] and the
-/// parent chain to it are exact).
+/// Single-source run that stops once `target` is settled (dist/parents
+/// for nodes settled after that point are unspecified but dist[target] and
+/// the parent chain to it are exact). `length[l]` must be >= 0 for every
+/// link.
 DijkstraResult dijkstra_to(const Graph& g, NodeId source, NodeId target,
                            const std::vector<double>& length);
 

@@ -15,19 +15,6 @@ obs::Counter c_csr_builds("graph.csr.full_builds");
 
 }  // namespace
 
-Graph::Graph(std::size_t node_count) : node_count_(node_count) {}
-
-Graph::Graph(const Graph& other) : node_count_(other.node_count_), links_(other.links_) {}
-
-Graph& Graph::operator=(const Graph& other) {
-  if (this != &other) {
-    node_count_ = other.node_count_;
-    links_ = other.links_;
-    invalidate_csr();
-  }
-  return *this;
-}
-
 Graph::Graph(Graph&& other) noexcept
     : node_count_(other.node_count_), links_(std::move(other.links_)) {}
 
@@ -62,8 +49,6 @@ LinkId Graph::add_link(NodeId a, NodeId b, double capacity) {
   invalidate_csr();
   return static_cast<LinkId>(links_.size() - 1);
 }
-
-std::size_t Graph::degree(NodeId node) const { return neighbors(node).size(); }
 
 void Graph::build_csr() const {
   csr_offset_.assign(node_count_ + 1, 0);
@@ -100,12 +85,6 @@ std::span<const Arc> Graph::neighbors(NodeId node) const {
   if (node >= node_count_) throw std::out_of_range("Graph::neighbors: node out of range");
   ensure_csr();
   return {csr_arcs_.data() + csr_offset_[node], csr_offset_[node + 1] - csr_offset_[node]};
-}
-
-bool Graph::connected(NodeId a, NodeId b) const {
-  for (const Arc& arc : neighbors(a))
-    if (arc.to == b) return true;
-  return false;
 }
 
 }  // namespace flattree::graph

@@ -62,14 +62,12 @@ struct Arc {
 class Graph {
  public:
   Graph() = default;
-  /// Constructs a graph with `node_count` nodes and no links.
-  explicit Graph(std::size_t node_count);
 
-  // Copies/moves transfer the structure but not the CSR cache (it is
-  // rebuilt lazily); required because the cache guard members are neither
-  // copyable nor movable.
-  Graph(const Graph& other);
-  Graph& operator=(const Graph& other);
+  // Moves transfer the structure but not the CSR cache (it is rebuilt
+  // lazily); required because the cache guard members are not movable.
+  // Nothing copies a graph.
+  Graph(const Graph&) = delete;
+  Graph& operator=(const Graph&) = delete;
   Graph(Graph&& other) noexcept;
   Graph& operator=(Graph&& other) noexcept;
 
@@ -91,9 +89,6 @@ class Graph {
   /// All links in id order.
   const std::vector<Link>& links() const { return links_; }
 
-  /// Number of link endpoints at `node` (counts parallel links).
-  std::size_t degree(NodeId node) const;
-
   /// Arcs leaving `node`, in link id order. Builds the CSR index lazily on
   /// first use after a mutation. The lazy build is thread-safe, so
   /// read-only algorithms (BFS, Dijkstra, Yen) may run concurrently on a
@@ -103,9 +98,6 @@ class Graph {
 
   /// Forces the CSR build now (also done implicitly by neighbors()).
   void ensure_csr() const;
-
-  /// True if a link (possibly one of several) joins a and b.
-  bool connected(NodeId a, NodeId b) const;
 
  private:
   void build_csr() const;

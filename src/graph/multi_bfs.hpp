@@ -167,8 +167,6 @@ class MultiBfsLease {
   MultiBfsLease& operator=(const MultiBfsLease&) = delete;
 
   /// The leased engine.
-  MultiSourceBfs& operator*() { return *engine_; }
-  /// The leased engine.
   MultiSourceBfs* operator->() { return engine_.get(); }
 
  private:

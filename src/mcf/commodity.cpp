@@ -42,10 +42,4 @@ std::vector<SourceGroup> group_by_source(const std::vector<Commodity>& commoditi
   return groups;
 }
 
-double total_demand(const std::vector<Commodity>& commodities) {
-  double sum = 0.0;
-  for (const Commodity& c : commodities) sum += c.demand;
-  return sum;
-}
-
 }  // namespace flattree::mcf

@@ -48,7 +48,4 @@ struct SourceGroup {
 /// sources and the input order of targets within each group.
 std::vector<SourceGroup> group_by_source(const std::vector<Commodity>& commodities);
 
-/// Sum of demands.
-double total_demand(const std::vector<Commodity>& commodities);
-
 }  // namespace flattree::mcf

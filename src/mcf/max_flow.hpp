@@ -61,8 +61,6 @@ class MaxFlow {
   /// network (the source side of a minimum cut), else 0.
   std::vector<std::uint8_t> source_side() const;
 
-  std::size_t node_count() const { return adjacency_.size(); }
-
  private:
   struct Arc {
     NodeId to;

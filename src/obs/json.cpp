@@ -572,9 +572,4 @@ bool json_parse(const std::string& text, JsonValue& out, JsonError* error) {
   return false;
 }
 
-bool json_valid(const std::string& text) {
-  JsonValue discarded;
-  return json_parse(text, discarded);
-}
-
 }  // namespace flattree::obs

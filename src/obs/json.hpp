@@ -85,7 +85,6 @@ class JsonValue {
   static JsonValue make_array();
   static JsonValue make_object();
 
-  Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::Null; }
   bool is_bool() const { return kind_ == Kind::Bool; }
   bool is_int() const { return kind_ == Kind::Int; }
@@ -144,8 +143,5 @@ struct JsonError {
 /// ("json.duplicate_key"), numbers that overflow to +/-inf rejected
 /// ("json.number_nonfinite"), nesting capped at depth 256 ("json.depth").
 bool json_parse(const std::string& text, JsonValue& out, JsonError* error = nullptr);
-
-/// True when json_parse accepts `text` (the parsed value is discarded).
-bool json_valid(const std::string& text);
 
 }  // namespace flattree::obs

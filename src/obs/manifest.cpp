@@ -64,13 +64,6 @@ void RunSession::set_double(const std::string& key, double value) {
   fields_.push_back({key, json_number(value)});
 }
 
-void RunSession::set_string(const std::string& key, const std::string& value) {
-  std::string quoted(1, '"');
-  quoted += json_escape(value);
-  quoted += '"';
-  fields_.push_back({key, std::move(quoted)});
-}
-
 std::string RunSession::manifest_json() const {
   MetricsSnapshot snap = snapshot_metrics();
   JsonWriter w;

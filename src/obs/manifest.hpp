@@ -52,7 +52,6 @@ class RunSession {
   /// Caller-provided manifest fields (insertion order is preserved).
   void set_int(const std::string& key, std::int64_t value);
   void set_double(const std::string& key, double value);
-  void set_string(const std::string& key, const std::string& value);
 
   /// True when either output was requested (observability should be on).
   bool active() const { return !metrics_path_.empty() || !trace_path_.empty(); }

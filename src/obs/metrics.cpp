@@ -173,15 +173,6 @@ void Gauge::set(double v) {
   s.gauges[id_].has_value = true;
 }
 
-void Gauge::record_max(double v) {
-  if (!enabled()) return;
-  Store& s = store();
-  std::lock_guard lock(s.mu);
-  GaugeCell& cell = s.gauges[id_];
-  cell.value = cell.has_value ? std::max(cell.value, v) : v;
-  cell.has_value = true;
-}
-
 Histogram::Histogram(const std::string& name, std::vector<double> bounds) {
   if (bounds.empty()) throw std::invalid_argument("Histogram: need at least one bound");
   for (std::size_t i = 1; i < bounds.size(); ++i)

@@ -63,9 +63,6 @@ class Gauge {
  public:
   explicit Gauge(const std::string& name);
   void set(double v);
-  /// Commutative max-merge (safe from any thread).
-  void record_max(double v);
-  MetricId id() const { return id_; }
 
  private:
   MetricId id_;
@@ -78,7 +75,6 @@ class Histogram {
   /// bucket at the end (bounds.size() + 1 buckets total).
   Histogram(const std::string& name, std::vector<double> bounds);
   void observe(double v);
-  MetricId id() const { return id_; }
 
   /// `count` edges starting at `start`, each `factor` times the previous.
   static std::vector<double> exponential_bounds(double start, double factor,

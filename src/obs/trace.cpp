@@ -145,7 +145,6 @@ std::vector<TraceEvent> collect_events() {
 
 }  // namespace
 
-std::size_t trace_span_count() { return collect_events().size(); }
 
 bool write_trace(const std::string& path) {
   stop_tracing();

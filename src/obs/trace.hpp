@@ -41,9 +41,6 @@ void start_tracing();
 /// Stops recording; already-recorded spans stay buffered for write_trace().
 void stop_tracing();
 
-/// Number of spans currently buffered (collects all thread buffers).
-std::size_t trace_span_count();
-
 /// Writes the buffered session as JSON lines. Returns false (and logs
 /// nothing) when the file cannot be opened. Stops tracing first.
 bool write_trace(const std::string& path);

@@ -257,15 +257,10 @@ PacketSimulator::PacketSimulator(const topo::Topology& topo, const te::WeightedF
   auto require = [](bool ok, const char* what) {
     if (!ok) throw std::invalid_argument(std::string("PacketSimulator: ") + what);
   };
-  require(std::isfinite(config_.packet_size) && config_.packet_size > 0,
-          "packet_size must be finite and positive");
   require(std::isfinite(config_.nic_rate) && config_.nic_rate > 0,
           "nic_rate must be finite and positive");
   require(std::isfinite(config_.propagation_delay) && config_.propagation_delay >= 0,
           "propagation_delay must be finite and non-negative");
-  require(std::isfinite(config_.ack_delay) && config_.ack_delay >= 0,
-          "ack_delay must be finite and non-negative");
-  require(config_.init_cwnd != 0, "init_cwnd must be positive");
 }
 
 graph::LinkId PacketSimulator::select(topo::NodeId at, topo::NodeId dst,
@@ -306,7 +301,7 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
   QueueSampler queues;
   te::FlowletTable flowlets(config_.flowlet_gap);
   std::vector<FlowState> state(flows.size());
-  const double injection_gap = config_.packet_size / config_.nic_rate;
+  const double injection_gap = 1.0 / config_.nic_rate;
 
   if (!config_.ecn) {
     // Drop-tail: packets enter their source host switch at NIC pace, and
@@ -345,7 +340,7 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
   } else {
     for (std::size_t f = 0; f < flows.size(); ++f) {
       FlowState& fs = state[f];
-      fs.cwnd = config_.init_cwnd;
+      fs.cwnd = kInitCwnd;
       fs.window_size = fs.cwnd;
       fs.nic_free = flows[f].start;
       fs.inject_pending = true;
@@ -401,7 +396,7 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
       if (fs.window_acked >= fs.window_size) {
         double fraction = static_cast<double>(fs.window_marked) /
                           static_cast<double>(fs.window_acked);
-        fs.alpha = (1.0 - config_.dctcp_gain) * fs.alpha + config_.dctcp_gain * fraction;
+        fs.alpha = (1.0 - kDctcpGain) * fs.alpha + kDctcpGain * fraction;
         if (fs.window_marked > 0) {
           fs.cwnd = std::max(
               1u, static_cast<std::uint32_t>(static_cast<double>(fs.cwnd) *
@@ -454,7 +449,7 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
       last_delivery[pkt.flow_id] = std::max(last_delivery[pkt.flow_id], ev.time);
       stats.finish_time = std::max(stats.finish_time, ev.time);
       if (config_.ecn)
-        events.push({ev.time + config_.ack_delay, seq++, ev.idx, EventKind::Credit});
+        events.push({ev.time, seq++, ev.idx, EventKind::Credit});
       continue;
     }
 
@@ -473,11 +468,11 @@ PacketStats PacketSimulator::run(const std::vector<PacketFlow>& flows) {
       pkt.dropped = true;
       stats.finish_time = std::max(stats.finish_time, ev.time);
       if (config_.ecn)
-        events.push({ev.time + config_.ack_delay, seq++, ev.idx, EventKind::Credit});
+        events.push({ev.time, seq++, ev.idx, EventKind::Credit});
       continue;
     }
     if (config_.ecn && queued >= config_.ecn_threshold) pkt.marked = true;
-    double service = config_.packet_size / l.capacity;
+    double service = 1.0 / l.capacity;
     double depart = std::max(ev.time, astate.busy_until) + service;
     astate.busy_until = depart;
     double arrive = depart + config_.propagation_delay;

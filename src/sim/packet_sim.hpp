@@ -33,10 +33,12 @@
 // fresh path salt (te::FlowletTable) at the next injection. Routed flows
 // consult neither the table nor the flowlet table.
 //
-// Time units: a packet of size 1 takes 1/capacity time units to serialize
-// onto a link of that capacity; propagation delay is per hop and constant.
-// Sizes and rates must be finite and positive, delays finite and
-// non-negative, and flow starts finite (std::invalid_argument otherwise).
+// Time units: a packet takes 1/capacity time units to serialize onto a
+// link of that capacity and 1/nic_rate to leave its source NIC;
+// propagation delay is per hop and constant. Rates must be finite and
+// positive, the delay finite and non-negative, and flow starts finite
+// (std::invalid_argument otherwise). A delivery or drop reaches its source
+// at once.
 
 #include <cstdint>
 #include <vector>
@@ -47,9 +49,13 @@
 
 namespace flattree::sim {
 
+/// g of the DCTCP alpha-EWMA (the DCTCP paper's 1/16).
+inline constexpr double kDctcpGain = 1.0 / 16;
+/// Initial per-flow congestion window, in packets.
+inline constexpr std::uint32_t kInitCwnd = 8;
+
 /// Fabric, traffic-engineering and congestion-control knobs of a packet run.
 struct PacketSimConfig {
-  double packet_size = 1.0;       ///< serialization units per packet
   double propagation_delay = 0.01;///< per-hop propagation latency
   std::size_t queue_packets = 16; ///< per-output-queue capacity; 0 = infinite
   double nic_rate = 1.0;          ///< server injection rate (packets/size units)
@@ -58,9 +64,6 @@ struct PacketSimConfig {
   double flowlet_gap = 0.0;       ///< idle gap starting a new flowlet; <= 0 off
   bool ecn = false;               ///< DCTCP loop on; false = drop-tail baseline
   std::size_t ecn_threshold = 8;  ///< mark at enqueue when occupancy >= K
-  double dctcp_gain = 0.0625;     ///< g of the alpha-EWMA (DCTCP's 1/16)
-  std::uint32_t init_cwnd = 8;    ///< initial per-flow congestion window
-  double ack_delay = 0.0;         ///< delivery/drop feedback latency to source
 };
 
 /// A packet train: `packets` packets injected back-to-back at the source
@@ -115,9 +118,8 @@ class PacketSimulator {
   /// `fib` must cover every (host(src), host(dst)) switch pair the table
   /// flows use (compile via te::compile_fib or te::compile_wcmp_*). Both
   /// references must outlive the simulator. Throws std::invalid_argument,
-  /// naming the field, on a packet_size or nic_rate that is not finite and
-  /// positive, a propagation_delay or ack_delay that is not finite and
-  /// non-negative, or a zero init_cwnd.
+  /// naming the field, on a nic_rate that is not finite and positive or a
+  /// propagation_delay that is not finite and non-negative.
   PacketSimulator(const topo::Topology& topo, const te::WeightedFib& fib,
                   PacketSimConfig config = {});
 

@@ -84,7 +84,6 @@ void JournalWriter::commit() {
   *out_ << block;
   out_->flush();
   ++groups_;
-  records_ += records;
   c_groups.inc();
   pending_.clear();
   tally_ = EvalTally{};

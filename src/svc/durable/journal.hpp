@@ -102,14 +102,12 @@ class JournalWriter {
   void commit();
 
   std::uint64_t groups_committed() const { return groups_; }
-  std::uint64_t records_committed() const { return records_; }
 
  private:
   std::ostream* out_;
   std::vector<JournalEntry> pending_;
   EvalTally tally_;
   std::uint64_t groups_ = 0;
-  std::uint64_t records_ = 0;
 };
 
 }  // namespace flattree::svc::durable

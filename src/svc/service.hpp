@@ -68,7 +68,7 @@ struct ServiceOptions {
   double epsilon = 0.12;       ///< GK epsilon for throughput queries
   /// Read by nothing: throughput queries always solve cold. Still declared
   /// because perfbench's svc-stream assigns it; the perfbench-only change
-  /// that drops that assignment deletes this field (ROADMAP item 4).
+  /// that drops that assignment deletes this field (ROADMAP item 7).
   bool incremental = false;
   bool selfcheck = false;      ///< controller + snapshot invariant batteries
   SloPolicy slo;

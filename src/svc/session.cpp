@@ -620,7 +620,7 @@ bool Session::exec_design(const Request& req, obs::JsonValue& payload,
 
   // Deadline -> iteration budget; the applied count is deterministic (a
   // pure function of the request), never wall-clock.
-  const std::uint64_t budget = budget_iterations(opt_.slo, req.deadline_ms);
+  const std::uint64_t budget = budget_iterations(req.deadline_ms);
   const std::uint64_t applied = budget > 0 ? std::min(iters, budget) : iters;
 
   design::SearchOptions sopt;

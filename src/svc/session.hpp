@@ -66,8 +66,8 @@ class Session {
   /// Conversion-plan search (design::search) over the session's *clean*
   /// plant — outstanding faults are not modeled; the search plans the
   /// layout the operator would convert the healthy fabric into.
-  /// deadline_ms caps the iteration count through SloPolicy (svc.design.*
-  /// error codes).
+  /// deadline_ms caps the iteration count through budget_iterations
+  /// (svc.design.* error codes).
   bool exec_design(const Request& req, obs::JsonValue& payload, EvalTally& tally,
                    RequestError& err) const;
 

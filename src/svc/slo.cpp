@@ -35,9 +35,9 @@ std::uint64_t budget_augmentations(const SloPolicy& policy, double deadline_ms) 
                     "budget_augmentations");
 }
 
-std::uint64_t budget_iterations(const SloPolicy& policy, double deadline_ms) {
-  return budget_for(deadline_ms, policy.design_iterations_per_ms,
-                    policy.min_design_iterations, "budget_iterations");
+std::uint64_t budget_iterations(double deadline_ms) {
+  return budget_for(deadline_ms, kDesignIterationsPerMs, kMinDesignIterations,
+                    "budget_iterations");
 }
 
 SloSolve solve_with_budget(const graph::Graph& g,

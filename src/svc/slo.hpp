@@ -32,12 +32,13 @@ struct SloPolicy {
   double augmentations_per_ms = 4000.0;
   /// Floor: even a tiny deadline buys enough work for a usable bound.
   std::uint64_t min_augmentations = 32;
-  /// Annealing iterations afforded per deadline millisecond (the `design`
-  /// op's unit of work is a candidate evaluation, not an augmentation).
-  double design_iterations_per_ms = 0.25;
-  /// Floor for budgeted design searches: a few moves beat none.
-  std::uint64_t min_design_iterations = 4;
 };
+
+/// Annealing iterations afforded per deadline millisecond (the `design`
+/// op's unit of work is a candidate evaluation, not an augmentation).
+inline constexpr double kDesignIterationsPerMs = 0.25;
+/// Floor for budgeted design searches: a few moves beat none.
+inline constexpr std::uint64_t kMinDesignIterations = 4;
 
 /// Maps a deadline to an augmentation budget (0 deadline = 0 = unlimited).
 /// Throws std::invalid_argument unless augmentations_per_ms is finite and
@@ -45,10 +46,9 @@ struct SloPolicy {
 std::uint64_t budget_augmentations(const SloPolicy& policy, double deadline_ms);
 
 /// Maps a deadline to a design-search iteration budget (0 deadline = 0 =
-/// unlimited) using the same saturating policy shape as
-/// budget_augmentations. Throws std::invalid_argument unless
-/// design_iterations_per_ms is finite and positive.
-std::uint64_t budget_iterations(const SloPolicy& policy, double deadline_ms);
+/// unlimited) at kDesignIterationsPerMs, floored at kMinDesignIterations,
+/// with the same saturating shape as budget_augmentations.
+std::uint64_t budget_iterations(double deadline_ms);
 
 /// A budgeted solve plus its certificate verdict.
 struct SloSolve {

@@ -57,10 +57,6 @@ class FlowletTable {
   /// Number of idle entries evicted so far (also billed to the
   /// sim.flowlet.evictions counter).
   std::uint64_t evictions() const { return evictions_; }
-  /// The configured idle gap (non-positive = disabled).
-  double idle_gap() const { return idle_gap_; }
-  /// The configured sweep watermark.
-  std::size_t max_flows() const { return max_flows_; }
 
  private:
   void sweep(double now);

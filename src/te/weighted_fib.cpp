@@ -1,6 +1,5 @@
 #include "te/weighted_fib.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -88,18 +87,6 @@ std::uint64_t WeightedFib::total_weight() const {
   std::uint64_t total = 0;
   for (const Entry& entry : entries_) total += entry.weight_sum;
   return total;
-}
-
-std::size_t WeightedFib::max_rules_per_switch() const {
-  std::size_t best = 0;
-  for (NodeId at = 0; at < switches_; ++at) {
-    const std::uint32_t* r = row(at);
-    std::size_t rules = 0;
-    for (NodeId dst = 0; dst < switches_; ++dst)
-      if (r[dst] != kNoEntry) rules += entries_[r[dst]].hops.size();
-    best = std::max(best, rules);
-  }
-  return best;
 }
 
 }  // namespace flattree::te

@@ -88,8 +88,6 @@ class WeightedFib {
   std::size_t entry_count() const { return entries_.size(); }
   /// Sum of all rule weights across the table.
   std::uint64_t total_weight() const;
-  /// Largest per-switch rule count (TCAM pressure proxy).
-  std::size_t max_rules_per_switch() const;
 
  private:
   struct Entry {

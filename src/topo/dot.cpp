@@ -44,7 +44,7 @@ std::string to_dot(const Topology& topo, const DotOptions& options) {
   std::ostringstream os;
   os << "graph flattree {\n  node [shape=box, style=filled];\n";
 
-  // Group switches by pod for cluster rendering.
+  // Group switches by pod: each pod renders as a DOT subgraph cluster.
   std::map<std::int32_t, std::vector<NodeId>> pods;
   for (NodeId v = 0; v < topo.switch_count(); ++v) pods[topo.info(v).pod].push_back(v);
 
@@ -54,7 +54,7 @@ std::string to_dot(const Topology& topo, const DotOptions& options) {
   };
 
   for (const auto& [pod, nodes] : pods) {
-    if (options.cluster_pods && pod >= 0) {
+    if (pod >= 0) {
       os << "  subgraph cluster_pod" << pod << " {\n    label=\"pod " << pod << "\";\n";
       for (NodeId v : nodes) emit_switch(v, "    ");
       os << "  }\n";

@@ -10,12 +10,12 @@ namespace flattree::topo {
 
 struct DotOptions {
   bool include_servers = false;  ///< emit server nodes (large at scale)
-  bool cluster_pods = true;      ///< wrap each pod in a DOT subgraph cluster
 };
 
 /// Renders the switch-level topology as an undirected DOT graph. Switch
-/// nodes are labelled by kind/pod/index and colored by kind; link styles
-/// follow their LinkOrigin.
+/// nodes are labelled by kind/pod/index and colored by kind, each pod's
+/// switches are wrapped in a subgraph cluster, and link styles follow
+/// their LinkOrigin.
 std::string to_dot(const Topology& topo, const DotOptions& options = {});
 
 }  // namespace flattree::topo

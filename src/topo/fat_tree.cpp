@@ -55,10 +55,6 @@ NodeId FatTree::core_switch(std::uint32_t c) const {
   return params.pods() * (params.d() + params.aggs_per_pod()) + c;
 }
 
-ServerId FatTree::server(std::uint32_t pod, std::uint32_t j, std::uint32_t s) const {
-  return (pod * params.d() + j) * params.servers_per_edge() + s;
-}
-
 FatTree build_clos(const ClosParams& p) {
   FatTree ft;
   ft.params = p;

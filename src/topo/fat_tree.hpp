@@ -82,8 +82,6 @@ struct FatTree {
   NodeId edge_switch(std::uint32_t pod, std::uint32_t j) const;
   NodeId agg_switch(std::uint32_t pod, std::uint32_t i) const;
   NodeId core_switch(std::uint32_t c) const;
-  /// Server `s` (0-based) attached to edge switch j of pod p.
-  ServerId server(std::uint32_t pod, std::uint32_t j, std::uint32_t s) const;
 };
 
 /// Builds the k-ary fat-tree. Throws std::invalid_argument unless k is even

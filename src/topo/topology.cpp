@@ -54,34 +54,6 @@ std::vector<std::uint32_t> Topology::servers_per_switch() const {
   return count;
 }
 
-std::vector<ServerId> Topology::servers_on(NodeId node) const {
-  std::vector<ServerId> out;
-  for (ServerId s = 0; s < server_host_.size(); ++s)
-    if (server_host_[s] == node) out.push_back(s);
-  return out;
-}
-
-std::size_t Topology::used_ports(NodeId node) const {
-  std::size_t used = graph_.degree(node);
-  for (NodeId host : server_host_)
-    if (host == node) ++used;
-  return used;
-}
-
-std::vector<NodeId> Topology::switches_of(SwitchKind kind) const {
-  std::vector<NodeId> out;
-  for (NodeId n = 0; n < switch_info_.size(); ++n)
-    if (switch_info_[n].kind == kind) out.push_back(n);
-  return out;
-}
-
-std::vector<NodeId> Topology::switches_in_pod(std::int32_t pod) const {
-  std::vector<NodeId> out;
-  for (NodeId n = 0; n < switch_info_.size(); ++n)
-    if (switch_info_[n].pod == pod) out.push_back(n);
-  return out;
-}
-
 std::array<std::size_t, 3> Topology::kind_counts() const {
   std::array<std::size_t, 3> counts{0, 0, 0};
   for (const auto& info : switch_info_) counts[static_cast<std::size_t>(info.kind)]++;

@@ -66,20 +66,9 @@ class Topology {
   const SwitchInfo& info(NodeId node) const { return switch_info_.at(node); }
   const LinkInfo& link_info(LinkId link) const { return link_info_.at(link); }
   NodeId host(ServerId server) const { return server_host_.at(server); }
-  const std::vector<NodeId>& server_hosts() const { return server_host_; }
 
   /// Servers attached to each switch (the APL weight vector).
   std::vector<std::uint32_t> servers_per_switch() const;
-  /// Server ids attached to `node`, in id order.
-  std::vector<ServerId> servers_on(NodeId node) const;
-
-  /// Ports in use at `node` = link endpoints + attached servers.
-  std::size_t used_ports(NodeId node) const;
-
-  /// Switches of a given kind (ids in creation order).
-  std::vector<NodeId> switches_of(SwitchKind kind) const;
-  /// Switches belonging to pod `pod` (any kind).
-  std::vector<NodeId> switches_in_pod(std::int32_t pod) const;
 
   /// Count of switches per kind: [core, aggregation, edge].
   std::array<std::size_t, 3> kind_counts() const;

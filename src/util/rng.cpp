@@ -51,16 +51,10 @@ std::uint64_t Rng::below(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
-  return lo + static_cast<std::int64_t>(below(static_cast<std::uint64_t>(hi - lo) + 1));
-}
-
 double Rng::uniform() {
   // 53 uniform bits -> double in [0, 1).
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
-
-double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
 
 double Rng::exponential(double rate) {
   double u;
@@ -74,12 +68,6 @@ bool Rng::chance(double p) { return uniform() < p; }
 
 Rng Rng::substream(std::uint64_t seed, std::uint64_t stream) {
   return Rng(mix64(seed ^ mix64(0x9e3779b97f4a7c15ULL * (stream + 1))));
-}
-
-Rng Rng::split() {
-  // Two fresh outputs feed a new seed; splitmix64's avalanche decorrelates.
-  std::uint64_t s = (*this)() ^ rotl((*this)(), 31);
-  return Rng(s);
 }
 
 }  // namespace flattree::util

@@ -15,18 +15,10 @@
 namespace flattree::util {
 
 /// xoshiro256** engine with convenience sampling helpers.
-/// Satisfies UniformRandomBitGenerator, so it can also be handed to
-/// std:: algorithms (e.g. std::shuffle) when portability of the exact
-/// sequence does not matter.
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   /// Seeds the full 256-bit state from `seed` via splitmix64.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
-
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~0ULL; }
 
   /// Next raw 64-bit output.
   std::uint64_t operator()();
@@ -35,14 +27,8 @@ class Rng {
   /// Uses Lemire's multiply-shift rejection method (unbiased).
   std::uint64_t below(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t range(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform();
-
-  /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
 
   /// Exponentially distributed double with the given rate (mean 1/rate).
   double exponential(double rate);
@@ -62,13 +48,9 @@ class Rng {
   /// Picks a uniformly random element index of a non-empty container size.
   std::size_t index(std::size_t size) { return static_cast<std::size_t>(below(size)); }
 
-  /// Derives an independent child generator (for parallel or per-component
-  /// streams) without correlating with this generator's future output.
-  Rng split();
-
   /// Deterministic per-task substream: the generator for stream index `i`
-  /// of experiment seed `seed`. Unlike split(), this is a pure function of
-  /// (seed, stream) — parallel loops seed chunk i with
+  /// of experiment seed `seed`, a pure function of (seed, stream) —
+  /// parallel loops seed chunk i with
   /// `Rng::substream(seed, i)` so results are identical at any thread count
   /// and chunk execution order. Decorrelation comes from two splitmix64
   /// avalanche rounds over the (seed, stream) pair.

@@ -1,15 +1,10 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
 namespace flattree::util {
-
-double percentile(std::vector<double> samples, double p) {
-  return Distribution(std::move(samples)).quantile(p / 100.0);
-}
 
 Distribution::Distribution(std::vector<double> samples) : sorted_(std::move(samples)) {
   if (sorted_.empty()) throw std::invalid_argument("Distribution: empty sample set");
@@ -29,11 +24,6 @@ double Distribution::quantile(double q) const {
 double Distribution::mean() const {
   return std::accumulate(sorted_.begin(), sorted_.end(), 0.0) /
          static_cast<double>(sorted_.size());
-}
-
-bool approx_equal(double a, double b, double tol) {
-  double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) <= tol * scale;
 }
 
 }  // namespace flattree::util

@@ -29,10 +29,6 @@ void Table::num(double value, int precision) { add(format_double(value, precisio
 
 void Table::integer(std::int64_t value) { add(std::to_string(value)); }
 
-const std::string& Table::at(std::size_t row, std::size_t col) const {
-  return cells_.at(row).at(col);
-}
-
 std::string Table::to_aligned() const {
   std::vector<std::size_t> width(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) width[c] = headers_[c].size();

@@ -23,8 +23,6 @@ class Table {
 
   std::size_t rows() const { return cells_.size(); }
   std::size_t columns() const { return headers_.size(); }
-  /// Cell accessor (row-major); throws on out-of-range.
-  const std::string& at(std::size_t row, std::size_t col) const;
 
   /// Renders the aligned, padded table.
   std::string to_aligned() const;

@@ -4,15 +4,6 @@
 
 namespace flattree::workload {
 
-const char* to_string(Pattern pattern) {
-  switch (pattern) {
-    case Pattern::Broadcast: return "broadcast";
-    case Pattern::Incast: return "incast";
-    case Pattern::AllToAll: return "all-to-all";
-  }
-  return "?";
-}
-
 std::vector<ServerDemand> broadcast_traffic(const Cluster& cluster, util::Rng& rng) {
   if (cluster.servers.size() < 2)
     throw std::invalid_argument("broadcast_traffic: cluster too small");

@@ -25,7 +25,6 @@ std::vector<ServerDemand> all_to_all_traffic(const Cluster& cluster);
 
 /// Applies `pattern` to every cluster and concatenates the demands.
 enum class Pattern : std::uint8_t { Broadcast, Incast, AllToAll };
-const char* to_string(Pattern pattern);
 std::vector<ServerDemand> cluster_traffic(const std::vector<Cluster>& clusters,
                                           Pattern pattern, util::Rng& rng);
 

@@ -18,11 +18,12 @@ bool has_code(const Report& r, const std::string& code) {
 
 /// Diamond 0-1-3 / 0-2-3 plus a chord; two commodities.
 struct Instance {
-  graph::Graph g{4};
+  graph::Graph g;
   std::vector<mcf::Commodity> cs;
   mcf::McfResult r;
 
   explicit Instance(double epsilon = 0.05) {
+    g.add_nodes(4);
     g.add_link(0, 1, 1.0);
     g.add_link(1, 3, 1.0);
     g.add_link(0, 2, 1.0);
@@ -125,7 +126,8 @@ TEST(Certify, FptasGapCheckedOnlyWhenMeaningful) {
 TEST(Certify, TruncatedRunStillCertifiesPrimally) {
   // Two augmentations, the first phase's worth: bounds hold, flows
   // feasible, certificate passes (gap check skipped via result.truncated).
-  graph::Graph g(4);
+  graph::Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 2, 2.0);
   g.add_link(2, 3, 0.5);
@@ -144,7 +146,8 @@ TEST(Certify, TruncatedRunStillCertifiesPrimally) {
 }
 
 TEST(Certify, SkippedUpperBoundBracketsTrivially) {
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   g.add_link(0, 1, 1.0);
   // Two sources and two sinks, so the instance reaches GK.
   const std::vector<mcf::Commodity> cs{{0, 1, 1.0}, {1, 0, 1.0}};
@@ -208,11 +211,12 @@ TEST(Certify, MalformedDualLengthsDetected) {
 /// One source behind a bottleneck: 0 -10- 1, then 1 reaches 2 and 3 over
 /// unit links; the exact answer's cut is {0, 1}.
 struct CutInstance {
-  graph::Graph g{4};
+  graph::Graph g;
   std::vector<mcf::Commodity> cs{{0, 2, 1.0}, {0, 3, 1.0}};
   mcf::McfResult r;
 
   CutInstance() {
+    g.add_nodes(4);
     g.add_link(0, 1, 10.0);
     g.add_link(1, 2, 1.0);
     g.add_link(1, 3, 1.0);
@@ -265,11 +269,12 @@ TEST(Certify, CutSetWithoutCrossingDemandDetected) {
 
 /// Two components {0,1} / {2,3}; commodity 1 is unreachable.
 struct ServedInstance {
-  graph::Graph g{4};
+  graph::Graph g;
   std::vector<mcf::Commodity> cs;
   mcf::McfResult r;
 
   ServedInstance() {
+    g.add_nodes(4);
     g.add_link(0, 1, 1.0);
     g.add_link(2, 3, 1.0);
     cs = {{0, 1, 1.0}, {0, 3, 3.0}};

@@ -12,8 +12,9 @@ namespace flattree::check {
 namespace {
 
 graph::Graph random_multigraph(const DifferentialSpec& spec, util::Rng& rng) {
-  graph::Graph g(spec.nodes);
-  auto cap = [&] { return rng.uniform(spec.cap_lo, spec.cap_hi); };
+  graph::Graph g;
+  g.add_nodes(spec.nodes);
+  auto cap = [&] { return spec.cap_lo + (spec.cap_hi - spec.cap_lo) * rng.uniform(); };
   std::unordered_set<std::uint64_t> used;
   auto key = [](graph::NodeId a, graph::NodeId b) {
     auto [lo, hi] = std::minmax(a, b);

@@ -18,7 +18,8 @@ using graph::NodeId;
 // reported, never thrown.
 TEST(DistanceCertificate, AcceptsColdBfsAndRejectsTampering) {
   util::Rng rng(11);
-  Graph g(16);
+  Graph g;
+  g.add_nodes(16);
   for (std::size_t i = 0; i < 34; ++i) {
     NodeId a = static_cast<NodeId>(rng.below(16));
     NodeId b = static_cast<NodeId>(rng.below(16));

@@ -7,6 +7,7 @@
 #include "check/report.hpp"
 #include "core/flat_tree.hpp"
 #include "core/recovery.hpp"
+#include "graph/adjacent.hpp"
 #include "obs/metrics.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/random_graph.hpp"
@@ -47,9 +48,9 @@ TEST(Invariants, RealBuildersPass) {
   util::Rng rng(7);
   EXPECT_TRUE(validate(topo::build_fat_tree(8).topo).ok());
   // Jellyfish-like builds promise simple graphs.
-  TopologyCheckOptions simple;
-  simple.allow_parallel_links = false;
-  EXPECT_TRUE(validate(topo::build_jellyfish_like_fat_tree(8, rng), simple).ok());
+  const topo::Topology jellyfish = topo::build_jellyfish_like_fat_tree(8, rng);
+  EXPECT_TRUE(validate(jellyfish).ok());
+  EXPECT_FALSE(graph::has_parallel_links(jellyfish.graph()));
   EXPECT_TRUE(validate(topo::build_two_stage_random_graph(8, rng)).ok());
   core::FlatTreeConfig cfg;
   cfg.k = 8;
@@ -70,17 +71,13 @@ TEST(Invariants, PortBudgetOverflowDetected) {
   EXPECT_TRUE(has_code(r, "topo.port_budget")) << r.to_string();
 }
 
-TEST(Invariants, ParallelLinksFlaggedOnlyWhenDeclaredSimple) {
+TEST(Invariants, ParallelLinksAreLegal) {
   topo::Topology t;
   topo::NodeId a = t.add_switch(SwitchKind::Edge, 0, 0, 4);
   topo::NodeId b = t.add_switch(SwitchKind::Edge, 0, 1, 4);
   t.add_link(a, b, LinkOrigin::Random);
   t.add_link(a, b, LinkOrigin::Random);
-  EXPECT_TRUE(validate(t).ok());  // multigraph legal by default
-  TopologyCheckOptions simple;
-  simple.allow_parallel_links = false;
-  Report r = validate(t, simple);
-  EXPECT_TRUE(has_code(r, "topo.parallel_link")) << r.to_string();
+  EXPECT_TRUE(validate(t).ok());  // every topology is a multigraph
 }
 
 TEST(Invariants, StrandedServerDetectedAndDeclarable) {
@@ -113,8 +110,6 @@ TEST(Invariants, DisconnectedGraphDetected) {
   TopologyCheckOptions opts;
   opts.allow_isolated_switches = true;
   EXPECT_TRUE(has_code(validate(t, opts), "topo.connectivity"));
-  opts.require_connected = false;
-  EXPECT_TRUE(validate(t, opts).ok());
 }
 
 TEST(Invariants, IsolatedSwitchExemptionMatchesDegradedTopology) {

@@ -64,8 +64,8 @@ TEST(FlatTreeNetwork, ConverterAttachmentsConsistent) {
         c.core - net.core_switch(0);
     EXPECT_GE(core_index, c.col * group);
     EXPECT_LT(core_index, (c.col + 1) * group);
-    // Tapped server belongs to edge j of the pod.
-    EXPECT_EQ(net.pod_of_server(c.server), c.pod);
+    // Tapped server belongs to the pod (servers are numbered pod by pod).
+    EXPECT_EQ(c.server / params.servers_per_pod(), c.pod);
   }
 }
 
@@ -208,16 +208,6 @@ TEST(FlatTreeNetwork, HybridBoundaryPairsFallBackToStandalone) {
         configs[i] == ConverterConfig::Side || configs[i] == ConverterConfig::Cross;
     EXPECT_EQ(is_paired_cfg, both_global);
   }
-}
-
-TEST(FlatTreeNetwork, PodOfServer) {
-  FlatTreeConfig cfg;
-  cfg.k = 8;
-  FlatTreeNetwork net(cfg);
-  EXPECT_EQ(net.pod_of_server(0), 0u);
-  EXPECT_EQ(net.pod_of_server(net.params().servers_per_pod()), 1u);
-  EXPECT_EQ(net.pod_of_server(net.params().total_servers() - 1),
-            net.params().pods() - 1);
 }
 
 TEST(ModeToString, Coverage) {

@@ -94,7 +94,8 @@ TEST(Determinism, ExceptionFromParallelKernelPropagates) {
   PoolGuard guard;
   // A disconnected weighted pair must throw out of the parallel APL loop at
   // any thread count.
-  graph::Graph g(4);
+  graph::Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1);
   g.add_link(2, 3);
   std::vector<std::uint32_t> weight{1, 1, 1, 1};

@@ -6,7 +6,8 @@ namespace flattree::graph {
 namespace {
 
 Graph path_graph(std::size_t n) {
-  Graph g(n);
+  Graph g;
+  g.add_nodes(n);
   for (NodeId i = 0; i + 1 < n; ++i) g.add_link(i, i + 1);
   return g;
 }
@@ -31,7 +32,8 @@ TEST(Bfs, CycleGraphDistances) {
 }
 
 TEST(Bfs, UnreachableMarked) {
-  Graph g(4);
+  Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1);
   g.add_link(2, 3);
   auto d = bfs_distances(g, 0);
@@ -41,7 +43,8 @@ TEST(Bfs, UnreachableMarked) {
 }
 
 TEST(Bfs, SymmetricOnUndirected) {
-  Graph g(5);
+  Graph g;
+  g.add_nodes(5);
   g.add_link(0, 1);
   g.add_link(1, 2);
   g.add_link(2, 3);
@@ -62,7 +65,8 @@ TEST(Connectivity, ConnectedGraph) {
 }
 
 TEST(Connectivity, DisconnectedGraph) {
-  Graph g(5);
+  Graph g;
+  g.add_nodes(5);
   g.add_link(0, 1);
   g.add_link(2, 3);
   EXPECT_FALSE(is_connected(g));
@@ -71,7 +75,8 @@ TEST(Connectivity, DisconnectedGraph) {
 
 TEST(Connectivity, EmptyAndSingleton) {
   EXPECT_TRUE(is_connected(Graph{}));
-  Graph g(1);
+  Graph g;
+  g.add_nodes(1);
   EXPECT_TRUE(is_connected(g));
   EXPECT_EQ(component_count(g), 1u);
 }

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "graph/adjacent.hpp"
 #include "util/rng.hpp"
 
 namespace flattree::graph {
@@ -13,7 +14,8 @@ namespace {
 Graph diamond() {
   // 0 -- 1 -- 3
   //  \-- 2 --/
-  Graph g(4);
+  Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1);
   g.add_link(1, 3);
   g.add_link(0, 2);
@@ -51,12 +53,13 @@ TEST(YenKsp, FindsBothDiamondPaths) {
 }
 
 TEST(YenKsp, LengthsNonDecreasing) {
-  Graph g(6);
+  Graph g;
+  g.add_nodes(6);
   util::Rng rng(3);
   for (int i = 0; i < 14; ++i) {
     NodeId a = static_cast<NodeId>(rng.below(6));
     NodeId b = static_cast<NodeId>(rng.below(6));
-    if (a != b && !g.connected(a, b)) g.add_link(a, b);
+    if (a != b && !adjacent(g, a, b)) g.add_link(a, b);
   }
   auto paths = yen_ksp_hops(g, 0, 5, 10);
   for (std::size_t i = 1; i < paths.size(); ++i)
@@ -79,7 +82,8 @@ TEST(YenKsp, DistinctPaths) {
 
 TEST(YenKsp, RespectsWeights) {
   // Weighted: long-hop path is cheaper.
-  Graph g(4);
+  Graph g;
+  g.add_nodes(4);
   g.add_link(0, 3);          // weight 10
   g.add_link(0, 1);          // 1
   g.add_link(1, 2);          // 1
@@ -93,7 +97,8 @@ TEST(YenKsp, RespectsWeights) {
 }
 
 TEST(YenKsp, DisconnectedGivesEmpty) {
-  Graph g(3);
+  Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1);
   EXPECT_TRUE(yen_ksp_hops(g, 0, 2, 3).empty());
 }
@@ -109,7 +114,8 @@ TEST(YenKsp, SameSourceTargetThrows) {
 }
 
 TEST(YenKsp, FewerPathsThanRequested) {
-  Graph g(3);
+  Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1);
   g.add_link(1, 2);
   auto paths = yen_ksp_hops(g, 0, 2, 8);
@@ -136,7 +142,8 @@ TEST(AllShortestPaths, IgnoresLongerPaths) {
 
 TEST(AllShortestPaths, CapRespected) {
   // Complete bipartite-ish: many equal paths.
-  Graph g(6);
+  Graph g;
+  g.add_nodes(6);
   for (NodeId mid : {1u, 2u, 3u, 4u}) {
     g.add_link(0, mid);
     g.add_link(mid, 5);
@@ -148,7 +155,8 @@ TEST(AllShortestPaths, CapRespected) {
 }
 
 TEST(AllShortestPaths, DisconnectedGivesEmpty) {
-  Graph g(2);
+  Graph g;
+  g.add_nodes(2);
   EXPECT_TRUE(all_shortest_paths(g, 0, 1, 5).empty());
 }
 

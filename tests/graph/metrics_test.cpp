@@ -8,7 +8,8 @@ namespace flattree::graph {
 namespace {
 
 Graph path_graph(std::size_t n) {
-  Graph g(n);
+  Graph g;
+  g.add_nodes(n);
   for (NodeId i = 0; i + 1 < n; ++i) g.add_link(i, i + 1);
   return g;
 }
@@ -23,7 +24,8 @@ TEST(WeightedApl, TwoNodesOneServerEach) {
 }
 
 TEST(WeightedApl, SameNodePairsUseSameNodeDist) {
-  Graph g(1);
+  Graph g;
+  g.add_nodes(1);
   std::vector<std::uint32_t> w{3};
   auto r = weighted_apl(g, w, 2, 2);
   EXPECT_EQ(r.pairs, 3u);  // C(3,2)
@@ -49,13 +51,15 @@ TEST(WeightedApl, ZeroOffsetIsSwitchLevel) {
 }
 
 TEST(WeightedApl, DisconnectedWeightedPairThrows) {
-  Graph g(2);
+  Graph g;
+  g.add_nodes(2);
   std::vector<std::uint32_t> w{1, 1};
   EXPECT_THROW(weighted_apl(g, w, 2, 2), std::runtime_error);
 }
 
 TEST(WeightedApl, DisconnectedUnweightedNodeIgnored) {
-  Graph g(3);
+  Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1);
   std::vector<std::uint32_t> w{1, 1, 0};  // node 2 isolated but weightless
   auto r = weighted_apl(g, w, 2, 2);
@@ -71,7 +75,8 @@ TEST(WeightedApl, SizeMismatchThrows) {
 // The unreachable-pair policy on a 2-component graph: any disconnected
 // weighted pair is a broken topology and throws.
 TEST(WeightedApl, ThrowsOnTwoComponents) {
-  Graph g(5);
+  Graph g;
+  g.add_nodes(5);
   g.add_link(0, 1);
   g.add_link(1, 2);
   g.add_link(3, 4);

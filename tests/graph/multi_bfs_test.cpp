@@ -39,7 +39,8 @@ namespace {
 /// nodes, covering the disconnected case.
 Graph random_graph(std::size_t n, std::size_t m, std::uint64_t seed) {
   util::Rng rng(seed);
-  Graph g(n);
+  Graph g;
+  g.add_nodes(n);
   for (std::size_t i = 0; i < m; ++i) {
     NodeId a = static_cast<NodeId>(rng.below(n));
     NodeId b = static_cast<NodeId>(rng.below(n));
@@ -143,7 +144,8 @@ TEST(MultiBfs, RejectsBadBatches) {
 }
 
 TEST(MultiBfs, ReachedCountsAndStats) {
-  Graph g(6);
+  Graph g;
+  g.add_nodes(6);
   g.add_link(0, 1);
   g.add_link(1, 2);
   g.add_link(3, 4);  // node 5 isolated
@@ -247,7 +249,8 @@ TEST(MultiBfs, WeightedAplBitwiseEqualsScalar) {
 TEST(MultiBfs, WeightedAplThrowsOnDisconnectedWeightedPair) {
   // Two dense halves joined by nothing: one weighted node on the far side
   // disconnects it from every source batch (70 sources: two batches).
-  Graph g(140);
+  Graph g;
+  g.add_nodes(140);
   util::Rng rng(43);
   for (int i = 0; i < 600; ++i) {
     const NodeId half = i % 2 == 0 ? 0 : 70;
@@ -265,7 +268,8 @@ TEST(MultiBfs, WeightedAplThrowsOnDisconnectedWeightedPair) {
 }
 
 TEST(MultiBfs, WeightedAplOverflowGuard) {
-  Graph g(3);
+  Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1);
   g.add_link(1, 2);
   // (sum w)^2 = 2^66 does not fit 64 bits: refused before any traversal.
@@ -331,7 +335,8 @@ TEST(MultiBfs, CertifyCatchesCorruptedRow) {
 TEST(MultiBfs, AuditHookSamplesEveryBatch) {
   // Ring + random chords: connected by construction (weighted_apl throws
   // on disconnected weighted pairs).
-  Graph g(100);
+  Graph g;
+  g.add_nodes(100);
   for (NodeId v = 0; v < 100; ++v) g.add_link(v, (v + 1) % 100);
   util::Rng rng(61);
   for (int i = 0; i < 200; ++i) {

@@ -135,11 +135,11 @@ TEST(Simplex, RandomLpsFeasibilityAndOptimalityCertificates) {
     std::size_t vars = 2 + rng.index(3);
     std::size_t rows = 2 + rng.index(4);
     LpProblem p(vars);
-    for (std::size_t v = 0; v < vars; ++v) p.set_objective(v, rng.uniform(0.1, 2.0));
+    for (std::size_t v = 0; v < vars; ++v) p.set_objective(v, 0.1 + (2.0 - 0.1) * rng.uniform());
     for (std::size_t r = 0; r < rows; ++r) {
       std::vector<double> coeffs(vars);
-      for (auto& c : coeffs) c = rng.uniform(0.1, 1.0);  // positive -> bounded
-      p.add_row(coeffs, RowType::Le, rng.uniform(1.0, 5.0));
+      for (auto& c : coeffs) c = 0.1 + (1.0 - 0.1) * rng.uniform();  // positive -> bounded
+      p.add_row(coeffs, RowType::Le, 1.0 + (5.0 - 1.0) * rng.uniform());
     }
     auto s = solve(p);
     ASSERT_EQ(s.status, LpStatus::Optimal);

@@ -15,7 +15,8 @@ namespace {
 
 graph::Graph random_connected_graph(std::size_t nodes, std::size_t extra_links,
                                     util::Rng& rng) {
-  graph::Graph g(nodes);
+  graph::Graph g;
+  g.add_nodes(nodes);
   // Random spanning tree first.
   for (graph::NodeId v = 1; v < nodes; ++v)
     g.add_link(v, static_cast<graph::NodeId>(rng.below(v)),
@@ -69,7 +70,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrossValidation, ::testing::Range(0, 12));
 
 TEST(CrossValidation, SingleSourceBroadcastTree) {
   // Binary-tree-ish broadcast: exact LP vs the one-source max-flow path.
-  graph::Graph g(7);
+  graph::Graph g;
+  g.add_nodes(7);
   g.add_link(0, 1);
   g.add_link(0, 2);
   g.add_link(1, 3);

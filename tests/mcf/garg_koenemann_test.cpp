@@ -17,7 +17,8 @@ McfOptions tight() {
 }
 
 TEST(GargKoenemann, SingleCommoditySinglePath) {
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   g.add_link(0, 1, 2.0);
   auto r = max_concurrent_flow(g, {{0, 1, 1.0}}, tight());
   // One link of capacity 2, demand 1 -> lambda = 2.
@@ -27,7 +28,8 @@ TEST(GargKoenemann, SingleCommoditySinglePath) {
 }
 
 TEST(GargKoenemann, DemandScalesInversely) {
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   g.add_link(0, 1, 1.0);
   auto r1 = max_concurrent_flow(g, {{0, 1, 1.0}}, tight());
   auto r4 = max_concurrent_flow(g, {{0, 1, 4.0}}, tight());
@@ -35,7 +37,8 @@ TEST(GargKoenemann, DemandScalesInversely) {
 }
 
 TEST(GargKoenemann, ParallelLinksAddCapacity) {
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   g.add_link(0, 1, 1.0);
   g.add_link(0, 1, 1.0);
   auto r = max_concurrent_flow(g, {{0, 1, 1.0}}, tight());
@@ -44,7 +47,8 @@ TEST(GargKoenemann, ParallelLinksAddCapacity) {
 
 TEST(GargKoenemann, TwoCommoditiesShareBottleneck) {
   // Path 0-1-2: commodity 0->2 and 1->2 share link (1,2): lambda = 0.5.
-  graph::Graph g(3);
+  graph::Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 2, 1.0);
   auto r = max_concurrent_flow(g, {{0, 2, 1.0}, {1, 2, 1.0}}, tight());
@@ -54,7 +58,8 @@ TEST(GargKoenemann, TwoCommoditiesShareBottleneck) {
 
 TEST(GargKoenemann, OpposingCommoditiesUseFullDuplex) {
   // Full-duplex model: 0->1 and 1->0 each get the full capacity.
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   g.add_link(0, 1, 1.0);
   auto r = max_concurrent_flow(g, {{0, 1, 1.0}, {1, 0, 1.0}}, tight());
   EXPECT_NEAR(r.lambda_lower, 1.0, 0.02);
@@ -62,7 +67,8 @@ TEST(GargKoenemann, OpposingCommoditiesUseFullDuplex) {
 
 TEST(GargKoenemann, DiamondSplitsFlow) {
   // Two disjoint 2-hop paths: single commodity gets lambda = 2.
-  graph::Graph g(4);
+  graph::Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 3, 1.0);
   g.add_link(0, 2, 1.0);
@@ -74,7 +80,8 @@ TEST(GargKoenemann, DiamondSplitsFlow) {
 TEST(GargKoenemann, BroadcastStarBoundedByRoot) {
   // Star: center 0 with 4 leaves; broadcast 0 -> each leaf, unit demands.
   // Each leaf link carries lambda -> lambda = 1.
-  graph::Graph g(5);
+  graph::Graph g;
+  g.add_nodes(5);
   for (graph::NodeId leaf = 1; leaf <= 4; ++leaf) g.add_link(0, leaf, 1.0);
   std::vector<Commodity> cs;
   for (graph::NodeId leaf = 1; leaf <= 4; ++leaf) cs.push_back({0, leaf, 1.0});
@@ -83,7 +90,8 @@ TEST(GargKoenemann, BroadcastStarBoundedByRoot) {
 }
 
 TEST(GargKoenemann, RescaledFlowRespectsCapacities) {
-  graph::Graph g(4);
+  graph::Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 2, 2.0);
   g.add_link(2, 3, 0.5);
@@ -99,7 +107,8 @@ TEST(GargKoenemann, RescaledFlowRespectsCapacities) {
 }
 
 TEST(GargKoenemann, BoundsBracketTheOptimum) {
-  graph::Graph g(6);
+  graph::Graph g;
+  g.add_nodes(6);
   g.add_link(0, 1);
   g.add_link(1, 2);
   g.add_link(2, 3);
@@ -115,7 +124,8 @@ TEST(GargKoenemann, BoundsBracketTheOptimum) {
 }
 
 TEST(GargKoenemann, TighterEpsilonTightensGap) {
-  graph::Graph g(4);
+  graph::Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1);
   g.add_link(1, 2);
   g.add_link(2, 3);
@@ -131,7 +141,8 @@ TEST(GargKoenemann, TighterEpsilonTightensGap) {
 }
 
 TEST(GargKoenemann, ErrorCases) {
-  graph::Graph g(3);
+  graph::Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1);
   EXPECT_THROW(max_concurrent_flow(g, {}, tight()), std::invalid_argument);
   EXPECT_THROW(max_concurrent_flow(g, {{0, 0, 1.0}}, tight()), std::invalid_argument);
@@ -143,7 +154,8 @@ TEST(GargKoenemann, ErrorCases) {
 }
 
 TEST(GargKoenemann, EpsilonMustLieInTheOpenUnitInterval) {
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   g.add_link(0, 1);
   for (double eps : {0.0, -0.1, 1.0, std::numeric_limits<double>::quiet_NaN(),
                      std::numeric_limits<double>::infinity()}) {
@@ -154,7 +166,8 @@ TEST(GargKoenemann, EpsilonMustLieInTheOpenUnitInterval) {
 }
 
 TEST(GargKoenemann, UpperBoundSkippable) {
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   g.add_link(0, 1);
   McfOptions o;
   o.epsilon = 0.1;
@@ -171,19 +184,26 @@ TEST(GargKoenemann, RejectsZeroCapacityLinks) {
   // Dijkstra run with inf/NaN instead of failing fast. Zero and negative
   // capacities are rejected at graph construction; non-finite ones pass
   // add_link's `capacity <= 0` guard and must be rejected by the solver.
-  graph::Graph g(3);
+  graph::Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1, 1.0);
   EXPECT_THROW(g.add_link(1, 2, 0.0), std::invalid_argument);
 
-  graph::Graph neg(2);
+  graph::Graph neg;
+
+  neg.add_nodes(2);
   EXPECT_THROW(neg.add_link(0, 1, -2.0), std::invalid_argument);
 
-  graph::Graph inf_cap(2);
+  graph::Graph inf_cap;
+
+  inf_cap.add_nodes(2);
   inf_cap.add_link(0, 1, std::numeric_limits<double>::infinity());
   EXPECT_THROW(max_concurrent_flow(inf_cap, {{0, 1, 1.0}}, tight()),
                std::invalid_argument);
 
-  graph::Graph nan_cap(2);
+  graph::Graph nan_cap;
+
+  nan_cap.add_nodes(2);
   nan_cap.add_link(0, 1, std::numeric_limits<double>::quiet_NaN());
   EXPECT_THROW(max_concurrent_flow(nan_cap, {{0, 1, 1.0}}, tight()),
                std::invalid_argument);
@@ -194,7 +214,8 @@ TEST(GargKoenemann, TruncatedRunKeepsPrimalFeasibleLowerBound) {
   // commodity): the reported lambda_lower must still be achieved by the
   // rescaled flows (primal-feasible), the flag must say the run was
   // truncated, and the bounds must still bracket.
-  graph::Graph g(4);
+  graph::Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 2, 2.0);
   g.add_link(2, 3, 0.5);
@@ -225,7 +246,8 @@ TEST(GargKoenemann, TruncatedRunKeepsPrimalFeasibleLowerBound) {
 }
 
 TEST(GargKoenemann, CommodityRoutedMatchesArcFlowDivergence) {
-  graph::Graph g(5);
+  graph::Graph g;
+  g.add_nodes(5);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 2, 1.5);
   g.add_link(2, 3, 0.7);
@@ -267,9 +289,10 @@ std::uint64_t count_gap_stops(const graph::Graph& g, const std::vector<Commodity
 /// The two-source fixture of the truncation test: 0 -> 3 and 1 -> 2 over
 /// a 4-cycle with uneven capacities.
 struct TwoSources {
-  graph::Graph g{4};
+  graph::Graph g;
   std::vector<Commodity> cs{{0, 3, 1.0}, {1, 2, 0.5}};
   TwoSources() {
+    g.add_nodes(4);
     g.add_link(0, 1, 1.0);
     g.add_link(1, 2, 2.0);
     g.add_link(2, 3, 0.5);
@@ -302,7 +325,8 @@ TEST(GargKoenemann, UpperBoundFlagOnlyControlsTheReport) {
   TwoSources two;
   // A multigraph on which GK's phase-start duals stay loose: at eps = 0.5
   // the run ends at D(l) >= 1 instead.
-  graph::Graph loose(6);
+  graph::Graph loose;
+  loose.add_nodes(6);
   for (auto [a, b, cap] : {std::tuple{0, 1, 1.1}, {1, 2, 0.7}, {0, 3, 0.86}, {3, 4, 1.5},
                            {0, 5, 1.73}, {4, 3, 1.44}, {2, 3, 1.01}, {1, 0, 1.63}})
     loose.add_link(a, b, cap);
@@ -348,7 +372,8 @@ TEST(GargKoenemann, UpperBoundFlagOnlyControlsTheReport) {
 }
 
 TEST(GargKoenemann, StatsPopulated) {
-  graph::Graph g(3);
+  graph::Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1);
   g.add_link(1, 2);
   // Two sources and two sinks, so the instance reaches GK.

@@ -6,7 +6,8 @@ namespace flattree::mcf {
 namespace {
 
 TEST(LpExact, SingleLink) {
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   g.add_link(0, 1, 2.0);
   auto r = max_concurrent_flow_exact(g, {{0, 1, 1.0}});
   ASSERT_TRUE(r.solved);
@@ -14,7 +15,8 @@ TEST(LpExact, SingleLink) {
 }
 
 TEST(LpExact, SharedBottleneck) {
-  graph::Graph g(3);
+  graph::Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 2, 1.0);
   auto r = max_concurrent_flow_exact(g, {{0, 2, 1.0}, {1, 2, 1.0}});
@@ -23,7 +25,8 @@ TEST(LpExact, SharedBottleneck) {
 }
 
 TEST(LpExact, DiamondUsesBothPaths) {
-  graph::Graph g(4);
+  graph::Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 3, 1.0);
   g.add_link(0, 2, 1.0);
@@ -34,7 +37,8 @@ TEST(LpExact, DiamondUsesBothPaths) {
 }
 
 TEST(LpExact, FullDuplexOpposingFlows) {
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   g.add_link(0, 1, 1.0);
   auto r = max_concurrent_flow_exact(g, {{0, 1, 1.0}, {1, 0, 1.0}});
   ASSERT_TRUE(r.solved);
@@ -43,7 +47,8 @@ TEST(LpExact, FullDuplexOpposingFlows) {
 
 TEST(LpExact, AsymmetricDemands) {
   // Demands 1 and 3 over a shared unit link: lambda*(1+3) <= 1.
-  graph::Graph g(3);
+  graph::Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 2, 1.0);
   auto r = max_concurrent_flow_exact(g, {{0, 2, 1.0}, {0, 2, 3.0}});
@@ -53,7 +58,8 @@ TEST(LpExact, AsymmetricDemands) {
 
 TEST(LpExact, HeterogeneousCapacities) {
   // 0-1 cap 2 then 1-2 cap 1: bottleneck 1.
-  graph::Graph g(3);
+  graph::Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1, 2.0);
   g.add_link(1, 2, 1.0);
   auto r = max_concurrent_flow_exact(g, {{0, 2, 1.0}});
@@ -65,7 +71,8 @@ TEST(LpExact, TriangleAllToAll) {
   // Unit triangle, all 6 ordered pairs with unit demand. Node cut: each
   // node emits 2*lambda over out-capacity 2 -> lambda = 1, achieved by
   // direct routing.
-  graph::Graph g(3);
+  graph::Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 2, 1.0);
   g.add_link(2, 0, 1.0);
@@ -79,14 +86,16 @@ TEST(LpExact, TriangleAllToAll) {
 }
 
 TEST(LpExact, RejectsOversizedInstance) {
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   g.add_link(0, 1);
   EXPECT_THROW(max_concurrent_flow_exact(g, {{0, 1, 1.0}}, /*max_variables=*/2),
                std::invalid_argument);
 }
 
 TEST(LpExact, RejectsDegenerateCommodity) {
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   g.add_link(0, 1);
   EXPECT_THROW(max_concurrent_flow_exact(g, {{0, 0, 1.0}}), std::invalid_argument);
   EXPECT_THROW(max_concurrent_flow_exact(g, {}), std::invalid_argument);

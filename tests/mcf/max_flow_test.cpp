@@ -123,7 +123,8 @@ std::uint64_t counter(const obs::MetricsSnapshot& snap, const std::string& name)
 }
 
 TEST(SingleSourceConcurrent, StarClosedForm) {
-  graph::Graph g(5);
+  graph::Graph g;
+  g.add_nodes(5);
   for (graph::NodeId leaf = 1; leaf <= 4; ++leaf) g.add_link(0, leaf, 1.0);
   std::vector<Commodity> cs;
   for (graph::NodeId leaf = 1; leaf <= 4; ++leaf) cs.push_back({0, leaf, 1.0});
@@ -134,7 +135,8 @@ TEST(SingleSourceConcurrent, StarClosedForm) {
 }
 
 TEST(SingleSourceConcurrent, BinaryTreeBroadcast) {
-  graph::Graph g(7);
+  graph::Graph g;
+  g.add_nodes(7);
   g.add_link(0, 1);
   g.add_link(0, 2);
   g.add_link(1, 3);
@@ -150,7 +152,8 @@ TEST(SingleSourceConcurrent, BinaryTreeBroadcast) {
 }
 
 TEST(SingleSourceConcurrent, MatchesExactLp) {
-  graph::Graph g(5);
+  graph::Graph g;
+  g.add_nodes(5);
   g.add_link(0, 1, 1.0);
   g.add_link(0, 2, 2.0);
   g.add_link(1, 3, 1.0);
@@ -184,14 +187,16 @@ TEST(SingleSourceConcurrent, FatTreeBroadcastMatchesExactLp) {
 }
 
 TEST(SingleSourceConcurrent, UnreachableTargetThrows) {
-  graph::Graph g(3);
+  graph::Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1);
   EXPECT_THROW(max_concurrent_flow(g, {{0, 2, 1.0}}), std::invalid_argument);
   EXPECT_THROW(max_concurrent_flow(g, {{0, 2, 1.0}, {1, 2, 1.0}}), std::invalid_argument);
 }
 
 TEST(SingleSourceConcurrent, ErrorCases) {
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   g.add_link(0, 1);
   EXPECT_THROW(max_concurrent_flow(g, {}), std::invalid_argument);
   EXPECT_THROW(max_concurrent_flow(g, {{0, 0, 1.0}}), std::invalid_argument);
@@ -202,7 +207,8 @@ TEST(SingleSourceConcurrent, ErrorCases) {
 
 graph::Graph random_connected_graph(std::size_t nodes, std::size_t extra_links,
                                     util::Rng& rng) {
-  graph::Graph g(nodes);
+  graph::Graph g;
+  g.add_nodes(nodes);
   for (graph::NodeId v = 1; v < nodes; ++v)
     g.add_link(v, static_cast<graph::NodeId>(rng.below(v)), 0.5 + rng.uniform() * 1.5);
   for (std::size_t i = 0; i < extra_links; ++i) {
@@ -247,7 +253,8 @@ TEST(ExactConcurrent, NewtonStepsPastASourceThatDoesNotBind) {
   // The source has capacity 10 to a hub, but the hub reaches the targets
   // through links of capacity 1: the first lambda (the source's cut, 10/4)
   // is infeasible, and one Newton step moves to the hub's cut (2/4).
-  graph::Graph g(5);
+  graph::Graph g;
+  g.add_nodes(5);
   g.add_link(0, 1, 10.0);
   g.add_link(1, 2, 1.0);
   g.add_link(1, 3, 1.0);
@@ -294,7 +301,8 @@ TEST(ExactConcurrent, IncastEqualsBroadcastOnFatTreeK8) {
 TEST(ExactConcurrent, GkBudgetsDoNotApply) {
   // epsilon and max_augmentations steer GK only: the exact
   // answer is the same, untruncated, under any of them.
-  graph::Graph g(4);
+  graph::Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 2, 1.0);
   g.add_link(0, 3, 1.0);

@@ -20,7 +20,8 @@ McfOptions served(double eps = 0.05) {
 
 // Two components: {0,1} and {2,3}, no path between them.
 graph::Graph split_graph() {
-  graph::Graph g(4);
+  graph::Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1, 1.0);
   g.add_link(2, 3, 1.0);
   return g;
@@ -69,7 +70,8 @@ TEST(ServedFraction, PartialDisconnectionSolvesTheReachableShare) {
 }
 
 TEST(ServedFraction, ConnectedInputIsUnchangedByTheFlag) {
-  graph::Graph g(3);
+  graph::Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 2, 1.0);
   std::vector<Commodity> cs = {{0, 2, 1.0}};
@@ -96,7 +98,8 @@ TEST(ServedFraction, DisconnectedWithoutTheFlagStillThrows) {
 // deterministic augmentation count with truncated = true, and the partial
 // flow still certifies primally.
 TEST(ServedFraction, AugmentationBudgetTruncatesDeterministically) {
-  graph::Graph g(4);
+  graph::Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1, 1.0);
   g.add_link(1, 3, 1.0);
   g.add_link(0, 2, 1.0);

@@ -75,23 +75,16 @@ TEST(Metrics, SameNameSharesOneMetric) {
   EXPECT_EQ(counter_value(snapshot_metrics(), "test.metrics.shared"), 2u);
 }
 
-TEST(Metrics, GaugeSetAndRecordMax) {
+TEST(Metrics, GaugeLastWriteWins) {
   ObsOn on;
   Gauge g("test.metrics.gauge");
   g.set(2.5);
   g.set(1.5);  // last write wins
-  Gauge m("test.metrics.gauge_max");
-  m.record_max(1.0);
-  m.record_max(3.0);
-  m.record_max(2.0);
   auto snap = snapshot_metrics();
-  double gv = 0.0, mv = 0.0;
-  for (const auto& [n, v] : snap.gauges) {
+  double gv = 0.0;
+  for (const auto& [n, v] : snap.gauges)
     if (n == "test.metrics.gauge") gv = v;
-    if (n == "test.metrics.gauge_max") mv = v;
-  }
   EXPECT_EQ(gv, 1.5);
-  EXPECT_EQ(mv, 3.0);
 }
 
 TEST(Metrics, HistogramBucketsAndStats) {

@@ -8,7 +8,8 @@ namespace flattree::routing {
 namespace {
 
 graph::Graph diamond() {
-  graph::Graph g(4);
+  graph::Graph g;
+  g.add_nodes(4);
   g.add_link(0, 1);
   g.add_link(1, 3);
   g.add_link(0, 2);
@@ -40,7 +41,8 @@ TEST(Ecmp, SelectionDeterministic) {
 
 TEST(Ecmp, MaxPathsCapRespected) {
   // 6 parallel 2-hop routes, cap at 3.
-  graph::Graph g(8);
+  graph::Graph g;
+  g.add_nodes(8);
   for (graph::NodeId mid = 1; mid <= 6; ++mid) {
     g.add_link(0, mid);
     g.add_link(mid, 7);
@@ -50,7 +52,8 @@ TEST(Ecmp, MaxPathsCapRespected) {
 }
 
 TEST(Ecmp, DisconnectedThrows) {
-  graph::Graph g(2);
+  graph::Graph g;
+  g.add_nodes(2);
   EcmpRouting routing(g);
   EXPECT_THROW(routing.paths(0, 1), std::runtime_error);
 }

@@ -10,7 +10,8 @@ namespace flattree::routing {
 namespace {
 
 graph::Graph ring(std::size_t n) {
-  graph::Graph g(n);
+  graph::Graph g;
+  g.add_nodes(n);
   for (graph::NodeId i = 0; i < n; ++i)
     g.add_link(i, static_cast<graph::NodeId>((i + 1) % n));
   return g;
@@ -53,7 +54,8 @@ TEST(KspRouting, DeterministicSelection) {
 }
 
 TEST(KspRouting, DisconnectedThrows) {
-  graph::Graph g(3);
+  graph::Graph g;
+  g.add_nodes(3);
   g.add_link(0, 1);
   KspRouting routing(g, 4);
   EXPECT_THROW(routing.paths(0, 2), std::runtime_error);

@@ -2,7 +2,7 @@
 // loop in packet_sim_oracle.hpp. The configs cross fat-tree, flat-tree
 // (global and local random) and Jellyfish at k=4 with equal-cost and WCMP
 // tables and KSP4 source routes, queue capacities 0/1/4/16, ecn off/on,
-// ack_delay 0/0.5, flowlet_gap 0/0.5 and equal or staggered starts; the
+// flowlet_gap 0/0.5 and equal or staggered starts, two draws per cell; the
 // flows, NIC rate, propagation delay and ECN threshold of each config are
 // drawn from Rng::substream. The 512 table configs take substreams 0..511
 // and the routed ones follow. Every PacketStats field must match exactly.
@@ -89,7 +89,7 @@ TEST(PacketSimDiff, MatchesTwoHeapOracleBitForBit) {
     for (Table table : {Table::Ecmp, Table::Wcmp, Table::Ksp4})
       for (std::size_t queue : {0, 1, 4, 16})
         for (bool ecn : {false, true})
-          for (double ack : {0.0, 0.5})
+          for (int draw : {0, 1})
             for (double gap : {0.0, 0.5})
               for (bool staggered : {false, true}) {
                 const Fabric& f = fabs[fab];
@@ -99,12 +99,10 @@ TEST(PacketSimDiff, MatchesTwoHeapOracleBitForBit) {
                 PacketSimConfig cfg;
                 cfg.queue_packets = queue;
                 cfg.ecn = ecn;
-                cfg.ack_delay = ack;
                 cfg.flowlet_gap = gap;
                 cfg.nic_rate = rng.chance(0.5) ? 1.0 : 4.0;
                 cfg.propagation_delay = rng.chance(0.5) ? 0.0 : 0.01;
                 cfg.ecn_threshold = 1 + rng.index(4);
-                cfg.init_cwnd = static_cast<std::uint32_t>(1 + rng.index(8));
                 const auto servers = static_cast<std::size_t>(f.topo.server_count());
                 std::vector<PacketFlow> flows;
                 const std::size_t n = 2 + rng.index(7);
@@ -132,8 +130,8 @@ TEST(PacketSimDiff, MatchesTwoHeapOracleBitForBit) {
                                          : table == Table::Wcmp ? "/wcmp"
                                                                 : "/ksp4";
                 SCOPED_TRACE(f.name + table_name + " queue " +
-                             std::to_string(queue) + (ecn ? " ecn" : " drop-tail") + " ack " +
-                             std::to_string(ack) + " gap " + std::to_string(gap) +
+                             std::to_string(queue) + (ecn ? " ecn" : " drop-tail") + " draw " +
+                             std::to_string(draw) + " gap " + std::to_string(gap) +
                              (staggered ? " staggered" : " equal"));
                 // Routed flows never read the table; same-switch pairs
                 // are delivered at zero hops without it.

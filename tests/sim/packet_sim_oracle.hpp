@@ -85,7 +85,7 @@ inline PacketStats oracle_run(const topo::Topology& topo, const te::WeightedFib&
   std::uint64_t queue_samples = 0;
   te::FlowletTable flowlets(config.flowlet_gap);
   std::vector<Flow> state;
-  const double injection_gap = config.packet_size / config.nic_rate;
+  const double injection_gap = 1.0 / config.nic_rate;
   // Packet i of flow f: its route, and its flowlet salt on the table.
   auto make_packet = [&](std::size_t f, std::uint32_t i, double t) {
     const PacketFlow& flow = flows[f];
@@ -114,7 +114,7 @@ inline PacketStats oracle_run(const topo::Topology& topo, const te::WeightedFib&
     state.resize(flows.size());
     for (std::size_t f = 0; f < flows.size(); ++f) {
       Flow& fs = state[f];
-      fs.cwnd = config.init_cwnd;
+      fs.cwnd = kInitCwnd;
       fs.window_size = fs.cwnd;
       fs.nic_free = flows[f].start;
       fs.inject_pending = true;
@@ -156,7 +156,7 @@ inline PacketStats oracle_run(const topo::Topology& topo, const te::WeightedFib&
       if (fs.window_acked >= fs.window_size) {
         double fraction =
             static_cast<double>(fs.window_marked) / static_cast<double>(fs.window_acked);
-        fs.alpha = (1.0 - config.dctcp_gain) * fs.alpha + config.dctcp_gain * fraction;
+        fs.alpha = (1.0 - kDctcpGain) * fs.alpha + kDctcpGain * fraction;
         if (fs.window_marked > 0) {
           fs.cwnd = std::max(1u, static_cast<std::uint32_t>(static_cast<double>(fs.cwnd) *
                                                             (1.0 - fs.alpha / 2.0)));
@@ -196,7 +196,7 @@ inline PacketStats oracle_run(const topo::Topology& topo, const te::WeightedFib&
       if (pkt.marked) ++stats.ecn_marked;
       last_delivery[pkt.flow_id] = std::max(last_delivery[pkt.flow_id], ev.time);
       stats.finish_time = std::max(stats.finish_time, ev.time);
-      if (config.ecn) events.push({ev.time + config.ack_delay, seq++, Kind::Credit, 0, ev.idx});
+      if (config.ecn) events.push({ev.time, seq++, Kind::Credit, 0, ev.idx});
       continue;
     }
 
@@ -213,11 +213,11 @@ inline PacketStats oracle_run(const topo::Topology& topo, const te::WeightedFib&
       ++stats.dropped;
       pkt.dropped = true;
       stats.finish_time = std::max(stats.finish_time, ev.time);
-      if (config.ecn) events.push({ev.time + config.ack_delay, seq++, Kind::Credit, 0, ev.idx});
+      if (config.ecn) events.push({ev.time, seq++, Kind::Credit, 0, ev.idx});
       continue;
     }
     if (config.ecn && astate.queued >= config.ecn_threshold) pkt.marked = true;
-    double service = config.packet_size / l.capacity;
+    double service = 1.0 / l.capacity;
     double depart = std::max(ev.time, astate.busy_until) + service;
     astate.busy_until = depart;
     ++astate.queued;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/parses_as_json.hpp"
 
 namespace flattree {
 namespace {
@@ -105,6 +106,13 @@ TEST(BenchFlags, OutOfRangeSizingFlagsExitTwoWithEmptyStdout) {
                             "--ecn-threshold 0", "--ecn-threshold -1",
                             "--ecn-threshold 4294967296"})
     cases.push_back({"bench_congestion", flags});
+  // A --cluster below 2 has no receiver; one above 2^32 - 1 would wrap in
+  // the uint32 cast.
+  for (const char* b : {"bench_fig7_broadcast", "bench_fig8_alltoall", "bench_oversub",
+                        "bench_failures", "bench_chaos", "bench_service"})
+    for (const char* flags : {"--cluster 1", "--cluster 0", "--cluster -5",
+                              "--cluster 4294967296"})
+      cases.push_back({b, flags});
 
   std::string out_path = testing::TempDir() + "bench_sizing_out.txt";
   std::string err_path = testing::TempDir() + "bench_sizing_err.txt";
@@ -149,7 +157,7 @@ TEST(BenchFlags, BenchServiceEmitsSloJson) {
   ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
   std::string doc = slurp(json_path);
   ASSERT_FALSE(doc.empty());
-  EXPECT_TRUE(obs::json_valid(doc)) << doc;
+  EXPECT_TRUE(obs::parses_as_json(doc)) << doc;
   for (const char* key :
        {"\"schema\":\"flattree.bench_svc.v1\"", "\"requests\"", "\"accepted\"",
         "\"digest\"", "\"slo\"", "\"hit_rate\"", "\"latency_ms\"", "\"p50\"",

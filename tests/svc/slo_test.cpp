@@ -29,7 +29,8 @@ bool bits_equal(double a, double b) {
 /// Ring + chords: enough path diversity
 /// that GK needs many augmentations, so small budgets truncate.
 Graph test_graph() {
-  Graph g(8);
+  Graph g;
+  g.add_nodes(8);
   for (NodeId v = 0; v < 8; ++v) g.add_link(v, static_cast<NodeId>((v + 1) % 8));
   g.add_link(0, 4, 2.0);
   g.add_link(2, 6, 2.0);
@@ -79,18 +80,23 @@ TEST(SloBudget, MonotoneInDeadline) {
 
 TEST(SloBudget, RefusesNonPositiveOrNonFiniteRates) {
   // Casting a negative or NaN product to uint64_t is undefined behaviour;
-  // both budget maps refuse such a rate whatever the deadline.
+  // the augmentation budget refuses such a rate whatever the deadline.
   for (double rate : {0.0, -1.0, -1e30, std::numeric_limits<double>::quiet_NaN(),
                       std::numeric_limits<double>::infinity()}) {
     SloPolicy aug;
     aug.augmentations_per_ms = rate;
     EXPECT_THROW(budget_augmentations(aug, 5.0), std::invalid_argument) << rate;
     EXPECT_THROW(budget_augmentations(aug, 0.0), std::invalid_argument) << rate;
-    SloPolicy design;
-    design.design_iterations_per_ms = rate;
-    EXPECT_THROW(budget_iterations(design, 5.0), std::invalid_argument) << rate;
-    EXPECT_THROW(budget_iterations(design, 0.0), std::invalid_argument) << rate;
   }
+}
+
+TEST(SloBudget, DesignIterationsAtTheFixedRate) {
+  // 0.25 iterations per deadline ms, floored at 4; no deadline is unlimited.
+  EXPECT_EQ(budget_iterations(0.0), 0u);
+  EXPECT_EQ(budget_iterations(1.0), kMinDesignIterations);
+  EXPECT_EQ(budget_iterations(16.0), 4u);
+  EXPECT_EQ(budget_iterations(100.0), 25u);
+  EXPECT_EQ(budget_iterations(1e300), 9000000000000000000ull);
 }
 
 TEST(SloBudget, SaturatesInsteadOfOverflowing) {

@@ -10,9 +10,11 @@
 
 #include "check/te_check.hpp"
 #include "core/flat_tree.hpp"
+#include "graph/bfs.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/fib.hpp"
 #include "routing/ksp_routing.hpp"
+#include "te/long_line.hpp"
 #include "te/wcmp.hpp"
 #include "topo/fat_tree.hpp"
 #include "util/rng.hpp"
@@ -25,12 +27,6 @@ using routing::all_server_pairs;
 bool has_code(const check::Report& r, const std::string& code) {
   return std::any_of(r.violations.begin(), r.violations.end(),
                      [&](const check::Violation& v) { return v.code == code; });
-}
-
-check::WeightedFibCheckOptions hop_limit(std::uint32_t hops) {
-  check::WeightedFibCheckOptions options;
-  options.hop_limit = hops;
-  return options;
 }
 
 topo::Topology line3() {
@@ -65,14 +61,6 @@ TEST(Fib, SelectDeterministicAndThrowsOnMiss) {
   EXPECT_THROW(fib.select(1, 2, 0), std::runtime_error);
 }
 
-TEST(Fib, MaxRulesPerSwitch) {
-  WeightedFib fib = WeightedFib::equal_cost(2);
-  fib.add_route(0, 1, 0, 1);
-  fib.add_route(0, 1, 1, 1);
-  fib.add_route(1, 0, 0, 1);
-  EXPECT_EQ(fib.max_rules_per_switch(), 2u);
-}
-
 TEST(CompileFib, InstallsHopByHop) {
   topo::Topology t = line3();
   routing::EcmpRouting routing(t.graph());
@@ -89,9 +77,12 @@ TEST(VerifyFib, EcmpOnFatTreeIsLoopFree) {
   routing::EcmpRouting routing(ft.topo.graph());
   auto pairs = all_server_pairs(ft.topo);
   WeightedFib fib = compile_fib(ft.topo, routing, pairs);
-  // hop_limit 4 is the fat-tree switch diameter.
-  check::Report r = check::validate_weighted_fib(ft.topo, fib, pairs, hop_limit(4));
+  // Every hop must decrease the BFS distance (te.wfib.progress), so no
+  // walk is longer than the fat-tree switch diameter, 4.
+  check::Report r = check::validate_weighted_fib(ft.topo, fib, pairs);
   EXPECT_TRUE(r.ok()) << r.to_string();
+  for (graph::NodeId v = 0; v < ft.topo.switch_count(); ++v)
+    for (std::uint32_t d : graph::bfs_distances(ft.topo.graph(), v)) EXPECT_LE(d, 4u);
   EXPECT_GE(r.checks_run, pairs.size());
 }
 
@@ -135,11 +126,12 @@ TEST(VerifyFib, DetectsBlackhole) {
 }
 
 TEST(VerifyFib, HopLimitEnforced) {
-  topo::Topology t = line3();
+  // Compiled over a line one hop longer than check::kFibHopLimit allows.
+  topo::Topology t = long_line(check::kFibHopLimit + 2);
   routing::EcmpRouting routing(t.graph());
   auto pairs = all_server_pairs(t);
   WeightedFib fib = compile_fib(t, routing, pairs);
-  check::Report tight = check::validate_weighted_fib(t, fib, pairs, hop_limit(1));
+  check::Report tight = check::validate_weighted_fib(t, fib, pairs);
   EXPECT_TRUE(has_code(tight, "te.wfib.hop_limit")) << tight.to_string();
 }
 

@@ -12,6 +12,7 @@
 #include "check/report.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/fib.hpp"
+#include "te/long_line.hpp"
 #include "te/wcmp.hpp"
 #include "topo/fat_tree.hpp"
 
@@ -121,12 +122,14 @@ TEST(TeCheck, FlagsLoop) {
 }
 
 TEST(TeCheck, FlagsHopLimit) {
-  topo::Topology t = line3();
-  te::WeightedFib fib = clean_line_fib();
-  WeightedFibCheckOptions options;
-  options.hop_limit = 1;  // the 0 -> 2 walk needs two hops
-  Report r = validate_weighted_fib(t, fib, {{0, 2}}, options);
+  // A walk of exactly kFibHopLimit hops passes; one hop more is flagged.
+  const std::uint32_t n = kFibHopLimit + 2;  // the 0 -> n-1 walk is 33 hops
+  Report r = validate_weighted_fib(te::long_line(n), te::long_line_fib(n), {{0, n - 1}});
   EXPECT_TRUE(has_code(r, "te.wfib.hop_limit")) << r.to_string();
+  const std::uint32_t at_limit = kFibHopLimit + 1;
+  Report ok = validate_weighted_fib(te::long_line(at_limit), te::long_line_fib(at_limit),
+                                    {{0, at_limit - 1}});
+  EXPECT_TRUE(ok.ok()) << ok.to_string();
 }
 
 TEST(TeCheck, FlagsEqualCostWeightNotOne) {

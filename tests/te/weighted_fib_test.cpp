@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "check/te_check.hpp"
+#include "graph/bfs.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/fib.hpp"
+#include "te/long_line.hpp"
 #include "te/wcmp.hpp"
 #include "topo/fat_tree.hpp"
 #include "util/rng.hpp"
@@ -58,7 +60,6 @@ TEST(WeightedFib, AddAccumulatesAndLooksUp) {
   EXPECT_EQ(fib.rule_count(), 2u);
   EXPECT_EQ(fib.entry_count(), 2u);
   EXPECT_EQ(fib.total_weight(), 128u);
-  EXPECT_EQ(fib.max_rules_per_switch(), 1u);
   EXPECT_EQ(fib.weight_budget(), 64u);
 }
 
@@ -210,7 +211,6 @@ TEST(WeightedFib, SelectMatchesHandComputedWalk) {
   EXPECT_EQ(fib.select(5, 6, 0), 8u);
   EXPECT_EQ(fib.select(5, 6, 8), 11u);
   EXPECT_EQ(fib.select(5, 6, 111), 3u);
-  EXPECT_EQ(fib.max_rules_per_switch(), 3u);
 }
 
 TEST(VerifyWeightedFib, CompiledFatTreePasses) {
@@ -218,10 +218,12 @@ TEST(VerifyWeightedFib, CompiledFatTreePasses) {
   routing::EcmpRouting ecmp(ft.topo.graph());
   auto pairs = routing::all_server_pairs(ft.topo);
   WeightedFib fib = compile_wcmp_paths(ft.topo, ecmp, pairs);
-  check::WeightedFibCheckOptions options;
-  options.hop_limit = 4;  // fat-tree switch diameter
-  check::Report r = check::validate_weighted_fib(ft.topo, fib, pairs, options);
+  // Every hop must decrease the BFS distance (te.wfib.progress), so no
+  // walk is longer than the fat-tree switch diameter, 4.
+  check::Report r = check::validate_weighted_fib(ft.topo, fib, pairs);
   EXPECT_TRUE(r.ok()) << r.to_string();
+  for (graph::NodeId v = 0; v < ft.topo.switch_count(); ++v)
+    for (std::uint32_t d : graph::bfs_distances(ft.topo.graph(), v)) EXPECT_LE(d, 4u);
   EXPECT_GE(r.checks_run, pairs.size());
 }
 
@@ -264,15 +266,14 @@ TEST(VerifyWeightedFib, DetectsLoop) {
 }
 
 TEST(VerifyWeightedFib, HopLimitEnforced) {
-  topo::Topology t = line3();
-  WeightedFib fib(3, 64);
-  fib.add_route(0, 2, 0, 64);
-  fib.add_route(1, 2, 1, 64);
-  check::Report relaxed = check::validate_weighted_fib(t, fib, {{0, 2}});
+  // A walk of check::kFibHopLimit hops passes; one hop more is flagged.
+  const std::uint32_t relaxed_n = check::kFibHopLimit + 1;
+  check::Report relaxed = check::validate_weighted_fib(
+      long_line(relaxed_n), long_line_fib(relaxed_n), {{0, relaxed_n - 1}});
   EXPECT_TRUE(relaxed.ok()) << relaxed.to_string();
-  check::WeightedFibCheckOptions options;
-  options.hop_limit = 1;
-  check::Report tight = check::validate_weighted_fib(t, fib, {{0, 2}}, options);
+  const std::uint32_t tight_n = check::kFibHopLimit + 2;
+  check::Report tight = check::validate_weighted_fib(long_line(tight_n), long_line_fib(tight_n),
+                                                     {{0, tight_n - 1}});
   EXPECT_TRUE(has_code(tight, "te.wfib.hop_limit")) << tight.to_string();
 }
 

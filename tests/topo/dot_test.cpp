@@ -29,9 +29,6 @@ TEST(Dot, PodClustersEmitted) {
   std::string dot = to_dot(ft.topo);
   EXPECT_NE(dot.find("subgraph cluster_pod0"), std::string::npos);
   EXPECT_NE(dot.find("subgraph cluster_pod3"), std::string::npos);
-  DotOptions flat;
-  flat.cluster_pods = false;
-  EXPECT_EQ(to_dot(ft.topo, flat).find("subgraph"), std::string::npos);
 }
 
 TEST(Dot, ServersOptIn) {

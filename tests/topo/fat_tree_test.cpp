@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/adjacent.hpp"
 #include "graph/bfs.hpp"
 #include "topo/apl.hpp"
+#include "topo/topo_helpers.hpp"
 
 namespace flattree::topo {
 namespace {
@@ -26,7 +28,7 @@ TEST_P(FatTreeParam, EverySwitchPortBudgetExactlyFull) {
   const std::uint32_t k = GetParam();
   FatTree ft = build_fat_tree(k);
   for (graph::NodeId v = 0; v < ft.topo.switch_count(); ++v)
-    EXPECT_EQ(ft.topo.used_ports(v), k) << "switch " << v;
+    EXPECT_EQ(used_ports(ft.topo, v), k) << "switch " << v;
 }
 
 TEST_P(FatTreeParam, ValidatesAndConnected) {
@@ -43,9 +45,9 @@ TEST_P(FatTreeParam, ServersOnlyOnEdgeSwitches) {
 TEST_P(FatTreeParam, InterPodServerDistanceIsSix) {
   const std::uint32_t k = GetParam();
   FatTree ft = build_fat_tree(k);
-  auto dist = graph::bfs_distances(ft.topo.graph(), ft.topo.host(ft.server(0, 0, 0)));
+  auto dist = graph::bfs_distances(ft.topo.graph(), ft.topo.host(server_at(ft, 0, 0, 0)));
   // Server in another pod: edge->agg->core->agg->edge = 4 switch hops (+2).
-  graph::NodeId other = ft.topo.host(ft.server(1, 0, 0));
+  graph::NodeId other = ft.topo.host(server_at(ft, 1, 0, 0));
   EXPECT_EQ(dist[other], 4u);
 }
 
@@ -69,7 +71,7 @@ TEST_P(FatTreeParam, CoreWiringPattern) {
     for (std::uint32_t i = 0; i < k / 2; ++i) {
       for (std::uint32_t c = 0; c < k * k / 4; ++c) {
         bool expected = c >= i * (k / 2) && c < (i + 1) * (k / 2);
-        EXPECT_EQ(g.connected(ft.agg_switch(pod, i), ft.core_switch(c)), expected);
+        EXPECT_EQ(graph::adjacent(g, ft.agg_switch(pod, i), ft.core_switch(c)), expected);
       }
     }
   }
@@ -93,9 +95,10 @@ TEST(FatTree, IdLayoutHelpers) {
   EXPECT_EQ(ft.agg_switch(0, 1), 3u);
   EXPECT_EQ(ft.edge_switch(1, 0), 4u);
   EXPECT_EQ(ft.core_switch(0), 16u);
-  EXPECT_EQ(ft.server(0, 0, 0), 0u);
-  EXPECT_EQ(ft.server(0, 1, 0), 2u);
-  EXPECT_EQ(ft.server(1, 0, 0), 4u);
+  // Servers are numbered edge by edge: 0-1 on E0_0, 2-3 on E0_1, 4 on E1_0.
+  EXPECT_EQ(ft.topo.host(0), ft.edge_switch(0, 0));
+  EXPECT_EQ(ft.topo.host(2), ft.edge_switch(0, 1));
+  EXPECT_EQ(ft.topo.host(4), ft.edge_switch(1, 0));
 }
 
 TEST(FatTree, ServerIdsAreConsecutiveWithinEdges) {
@@ -104,7 +107,7 @@ TEST(FatTree, ServerIdsAreConsecutiveWithinEdges) {
   for (std::uint32_t pod = 0; pod < p.pods(); ++pod)
     for (std::uint32_t j = 0; j < p.d(); ++j)
       for (std::uint32_t s = 0; s < p.servers_per_edge(); ++s)
-        EXPECT_EQ(ft.topo.host(ft.server(pod, j, s)), ft.edge_switch(pod, j));
+        EXPECT_EQ(ft.topo.host(server_at(ft, pod, j, s)), ft.edge_switch(pod, j));
 }
 
 TEST(FatTree, AplMatchesClosedForm) {

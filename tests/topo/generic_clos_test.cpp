@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "graph/adjacent.hpp"
 #include "graph/bfs.hpp"
 #include "topo/apl.hpp"
 #include "topo/fat_tree.hpp"
+#include "topo/topo_helpers.hpp"
 
 namespace flattree::topo {
 namespace {
@@ -72,15 +74,15 @@ TEST(BuildClos, PerLayerPortBudgets) {
     switch (info.kind) {
       case SwitchKind::Edge:
         EXPECT_EQ(info.ports, 8u);
-        EXPECT_EQ(net.topo.used_ports(v), 8u);  // 6 servers + 2 aggs
+        EXPECT_EQ(used_ports(net.topo, v), 8u);  // 6 servers + 2 aggs
         break;
       case SwitchKind::Aggregation:
         EXPECT_EQ(info.ports, 8u);
-        EXPECT_EQ(net.topo.used_ports(v), 8u);  // 4 edges + 4 cores
+        EXPECT_EQ(used_ports(net.topo, v), 8u);  // 4 edges + 4 cores
         break;
       case SwitchKind::Core:
         EXPECT_EQ(info.ports, 6u);
-        EXPECT_EQ(net.topo.used_ports(v), 6u);  // one per pod
+        EXPECT_EQ(used_ports(net.topo, v), 6u);  // one per pod
         break;
     }
   }
@@ -93,7 +95,7 @@ TEST(BuildClos, CoreWiringGroupsByAggregation) {
     for (std::uint32_t i = 0; i < 2; ++i) {
       for (std::uint32_t c = 0; c < 8; ++c) {
         bool expected = c >= i * 4 && c < (i + 1) * 4;
-        EXPECT_EQ(g.connected(net.agg_switch(pod, i), net.core_switch(c)), expected);
+        EXPECT_EQ(graph::adjacent(g, net.agg_switch(pod, i), net.core_switch(c)), expected);
       }
     }
   }
@@ -109,11 +111,12 @@ TEST(BuildClos, OversubscriptionShowsInPathCapacityNotLength) {
 
 TEST(BuildClos, ServerIdLayoutHolds) {
   FatTree net = build_clos(oversubscribed());
-  EXPECT_EQ(net.server(0, 0, 0), 0u);
-  EXPECT_EQ(net.server(0, 1, 0), 6u);
-  EXPECT_EQ(net.server(1, 0, 0), 24u);
+  // Six servers per edge, four edges per pod.
+  EXPECT_EQ(net.topo.host(0), net.edge_switch(0, 0));
+  EXPECT_EQ(net.topo.host(6), net.edge_switch(0, 1));
+  EXPECT_EQ(net.topo.host(24), net.edge_switch(1, 0));
   for (std::uint32_t s = 0; s < 6; ++s)
-    EXPECT_EQ(net.topo.host(net.server(2, 3, s)), net.edge_switch(2, 3));
+    EXPECT_EQ(net.topo.host(server_at(net, 2, 3, s)), net.edge_switch(2, 3));
 }
 
 }  // namespace

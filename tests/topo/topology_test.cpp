@@ -37,32 +37,9 @@ TEST(Topology, ServersPerSwitch) {
   EXPECT_EQ(w[2], 0u);
 }
 
-TEST(Topology, ServersOnSwitch) {
-  Topology t = tiny();
-  auto on0 = t.servers_on(0);
-  ASSERT_EQ(on0.size(), 2u);
-  EXPECT_EQ(on0[0], 0u);
-  EXPECT_EQ(on0[1], 1u);
-}
-
 TEST(Topology, AddServerBadHostThrows) {
   Topology t = tiny();
   EXPECT_THROW(t.add_server(99), std::out_of_range);
-}
-
-TEST(Topology, UsedPortsCountsLinksAndServers) {
-  Topology t = tiny();
-  EXPECT_EQ(t.used_ports(0), 3u);  // 1 link + 2 servers
-  EXPECT_EQ(t.used_ports(1), 3u);  // 2 links + 1 server
-  EXPECT_EQ(t.used_ports(2), 1u);
-}
-
-TEST(Topology, SwitchesOfAndInPod) {
-  Topology t = tiny();
-  EXPECT_EQ(t.switches_of(SwitchKind::Edge).size(), 1u);
-  EXPECT_EQ(t.switches_of(SwitchKind::Core).size(), 1u);
-  EXPECT_EQ(t.switches_in_pod(0).size(), 2u);
-  EXPECT_EQ(t.switches_in_pod(-1).size(), 1u);
 }
 
 TEST(Topology, KindCounts) {

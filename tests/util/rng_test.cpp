@@ -44,20 +44,6 @@ TEST(Rng, BelowIsRoughlyUniform) {
   }
 }
 
-TEST(Rng, RangeInclusiveBounds) {
-  Rng rng(13);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    auto v = rng.range(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(17);
   double sum = 0.0;
@@ -68,15 +54,6 @@ TEST(Rng, UniformInUnitInterval) {
     sum += u;
   }
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
-}
-
-TEST(Rng, UniformRangeRespectsBounds) {
-  Rng rng(19);
-  for (int i = 0; i < 1000; ++i) {
-    double u = rng.uniform(2.5, 7.5);
-    EXPECT_GE(u, 2.5);
-    EXPECT_LT(u, 7.5);
-  }
 }
 
 TEST(Rng, ExponentialMeanMatchesRate) {
@@ -121,26 +98,11 @@ TEST(Rng, ShuffleActuallyPermutes) {
   EXPECT_NE(v, orig);  // probability of identity is ~1/50!
 }
 
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng a(43);
-  Rng child = a.split();
-  // Child differs from parent continuation.
-  int equal = 0;
-  for (int i = 0; i < 100; ++i)
-    if (a() == child()) ++equal;
-  EXPECT_LT(equal, 3);
-}
-
 TEST(Rng, Mix64IsDeterministicAndSpreads) {
   EXPECT_EQ(mix64(42), mix64(42));
   std::set<std::uint64_t> outputs;
   for (std::uint64_t i = 0; i < 1000; ++i) outputs.insert(mix64(i));
   EXPECT_EQ(outputs.size(), 1000u);
-}
-
-TEST(Rng, SatisfiesUniformRandomBitGenerator) {
-  static_assert(std::uniform_random_bit_generator<Rng>);
-  SUCCEED();
 }
 
 TEST(Rng, SubstreamIsPureFunctionOfSeedAndStream) {

@@ -33,26 +33,27 @@ TEST(Distribution, SingleSample) {
   EXPECT_EQ(d.quantile(1.0), 7.0);
 }
 
+// Percentiles are quantiles scaled by 100: p maps to quantile(p / 100).
 TEST(Percentile, MatchesDistribution) {
-  std::vector<double> xs{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 25.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 10.0);
+  Distribution d({10, 20, 30, 40});
+  EXPECT_DOUBLE_EQ(d.quantile(0.5), 25.0);
+  EXPECT_DOUBLE_EQ(d.quantile(1.0), 40.0);
+  EXPECT_DOUBLE_EQ(d.quantile(0.0), 10.0);
 }
 
 TEST(Percentile, RejectsEmpty) {
-  EXPECT_THROW(percentile({}, 50.0), std::invalid_argument);
+  EXPECT_THROW(Distribution(std::vector<double>{}), std::invalid_argument);
 }
 
 TEST(Percentile, SingleSampleAnyP) {
-  for (double p : {0.0, 1.0, 50.0, 99.0, 100.0})
-    EXPECT_EQ(percentile({42.0}, p), 42.0);
+  Distribution d({42.0});
+  for (double p : {0.0, 1.0, 50.0, 99.0, 100.0}) EXPECT_EQ(d.quantile(p / 100.0), 42.0);
 }
 
 TEST(Percentile, OutOfRangeClampsToExtremes) {
-  std::vector<double> xs{1.0, 2.0, 3.0};
-  EXPECT_EQ(percentile(xs, -10.0), 1.0);
-  EXPECT_EQ(percentile(xs, 150.0), 3.0);
+  Distribution d({1.0, 2.0, 3.0});
+  EXPECT_EQ(d.quantile(-0.1), 1.0);
+  EXPECT_EQ(d.quantile(1.5), 3.0);
 }
 
 TEST(Distribution, DuplicateHeavySamples) {
@@ -77,15 +78,6 @@ TEST(Distribution, AllIdenticalSamples) {
   Distribution d(std::vector<double>(1000, 3.25));
   for (double q : {0.0, 0.01, 0.5, 0.99, 1.0}) EXPECT_EQ(d.quantile(q), 3.25);
   EXPECT_DOUBLE_EQ(d.mean(), 3.25);
-}
-
-TEST(ApproxEqual, RelativeAndAbsolute) {
-  EXPECT_TRUE(approx_equal(1.0, 1.0));
-  EXPECT_TRUE(approx_equal(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(approx_equal(1.0, 1.001));
-  EXPECT_TRUE(approx_equal(1.0, 1.001, 1e-2));
-  EXPECT_TRUE(approx_equal(1e9, 1e9 + 1.0, 1e-8));
-  EXPECT_TRUE(approx_equal(0.0, 0.0));
 }
 
 }  // namespace

@@ -114,12 +114,6 @@ TEST(Permutation, TinyCases) {
   EXPECT_THROW(permutation_traffic(1, rng), std::invalid_argument);
 }
 
-TEST(Pattern, ToStringCoverage) {
-  EXPECT_STREQ(to_string(Pattern::Broadcast), "broadcast");
-  EXPECT_STREQ(to_string(Pattern::Incast), "incast");
-  EXPECT_STREQ(to_string(Pattern::AllToAll), "all-to-all");
-}
-
 TEST(IncastPattern, DistinctSourcesOneSinkNoSelfPairs) {
   auto demands = incast_pattern(64, 12, /*seed=*/5);
   ASSERT_EQ(demands.size(), 12u);
