@@ -13,13 +13,13 @@
 //         --convert-rate micro-transactions per event, so faults land mid-
 //         reconfiguration and exercise replan / rollback / recovery.
 //
-// Per report point both tracks print stranded servers, surviving-server
-// APL (largest connected component of alive servers), and — every
-// --mcf-every report — throughput lambda with unreachable commodities
-// excised (mcf allow_unreachable) plus the served fraction of demand
-// volume. Timelines are a pure function of the trace: bitwise identical
-// across --threads and a --save-scenario/--load-scenario
-// round trip. --selfcheck validates every instant (assignment validity,
+// Per report point both tracks print stranded servers and one
+// fault::assess of the degraded plant: surviving-server APL (largest
+// connected component of alive servers) and — every --mcf-every report —
+// throughput lambda with unreachable commodities excised (mcf
+// allow_unreachable) plus the served fraction of demand volume.
+// Timelines are a pure function of the trace: bitwise identical across
+// --threads and a --save-scenario/--load-scenario round trip. --selfcheck validates every instant (assignment validity,
 // degraded topology battery, certify_served, fault-tally conservation).
 
 #include <cstdint>
@@ -30,10 +30,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "check/certify.hpp"
 #include "common.hpp"
 #include "fault/fault.hpp"
-#include "topo/apl.hpp"
 
 using namespace flattree;
 
@@ -171,8 +169,6 @@ int main(int argc, char** argv) {
                                           workload::Placement::NoLocality,
                                           net.params().servers_per_pod(), wl);
   auto demands = workload::cluster_traffic(clusters, workload::Pattern::Broadcast, wl);
-  double total_demand = 0.0;
-  for (const auto& d : demands) total_demand += d.demand;
 
   // Fat-tree track: static topology. An edge-triggered event only takes
   // things down or only brings them up, so the change in the number of
@@ -194,49 +190,16 @@ int main(int argc, char** argv) {
   fault::ResilientController ctl(cfg, ropt);
   ctl.begin_conversion(target);
 
-  // Throughput with unreachable commodities excised; served = fraction of
-  // demand volume still deliverable (endpoints alive AND connected).
-  auto mcf_point = [&](const topo::Topology& t, const std::vector<char>& stranded,
-                       double* served) {
-    std::vector<mcf::ServerDemand> alive;
-    double alive_demand = 0.0;
-    for (const auto& d : demands)
-      if (!stranded[d.src] && !stranded[d.dst]) {
-        alive.push_back(d);
-        alive_demand += d.demand;
-      }
-    double alive_frac = total_demand > 0.0 ? alive_demand / total_demand : 1.0;
-    auto commodities = mcf::aggregate_to_switches(t, alive);
-    if (commodities.empty()) {
-      *served = alive.empty() ? 0.0 : alive_frac;
-      return 0.0;
-    }
-    mcf::McfOptions mo;
-    mo.epsilon = eps;
-    mo.allow_unreachable = true;
-    mo.max_augmentations = static_cast<std::uint64_t>(mcf_budget);
-    mo.compute_upper_bound = bench::selfcheck_enabled();
-    auto r = mcf::max_concurrent_flow(t.graph(), commodities, mo);
-    if (bench::selfcheck_enabled()) {
-      check::CertifyOptions copt;
-      copt.epsilon = eps;
-      bench::selfcheck_record(check::certify_served(t.graph(), commodities, r, copt),
-                              "mcf served");
-    }
-    *served = alive_frac * r.served_fraction;
-    return r.lambda_lower;
-  };
-
   util::Table table({"t", "event", "track", "down sw", "down links", "stranded", "apl",
                      "lambda", "served%"});
+  const std::vector<mcf::ServerDemand> no_demands;
   auto report_track = [&](double t, const std::string& label, const char* track,
                           const fault::FaultState& st, const fault::DegradeResult& d,
                           bool mcf_now) {
-    std::vector<char> stranded(d.topo.server_count(), 0);
-    for (topo::ServerId s : d.stranded) stranded[s] = 1;
-    auto subset = fault::largest_alive_component(d.topo, stranded);
-    const double apl =
-        subset.size() < 2 ? 0.0 : topo::server_apl_subset(d.topo, subset).average;
+    const fault::Assessment a =
+        fault::assess(d.topo, d.stranded, mcf_now ? demands : no_demands, eps,
+                      static_cast<std::uint64_t>(mcf_budget));
+    if (bench::selfcheck_enabled()) bench::selfcheck_record(a.certificate, "mcf served");
     table.begin_row();
     table.num(t, 2);
     table.add(label);
@@ -244,12 +207,10 @@ int main(int argc, char** argv) {
     table.integer(static_cast<std::int64_t>(st.down_switch_count()));
     table.integer(static_cast<std::int64_t>(st.down_pair_count()));
     table.integer(static_cast<std::int64_t>(d.stranded.size()));
-    table.num(apl, 4);
+    table.num(a.apl, 4);
     if (mcf_now) {
-      double served = 0.0;
-      double lambda = mcf_point(d.topo, stranded, &served);
-      table.num(lambda, 5);
-      table.num(100.0 * served, 1);
+      table.num(a.result.lambda_lower, 5);
+      table.num(100.0 * a.served, 1);
     } else {
       table.add("-");
       table.add("-");

@@ -11,7 +11,7 @@
 
 #include "common.hpp"
 #include "core/recovery.hpp"
-#include "topo/apl.hpp"
+#include "fault/degrade.hpp"
 
 using namespace flattree;
 
@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   auto configs = net.assign_configs(core::Mode::GlobalRandom);
   const std::uint32_t cores = net.params().cores();
 
-  // Fixed workload; demands only between surviving servers are kept.
+  // Fixed workload; fault::assess keeps the demands between surviving
+  // servers.
   util::Rng wl(static_cast<std::uint64_t>(seed) * 7);
   auto clusters = workload::make_clusters(net.params().total_servers(),
                                           static_cast<std::uint32_t>(cluster),
@@ -56,13 +57,14 @@ int main(int argc, char** argv) {
                                           net.params().servers_per_pod(), wl);
   auto demands = workload::cluster_traffic(clusters, workload::Pattern::Broadcast, wl);
 
+  // One degraded instant: stranded count plus fault::assess's APL over
+  // the largest alive component, lambda and demand-weighted served share.
   struct ZoneResult {
-    double lambda = 0.0;
-    double served = 0.0;  ///< fraction of demands still servable
-    double apl = 0.0;     ///< server APL among surviving servers
+    std::size_t stranded = 0;
+    fault::Assessment metrics;
   };
-  auto degraded_throughput = [&](const std::vector<core::ConverterConfig>& cfg,
-                                 const core::FailureSet& failures) {
+  auto degraded = [&](const std::vector<core::ConverterConfig>& cfg,
+                      const core::FailureSet& failures) {
     topo::Topology healthy = net.materialize(cfg);
     bench::check_topology(healthy, "materialized");
     core::DegradedTopology d = core::apply_failures(healthy, failures);
@@ -73,26 +75,9 @@ int main(int argc, char** argv) {
     degraded_opts.allow_isolated_switches = true;
     degraded_opts.declared_stranded = d.stranded_servers;
     bench::check_topology(d.topo, "degraded", degraded_opts);
-    std::vector<char> stranded(d.topo.server_count(), 0);
-    for (topo::ServerId s : d.stranded_servers) stranded[s] = 1;
-    std::vector<mcf::ServerDemand> alive;
-    for (const auto& dem : demands)
-      if (!stranded[dem.src] && !stranded[dem.dst]) alive.push_back(dem);
-    ZoneResult r;
-    r.served = demands.empty() ? 1.0
-                               : static_cast<double>(alive.size()) /
-                                     static_cast<double>(demands.size());
-    // APL among surviving servers (the stranded ones sit on isolated dead
-    // switches).
-    std::vector<topo::ServerId> alive_servers;
-    for (topo::ServerId sv = 0; sv < d.topo.server_count(); ++sv)
-      if (!stranded[sv]) alive_servers.push_back(sv);
-    r.apl = topo::server_apl_subset(d.topo, alive_servers).average;
-    try {
-      r.lambda = bench::throughput(d.topo, alive, eps);
-    } catch (const std::exception&) {
-      r.lambda = 0.0;  // degraded network disconnected for some demand
-    }
+    ZoneResult r{d.stranded_servers.size(),
+                 fault::assess(d.topo, d.stranded_servers, demands, eps, 0)};
+    if (bench::selfcheck_enabled()) bench::selfcheck_record(r.metrics.certificate, "mcf");
     return r;
   };
 
@@ -111,19 +96,17 @@ int main(int argc, char** argv) {
       for (std::int64_t i = 0; i < fails; ++i)
         failures.failed_switches.push_back(net.core_switch(pool[static_cast<std::size_t>(i)]));
 
-      stranded_before += static_cast<double>(
-          core::stranded_server_count(net, configs, failures));
       auto recovered = core::plan_recovery(net, configs, failures).configs;
-      stranded_after += static_cast<double>(
-          core::stranded_server_count(net, recovered, failures));
-      ZoneResult before = degraded_throughput(configs, failures);
-      ZoneResult after = degraded_throughput(recovered, failures);
-      lam_before += before.lambda;
-      lam_after += after.lambda;
-      served_before += before.served;
-      served_after += after.served;
-      apl_before += before.apl;
-      apl_after += after.apl;
+      ZoneResult before = degraded(configs, failures);
+      ZoneResult after = degraded(recovered, failures);
+      stranded_before += static_cast<double>(before.stranded);
+      stranded_after += static_cast<double>(after.stranded);
+      lam_before += before.metrics.result.lambda_lower;
+      lam_after += after.metrics.result.lambda_lower;
+      served_before += before.metrics.served;
+      served_after += after.metrics.served;
+      apl_before += before.metrics.apl;
+      apl_after += after.metrics.apl;
     }
     table.begin_row();
     table.integer(fails);

@@ -126,15 +126,4 @@ RecoveryPlan plan_recovery(const FlatTreeNetwork& net,
   return plan;
 }
 
-std::size_t stranded_server_count(const FlatTreeNetwork& net,
-                                  const std::vector<ConverterConfig>& configs,
-                                  const FailureSet& failures) {
-  topo::Topology t = net.materialize(configs);
-  FailureMask failed(failures, t.switch_count());
-  std::size_t stranded = 0;
-  for (ServerId s = 0; s < t.server_count(); ++s)
-    if (failed.failed(t.host(s))) ++stranded;
-  return stranded;
-}
-
 }  // namespace flattree::core

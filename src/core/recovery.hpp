@@ -22,8 +22,8 @@ namespace flattree::core {
 /// reliable — they are passive circuit devices. src/fault models the
 /// richer time-ordered fault classes: links, converters, repairs).
 /// Raw (unsorted, possibly duplicated) ids are accepted: the recovery
-/// entry points (apply_failures, plan_recovery, stranded_server_count)
-/// read it through a FailureMask, which deduplicates and range-checks.
+/// entry points (apply_failures, plan_recovery) read it through a
+/// FailureMask, which deduplicates and range-checks.
 struct FailureSet {
   std::vector<NodeId> failed_switches;
 };
@@ -79,11 +79,5 @@ struct RecoveryPlan {
 RecoveryPlan plan_recovery(const FlatTreeNetwork& net,
                            const std::vector<ConverterConfig>& configs,
                            const FailureSet& failures);
-
-/// Count of servers that would be stranded under `configs` + `failures`
-/// (before applying any recovery).
-std::size_t stranded_server_count(const FlatTreeNetwork& net,
-                                  const std::vector<ConverterConfig>& configs,
-                                  const FailureSet& failures);
 
 }  // namespace flattree::core

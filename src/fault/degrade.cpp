@@ -2,8 +2,10 @@
 
 #include <numeric>
 
+#include "check/certify.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "topo/apl.hpp"
 
 namespace flattree::fault {
 
@@ -67,6 +69,46 @@ std::vector<ServerId> largest_alive_component(const topo::Topology& t,
   for (ServerId s = 0; s < t.server_count(); ++s)
     if (!stranded[s] && find(t.host(s)) == best) subset.push_back(s);
   return subset;
+}
+
+Assessment assess(const topo::Topology& t, const std::vector<ServerId>& stranded,
+                  const std::vector<mcf::ServerDemand>& demands, double epsilon,
+                  std::uint64_t max_augmentations) {
+  std::vector<char> down(t.server_count(), 0);
+  for (ServerId s : stranded) down[s] = 1;
+  Assessment out;
+  const std::vector<ServerId> subset = largest_alive_component(t, down);
+  out.alive = subset.size();
+  if (subset.size() >= 2) out.apl = topo::server_apl_subset(t, subset).average;
+  if (demands.empty()) return out;
+
+  std::vector<mcf::ServerDemand> alive;
+  double total_demand = 0.0, alive_demand = 0.0;
+  for (const mcf::ServerDemand& d : demands) {
+    total_demand += d.demand;
+    if (down[d.src] || down[d.dst]) continue;
+    alive.push_back(d);
+    alive_demand += d.demand;
+  }
+  const double alive_frac = total_demand > 0.0 ? alive_demand / total_demand : 1.0;
+  const std::vector<mcf::Commodity> commodities = mcf::aggregate_to_switches(t, alive);
+  if (commodities.empty()) {
+    out.served = alive.empty() ? 0.0 : alive_frac;
+    return out;
+  }
+
+  mcf::McfOptions opt;
+  opt.epsilon = epsilon;
+  opt.allow_unreachable = true;
+  opt.compute_upper_bound = true;
+  opt.max_augmentations = max_augmentations;
+  out.result = mcf::max_concurrent_flow(t.graph(), commodities, opt);
+  check::CertifyOptions copt;
+  copt.epsilon = epsilon;
+  out.certificate = check::certify_served(t.graph(), commodities, out.result, copt);
+  out.solved = true;
+  out.served = alive_frac * out.result.served_fraction;
+  return out;
 }
 
 }  // namespace flattree::fault

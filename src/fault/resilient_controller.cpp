@@ -217,9 +217,14 @@ std::size_t ResilientController::advance(std::size_t micro_txs) {
   return applied;
 }
 
-void ResilientController::run_to_completion() {
-  while (conversion_in_flight())
-    if (advance(pending_micro_txs()) == 0) break;  // aborted
+std::size_t ResilientController::run_to_completion() {
+  std::size_t applied = 0;
+  while (conversion_in_flight()) {
+    const std::size_t step = advance(pending_micro_txs());
+    if (step == 0) break;  // aborted
+    applied += step;
+  }
+  return applied;
 }
 
 // -- event consumption -------------------------------------------------------

@@ -98,7 +98,9 @@ class ResilientController : public core::Controller {
   /// many were applied. A blocked transaction triggers a replan (bounded)
   /// or an abort, exactly like a mid-flight event.
   std::size_t advance(std::size_t micro_txs);
-  void run_to_completion();
+  /// Advances until the conversion completes or aborts (an abort parks it
+  /// behind the event backoff); returns the micro-transactions applied.
+  std::size_t run_to_completion();
 
   // -- degraded views ------------------------------------------------------
   /// Degraded logical topology + stranded servers under the live configs

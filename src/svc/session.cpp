@@ -7,13 +7,16 @@
 #include "core/expansion.hpp"
 #include "design/design.hpp"
 #include "fault/degrade.hpp"
-#include "topo/apl.hpp"
+#include "obs/metrics.hpp"
 #include "workload/cluster.hpp"
 #include "workload/traffic.hpp"
 
 namespace flattree::svc {
 
 namespace {
+
+obs::Counter c_budgeted("svc.slo.budgeted_solves");
+obs::Counter c_truncated("svc.slo.truncated_solves");
 
 bool fail(RequestError& err, const char* code, std::string message) {
   err.code = code;
@@ -156,17 +159,12 @@ bool Session::exec_build(const Request& req, obs::JsonValue& payload, RequestErr
   std::size_t steps = 0;
   if (mode != core::Mode::Clos) {
     next->begin_conversion(mode);
-    while (next->conversion_in_flight()) {
-      std::size_t applied = next->advance(next->pending_micro_txs());
-      steps += applied;
-      if (applied == 0) break;
-    }
+    steps = next->run_to_completion();
   }
 
   // Commit: replace the plant and drop the old traffic snapshot.
   ctl_ = std::move(next);
   demands_.clear();
-  total_demand_ = 0.0;
 
   const topo::ClosParams& p = ctl_->network().params();
   put(payload, "pods", jint(p.pods()));
@@ -218,7 +216,8 @@ bool Session::exec_traffic(const Request& req, obs::JsonValue& payload, RequestE
     std::uint64_t cluster = std::min<std::uint64_t>(40, servers), seed = 1;
     std::string pattern_token = "broadcast", placement_token = "none";
     if (!req_u64(req.body, "cluster", servers, cluster, present, err)) return false;
-    if (cluster == 0) return fail(err, "svc.request.bad_field", "field 'cluster': must be >= 1");
+    // Every pattern needs two servers a cluster (bench::cluster_in_range).
+    if (cluster < 2) return fail(err, "svc.request.bad_field", "field 'cluster': must be >= 2");
     if (!req_u64(req.body, "seed", ~std::uint64_t{0} >> 1, seed, present, err)) return false;
     if (!req_string(req.body, "pattern", pattern_token, present, err)) return false;
     if (!req_string(req.body, "placement", placement_token, present, err)) return false;
@@ -250,11 +249,11 @@ bool Session::exec_traffic(const Request& req, obs::JsonValue& payload, RequestE
   }
 
   demands_ = std::move(next);
-  total_demand_ = 0.0;
-  for (const auto& d : demands_) total_demand_ += d.demand;
+  double total = 0.0;
+  for (const auto& d : demands_) total += d.demand;
 
   put(payload, "demands", jint(static_cast<std::int64_t>(demands_.size())));
-  put(payload, "total", jdouble(total_demand_));
+  put(payload, "total", jdouble(total));
   return true;
 }
 
@@ -385,18 +384,9 @@ bool Session::exec_convert(const Request& req, obs::JsonValue& payload, RequestE
     began = true;
   }
 
-  std::size_t applied = 0;
-  if (has_advance) {
-    applied = ctl_->advance(advance);
-  } else {
-    // No step cap: drain to completion (stops early only on an abort,
-    // which parks the conversion behind the event backoff).
-    while (ctl_->conversion_in_flight()) {
-      std::size_t step = ctl_->advance(ctl_->pending_micro_txs());
-      applied += step;
-      if (step == 0) break;
-    }
-  }
+  // No step cap: drain to completion (stops early only on an abort).
+  const std::size_t applied =
+      has_advance ? ctl_->advance(advance) : ctl_->run_to_completion();
 
   put(payload, "began", jbool(began));
   put(payload, "applied", jint(static_cast<std::int64_t>(applied)));
@@ -441,7 +431,6 @@ bool Session::exec_expand(const Request& req, obs::JsonValue& payload, RequestEr
                                                         ctl_->options());
     // Server ids changed: the old traffic snapshot is void.
     demands_.clear();
-    total_demand_ = 0.0;
   }
 
   put(payload, "pods_added", jint(plan.pods_added));
@@ -461,61 +450,38 @@ bool Session::exec_expand(const Request& req, obs::JsonValue& payload, RequestEr
 
 void Session::metric_block(const Request& req, const fault::DegradeResult& d,
                            obs::JsonValue& payload, EvalTally& tally) const {
-  const topo::Topology& t = d.topo;
-  std::vector<char> stranded(t.server_count(), 0);
-  for (topo::ServerId s : d.stranded) stranded[s] = 1;
-
   const fault::FaultState& fs = controller().fault_state();
   put(payload, "down_switches", jint(static_cast<std::int64_t>(fs.down_switch_count())));
   put(payload, "down_pairs", jint(static_cast<std::int64_t>(fs.down_pair_count())));
   put(payload, "stuck", jint(static_cast<std::int64_t>(fs.stuck_converter_count())));
   put(payload, "stranded", jint(static_cast<std::int64_t>(d.stranded.size())));
 
-  std::vector<topo::ServerId> subset = fault::largest_alive_component(t, stranded);
-  put(payload, "alive", jint(static_cast<std::int64_t>(subset.size())));
-
-  double apl = 0.0;
-  if (subset.size() >= 2) {
-    apl = topo::server_apl_subset(t, subset).average;
-  }
-  put(payload, "apl", jdouble(apl));
-
   bool want_lambda = true;
   if (const obs::JsonValue* v = req.body.find("lambda"); v != nullptr && v->is_bool())
     want_lambda = v->as_bool();
-  if (!want_lambda || demands_.empty()) return;
+  const bool lambda = want_lambda && !demands_.empty();
+  const std::uint64_t budget =
+      lambda ? budget_augmentations(opt_.slo, req.deadline_ms) : 0;
+  static const std::vector<mcf::ServerDemand> kNoDemands;
+  const fault::Assessment a = fault::assess(d.topo, d.stranded,
+                                            lambda ? demands_ : kNoDemands,
+                                            opt_.epsilon, budget);
+  put(payload, "alive", jint(static_cast<std::int64_t>(a.alive)));
+  put(payload, "apl", jdouble(a.apl));
+  if (!lambda) return;
 
-  std::vector<mcf::ServerDemand> alive;
-  double alive_demand = 0.0;
-  for (const auto& dem : demands_)
-    if (!stranded[dem.src] && !stranded[dem.dst]) {
-      alive.push_back(dem);
-      alive_demand += dem.demand;
-    }
-  double alive_frac = total_demand_ > 0.0 ? alive_demand / total_demand_ : 1.0;
-  auto commodities = mcf::aggregate_to_switches(t, alive);
-
-  const std::uint64_t budget = budget_augmentations(opt_.slo, req.deadline_ms);
-  if (commodities.empty()) {
-    put(payload, "lambda_lower", jdouble(0.0));
-    put(payload, "lambda_upper", jdouble(0.0));
-    put(payload, "served", jdouble(alive.empty() ? 0.0 : alive_frac));
-    put(payload, "truncated", jbool(false));
-    put(payload, "certified", jbool(true));
-    put(payload, "budget", jint(static_cast<std::int64_t>(budget)));
-    return;
+  if (a.solved) {
+    tally.solves += 1;
+    tally.truncated += a.result.truncated ? 1 : 0;
+    tally.certified += a.certificate.ok() ? 1 : 0;
+    if (budget > 0) c_budgeted.inc();
+    if (a.result.truncated) c_truncated.inc();
   }
-
-  SloSolve s = solve_with_budget(t.graph(), commodities, opt_.epsilon, budget);
-  tally.solves += 1;
-  tally.truncated += s.result.truncated ? 1 : 0;
-  tally.certified += s.certified ? 1 : 0;
-
-  put(payload, "lambda_lower", jdouble(s.result.lambda_lower));
-  put(payload, "lambda_upper", jdouble(s.result.lambda_upper));
-  put(payload, "served", jdouble(alive_frac * s.result.served_fraction));
-  put(payload, "truncated", jbool(s.result.truncated));
-  put(payload, "certified", jbool(s.certified));
+  put(payload, "lambda_lower", jdouble(a.result.lambda_lower));
+  put(payload, "lambda_upper", jdouble(a.result.lambda_upper));
+  put(payload, "served", jdouble(a.served));
+  put(payload, "truncated", jbool(a.result.truncated));
+  put(payload, "certified", jbool(a.certificate.ok()));
   put(payload, "budget", jint(static_cast<std::int64_t>(budget)));
 }
 

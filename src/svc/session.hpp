@@ -3,9 +3,10 @@
 // space (the "session" envelope field selects a shard).
 //
 // A session owns a fault::ResilientController over its own physical plant
-// and the current traffic-matrix snapshot. Every throughput query is a
-// fresh budgeted GK solve (svc::solve_with_budget) and every APL the cold
-// topo::server_apl_subset.
+// and the current traffic-matrix snapshot. query and what_if report one
+// fault::assess of the degraded plant: largest-alive-component APL and,
+// with a snapshot installed, a fresh certified solve capped at the
+// request's SLO budget (budget_augmentations).
 //
 // Mutating executors (build/traffic/fault/convert/expand) are only ever
 // called from the service's sequential path. Read-only executors
@@ -76,16 +77,15 @@ class Session {
   bool parse_target_modes(const Request& req, std::vector<core::Mode>& modes,
                           RequestError& err) const;
   /// Appends the shared degraded-state metric block (down counts,
-  /// stranded, alive, APL, and — when a traffic snapshot is installed and
-  /// the request didn't opt out with "lambda": false — the budgeted,
-  /// certified throughput fields).
+  /// stranded, then fault::assess's alive, APL, and — when a traffic
+  /// snapshot is installed and the request didn't opt out with "lambda":
+  /// false — its budgeted, certified throughput fields).
   void metric_block(const Request& req, const fault::DegradeResult& d,
                     obs::JsonValue& payload, EvalTally& tally) const;
 
   SessionOptions opt_;
   std::unique_ptr<fault::ResilientController> ctl_;
   std::vector<mcf::ServerDemand> demands_;
-  double total_demand_ = 0.0;
 };
 
 }  // namespace flattree::svc

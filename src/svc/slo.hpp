@@ -1,28 +1,25 @@
 #pragma once
-// SLO deadline budgets for throughput queries (ISSUE 6).
+// SLO deadline budgets for throughput queries.
 //
 // A wall-clock deadline cannot gate a deterministic service — the same
 // request must produce the same answer at any thread count and on any
 // machine. The SLO layer therefore converts a request's `deadline_ms` into
 // a *deterministic* work budget: a cap on Garg-Koenemann augmentations
 // (mcf::McfOptions::max_augmentations), using a fixed cost model rather
-// than a timer. A budgeted solve that runs out of augmentations returns
-// `truncated = true` with a certified lower bound instead of blowing the
-// deadline; check::certify_served re-derives feasibility, conservation,
-// support, and the lambda bracket from the flows, so a truncated answer is
-// still externally verified evidence, just with a wider bracket.
+// than a timer. The session hands that budget to fault::assess, whose
+// solve stops at it with `truncated = true` and a certified lower bound
+// instead of blowing the deadline; check::certify_served re-derives
+// feasibility, conservation, support, and the lambda bracket from the
+// flows, so a truncated answer is still externally verified evidence,
+// just with a wider bracket.
 //
 // The augmentations-per-millisecond rate is a policy knob (flattree_svc
 // --augs-per-ms, refused unless finite and positive), not a measurement:
-// it makes the deadline-to-budget map a pure function of the request. bench_service reports how well the default
-// rate tracks real wall time (SLO hit rate, latency percentiles).
+// it makes the deadline-to-budget map a pure function of the request.
+// bench_service reports how well the default rate tracks real wall time
+// (SLO hit rate, latency percentiles).
 
 #include <cstdint>
-#include <vector>
-
-#include "graph/graph.hpp"
-#include "mcf/commodity.hpp"
-#include "mcf/garg_koenemann.hpp"
 
 namespace flattree::svc {
 
@@ -49,21 +46,5 @@ std::uint64_t budget_augmentations(const SloPolicy& policy, double deadline_ms);
 /// unlimited) at kDesignIterationsPerMs, floored at kMinDesignIterations,
 /// with the same saturating shape as budget_augmentations.
 std::uint64_t budget_iterations(double deadline_ms);
-
-/// A budgeted solve plus its certificate verdict.
-struct SloSolve {
-  mcf::McfResult result;
-  bool certified = false;   ///< check::certify_served passed
-  std::uint64_t budget = 0; ///< augmentation cap applied (0 = unlimited)
-};
-
-/// Budgeted, certified max concurrent flow: allow_unreachable (stranded
-/// endpoints are excised, served_fraction reports the remainder), dual
-/// upper bound on, at most `budget` augmentations. GK is a pure function
-/// of its inputs, so the answer never depends on which thread or batch
-/// layout asked for it — the service's byte-identity rests on that.
-SloSolve solve_with_budget(const graph::Graph& g,
-                           const std::vector<mcf::Commodity>& commodities,
-                           double epsilon, std::uint64_t budget);
 
 }  // namespace flattree::svc

@@ -3,10 +3,10 @@
 // controller service (ISSUE 6).
 //
 //   protocol.hpp  flattree-svc.v1 request/response grammar and rendering
-//   slo.hpp       deadline_ms -> deterministic GK augmentation budgets,
-//                 certified truncated solves
+//   slo.hpp       deadline_ms -> deterministic GK augmentation budgets
 //   session.hpp   per-shard state: resilient controller, traffic snapshot,
-//                 const read-only executors
+//                 const read-only executors (query/what_if metrics come
+//                 from fault::assess under the SLO budget)
 //   service.hpp   the JSON-lines loop: deterministic batching, journaling,
 //                 overload shedding, snapshots, recovery, stats
 //   durable/journal.hpp   CRC-framed journal v2 (records, gaps, commits)

@@ -28,8 +28,8 @@ void count_table(const WeightedFib& fib) {
 /// Installs one quantized entry, pruning zero-weight rules.
 void install_entry(WeightedFib& fib, NodeId at, NodeId dst,
                    const std::vector<graph::LinkId>& links,
-                   const std::vector<double>& shares, std::uint32_t budget) {
-  std::vector<std::uint32_t> weights = quantize_weights(shares, budget);
+                   const std::vector<double>& shares) {
+  std::vector<std::uint32_t> weights = quantize_weights(shares, kWeightBudget);
   for (std::size_t i = 0; i < links.size(); ++i)
     if (weights[i] > 0) fib.add_route(at, dst, links[i], weights[i]);
 }
@@ -124,9 +124,8 @@ WeightedFib compile_fib(const topo::Topology& topo, routing::Routing& routing,
 }
 
 WeightedFib compile_wcmp_paths(const topo::Topology& topo, routing::Routing& routing,
-                               const std::vector<std::pair<NodeId, NodeId>>& pairs,
-                               const WcmpOptions& options) {
-  WeightedFib fib(topo.switch_count(), options.weight_budget);
+                               const std::vector<std::pair<NodeId, NodeId>>& pairs) {
+  WeightedFib fib(topo.switch_count());
   // Multiplicity tally: (at, dst) -> link -> count. Ordered maps keep the
   // installation order (and thus select()'s weight-line layout) a pure
   // function of the pair set, independent of hash-map iteration order.
@@ -146,7 +145,7 @@ WeightedFib compile_wcmp_paths(const topo::Topology& topo, routing::Routing& rou
       ids.push_back(link);
       shares.push_back(count);
     }
-    install_entry(fib, key.first, key.second, ids, shares, options.weight_budget);
+    install_entry(fib, key.first, key.second, ids, shares);
   }
   count_table(fib);
   return fib;

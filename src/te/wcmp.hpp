@@ -34,12 +34,6 @@
 
 namespace flattree::te {
 
-/// Knobs of the WCMP compiler.
-struct WcmpOptions {
-  /// Per-entry weight sum (hardware table resolution); must be positive.
-  std::uint32_t weight_budget = 64;
-};
-
 /// Largest-remainder quantization of non-negative `shares` to integers
 /// summing to `budget`. Throws std::invalid_argument when every share is
 /// zero (or negative) or the budget is zero, and std::logic_error if the
@@ -63,10 +57,9 @@ WeightedFib compile_fib(const topo::Topology& topo, routing::Routing& routing,
 
 /// Compiles a weighted FIB from a routing scheme's path sets for every
 /// ordered pair in `pairs`: per-hop weights are path multiplicities,
-/// quantized per (switch, dst) entry. Counters: te.wcmp.compiles,
-/// te.wcmp.entries, te.wcmp.rules, te.wcmp.weight_total.
+/// quantized per (switch, dst) entry to kWeightBudget. Counters:
+/// te.wcmp.compiles, te.wcmp.entries, te.wcmp.rules, te.wcmp.weight_total.
 WeightedFib compile_wcmp_paths(const topo::Topology& topo, routing::Routing& routing,
-                               const std::vector<std::pair<NodeId, NodeId>>& pairs,
-                               const WcmpOptions& options = {});
+                               const std::vector<std::pair<NodeId, NodeId>>& pairs);
 
 }  // namespace flattree::te

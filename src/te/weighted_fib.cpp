@@ -8,11 +8,8 @@ namespace flattree::te {
 
 const std::vector<WeightedHop> WeightedFib::kEmpty{};
 
-WeightedFib::WeightedFib(std::size_t switches, std::uint32_t weight_budget)
-    : switches_(switches), slot_(switches * switches, kNoEntry), weight_budget_(weight_budget) {
-  if (weight_budget == 0)
-    throw std::invalid_argument("WeightedFib: weight budget must be positive");
-}
+WeightedFib::WeightedFib(std::size_t switches)
+    : switches_(switches), slot_(switches * switches, kNoEntry), weight_budget_(kWeightBudget) {}
 
 WeightedFib WeightedFib::equal_cost(std::size_t switches) {
   WeightedFib fib(switches);

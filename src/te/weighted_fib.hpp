@@ -36,6 +36,10 @@ namespace flattree::te {
 
 using graph::NodeId;
 
+/// Per-entry weight sum of every weighted table (the hardware WCMP table
+/// resolution the compilers quantize to).
+inline constexpr std::uint32_t kWeightBudget = 64;
+
 /// One weighted forwarding rule: take `link` with probability
 /// weight / (entry weight sum).
 struct WeightedHop {
@@ -46,10 +50,9 @@ struct WeightedHop {
 /// Per-switch forwarding table: destination -> weighted next-hop rules.
 class WeightedFib {
  public:
-  /// `weight_budget` is the per-entry weight sum the compilers quantize to
-  /// (and validators check); it bounds the rule weight resolution the way
-  /// hardware WCMP table entries do. Throws std::invalid_argument on 0.
-  explicit WeightedFib(std::size_t switches, std::uint32_t weight_budget = 64);
+  /// A weighted table: the compilers quantize every entry to
+  /// kWeightBudget, and validators check the sum.
+  explicit WeightedFib(std::size_t switches);
 
   /// An equal-cost (ECMP) table: no weight budget, every rule at weight 1.
   static WeightedFib equal_cost(std::size_t switches);
@@ -71,7 +74,7 @@ class WeightedFib {
   /// positive weight is installed.
   graph::LinkId select(NodeId at, NodeId dst, std::uint64_t flow_id) const;
 
-  /// The per-entry weight sum compilers target (see constructor); 0 on an
+  /// The per-entry weight sum compilers target (kWeightBudget); 0 on an
   /// equal-cost table.
   std::uint32_t weight_budget() const { return weight_budget_; }
   /// True for tables built by equal_cost() (weight budget 0).

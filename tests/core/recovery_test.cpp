@@ -15,6 +15,13 @@ FlatTreeNetwork make_net(std::uint32_t k = 8) {
   return FlatTreeNetwork(cfg);
 }
 
+/// Servers stranded under `configs` + `failures`, before any recovery.
+std::size_t stranded_count(const FlatTreeNetwork& net,
+                           const std::vector<ConverterConfig>& configs,
+                           const FailureSet& failures) {
+  return apply_failures(net.materialize(configs), failures).stranded_servers.size();
+}
+
 TEST(ApplyFailures, RemovesIncidentLinks) {
   FlatTreeNetwork net = make_net();
   topo::Topology t = net.build(Mode::Clos);
@@ -72,12 +79,12 @@ TEST(PlanRecovery, RescuesServersFromFailedCore) {
       if (f.failed_switches.size() == 3) break;
     }
   ASSERT_FALSE(f.failed_switches.empty());
-  std::size_t before = stranded_server_count(net, configs, f);
+  std::size_t before = stranded_count(net, configs, f);
   EXPECT_GT(before, 0u);
 
   auto recovered = plan_recovery(net, configs, f).configs;
   EXPECT_EQ(validate_assignment(net.converters(), recovered), "");
-  EXPECT_EQ(stranded_server_count(net, recovered, f), 0u);
+  EXPECT_EQ(stranded_count(net, recovered, f), 0u);
 }
 
 TEST(PlanRecovery, RescuesServersFromFailedEdge) {
@@ -85,13 +92,13 @@ TEST(PlanRecovery, RescuesServersFromFailedEdge) {
   auto configs = net.assign_configs(Mode::Clos);
   FailureSet f;
   f.failed_switches = {net.edge_switch(0, 0)};
-  std::size_t before = stranded_server_count(net, configs, f);
+  std::size_t before = stranded_count(net, configs, f);
   EXPECT_EQ(before, net.params().servers_per_edge());
 
   auto recovered = plan_recovery(net, configs, f).configs;
   // The m + n tapped servers move to the aggregation switch; the rest are
   // hard-wired to the failed edge switch and cannot be saved.
-  std::size_t after = stranded_server_count(net, recovered, f);
+  std::size_t after = stranded_count(net, recovered, f);
   EXPECT_EQ(after, net.params().servers_per_edge() - net.config().m - net.config().n);
 }
 
@@ -183,7 +190,7 @@ TEST(PlanRecovery, ReportsUnrecoverableWhenAggAndEdgeBothFailed) {
   std::uint32_t peer = c.peer;
   EXPECT_EQ(plan.configs[peer], ConverterConfig::Local);
   // The stranded count agrees: the unrecoverable server stays stranded.
-  std::size_t stranded = stranded_server_count(net, plan.configs, f);
+  std::size_t stranded = stranded_count(net, plan.configs, f);
   EXPECT_GE(stranded, plan.unrecoverable.size());
   topo::Topology t = net.materialize(plan.configs);
   EXPECT_TRUE(failed.failed(t.host(c.server)));
@@ -246,8 +253,8 @@ TEST(ApplyFailures, DuplicateIdsBehaveLikeTheDedupedSet) {
   auto configs = net.assign_configs(Mode::GlobalRandom);
   EXPECT_EQ(plan_recovery(net, configs, dup).configs,
             plan_recovery(net, configs, clean).configs);
-  EXPECT_EQ(stranded_server_count(net, configs, dup),
-            stranded_server_count(net, configs, clean));
+  EXPECT_EQ(stranded_count(net, configs, dup),
+            stranded_count(net, configs, clean));
 
   FailureSet bad;
   bad.failed_switches = {net.params().total_switches()};
@@ -279,7 +286,7 @@ TEST(PlanRecovery, AllCoresFailedFlipsEverythingStandalone) {
   RecoveryPlan plan = plan_recovery(net, configs, f);
   EXPECT_EQ(validate_assignment(net.converters(), plan.configs), "");
   EXPECT_TRUE(plan.unrecoverable.empty());  // agg/edge homes all alive
-  EXPECT_EQ(stranded_server_count(net, plan.configs, f), 0u);
+  EXPECT_EQ(stranded_count(net, plan.configs, f), 0u);
   for (std::uint32_t i = 0; i < net.converters().size(); ++i) {
     EXPECT_NE(plan.configs[i], ConverterConfig::Side);
     EXPECT_NE(plan.configs[i], ConverterConfig::Cross);

@@ -307,6 +307,23 @@ TEST(Service, TrafficDefaultClusterClampsToPlant) {
   EXPECT_GT(v.find("demands")->as_int(), 0);
 }
 
+TEST(Service, TrafficClusterBelowTwoIsABadField) {
+  // No pattern has a cluster of fewer than two servers; a broadcast or
+  // incast of one used to throw inside the workload generator and answer
+  // svc.internal.
+  std::string script = "{\"op\":\"build\",\"k\":4}\n";
+  for (const char* pattern : {"broadcast", "incast", "all_to_all"})
+    for (int cluster : {0, 1})
+      script += std::string("{\"op\":\"traffic\",\"cluster\":") +
+                std::to_string(cluster) + ",\"pattern\":\"" + pattern +
+                "\",\"placement\":\"none\",\"seed\":1}\n";
+  script += "{\"op\":\"traffic\",\"cluster\":2,\"pattern\":\"incast\"}\n";
+  RunResult r = run_service(script);
+  for (std::size_t i = 1; i <= 6; ++i)
+    EXPECT_EQ(error_code(response_at(r.responses, i)), "svc.request.bad_field") << i;
+  EXPECT_TRUE(response_ok(response_at(r.responses, 7)));
+}
+
 TEST(Service, ExpandWithFaultsOutstandingIsRejected) {
   // Generic expandable plant (fat-trees have no core headroom).
   std::string build =

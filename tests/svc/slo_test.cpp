@@ -1,9 +1,10 @@
 // SLO deadline budgets: the deadline_ms -> augmentation-budget map must be
 // a pure, monotone function of the request (no wall clock), and a budgeted
-// solve must stay certified — truncation widens the bracket, it never
-// invalidates it. A budgeted solve is a pure function of its inputs, so
-// the service's batch layout can never show in the response bytes. A rate
-// that is not finite and positive is refused.
+// fault::assess solve (the one query/what_if run) must stay certified —
+// truncation widens the bracket, it never invalidates it. A budgeted solve
+// is a pure function of its inputs, so the service's batch layout can
+// never show in the response bytes. A rate that is not finite and positive
+// is refused.
 
 #include "svc/slo.hpp"
 
@@ -14,32 +15,39 @@
 #include <stdexcept>
 #include <vector>
 
-#include "check/certify.hpp"
+#include "fault/degrade.hpp"
 
 namespace flattree::svc {
 namespace {
 
-using graph::Graph;
 using graph::NodeId;
 
 bool bits_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// Ring + chords: enough path diversity
-/// that GK needs many augmentations, so small budgets truncate.
-Graph test_graph() {
-  Graph g;
-  g.add_nodes(8);
-  for (NodeId v = 0; v < 8; ++v) g.add_link(v, static_cast<NodeId>((v + 1) % 8));
-  g.add_link(0, 4, 2.0);
-  g.add_link(2, 6, 2.0);
-  g.add_link(1, 5);
-  return g;
+/// Ring + chords, one server per switch: enough path diversity that GK
+/// needs many augmentations, so small budgets truncate.
+topo::Topology test_topology() {
+  topo::Topology t;
+  for (std::uint32_t v = 0; v < 8; ++v) t.add_switch(topo::SwitchKind::Edge, 0, v, 8);
+  for (NodeId v = 0; v < 8; ++v)
+    t.add_link(v, static_cast<NodeId>((v + 1) % 8), topo::LinkOrigin::Random);
+  t.add_link(0, 4, topo::LinkOrigin::Random, 2.0);
+  t.add_link(2, 6, topo::LinkOrigin::Random, 2.0);
+  t.add_link(1, 5, topo::LinkOrigin::Random);
+  for (NodeId v = 0; v < 8; ++v) t.add_server(v);
+  return t;
 }
 
-std::vector<mcf::Commodity> test_commodities() {
+/// Four sources and four sinks, so the instance runs GK, not the exact path.
+std::vector<mcf::ServerDemand> test_demands() {
   return {{0, 3, 1.0}, {1, 6, 1.0}, {4, 7, 0.5}, {2, 5, 1.5}};
+}
+
+fault::Assessment assess(const std::vector<mcf::ServerDemand>& demands,
+                         std::uint64_t budget) {
+  return fault::assess(test_topology(), /*stranded=*/{}, demands, 0.12, budget);
 }
 
 TEST(SloBudget, ZeroDeadlineMeansUnlimited) {
@@ -107,49 +115,51 @@ TEST(SloBudget, SaturatesInsteadOfOverflowing) {
 }
 
 TEST(SloSolveTest, UnlimitedBudgetIsNotTruncated) {
-  Graph g = test_graph();
-  SloSolve s = solve_with_budget(g, test_commodities(), 0.12, /*budget=*/0);
+  fault::Assessment s = assess(test_demands(), /*budget=*/0);
+  EXPECT_TRUE(s.solved);
   EXPECT_FALSE(s.result.truncated);
-  EXPECT_TRUE(s.certified);
+  EXPECT_TRUE(s.certificate.ok());
   EXPECT_GT(s.result.lambda_lower, 0.0);
   EXPECT_GE(s.result.lambda_upper, s.result.lambda_lower);
+  EXPECT_EQ(s.served, 1.0);
 }
 
 TEST(SloSolveTest, TinyBudgetTruncatesButStaysCertified) {
-  Graph g = test_graph();
-  SloSolve s = solve_with_budget(g, test_commodities(), 0.12, /*budget=*/3);
+  fault::Assessment s = assess(test_demands(), /*budget=*/3);
   EXPECT_TRUE(s.result.truncated);
-  EXPECT_EQ(s.budget, 3u);
+  EXPECT_EQ(s.result.augmentations, 3u);
   // The truncated answer is still externally verified evidence: the flows
   // are feasible and the bracket is valid, just wider.
-  EXPECT_TRUE(s.certified);
-  SloSolve full = solve_with_budget(g, test_commodities(), 0.12, 0);
+  EXPECT_TRUE(s.certificate.ok());
+  fault::Assessment full = assess(test_demands(), 0);
   EXPECT_LE(s.result.lambda_lower, full.result.lambda_lower);
   EXPECT_GE(s.result.lambda_upper, full.result.lambda_lower);
 }
 
 TEST(SloSolveTest, EmptyCommoditiesAreVacuouslyCertified) {
-  Graph g = test_graph();
-  SloSolve s = solve_with_budget(g, {}, 0.12, 100);
-  EXPECT_TRUE(s.certified);
-  EXPECT_FALSE(s.result.truncated);
-  EXPECT_EQ(s.result.lambda_lower, 0.0);
+  // No demand at all means no throughput; demand that never leaves its
+  // switch aggregates to no commodity. Neither runs a solve.
+  for (const auto& demands : {std::vector<mcf::ServerDemand>{},
+                              std::vector<mcf::ServerDemand>{{3, 3, 1.0}}}) {
+    fault::Assessment s = assess(demands, 100);
+    EXPECT_FALSE(s.solved);
+    EXPECT_TRUE(s.certificate.ok());
+    EXPECT_FALSE(s.result.truncated);
+    EXPECT_EQ(s.result.lambda_lower, 0.0);
+  }
 }
 
 TEST(SloSolveTest, TruncatedSolvesNeverResume) {
   // A truncated run is never re-entered: solving the identical budgeted
   // instance again starts over and stops at the same point, bit for bit.
-  Graph g = test_graph();
-  auto commodities = test_commodities();
-
-  SloSolve first = solve_with_budget(g, commodities, 0.12, /*budget=*/10);
+  fault::Assessment first = assess(test_demands(), /*budget=*/10);
   ASSERT_TRUE(first.result.truncated);
-  SloSolve again = solve_with_budget(g, commodities, 0.12, /*budget=*/10);
+  fault::Assessment again = assess(test_demands(), /*budget=*/10);
   EXPECT_TRUE(again.result.truncated);
   EXPECT_EQ(again.result.augmentations, first.result.augmentations);
   EXPECT_TRUE(bits_equal(again.result.lambda_lower, first.result.lambda_lower));
   EXPECT_TRUE(bits_equal(again.result.lambda_upper, first.result.lambda_upper));
-  EXPECT_EQ(again.certified, first.certified);
+  EXPECT_EQ(again.certificate.ok(), first.certificate.ok());
 }
 
 }  // namespace

@@ -22,7 +22,7 @@ inline topo::Topology long_line(std::uint32_t n) {
 /// Weighted table routing every switch of long_line(n) toward n - 1 over
 /// its one forward link, at full weight.
 inline WeightedFib long_line_fib(std::uint32_t n) {
-  WeightedFib fib(n, 64);
+  WeightedFib fib(n);
   for (std::uint32_t i = 0; i + 1 < n; ++i) fib.add_route(i, n - 1, i, 64);
   return fib;
 }

@@ -36,7 +36,7 @@ topo::Topology line3() {
 }
 
 te::WeightedFib clean_line_fib() {
-  te::WeightedFib fib(3, 64);
+  te::WeightedFib fib(3);
   fib.add_route(0, 2, 0, 64);
   fib.add_route(1, 2, 1, 64);
   return fib;
@@ -82,7 +82,7 @@ TEST(TeCheck, FlagsBadLink) {
 
 TEST(TeCheck, FlagsWeightSumViolation) {
   topo::Topology t = line3();
-  te::WeightedFib fib(3, 64);
+  te::WeightedFib fib(3);
   fib.add_route(0, 2, 0, 63);  // budget is 64
   fib.add_route(1, 2, 1, 64);
   Report r = validate_weighted_fib(t, fib, {{0, 2}});
@@ -96,7 +96,7 @@ TEST(TeCheck, FlagsDisconnectedPair) {
   t.add_link(0, 1, topo::LinkOrigin::Random);
   t.add_server(0);
   t.add_server(2);
-  te::WeightedFib fib(3, 64);
+  te::WeightedFib fib(3);
   Report r = validate_weighted_fib(t, fib, {{0, 2}});
   EXPECT_TRUE(has_code(r, "te.wfib.disconnected")) << r.to_string();
   // A disconnected pair is reported as such, not misclassified as a
@@ -106,7 +106,7 @@ TEST(TeCheck, FlagsDisconnectedPair) {
 
 TEST(TeCheck, FlagsBlackhole) {
   topo::Topology t = line3();
-  te::WeightedFib fib(3, 64);
+  te::WeightedFib fib(3);
   fib.add_route(0, 2, 0, 64);  // nothing installed at 1
   Report r = validate_weighted_fib(t, fib, {{0, 2}});
   EXPECT_TRUE(has_code(r, "te.wfib.blackhole")) << r.to_string();
@@ -114,7 +114,7 @@ TEST(TeCheck, FlagsBlackhole) {
 
 TEST(TeCheck, FlagsLoop) {
   topo::Topology t = line3();
-  te::WeightedFib fib(3, 64);
+  te::WeightedFib fib(3);
   fib.add_route(0, 2, 0, 64);
   fib.add_route(1, 2, 0, 64);  // bounces back toward 0
   Report r = validate_weighted_fib(t, fib, {{0, 2}});
@@ -179,7 +179,7 @@ TEST(TeCheck, FlagsEqualCostBadLinkWithoutReadingIt) {
 
 TEST(TeCheck, OneWalkFaultPerDestination) {
   topo::Topology t = line3();
-  te::WeightedFib fib(3, 64);  // empty: both sources blackhole toward 2...
+  te::WeightedFib fib(3);  // empty: both sources blackhole toward 2...
   t.add_server(1);             // ...so pairs (0,2) and (1,2) share the fault
   Report r = validate_weighted_fib(t, fib, {{0, 2}, {1, 2}});
   std::size_t blackholes = 0;

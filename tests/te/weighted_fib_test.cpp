@@ -50,7 +50,7 @@ topo::Topology diamond() {
 }
 
 TEST(WeightedFib, AddAccumulatesAndLooksUp) {
-  WeightedFib fib(3, 64);
+  WeightedFib fib(3);
   fib.add_route(0, 2, 0, 40);
   fib.add_route(0, 2, 0, 24);  // tops up the same rule
   fib.add_route(1, 2, 1, 64);
@@ -63,15 +63,15 @@ TEST(WeightedFib, AddAccumulatesAndLooksUp) {
   EXPECT_EQ(fib.weight_budget(), 64u);
 }
 
-TEST(WeightedFib, ZeroBudgetRejected) {
-  EXPECT_THROW(WeightedFib(3, 0), std::invalid_argument);
+TEST(WeightedFib, OnlyEqualCostTablesHaveNoBudget) {
   // Budget 0 is reserved for equal-cost tables, built only by equal_cost().
-  EXPECT_FALSE(WeightedFib(3, 64).is_equal_cost());
+  EXPECT_EQ(WeightedFib(3).weight_budget(), kWeightBudget);
+  EXPECT_FALSE(WeightedFib(3).is_equal_cost());
   EXPECT_TRUE(WeightedFib::equal_cost(3).is_equal_cost());
 }
 
 TEST(WeightedFib, DestinationsSortedPerSwitch) {
-  WeightedFib fib(10, 64);
+  WeightedFib fib(10);
   fib.add_route(0, 9, 0, 64);
   fib.add_route(0, 3, 0, 64);
   fib.add_route(0, 7, 0, 64);
@@ -79,7 +79,7 @@ TEST(WeightedFib, DestinationsSortedPerSwitch) {
   EXPECT_TRUE(fib.destinations(1).empty());
 
   // Ascending whatever the insertion order, repeats included.
-  WeightedFib big(64, 64);
+  WeightedFib big(64);
   util::Rng rng(5);
   std::vector<NodeId> want;
   for (int i = 0; i < 40; ++i) {
@@ -94,7 +94,7 @@ TEST(WeightedFib, DestinationsSortedPerSwitch) {
 }
 
 TEST(WeightedFib, SelectDeterministicSkipsZeroAndThrowsOnMiss) {
-  WeightedFib fib(3, 64);
+  WeightedFib fib(3);
   fib.add_route(0, 2, 0, 0);   // zero-weight rule never selected
   fib.add_route(0, 2, 1, 64);
   for (std::uint64_t id = 0; id < 200; ++id) {
@@ -102,13 +102,13 @@ TEST(WeightedFib, SelectDeterministicSkipsZeroAndThrowsOnMiss) {
     EXPECT_EQ(fib.select(0, 2, id), fib.select(0, 2, id));
   }
   EXPECT_THROW(fib.select(1, 2, 0), std::runtime_error);
-  WeightedFib zeros(3, 64);
+  WeightedFib zeros(3);
   zeros.add_route(0, 2, 0, 0);
   EXPECT_THROW(zeros.select(0, 2, 0), std::runtime_error);
 }
 
 TEST(WeightedFib, SelectTracksWeightsOverFlowSweep) {
-  WeightedFib fib(4, 64);
+  WeightedFib fib(4);
   fib.add_route(0, 3, 0, 48);  // 3:1 split
   fib.add_route(0, 3, 1, 16);
   std::map<graph::LinkId, int> hits;
@@ -136,7 +136,7 @@ graph::LinkId walk(const std::vector<WeightedHop>& hops, NodeId at, NodeId dst,
 }
 
 TEST(WeightedFib, HopsStayInInstallationOrder) {
-  WeightedFib fib(4, 64);
+  WeightedFib fib(4);
   fib.add_route(0, 3, 9, 10);
   fib.add_route(0, 3, 2, 20);
   fib.add_route(0, 3, 5, 30);
@@ -150,7 +150,7 @@ TEST(WeightedFib, HopsStayInInstallationOrder) {
 }
 
 TEST(WeightedFib, CachedWeightSumFollowsTopUpsAndZeroWeights) {
-  WeightedFib fib(4, 64);
+  WeightedFib fib(4);
   fib.add_route(1, 2, 0, 0);  // zero-weight only: nothing to select yet
   EXPECT_THROW(fib.select(1, 2, 0), std::runtime_error);
   fib.add_route(1, 2, 1, 0);
@@ -168,7 +168,7 @@ TEST(WeightedFib, CachedWeightSumFollowsTopUpsAndZeroWeights) {
   }
   // A top-up that wraps the 32-bit weight keeps the cached sum equal to
   // the stored weights.
-  WeightedFib wrap(2, 64);
+  WeightedFib wrap(2);
   wrap.add_route(0, 1, 0, 0xffffffffu);
   wrap.add_route(0, 1, 0, 2);
   wrap.add_route(0, 1, 1, 1);
@@ -179,7 +179,7 @@ TEST(WeightedFib, CachedWeightSumFollowsTopUpsAndZeroWeights) {
 }
 
 TEST(WeightedFib, MissingEntriesAndForeignSwitches) {
-  WeightedFib fib(3, 64);
+  WeightedFib fib(3);
   fib.add_route(0, 2, 0, 64);
   EXPECT_THROW(fib.select(0, 1, 0), std::runtime_error);  // no entry
   EXPECT_THROW(fib.select(0, 3, 0), std::runtime_error);  // not a switch
@@ -192,7 +192,7 @@ TEST(WeightedFib, MissingEntriesAndForeignSwitches) {
 }
 
 TEST(WeightedFib, SelectMatchesHandComputedWalk) {
-  WeightedFib fib(8, 64);
+  WeightedFib fib(8);
   fib.add_route(5, 6, 11, 7);
   fib.add_route(5, 6, 3, 1);
   fib.add_route(5, 6, 8, 56);
@@ -229,7 +229,7 @@ TEST(VerifyWeightedFib, CompiledFatTreePasses) {
 
 TEST(VerifyWeightedFib, DetectsBlackhole) {
   topo::Topology t = line3();
-  WeightedFib fib(3, 64);
+  WeightedFib fib(3);
   fib.add_route(0, 2, 0, 64);  // installed at 0 but missing at 1
   check::Report r = check::validate_weighted_fib(t, fib, {{0, 2}});
   EXPECT_TRUE(has_code(r, "te.wfib.blackhole")) << r.to_string();
@@ -237,7 +237,7 @@ TEST(VerifyWeightedFib, DetectsBlackhole) {
 
 TEST(VerifyWeightedFib, DetectsZeroWeightRule) {
   topo::Topology t = line3();
-  WeightedFib fib(3, 64);
+  WeightedFib fib(3);
   fib.add_route(0, 2, 0, 64);
   fib.add_route(1, 2, 1, 64);
   fib.add_route(1, 2, 0, 0);  // corrupt: should have been pruned
@@ -247,7 +247,7 @@ TEST(VerifyWeightedFib, DetectsZeroWeightRule) {
 
 TEST(VerifyWeightedFib, DetectsWeightConservationViolation) {
   topo::Topology t = diamond();
-  WeightedFib fib(4, 64);
+  WeightedFib fib(4);
   fib.add_route(0, 3, 0, 32);
   fib.add_route(0, 3, 1, 31);  // sums to 63, budget is 64
   fib.add_route(1, 3, 2, 64);
@@ -258,7 +258,7 @@ TEST(VerifyWeightedFib, DetectsWeightConservationViolation) {
 
 TEST(VerifyWeightedFib, DetectsLoop) {
   topo::Topology t = line3();
-  WeightedFib fib(3, 64);
+  WeightedFib fib(3);
   fib.add_route(0, 2, 0, 64);
   fib.add_route(1, 2, 0, 64);  // bounces back to 0
   check::Report r = check::validate_weighted_fib(t, fib, {{0, 2}});
