@@ -15,22 +15,12 @@ using namespace flattree;
 int main(int argc, char** argv) {
   std::int64_t kmax = 20, kstep = 4;
   bool dump = false;
-  std::int64_t threads = 0;
   util::CliParser cli("Ablation: fine-grained (m, n) profiling.");
-  cli.add_int("kmax", &kmax, "largest fat-tree parameter k");
-  cli.add_int("kstep", &kstep, "k sweep step");
+  cli.add_int("kmax", &kmax, bench::kKmax, "largest fat-tree parameter k");
+  cli.add_int("kstep", &kstep, bench::kKstep, "k sweep step");
   cli.add_bool("dump", &dump, "print every sweep point, not just the optima");
-  bool selfcheck = false;
-  bench::add_threads_flag(cli, &threads);
-  bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::k_sweep_in_range("bench_ablation_mn", kmax, kstep)) return 2;
-  bench::apply_threads(threads);
-  bench::apply_selfcheck(selfcheck);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
 
   util::Table table({"k", "best m", "best n", "best APL", "paper m", "paper n",
                      "paper APL", "gap %"});

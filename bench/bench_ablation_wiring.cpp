@@ -37,21 +37,11 @@ double apl_for(std::uint32_t k, core::WiringPattern pattern, core::PodChain chai
 
 int main(int argc, char** argv) {
   std::int64_t kmax = 32, kstep = 2;
-  std::int64_t threads = 0;
   util::CliParser cli("Ablation: wiring pattern and pod-chain topology (global RG APL).");
-  cli.add_int("kmax", &kmax, "largest fat-tree parameter k");
-  cli.add_int("kstep", &kstep, "k sweep step");
-  bool selfcheck = false;
-  bench::add_threads_flag(cli, &threads);
-  bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::k_sweep_in_range("bench_ablation_wiring", kmax, kstep)) return 2;
-  bench::apply_threads(threads);
-  bench::apply_selfcheck(selfcheck);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
+  cli.add_int("kmax", &kmax, bench::kKmax, "largest fat-tree parameter k");
+  cli.add_int("kstep", &kstep, bench::kKstep, "k sweep step");
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
 
   util::Table table({"k", "pattern1 ring", "pattern2 ring", "auto ring", "auto pattern",
                      "auto linear"});

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -55,49 +54,45 @@ int main(int argc, char** argv) {
   double switch_mtbf = 250.0, switch_mttr = 4.0, link_mtbf = 600.0, link_mttr = 3.0;
   double conv_mtbf = 500.0, conv_mttr = 6.0, pod_mtbf = 2000.0, pod_mttr = 5.0;
   std::string mode = "global", save_path, load_path;
-  std::int64_t threads = 0;
+  // Durations and mean times; a mean time of 0 disables its failure class.
+  const util::DoubleRange nonneg = util::DoubleRange::at_least(0.0);
+  const util::IntRange count{0, bench::kMaxU32};
   util::CliParser cli("Chaos: availability under a fault trace, reroute vs reconversion.");
-  cli.add_int("k", &k, "fat-tree parameter");
-  cli.add_double("duration", &duration, "simulated horizon (failures drawn before this)");
-  cli.add_int("seed", &seed, "scenario + workload RNG seed");
+  cli.add_int("k", &k, bench::kK, "fat-tree parameter");
+  cli.add_double("duration", &duration, nonneg,
+                 "simulated horizon (failures drawn before this)");
+  cli.add_int("seed", &seed, bench::kRngSeed, "scenario + workload RNG seed");
   cli.add_string("mode", &mode, "flat-tree conversion target: global | local | clos");
-  cli.add_int("convert-rate", &convert_rate, "micro-transactions advanced per event");
-  cli.add_int("cluster", &cluster, "broadcast cluster size for throughput");
-  cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
-  cli.add_int("report-every", &report_every, "events per timeline report row");
-  cli.add_int("mcf-every", &mcf_every, "solve throughput every Nth report (0 = never)");
-  cli.add_int("mcf-budget", &mcf_budget, "max GK augmentations per solve (0 = unlimited)");
-  cli.add_double("switch-mtbf", &switch_mtbf, "per-switch mean time between failures");
-  cli.add_double("switch-mttr", &switch_mttr, "per-switch mean time to repair");
-  cli.add_double("link-mtbf", &link_mtbf, "per-link-pair mean time between failures");
-  cli.add_double("link-mttr", &link_mttr, "per-link-pair mean time to repair");
-  cli.add_double("conv-mtbf", &conv_mtbf, "per-converter stuck-at-config MTBF");
-  cli.add_double("conv-mttr", &conv_mttr, "per-converter stuck-at-config MTTR");
-  cli.add_double("pod-mtbf", &pod_mtbf, "per-pod power-domain MTBF (0 disables)");
-  cli.add_double("pod-mttr", &pod_mttr, "per-pod power-domain MTTR");
-  cli.add_double("flap-prob", &flap_prob, "probability a link outage flaps");
-  cli.add_int("flap-cycles", &flap_cycles, "max down/up cycles in a flapping burst");
-  cli.add_int("max-replans", &max_replans, "replans per conversion before rollback");
-  cli.add_int("backoff", &backoff, "events to park an aborted conversion");
+  cli.add_int("convert-rate", &convert_rate, count, "micro-transactions advanced per event");
+  cli.add_int("cluster", &cluster, bench::kCluster,
+              "broadcast cluster size for throughput (at most the server count)");
+  cli.add_double("eps", &eps, bench::kEps, "Garg-Koenemann epsilon");
+  cli.add_int("report-every", &report_every, {1, bench::kMaxU32},
+              "events per timeline report row");
+  cli.add_int("mcf-every", &mcf_every, count, "solve throughput every Nth report (0 = never)");
+  cli.add_int("mcf-budget", &mcf_budget, {0, bench::kMaxI64},
+              "max GK augmentations per solve (0 = unlimited)");
+  cli.add_double("switch-mtbf", &switch_mtbf, nonneg, "per-switch mean time between failures");
+  cli.add_double("switch-mttr", &switch_mttr, nonneg, "per-switch mean time to repair");
+  cli.add_double("link-mtbf", &link_mtbf, nonneg, "per-link-pair mean time between failures");
+  cli.add_double("link-mttr", &link_mttr, nonneg, "per-link-pair mean time to repair");
+  cli.add_double("conv-mtbf", &conv_mtbf, nonneg, "per-converter stuck-at-config MTBF");
+  cli.add_double("conv-mttr", &conv_mttr, nonneg, "per-converter stuck-at-config MTTR");
+  cli.add_double("pod-mtbf", &pod_mtbf, nonneg, "per-pod power-domain MTBF (0 disables)");
+  cli.add_double("pod-mttr", &pod_mttr, nonneg, "per-pod power-domain MTTR");
+  cli.add_double("flap-prob", &flap_prob, util::DoubleRange::closed(0.0, 1.0),
+                 "probability a link outage flaps");
+  cli.add_int("flap-cycles", &flap_cycles, count, "max down/up cycles in a flapping burst");
+  cli.add_int("max-replans", &max_replans, count, "replans per conversion before rollback");
+  cli.add_int("backoff", &backoff, count, "events to park an aborted conversion");
   cli.add_string("save-scenario", &save_path, "write the generated trace to this path");
   cli.add_string("load-scenario", &load_path, "replay a saved trace instead of generating");
-  bool selfcheck = false;
-  bench::add_threads_flag(cli, &threads);
-  bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::k_in_range("bench_chaos", k)) return 2;
-  if (!bench::eps_in_range("bench_chaos", eps)) return 2;
-  if (!bench::cluster_in_range("bench_chaos", cluster)) return 2;
-  bench::apply_threads(threads);
-  bench::apply_selfcheck(selfcheck);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
-  obs_run.set_int("seed", seed);
-  obs_run.set_double("eps", eps);
-  obs_run.set_double("duration", duration);
-  obs_run.set_int("convert_rate", convert_rate);
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
+  run.set_int("seed", seed);
+  run.set_double("eps", eps);
+  run.set_double("duration", duration);
+  run.set_int("convert_rate", convert_rate);
 
   core::Mode target;
   if (mode == "global") {
@@ -110,16 +105,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_chaos: unknown --mode '%s'\n", mode.c_str());
     return 2;
   }
-  if (flap_cycles < 0 || flap_cycles > std::numeric_limits<std::uint32_t>::max()) {
-    std::fprintf(stderr, "bench_chaos: --flap-cycles must lie in [0, %u]\n",
-                 std::numeric_limits<std::uint32_t>::max());
-    return 2;
-  }
 
   const std::uint32_t ku = static_cast<std::uint32_t>(k);
   core::FlatTreeConfig cfg;
   cfg.k = ku;
   core::FlatTreeNetwork net = bench::profiled_network(ku);
+  if (!bench::cluster_fits("bench_chaos", cluster, net.params().total_servers())) return 2;
   topo::Topology clos = net.materialize(net.assign_configs(core::Mode::Clos));
   bench::check_topology(clos, "clos baseline");
 
@@ -160,7 +151,7 @@ int main(int argc, char** argv) {
     }
     fault::save_scenario(scenario, out);
   }
-  obs_run.set_int("events", static_cast<std::int64_t>(scenario.events.size()));
+  run.set_int("events", static_cast<std::int64_t>(scenario.events.size()));
 
   // Fixed workload, shared by both tracks (same draw as bench_failures).
   util::Rng wl(static_cast<std::uint64_t>(seed) * 7);

@@ -93,43 +93,30 @@ int main(int argc, char** argv) {
   std::int64_t k = 8, train = 32, seed = 1, queue = 16, sources = 24, a2a = 12;
   std::int64_t ecn_threshold = 8;
   double nic_rate = 4.0, prop_delay = 0.01, flowlet_gap = 0.5;
-  std::int64_t threads = 0;
   std::string summary_json;
   util::CliParser cli(
       "Extension: WCMP + flowlet congestion study, drop-tail vs DCTCP.");
-  cli.add_int("k", &k, "fat-tree parameter");
-  cli.add_int("train", &train, "packets per flow");
-  cli.add_int("sources", &sources, "incast fan-in (senders to one sink)");
-  cli.add_int("a2a", &a2a, "server subset size for the all-to-all workload");
-  cli.add_int("queue-packets", &queue, "output queue capacity in packets (0 = infinite)");
-  cli.add_double("nic-rate", &nic_rate, "injection rate vs unit link capacity");
-  cli.add_double("prop-delay", &prop_delay, "per-hop propagation delay");
-  cli.add_double("flowlet-gap", &flowlet_gap, "flowlet idle gap (<= 0 disables)");
-  cli.add_int("ecn-threshold", &ecn_threshold, "ECN marking threshold K in packets");
-  cli.add_int("seed", &seed, "RNG seed for workloads and random topologies");
+  cli.add_int("k", &k, bench::kK, "fat-tree parameter");
+  cli.add_int("train", &train, bench::kTrain, "packets per flow");
+  cli.add_int("sources", &sources, {1, bench::kMaxU32}, "incast fan-in (senders to one sink)");
+  cli.add_int("a2a", &a2a, {2, bench::kMaxU32},
+              "server subset size for the all-to-all workload");
+  cli.add_int("queue-packets", &queue, {0, bench::kMaxU32},
+              "output queue capacity in packets (0 = infinite)");
+  cli.add_double("nic-rate", &nic_rate, util::DoubleRange::above(0.0),
+                 "injection rate vs unit link capacity");
+  cli.add_double("prop-delay", &prop_delay, util::DoubleRange::at_least(0.0),
+                 "per-hop propagation delay");
+  cli.add_double("flowlet-gap", &flowlet_gap, util::DoubleRange::at_least(0.0),
+                 "flowlet idle gap (0 disables)");
+  cli.add_int("ecn-threshold", &ecn_threshold, {1, bench::kMaxU32},
+              "ECN marking threshold K in packets");
+  cli.add_int("seed", &seed, bench::kRngSeed, "RNG seed for workloads and random topologies");
   cli.add_string("summary-json", &summary_json,
                  "write the machine-readable summary to this path");
-  bool selfcheck = false;
-  bench::add_threads_flag(cli, &threads);
-  bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  const char* self = "bench_congestion";
-  if (!bench::k_in_range(self, k) ||
-      !bench::int_in_range(self, "train", train, 1, bench::kMaxTrain) ||
-      !bench::int_in_range(self, "queue-packets", queue, 0, bench::kMaxU32) ||
-      !bench::int_in_range(self, "sources", sources, 1, bench::kMaxU32) ||
-      !bench::int_in_range(self, "a2a", a2a, 2, bench::kMaxU32) ||
-      !bench::int_in_range(self, "ecn-threshold", ecn_threshold, 1, bench::kMaxU32) ||
-      !bench::finite_in_range(self, "nic-rate", nic_rate, false) ||
-      !bench::finite_in_range(self, "prop-delay", prop_delay, true))
-    return 2;
-  bench::apply_threads(threads);
-  bench::apply_selfcheck(selfcheck);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
-  obs_run.set_int("seed", seed);
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
+  run.set_int("seed", seed);
 
   const std::uint32_t ku = static_cast<std::uint32_t>(k);
   topo::FatTree ft = topo::build_fat_tree(ku);

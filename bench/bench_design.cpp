@@ -55,42 +55,22 @@ int main(int argc, char** argv) {
   std::int64_t k = 8, iters = 32, seed = 1, trace_every = 4;
   double eps = 0.2;
   std::string summary_json;
-  std::int64_t threads = 0;
-  bool selfcheck = false;
   util::CliParser cli(
       "Conversion-plan design search: annealing over hybrid-zone layouts "
       "vs uniform modes and a De Bruijn flat baseline.");
-  cli.add_int("k", &k, "fat-tree parameter of the convertible plant");
-  cli.add_int("iters", &iters, "annealing iterations");
-  cli.add_int("seed", &seed, "RNG seed (workload mix and move stream)");
-  cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
-  cli.add_int("trace-every", &trace_every, "trajectory table sampling stride");
+  cli.add_int("k", &k, bench::kK, "fat-tree parameter of the convertible plant");
+  cli.add_int("iters", &iters, {0, design::kMaxIterations}, "annealing iterations");
+  cli.add_int("seed", &seed, bench::kRngSeed, "RNG seed (workload mix and move stream)");
+  cli.add_double("eps", &eps, bench::kEps, "Garg-Koenemann epsilon");
+  cli.add_int("trace-every", &trace_every, {1, bench::kMaxU32},
+              "trajectory table sampling stride");
   cli.add_string("summary-json", &summary_json,
                  "write the machine-readable summary to this path");
-  bench::add_threads_flag(cli, &threads);
-  bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::k_in_range("bench_design", k)) return 2;
-  if (!bench::eps_in_range("bench_design", eps)) return 2;
-  if (iters < 0 || iters > design::kMaxIterations) {
-    std::fprintf(stderr, "bench_design: --iters must lie in [0, %u], got %lld\n",
-                 design::kMaxIterations, static_cast<long long>(iters));
-    return 2;
-  }
-  if (trace_every < 1) {
-    std::fprintf(stderr, "bench_design: --trace-every must be >= 1, got %lld\n",
-                 static_cast<long long>(trace_every));
-    return 2;
-  }
-  bench::apply_threads(threads);
-  bench::apply_selfcheck(selfcheck);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
-  obs_run.set_int("seed", seed);
-  obs_run.set_double("eps", eps);
-  obs_run.set_int("iters", iters);
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
+  run.set_int("seed", seed);
+  run.set_double("eps", eps);
+  run.set_int("iters", iters);
 
   const auto ku = static_cast<std::uint32_t>(k);
   core::FlatTreeNetwork net = bench::profiled_network(ku);

@@ -18,35 +18,35 @@ using namespace flattree;
 int main(int argc, char** argv) {
   std::int64_t k = 8, max_failures = 8, seeds = 2, seed = 1, cluster = 40;
   double eps = 0.12;
-  std::int64_t threads = 0;
   util::CliParser cli("Extension: failure recovery by reconversion.");
-  cli.add_int("k", &k, "fat-tree parameter");
-  cli.add_int("max-failures", &max_failures, "largest number of failed core switches");
-  cli.add_int("cluster", &cluster, "broadcast cluster size for throughput");
-  cli.add_int("seeds", &seeds, "failure draws to average");
-  cli.add_int("seed", &seed, "base RNG seed");
-  cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
-  bool selfcheck = false;
-  bench::add_threads_flag(cli, &threads);
-  bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::k_in_range("bench_failures", k)) return 2;
-  if (!bench::seeds_in_range("bench_failures", seeds)) return 2;
-  if (!bench::eps_in_range("bench_failures", eps)) return 2;
-  if (!bench::cluster_in_range("bench_failures", cluster)) return 2;
-  bench::apply_threads(threads);
-  bench::apply_selfcheck(selfcheck);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
-  obs_run.set_int("seed", seed);
-  obs_run.set_double("eps", eps);
+  cli.add_int("k", &k, bench::kK, "fat-tree parameter");
+  cli.add_int("max-failures", &max_failures, {0, bench::kMaxU32},
+              "largest number of failed core switches (at most the core count)");
+  cli.add_int("cluster", &cluster, bench::kCluster,
+              "broadcast cluster size for throughput (at most the server count)");
+  cli.add_int("seeds", &seeds, bench::kSeeds, "failure draws to average");
+  cli.add_int("seed", &seed, bench::kRngSeed, "base RNG seed");
+  cli.add_double("eps", &eps, bench::kEps, "Garg-Koenemann epsilon");
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
+  run.set_int("seed", seed);
+  run.set_double("eps", eps);
 
   const std::uint32_t ku = static_cast<std::uint32_t>(k);
   core::FlatTreeNetwork net = bench::profiled_network(ku);
   auto configs = net.assign_configs(core::Mode::GlobalRandom);
   const std::uint32_t cores = net.params().cores();
+  // Plant-dependent checks: each failure draw takes distinct cores, and a
+  // cluster larger than the plant places no traffic.
+  if (max_failures > cores) {
+    std::fprintf(stderr,
+                 "bench_failures: --max-failures %lld exceeds the plant's %u core "
+                 "switches\n",
+                 static_cast<long long>(max_failures), cores);
+    return 2;
+  }
+  if (!bench::cluster_fits("bench_failures", cluster, net.params().total_servers()))
+    return 2;
 
   // Fixed workload; fault::assess keeps the demands between surviving
   // servers.

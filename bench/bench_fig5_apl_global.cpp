@@ -40,26 +40,17 @@ double flat_tree_apl(std::uint32_t k, std::uint32_t m, std::uint32_t n,
 
 int main(int argc, char** argv) {
   std::int64_t kmax = 32, kstep = 2, seed = 1, rg_seeds = 1;
-  std::int64_t threads = 0;
-  bool full = false, selfcheck = false;
+  bool full = false;
   util::CliParser cli(
       "Figure 5 reproduction: network-wide server-pair average path length vs k.");
-  cli.add_int("kmax", &kmax, "largest fat-tree parameter k");
-  cli.add_int("kstep", &kstep, "k sweep step");
-  cli.add_int("seed", &seed, "random graph seed");
-  cli.add_int("rg-seeds", &rg_seeds, "random-graph draws to average");
+  cli.add_int("kmax", &kmax, bench::kKmax, "largest fat-tree parameter k");
+  cli.add_int("kstep", &kstep, bench::kKstep, "k sweep step");
+  cli.add_int("seed", &seed, bench::kRngSeed, "random graph seed");
+  cli.add_int("rg-seeds", &rg_seeds, bench::kSeeds, "random-graph draws to average");
   cli.add_bool("full", &full, "paper-scale sweep (k to 32 step 2; the default already is)");
-  bench::add_threads_flag(cli, &threads);
-  bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::k_sweep_in_range("bench_fig5_apl_global", kmax, kstep)) return 2;
-  bench::apply_threads(threads);
-  bench::apply_selfcheck(selfcheck);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
-  obs_run.set_int("seed", seed);
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
+  run.set_int("seed", seed);
   if (full) {
     kmax = 32;
     kstep = 2;

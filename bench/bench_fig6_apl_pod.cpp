@@ -32,24 +32,14 @@ std::vector<std::vector<topo::ServerId>> pod_groups(std::uint32_t k) {
 
 int main(int argc, char** argv) {
   std::int64_t kmax = 32, kstep = 2, seed = 1;
-  std::int64_t threads = 0;
-  bool selfcheck = false;
   util::CliParser cli(
       "Figure 6 reproduction: intra-pod server-pair average path length vs k.");
-  cli.add_int("kmax", &kmax, "largest fat-tree parameter k");
-  cli.add_int("kstep", &kstep, "k sweep step");
-  cli.add_int("seed", &seed, "random graph seed");
-  bench::add_threads_flag(cli, &threads);
-  bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::k_sweep_in_range("bench_fig6_apl_pod", kmax, kstep)) return 2;
-  bench::apply_threads(threads);
-  bench::apply_selfcheck(selfcheck);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
-  obs_run.set_int("seed", seed);
+  cli.add_int("kmax", &kmax, bench::kKmax, "largest fat-tree parameter k");
+  cli.add_int("kstep", &kstep, bench::kKstep, "k sweep step");
+  cli.add_int("seed", &seed, bench::kRngSeed, "random graph seed");
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
+  run.set_int("seed", seed);
 
   util::Table table({"k", "flat-tree(local)", "fat-tree", "random-graph",
                      "two-stage-random"});

@@ -24,32 +24,19 @@ int main(int argc, char** argv) {
   std::int64_t kmax = 12, kstep = 4, cluster = 20, seeds = 1, seed = 1;
   double eps = 0.12;
   bool full = false;
-  std::int64_t threads = 0;
   util::CliParser cli(
       "Figure 8 reproduction: all-to-all throughput in 20-server clusters.");
-  cli.add_int("kmax", &kmax, "largest fat-tree parameter k");
-  cli.add_int("kstep", &kstep, "k sweep step");
-  cli.add_int("cluster", &cluster, "cluster size");
-  cli.add_int("seeds", &seeds, "placement draws to average");
-  cli.add_int("seed", &seed, "base RNG seed");
-  cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
+  cli.add_int("kmax", &kmax, bench::kKmax, "largest fat-tree parameter k");
+  cli.add_int("kstep", &kstep, bench::kKstep, "k sweep step");
+  cli.add_int("cluster", &cluster, bench::kCluster, "cluster size");
+  cli.add_int("seeds", &seeds, bench::kSeeds, "placement draws to average");
+  cli.add_int("seed", &seed, bench::kRngSeed, "base RNG seed");
+  cli.add_double("eps", &eps, bench::kEps, "Garg-Koenemann epsilon");
   cli.add_bool("full", &full, "paper-scale sweep (k to 32 step 2; slow)");
-  bool selfcheck = false;
-  bench::add_threads_flag(cli, &threads);
-  bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::k_sweep_in_range("bench_fig8_alltoall", kmax, kstep)) return 2;
-  if (!bench::eps_in_range("bench_fig8_alltoall", eps)) return 2;
-  if (!bench::seeds_in_range("bench_fig8_alltoall", seeds)) return 2;
-  if (!bench::cluster_in_range("bench_fig8_alltoall", cluster)) return 2;
-  bench::apply_threads(threads);
-  bench::apply_selfcheck(selfcheck);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
-  obs_run.set_int("seed", seed);
-  obs_run.set_double("eps", eps);
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
+  run.set_int("seed", seed);
+  run.set_double("eps", eps);
   if (full) {
     kmax = 32;
     kstep = 2;

@@ -49,37 +49,27 @@ int main(int argc, char** argv) {
                l_cluster = 16;
   double eps = 0.12;
   bool full = false;
-  std::int64_t threads = 0;
   util::CliParser cli("Section 3.4 reproduction: hybrid-mode zone segregation.");
-  cli.add_int("k", &k, "fat-tree parameter (paper uses 30)");
-  cli.add_int("step", &step_percent, "zone proportion step in percent");
-  cli.add_int("global-cluster", &g_cluster, "broadcast cluster size (global zone)");
-  cli.add_int("local-cluster", &l_cluster, "all-to-all cluster size (local zone)");
-  cli.add_int("seeds", &seeds, "placement draws to average");
-  cli.add_int("seed", &seed, "base RNG seed");
-  cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
+  cli.add_int("k", &k, bench::kK, "fat-tree parameter (paper uses 30)");
+  cli.add_int("step", &step_percent, {1, 99}, "zone proportion step in percent");
+  cli.add_int("global-cluster", &g_cluster, bench::kCluster,
+              "broadcast cluster size (global zone)");
+  cli.add_int("local-cluster", &l_cluster, bench::kCluster,
+              "all-to-all cluster size (local zone)");
+  cli.add_int("seeds", &seeds, bench::kSeeds, "placement draws to average");
+  cli.add_int("seed", &seed, bench::kRngSeed, "base RNG seed");
+  cli.add_double("eps", &eps, bench::kEps, "Garg-Koenemann epsilon");
   cli.add_bool("full", &full, "paper-scale run: k = 30, 10% steps (slow)");
-  bool selfcheck = false;
-  bench::add_threads_flag(cli, &threads);
-  bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  bench::apply_threads(threads);
-  bench::apply_selfcheck(selfcheck);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
-  obs_run.set_int("seed", seed);
-  obs_run.set_double("eps", eps);
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
+  run.set_int("seed", seed);
+  run.set_double("eps", eps);
   if (full) {
     k = 30;
     step_percent = 10;
     g_cluster = 1000;
     l_cluster = 20;
   }
-  if (!bench::k_in_range("bench_hybrid", k)) return 2;
-  if (!bench::seeds_in_range("bench_hybrid", seeds)) return 2;
-  if (!bench::eps_in_range("bench_hybrid", eps)) return 2;
 
   const std::uint32_t ku = static_cast<std::uint32_t>(k);
   const std::uint32_t per_pod = ku * ku / 4;

@@ -11,6 +11,8 @@
 // is the quantified version of the paper's motivating argument.
 
 #include <cstdio>
+#include <stdexcept>
+#include <vector>
 
 #include "common.hpp"
 #include "topo/apl.hpp"
@@ -20,44 +22,49 @@ using namespace flattree;
 int main(int argc, char** argv) {
   std::int64_t pods = 8, d = 4, r = 2, h = 4, seeds = 3, seed = 1, cluster = 60;
   double eps = 0.12;
-  std::int64_t threads = 0;
   util::CliParser cli("Extension: flat-tree conversion of oversubscribed Clos.");
-  cli.add_int("pods", &pods, "number of pods");
-  cli.add_int("d", &d, "edge switches per pod");
-  cli.add_int("r", &r, "edge switches per aggregation switch");
-  cli.add_int("h", &h, "core uplinks per aggregation switch");
-  cli.add_int("cluster", &cluster, "broadcast cluster size");
-  cli.add_int("seeds", &seeds, "hot-spot draws to average");
-  cli.add_int("seed", &seed, "base RNG seed");
-  cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
-  bool selfcheck = false;
-  bench::add_threads_flag(cli, &threads);
-  bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::seeds_in_range("bench_oversub", seeds)) return 2;
-  if (!bench::eps_in_range("bench_oversub", eps)) return 2;
-  if (!bench::cluster_in_range("bench_oversub", cluster)) return 2;
-  bench::apply_threads(threads);
-  bench::apply_selfcheck(selfcheck);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
-  obs_run.set_int("seed", seed);
-  obs_run.set_double("eps", eps);
+  cli.add_int("pods", &pods, {2, bench::kMaxK}, "number of pods");
+  cli.add_int("d", &d, {1, bench::kMaxK}, "edge switches per pod");
+  cli.add_int("r", &r, {1, bench::kMaxK},
+              "edge switches per aggregation switch (divides d and h)");
+  cli.add_int("h", &h, {1, bench::kMaxK}, "core uplinks per aggregation switch");
+  cli.add_int("cluster", &cluster, bench::kCluster,
+              "broadcast cluster size (capped at the server count)");
+  cli.add_int("seeds", &seeds, bench::kSeeds, "hot-spot draws to average");
+  cli.add_int("seed", &seed, bench::kRngSeed, "base RNG seed");
+  cli.add_double("eps", &eps, bench::kEps, "Garg-Koenemann epsilon");
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
+  run.set_int("seed", seed);
+  run.set_double("eps", eps);
 
   const std::uint32_t base_uplinks =
       static_cast<std::uint32_t>(h) / static_cast<std::uint32_t>(r);
+  // Plant-dependent check: ClosParams refuses a layout whose r does not
+  // divide d and h.
+  std::vector<topo::ClosParams> layouts;
+  try {
+    for (std::uint32_t ratio = 1; ratio <= 4; ++ratio) {
+      const std::uint32_t spe = base_uplinks * ratio;
+      layouts.push_back(topo::ClosParams::make_generic(
+          static_cast<std::uint32_t>(pods), static_cast<std::uint32_t>(d),
+          static_cast<std::uint32_t>(r), static_cast<std::uint32_t>(h), spe,
+          /*edge_ports=*/spe + static_cast<std::uint32_t>(d / r),
+          /*agg_ports=*/static_cast<std::uint32_t>(d + h),
+          /*core_ports=*/static_cast<std::uint32_t>(pods)));
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_oversub: --pods %lld --d %lld --r %lld --h %lld: %s\n",
+                 static_cast<long long>(pods), static_cast<long long>(d),
+                 static_cast<long long>(r), static_cast<long long>(h), e.what());
+    return 2;
+  }
+
   util::Table table({"oversub", "servers/edge", "clos APL", "flat APL", "APL gain%",
                      "clos lambda", "flat lambda", "lambda gain"});
   for (std::uint32_t ratio = 1; ratio <= 4; ++ratio) {
     const std::uint32_t spe = base_uplinks * ratio;
-    auto params = topo::ClosParams::make_generic(
-        static_cast<std::uint32_t>(pods), static_cast<std::uint32_t>(d),
-        static_cast<std::uint32_t>(r), static_cast<std::uint32_t>(h), spe,
-        /*edge_ports=*/spe + static_cast<std::uint32_t>(d / r),
-        /*agg_ports=*/static_cast<std::uint32_t>(d + h),
-        /*core_ports=*/static_cast<std::uint32_t>(pods));
+    const topo::ClosParams& params = layouts[ratio - 1];
     core::FlatTreeNetwork net(params, core::FlatTreeConfig::kProfiled,
                               core::FlatTreeConfig::kProfiled);
     topo::Topology clos = net.build(core::Mode::Clos);

@@ -45,31 +45,19 @@ void run_case(util::Table& table, const char* name, const topo::Topology& t,
 int main(int argc, char** argv) {
   std::int64_t k = 8, train = 24, seed = 1, queue = 16;
   double nic_rate = 4.0, prop_delay = 0.01;
-  std::int64_t threads = 0;
   util::CliParser cli("Extension: packet-level burst behavior across conversions.");
-  cli.add_int("k", &k, "fat-tree parameter");
-  cli.add_int("train", &train, "packets per flow (burst length)");
-  cli.add_int("queue-packets", &queue, "output queue capacity in packets (0 = infinite)");
-  cli.add_double("nic-rate", &nic_rate, "injection rate vs unit link capacity");
-  cli.add_double("prop-delay", &prop_delay, "per-hop propagation delay");
-  cli.add_int("seed", &seed, "RNG seed for the permutation");
-  bool selfcheck = false;
-  bench::add_threads_flag(cli, &threads);
-  bench::add_selfcheck_flag(cli, &selfcheck);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::k_in_range("bench_packet", k) ||
-      !bench::int_in_range("bench_packet", "train", train, 1, bench::kMaxTrain) ||
-      !bench::int_in_range("bench_packet", "queue-packets", queue, 0, bench::kMaxU32) ||
-      !bench::finite_in_range("bench_packet", "nic-rate", nic_rate, false) ||
-      !bench::finite_in_range("bench_packet", "prop-delay", prop_delay, true))
-    return 2;
-  bench::apply_threads(threads);
-  bench::apply_selfcheck(selfcheck);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
-  obs_run.set_int("seed", seed);
+  cli.add_int("k", &k, bench::kK, "fat-tree parameter");
+  cli.add_int("train", &train, bench::kTrain, "packets per flow (burst length)");
+  cli.add_int("queue-packets", &queue, {0, bench::kMaxU32},
+              "output queue capacity in packets (0 = infinite)");
+  cli.add_double("nic-rate", &nic_rate, util::DoubleRange::above(0.0),
+                 "injection rate vs unit link capacity");
+  cli.add_double("prop-delay", &prop_delay, util::DoubleRange::at_least(0.0),
+                 "per-hop propagation delay");
+  cli.add_int("seed", &seed, bench::kRngSeed, "RNG seed for the permutation");
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
+  run.set_int("seed", seed);
 
   const std::uint32_t ku = static_cast<std::uint32_t>(k);
   topo::FatTree ft = topo::build_fat_tree(ku);

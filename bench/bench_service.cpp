@@ -83,49 +83,35 @@ std::string event_json(const fault::FaultEvent& e) {
 
 int main(int argc, char** argv) {
   std::int64_t k = 8, seed = 1, cluster = 40, rounds = 6, events_per_round = 4;
-  std::int64_t convert_rate = 8, batch = 8, threads = 0;
-  double eps = 0.12, duration = 30.0, augs_per_ms = 4000.0;
+  std::int64_t convert_rate = 8, batch = 8;
+  double eps = 0.12, duration = 30.0;
   std::string slo_json, script_out;
-  bool selfcheck = false;
 
+  const util::IntRange count{0, bench::kMaxU32};
   util::CliParser cli("Service: scripted flattree-svc sessions, latency vs SLO budgets.");
-  cli.add_int("k", &k, "fat-tree parameter of the scripted session");
-  cli.add_int("seed", &seed, "script + scenario + workload RNG seed");
-  cli.add_int("cluster", &cluster, "broadcast cluster size for the traffic snapshot");
-  cli.add_int("rounds", &rounds, "fault/query rounds in the script");
-  cli.add_int("events-per-round", &events_per_round, "scenario events injected per round");
-  cli.add_int("convert-rate", &convert_rate, "micro-transactions advanced per round");
-  cli.add_int("batch", &batch, "service read-only batch cap");
-  cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
-  cli.add_double("duration", &duration, "simulated horizon for the fault scenario");
-  cli.add_double("augs-per-ms", &augs_per_ms, "SLO cost model (augmentations per ms)");
+  cli.add_int("k", &k, bench::kK, "fat-tree parameter of the scripted session");
+  cli.add_int("seed", &seed, bench::kRngSeed, "script + scenario + workload RNG seed");
+  cli.add_int("cluster", &cluster, bench::kCluster,
+              "broadcast cluster size for the traffic snapshot (at most the server count)");
+  cli.add_int("rounds", &rounds, count, "fault/query rounds in the script");
+  cli.add_int("events-per-round", &events_per_round, count,
+              "scenario events injected per round");
+  cli.add_int("convert-rate", &convert_rate, count, "micro-transactions advanced per round");
+  cli.add_int("batch", &batch, {1, svc::kMaxBatch}, "service read-only batch cap");
+  cli.add_double("eps", &eps, bench::kEps, "Garg-Koenemann epsilon");
+  cli.add_double("duration", &duration, util::DoubleRange::at_least(0.0),
+                 "simulated horizon for the fault scenario");
   cli.add_string("slo-json", &slo_json, "write the SLO/latency summary to this path");
   cli.add_string("script-out", &script_out, "also write the generated script here");
-  std::int64_t threads_flag = 0;
-  bench::add_threads_flag(cli, &threads_flag);
-  bool selfcheck_flag = false;
-  bench::add_selfcheck_flag(cli, &selfcheck_flag);
-  bench::ObsFlags obsf;
-  bench::add_obs_flags(cli, &obsf);
-  if (!cli.parse(argc, argv)) return cli.exit_code();
-  if (!bench::k_in_range("bench_service", k)) return 2;
-  if (!bench::eps_in_range("bench_service", eps)) return 2;
-  if (!bench::cluster_in_range("bench_service", cluster)) return 2;
-  if (!(augs_per_ms > 0.0) || !std::isfinite(augs_per_ms)) {
-    std::fprintf(stderr, "bench_service: --augs-per-ms must be finite and positive\n");
-    return 2;
-  }
-  threads = threads_flag;
-  selfcheck = selfcheck_flag;
-  bench::apply_threads(threads);
-  bench::ObsScope obs_run(obsf, argc, argv);
-  obs_run.set_int("threads", threads);
-  obs_run.set_int("seed", seed);
-  obs_run.set_double("eps", eps);
+  bench::Run run(cli, argc, argv);
+  if (!run.parsed()) return cli.exit_code();
+  run.set_int("seed", seed);
+  run.set_double("eps", eps);
 
   // -- generate the script (pure function of the flags) ----------------------
   const std::uint32_t ku = static_cast<std::uint32_t>(k);
   core::FlatTreeNetwork net = bench::profiled_network(ku);
+  if (!bench::cluster_fits("bench_service", cluster, net.params().total_servers())) return 2;
   topo::Topology clos = net.materialize(net.assign_configs(core::Mode::Clos));
   fault::ScenarioParams sp;
   sp.duration = duration;
@@ -207,10 +193,9 @@ int main(int argc, char** argv) {
   std::vector<Sample> samples;
 
   svc::ServiceOptions opt;
-  opt.max_batch = batch > 0 ? static_cast<std::size_t>(batch) : 1;
+  opt.max_batch = static_cast<std::size_t>(batch);
   opt.epsilon = eps;
-  opt.selfcheck = selfcheck;
-  opt.slo.augmentations_per_ms = augs_per_ms;
+  opt.selfcheck = run.selfcheck();
   opt.latency_hook = [&](const svc::Request& req, bool ok, double wall_ms) {
     samples.push_back({req.op, req.deadline_ms, wall_ms, ok});
   };
@@ -276,7 +261,6 @@ int main(int argc, char** argv) {
   svc::ServiceOptions ropt;
   ropt.max_batch = opt.max_batch;
   ropt.epsilon = eps;
-  ropt.slo.augmentations_per_ms = augs_per_ms;
   svc::Service recovered(ropt);
   svc::RecoverStats rstats;
   std::string rerror;
@@ -404,10 +388,10 @@ int main(int argc, char** argv) {
     f << w.str() << '\n';
   }
 
-  if (selfcheck && service.selfcheck_violations() > 0) {
+  if (run.selfcheck() && service.selfcheck_violations() > 0) {
     std::fprintf(stderr, "bench_service selfcheck: FAILED (%zu violation(s))\n",
                  service.selfcheck_violations());
     return 1;
   }
-  return 0;
+  return bench::selfcheck_exit();
 }

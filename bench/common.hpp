@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,13 +48,6 @@ inline bool& selfcheck_enabled() {
 inline std::atomic<std::size_t>& selfcheck_violations() {
   static std::atomic<std::size_t> count{0};
   return count;
-}
-
-/// Registers the shared `--selfcheck` flag (every bench grows one).
-inline void add_selfcheck_flag(util::CliParser& cli, bool* flag) {
-  cli.add_bool("selfcheck", flag,
-               "validate every topology and certify every solver result (exit 1 on "
-               "any violation)");
 }
 
 /// Records a report: prints violations (single fwrite-backed fprintf per
@@ -113,158 +107,104 @@ inline int selfcheck_exit() {
   return 1;
 }
 
-/// Paths for the shared observability flags. Empty = that output disabled.
-struct ObsFlags {
-  std::string metrics_json;  ///< --metrics-json=PATH: run manifest
-  std::string trace;         ///< --trace=PATH: JSON-lines span trace
-};
-
-/// Registers `--metrics-json` and `--trace` (every bench grows both).
-inline void add_obs_flags(util::CliParser& cli, ObsFlags* flags) {
-  cli.add_string("metrics-json", &flags->metrics_json,
-                 "write a JSON run manifest (argv, seed, metrics) to this path");
-  cli.add_string("trace", &flags->trace,
-                 "write a JSON-lines span trace to this path");
-}
-
-/// Owns the observability side of a bench run. Construct right after flag
-/// parsing; when either path was requested this enables metrics collection
-/// (and tracing, if asked for) and writes the files at scope exit. With no
-/// paths this is inert and the bench's stdout is byte-identical to a build
-/// without the flags.
-class ObsScope {
- public:
-  ObsScope(const ObsFlags& flags, int argc, char** argv)
-      : session_(argc, argv, flags.metrics_json, flags.trace) {
-    if (session_.active()) {
-      obs::set_enabled(true);
-      if (!flags.trace.empty()) obs::start_tracing();
-    }
-  }
-
-  /// Manifest fields (seed, threads, epsilon, ...); no-ops when inactive.
-  void set_int(const std::string& key, std::int64_t value) {
-    if (session_.active()) session_.set_int(key, value);
-  }
-  void set_double(const std::string& key, double value) {
-    if (session_.active()) session_.set_double(key, value);
-  }
-
-  obs::RunSession& session() { return session_; }
-
- private:
-  obs::RunSession session_;  ///< writes manifest + trace on destruction
-};
-
-// -- sizing flag checks -------------------------------------------------------
+// -- flag ranges ---------------------------------------------------------------
 //
-// --k, --kmax/--kstep, --seeds, --eps and the packet simulator's sizing
-// and rate flags are checked before use, so a value out of range is
-// refused here, with a message on stderr naming the flag, before any cast
-// or solve: the bench then exits 2 with nothing on stdout.
+// Every numeric flag declares its range at registration, and
+// util::CliParser refuses a value outside it with exit 2 and a stderr line
+// naming the flag, before any cast, allocation or solve. These are the
+// ranges the benches share.
 
 /// The largest fat-tree parameter a bench accepts: eight times the largest
 /// k any paper-scale sweep uses (bench_fig5_apl_global --full stops at 32).
 inline constexpr std::int64_t kMaxK = 256;
-
-/// True when `k` is an even fat-tree parameter in [4, kMaxK]; otherwise
-/// prints why, prefixed with `bench`, and returns false.
-inline bool k_in_range(const char* bench, std::int64_t k) {
-  if (k >= 4 && k <= kMaxK && k % 2 == 0) return true;
-  std::fprintf(stderr, "%s: --k must be an even integer in [4, %lld], got %lld\n", bench,
-               static_cast<long long>(kMaxK), static_cast<long long>(k));
-  return false;
-}
-
-/// True when the k_values sweep 4, 4 + kstep, ... <= kmax visits only
-/// values k_in_range accepts and ends: kmax in [4, kMaxK] and kstep a
-/// positive even number. Otherwise prints why, prefixed with `bench`, and
-/// returns false (an odd k crashes the builders; a step of 0 never ends).
-inline bool k_sweep_in_range(const char* bench, std::int64_t kmax, std::int64_t kstep) {
-  if (kmax < 4 || kmax > kMaxK) {
-    std::fprintf(stderr, "%s: --kmax must lie in [4, %lld], got %lld\n", bench,
-                 static_cast<long long>(kMaxK), static_cast<long long>(kmax));
-    return false;
-  }
-  if (kstep < 2 || kstep % 2 != 0) {
-    std::fprintf(stderr, "%s: --kstep must be a positive even integer, got %lld\n", bench,
-                 static_cast<long long>(kstep));
-    return false;
-  }
-  return true;
-}
-
-/// True when `eps` lies in the open interval (0, 1) that Garg-Koenemann
-/// accepts; otherwise prints why, prefixed with `bench`, and returns false.
-inline bool eps_in_range(const char* bench, double eps) {
-  // Written so that NaN fails both tests.
-  if (eps > 0.0 && eps < 1.0) return true;
-  std::fprintf(stderr, "%s: --eps must be in (0, 1), got %g\n", bench, eps);
-  return false;
-}
-
-/// True when `seeds` lies in [1, 2^32 - 1]; otherwise prints why,
-/// prefixed with `bench`, and returns false (an average over no draws is
-/// 0/0, and a larger count would wrap in the uint32 cast).
-inline bool seeds_in_range(const char* bench, std::int64_t seeds) {
-  constexpr std::int64_t kMaxSeeds = std::numeric_limits<std::uint32_t>::max();
-  if (seeds >= 1 && seeds <= kMaxSeeds) return true;
-  std::fprintf(stderr, "%s: --seeds must lie in [1, %lld], got %lld\n", bench,
-               static_cast<long long>(kMaxSeeds), static_cast<long long>(seeds));
-  return false;
-}
-
-/// True when the integer flag `--flag` lies in [lo, hi]; otherwise prints
-/// why, prefixed with `bench`, and returns false (a negative value would
-/// wrap in the unsigned cast, a huge one wrap or exhaust memory).
-inline bool int_in_range(const char* bench, const char* flag, std::int64_t value,
-                         std::int64_t lo, std::int64_t hi) {
-  if (value >= lo && value <= hi) return true;
-  std::fprintf(stderr, "%s: --%s must lie in [%lld, %lld], got %lld\n", bench, flag,
-               static_cast<long long>(lo), static_cast<long long>(hi),
-               static_cast<long long>(value));
-  return false;
-}
-
-/// True when `--cluster` lies in [2, 2^32 - 1]; otherwise prints why,
-/// prefixed with `bench`, and returns false (a broadcast needs a sender
-/// and a receiver, an all-to-all a pair, and a larger size would wrap in
-/// the uint32 cast).
-inline bool cluster_in_range(const char* bench, std::int64_t cluster) {
-  return int_in_range(bench, "cluster", cluster, 2, std::numeric_limits<std::uint32_t>::max());
-}
-
-/// True when the double flag `--flag` is finite and positive, or finite
-/// and non-negative when `zero_ok`; otherwise prints why, prefixed with
-/// `bench`, and returns false.
-inline bool finite_in_range(const char* bench, const char* flag, double value, bool zero_ok) {
-  // Written so that NaN fails.
-  if (value > 0.0 && value <= std::numeric_limits<double>::max()) return true;
-  if (zero_ok && value == 0.0) return true;
-  std::fprintf(stderr, "%s: --%s must be finite and %s, got %g\n", bench, flag,
-               zero_ok ? "non-negative" : "positive", value);
-  return false;
-}
-
-/// Packet-simulator sizing: the most packets per flow (--train) a DES
-/// bench accepts. Every packet of a run is kept (40 bytes each), so a
-/// longer train only exhausts memory.
-inline constexpr std::int64_t kMaxTrain = std::int64_t{1} << 16;
-/// The largest --queue-packets, --sources, --a2a or --ecn-threshold value.
+/// The largest value of a count that is cast to uint32.
 inline constexpr std::int64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+/// The bound of a flag that has none beyond its int64 type.
+inline constexpr std::int64_t kMaxI64 = std::numeric_limits<std::int64_t>::max();
 
-/// Registers the shared `--threads` flag (every bench grows one). 0 means
-/// the exec default: FLATTREE_THREADS env var, else hardware concurrency.
-inline void add_threads_flag(util::CliParser& cli, std::int64_t* threads) {
-  cli.add_int("threads", threads,
-              "execution threads (0 = FLATTREE_THREADS env / hardware concurrency)");
-}
+/// --k: an even fat-tree parameter (an odd one crashes the builders).
+inline constexpr util::IntRange kK{4, kMaxK, 2};
+/// --kmax and --kstep: the sweep 4, 4 + kstep, ... <= kmax visits only
+/// even k and ends.
+inline constexpr util::IntRange kKmax{4, kMaxK};
+inline constexpr util::IntRange kKstep{2, kMaxK, 2};
+/// --seeds: draws to average (an average over none is 0/0).
+inline constexpr util::IntRange kSeeds{1, kMaxU32};
+/// --seed: a base RNG seed.
+inline constexpr util::IntRange kRngSeed{0, kMaxI64};
+/// --cluster: a broadcast needs a sender and a receiver, an all-to-all a
+/// pair.
+inline constexpr util::IntRange kCluster{2, kMaxU32};
+/// --eps: the open interval Garg-Koenemann accepts.
+inline constexpr util::DoubleRange kEps = util::DoubleRange::open(0.0, 1.0);
+/// --train: packets per flow of a DES bench. Every packet of a run is kept
+/// (40 bytes each), so a longer train only exhausts memory.
+inline constexpr util::IntRange kTrain{1, std::int64_t{1} << 16};
 
-/// Installs the requested global pool size after flag parsing. All results
-/// are bit-identical at any thread count (see DESIGN.md, Parallel
-/// execution) — this knob only changes wall-clock time.
-inline void apply_threads(std::int64_t threads) {
-  exec::set_global_threads(threads > 0 ? static_cast<unsigned>(threads) : 0);
+// -- shared flags ----------------------------------------------------------------
+
+/// The four flags every bench shares, registered and applied in one place:
+/// --threads (the pool size; results are bit-identical at any count, see
+/// DESIGN.md, Parallel execution), --selfcheck, and the observability
+/// outputs --metrics-json (run manifest) and --trace (JSON-lines spans).
+///
+/// Construct in place of cli.parse(): this registers the four flags, parses
+/// argv and, when parsing succeeds, installs the pool, applies --selfcheck
+/// and opens the run session, which writes its files when this object goes
+/// out of scope. With neither path given the session is inert and stdout
+/// is byte-identical to a run without the flags.
+class Run {
+ public:
+  Run(util::CliParser& cli, int argc, char** argv) {
+    std::int64_t threads = 0;
+    std::string metrics_json, trace;
+    cli.add_int("threads", &threads, {0, exec::kMaxThreads},
+                "execution threads (0 = FLATTREE_THREADS env / hardware concurrency)");
+    cli.add_bool("selfcheck", &selfcheck_,
+                 "validate every topology and certify every solver result (exit 1 on "
+                 "any violation)");
+    cli.add_string("metrics-json", &metrics_json,
+                   "write a JSON run manifest (argv, seed, metrics) to this path");
+    cli.add_string("trace", &trace, "write a JSON-lines span trace to this path");
+    parsed_ = cli.parse(argc, argv);
+    if (!parsed_) return;
+    exec::set_global_threads(static_cast<unsigned>(threads));
+    apply_selfcheck(selfcheck_);
+    session_.emplace(argc, argv, metrics_json, trace);
+    if (session_->active()) {
+      obs::set_enabled(true);
+      if (!trace.empty()) obs::start_tracing();
+    }
+    set_int("threads", threads);
+  }
+
+  /// False after a parse error or --help: main returns cli.exit_code().
+  bool parsed() const { return parsed_; }
+  bool selfcheck() const { return selfcheck_; }
+
+  /// Manifest fields (seed, eps, ...); no-ops when the session is inert.
+  void set_int(const std::string& key, std::int64_t value) {
+    if (session_->active()) session_->set_int(key, value);
+  }
+  void set_double(const std::string& key, double value) {
+    if (session_->active()) session_->set_double(key, value);
+  }
+
+ private:
+  bool parsed_ = false;
+  bool selfcheck_ = false;
+  std::optional<obs::RunSession> session_;  ///< writes manifest + trace on destruction
+};
+
+/// Plant-dependent --cluster check: true when a cluster of `cluster`
+/// servers fits the plant's `servers`; otherwise prints why, prefixed with
+/// `bench`, and returns false (a cluster larger than the plant places no
+/// traffic at all).
+inline bool cluster_fits(const char* bench, std::int64_t cluster, std::uint64_t servers) {
+  if (static_cast<std::uint64_t>(cluster) <= servers) return true;
+  std::fprintf(stderr, "%s: --cluster %lld exceeds the plant's %llu servers\n", bench,
+               static_cast<long long>(cluster), static_cast<unsigned long long>(servers));
+  return false;
 }
 
 /// Throughput lambda for a server-level demand set on a topology
@@ -319,8 +259,8 @@ inline double mean_cluster_throughput(const topo::Topology& topo, std::uint32_t 
   return sum / static_cast<double>(seeds);
 }
 
-/// The k sweep used by the figures: 4..kmax step kstep (check the flags
-/// with k_sweep_in_range first).
+/// The k sweep used by the figures: 4..kmax step kstep (kKmax and kKstep
+/// values).
 inline std::vector<std::uint32_t> k_values(std::int64_t kmax, std::int64_t kstep) {
   std::vector<std::uint32_t> ks;
   for (std::int64_t k = 4; k <= kmax; k += kstep) ks.push_back(static_cast<std::uint32_t>(k));

@@ -40,8 +40,8 @@ double lambda(const topo::Topology& t, const std::vector<mcf::ServerDemand>& dem
 int main(int argc, char** argv) {
   std::int64_t k = 8, seed = 1;
   util::CliParser cli("Adaptive controller: reconvert as the workload mix shifts.");
-  cli.add_int("k", &k, "fat-tree parameter");
-  cli.add_int("seed", &seed, "workload RNG seed");
+  cli.add_int("k", &k, {4, 256, 2}, "fat-tree parameter");
+  cli.add_int("seed", &seed, {0, INT64_MAX}, "workload RNG seed");
   if (!cli.parse(argc, argv)) return cli.exit_code();
 
   const std::uint32_t ku = static_cast<std::uint32_t>(k);

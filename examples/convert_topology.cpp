@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   std::int64_t k = 4;
   std::int64_t max_steps = 12;
   util::CliParser cli("Flat-tree conversion walk-through (keep k small to read it).");
-  cli.add_int("k", &k, "fat-tree parameter (even, >= 4)");
-  cli.add_int("max-steps", &max_steps, "reconfiguration steps to print");
+  cli.add_int("k", &k, {4, 256, 2}, "fat-tree parameter");
+  cli.add_int("max-steps", &max_steps, {0, INT64_MAX}, "reconfiguration steps to print");
   if (!cli.parse(argc, argv)) return cli.exit_code();
 
   core::FlatTreeConfig config;

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   std::string out = "flattree";
   bool servers = false;
   util::CliParser cli("Export a flat-tree operating mode to .dot and .topo files.");
-  cli.add_int("k", &k, "fat-tree parameter");
+  cli.add_int("k", &k, {4, 256, 2}, "fat-tree parameter");
   cli.add_string("mode", &mode, "clos | global | local");
   cli.add_string("out", &out, "output path prefix");
   cli.add_bool("servers", &servers, "include server nodes in the DOT render");

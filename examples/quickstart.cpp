@@ -18,7 +18,7 @@ using namespace flattree;
 int main(int argc, char** argv) {
   std::int64_t k = 8;
   util::CliParser cli("Flat-tree quickstart: build, convert, measure.");
-  cli.add_int("k", &k, "fat-tree parameter (even, >= 4)");
+  cli.add_int("k", &k, {4, 256, 2}, "fat-tree parameter");
   if (!cli.parse(argc, argv)) return cli.exit_code();
 
   // A Controller owns the physical plant and boots in Clos mode.

@@ -26,15 +26,17 @@ int main(int argc, char** argv) {
   std::int64_t k = 8, seed = 1, cluster_big = 100, cluster_small = 20, threads = 0;
   double eps = 0.08;
   util::CliParser cli("Throughput study with optimality certificates.");
-  cli.add_int("k", &k, "fat-tree parameter");
-  cli.add_int("seed", &seed, "RNG seed");
-  cli.add_int("big-cluster", &cluster_big, "broadcast cluster size");
-  cli.add_int("small-cluster", &cluster_small, "all-to-all cluster size");
-  cli.add_double("eps", &eps, "Garg-Koenemann epsilon");
-  cli.add_int("threads", &threads,
+  // A cluster needs two members; one above the server count is capped.
+  const util::IntRange cluster{2, UINT32_MAX};
+  cli.add_int("k", &k, {4, 256, 2}, "fat-tree parameter");
+  cli.add_int("seed", &seed, {0, INT64_MAX}, "RNG seed");
+  cli.add_int("big-cluster", &cluster_big, cluster, "broadcast cluster size");
+  cli.add_int("small-cluster", &cluster_small, cluster, "all-to-all cluster size");
+  cli.add_double("eps", &eps, util::DoubleRange::open(0.0, 1.0), "Garg-Koenemann epsilon");
+  cli.add_int("threads", &threads, {0, exec::kMaxThreads},
               "execution threads (0 = FLATTREE_THREADS env / hardware concurrency)");
   if (!cli.parse(argc, argv)) return cli.exit_code();
-  exec::set_global_threads(threads > 0 ? static_cast<unsigned>(threads) : 0);
+  exec::set_global_threads(static_cast<unsigned>(threads));
 
   const std::uint32_t ku = static_cast<std::uint32_t>(k);
   const std::uint32_t per_pod = ku * ku / 4;

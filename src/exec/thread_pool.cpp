@@ -45,7 +45,8 @@ unsigned default_threads() {
   if (const char* env = std::getenv("FLATTREE_THREADS")) {
     char* end = nullptr;
     long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) return static_cast<unsigned>(v);
+    if (end != env && *end == '\0' && v >= 1 && v <= long{kMaxThreads})
+      return static_cast<unsigned>(v);
   }
   return hardware_threads();
 }

@@ -34,8 +34,12 @@ namespace flattree::exec {
 /// Number of threads the hardware offers (>= 1).
 unsigned hardware_threads();
 
+/// The most execution threads a binary accepts, from --threads or from
+/// FLATTREE_THREADS.
+inline constexpr unsigned kMaxThreads = 256;
+
 /// Default worker count: the FLATTREE_THREADS environment variable when set
-/// to a positive integer, otherwise hardware_threads().
+/// to an integer in [1, kMaxThreads], otherwise hardware_threads().
 unsigned default_threads();
 
 class ThreadPool {

@@ -25,11 +25,11 @@
 // unopenable file, 3 recovery refused (corrupt journal/snapshot or replay
 // failure).
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "exec/parallel_for.hpp"
@@ -56,11 +56,12 @@ bool slurp(const std::string& path, std::string& out) {
 
 int main(int argc, char** argv) {
   std::string script, journal_path, snapshot_path, metrics_json, trace;
-  std::int64_t batch = 8, threads = 0, min_augs = 32;
+  std::int64_t batch = 8, threads = 0;
   std::int64_t snapshot_every = 32, max_line_bytes = 0, max_queued = 0;
-  double eps = 0.12, augs_per_ms = 4000.0;
+  double eps = 0.12;
   bool selfcheck = false, recover = false;
 
+  constexpr std::int64_t kMaxI64 = std::numeric_limits<std::int64_t>::max();
   util::CliParser cli("flattree_svc: JSON-lines controller service (flattree-svc.v1).");
   cli.add_string("script", &script, "read requests from this file instead of stdin");
   cli.add_string("journal", &journal_path,
@@ -68,23 +69,23 @@ int main(int argc, char** argv) {
   cli.add_string("snapshot", &snapshot_path,
                  "maintain the periodic state snapshot at this path (tmp + rename)");
   cli.add_int("snapshot-every", &snapshot_every,
+              {1, std::numeric_limits<std::uint32_t>::max()},
               "snapshot cadence in committed journal groups (needs --snapshot)");
   cli.add_bool("recover", &recover,
                "recover from --snapshot/--journal before reading the script: "
                "truncate the journal's torn tail, replay, resume after the "
                "durable prefix (exit 3 if the journal or snapshot is corrupt)");
-  cli.add_int("max-line-bytes", &max_line_bytes,
+  cli.add_int("max-line-bytes", &max_line_bytes, {0, kMaxI64},
               "shed request lines longer than this before parsing (0 = unlimited)");
-  cli.add_int("max-queued", &max_queued,
+  cli.add_int("max-queued", &max_queued, {0, kMaxI64},
               "arm admission control: max queued read-only requests per session "
               "(0 = off; also arms deterministic deadline shedding)");
-  cli.add_int("batch", &batch, "max consecutive read-only requests evaluated as one batch");
-  cli.add_int("threads", &threads,
+  cli.add_int("batch", &batch, {1, svc::kMaxBatch},
+              "max consecutive read-only requests evaluated as one batch");
+  cli.add_int("threads", &threads, {0, exec::kMaxThreads},
               "execution threads (0 = FLATTREE_THREADS env / hardware concurrency)");
-  cli.add_double("eps", &eps, "Garg-Koenemann epsilon for throughput queries");
-  cli.add_double("augs-per-ms", &augs_per_ms,
-                 "SLO cost model: GK augmentations afforded per deadline millisecond");
-  cli.add_int("min-augs", &min_augs, "SLO budget floor (augmentations)");
+  cli.add_double("eps", &eps, util::DoubleRange::open(0.0, 1.0),
+                 "Garg-Koenemann epsilon for throughput queries");
   cli.add_bool("selfcheck", &selfcheck,
                "run the controller validity battery after every mutating request "
                "and the snapshot battery after every snapshot (exit 1 on any "
@@ -93,17 +94,8 @@ int main(int argc, char** argv) {
                  "write a JSON run manifest to this path (also backs the 'manifest' op)");
   cli.add_string("trace", &trace, "write a JSON-lines span trace to this path");
   if (!cli.parse(argc, argv)) return cli.exit_code();
-  // Written so that NaN fails both tests.
-  if (!(eps > 0.0 && eps < 1.0)) {
-    std::fprintf(stderr, "flattree_svc: --eps must be in (0, 1)\n");
-    return 2;
-  }
-  if (!(augs_per_ms > 0.0) || !std::isfinite(augs_per_ms)) {
-    std::fprintf(stderr, "flattree_svc: --augs-per-ms must be finite and positive\n");
-    return 2;
-  }
 
-  exec::set_global_threads(threads > 0 ? static_cast<unsigned>(threads) : 0);
+  exec::set_global_threads(static_cast<unsigned>(threads));
   obs::RunSession obs_session(argc, argv, metrics_json, trace);
   if (obs_session.active()) {
     obs::set_enabled(true);
@@ -180,21 +172,18 @@ int main(int argc, char** argv) {
   }
 
   svc::ServiceOptions opt;
-  opt.max_batch = batch > 0 ? static_cast<std::size_t>(batch) : 1;
+  opt.max_batch = static_cast<std::size_t>(batch);
   opt.epsilon = eps;
   opt.selfcheck = selfcheck;
-  opt.slo.augmentations_per_ms = augs_per_ms;
-  opt.slo.min_augmentations = min_augs > 0 ? static_cast<std::uint64_t>(min_augs) : 0;
   opt.journal = journal_path.empty() ? nullptr : &journal_file;
   // Resume (header already on disk) unless the durable prefix came back
   // empty — a journal cut mid-header truncates to nothing, and the fresh
   // append must start with a header again.
   opt.journal_resume = recover && recovered_journal.committed_bytes > 0;
-  opt.max_line_bytes =
-      max_line_bytes > 0 ? static_cast<std::size_t>(max_line_bytes) : 0;
-  opt.max_queued = max_queued > 0 ? static_cast<std::size_t>(max_queued) : 0;
+  opt.max_line_bytes = static_cast<std::size_t>(max_line_bytes);
+  opt.max_queued = static_cast<std::size_t>(max_queued);
   opt.manifest_session = &obs_session;
-  if (!snapshot_path.empty() && snapshot_every > 0) {
+  if (!snapshot_path.empty()) {
     opt.snapshot_every = static_cast<std::uint64_t>(snapshot_every);
     // Atomic maintenance of the latest snapshot: write aside, then rename
     // over, so a crash mid-snapshot leaves the previous one intact.

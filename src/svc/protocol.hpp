@@ -10,7 +10,7 @@
 //   "id"          any scalar, echoed verbatim in the response
 //   "session"     integer shard selector in [0, kMaxSessions)
 //   "deadline_ms" per-request SLO budget (> 0; 0/absent = unlimited),
-//                 mapped to a GK augmentation budget by svc::SloPolicy
+//                 mapped to a GK augmentation budget by svc/slo.hpp
 //
 // Responses open with a fixed key order — schema, seq, id (when present),
 // op, ok — so response streams are comparable byte for byte across runs.

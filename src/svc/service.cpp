@@ -8,6 +8,8 @@
 #include <istream>
 #include <iterator>
 #include <ostream>
+#include <stdexcept>
+#include <string>
 
 #include "check/snapshot_check.hpp"
 #include "exec/parallel_for.hpp"
@@ -55,7 +57,9 @@ void add_tally(ServiceStats& st, const EvalTally& t) {
 }  // namespace
 
 Service::Service(ServiceOptions opt) : opt_(std::move(opt)) {
-  if (opt_.max_batch == 0) opt_.max_batch = 1;
+  if (opt_.max_batch == 0 || opt_.max_batch > kMaxBatch)
+    throw std::invalid_argument("Service: max_batch must lie in [1, " +
+                                std::to_string(kMaxBatch) + "]");
   sessions_.resize(kMaxSessions);
   histories_.resize(kMaxSessions);
   if (opt_.journal != nullptr)
@@ -130,7 +134,6 @@ Service::EvalResult Service::eval(const Request& req) {
         if (sessions_[req.session] == nullptr) {
           SessionOptions sopt;
           sopt.epsilon = opt_.epsilon;
-          sopt.slo = opt_.slo;
           sessions_[req.session] = std::make_unique<Session>(sopt);
         }
         Session& s = *sessions_[req.session];
@@ -380,11 +383,10 @@ void Service::process_line(std::string line, std::ostream& out,
                 std::to_string(opt_.max_queued) + ")"};
       } else if (p.req.deadline_ms > 0.0) {
         // Deterministic deadline floor: each queued request ahead costs at
-        // least the minimum augmentation budget at the policy rate.
+        // least the minimum augmentation budget at the SLO rate.
         const double floor_ms =
             static_cast<double>(depth) *
-            (static_cast<double>(opt_.slo.min_augmentations) /
-             opt_.slo.augmentations_per_ms);
+            (static_cast<double>(kMinAugmentations) / kAugmentationsPerMs);
         if (p.req.deadline_ms < floor_ms) {
           p.shed = true;
           p.gap_class = "deadline";

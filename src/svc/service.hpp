@@ -7,7 +7,7 @@
 //
 // Determinism contract (the same one every bench in this repo honors):
 // given the same input and the same ServiceOptions knobs that are part of
-// the protocol surface (max_batch, epsilon, slo, the overload caps), the
+// the protocol surface (max_batch, epsilon, the overload caps), the
 // response stream and the journal are byte-identical
 //
 //   * at any --threads count,
@@ -61,17 +61,20 @@ class RunSession;
 
 namespace flattree::svc {
 
+/// The largest read-only batch a service accepts (the batch buffer is
+/// reserved up front).
+inline constexpr std::size_t kMaxBatch = std::size_t{1} << 16;
+
 /// Knobs for one service run; all deterministic except `latency_hook` and
 /// the sink plumbing.
 struct ServiceOptions {
-  std::size_t max_batch = 8;   ///< read-only requests per batch (>= 1)
+  std::size_t max_batch = 8;   ///< read-only requests per batch, in [1, kMaxBatch]
   double epsilon = 0.12;       ///< GK epsilon for throughput queries
   /// Read by nothing: throughput queries always solve cold. Still declared
   /// because perfbench's svc-stream assigns it; the perfbench-only change
   /// that drops that assignment deletes this field (ROADMAP item 7).
   bool incremental = false;
   bool selfcheck = false;      ///< controller + snapshot invariant batteries
-  SloPolicy slo;
   std::ostream* journal = nullptr;  ///< v2 framed journal (null = off)
   /// Append to an existing tail-truncated journal: suppress the v2 header
   /// (set by the --recover path after it truncates the torn tail).
@@ -113,6 +116,8 @@ struct RecoverStats {
 /// snapshots periodically, and answers every live line exactly once.
 class Service {
  public:
+  /// Throws std::invalid_argument unless opt.max_batch lies in
+  /// [1, kMaxBatch].
   explicit Service(ServiceOptions opt);
 
   /// Processes `in` to EOF; one response line per input line on `out`.

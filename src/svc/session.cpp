@@ -216,7 +216,7 @@ bool Session::exec_traffic(const Request& req, obs::JsonValue& payload, RequestE
     std::uint64_t cluster = std::min<std::uint64_t>(40, servers), seed = 1;
     std::string pattern_token = "broadcast", placement_token = "none";
     if (!req_u64(req.body, "cluster", servers, cluster, present, err)) return false;
-    // Every pattern needs two servers a cluster (bench::cluster_in_range).
+    // Every pattern needs two servers a cluster (as bench::kCluster).
     if (cluster < 2) return fail(err, "svc.request.bad_field", "field 'cluster': must be >= 2");
     if (!req_u64(req.body, "seed", ~std::uint64_t{0} >> 1, seed, present, err)) return false;
     if (!req_string(req.body, "pattern", pattern_token, present, err)) return false;
@@ -461,7 +461,7 @@ void Session::metric_block(const Request& req, const fault::DegradeResult& d,
     want_lambda = v->as_bool();
   const bool lambda = want_lambda && !demands_.empty();
   const std::uint64_t budget =
-      lambda ? budget_augmentations(opt_.slo, req.deadline_ms) : 0;
+      lambda ? budget_augmentations(req.deadline_ms) : 0;
   static const std::vector<mcf::ServerDemand> kNoDemands;
   const fault::Assessment a = fault::assess(d.topo, d.stranded,
                                             lambda ? demands_ : kNoDemands,

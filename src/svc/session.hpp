@@ -35,7 +35,6 @@ namespace flattree::svc {
 /// Per-shard evaluation knobs, shared by every session of a service run.
 struct SessionOptions {
   double epsilon = 0.12;  ///< GK epsilon for throughput queries
-  SloPolicy slo;
 };
 
 /// One state shard: a resilient controller and its traffic snapshot. Ops

@@ -13,23 +13,19 @@
 // flows, so a truncated answer is still externally verified evidence,
 // just with a wider bracket.
 //
-// The augmentations-per-millisecond rate is a policy knob (flattree_svc
-// --augs-per-ms, refused unless finite and positive), not a measurement:
-// it makes the deadline-to-budget map a pure function of the request.
-// bench_service reports how well the default rate tracks real wall time
-// (SLO hit rate, latency percentiles).
+// The augmentations-per-millisecond rate is a fixed constant, not a
+// measurement: it makes the deadline-to-budget map a pure function of the
+// request. bench_service reports how well it tracks real wall time (SLO
+// hit rate, latency percentiles).
 
 #include <cstdint>
 
 namespace flattree::svc {
 
-/// Deadline-to-budget cost model.
-struct SloPolicy {
-  /// GK augmentations afforded per deadline millisecond.
-  double augmentations_per_ms = 4000.0;
-  /// Floor: even a tiny deadline buys enough work for a usable bound.
-  std::uint64_t min_augmentations = 32;
-};
+/// GK augmentations afforded per deadline millisecond.
+inline constexpr double kAugmentationsPerMs = 4000.0;
+/// Floor: even a tiny deadline buys enough work for a usable bound.
+inline constexpr std::uint64_t kMinAugmentations = 32;
 
 /// Annealing iterations afforded per deadline millisecond (the `design`
 /// op's unit of work is a candidate evaluation, not an augmentation).
@@ -37,10 +33,9 @@ inline constexpr double kDesignIterationsPerMs = 0.25;
 /// Floor for budgeted design searches: a few moves beat none.
 inline constexpr std::uint64_t kMinDesignIterations = 4;
 
-/// Maps a deadline to an augmentation budget (0 deadline = 0 = unlimited).
-/// Throws std::invalid_argument unless augmentations_per_ms is finite and
-/// positive.
-std::uint64_t budget_augmentations(const SloPolicy& policy, double deadline_ms);
+/// Maps a deadline to an augmentation budget (0 deadline = 0 = unlimited)
+/// at kAugmentationsPerMs, floored at kMinAugmentations.
+std::uint64_t budget_augmentations(double deadline_ms);
 
 /// Maps a deadline to a design-search iteration budget (0 deadline = 0 =
 /// unlimited) at kDesignIterationsPerMs, floored at kMinDesignIterations,

@@ -4,21 +4,50 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 namespace flattree::util {
+
+namespace {
+
+std::string describe(const IntRange& r) {
+  std::string s = "[" + std::to_string(r.lo) + ", " + std::to_string(r.hi) + "]";
+  if (r.step != 1) s += " step " + std::to_string(r.step);
+  return s;
+}
+
+std::string describe(const DoubleRange& r) {
+  std::ostringstream os;
+  os << (r.lo_open ? '(' : '[') << r.lo << ", " << r.hi << (r.hi_open ? ')' : ']');
+  return os.str();
+}
+
+}  // namespace
 
 CliParser::CliParser(std::string program_description)
     : description_(std::move(program_description)) {}
 
-void CliParser::add_int(const std::string& name, std::int64_t* target,
+void CliParser::add_int(const std::string& name, std::int64_t* target, IntRange range,
                         const std::string& help) {
-  flags_.push_back({name, Kind::Int, target, help, std::to_string(*target)});
+  if (range.step < 1 || range.lo > range.hi || !range.contains(*target))
+    throw std::invalid_argument("CliParser: --" + name + " default " +
+                                std::to_string(*target) + " outside its range " +
+                                describe(range));
+  Flag flag{name, Kind::Int, target, help, std::to_string(*target)};
+  flag.int_range = range;
+  flags_.push_back(std::move(flag));
 }
 
-void CliParser::add_double(const std::string& name, double* target, const std::string& help) {
+void CliParser::add_double(const std::string& name, double* target, DoubleRange range,
+                           const std::string& help) {
   std::ostringstream os;
   os << *target;
-  flags_.push_back({name, Kind::Double, target, help, os.str()});
+  if (!std::isfinite(*target) || !range.contains(*target))
+    throw std::invalid_argument("CliParser: --" + name + " default " + os.str() +
+                                " outside its range " + describe(range));
+  Flag flag{name, Kind::Double, target, help, os.str()};
+  flag.double_range = range;
+  flags_.push_back(std::move(flag));
 }
 
 void CliParser::add_bool(const std::string& name, bool* target, const std::string& help) {
@@ -36,40 +65,48 @@ const CliParser::Flag* CliParser::find(const std::string& name) const {
   return nullptr;
 }
 
-bool CliParser::assign(const Flag& flag, const std::string& value) {
+std::string CliParser::assign(const Flag& flag, const std::string& value) {
+  const std::string invalid =
+      "invalid value '" + value + "' for flag '--" + flag.name + "'";
   errno = 0;
   char* end = nullptr;
   switch (flag.kind) {
     case Kind::Int: {
       long long v = std::strtoll(value.c_str(), &end, 10);
-      if (errno != 0 || end == value.c_str() || *end != '\0') return false;
+      if (errno != 0 || end == value.c_str() || *end != '\0') return invalid;
+      if (!flag.int_range.contains(v))
+        return "flag '--" + flag.name + "' must lie in " + describe(flag.int_range) +
+               ", got " + value;
       *static_cast<std::int64_t*>(flag.target) = v;
-      return true;
+      return {};
     }
     case Kind::Double: {
       double v = std::strtod(value.c_str(), &end);
       // strtod also reads nan, inf and -inf; no flag means any of them.
       if (errno != 0 || end == value.c_str() || *end != '\0' || !std::isfinite(v))
-        return false;
+        return invalid;
+      if (!flag.double_range.contains(v))
+        return "flag '--" + flag.name + "' must lie in " + describe(flag.double_range) +
+               ", got " + value;
       *static_cast<double*>(flag.target) = v;
-      return true;
+      return {};
     }
     case Kind::Bool: {
       if (value == "true" || value == "1") {
         *static_cast<bool*>(flag.target) = true;
-        return true;
+        return {};
       }
       if (value == "false" || value == "0") {
         *static_cast<bool*>(flag.target) = false;
-        return true;
+        return {};
       }
-      return false;
+      return invalid;
     }
     case Kind::String:
       *static_cast<std::string*>(flag.target) = value;
-      return true;
+      return {};
   }
-  return false;
+  return invalid;
 }
 
 bool CliParser::parse(int argc, char** argv) {
@@ -128,9 +165,8 @@ bool CliParser::parse(int argc, char** argv) {
       }
       value = argv[++i];
     }
-    if (!assign(*flag, value)) {
-      std::fprintf(stderr, "invalid value '%s' for flag '--%s'\n", value.c_str(),
-                   body.c_str());
+    if (std::string error = assign(*flag, value); !error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
       exit_code_ = 2;
       return false;
     }
@@ -144,8 +180,8 @@ std::string CliParser::usage() const {
   for (const auto& f : flags_) {
     os << "  --" << f.name;
     switch (f.kind) {
-      case Kind::Int: os << " <int>"; break;
-      case Kind::Double: os << " <float>"; break;
+      case Kind::Int: os << " <int in " << describe(f.int_range) << ">"; break;
+      case Kind::Double: os << " <float in " << describe(f.double_range) << ">"; break;
       case Kind::Bool: os << " | --no-" << f.name; break;
       case Kind::String: os << " <string>"; break;
     }

@@ -81,7 +81,7 @@ TEST(SvcDesign, RespondsWithALayoutAndCertifiedObjective) {
 }
 
 TEST(SvcDesign, DeadlineCapsTheIterationCount) {
-  // SloPolicy defaults: 0.25 iterations/ms, floor 4 — a 10 ms deadline
+  // kDesignIterationsPerMs 0.25, floor 4 — a 10 ms deadline
   // budgets 4 iterations and caps the requested 64.
   RunResult r = run_service(
       "{\"op\":\"build\",\"k\":4}\n"

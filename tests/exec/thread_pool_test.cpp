@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exec/parallel_for.hpp"
@@ -31,6 +33,29 @@ TEST(ThreadPool, ZeroMeansDefaultThreads) {
   EXPECT_EQ(pool.threads(), default_threads());
   EXPECT_GE(default_threads(), 1u);
   EXPECT_GE(hardware_threads(), 1u);
+}
+
+TEST(ThreadPool, DefaultThreadsEnvHasTheFlagCap) {
+  // FLATTREE_THREADS takes the --threads range: an integer in
+  // [1, kMaxThreads]. Anything else falls back to hardware threads. Only
+  // default_threads() is called here; no pool of these sizes is built.
+  const char* saved = std::getenv("FLATTREE_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  struct Case {
+    const char* value;
+    unsigned want;
+  };
+  for (const Case& c : {Case{"1", 1u}, Case{"3", 3u}, Case{"256", kMaxThreads},
+                        Case{"257", hardware_threads()}, Case{"4000000000", hardware_threads()},
+                        Case{"0", hardware_threads()}, Case{"-1", hardware_threads()},
+                        Case{"8x", hardware_threads()}}) {
+    ASSERT_EQ(setenv("FLATTREE_THREADS", c.value, 1), 0);
+    EXPECT_EQ(default_threads(), c.want) << c.value;
+  }
+  if (saved != nullptr)
+    setenv("FLATTREE_THREADS", restore.c_str(), 1);
+  else
+    unsetenv("FLATTREE_THREADS");
 }
 
 TEST(ThreadPool, EveryChunkRunsExactlyOnce) {

@@ -56,7 +56,9 @@ TEST(BenchFlags, OutOfRangeSizingFlagsExitTwoWithEmptyStdout) {
   // fabric, or average over no draws (a nan row). A --kmax/--kstep sweep
   // that would reach an odd k or never end, an --eps outside (0, 1), and
   // bench_design's --iters outside [0, 4096] or --trace-every below 1 are
-  // refused the same way.
+  // refused the same way. Every numeric flag declares its range to
+  // util::CliParser, which refuses a value outside it with exit 2 and a
+  // stderr line naming the flag.
   const char* k_benches[] = {"bench_chaos",   "bench_congestion", "bench_design",
                              "bench_failures", "bench_hybrid",    "bench_packet",
                              "bench_service"};
@@ -114,12 +116,64 @@ TEST(BenchFlags, OutOfRangeSizingFlagsExitTwoWithEmptyStdout) {
                               "--cluster 4294967296"})
       cases.push_back({b, flags});
 
+  // Flags that used to reach a divisor, an unsigned cast or a loop bound
+  // unchecked: each crashed (SIGFPE, abort, bad_alloc), printed a nan
+  // column, wrapped, or was silently ignored or clamped.
+  for (const Case& c : std::vector<Case>{
+           {"bench_chaos", "--report-every 0 --k 4 --cluster 8"},
+           {"bench_chaos", "--max-replans -1"},
+           {"bench_chaos", "--mcf-budget -1"},
+           {"bench_chaos", "--convert-rate -1"},
+           {"bench_chaos", "--mcf-every -1"},
+           {"bench_chaos", "--duration -1"},
+           {"bench_chaos", "--flap-prob 1.5"},
+           {"bench_chaos", "--link-mtbf -1"},
+           {"bench_oversub", "--r 0"},
+           {"bench_oversub", "--pods -1"},
+           {"bench_hybrid", "--step 0 --k 4"},
+           {"bench_hybrid", "--global-cluster 1"},
+           {"bench_hybrid", "--local-cluster 0"},
+           {"bench_fig5_apl_global", "--rg-seeds 0"},
+           {"bench_service", "--rounds -1"},
+           {"bench_service", "--batch -3"},
+           {"bench_service", "--batch 0"},
+           {"bench_service", "--events-per-round -1"},
+           {"bench_service", "--duration -1"},
+           {"bench_failures", "--max-failures -2"},
+           {"bench_congestion", "--flowlet-gap -1"},
+           {"bench_design", "--trace-every -1"},
+           {"bench_fig7_broadcast", "--threads 257"},
+           {"bench_fig8_alltoall", "--threads -1"},
+           {"../examples/quickstart", "--k 5"},
+           {"../examples/hybrid_zones", "--k 3"},
+           {"../examples/throughput_study", "--big-cluster 1 --k 4"},
+           {"../examples/throughput_study", "--threads 257"},
+           {FT_SVC_BIN, "--max-queued -1"},
+           {FT_SVC_BIN, "--max-line-bytes -5"},
+           {FT_SVC_BIN, "--snapshot-every -1"},
+           {FT_SVC_BIN, "--batch 0"},
+           {FT_SVC_BIN, "--threads -4"}})
+    cases.push_back(c);
+  // Checks that need the built plant, after parsing: a --max-failures
+  // above the core count (it read past the core pool), a --cluster above
+  // the server count (it placed no traffic: lambda 0 on every row), and a
+  // --d that --r does not divide (ClosParams threw past main).
+  for (const Case& c : std::vector<Case>{
+           {"bench_failures", "--max-failures 8 --k 4"},
+           {"bench_failures", "--cluster 100 --k 4 --max-failures 4"},
+           {"bench_chaos", "--cluster 100 --k 4"},
+           {"bench_service", "--cluster 100 --k 4"},
+           {"bench_oversub", "--d 3 --r 2"}})
+    cases.push_back(c);
+
   std::string out_path = testing::TempDir() + "bench_sizing_out.txt";
   std::string err_path = testing::TempDir() + "bench_sizing_err.txt";
   for (const Case& c : cases) {
-    std::string bin = std::string(FT_BENCH_DIR) + "/" + c.bench;
+    std::string bin =
+        c.bench[0] == '/' ? c.bench : std::string(FT_BENCH_DIR) + "/" + c.bench;
     if (!file_exists(bin)) GTEST_SKIP() << "bench binary not built: " << bin;
-    std::string cmd = bin + " " + c.flags + " > " + out_path + " 2> " + err_path;
+    std::string cmd =
+        bin + " " + c.flags + " < /dev/null > " + out_path + " 2> " + err_path;
     int status = std::system(cmd.c_str());
     const std::string what = c.bench + " " + c.flags;
     ASSERT_TRUE(WIFEXITED(status)) << what;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -103,6 +104,18 @@ TEST(Service, ByteIdentityAcrossThreadsAndObs) {
   }
   obs::set_enabled(false);
   exec::set_global_threads(0);
+}
+
+TEST(Service, RefusesABatchCapOutsideItsRange) {
+  // A cap of 0 forms no batch, and one above kMaxBatch is not reserved.
+  for (std::size_t cap : {std::size_t{0}, kMaxBatch + 1}) {
+    ServiceOptions opt;
+    opt.max_batch = cap;
+    EXPECT_THROW(Service{opt}, std::invalid_argument) << cap;
+  }
+  ServiceOptions opt;
+  opt.max_batch = kMaxBatch;
+  EXPECT_NO_THROW(Service{opt});
 }
 
 TEST(Service, JournalIsAReplayFixpoint) {
